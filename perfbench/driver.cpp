@@ -17,16 +17,19 @@
 //       thread (writing the same CSVs, the threads-1 reference), then
 //       rebuilds the same work from the layers' public functions with one
 //       span around every call.  Repeats until <seconds> have passed (at
-//       least once) and prints one JSON line per repetition.
+//       least once) and prints one JSON line per repetition, with
+//       run_scenario's own figures for what the rebuild also counts.
 //
 // The rebuild draws from the engines' own stream labels ("population",
-// "plan-unicast", the mechanism names, derive_seed(root, "run", run)), so
-// its work counts equal run_scenario's.  No span lives inside src/.
+// "plan-unicast", the mechanism names, derive_seed(root, "run", run)) and
+// repeats the deployment engine's self-healing pass after an outage, so its
+// work counts and its trace equal run_scenario's.  No span lives inside src/.
 #include <sys/resource.h>
 #include <time.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
@@ -45,12 +48,14 @@
 #include "multicell/assignment.hpp"
 #include "multicell/coordinator.hpp"
 #include "multicell/deployment.hpp"
+#include "nbiot/radio.hpp"
 #include "scenario/parser.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/run.hpp"
 #include "snapshot/format.hpp"
 #include "telemetry/collector.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/sink.hpp"
 #include "traffic/population.hpp"
 
 namespace {
@@ -156,6 +161,16 @@ public:
     }
     void close(int id) { spans_[static_cast<std::size_t>(id)].end_ns = now_ns(); }
 
+    /// Wall time the spans themselves cost: every open/close pair of the
+    /// pass replayed, with the same names, around no work.  A traced pass
+    /// and an untraced one doing the same calls differ by exactly this.
+    [[nodiscard]] double replay_seconds() const {
+        Tracer replay;
+        const Clock::time_point start = Clock::now();
+        for (const Span& s : spans_) replay.close(replay.open(s.name, s.parent));
+        return seconds_between(start, Clock::now());
+    }
+
     /// Seconds per span name, summed over every call.
     [[nodiscard]] std::map<std::string, double> totals() const {
         std::map<std::string, double> out;
@@ -220,7 +235,9 @@ struct WorkCounts {
     std::uint64_t stranded_devices = 0;
     std::uint64_t max_attempts_per_device = 0;
 
-    void add(const core::CampaignResult& r) {
+    /// `healed` devices were re-delivered after their cell went down, so
+    /// they no longer count as unreceived.
+    void add(const core::CampaignResult& r, std::size_t healed) {
         devices += r.devices.size();
         rach_attempts += r.rach_attempts;
         rach_collisions += r.rach_collisions;
@@ -228,7 +245,7 @@ struct WorkCounts {
         paging_messages += r.paging_messages;
         recovery_tx += r.recovery_transmissions;
         transmissions += r.total_transmissions();
-        unreceived_devices += r.devices.size() - r.received_count();
+        unreceived_devices += r.devices.size() - r.received_count() - healed;
         stranded_devices += r.stranded;
         for (const core::DeviceOutcome& d : r.devices) {
             if (d.recovered) ++recovered_devices;
@@ -240,14 +257,55 @@ struct WorkCounts {
 
 struct RebuildOutput {
     WorkCounts counts;
+    /// The rendered JSONL trace ("" without trace telemetry).
+    std::string trace;
     std::uint64_t trace_records = 0;
-    double trace_mb = 0.0;
     std::uint64_t snapshot_saves = 0;
     std::uint64_t snapshot_final_bytes = 0;
-    /// True when re-writing the loaded sections reproduced the engine's
-    /// final snapshot byte for byte (or when no snapshot was configured).
-    bool snapshot_roundtrip = true;
+    /// The loaded final snapshot written once more ("" without one).
+    std::string snapshot_rewrite;
 };
+
+/// The deployment engine's self-healing pass for a campaign that its cell's
+/// outage stopped: every device left without the payload is re-assigned over
+/// the surviving cells and served by one serialized unicast re-delivery,
+/// traced as one `redelivery` record.  Returns the number of devices healed.
+std::size_t redeliver(const scenario::ScenarioSpec& spec,
+                      const multicell::CellTopology& topology,
+                      const core::CampaignConfig& config, const core::CampaignResult& result) {
+    std::vector<nbiot::UeSpec> stranded;
+    for (const core::DeviceOutcome& d : result.devices) {
+        if (!d.received) stranded.push_back(d.spec);
+    }
+    multicell::CellTopology survivors;
+    for (const multicell::CellSite& site : topology.cells) {
+        if (site.id == spec.cell_down->cell) continue;
+        multicell::CellSite s = site;
+        s.id = static_cast<std::uint32_t>(survivors.cells.size());
+        survivors.cells.push_back(s);
+    }
+    if (stranded.empty() || survivors.cells.empty()) return 0;
+
+    const multicell::AssignmentPolicy policy =
+        spec.assignment == multicell::AssignmentPolicy::class_affinity
+            ? multicell::AssignmentPolicy::uniform_hash
+            : spec.assignment;
+    const multicell::DeviceAssignment assignment =
+        multicell::assign_devices(survivors, stranded, {}, policy, spec.base_seed);
+    const nbiot::RadioModel radio(config.radio);
+    const std::int64_t reattach_ms = config.rach.attempt_active_time().count() +
+                                     config.timing.rrc_setup.count() +
+                                     config.timing.rrc_release.count();
+    std::vector<std::int64_t> feed_clock(survivors.cells.size(), spec.cell_down->at_ms);
+    for (std::size_t i = 0; i < stranded.size(); ++i) {
+        std::int64_t& clock = feed_clock[assignment.cell_of_device[i]];
+        clock += reattach_ms +
+                 radio.downlink_airtime(result.payload_bytes, stranded[i].ce_level).count();
+        NBMG_TELEMETRY_EMIT(config.telemetry, telemetry::EventKind::redelivery, clock,
+                            stranded[i].device.value, result.payload_bytes, 1);
+    }
+    return stranded.size();
+}
 
 /// The collector run_scenario would attach for this spec, or nullopt.
 std::optional<telemetry::Collector> make_collector(const scenario::ScenarioSpec& spec) {
@@ -355,6 +413,9 @@ RebuildOutput rebuild(const scenario::ScenarioSpec& spec, Tracer& tracer, int ro
             const nbiot::SimTime horizon =
                 core::recommended_horizon(specs, base, spec.payload_bytes);
             const std::uint64_t run_seed = sim::derive_seed(rng.root_seed(), "run", run);
+            const bool outage_here = spec.cell_down && base.outage_at_ms >= 1 &&
+                                     spec.cell_down->cell == cell &&
+                                     spec.cell_down->at_ms < horizon.count();
 
             const auto campaign = [&](core::MechanismKind kind, std::string_view stream,
                                       std::size_t slot) {
@@ -373,7 +434,12 @@ RebuildOutput rebuild(const scenario::ScenarioSpec& spec, Tracer& tracer, int ro
                         return core::CampaignRunner(config).run(plan, specs, spec.payload_bytes,
                                                                 horizon, run_seed);
                     });
-                out.counts.add(result);
+                const std::size_t healed =
+                    outage_here ? tracer.span("multicell.redeliver", cell_span, [&] {
+                        return redeliver(spec, topology, config, result);
+                    })
+                                : 0;
+                out.counts.add(result, healed);
             };
             campaign(core::MechanismKind::unicast, "plan-unicast", 0);
             for (std::size_t m = 0; m < spec.mechanisms.size(); ++m) {
@@ -399,10 +465,9 @@ RebuildOutput rebuild(const scenario::ScenarioSpec& spec, Tracer& tracer, int ro
 
     if (collector) {
         if (spec.telemetry.trace) {
-            const std::string trace = tracer.span("telemetry.export", root, [&] {
+            out.trace = tracer.span("telemetry.export", root, [&] {
                 return telemetry::trace_jsonl(*collector);
             });
-            out.trace_mb = static_cast<double>(trace.size()) / 1e6;
             tracer.span("telemetry.export", root, [&] {
                 return telemetry::timeline_json(*collector,
                                                 coordination ? &*coordination : nullptr);
@@ -422,16 +487,15 @@ RebuildOutput rebuild(const scenario::ScenarioSpec& spec, Tracer& tracer, int ro
         }
     }
 
-    // The snapshot layer: read the engine's final snapshot back, write the
-    // same sections once more, and check the bytes agree.
+    // The snapshot layer: read the engine's final snapshot back and write
+    // the same sections once more.
     if (!spec.checkpoint.out.empty()) {
         const std::vector<snapshot::Section> sections = tracer.span(
             "snapshot.load", root, [&] { return snapshot::read_snapshot_file(spec.checkpoint.out); });
-        const std::string rewrite = out_dir + "/rewrite.snap";
+        out.snapshot_rewrite = out_dir + "/rewrite.snap";
         tracer.span("snapshot.write", root,
-                    [&] { snapshot::write_snapshot_file(rewrite, sections); });
-        out.snapshot_final_bytes = std::filesystem::file_size(rewrite);
-        out.snapshot_roundtrip = read_file(rewrite) == read_file(spec.checkpoint.out);
+                    [&] { snapshot::write_snapshot_file(out.snapshot_rewrite, sections); });
+        out.snapshot_final_bytes = std::filesystem::file_size(out.snapshot_rewrite);
         out.snapshot_saves = checkpoint_saves(spec.checkpoint, task_horizons);
     }
     return out;
@@ -497,6 +561,33 @@ int mode_trace(const std::string& spec_path, const std::string& out_dir, double 
         const RebuildOutput rebuilt = rebuild(spec, tracer, root, out_dir);
         tracer.close(root);
         tracer.write_json(out_dir + "/spans.json");
+        const double overhead_s = tracer.replay_seconds();
+
+        // Checks of the rebuild against run_scenario's own outputs, outside
+        // every span.
+        const bool snapshot_roundtrip =
+            rebuilt.snapshot_rewrite.empty() ||
+            read_file(rebuilt.snapshot_rewrite) == read_file(spec.checkpoint.out);
+        const std::string no_trace;
+        const std::string& engine_trace =
+            serial.telemetry ? serial.telemetry->trace_jsonl : no_trace;
+        double engine_unreceived = 0.0;
+        double engine_stranded = 0.0;
+        for (std::size_t m = 0; m <= serial.mechanism_count(); ++m) {
+            const core::MechanismStats& s =
+                m == 0 ? serial.unicast_stats() : serial.mechanism_stats(m - 1);
+            engine_unreceived += s.unreceived_devices.sum();
+            engine_stranded += s.stranded_devices.sum();
+        }
+        const auto whole = [](double value) {
+            return static_cast<std::uint64_t>(std::llround(value));
+        };
+        JsonLine engine;
+        engine.add("campaign.unreceived_devices", whole(engine_unreceived))
+            .add("campaign.stranded_devices", whole(engine_stranded))
+            .add("telemetry.trace_records",
+                 static_cast<std::uint64_t>(
+                     std::count(engine_trace.begin(), engine_trace.end(), '\n')));
 
         const std::map<std::string, double> totals = tracer.totals();
         const auto total = [&](const std::string& name) {
@@ -525,7 +616,7 @@ int mode_trace(const std::string& spec_path, const std::string& out_dir, double 
             if (name.rfind("pass.", 0) != 0) spans.add(name + "_s", value);
         }
         spans.add("engine.other_s", serial_s - layers)
-            .add("trace.overhead_s", total("pass.rebuild") - serial_s)
+            .add("trace.overhead_s", overhead_s)
             .add("traffic.ns_per_device",
                  per(total("traffic.population") * 1e9,
                      static_cast<double>(spec.device_count * spec.runs)))
@@ -546,7 +637,7 @@ int mode_trace(const std::string& spec_path, const std::string& out_dir, double 
             .add("campaign.stranded_devices", c.stranded_devices)
             .add("plan.dr_sc.transmissions", c.dr_sc_planned)
             .add("telemetry.trace_records", rebuilt.trace_records)
-            .add("telemetry.trace_mb", rebuilt.trace_mb)
+            .add("telemetry.trace_mb", static_cast<double>(rebuilt.trace.size()) / 1e6)
             .add("snapshot.saves", rebuilt.snapshot_saves)
             .add("snapshot.final_bytes", rebuilt.snapshot_final_bytes);
 
@@ -554,7 +645,9 @@ int mode_trace(const std::string& spec_path, const std::string& out_dir, double 
             .add("repetition", static_cast<std::uint64_t>(repetition))
             .raw("times", spans.str())
             .raw("counts", counts.str())
-            .raw("snapshot_roundtrip", rebuilt.snapshot_roundtrip ? "true" : "false")
+            .raw("engine", engine.str())
+            .raw("trace_identical", rebuilt.trace == engine_trace ? "true" : "false")
+            .raw("snapshot_roundtrip", snapshot_roundtrip ? "true" : "false")
             .print();
         std::fflush(stdout);
     }

@@ -19,7 +19,8 @@ Correctness gate: every run's deterministic outputs (summary CSV, plus the
 coordination and metrics CSVs where the workload writes them) must digest
 to the threads-1 reference, and, for the default seed, to the digest pinned
 in pinned_digests.json.  The traced pass's RACH attempts, collisions and
-transmissions must equal run_scenario's telemetry counters.
+transmissions must equal run_scenario's telemetry counters, and its
+unreceived and stranded devices and its trace must equal run_scenario's.
 
 The last line of standard output is one JSON object: correct, attempted,
 failed and metrics.  Earlier lines carry the recording context, the model
@@ -47,19 +48,18 @@ TRACES = ROOT / ".bench_build" / "traces"
 DRIVER = BUILD / "perfbench_driver"
 PINNED = HERE / "pinned_digests.json"
 DEFAULT_SEED = 42
+# Workload size; the benchmark's own tests set "tiny".
+SIZE = "full"
 # A single driver process never legitimately runs this long; the whole
 # benchmark must end within 180 s.
 RUN_TIMEOUT_S = 150
-SETUP_PROBES = 3
-# glibc raises its mmap threshold to the size of the last large block freed,
-# so where it lands depends on the seed's exact allocation sizes.  Under that
-# dynamic threshold city-rollout's checkpoint rewrites ran 0.9 s on some
-# seeds and 1.3 s on others for the same bytes.  Pinning the threshold at
-# glibc's own 128 KiB default keeps one allocator policy for every seed.
-DRIVER_ENV = {**os.environ, "MALLOC_MMAP_THRESHOLD_": "131072"}
+# Set-up takes about a millisecond, mostly exec and dynamic loading, and a
+# launch that lands while the host is busy takes twice that.  Each timed run
+# therefore takes the fastest of this many set-up launches as its sample.
+SETUP_PROBES = 5
 
 # Scenario text per workload.  {seed}, {threads} and {dir} are filled in per
-# run; sizes are per --size.  Why each workload exists: perfbench/README.md.
+# run; sizes are per SIZE.  Why each workload exists: perfbench/README.md.
 WORKLOADS = {
     "paper-sweep": {
         "sizes": {"full": {"devices": 300, "runs": 150}, "tiny": {"devices": 100, "runs": 3}},
@@ -173,8 +173,7 @@ class Run:
     def __init__(self, args, run_dir, timeout=RUN_TIMEOUT_S):
         self.launch_ns = time.monotonic_ns()
         with open(run_dir / "stdout", "wb") as out, open(run_dir / "stderr", "wb") as err:
-            proc = subprocess.Popen([str(DRIVER), *args], stdout=out, stderr=err,
-                                    env=DRIVER_ENV)
+            proc = subprocess.Popen([str(DRIVER), *args], stdout=out, stderr=err)
         watchdog = threading.Timer(timeout, proc.kill)
         watchdog.start()
         try:
@@ -230,6 +229,7 @@ def health(counts):
 
 
 # Work counts that must repeat exactly and match run_scenario's telemetry.
+# The driver reports run_scenario's own figures for the rest it counts.
 COUNTED = {
     "campaign.rach_attempts": ("rach_attempt",),
     "campaign.rach_collisions": ("rach_collision",),
@@ -246,8 +246,9 @@ def telemetry_counters(metrics_csv):
     return totals
 
 
-def counter_check(workload, size, seed, counts, run_dir):
-    """Traced work counts vs run_scenario's own telemetry counters."""
+def work_checks(workload, size, seed, rep, run_dir):
+    """Traced work counts next to run_scenario's: its telemetry counters,
+    unreceived and stranded devices, and trace records."""
     metrics_csv = run_dir / "metrics.csv"
     if not metrics_csv.is_file():
         spec = spec_text(workload, size, seed, nproc(), run_dir)
@@ -255,8 +256,12 @@ def counter_check(workload, size, seed, counts, run_dir):
         (run_dir / "counters.scenario").write_text(spec)
         Run(["run", str(run_dir / "counters.scenario"), str(run_dir)], run_dir).result()
     counters = telemetry_counters(metrics_csv)
-    return {name: {"traced": counts[name], "telemetry": sum(counters.get(k, 0) for k in kinds)}
-            for name, kinds in COUNTED.items()}
+    checks = {name: {"traced": rep["counts"][name],
+                     "engine": sum(counters.get(k, 0) for k in kinds)}
+              for name, kinds in COUNTED.items()}
+    checks.update({name: {"traced": rep["counts"][name], "engine": value}
+                   for name, value in rep["engine"].items()})
+    return checks
 
 
 def spread(values):
@@ -326,11 +331,10 @@ def end_to_end(args, pinned, work_dir):
         spec.write_text(spec_text(args.workload, args.size, args.seed, threads, run_dir))
         attempted += 1
         try:
-            # Set-up is milliseconds, so it is sampled by extra launches
-            # that stop where run_scenario would start.
-            for _ in range(SETUP_PROBES):
-                probe = Run(["setup", str(spec)], run_dir)
-                setups.append((probe.result()["handoff_ns"] - probe.launch_ns) * 1e-9)
+            # Set-up is sampled by extra launches that stop where
+            # run_scenario would start.
+            probes = [Run(["setup", str(spec)], run_dir) for _ in range(SETUP_PROBES)]
+            setups.append(min((p.result()["handoff_ns"] - p.launch_ns) * 1e-9 for p in probes))
             run = Run(["run", str(spec), str(run_dir)], run_dir)
             result = run.result()
         except RuntimeError as error:
@@ -360,7 +364,7 @@ def traced(args, pinned, work_dir, wanted):
     spans = TRACES / f"{args.workload}-{args.size}-seed{args.seed}.json"
     shutil.copy(run_dir / "spans.json", spans)
     print(json.dumps({"spans": str(spans.relative_to(ROOT))}))
-    check = counter_check(args.workload, args.size, args.seed, reps[0]["counts"], run_dir)
+    check = work_checks(args.workload, args.size, args.seed, reps[0], run_dir)
     print(json.dumps({"work_counts": check}))
     print(json.dumps({"health": health(reps[0]["counts"])}))
 
@@ -370,9 +374,8 @@ def traced(args, pinned, work_dir, wanted):
         print(f"perfbench: threads-1 digest {reference} differs from the pinned {pinned}",
               file=sys.stderr)
         pass_ok = False
-    if any(v["traced"] != v["telemetry"] for v in check.values()):
-        print("perfbench: traced work counts differ from run_scenario's telemetry",
-              file=sys.stderr)
+    if any(v["traced"] != v["engine"] for v in check.values()):
+        print("perfbench: traced work counts differ from run_scenario's", file=sys.stderr)
         pass_ok = False
     failed = 0
     for rep in reps:
@@ -382,7 +385,11 @@ def traced(args, pinned, work_dir, wanted):
         if not rep["snapshot_roundtrip"]:
             print(f"perfbench: repetition {rep['repetition']}: snapshot rewrite is not "
                   "byte-identical", file=sys.stderr)
-        if not (pass_ok and rep["counts"] == reps[0]["counts"] and rep["snapshot_roundtrip"]):
+        if not rep["trace_identical"]:
+            print(f"perfbench: repetition {rep['repetition']}: rebuilt trace differs from "
+                  "run_scenario's", file=sys.stderr)
+        if not (pass_ok and rep["counts"] == reps[0]["counts"] and rep["snapshot_roundtrip"]
+                and rep["trace_identical"]):
             failed += 1
 
     # A layer the workload never calls reports zero.
@@ -400,17 +407,14 @@ def main():
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--size", choices=("full", "tiny"), default="full",
-                        help="tiny is the smoke size the benchmark's own tests use")
-    parser.add_argument("--pinned", type=Path, default=PINNED,
-                        help="pinned digests of the default seed (JSON)")
     args = parser.parse_args()
+    args.size = SIZE
 
     build()
     end_to_end_specs, per_layer_specs = load_metric_specs()
     pinned = None
     if args.seed == DEFAULT_SEED:
-        pinned = json.loads(args.pinned.read_text())[args.workload][args.size]
+        pinned = json.loads(PINNED.read_text())[args.workload][args.size]
     work_dir = WORK / f"{args.workload}-{os.getpid()}"
     print(json.dumps({"context": recording_context(args, 1 if args.trace else nproc())}))
     try:

@@ -3,10 +3,11 @@
 
     python3 perfbench/test_perfbench.py
 
-Each workload runs once per mode for about a second.  The tests check that
-every metric BENCHMARK.json names is printed with its unit, that the traced
-pass's work counts equal run_scenario's telemetry counters and its spans are
-written out, that a tampered
+Each workload runs once per mode for about a second, with run.SIZE set to
+"tiny".  The tests check that every metric BENCHMARK.json names is printed
+with its unit, that the traced pass's work counts equal run_scenario's
+telemetry counters, its unreceived and stranded devices and its trace
+records, and that its spans are written out.  They check that a tampered
 pinned digest is reported as a failure, that a non-default seed passes the
 threads-1 vs nproc digest check, and that the benchmark refuses to run
 without the simulator's sources.
@@ -26,13 +27,23 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 
 
-def bench(workload, trace, seed=7, cwd=ROOT, extra=()):
-    """Runs the benchmark at the tiny size; returns (exit code, JSON lines)."""
-    proc = subprocess.run(
-        [sys.executable, str(Path(cwd) / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", "1", "--trace", str(trace), "--size", "tiny",
-         *extra],
-        cwd=cwd, capture_output=True, text=True, timeout=900)
+def bench(workload, trace, seed=7, cwd=ROOT, pinned=None):
+    """Runs the benchmark at the tiny size, with `pinned` in place of its
+    pinned digests when given; returns (exit code, JSON lines)."""
+    argv = ["run.py", "--workload", workload, "--seed", str(seed), "--seconds", "1",
+            "--trace", str(trace)]
+    program = "\n".join([
+        "import sys",
+        "from pathlib import Path",
+        f"sys.path.insert(0, {str(Path(cwd) / 'perfbench')!r})",
+        "import run",
+        "run.SIZE = 'tiny'",
+        *([f"run.PINNED = Path({str(pinned)!r})"] if pinned else []),
+        f"sys.argv = {argv!r}",
+        "sys.exit(run.main())",
+    ])
+    proc = subprocess.run([sys.executable, "-c", program], cwd=cwd, capture_output=True,
+                          text=True, timeout=900)
     lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
     return proc.returncode, lines
 
@@ -60,18 +71,27 @@ class Metrics(unittest.TestCase):
                             "loadavg_1m", "git_commit", "source_sha256"):
                     self.assertIn(key, context)
                 if trace:
-                    self.traced_counts_match(workload, section(lines, "work_counts"))
+                    counts = section(lines, "work_counts")
+                    self.traced_counts_match(workload, counts)
+                    self.assertEqual(section(lines, "health")["health.unreceived_devices"],
+                                     counts["campaign.unreceived_devices"]["engine"])
                     spans = json.loads((ROOT / section(lines, "spans")).read_text())
                     self.assertIn("engine.serial", {s["name"] for s in spans})
                     self.assertTrue(all(s["end_ns"] >= s["start_ns"] for s in spans))
 
     def traced_counts_match(self, workload, counts):
         self.assertEqual(set(counts), {"campaign.rach_attempts", "campaign.rach_collisions",
-                                       "campaign.transmissions"})
+                                       "campaign.transmissions", "campaign.unreceived_devices",
+                                       "campaign.stranded_devices", "telemetry.trace_records"})
         for name, pair in counts.items():
-            self.assertEqual(pair["traced"], pair["telemetry"], f"{workload}: {name}")
+            self.assertEqual(pair["traced"], pair["engine"], f"{workload}: {name}")
         self.assertGreater(counts["campaign.rach_attempts"]["traced"], 0)
         self.assertGreater(counts["campaign.transmissions"]["traced"], 0)
+        if workload == "city-rollout":
+            # The outage strands devices; the engine heals them, so they
+            # must not stay unreceived in the health line either.
+            self.assertGreater(counts["campaign.stranded_devices"]["engine"], 0)
+            self.assertGreater(counts["telemetry.trace_records"]["engine"], 0)
 
     def test_end_to_end_metrics_print_with_units(self):
         self.check_metrics(0, BENCHMARK["end_to_end"])
@@ -97,8 +117,7 @@ class Digests(unittest.TestCase):
         tampered.write_text(json.dumps(pinned))
         for trace in (0, 1):
             with self.subTest(trace=trace):
-                code, lines = bench("paper-sweep", trace, seed=42,
-                                    extra=("--pinned", str(tampered)))
+                code, lines = bench("paper-sweep", trace, seed=42, pinned=tampered)
                 self.assertNotEqual(code, 0)
                 self.assertFalse(lines[-1]["correct"])
                 self.assertGreaterEqual(lines[-1]["failed"], 1)
