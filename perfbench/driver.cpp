@@ -11,12 +11,14 @@
 //       End-to-end pass through the stable front door: spec text in,
 //       scenario::run_scenario, summary.csv (plus coordination.csv when a
 //       coordinator ran) out.  Prints one JSON line with the wall and CPU
-//       time of run_scenario itself.
+//       time of run_scenario itself, the process's peak resident set, and
+//       the host-speed probe's time taken around the call.
 //   perfbench_driver trace <spec-file> <out-dir> <seconds>
 //       Traced pass, serial.  Each repetition runs run_scenario at one
 //       thread (writing the same CSVs, the threads-1 reference), then
 //       rebuilds the same work from the layers' public functions with one
-//       span around every call.  Repeats until <seconds> have passed (at
+//       span around every call.  The process's peak resident set right
+//       after the first run_scenario is that call's memory at one thread.  Repeats until <seconds> have passed (at
 //       least once) and prints one JSON line per repetition, with
 //       run_scenario's own figures for what the rebuild also counts.
 //
@@ -25,9 +27,12 @@
 // repeats the deployment engine's self-healing pass after an outage, so its
 // work counts and its trace equal run_scenario's.  No span lives inside src/.
 #include <sys/resource.h>
+#include <sys/wait.h>
 #include <time.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -38,13 +43,17 @@
 #include <iterator>
 #include <map>
 #include <optional>
+#include <queue>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/campaign.hpp"
 #include "core/mechanism.hpp"
+#include "core/sweep.hpp"
 #include "multicell/assignment.hpp"
 #include "multicell/coordinator.hpp"
 #include "multicell/deployment.hpp"
@@ -80,6 +89,18 @@ double cpu_seconds() {
         return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) * 1e-6;
     };
     return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+}
+
+/// Peak resident set of the process's own address space (VmHWM), in MB.
+/// ru_maxrss would also count the launching process's peak, which the kernel
+/// carries over an exec, and the probe's children.
+double peak_rss_mb() {
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;
+    }
+    throw std::runtime_error("no VmHWM in /proc/self/status");
 }
 
 std::string read_file(const std::string& path) {
@@ -126,6 +147,94 @@ public:
 private:
     std::string text_;
 };
+
+// ---------------------------------------------------------------------------
+// Host-speed probe
+// ---------------------------------------------------------------------------
+
+/// A fixed discrete-event kernel that shares no code with src/: a binary heap
+/// of (time, device) events over 2^16 device records, xorshift draws and one
+/// scattered read per event.  It is the same kind of work as a campaign, so
+/// its time follows the host's speed the way the simulator's does, and no
+/// change to the simulator moves it.
+std::uint64_t probe_kernel() {
+    constexpr std::uint32_t kDevices = 1U << 16;
+    constexpr std::uint32_t kEvents = 200'000;
+    struct Device {
+        std::uint64_t clock = 0;
+        std::uint64_t state = 0;
+        double load = 0.0;
+        std::uint32_t hits = 0;
+    };
+    std::vector<Device> devices(kDevices);
+    using Event = std::pair<std::uint64_t, std::uint32_t>;
+    std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
+    std::uint64_t x = 0x9E3779B97F4A7C15ULL;
+    const auto draw = [&x] {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x;
+    };
+    for (std::uint32_t d = 0; d < kDevices; ++d) queue.emplace(draw() % 100'000, d);
+    std::uint64_t sum = 0;
+    for (std::uint32_t e = 0; e < kEvents; ++e) {
+        const auto [time, id] = queue.top();
+        queue.pop();
+        Device& device = devices[id];
+        device.clock += time;
+        device.state ^= draw();
+        device.load += 1.5;
+        ++device.hits;
+        sum += devices[draw() % kDevices].clock;
+        queue.emplace(time + 1 + draw() % 5'000, id);
+    }
+    return sum;
+}
+
+/// Wall seconds of probe_kernel on `threads` threads at once, the calling
+/// thread among them.
+double probe_seconds(std::size_t threads) {
+    std::atomic<std::uint64_t> sink{0};
+    const auto work = [&sink] { sink += probe_kernel(); };
+    const Clock::time_point start = Clock::now();
+    std::vector<std::thread> others;
+    for (std::size_t i = 1; i < threads; ++i) others.emplace_back(work);
+    work();
+    for (std::thread& t : others) t.join();
+    return seconds_between(start, Clock::now());
+}
+
+/// Probe seconds at one thread and at `threads`.
+struct ProbeTimes {
+    double one = 0.0;
+    double all = 0.0;
+};
+
+/// Runs the probe in a forked child, so that neither its memory nor its
+/// effect on the allocator's state reaches the measured process.
+ProbeTimes probe_in_child(std::size_t threads) {
+    int fds[2];
+    if (pipe(fds) != 0) throw std::runtime_error("host-speed probe: pipe failed");
+    const pid_t pid = fork();
+    if (pid < 0) throw std::runtime_error("host-speed probe: fork failed");
+    if (pid == 0) {
+        close(fds[0]);
+        const ProbeTimes times{probe_seconds(1), probe_seconds(threads)};
+        const bool sent = write(fds[1], &times, sizeof times) == sizeof times;
+        _exit(sent ? 0 : 1);
+    }
+    close(fds[1]);
+    ProbeTimes times;
+    const ssize_t got = read(fds[0], &times, sizeof times);
+    close(fds[0]);
+    int status = 0;
+    const bool reaped = waitpid(pid, &status, 0) == pid;
+    if (got != sizeof times || !reaped || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
+        throw std::runtime_error("host-speed probe failed");
+    }
+    return times;
+}
 
 // ---------------------------------------------------------------------------
 // Spans
@@ -529,15 +638,22 @@ int mode_setup(const std::string& spec_path) {
 
 int mode_run(const std::string& spec_path, const std::string& out_dir) {
     const scenario::ScenarioSpec spec = load_spec(spec_path);
+    // The probe runs right before and right after the timed call, at one
+    // thread (where a serial run executes) and at the run's thread count.
+    const std::size_t threads = core::resolve_threads(spec.threads);
+    const ProbeTimes before = probe_in_child(threads);
     const double cpu_before = cpu_seconds();
     const Clock::time_point start = Clock::now();
     const scenario::ScenarioResult result = scenario::run_scenario(spec);
     const Clock::time_point end = Clock::now();
     const double cpu = cpu_seconds() - cpu_before;
+    const ProbeTimes after = probe_in_child(threads);
     write_outputs(result, out_dir);
     JsonLine()
         .add("wall_s", seconds_between(start, end))
         .add("cpu_s", cpu)
+        .add("peak_rss_mb", peak_rss_mb())
+        .add("probe_s", std::sqrt((before.one + after.one) * (before.all + after.all)) / 2.0)
         .print();
     return 0;
 }
@@ -546,6 +662,7 @@ int mode_trace(const std::string& spec_path, const std::string& out_dir, double 
     const Clock::time_point deadline =
         Clock::now() + std::chrono::duration_cast<Clock::duration>(
                            std::chrono::duration<double>(seconds));
+    double serial_peak_mb = 0.0;
     for (int repetition = 0; repetition == 0 || Clock::now() < deadline; ++repetition) {
         Tracer tracer;
         const std::string text = read_file(spec_path);
@@ -555,6 +672,7 @@ int mode_trace(const std::string& spec_path, const std::string& out_dir, double 
 
         const scenario::ScenarioResult serial = tracer.span(
             "engine.serial", -1, [&] { return scenario::run_scenario(spec); });
+        if (repetition == 0) serial_peak_mb = peak_rss_mb();
         write_outputs(serial, out_dir);
 
         const int root = tracer.open("pass.rebuild", -1);
@@ -616,6 +734,7 @@ int mode_trace(const std::string& spec_path, const std::string& out_dir, double 
             if (name.rfind("pass.", 0) != 0) spans.add(name + "_s", value);
         }
         spans.add("engine.other_s", serial_s - layers)
+            .add("engine.peak_rss_mb", serial_peak_mb)
             .add("trace.overhead_s", overhead_s)
             .add("traffic.ns_per_device",
                  per(total("traffic.population") * 1e9,

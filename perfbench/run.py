@@ -9,8 +9,8 @@ driver.cpp, Release) into .bench_build/, then:
   --trace 0  end-to-end pass: a closed loop that runs the workload's
              scenario through scenario::run_scenario, one fresh process per
              run at --threads = nproc, until --seconds have passed.  Reports
-             medians of wall_s, cpu_s, device_campaigns_per_s, peak_rss_mb
-             and setup_s.
+             medians of wall_s, cpu_s, device_campaigns_per_s and setup_s,
+             at the reference host speed (below).
   --trace 1  traced pass, serial: repeats run_scenario at one thread plus
              the span-instrumented rebuild from the layers' public functions
              for --seconds, and reports medians of the per-layer metrics.
@@ -57,6 +57,14 @@ RUN_TIMEOUT_S = 150
 # launch that lands while the host is busy takes twice that.  Each timed run
 # therefore takes the fastest of this many set-up launches as its sample.
 SETUP_PROBES = 5
+# The host's speed moves by a fifth within minutes on a shared VM, and the
+# simulator's times move with it.  Each timed run process therefore also
+# times a fixed probe kernel right before and after run_scenario (driver.cpp,
+# probe_kernel), and every time metric is reported at the reference host
+# speed: the measured seconds x REFERENCE_PROBE_S / that run's probe_s.  This
+# is the probe's median on the 4-vCPU Xeon VM the benchmark was recorded on.
+# The measured host times are printed on the "host" line.
+REFERENCE_PROBE_S = 0.06
 
 # Scenario text per workload.  {seed}, {threads} and {dir} are filled in per
 # run; sizes are per SIZE.  Why each workload exists: perfbench/README.md.
@@ -75,7 +83,7 @@ ti_ms = 10000
 """,
     },
     "rach-storm": {
-        "sizes": {"full": {"devices": 100000, "runs": 1}, "tiny": {"devices": 3000, "runs": 1}},
+        "sizes": {"full": {"devices": 50000, "runs": 1}, "tiny": {"devices": 3000, "runs": 1}},
         "spec": """name = rach-storm
 profile = massive_iot_city
 devices = {devices}
@@ -177,14 +185,13 @@ class Run:
         watchdog = threading.Timer(timeout, proc.kill)
         watchdog.start()
         try:
-            _, status, self.rusage = os.wait4(proc.pid, 0)
+            self.returncode = proc.wait()
         except BaseException:
             proc.kill()
             proc.wait()
             raise
         finally:
             watchdog.cancel()
-        proc.returncode = self.returncode = os.waitstatus_to_exitcode(status)
         self.stdout = (run_dir / "stdout").read_text()
         self.stderr = (run_dir / "stderr").read_text()
 
@@ -321,8 +328,8 @@ def end_to_end(args, pinned, work_dir):
     # devices x runs x (mechanisms + unicast reference)
     units = reps[0]["counts"]["campaign.device_campaigns"]
 
-    samples = {"wall_s": [], "cpu_s": [], "device_campaigns_per_s": [], "peak_rss_mb": []}
-    setups = []
+    samples = {"wall_s": [], "cpu_s": [], "device_campaigns_per_s": [], "setup_s": []}
+    host = {"wall_s": [], "cpu_s": [], "setup_s": [], "probe_s": [], "peak_rss_mb": []}
     attempted = failed = 0
     deadline = time.monotonic() + args.seconds
     while attempted == 0 or time.monotonic() < deadline:
@@ -334,7 +341,7 @@ def end_to_end(args, pinned, work_dir):
             # Set-up is sampled by extra launches that stop where
             # run_scenario would start.
             probes = [Run(["setup", str(spec)], run_dir) for _ in range(SETUP_PROBES)]
-            setups.append(min((p.result()["handoff_ns"] - p.launch_ns) * 1e-9 for p in probes))
+            setup = min((p.result()["handoff_ns"] - p.launch_ns) * 1e-9 for p in probes)
             run = Run(["run", str(spec), str(run_dir)], run_dir)
             result = run.result()
         except RuntimeError as error:
@@ -348,11 +355,16 @@ def end_to_end(args, pinned, work_dir):
             print(f"perfbench: run {attempted}: output digest {output} differs from the "
                   f"threads-1 reference {reference} or the pinned {pinned}", file=sys.stderr)
             failed += 1
-        samples["wall_s"].append(result["wall_s"])
-        samples["cpu_s"].append(result["cpu_s"])
-        samples["device_campaigns_per_s"].append(units / result["wall_s"])
-        samples["peak_rss_mb"].append(run.rusage.ru_maxrss / 1024.0)
-    samples["setup_s"] = setups
+        scale = REFERENCE_PROBE_S / result["probe_s"]
+        samples["wall_s"].append(result["wall_s"] * scale)
+        samples["cpu_s"].append(result["cpu_s"] * scale)
+        samples["device_campaigns_per_s"].append(units / (result["wall_s"] * scale))
+        samples["setup_s"].append(setup * scale)
+        for name, value in (("wall_s", result["wall_s"]), ("cpu_s", result["cpu_s"]),
+                            ("setup_s", setup), ("probe_s", result["probe_s"]),
+                            ("peak_rss_mb", result["peak_rss_mb"])):
+            host[name].append(value)
+    print(json.dumps({"host": {name: spread(values) for name, values in host.items()}}))
     return samples, attempted, failed
 
 

@@ -5,7 +5,8 @@
 
 Each workload runs once per mode for about a second, with run.SIZE set to
 "tiny".  The tests check that every metric BENCHMARK.json names is printed
-with its unit, that the traced pass's work counts equal run_scenario's
+with its unit, that the measured host times and the host-speed probe are
+printed next to them, that the traced pass's work counts equal run_scenario's
 telemetry counters, its unreceived and stranded devices and its trace
 records, and that its spans are written out.  They check that a tampered
 pinned digest is reported as a failure, that a non-default seed passes the
@@ -70,6 +71,11 @@ class Metrics(unittest.TestCase):
                 for key in ("nproc", "threads", "build_type", "lto", "compiler",
                             "loadavg_1m", "git_commit", "source_sha256"):
                     self.assertIn(key, context)
+                if not trace:
+                    host = section(lines, "host")
+                    self.assertEqual(set(host),
+                                     {"wall_s", "cpu_s", "setup_s", "probe_s", "peak_rss_mb"})
+                    self.assertGreater(host["probe_s"]["median"], 0)
                 if trace:
                     counts = section(lines, "work_counts")
                     self.traced_counts_match(workload, counts)
