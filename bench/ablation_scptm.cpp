@@ -21,16 +21,16 @@ int main(int argc, char** argv) {
     bench::print_scenario_line(spec);
     std::printf("(uptime per device over one campaign horizon)\n");
 
-    const core::ComparisonOutcome outcome =
-        scenario::run_scenario(spec).comparison();
+    const multicell::DeploymentResult outcome = scenario::run_scenario(spec).outcome;
 
     stats::Table table({"mechanism", "light-sleep (s/device)", "connected (s/device)",
                         "vs unicast light-sleep", "transmissions"});
     table.add_row({"Unicast",
-                   stats::Table::cell(outcome.unicast.mean_light_sleep_seconds.mean(), 2),
-                   stats::Table::cell(outcome.unicast.mean_connected_seconds.mean(), 2),
-                   "-", stats::Table::cell(outcome.unicast.transmissions.mean(), 0)});
-    for (const auto& s : outcome.mechanisms) {
+                   stats::Table::cell(outcome.unicast.stats.mean_light_sleep_seconds.mean(), 2),
+                   stats::Table::cell(outcome.unicast.stats.mean_connected_seconds.mean(), 2),
+                   "-", stats::Table::cell(outcome.unicast.stats.transmissions.mean(), 0)});
+    for (const auto& mechanism : outcome.mechanisms) {
+        const core::MechanismStats& s = mechanism.stats;
         table.add_row({std::string{core::to_string(s.kind)},
                        stats::Table::cell(s.mean_light_sleep_seconds.mean(), 2),
                        stats::Table::cell(s.mean_connected_seconds.mean(), 2),

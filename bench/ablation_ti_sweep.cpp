@@ -38,14 +38,15 @@ int main(int argc, char** argv) {
         scenario::ScenarioSpec point = base;
         point.with_inactivity_timer_ms(ti_ms);
 
-        const core::ComparisonOutcome outcome =
-            scenario::run_scenario(point).comparison();
+        const multicell::DeploymentResult outcome =
+            scenario::run_scenario(point).outcome;
         double drsc_tx = 0.0;
         double drsc_conn = 0.0;
         double dasc_conn = 0.0;
         double drsi_conn = 0.0;
         double dasc_light = 0.0;
-        for (const auto& s : outcome.mechanisms) {
+        for (const auto& mechanism : outcome.mechanisms) {
+            const core::MechanismStats& s = mechanism.stats;
             switch (s.kind) {
                 case core::MechanismKind::dr_sc:
                     drsc_tx = s.transmissions_per_device.mean();

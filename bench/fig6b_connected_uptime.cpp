@@ -48,13 +48,14 @@ int main(int argc, char** argv) {
         scenario::ScenarioSpec point = base;
         point.with_payload_bytes(payload.bytes);
 
-        const core::ComparisonOutcome outcome =
-            scenario::run_scenario(point).comparison();
+        const multicell::DeploymentResult outcome =
+            scenario::run_scenario(point).outcome;
         table.add_row({payload.name, "Unicast",
                        stats::Table::cell(
-                           outcome.unicast.mean_connected_seconds.mean(), 2),
+                           outcome.unicast.stats.mean_connected_seconds.mean(), 2),
                        "-", "-", "reference"});
-        for (const auto& s : outcome.mechanisms) {
+        for (const auto& mechanism : outcome.mechanisms) {
+            const core::MechanismStats& s = mechanism.stats;
             const char* expected =
                 s.kind == core::MechanismKind::da_sc
                     ? "longest"

@@ -2,9 +2,11 @@
 # Records the kernel microbenchmarks as google-benchmark JSON at the repo
 # root — the perf trajectory file future PRs regress against.
 #
-#   $ ci/bench.sh                             # single run -> BENCH_pr8.json
-#   $ ci/bench.sh --repeat 3                  # best-of-3 (recommended)
-#   $ ci/bench.sh --repeat 3 BENCH_pr8.json   # explicit output name
+#   $ ci/bench.sh BENCH_new.json              # single run
+#   $ ci/bench.sh --repeat 3 BENCH_new.json   # best-of-3 (recommended)
+#
+# The output name is required, so a run never overwrites a committed
+# recording by default.
 #
 # --repeat N runs the suite N times and merges with ci/bench_merge.py:
 # the committed file carries the per-benchmark MIN (best-of-N) as
@@ -39,7 +41,7 @@ while [[ $# -gt 0 ]]; do
       shift
       ;;
     -*)
-      echo "error: unknown flag '$1' (usage: ci/bench.sh [--repeat N] [OUT.json])" >&2
+      echo "error: unknown flag '$1' (usage: ci/bench.sh [--repeat N] OUT.json)" >&2
       exit 2
       ;;
     *)
@@ -49,7 +51,10 @@ while [[ $# -gt 0 ]]; do
       ;;
   esac
 done
-out="${out:-BENCH_pr8.json}"
+if [[ -z "${out}" ]]; then
+  echo "error: missing output name (usage: ci/bench.sh [--repeat N] OUT.json)" >&2
+  exit 2
+fi
 if ! [[ "${repeat}" =~ ^[1-9][0-9]*$ ]]; then
   echo "error: --repeat must be a positive integer, got '${repeat}'" >&2
   exit 2

@@ -10,9 +10,10 @@
 #             and stress labels); scenario-file + coordinator smokes;
 #             failure-injection smoke (churn scenario, outage preset,
 #             lossy backhaul — the churn CSV is byte-diffed Debug vs
-#             Release); kill-and-resume checkpoint smoke (stop a citywide run
-#             mid-flight, resume at a different --threads, byte-diff
-#             every artifact against the uninterrupted run).
+#             Release); kill-and-resume checkpoint smoke (stop a citywide
+#             run and a single-cell churn run mid-flight, resume at a
+#             different --threads, byte-diff every artifact against the
+#             uninterrupted run).
 #   Release — same build with NBMG_ENABLE_LTO (so the option cannot
 #             rot); the full suite including the randomized property
 #             batteries; microbenchmark + multicell smokes.
@@ -88,16 +89,26 @@ run_scenario_smokes() {
 
 run_checkpoint_smoke() {
   local build_dir="$1"
-  echo "=== ${build_dir}: kill-and-resume smoke (checkpoint -> stop -> resume) ==="
-  # A citywide run is checkpointed, killed mid-flight via the stop
-  # budget (exit 3 is the deliberate-stop code), then resumed at a
-  # different --threads.  Every artifact — stdout CSV, trace, metrics,
-  # timeline — must match the uninterrupted run byte for byte.
-  local ckpt_dir="${build_dir}/checkpoint_smoke"
+  # Two legs: a multicell citywide run and a single-cell churn run (the
+  # 1-cell deployment's slot blobs).
+  run_checkpoint_leg "${build_dir}" citywide \
+    --scenario examples/scenarios/citywide_16cells.scenario \
+    --devices 400 --cells 4 --runs 2
+  run_checkpoint_leg "${build_dir}" churn --preset churn
+}
+
+run_checkpoint_leg() {
+  local build_dir="$1" name="$2"
+  shift 2
+  echo "=== ${build_dir}: kill-and-resume smoke, ${name} (checkpoint -> stop -> resume) ==="
+  # The run is checkpointed, killed mid-flight via the stop budget (exit 3
+  # is the deliberate-stop code), then resumed at a different --threads.
+  # Every artifact — stdout CSV, trace, metrics, timeline — must match the
+  # uninterrupted run byte for byte.
+  local ckpt_dir="${build_dir}/checkpoint_smoke/${name}"
   rm -rf "${ckpt_dir}"
   mkdir -p "${ckpt_dir}"
-  local common=(--scenario examples/scenarios/citywide_16cells.scenario
-                --devices 400 --cells 4 --runs 2 --telemetry full --csv)
+  local common=("$@" --telemetry full --csv)
 
   "${build_dir}/examples/run_scenario" "${common[@]}" --threads 8 \
     --trace-out "${ckpt_dir}/full.trace.jsonl" \
@@ -112,7 +123,7 @@ run_checkpoint_smoke() {
   local status=$?
   set -e
   if [[ ${status} -ne 3 ]]; then
-    echo "error: interrupted run exited ${status}, expected checkpoint-stop code 3" >&2
+    echo "error: interrupted ${name} run exited ${status}, expected checkpoint-stop code 3" >&2
     exit 1
   fi
   [[ -f "${ckpt_dir}/snap.bin" ]]

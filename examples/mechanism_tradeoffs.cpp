@@ -61,12 +61,13 @@ int main(int argc, char** argv) {
             scenario::ScenarioSpec point = base;
             point.with_payload_bytes(payload.bytes).with_inactivity_timer_ms(ti);
 
-            const core::ComparisonOutcome outcome =
-                scenario::run_scenario(point).comparison();
+            const multicell::DeploymentResult outcome =
+                scenario::run_scenario(point).outcome;
             Scorecard dr_sc;
             Scorecard da_sc;
             Scorecard dr_si;
-            for (const auto& s : outcome.mechanisms) {
+            for (const auto& mechanism : outcome.mechanisms) {
+                const core::MechanismStats& s = mechanism.stats;
                 Scorecard card;
                 card.bandwidth_tx_per_device = s.transmissions_per_device.mean();
                 card.connected_increase = s.connected_increase.mean();

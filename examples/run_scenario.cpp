@@ -1,8 +1,9 @@
 // The canonical thin shell over the unified scenario API: resolve a spec
 // (--preset NAME / --scenario FILE / flag overrides), run it through
 // run_scenario — single-cell or multicell, decided by the spec — and print
-// the common report surface both engines share, as a markdown table or as
-// CSV.  Everything the figure shells do beyond this is presentation.
+// the common report surface, as a markdown table or as CSV (plus a per-cell
+// line for multicell specs).  Everything the figure shells do beyond this
+// is presentation.
 //
 //   $ ./run_scenario --preset fig6a --runs 5
 //   $ ./run_scenario --scenario examples/scenarios/citywide_16cells.scenario
@@ -63,7 +64,7 @@ int main(int argc, char** argv) {
                                             : spec.description.c_str());
     bench::print_scenario_line(spec);
     bench::print_table(result.summary_table());
-    if (result.is_multicell()) {
+    if (spec.is_multicell()) {
         const multicell::DeploymentResult& deployment = result.deployment();
         std::printf(
             "cells=%zu  max cell load=%.0f  empty cell-runs=%zu  "

@@ -1,7 +1,7 @@
 // Derived metrics: the paper's relative-uptime comparison (mechanism vs
 // unicast reference) and aggregate accessors used by benches and tests —
-// plus the shared report surface the scenario layer renders both engines'
-// aggregates through.
+// plus the report surface the scenario layer renders its aggregates
+// through.
 #pragma once
 
 #include <span>
@@ -62,14 +62,12 @@ struct BandwidthComparison {
     const CampaignResult& mechanism, const CampaignResult& unicast_reference);
 
 /// The common report surface of scenario::ScenarioResult: one row per
-/// mechanism (unicast reference first) with the paper's headline aggregates.
-/// Both engines feed it — the single-cell outcome directly, the deployment
-/// result through its embedded per-mechanism MechanismStats — so any
-/// scenario renders to the same table/CSV shape regardless of engine; the
-/// generic shell (examples/run_scenario.cpp, incl. --csv) prints it, while
-/// the figure shells keep their figure-specific columns.  `mechanisms` is
-/// a span of pointers because callers hold the stats inside
-/// engine-specific wrappers.
+/// mechanism (unicast reference first) with the paper's headline aggregates,
+/// fed from the deployment result's fleet-wide MechanismStats.  The generic
+/// shell (examples/run_scenario.cpp, incl. --csv) prints it, while the
+/// figure shells keep their figure-specific columns.  `mechanisms` is a
+/// span of pointers because callers hold the stats inside
+/// multicell::DeploymentMechanismStats wrappers.
 [[nodiscard]] stats::Table mechanism_summary_table(
     const MechanismStats& unicast,
     std::span<const MechanismStats* const> mechanisms);

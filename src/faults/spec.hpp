@@ -4,7 +4,7 @@
 //
 // The layer sits below core: it owns only the declarative specs, their
 // parsing/formatting, and the seed-stream conventions.  The processes
-// themselves run inside the engines (core/campaign for churn + outage,
+// themselves run inside the engine layers (core/campaign for churn + outage,
 // multicell/coordinator for backhaul loss), but every fault draw comes
 // from a dedicated derive_seed(seed, "faults", ...) stream — never from
 // a campaign stream — so faults-off runs stay bit-identical to a build

@@ -17,8 +17,7 @@ namespace {
 /// Raw totals of one executed campaign on one cell in one run.  Cell
 /// totals are summed (in cell order) into fleet totals before any ratio is
 /// formed, so fleet aggregates are genuine fleet-level numbers rather than
-/// means of per-cell ratios — and with one cell they reduce to exactly the
-/// values run_comparison computes.
+/// means of per-cell ratios.
 struct CellRunTotals {
     std::size_t devices = 0;
     std::size_t transmissions = 0;
@@ -162,7 +161,7 @@ CellRunOutcome run_cell(const DeploymentSetup& setup,
                         std::span<const nbiot::UeSpec> specs,
                         const core::CampaignConfig& config,
                         std::uint64_t cell_root, std::size_t run,
-                        std::size_t cell) {
+                        std::size_t cell, std::size_t strata_threads) {
     CellRunOutcome out;
     out.devices = specs.size();
     out.mechanisms.resize(setup.mechanisms.size());
@@ -178,9 +177,8 @@ CellRunOutcome run_cell(const DeploymentSetup& setup,
         return cfg;
     };
 
-    // Identical structure (and, for one cell, identical streams) to
-    // run_comparison's per-run body: one horizon and one execution seed
-    // shared by every mechanism of this cell's run.
+    // One horizon and one execution seed shared by every mechanism of this
+    // cell's run.
     const sim::RngFactory rng_factory(cell_root);
     const core::UnicastBaseline unicast;
     const nbiot::SimTime horizon =
@@ -200,7 +198,7 @@ CellRunOutcome run_cell(const DeploymentSetup& setup,
         unicast.plan(specs, unicast_config, unicast_rng);
     {
         const core::CampaignResult result =
-            core::CampaignRunner(unicast_config)
+            core::CampaignRunner(unicast_config, strata_threads)
                 .run(unicast_plan, specs, setup.payload_bytes, horizon, run_seed);
         out.unicast = totals_from(result);
         if (outage_here) {
@@ -215,7 +213,7 @@ CellRunOutcome run_cell(const DeploymentSetup& setup,
         const core::CampaignConfig mech_config = campaign_config(m + 1);
         const core::MulticastPlan plan = mechanism->plan(specs, mech_config, plan_rng);
         const core::CampaignResult result =
-            core::CampaignRunner(mech_config)
+            core::CampaignRunner(mech_config, strata_threads)
                 .run(plan, specs, setup.payload_bytes, horizon, run_seed);
         out.mechanisms[m] = totals_from(result);
         if (outage_here) {
@@ -316,8 +314,8 @@ CellRunOutcome decode_cell_outcome(const DeploymentSetup& setup, std::size_t run
     return out;
 }
 
-/// The unicast reference's per-run samples, exactly as comparison_run adds
-/// them (no relative-increase samples for the reference itself).
+/// The unicast reference's per-run samples (no relative-increase samples
+/// for the reference itself).
 void add_unicast_samples(DeploymentMechanismStats& out, const CellRunTotals& u) {
     const double n = static_cast<double>(u.devices);
     core::MechanismStats& s = out.stats;
@@ -334,9 +332,9 @@ void add_unicast_samples(DeploymentMechanismStats& out, const CellRunTotals& u) 
     out.bytes_on_air.add(static_cast<double>(u.bytes_on_air));
 }
 
-/// A mechanism's per-run samples against the same-scope unicast reference,
-/// with run_comparison's formulas (relative_uptime / bandwidth_comparison
-/// applied to the summed totals, including their zero-baseline guards).
+/// A mechanism's per-run samples against the same-scope unicast reference:
+/// core::relative_uptime / bandwidth_comparison applied to the summed
+/// totals, including their zero-baseline guards.
 void add_mechanism_samples(DeploymentMechanismStats& out, const CellRunTotals& m,
                            const CellRunTotals& u) {
     const double n = static_cast<double>(m.devices);
@@ -371,10 +369,9 @@ void add_rach_sample(DeploymentMechanismStats& fleet, DeploymentMechanismStats& 
     across_cells.add(rate);
 }
 
-/// Merges a per-run contribution, field-wise, exactly as run_comparison
-/// merges its per-run single-sample summaries (the merge path rounds
-/// differently from adding samples directly; bit-identity with the
-/// single-cell driver requires reproducing it).
+/// Merges a per-run contribution of single-sample summaries, field-wise.
+/// The merge path rounds differently from adding samples directly; the
+/// pinned single-cell goldens are defined by it.
 void merge_contribution(DeploymentMechanismStats& into,
                         const DeploymentMechanismStats& contrib) {
     into.stats.merge(contrib.stats);
@@ -475,9 +472,14 @@ DeploymentResult run_deployment(const DeploymentSetup& setup) {
         });
 
     // Phase 2 — every (run, cell) campaign is an independent event loop;
-    // fan the whole grid across the pool.
+    // fan the whole grid across the pool.  Grid tasks take the workers
+    // first; when there are fewer tasks than workers, the spare ones run
+    // each task's strata, so the pool is never oversubscribed.
+    const std::size_t tasks = setup.runs * cells;
+    const std::size_t workers = core::resolve_threads(setup.threads);
+    const std::size_t strata_threads = tasks >= workers ? 1 : workers / tasks;
     const std::vector<CellRunOutcome> outcomes = core::sweep_indexed(
-        setup.runs * cells, setup.threads, [&](std::size_t slot) {
+        tasks, setup.threads, [&](std::size_t slot) {
             const std::size_t run = slot / cells;
             const std::size_t cell = slot % cells;
             snapshot::CheckpointContext* const checkpoint = setup.checkpoint;
@@ -495,7 +497,7 @@ DeploymentResult run_deployment(const DeploymentSetup& setup) {
                 setup, shards[run].cell_specs[cell], cell_configs[cell],
                 cell_seed_root(setup.base_seed, cells,
                                static_cast<std::uint32_t>(cell)),
-                run, cell);
+                run, cell, strata_threads);
             if (checkpoint != nullptr) {
                 checkpoint->complete_slot(
                     slot, encode_cell_outcome(setup, run, cell, out),

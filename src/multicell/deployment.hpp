@@ -1,20 +1,18 @@
-// City-scale deployment driver: shards one firmware campaign's fleet
-// across N independent cells and fans the per-cell plan+campaign event
-// loops over the sweep worker pool.
+// The campaign engine: shards one firmware campaign's fleet across N
+// independent cells and fans the per-cell plan+campaign event loops over
+// the sweep worker pool.  A single-cell scenario is the 1-cell deployment.
 //
-// Per run, the fleet population is generated once (the same
-// "population"-stream derivation run_comparison uses), assigned to cells by
-// a deterministic policy, and every cell plans (DR-SC/DA-SC/DR-SI over its
-// own camped devices) and executes its campaign as an independent event
-// loop.  Per-cell results are merged in (run, cell) order into fleet-wide
-// and per-cell aggregates, so every number is bit-identical for any
-// --threads.
+// Per run, the fleet population is generated once (stream("population",
+// run) of the base seed), assigned to cells by a deterministic policy, and
+// every cell plans (DR-SC/DA-SC/DR-SI over its own camped devices) and
+// executes its campaign as an independent event loop.  Per-cell results
+// are merged in (run, cell) order into fleet-wide and per-cell aggregates,
+// so every number is bit-identical for any --threads.
 //
-// Determinism contract: a 1-cell deployment reproduces the single-cell
-// run_comparison aggregates bit for bit — the cell's RNG root degenerates
-// to the base seed, the whole fleet camps on cell 0 under every policy, and
-// the fleet-wide reduction applies run_comparison's formulas to the same
-// campaign results (tests/multicell/deployment_test.cpp pins this).
+// With one cell the cell's RNG root is the base seed itself and the whole
+// fleet camps on cell 0 under every policy, so the single-cell paper
+// presets keep the aggregates pinned by tests/scenario/
+// scenario_golden_test.cpp and tests/core/experiment_regression_test.cpp.
 #pragma once
 
 #include <cstdint>
@@ -27,15 +25,20 @@
 #include "multicell/topology.hpp"
 #include "stats/histogram.hpp"
 
+namespace nbmg::telemetry {
+class Collector;
+}  // namespace nbmg::telemetry
+
+namespace nbmg::snapshot {
+class CheckpointContext;
+}  // namespace nbmg::snapshot
+
 namespace nbmg::multicell {
 
-/// Engine-level setup of the multicell deployment.  Deprecated as a front
-/// door: new callers should describe the workload declaratively with
-/// scenario::ScenarioSpec (topology engaged) and call
-/// scenario::run_scenario, which converts through
-/// scenario::to_deployment_setup (the only adapter) and reaches
-/// run_deployment with bit-identical aggregates.  Kept because it is the
-/// struct the engine itself consumes and out-of-tree callers may hold.
+/// Engine-level setup of a deployment.  Callers describe workloads with
+/// scenario::ScenarioSpec and call scenario::run_scenario, which converts
+/// through scenario::to_deployment_setup; this is the struct the engine
+/// itself consumes.
 struct DeploymentSetup {
     traffic::PopulationProfile profile;
     /// Fleet-wide device count, before sharding.
@@ -44,8 +47,10 @@ struct DeploymentSetup {
     core::CampaignConfig config{};
     std::size_t runs = 20;
     std::uint64_t base_seed = 42;
-    /// Worker threads for the runs x cells fan-out; 0 = one per hardware
-    /// thread.  Results do not depend on this value.
+    /// Worker threads; 0 = one per hardware thread.  The runs x cells grid
+    /// takes them first, and when it has fewer tasks than workers the
+    /// spare ones execute each task's paging-frame strata.  Results do not
+    /// depend on this value.
     std::size_t threads = 0;
     std::vector<core::MechanismKind> mechanisms{
         core::MechanismKind::dr_sc, core::MechanismKind::da_sc,
@@ -82,10 +87,10 @@ struct DeploymentSetup {
 };
 
 /// Fleet- or cell-level aggregates of one mechanism, plus deployment-only
-/// extensions the single-cell MechanismStats does not track.
+/// extensions core::MechanismStats does not track.
 struct DeploymentMechanismStats {
-    /// Same per-run sample definitions as run_comparison (ratios against
-    /// the same-scope unicast reference).
+    /// Per-run samples; the ratios are against the same-scope unicast
+    /// reference.
     core::MechanismStats stats;
     /// Absolute bytes on the air interface per run (fleet/cell total).
     stats::Summary bytes_on_air;
@@ -117,7 +122,7 @@ struct CellRunSpan {
 
 struct DeploymentResult {
     /// Fleet-wide aggregates: per run, cell totals are summed in cell order
-    /// and run through run_comparison's ratio formulas.
+    /// before any ratio is formed.
     DeploymentMechanismStats unicast;
     std::vector<DeploymentMechanismStats> mechanisms;  // setup.mechanisms order
     std::vector<CellAggregates> cells;                 // topology order
@@ -145,8 +150,7 @@ struct DeploymentResult {
 [[nodiscard]] DeploymentResult run_deployment(const DeploymentSetup& setup);
 
 /// The RNG root of one cell: the base seed itself for a 1-cell deployment
-/// (the single-cell determinism contract above), an independent derived
-/// root per cell otherwise.
+/// (see the file comment), an independent derived root per cell otherwise.
 [[nodiscard]] std::uint64_t cell_seed_root(std::uint64_t base_seed,
                                            std::size_t cell_count,
                                            std::uint32_t cell) noexcept;

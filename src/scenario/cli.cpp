@@ -120,7 +120,7 @@ ScenarioSpec spec_from_args(int argc, char** argv, ScenarioSpec fallback,
 
     apply_spec_overrides(spec, argc, argv);
     // Validate here so every shell — including the ones that drive the
-    // engines directly instead of through run_scenario — fails with a
+    // library directly instead of through run_scenario — fails with a
     // usage error rather than deep in the library.
     try {
         spec.validate();

@@ -216,10 +216,10 @@ inline void reject_flags(int argc, char** argv,
 }
 
 
-/// Guard for shells wired to the single-cell engine (figure shells, the
-/// plan-level examples): a multicell scenario would either abort in
-/// ScenarioResult::comparison() or be silently ignored, so reject it up
-/// front with a usage error naming the binary.
+/// Guard for shells that report one cell (figure shells, the plan-level
+/// examples): a multicell scenario would be printed as if it were the
+/// paper's single cell or be silently ignored, so reject it up front with
+/// a usage error naming the binary.
 inline const ScenarioSpec& require_single_cell(const ScenarioSpec& spec,
                                                const char* binary) {
     if (spec.is_multicell()) {

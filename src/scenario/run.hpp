@@ -1,15 +1,12 @@
 // The single entry point of the scenario API: run_scenario(spec) validates
-// the spec, dispatches to the single-cell comparison engine or the
-// multicell deployment engine, and returns a unified ScenarioResult.
+// the spec, runs it on multicell::run_deployment (a spec without a
+// topology is the 1-cell deployment), and returns a ScenarioResult.
 //
-// Determinism: the dispatch is a pure re-plumbing of the pre-redesign
-// drivers — a single-cell spec reaches core::run_comparison and a
-// multicell spec reaches multicell::run_deployment with field-for-field
-// identical setups, so aggregates are bit-identical to calling the engines
-// directly, at any --threads (tests/scenario/scenario_golden_test.cpp).
+// Determinism: aggregates are bit-identical to calling run_deployment on
+// scenario::to_deployment_setup(spec) directly, at any --threads, and the
+// single-cell paper presets reproduce their pinned golden digests
+// (tests/scenario/scenario_golden_test.cpp).
 #pragma once
-
-#include <variant>
 
 #include "scenario/spec.hpp"
 #include "stats/table.hpp"
@@ -35,10 +32,10 @@ struct TelemetryReport {
     std::string timeline_json;
 };
 
-/// Tagged union of the two engines' results with a common report surface.
+/// The deployment engine's result plus the scenario-level reports.
 struct ScenarioResult {
     ScenarioSpec spec;
-    std::variant<core::ComparisonOutcome, multicell::DeploymentResult> outcome;
+    multicell::DeploymentResult outcome;
     /// Present when the spec engaged the wall-clock coordinator: the fleet
     /// time-axis aggregates (city-wide completion, peak concurrent cells,
     /// backhaul utilization).  The campaign aggregates in `outcome` are
@@ -47,27 +44,25 @@ struct ScenarioResult {
     /// Present when the spec enabled telemetry (TelemetrySpec::enabled).
     std::optional<TelemetryReport> telemetry;
 
-    [[nodiscard]] bool is_multicell() const noexcept {
-        return std::holds_alternative<multicell::DeploymentResult>(outcome);
-    }
     [[nodiscard]] bool is_coordinated() const noexcept {
         return coordination.has_value();
     }
-    /// Engine-specific views; throw std::bad_variant_access on the wrong tag.
-    [[nodiscard]] const core::ComparisonOutcome& comparison() const {
-        return std::get<core::ComparisonOutcome>(outcome);
-    }
-    [[nodiscard]] const multicell::DeploymentResult& deployment() const {
-        return std::get<multicell::DeploymentResult>(outcome);
+    [[nodiscard]] const multicell::DeploymentResult& deployment() const noexcept {
+        return outcome;
     }
 
-    // --- common surface (works for both engines) ---
-    /// Per-run aggregate stats of the unicast reference.
-    [[nodiscard]] const core::MechanismStats& unicast_stats() const noexcept;
-    /// Aggregates of spec.mechanisms[index] (same order).
+    /// Fleet-wide per-run aggregate stats of the unicast reference.
+    [[nodiscard]] const core::MechanismStats& unicast_stats() const noexcept {
+        return outcome.unicast.stats;
+    }
+    /// Fleet-wide aggregates of spec.mechanisms[index] (same order).
     [[nodiscard]] const core::MechanismStats& mechanism_stats(
-        std::size_t index) const;
-    [[nodiscard]] std::size_t mechanism_count() const noexcept;
+        std::size_t index) const {
+        return outcome.mechanisms.at(index).stats;
+    }
+    [[nodiscard]] std::size_t mechanism_count() const noexcept {
+        return outcome.mechanisms.size();
+    }
 
     /// The paper's headline aggregates, one row per mechanism
     /// (core::mechanism_summary_table); summary_csv() is its CSV rendering.

@@ -11,7 +11,6 @@
 namespace nbmg::scenario {
 
 multicell::CellTopology TopologySpec::realize() const {
-    if (custom) return *custom;
     switch (kind) {
         case Kind::uniform: return multicell::CellTopology::uniform(cells);
         case Kind::hotspot:
@@ -79,7 +78,6 @@ ScenarioSpec& ScenarioSpec::with_cells(std::size_t cells) {
 ScenarioSpec& ScenarioSpec::with_cell_count(std::size_t cells) {
     TopologySpec topo = topology.value_or(TopologySpec{});
     topo.cells = cells;
-    topo.custom.reset();
     topology = topo;
     return *this;
 }
@@ -349,12 +347,6 @@ std::string ScenarioSpec::to_file_text() const {
             "' was modified beyond batch_mean; the scenario-file format "
             "cannot express per-class edits");
     }
-    if (topology && !topology->file_expressible()) {
-        throw std::invalid_argument(
-            "scenario '" + name +
-            "': custom cell topologies (per-cell weights/capacity overrides) "
-            "cannot be expressed in a scenario file");
-    }
     if (config.outage_at_ms != -1) {
         // The per-campaign outage instant is engine plumbing run_deployment
         // derives from cell_down; refusing keeps the serializer from
@@ -489,73 +481,6 @@ std::string ScenarioSpec::to_file_text() const {
         }
     }
     return out.str();
-}
-
-ScenarioSpec from_setup(const core::ComparisonSetup& setup) {
-    ScenarioSpec spec;
-    spec.name = "comparison-setup";
-    spec.profile = setup.profile;
-    spec.device_count = setup.device_count;
-    spec.payload_bytes = setup.payload_bytes;
-    spec.config = setup.config;
-    spec.runs = setup.runs;
-    spec.base_seed = setup.base_seed;
-    spec.threads = setup.threads;
-    spec.mechanisms = setup.mechanisms;
-    spec.populations = setup.populations;
-    spec.topology.reset();
-    return spec;
-}
-
-ScenarioSpec from_setup(const multicell::DeploymentSetup& setup) {
-    ScenarioSpec spec;
-    spec.name = "deployment-setup";
-    spec.profile = setup.profile;
-    spec.device_count = setup.device_count;
-    spec.payload_bytes = setup.payload_bytes;
-    spec.config = setup.config;
-    spec.runs = setup.runs;
-    spec.base_seed = setup.base_seed;
-    spec.threads = setup.threads;
-    spec.mechanisms = setup.mechanisms;
-    spec.populations = setup.populations;
-    spec.assignment = setup.assignment;
-    spec.cell_down = setup.cell_down;
-
-    TopologySpec topo;
-    topo.cells = setup.topology.cell_count();
-    // A plain uniform grid stays declarative (and therefore serializable);
-    // anything else travels verbatim through `custom`.
-    bool uniform = true;
-    for (const multicell::CellSite& site : setup.topology.cells) {
-        if (site.weight != 1.0 || site.max_page_records_override != 0) {
-            uniform = false;
-            break;
-        }
-    }
-    if (!uniform) topo.custom = setup.topology;
-    spec.topology = topo;
-    return spec;
-}
-
-core::ComparisonSetup to_comparison_setup(const ScenarioSpec& spec) {
-    if (spec.is_multicell()) {
-        throw std::invalid_argument(
-            "scenario '" + spec.name +
-            "': multicell scenarios run the deployment engine, not "
-            "run_comparison");
-    }
-    core::ComparisonSetup setup;
-    setup.profile = spec.profile;
-    setup.device_count = spec.device_count;
-    setup.payload_bytes = spec.payload_bytes;
-    setup.config = spec.config;
-    setup.runs = spec.runs;
-    setup.base_seed = spec.base_seed;
-    setup.threads = spec.threads;
-    setup.mechanisms = spec.mechanisms;
-    setup.populations = spec.populations;
-    return setup;
 }
 
 multicell::DeploymentSetup to_deployment_setup(const ScenarioSpec& spec) {

@@ -3,18 +3,14 @@
 // A ScenarioSpec describes a complete workload — population, device count,
 // payload, campaign configuration, runs/seed/threads, the mechanism list
 // and (optionally) a multicell topology + assignment policy — and
-// run_scenario (scenario/run.hpp) dispatches it to the single-cell
-// comparison engine or the multicell deployment engine.  The spec is
+// run_scenario (scenario/run.hpp) runs it on the deployment engine
+// (multicell::run_deployment; no topology = one cell).  The spec is
 // builder-style (chained with_* setters), validated, and serializable
 // to/from the simple `key = value` scenario-file format (scenario/
 // parser.hpp); named presets live in scenario::Registry.
 //
-// The pre-redesign front doors — core::ComparisonSetup/run_comparison and
-// multicell::DeploymentSetup/run_deployment — remain as the engine layer
-// the scenario layer drives; the conversion functions below are the single
-// adapters between the two, and tests/scenario/ pins that they round-trip
-// and that run_scenario aggregates are bit-identical to the engines called
-// directly.
+// to_deployment_setup below is the one conversion from a spec to the
+// engine's multicell::DeploymentSetup.
 #pragma once
 
 #include <cstdint>
@@ -31,9 +27,7 @@ namespace nbmg::scenario {
 
 /// Declarative multicell grid: how many cells and how load skews across
 /// them.  `realize()` builds the multicell::CellTopology the deployment
-/// engine consumes; a topology injected by from_setup (which may carry
-/// per-cell weights/capacity overrides no file key can express) is kept
-/// verbatim in `custom` and wins.
+/// engine consumes.
 struct TopologySpec {
     enum class Kind : std::uint8_t { uniform, hotspot };
 
@@ -41,13 +35,8 @@ struct TopologySpec {
     Kind kind = Kind::uniform;
     /// Zipf exponent of the hotspot gradient (CellTopology::hotspot).
     double hotspot_exponent = 1.0;
-    /// Adapter-injected exact topology; overrides the declarative fields.
-    std::optional<multicell::CellTopology> custom;
 
     [[nodiscard]] multicell::CellTopology realize() const;
-    /// True when the declarative fields fully describe the topology (no
-    /// custom grid), i.e. it survives a scenario-file round trip.
-    [[nodiscard]] bool file_expressible() const noexcept { return !custom.has_value(); }
 };
 
 [[nodiscard]] constexpr const char* to_string(TopologySpec::Kind kind) noexcept {
@@ -133,8 +122,8 @@ struct ScenarioSpec {
     std::vector<core::MechanismKind> mechanisms{core::MechanismKind::dr_sc,
                                                 core::MechanismKind::da_sc,
                                                 core::MechanismKind::dr_si};
-    /// Engaged => run_scenario dispatches to the multicell deployment
-    /// engine; absent => the single-cell comparison engine.
+    /// Engaged => a multicell grid; absent => the paper's single cell (a
+    /// 1-cell uniform deployment).
     std::optional<TopologySpec> topology;
     multicell::AssignmentPolicy assignment = multicell::AssignmentPolicy::uniform_hash;
     /// Engaged (requires a topology) => the deployment additionally runs
@@ -175,16 +164,15 @@ struct ScenarioSpec {
     /// Requested paging-frame stratum count (CampaignConfig::strata);
     /// non-powers-of-two round down at run time (core::resolve_strata).
     ScenarioSpec& with_strata(std::size_t value);
-    /// Engages the multicell engine on a uniform grid of `cells` cells
-    /// (any previous topology — kind, exponent, custom grid — is replaced).
+    /// Engages a uniform multicell grid of `cells` cells (any previous
+    /// topology — kind, exponent — is replaced).
     ScenarioSpec& with_cells(std::size_t cells);
-    /// Changes only the grid's cell count, preserving the declarative
-    /// topology kind and exponent (a custom grid, whose per-cell data is
-    /// count-specific, is dropped).  Engages a uniform grid when the spec
-    /// was single-cell.  This is what the --cells override uses.
+    /// Changes only the grid's cell count, preserving the topology kind and
+    /// exponent.  Engages a uniform grid when the spec was single-cell.
+    /// This is what the --cells override uses.
     ScenarioSpec& with_cell_count(std::size_t cells);
     ScenarioSpec& with_topology(TopologySpec value);
-    /// Engages the multicell engine on a Zipf-skewed hotspot grid.
+    /// Engages a Zipf-skewed hotspot multicell grid.
     ScenarioSpec& with_hotspot(std::size_t cells, double exponent);
     ScenarioSpec& with_assignment(multicell::AssignmentPolicy value);
     ScenarioSpec& with_populations(core::SharedPopulations value);
@@ -229,7 +217,7 @@ struct ScenarioSpec {
     /// Resumes from the snapshot at `path` (see CheckpointSpec::resume).
     ScenarioSpec& with_resume(std::string path);
     /// Clears the topology (and any coordinator riding on it): back to the
-    /// single-cell comparison engine.
+    /// paper's single cell.
     ScenarioSpec& single_cell();
 
     [[nodiscard]] bool is_multicell() const noexcept { return topology.has_value(); }
@@ -244,28 +232,13 @@ struct ScenarioSpec {
 
     /// Serializes the declarative subset to the scenario-file format, one
     /// `key = value` per line (parse_scenario_text inverts it).  Throws
-    /// std::invalid_argument for specs the format cannot express: a profile
-    /// that is not a registered builtin, or an adapter-injected custom
-    /// topology.
+    /// std::invalid_argument for specs the format cannot express, e.g. a
+    /// profile that is not a registered builtin.
     [[nodiscard]] std::string to_file_text() const;
 };
 
-// --- adapters over the pre-redesign setups -------------------------------
-//
-// core::ComparisonSetup and multicell::DeploymentSetup are deprecated as
-// front doors but kept as the engine-level structs; these four functions
-// are the only conversions, and round-tripping through them is pinned by
-// tests/scenario/spec_test.cpp.
-
-[[nodiscard]] ScenarioSpec from_setup(const core::ComparisonSetup& setup);
-[[nodiscard]] ScenarioSpec from_setup(const multicell::DeploymentSetup& setup);
-
-/// Throws std::invalid_argument when the spec is multicell (the single-cell
-/// engine cannot honor a topology).
-[[nodiscard]] core::ComparisonSetup to_comparison_setup(const ScenarioSpec& spec);
-
-/// A single-cell spec maps to a 1-cell uniform deployment (which the
-/// determinism contract makes bit-identical to run_comparison).
+/// The engine setup of `spec`: its multicell topology, or a 1-cell uniform
+/// deployment when the spec has none.
 [[nodiscard]] multicell::DeploymentSetup to_deployment_setup(const ScenarioSpec& spec);
 
 }  // namespace nbmg::scenario

@@ -5,13 +5,9 @@
 namespace nbmg::snapshot {
 namespace {
 
-// Section ids of the checkpoint snapshot layout (format version 1).
+// Section ids of the checkpoint snapshot layout.
 constexpr std::uint32_t kSectionHeader = 1;
 constexpr std::uint32_t kSectionSlots = 2;
-
-std::string engine_name(std::uint8_t engine) {
-    return engine == 0 ? "single-cell comparison" : "multicell deployment";
-}
 
 }  // namespace
 
@@ -30,7 +26,6 @@ void CheckpointContext::load(const std::string& path) {
     Reader header_reader(header_section->payload, path + " (header section)");
     CheckpointHeader loaded;
     loaded.fingerprint = header_reader.take_u64();
-    loaded.engine = header_reader.take_u8();
     loaded.runs = header_reader.take_u64();
     loaded.cells = header_reader.take_u64();
     loaded.campaigns = header_reader.take_u64();
@@ -46,18 +41,17 @@ void CheckpointContext::load(const std::string& path) {
     if (!(loaded == header_)) {
         throw SnapshotError(
             path + ": snapshot engine shape mismatch (snapshot: " +
-            engine_name(loaded.engine) + ", " + std::to_string(loaded.runs) +
-            " runs x " + std::to_string(loaded.cells) + " cells x " +
+            std::to_string(loaded.runs) + " runs x " +
+            std::to_string(loaded.cells) + " cells x " +
             std::to_string(loaded.campaigns) + " campaigns; this spec: " +
-            engine_name(header_.engine) + ", " + std::to_string(header_.runs) +
-            " runs x " + std::to_string(header_.cells) + " cells x " +
+            std::to_string(header_.runs) + " runs x " +
+            std::to_string(header_.cells) + " cells x " +
             std::to_string(header_.campaigns) + " campaigns)");
     }
 
     Reader slots_reader(slots_section->payload, path + " (slot-table section)");
     const std::uint64_t count = slots_reader.take_u64();
-    const std::uint64_t total_slots =
-        header_.engine == 0 ? header_.runs : header_.runs * header_.cells;
+    const std::uint64_t total_slots = header_.runs * header_.cells;
     if (count > total_slots) {
         throw SnapshotError(path + ": slot table lists " + std::to_string(count) +
                             " completed tasks, grid only has " +
@@ -121,7 +115,6 @@ void CheckpointContext::save_final() {
 void CheckpointContext::save_locked() {
     Writer header_writer;
     header_writer.put_u64(header_.fingerprint);
-    header_writer.put_u8(header_.engine);
     header_writer.put_u64(header_.runs);
     header_writer.put_u64(header_.cells);
     header_writer.put_u64(header_.campaigns);

@@ -1,17 +1,17 @@
 // Checkpoint/resume orchestration over the snapshot container format.
 //
-// Safe points are (run, cell) task boundaries of the engine grids: every
-// grid task is a pure function of (setup, derived seed), so a snapshot
-// records the serialized outcome of each completed task — its aggregate
-// contribution plus the telemetry sinks it filled — and a resume restores
-// those outcomes verbatim and deterministically re-executes only the
-// remaining tasks.  The final aggregates, reduced in index order exactly
-// as an uninterrupted run reduces them, are bit-identical at any --threads
-// because nothing about the snapshot depends on which worker computed
-// what.
+// Safe points are (run, cell) task boundaries of the deployment engine's
+// grid: every grid task is a pure function of (setup, derived seed), so a
+// snapshot records the serialized outcome of each completed task — its
+// raw campaign totals plus the telemetry sinks it filled — and a resume
+// restores those outcomes verbatim and deterministically re-executes only
+// the remaining tasks.  The final aggregates, reduced in index order
+// exactly as an uninterrupted run reduces them, are bit-identical at any
+// --threads because nothing about the snapshot depends on which worker
+// computed what.
 //
 // The context is shared by every sweep worker: restored() and
-// complete_slot() serialize on one mutex (the engines call them once per
+// complete_slot() serialize on one mutex (the engine calls them once per
 // task, never in the event-loop hot path), and the stop flag is an atomic
 // so in-flight tasks can poll it cheaply.
 #pragma once
@@ -50,11 +50,11 @@ private:
 
 /// Identity of a snapshot: which scenario (a fingerprint over the
 /// normalized scenario file text, thread-count and output paths excluded)
-/// and which engine grid shape produced it.  load() rejects any mismatch
-/// with a diagnostic instead of silently resuming into different results.
+/// and which runs x cells x campaigns grid produced it.  load() rejects
+/// any mismatch with a diagnostic instead of silently resuming into
+/// different results.
 struct CheckpointHeader {
     std::uint64_t fingerprint = 0;
-    std::uint8_t engine = 0;  // 0 = single-cell comparison, 1 = deployment
     std::uint64_t runs = 0;
     std::uint64_t cells = 0;
     std::uint64_t campaigns = 0;  // mechanisms + 1 (slot 0 = unicast)
@@ -84,7 +84,7 @@ public:
     /// Loads a snapshot and seeds the completed-slot table from it.
     /// Throws SnapshotError on framing/version problems or when the
     /// snapshot's header does not match this context's (different
-    /// scenario, different engine shape).
+    /// scenario, different engine grid shape).
     void load(const std::string& path);
 
     /// The restored blob for `slot`, or nullptr when the slot must run.

@@ -8,8 +8,6 @@
 namespace nbmg::snapshot {
 namespace {
 
-constexpr std::uint8_t kMechanismKindCount = 5;  // see core/mechanism.hpp
-
 void put_buckets(Writer& w, const telemetry::CampaignSink& sink,
                  telemetry::EventKind kind) {
     w.put_u64_vector(sink.series(kind));
@@ -24,55 +22,6 @@ void put_summary(Writer& w, const stats::Summary& summary) {
     w.put_f64(state.m2);
     w.put_f64(state.min);
     w.put_f64(state.max);
-}
-
-stats::Summary take_summary(Reader& r) {
-    stats::Summary::State state;
-    state.count = r.take_u64();
-    state.mean = r.take_f64();
-    state.m2 = r.take_f64();
-    state.min = r.take_f64();
-    state.max = r.take_f64();
-    return stats::Summary::from_state(state);
-}
-
-void put_mechanism_stats(Writer& w, const core::MechanismStats& stats) {
-    w.put_u8(static_cast<std::uint8_t>(stats.kind));
-    put_summary(w, stats.light_sleep_increase);
-    put_summary(w, stats.connected_increase);
-    put_summary(w, stats.transmissions);
-    put_summary(w, stats.transmissions_per_device);
-    put_summary(w, stats.bytes_ratio);
-    put_summary(w, stats.recovery_transmissions);
-    put_summary(w, stats.unreceived_devices);
-    put_summary(w, stats.mean_connected_seconds);
-    put_summary(w, stats.mean_light_sleep_seconds);
-    put_summary(w, stats.completion_p99_ms);
-    put_summary(w, stats.redelivery_bytes);
-    put_summary(w, stats.stranded_devices);
-}
-
-core::MechanismStats take_mechanism_stats(Reader& r) {
-    const std::uint8_t kind = r.take_u8();
-    if (kind >= kMechanismKindCount) {
-        throw SnapshotError("snapshot slot: mechanism kind " +
-                            std::to_string(kind) + " out of range");
-    }
-    core::MechanismStats stats;
-    stats.kind = static_cast<core::MechanismKind>(kind);
-    stats.light_sleep_increase = take_summary(r);
-    stats.connected_increase = take_summary(r);
-    stats.transmissions = take_summary(r);
-    stats.transmissions_per_device = take_summary(r);
-    stats.bytes_ratio = take_summary(r);
-    stats.recovery_transmissions = take_summary(r);
-    stats.unreceived_devices = take_summary(r);
-    stats.mean_connected_seconds = take_summary(r);
-    stats.mean_light_sleep_seconds = take_summary(r);
-    stats.completion_p99_ms = take_summary(r);
-    stats.redelivery_bytes = take_summary(r);
-    stats.stranded_devices = take_summary(r);
-    return stats;
 }
 
 void put_sink(Writer& w, const telemetry::CampaignSink& sink) {

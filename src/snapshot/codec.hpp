@@ -1,12 +1,11 @@
 // Field-by-field codecs for the aggregate types checkpoint slot blobs
-// carry: Welford summaries, per-mechanism stat bundles, and telemetry
-// sink payloads.  The engines compose these into their per-task blobs
-// (core/experiment.cpp, multicell/deployment.cpp); keeping the codecs
-// here keeps the fixed-width little-endian discipline — and the lint that
-// enforces it — in one place.
+// carry: Welford summaries and telemetry sink payloads.  The deployment
+// engine composes these into its per-(run, cell) blobs
+// (multicell/deployment.cpp); keeping the codecs here keeps the
+// fixed-width little-endian discipline — and the lint that enforces it —
+// in one place.
 #pragma once
 
-#include "core/experiment.hpp"
 #include "snapshot/format.hpp"
 #include "stats/summary.hpp"
 #include "telemetry/sink.hpp"
@@ -14,14 +13,9 @@
 namespace nbmg::snapshot {
 
 /// Welford state, lossless: count u64, then mean/m2/min/max as IEEE-754
-/// bit patterns.  from_state on the way back gives a bit-identical
-/// accumulator.
+/// bit patterns (stats::Summary::from_state rebuilds a bit-identical
+/// accumulator).  The single-cell golden digests hash these bytes.
 void put_summary(Writer& w, const stats::Summary& summary);
-[[nodiscard]] stats::Summary take_summary(Reader& r);
-
-/// Mechanism kind (u8) plus its twelve summaries in declaration order.
-void put_mechanism_stats(Writer& w, const core::MechanismStats& stats);
-[[nodiscard]] core::MechanismStats take_mechanism_stats(Reader& r);
 
 /// Everything a sink recorded: trace records, dense counters, the three
 /// bucketed series.  Config and stratum are identity (recreated by the

@@ -35,7 +35,10 @@ public:
 // 2: MechanismStats grew the fault-injection summaries (completion p99,
 //    re-delivery bytes, stranded devices) and multicell CellRunTotals grew
 //    their per-cell counterparts.
-inline constexpr std::uint32_t kFormatVersion = 2;
+// 3: one engine — the checkpoint header lost its engine byte, and
+//    single-cell scenarios checkpoint the 1-cell deployment's (run, cell)
+//    slot blobs instead of per-run MechanismStats blobs.
+inline constexpr std::uint32_t kFormatVersion = 3;
 inline constexpr std::string_view kMagic = "NBMGSNAP";  // exactly 8 bytes
 
 /// One length-framed section of a snapshot file.

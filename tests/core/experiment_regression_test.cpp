@@ -1,38 +1,39 @@
-// Regression pins for the experiment driver: run_comparison and the
-// DR-SC transmission sweep must reproduce the seed implementation's
-// aggregates to the last bit.  The golden values below were recorded from
-// the pre-optimization (PR 1) kernels; any drift means a hot-path rewrite
-// changed observable behaviour.
+// Regression pins for the experiment drivers: a single-cell scenario
+// (run_scenario on the 1-cell deployment) and the DR-SC transmission sweep
+// must reproduce the seed implementation's aggregates to the last bit.  The
+// golden values below were recorded from the pre-optimization (PR 1)
+// kernels; any drift means a hot-path rewrite changed observable
+// behaviour.
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "scenario/run.hpp"
 #include "traffic/population.hpp"
 
 namespace nbmg::core {
 namespace {
 
-ComparisonSetup golden_setup() {
-    ComparisonSetup setup;
-    setup.profile = traffic::massive_iot_city();
-    setup.device_count = 40;
-    setup.payload_bytes = 20 * 1024;
-    setup.runs = 3;
-    setup.base_seed = 42;
-    setup.threads = 1;
-    return setup;
+scenario::ScenarioSpec golden_spec() {
+    return scenario::ScenarioSpec{}
+        .with_profile(traffic::massive_iot_city())
+        .with_devices(40)
+        .with_payload_bytes(20 * 1024)
+        .with_runs(3)
+        .with_seed(42)
+        .with_threads(1);
 }
 
 TEST(ExperimentRegressionTest, ComparisonMatchesPinnedGolden) {
-    const ComparisonOutcome outcome = run_comparison(golden_setup());
+    const scenario::ScenarioResult outcome = scenario::run_scenario(golden_spec());
 
-    EXPECT_DOUBLE_EQ(outcome.unicast.transmissions.mean(), 40.0);
-    EXPECT_DOUBLE_EQ(outcome.unicast.mean_connected_seconds.mean(),
+    EXPECT_DOUBLE_EQ(outcome.unicast_stats().transmissions.mean(), 40.0);
+    EXPECT_DOUBLE_EQ(outcome.unicast_stats().mean_connected_seconds.mean(),
                      6.9429999999999996);
-    EXPECT_DOUBLE_EQ(outcome.unicast.mean_light_sleep_seconds.mean(),
+    EXPECT_DOUBLE_EQ(outcome.unicast_stats().mean_light_sleep_seconds.mean(),
                      7.2290000000000001);
 
-    ASSERT_EQ(outcome.mechanisms.size(), 3u);
-    const MechanismStats& dr_sc = outcome.mechanisms[0];
+    ASSERT_EQ(outcome.mechanism_count(), 3u);
+    const MechanismStats& dr_sc = outcome.mechanism_stats(0);
     EXPECT_EQ(dr_sc.kind, MechanismKind::dr_sc);
     EXPECT_DOUBLE_EQ(dr_sc.light_sleep_increase.mean(), 0.0);
     EXPECT_DOUBLE_EQ(dr_sc.connected_increase.mean(), 0.57560372557491968);
@@ -41,14 +42,14 @@ TEST(ExperimentRegressionTest, ComparisonMatchesPinnedGolden) {
     EXPECT_DOUBLE_EQ(dr_sc.recovery_transmissions.mean(), 0.0);
     EXPECT_DOUBLE_EQ(dr_sc.unreceived_devices.mean(), 0.0);
 
-    const MechanismStats& da_sc = outcome.mechanisms[1];
+    const MechanismStats& da_sc = outcome.mechanism_stats(1);
     EXPECT_EQ(da_sc.kind, MechanismKind::da_sc);
     EXPECT_DOUBLE_EQ(da_sc.light_sleep_increase.mean(), 1.8914472369133142);
     EXPECT_DOUBLE_EQ(da_sc.connected_increase.mean(), 1.1269095971962166);
     EXPECT_DOUBLE_EQ(da_sc.transmissions.mean(), 1.0);
     EXPECT_DOUBLE_EQ(da_sc.bytes_ratio.mean(), 0.040175523349436387);
 
-    const MechanismStats& dr_si = outcome.mechanisms[2];
+    const MechanismStats& dr_si = outcome.mechanism_stats(2);
     EXPECT_EQ(dr_si.kind, MechanismKind::dr_si);
     EXPECT_DOUBLE_EQ(dr_si.light_sleep_increase.mean(), 0.0064479289371293103);
     EXPECT_DOUBLE_EQ(dr_si.connected_increase.mean(), 0.99505497143405841);
@@ -57,53 +58,53 @@ TEST(ExperimentRegressionTest, ComparisonMatchesPinnedGolden) {
 }
 
 TEST(ExperimentRegressionTest, SharedPopulationsAreBitIdentical) {
-    const ComparisonOutcome fresh = run_comparison(golden_setup());
+    const scenario::ScenarioResult fresh = scenario::run_scenario(golden_spec());
 
-    ComparisonSetup shared = golden_setup();
-    shared.populations = generate_comparison_populations(
-        shared.profile, shared.device_count, shared.runs, shared.base_seed);
-    const ComparisonOutcome cached = run_comparison(shared);
+    scenario::ScenarioSpec shared = golden_spec();
+    shared.with_populations(generate_comparison_populations(
+        shared.profile, shared.device_count, shared.runs, shared.base_seed));
+    const scenario::ScenarioResult cached = scenario::run_scenario(shared);
 
-    EXPECT_DOUBLE_EQ(cached.unicast.transmissions.mean(),
-                     fresh.unicast.transmissions.mean());
-    EXPECT_DOUBLE_EQ(cached.unicast.mean_connected_seconds.mean(),
-                     fresh.unicast.mean_connected_seconds.mean());
-    ASSERT_EQ(cached.mechanisms.size(), fresh.mechanisms.size());
-    for (std::size_t m = 0; m < fresh.mechanisms.size(); ++m) {
-        EXPECT_DOUBLE_EQ(cached.mechanisms[m].light_sleep_increase.mean(),
-                         fresh.mechanisms[m].light_sleep_increase.mean());
-        EXPECT_DOUBLE_EQ(cached.mechanisms[m].connected_increase.mean(),
-                         fresh.mechanisms[m].connected_increase.mean());
-        EXPECT_DOUBLE_EQ(cached.mechanisms[m].transmissions.mean(),
-                         fresh.mechanisms[m].transmissions.mean());
-        EXPECT_DOUBLE_EQ(cached.mechanisms[m].bytes_ratio.mean(),
-                         fresh.mechanisms[m].bytes_ratio.mean());
+    EXPECT_DOUBLE_EQ(cached.unicast_stats().transmissions.mean(),
+                     fresh.unicast_stats().transmissions.mean());
+    EXPECT_DOUBLE_EQ(cached.unicast_stats().mean_connected_seconds.mean(),
+                     fresh.unicast_stats().mean_connected_seconds.mean());
+    ASSERT_EQ(cached.mechanism_count(), fresh.mechanism_count());
+    for (std::size_t m = 0; m < fresh.mechanism_count(); ++m) {
+        EXPECT_DOUBLE_EQ(cached.mechanism_stats(m).light_sleep_increase.mean(),
+                         fresh.mechanism_stats(m).light_sleep_increase.mean());
+        EXPECT_DOUBLE_EQ(cached.mechanism_stats(m).connected_increase.mean(),
+                         fresh.mechanism_stats(m).connected_increase.mean());
+        EXPECT_DOUBLE_EQ(cached.mechanism_stats(m).transmissions.mean(),
+                         fresh.mechanism_stats(m).transmissions.mean());
+        EXPECT_DOUBLE_EQ(cached.mechanism_stats(m).bytes_ratio.mean(),
+                         fresh.mechanism_stats(m).bytes_ratio.mean());
     }
 }
 
 TEST(ExperimentRegressionTest, SharedPopulationsValidated) {
-    ComparisonSetup setup = golden_setup();
+    scenario::ScenarioSpec spec = golden_spec();
     // Too few runs.
-    setup.populations = generate_comparison_populations(
-        setup.profile, setup.device_count, setup.runs - 1, setup.base_seed);
-    EXPECT_THROW((void)run_comparison(setup), std::invalid_argument);
+    spec.with_populations(generate_comparison_populations(
+        spec.profile, spec.device_count, spec.runs - 1, spec.base_seed));
+    EXPECT_THROW((void)scenario::run_scenario(spec), std::invalid_argument);
 
     // Wrong device count.
-    setup.populations = generate_comparison_populations(
-        setup.profile, setup.device_count + 1, setup.runs, setup.base_seed);
-    EXPECT_THROW((void)run_comparison(setup), std::invalid_argument);
+    spec.with_populations(generate_comparison_populations(
+        spec.profile, spec.device_count + 1, spec.runs, spec.base_seed));
+    EXPECT_THROW((void)scenario::run_scenario(spec), std::invalid_argument);
 
     // Wrong seed: sizes all match, provenance must still be rejected.
-    setup.populations = generate_comparison_populations(
-        setup.profile, setup.device_count, setup.runs, setup.base_seed + 1);
-    EXPECT_THROW((void)run_comparison(setup), std::invalid_argument);
+    spec.with_populations(generate_comparison_populations(
+        spec.profile, spec.device_count, spec.runs, spec.base_seed + 1));
+    EXPECT_THROW((void)scenario::run_scenario(spec), std::invalid_argument);
 
     // Wrong profile.
-    traffic::PopulationProfile other = setup.profile;
+    traffic::PopulationProfile other = spec.profile;
     other.name = "other-profile";
-    setup.populations = generate_comparison_populations(
-        other, setup.device_count, setup.runs, setup.base_seed);
-    EXPECT_THROW((void)run_comparison(setup), std::invalid_argument);
+    spec.with_populations(generate_comparison_populations(
+        other, spec.device_count, spec.runs, spec.base_seed));
+    EXPECT_THROW((void)scenario::run_scenario(spec), std::invalid_argument);
 }
 
 TEST(ExperimentRegressionTest, DrscTransmissionPointMatchesPinnedGolden) {

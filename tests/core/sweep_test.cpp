@@ -10,7 +10,6 @@
 
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
-#include "traffic/firmware.hpp"
 #include "traffic/population.hpp"
 
 namespace nbmg::core {
@@ -86,40 +85,6 @@ void expect_identical(const stats::Summary& a, const stats::Summary& b) {
     EXPECT_EQ(a.variance(), b.variance());
     EXPECT_EQ(a.min(), b.min());
     EXPECT_EQ(a.max(), b.max());
-}
-
-void expect_identical(const MechanismStats& a, const MechanismStats& b) {
-    EXPECT_EQ(a.kind, b.kind);
-    expect_identical(a.light_sleep_increase, b.light_sleep_increase);
-    expect_identical(a.connected_increase, b.connected_increase);
-    expect_identical(a.transmissions, b.transmissions);
-    expect_identical(a.transmissions_per_device, b.transmissions_per_device);
-    expect_identical(a.bytes_ratio, b.bytes_ratio);
-    expect_identical(a.recovery_transmissions, b.recovery_transmissions);
-    expect_identical(a.unreceived_devices, b.unreceived_devices);
-    expect_identical(a.mean_connected_seconds, b.mean_connected_seconds);
-    expect_identical(a.mean_light_sleep_seconds, b.mean_light_sleep_seconds);
-}
-
-TEST(SweepDeterminismTest, RunComparisonIsBitIdenticalAcrossThreadCounts) {
-    ComparisonSetup setup;
-    setup.profile = traffic::massive_iot_city();
-    setup.device_count = 40;
-    setup.payload_bytes = traffic::firmware_100kb().bytes;
-    setup.runs = 4;
-    setup.base_seed = 99;
-
-    setup.threads = 1;
-    const ComparisonOutcome serial = run_comparison(setup);
-    for (const std::size_t threads : {2u, 8u}) {
-        setup.threads = threads;
-        const ComparisonOutcome parallel = run_comparison(setup);
-        ASSERT_EQ(parallel.mechanisms.size(), serial.mechanisms.size());
-        expect_identical(parallel.unicast, serial.unicast);
-        for (std::size_t m = 0; m < serial.mechanisms.size(); ++m) {
-            expect_identical(parallel.mechanisms[m], serial.mechanisms[m]);
-        }
-    }
 }
 
 TEST(SweepDeterminismTest, TransmissionSweepIsBitIdenticalAcrossThreadCounts) {

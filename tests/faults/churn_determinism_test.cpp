@@ -60,16 +60,6 @@ ScenarioSpec faulted_city_spec(std::size_t strata) {
     return spec;
 }
 
-void expect_comparison_equal(const ScenarioResult& a, const ScenarioResult& b) {
-    test_support::expect_mechanism_stats_equal(a.comparison().unicast,
-                                               b.comparison().unicast);
-    ASSERT_EQ(a.comparison().mechanisms.size(), b.comparison().mechanisms.size());
-    for (std::size_t m = 0; m < a.comparison().mechanisms.size(); ++m) {
-        test_support::expect_mechanism_stats_equal(a.comparison().mechanisms[m],
-                                                   b.comparison().mechanisms[m]);
-    }
-}
-
 void expect_telemetry_equal(const ScenarioResult& a, const ScenarioResult& b) {
     ASSERT_TRUE(a.telemetry.has_value());
     ASSERT_TRUE(b.telemetry.has_value());
@@ -90,7 +80,8 @@ TEST_P(FaultDeterminismProperty, ChurnedComparisonIsThreadInvariant) {
     b.with_threads(shape.threads_b);
     const ScenarioResult ra = run_scenario(a);
     const ScenarioResult rb = run_scenario(b);
-    expect_comparison_equal(ra, rb);
+    test_support::expect_deployment_results_equal(ra.deployment(),
+                                                  rb.deployment());
     expect_telemetry_equal(ra, rb);
     // The fault process actually fired: the trace carries churn events.
     EXPECT_NE(ra.telemetry->trace_jsonl.find("device_leave"), std::string::npos);
@@ -138,8 +129,8 @@ TEST(FaultDeterminismTest, ChurnOnActuallyDiffersFromOff) {
     const ScenarioResult ron = run_scenario(on);
     // Departed devices sleep through paging occasions they would have
     // monitored, so the light-sleep aggregate cannot coincide.
-    EXPECT_FALSE(ron.comparison().mechanisms[0].mean_light_sleep_seconds ==
-                 roff.comparison().mechanisms[0].mean_light_sleep_seconds);
+    EXPECT_FALSE(ron.mechanism_stats(0).mean_light_sleep_seconds ==
+                 roff.mechanism_stats(0).mean_light_sleep_seconds);
     EXPECT_EQ(roff.telemetry->trace_jsonl.find("device_leave"),
               std::string::npos);
 }

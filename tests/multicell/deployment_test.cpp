@@ -1,17 +1,22 @@
-// Determinism contracts of the multicell deployment layer:
-//  - a 1-cell deployment reproduces the single-cell run_comparison
-//    aggregates bit for bit (same profile/seed/config),
-//  - results are invariant under the worker-thread count,
+// Determinism contracts of the deployment engine:
+//  - results are bit-identical under any worker-thread count, including
+//    when spare workers run a task's strata,
 //  - shared populations are validated and bit-identical to regeneration.
+// The 1-cell deployment's single-cell goldens are pinned in
+// tests/scenario/scenario_golden_test.cpp.
 #include "multicell/deployment.hpp"
 
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "tests/support/deployment_equal.hpp"
 #include "traffic/population.hpp"
 
 namespace nbmg::multicell {
 namespace {
+
+using test_support::expect_deployment_results_equal;
+using test_support::expect_mechanism_stats_equal;
 
 DeploymentSetup small_setup() {
     DeploymentSetup setup;
@@ -22,64 +27,6 @@ DeploymentSetup small_setup() {
     setup.base_seed = 42;
     setup.threads = 1;
     return setup;
-}
-
-void expect_summaries_equal(const stats::Summary& a, const stats::Summary& b,
-                            const char* what) {
-    EXPECT_EQ(a.count(), b.count()) << what;
-    EXPECT_DOUBLE_EQ(a.mean(), b.mean()) << what;
-    EXPECT_DOUBLE_EQ(a.min(), b.min()) << what;
-    EXPECT_DOUBLE_EQ(a.max(), b.max()) << what;
-    EXPECT_DOUBLE_EQ(a.variance(), b.variance()) << what;
-}
-
-void expect_stats_equal(const core::MechanismStats& a, const core::MechanismStats& b) {
-    EXPECT_EQ(a.kind, b.kind);
-    expect_summaries_equal(a.light_sleep_increase, b.light_sleep_increase,
-                           "light_sleep_increase");
-    expect_summaries_equal(a.connected_increase, b.connected_increase,
-                           "connected_increase");
-    expect_summaries_equal(a.transmissions, b.transmissions, "transmissions");
-    expect_summaries_equal(a.transmissions_per_device, b.transmissions_per_device,
-                           "transmissions_per_device");
-    expect_summaries_equal(a.bytes_ratio, b.bytes_ratio, "bytes_ratio");
-    expect_summaries_equal(a.recovery_transmissions, b.recovery_transmissions,
-                           "recovery_transmissions");
-    expect_summaries_equal(a.unreceived_devices, b.unreceived_devices,
-                           "unreceived_devices");
-    expect_summaries_equal(a.mean_connected_seconds, b.mean_connected_seconds,
-                           "mean_connected_seconds");
-    expect_summaries_equal(a.mean_light_sleep_seconds, b.mean_light_sleep_seconds,
-                           "mean_light_sleep_seconds");
-}
-
-TEST(DeploymentTest, OneCellMatchesRunComparisonBitForBit) {
-    const DeploymentSetup setup = small_setup();
-
-    core::ComparisonSetup reference;
-    reference.profile = setup.profile;
-    reference.device_count = setup.device_count;
-    reference.payload_bytes = setup.payload_bytes;
-    reference.config = setup.config;
-    reference.runs = setup.runs;
-    reference.base_seed = setup.base_seed;
-    reference.threads = 1;
-    reference.mechanisms = setup.mechanisms;
-    const core::ComparisonOutcome expected = core::run_comparison(reference);
-
-    const DeploymentResult actual = run_deployment(setup);
-
-    ASSERT_EQ(actual.cell_count(), 1u);
-    expect_stats_equal(actual.unicast.stats, expected.unicast);
-    ASSERT_EQ(actual.mechanisms.size(), expected.mechanisms.size());
-    for (std::size_t m = 0; m < expected.mechanisms.size(); ++m) {
-        expect_stats_equal(actual.mechanisms[m].stats, expected.mechanisms[m]);
-    }
-    // With one cell the fleet-wide and per-cell views coincide.
-    expect_stats_equal(actual.cells[0].unicast.stats, expected.unicast);
-    EXPECT_EQ(actual.empty_cell_runs, 0u);
-    EXPECT_DOUBLE_EQ(actual.cell_load.mean(),
-                     static_cast<double>(setup.device_count));
 }
 
 TEST(DeploymentTest, CellSeedRootDegeneratesToBaseSeed) {
@@ -97,31 +44,22 @@ TEST(DeploymentTest, ThreadCountInvarianceAtFourCells) {
     setup.threads = 1;
     const DeploymentResult serial = run_deployment(setup);
     setup.threads = 4;
-    const DeploymentResult threaded = run_deployment(setup);
+    expect_deployment_results_equal(run_deployment(setup), serial);
+}
 
-    expect_stats_equal(serial.unicast.stats, threaded.unicast.stats);
-    ASSERT_EQ(serial.mechanisms.size(), threaded.mechanisms.size());
-    for (std::size_t m = 0; m < serial.mechanisms.size(); ++m) {
-        expect_stats_equal(serial.mechanisms[m].stats, threaded.mechanisms[m].stats);
-        expect_summaries_equal(serial.mechanisms[m].bytes_on_air,
-                               threaded.mechanisms[m].bytes_on_air, "bytes_on_air");
-        expect_summaries_equal(serial.mechanisms[m].rach_collision_rate,
-                               threaded.mechanisms[m].rach_collision_rate,
-                               "rach_collision_rate");
-    }
-    ASSERT_EQ(serial.cell_count(), threaded.cell_count());
-    for (std::size_t c = 0; c < serial.cell_count(); ++c) {
-        expect_summaries_equal(serial.cells[c].devices, threaded.cells[c].devices,
-                               "cell devices");
-        expect_stats_equal(serial.cells[c].unicast.stats,
-                           threaded.cells[c].unicast.stats);
-        for (std::size_t m = 0; m < serial.mechanisms.size(); ++m) {
-            expect_stats_equal(serial.cells[c].mechanisms[m].stats,
-                               threaded.cells[c].mechanisms[m].stats);
-        }
-    }
-    expect_summaries_equal(serial.cell_load, threaded.cell_load, "cell_load");
-    EXPECT_EQ(serial.empty_cell_runs, threaded.empty_cell_runs);
+TEST(DeploymentTest, SpareWorkersRunStrataBitIdentically) {
+    // One run on two cells at 8 threads: the grid has 2 tasks, so each
+    // task's 8 strata get 4 workers.
+    DeploymentSetup setup = small_setup();
+    setup.device_count = 200;
+    setup.runs = 1;
+    setup.config.strata = 8;
+    setup.topology = CellTopology::uniform(2);
+
+    setup.threads = 1;
+    const DeploymentResult serial = run_deployment(setup);
+    setup.threads = 8;
+    expect_deployment_results_equal(run_deployment(setup), serial);
 }
 
 TEST(DeploymentTest, SharedPopulationsBitIdenticalToRegeneration) {
@@ -131,12 +69,7 @@ TEST(DeploymentTest, SharedPopulationsBitIdenticalToRegeneration) {
 
     setup.populations = core::generate_comparison_populations(
         setup.profile, setup.device_count, setup.runs, setup.base_seed);
-    const DeploymentResult cached = run_deployment(setup);
-
-    expect_stats_equal(fresh.unicast.stats, cached.unicast.stats);
-    for (std::size_t m = 0; m < fresh.mechanisms.size(); ++m) {
-        expect_stats_equal(fresh.mechanisms[m].stats, cached.mechanisms[m].stats);
-    }
+    expect_deployment_results_equal(run_deployment(setup), fresh);
 }
 
 TEST(DeploymentTest, CellLoadAccountsEveryDevice) {
@@ -182,10 +115,10 @@ TEST(DeploymentTest, PagingCapacityOverrideApplies) {
     // The choked cell's aggregates must differ from the unconstrained run —
     // DA-SC is the sensitive mechanism (its DRX-reconfiguration pages slip
     // when occasions fill up); cell 0 is untouched.
-    expect_stats_equal(choked.cells[0].unicast.stats,
-                       baseline.cells[0].unicast.stats);
-    expect_stats_equal(choked.cells[0].mechanisms[1].stats,
-                       baseline.cells[0].mechanisms[1].stats);
+    expect_mechanism_stats_equal(choked.cells[0].unicast.stats,
+                                 baseline.cells[0].unicast.stats);
+    expect_mechanism_stats_equal(choked.cells[0].mechanisms[1].stats,
+                                 baseline.cells[0].mechanisms[1].stats);
     EXPECT_NE(choked.cells[1].mechanisms[1].stats.mean_connected_seconds.mean(),
               baseline.cells[1].mechanisms[1].stats.mean_connected_seconds.mean());
 }

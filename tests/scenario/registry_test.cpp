@@ -89,7 +89,7 @@ TEST(RegistrySmokeTest, EveryShippedPresetRunsATenDeviceSmoke) {
         spec.with_devices(10).with_runs(1).with_threads(1);
         SCOPED_TRACE(entry.name);
         const ScenarioResult result = run_scenario(spec);
-        EXPECT_EQ(result.is_multicell(), spec.is_multicell());
+        EXPECT_EQ(result.deployment().cell_count(), spec.cell_count());
         EXPECT_EQ(result.mechanism_count(), spec.mechanisms.size());
         // Delivery is mandatory: stress shows up as recovery transmissions,
         // never as lost devices.  Fault-injection presets are the exception
@@ -107,7 +107,8 @@ TEST(RegistrySmokeTest, EveryShippedPresetRunsATenDeviceSmoke) {
             EXPECT_GE(result.mechanism_stats(m).completion_p99_ms.mean(), 0.0);
         }
         EXPECT_GT(result.unicast_stats().transmissions.mean(), 0.0);
-        // The common report surface renders for both engines.
+        // The common report surface renders for single-cell and multicell
+        // presets alike.
         const stats::Table table = result.summary_table();
         EXPECT_EQ(table.rows(), spec.mechanisms.size() + 1);
         EXPECT_FALSE(result.summary_csv().empty());

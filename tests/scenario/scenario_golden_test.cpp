@@ -1,21 +1,28 @@
-// Golden equivalence for the scenario redesign: run_scenario must
-// reproduce the pre-redesign front doors bit for bit — run_comparison for
-// fig6a/fig6b/fig7 and run_deployment for the 16-cell citywide preset — at
-// --threads 1 and --threads 8.  The legacy setups below are hand-assembled
-// exactly as the pre-redesign binaries did; stats::Summary::operator== is
-// bit-exact state equality, so any drift in RNG stream derivation,
-// reduction order, or field mapping fails loudly.
+// Golden pins for run_scenario.
 //
-// The runtime comparisons use scaled-down runs/devices (applied identically
-// to both sides); full-scale equivalence is pinned structurally by
-// FullScaleSetupsMatchFieldForField, which asserts the adapter output
-// equals the old binaries' hand-built setups field for field.
+// Single cell: the paper's fig6a/fig6b/fig7 presets (scaled down), the
+// churn preset and a single-run 8-strata smoke with telemetry must
+// reproduce the aggregates of the original single-cell comparison engine,
+// which has since been folded into the 1-cell deployment.  Its results were
+// recorded as 64-bit digests before the fold, at --threads 1 and 8 (equal
+// at both): FNV-1a over the little-endian stats::Summary state bytes
+// (snapshot::put_summary) of all 12 MechanismStats fields, the unicast row
+// first, then each mechanism in spec order.
+//
+// Multicell: the 16-cell citywide preset must reproduce run_deployment on
+// the hand-assembled pre-redesign setup, with and without a coordinator, at
+// --threads 1 and 8.  stats::Summary::operator== is bit-exact state
+// equality, so any drift in RNG stream derivation, reduction order, or
+// field mapping fails loudly.
 #include <gtest/gtest.h>
+
+#include <cstdint>
 
 #include "core/experiment.hpp"
 #include "multicell/deployment.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/run.hpp"
+#include "snapshot/codec.hpp"
 #include "tests/support/deployment_equal.hpp"
 #include "traffic/firmware.hpp"
 
@@ -23,74 +30,88 @@ namespace nbmg::scenario {
 namespace {
 
 using test_support::expect_deployment_results_equal;
-using test_support::expect_mechanism_stats_equal;
 
-void expect_same_stats(const core::MechanismStats& actual,
-                       const core::MechanismStats& expected) {
-    expect_mechanism_stats_equal(actual, expected);
-}
-
-void expect_same_outcome(const core::ComparisonOutcome& actual,
-                         const core::ComparisonOutcome& expected) {
-    expect_same_stats(actual.unicast, expected.unicast);
-    ASSERT_EQ(actual.mechanisms.size(), expected.mechanisms.size());
-    for (std::size_t m = 0; m < actual.mechanisms.size(); ++m) {
-        expect_same_stats(actual.mechanisms[m], expected.mechanisms[m]);
+/// FNV-1a over a byte string or byte vector.
+template <typename Bytes>
+std::uint64_t fnv1a(const Bytes& bytes) {
+    std::uint64_t hash = 14695981039346656037ULL;
+    for (const auto byte : bytes) {
+        hash ^= static_cast<unsigned char>(byte);
+        hash *= 1099511628211ULL;
     }
+    return hash;
 }
 
-/// The fig6a/fig6b binaries' pre-redesign hand-assembled setup, scaled to
-/// (devices, runs) so the runtime comparison stays CTest-fast.
-core::ComparisonSetup legacy_fig6_setup(std::size_t devices, std::size_t runs,
-                                        std::size_t threads) {
-    core::ComparisonSetup setup;
-    setup.profile = traffic::massive_iot_city();
-    setup.device_count = devices;
-    setup.payload_bytes = traffic::firmware_100kb().bytes;
-    setup.runs = runs;
-    setup.base_seed = 42;
-    setup.threads = threads;
-    return setup;
+/// The golden digest of a result's aggregates (see the file comment).
+std::uint64_t stats_digest(const ScenarioResult& result) {
+    snapshot::Writer w;
+    const auto put = [&w](const core::MechanismStats& s) {
+        for (const stats::Summary* summary :
+             {&s.light_sleep_increase, &s.connected_increase, &s.transmissions,
+              &s.transmissions_per_device, &s.bytes_ratio,
+              &s.recovery_transmissions, &s.unreceived_devices,
+              &s.mean_connected_seconds, &s.mean_light_sleep_seconds,
+              &s.completion_p99_ms, &s.redelivery_bytes, &s.stranded_devices}) {
+            snapshot::put_summary(w, *summary);
+        }
+    };
+    put(result.unicast_stats());
+    for (std::size_t m = 0; m < result.mechanism_count(); ++m) {
+        put(result.mechanism_stats(m));
+    }
+    return fnv1a(w.buffer());
 }
 
-TEST(ScenarioGoldenTest, Fig6aBitIdenticalToRunComparison) {
+/// Runs `spec` at --threads 1 and 8 and checks both against `digest`.
+void expect_pinned_digest(ScenarioSpec spec, std::uint64_t digest) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-        ScenarioSpec spec = Registry::instance().preset("fig6a");
-        spec.with_devices(60).with_runs(4).with_threads(threads);
-        const core::ComparisonOutcome legacy =
-            core::run_comparison(legacy_fig6_setup(60, 4, threads));
-        expect_same_outcome(run_scenario(spec).comparison(), legacy);
+        spec.with_threads(threads);
+        EXPECT_EQ(stats_digest(run_scenario(spec)), digest) << "threads " << threads;
     }
+}
+
+TEST(ScenarioGoldenTest, Fig6aMatchesPinnedDigest) {
+    ScenarioSpec spec = Registry::instance().preset("fig6a");
+    spec.with_devices(60).with_runs(4);
+    expect_pinned_digest(spec, 0x005ab34308a4b48bULL);
 }
 
 TEST(ScenarioGoldenTest, Fig6bPayloadPointBitIdenticalWithSharedPopulations) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-        // The fig6b shell shares populations across the payload sweep; the
-        // 1 MB point must still match the legacy path that shares the same
-        // handle.
-        ScenarioSpec spec = Registry::instance().preset("fig6b");
-        spec.with_devices(50).with_runs(3).with_threads(threads);
-        spec.with_populations(core::generate_comparison_populations(
-            spec.profile, spec.device_count, spec.runs, spec.base_seed));
-        spec.with_payload_bytes(traffic::firmware_1mb().bytes);
-
-        core::ComparisonSetup legacy = legacy_fig6_setup(50, 3, threads);
-        legacy.payload_bytes = traffic::firmware_1mb().bytes;
-        legacy.populations = spec.populations;
-        expect_same_outcome(run_scenario(spec).comparison(),
-                            core::run_comparison(legacy));
-    }
+    // The fig6b shell shares populations across the payload sweep; the
+    // 1 MB point must match the golden recorded with the same sharing.
+    ScenarioSpec spec = Registry::instance().preset("fig6b");
+    spec.with_devices(50).with_runs(3);
+    spec.with_populations(core::generate_comparison_populations(
+        spec.profile, spec.device_count, spec.runs, spec.base_seed));
+    spec.with_payload_bytes(traffic::firmware_1mb().bytes);
+    expect_pinned_digest(spec, 0x9d834d007dbbd36aULL);
 }
 
-TEST(ScenarioGoldenTest, Fig7DrScBitIdenticalToRunComparison) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-        ScenarioSpec spec = Registry::instance().preset("fig7");
-        spec.with_devices(80).with_runs(3).with_threads(threads);
+TEST(ScenarioGoldenTest, Fig7DrScMatchesPinnedDigest) {
+    ScenarioSpec spec = Registry::instance().preset("fig7");
+    spec.with_devices(80).with_runs(3);
+    expect_pinned_digest(spec, 0x4076e43ede1e8ad4ULL);
+}
 
-        core::ComparisonSetup legacy = legacy_fig6_setup(80, 3, threads);
-        legacy.mechanisms = {core::MechanismKind::dr_sc};
-        expect_same_outcome(run_scenario(spec).comparison(),
-                            core::run_comparison(legacy));
+TEST(ScenarioGoldenTest, ChurnMatchesPinnedDigest) {
+    expect_pinned_digest(Registry::instance().preset("churn"),
+                         0x046770bc98869f3fULL);
+}
+
+TEST(ScenarioGoldenTest, SingleRunStrataWithTelemetryMatchPinnedDigests) {
+    // One run, so at --threads 8 the spare workers run the 8 strata.  The
+    // telemetry artifacts were pinned alongside the aggregates.
+    ScenarioSpec spec = Registry::instance().preset("smoke");
+    spec.with_runs(1).with_strata(8).with_telemetry_modes(true, true);
+    expect_pinned_digest(spec, 0xf688df06072cda30ULL);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+        spec.with_threads(threads);
+        const ScenarioResult result = run_scenario(spec);
+        ASSERT_TRUE(result.telemetry.has_value());
+        ASSERT_TRUE(result.telemetry->metrics.has_value());
+        EXPECT_EQ(fnv1a(result.telemetry->trace_jsonl), 0x7660a3b858295828ULL);
+        EXPECT_EQ(fnv1a(result.telemetry->metrics->to_csv()), 0xb1bc6ab1945d6948ULL);
+        EXPECT_EQ(fnv1a(result.telemetry->timeline_json), 0x5be15d0552dfbae4ULL);
     }
 }
 
@@ -118,7 +139,6 @@ TEST(ScenarioGoldenTest, Citywide16CellsBitIdenticalToRunDeployment) {
         const multicell::DeploymentResult expected =
             multicell::run_deployment(legacy_citywide_setup(threads));
         const ScenarioResult result = run_scenario(spec);
-        ASSERT_TRUE(result.is_multicell());
         EXPECT_FALSE(result.is_coordinated());
         expect_deployment_results_equal(result.deployment(), expected);
     }
@@ -137,7 +157,6 @@ TEST(ScenarioGoldenTest, CoordinatorSimultaneousBitIdenticalToRunDeployment) {
         const multicell::DeploymentResult expected =
             multicell::run_deployment(legacy_citywide_setup(threads));
         const ScenarioResult result = run_scenario(spec);
-        ASSERT_TRUE(result.is_multicell());
         ASSERT_TRUE(result.is_coordinated());
         expect_deployment_results_equal(result.deployment(), expected);
 
@@ -167,33 +186,30 @@ TEST(ScenarioGoldenTest, StaggeredAndBackhaulKeepCampaignAggregatesGolden) {
 }
 
 TEST(ScenarioGoldenTest, FullScaleSetupsMatchFieldForField) {
-    // Full-scale equivalence without the full-scale runtime: the adapter
-    // output of each acceptance-criteria preset equals the pre-redesign
+    // Full-scale equivalence without the full-scale runtime: the engine
+    // setup of each acceptance-criteria preset equals the pre-redesign
     // binary's hand-built setup field for field, so the runtime identity
     // proven above at small scale carries over unchanged.
     {
-        const core::ComparisonSetup actual =
-            to_comparison_setup(Registry::instance().preset("fig6a"));
-        const core::ComparisonSetup expected = [] {
-            core::ComparisonSetup setup;  // as bench/fig6a_* hand-assembled it
-            setup.profile = traffic::massive_iot_city();
-            setup.device_count = 300;
-            setup.payload_bytes = traffic::firmware_100kb().bytes;
-            setup.runs = 50;
-            setup.base_seed = 42;
-            return setup;
-        }();
-        EXPECT_EQ(actual.profile.name, expected.profile.name);
-        EXPECT_EQ(actual.device_count, expected.device_count);
-        EXPECT_EQ(actual.payload_bytes, expected.payload_bytes);
-        EXPECT_EQ(actual.runs, expected.runs);
-        EXPECT_EQ(actual.base_seed, expected.base_seed);
-        EXPECT_EQ(actual.mechanisms, expected.mechanisms);
-        EXPECT_EQ(actual.config.inactivity_timer, expected.config.inactivity_timer);
+        const multicell::DeploymentSetup actual =
+            to_deployment_setup(Registry::instance().preset("fig6a"));
+        const core::CampaignConfig defaults{};
+        // As bench/fig6a_* hand-assembled it, on the paper's single cell.
+        EXPECT_EQ(actual.profile.name, "massive_iot_city");
+        EXPECT_EQ(actual.device_count, 300u);
+        EXPECT_EQ(actual.payload_bytes, traffic::firmware_100kb().bytes);
+        EXPECT_EQ(actual.runs, 50u);
+        EXPECT_EQ(actual.base_seed, 42u);
+        EXPECT_EQ(actual.mechanisms,
+                  (std::vector<core::MechanismKind>{core::MechanismKind::dr_sc,
+                                                    core::MechanismKind::da_sc,
+                                                    core::MechanismKind::dr_si}));
+        EXPECT_EQ(actual.config.inactivity_timer, defaults.inactivity_timer);
+        EXPECT_EQ(actual.topology.cell_count(), 1u);
     }
     {
-        const core::ComparisonSetup actual =
-            to_comparison_setup(Registry::instance().preset("fig7"));
+        const multicell::DeploymentSetup actual =
+            to_deployment_setup(Registry::instance().preset("fig7"));
         EXPECT_EQ(actual.runs, 100u);
         EXPECT_EQ(actual.base_seed, 42u);
         const std::vector<core::MechanismKind> drsc{core::MechanismKind::dr_sc};

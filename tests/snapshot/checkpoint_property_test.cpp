@@ -48,26 +48,11 @@ ScenarioSpec random_spec(sim::RandomStream& rng, bool multicell,
 }
 
 std::uint64_t total_tasks(const ScenarioSpec& spec) {
-    return spec.is_multicell()
-               ? static_cast<std::uint64_t>(spec.runs) * spec.cell_count()
-               : static_cast<std::uint64_t>(spec.runs);
+    return static_cast<std::uint64_t>(spec.runs) * spec.cell_count();
 }
 
 void expect_results_equal(const ScenarioResult& a, const ScenarioResult& b) {
-    ASSERT_EQ(a.is_multicell(), b.is_multicell());
-    if (a.is_multicell()) {
-        test_support::expect_deployment_results_equal(a.deployment(),
-                                                      b.deployment());
-    } else {
-        test_support::expect_mechanism_stats_equal(a.comparison().unicast,
-                                                   b.comparison().unicast);
-        ASSERT_EQ(a.comparison().mechanisms.size(),
-                  b.comparison().mechanisms.size());
-        for (std::size_t m = 0; m < a.comparison().mechanisms.size(); ++m) {
-            test_support::expect_mechanism_stats_equal(
-                a.comparison().mechanisms[m], b.comparison().mechanisms[m]);
-        }
-    }
+    test_support::expect_deployment_results_equal(a.deployment(), b.deployment());
     ASSERT_TRUE(a.telemetry.has_value());
     ASSERT_TRUE(b.telemetry.has_value());
     EXPECT_EQ(a.telemetry->trace_jsonl, b.telemetry->trace_jsonl);

@@ -169,7 +169,6 @@ TEST(SnapshotContainerTest, MissingFileIsAnError) {
 CheckpointHeader sample_header() {
     CheckpointHeader header;
     header.fingerprint = 0xFEEDFACEu;
-    header.engine = 0;
     header.runs = 4;
     header.cells = 1;
     header.campaigns = 4;
@@ -242,7 +241,6 @@ void write_hand_rolled(const std::string& path, const CheckpointHeader& header,
                        const std::vector<std::uint64_t>& slots) {
     Writer header_writer;
     header_writer.put_u64(header.fingerprint);
-    header_writer.put_u8(header.engine);
     header_writer.put_u64(header.runs);
     header_writer.put_u64(header.cells);
     header_writer.put_u64(header.campaigns);

@@ -1,7 +1,8 @@
 // Shared bit-exact comparison helpers for deployment-layer results, used
 // by every golden/determinism suite that pins "aggregates are
-// bit-identical" (tests/multicell/coordinator_test.cpp,
-// tests/scenario/scenario_golden_test.cpp).  One superset comparison —
+// bit-identical" (tests/multicell/deployment_test.cpp,
+// tests/multicell/coordinator_test.cpp,
+// tests/scenario/scenario_golden_test.cpp, ...).  One superset comparison —
 // stats, per-cell aggregates, RACH summaries and histogram quantiles,
 // spans — so a field added to DeploymentResult only needs remembering
 // here, not in per-suite copies that drift apart.

@@ -189,7 +189,7 @@ TEST(ExportTest, TimelineCarriesSpansMetadataAndSentinel) {
     EXPECT_NE(json.find("\"trace_end\""), std::string::npos) << json;
 }
 
-/// A small single-cell comparison spec; runs in well under a second.
+/// A small single-cell spec; runs in well under a second.
 scenario::ScenarioSpec small_spec() {
     return scenario::ScenarioSpec{}
         .with_name("telemetry-test")
