@@ -16,7 +16,10 @@
 #             uninterrupted run).
 #   Release — same build with NBMG_ENABLE_LTO (so the option cannot
 #             rot); the full suite including the randomized property
-#             batteries; microbenchmark + multicell smokes.
+#             batteries; microbenchmark + multicell smokes; the
+#             end-to-end benchmark's own smoke tests at the tiny size
+#             (perfbench/test_perfbench.py: traced rebuild equals
+#             run_scenario, threads-1 vs nproc digests agree).
 #   asan    — NBMG_SANITIZE=address+undefined (ASan+UBSan+LSan), tests
 #             only, tier-1 label incl. the high-contention sweep stress
 #             suite; suppressions from ci/sanitizers/ (policy: empty).
@@ -224,6 +227,9 @@ for leg in "${legs[@]}"; do
     echo "=== ${config}: multicell smoke (sharded fleet, 8 cells) ==="
     "${build_dir}/bench/fig_multicell_scaling" \
       --devices 2000 --cells 8 --runs 1 --threads 2
+
+    echo "=== ${config}: end-to-end benchmark smoke tests (tiny size) ==="
+    python3 perfbench/test_perfbench.py
   fi
 done
 

@@ -159,42 +159,40 @@ void Execution::setup_devices() {
 }
 
 void Execution::schedule_plan_events() {
-    // Every pre-known plan event goes into one sorted block: the batch's
-    // internal (time, add-order) sort reproduces the seq order the
-    // equivalent schedule_at loop would have assigned, so the run is
-    // bit-identical — just without one heap sift per event.
-    sim::EventQueue::Batch batch;
-    batch.reserve(plan_.schedules.size() + plan_.transmissions.size());
+    // Every pre-known plan event is scheduled up front, device by device
+    // and then transmission by transmission: equal-time events fire in
+    // this order.
+    sim::EventQueue& queue = cell_.simulation().queue();
     for (std::size_t i = 0; i < plan_.schedules.size(); ++i) {
         const DeviceSchedule& schedule = plan_.schedules[i];
         if (schedule.adjustment) {
-            batch.add(schedule.adjustment->adjust_page_at,
-                      [this, i] { deliver_page(i, PageKind::reconfig); });
+            queue.schedule_at(schedule.adjustment->adjust_page_at,
+                              [this, i] { deliver_page(i, PageKind::reconfig); });
         }
         if (schedule.mltc) {
-            batch.add(schedule.mltc->notify_po_at,
-                      [this, i] { deliver_page(i, PageKind::mltc); });
+            queue.schedule_at(schedule.mltc->notify_po_at,
+                              [this, i] { deliver_page(i, PageKind::mltc); });
         }
         if (schedule.page_at) {
-            batch.add(*schedule.page_at,
-                      [this, i] { deliver_page(i, PageKind::normal); });
+            queue.schedule_at(*schedule.page_at,
+                              [this, i] { deliver_page(i, PageKind::normal); });
         }
     }
     for (std::size_t t = 0; t < plan_.transmissions.size(); ++t) {
         if (plan_.transmissions[t].starts_on_ready) continue;  // starts on connect
-        batch.add(plan_.transmissions[t].start,
-                  [this, t] { start_transmission(t); });
+        queue.schedule_at(plan_.transmissions[t].start,
+                          [this, t] { start_transmission(t); });
     }
 
     // SC-PTM: every device monitors the SC-MCCH once per modification
     // period, forever, whether or not multicast data exists — the standing
     // cost the on-demand scheme of [3] removes.  (Tick handlers only
     // charge energy, which commutes with everything at the same instant,
-    // so riding the plan batch is order-safe.)
+    // so scheduling them after the plan events is order-safe.)
     if (plan_.kind == MechanismKind::sc_ptm) {
         const SimTime period = config_.sc_ptm_mcch_period;
         for (SimTime at = period; at < horizon_; at += period) {
-            batch.add(at, [this] {
+            queue.schedule_at(at, [this] {
                 for (std::size_t i = 0; i < specs_.size(); ++i) {
                     cell_.ue(DeviceId{static_cast<std::uint32_t>(i)})
                         .charge(nbiot::PowerState::po_monitor,
@@ -203,7 +201,6 @@ void Execution::schedule_plan_events() {
             });
         }
     }
-    cell_.simulation().queue().schedule_batch(std::move(batch));
 
     if (config_.background_ra_per_second > 0.0) {
         cell_.rach().inject_background_load(config_.background_ra_per_second, horizon_);
@@ -247,7 +244,7 @@ void Execution::attempt_leave(std::size_t idx) {
     const SimTime now = cell_.simulation().now();
     ue.power_off();
     // Departed UEs carry no pending paging events: cancel the retry chain
-    // through the slab queue (the plan's own batch events fire as misses,
+    // through the slab queue (the plan's own paging events fire as misses,
     // which is exactly a dark device's observable).
     if (retry_event_[idx]) {
         cell_.simulation().queue().cancel(*retry_event_[idx]);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "telemetry/sink.hpp"
 
@@ -40,9 +42,9 @@ void RachChannel::inject_background_load(double arrivals_per_second, SimTime unt
 
 void RachChannel::enroll(SimTime earliest, std::size_t proc_index) {
     const SimTime window = next_window_at_or_after(std::max(earliest, sim_->now()));
-    window_entrants_[window].push_back(proc_index);
-    if (!window_scheduled_[window]) {
-        window_scheduled_[window] = true;
+    const auto [it, inserted] = window_entrants_.try_emplace(window);
+    it->second.push_back(proc_index);
+    if (inserted) {
         sim_->queue().schedule_at(window, [this, window] { resolve_window(window); });
     }
 }
@@ -52,7 +54,6 @@ void RachChannel::resolve_window(SimTime window_start) {
     if (it == window_entrants_.end()) return;
     std::vector<std::size_t> entrants = std::move(it->second);
     window_entrants_.erase(it);
-    window_scheduled_.erase(window_start);
 
     // Draw preambles and find collisions.  The preamble space is dense
     // ([0, num_preambles), 48 by default), so the histogram is a plain
@@ -66,10 +67,10 @@ void RachChannel::resolve_window(SimTime window_start) {
 
     const SimTime resolution = window_start + config_.attempt_active_time();
     // Collided entrants re-enroll after a backoff.  Their wakeups are
-    // accumulated and inserted as one sorted run lane: with thousands of
-    // entrants per window, that is one stable sort instead of thousands
-    // of sifts into an already-huge heap.
-    sim::EventQueue::Batch retries;
+    // scheduled after the loop, in entrant order: a completion callback
+    // inside the loop may schedule an event at this very instant, and it
+    // must keep its place ahead of the retries.
+    std::vector<std::pair<SimTime, std::size_t>> retries;
     telemetry::CampaignSink* const sink = sim_->telemetry();
     const auto window_ms = window_start.count();
     const auto entrant_count = static_cast<std::int64_t>(entrants.size());
@@ -102,11 +103,11 @@ void RachChannel::resolve_window(SimTime window_start) {
             continue;
         }
         const SimTime backoff{rng_.uniform_int(0, config_.backoff_max.count())};
-        const std::size_t index = entrants[i];
-        retries.add(resolution + backoff,
-                    [this, index] { enroll(sim_->now(), index); });
+        retries.emplace_back(resolution + backoff, entrants[i]);
     }
-    if (!retries.empty()) sim_->queue().schedule_batch(std::move(retries));
+    for (const auto& [at, index] : retries) {
+        sim_->queue().schedule_at(at, [this, index] { enroll(sim_->now(), index); });
+    }
 }
 
 }  // namespace nbmg::nbiot

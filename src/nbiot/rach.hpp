@@ -95,8 +95,9 @@ private:
     RachConfig config_;
     sim::RandomStream rng_;
     std::vector<Procedure> procedures_;
+    // A window has a resolve_window event pending exactly while it has an
+    // entry here.
     std::map<SimTime, std::vector<std::size_t>> window_entrants_;
-    std::map<SimTime, bool> window_scheduled_;
     std::uint64_t total_attempts_ = 0;
     std::uint64_t total_collisions_ = 0;
     std::uint64_t total_failures_ = 0;

@@ -20,10 +20,10 @@ struct RoundBest {
 /// `scratch_counts` must be all-zero on entry and is all-zero again on
 /// return: every increment the leading pointer applies, the trailing
 /// pointer undoes, so the buffer never needs a per-round reset.
-RoundBest find_best_window(const std::vector<PoEvent>& events, sim::SimTime window,
-                           sim::RandomStream& rng,
-                           std::vector<std::uint32_t>& scratch_counts,
-                           std::vector<std::size_t>& ties) {
+RoundBest best_window_round(const std::vector<PoEvent>& events, sim::SimTime window,
+                            sim::RandomStream& rng,
+                            std::vector<std::uint32_t>& scratch_counts,
+                            std::vector<std::size_t>& ties) {
     std::size_t distinct = 0;
 
     RoundBest best;
@@ -317,7 +317,7 @@ WindowCoverResult greedy_window_cover(std::vector<PoEvent> events, sim::SimTime 
     bool tail = false;
     while (!events.empty() && !tail) {
         const RoundBest best =
-            find_best_window(events, window, rng, scratch_counts, ties);
+            best_window_round(events, window, rng, scratch_counts, ties);
         if (best.coverage == 0) break;  // defensive; events would be empty
 
         const sim::SimTime start = events[best.anchor].at;

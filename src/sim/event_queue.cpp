@@ -1,47 +1,12 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <bit>
+#include <cassert>
 #include <stdexcept>
 #include <utility>
 
 namespace nbmg::sim {
-
-void EventQueue::EventHeap::push(const HeapEntry& e) {
-    // Hole insertion: move ancestors down into the hole and place the new
-    // entry once, instead of swapping at every level.
-    std::size_t i = v_.size();
-    v_.push_back(e);
-    while (i > 0) {
-        const std::size_t parent = (i - 1) / kArity;
-        if (!before(e, v_[parent])) break;
-        v_[i] = v_[parent];
-        i = parent;
-    }
-    v_[i] = e;
-}
-
-void EventQueue::EventHeap::pop() {
-    const HeapEntry last = v_.back();
-    v_.pop_back();
-    if (v_.empty()) return;
-    // Sift the former last element down from the root.
-    std::size_t i = 0;
-    const std::size_t n = v_.size();
-    for (;;) {
-        const std::size_t first_child = i * kArity + 1;
-        if (first_child >= n) break;
-        std::size_t best = first_child;
-        const std::size_t end = std::min(first_child + kArity, n);
-        for (std::size_t c = first_child + 1; c < end; ++c) {
-            if (before(v_[c], v_[best])) best = c;
-        }
-        if (!before(v_[best], last)) break;
-        v_[i] = v_[best];
-        i = best;
-    }
-    v_[i] = last;
-}
 
 std::uint32_t EventQueue::acquire_slot() {
     if (!free_slots_.empty()) {
@@ -61,6 +26,27 @@ void EventQueue::release_slot(std::uint32_t index) noexcept {
     --pending_;
 }
 
+void EventQueue::push(const Entry& e) {
+    // The highest bit in which the time differs from the base picks the
+    // bucket.  Two's-complement XOR keeps this order-correct for negative
+    // times too: a non-negative entry above a negative base differs in the
+    // sign bit and lands in bucket 64, above every negative entry.
+    const auto key = static_cast<std::uint64_t>(e.at.count()) ^
+                     static_cast<std::uint64_t>(base_.count());
+    const auto b = static_cast<std::size_t>(std::bit_width(key));
+    Bucket& bucket = buckets_[b];
+    if (b != 0) {
+        const std::uint64_t bit = std::uint64_t{1} << (b - 1);
+        if ((occupied_ & bit) == 0) {
+            occupied_ |= bit;
+            bucket.min = e.at;
+        } else {
+            bucket.min = std::min(bucket.min, e.at);
+        }
+    }
+    bucket.entries.push_back(e);
+}
+
 EventId EventQueue::schedule_at(SimTime at, Handler handler) {
     if (at < now_) {
         throw std::logic_error("EventQueue::schedule_at: time in the past");
@@ -68,14 +54,13 @@ EventId EventQueue::schedule_at(SimTime at, Handler handler) {
     if (!handler) {
         throw std::invalid_argument("EventQueue::schedule_at: empty handler");
     }
-    const std::uint64_t seq = next_seq_++;
     const std::uint32_t index = acquire_slot();
     Slot& slot = slots_[index];
     slot.handler = std::move(handler);
-    slot.seq = seq;
+    slot.seq = next_seq_++;
     ++slot.generation;  // live ids always have generation >= 1
     ++pending_;
-    heap_.push(HeapEntry{at, seq, index});
+    push(Entry{at, index, slot.generation});
     return EventId{index, slot.generation};
 }
 
@@ -86,135 +71,53 @@ EventId EventQueue::schedule_after(SimTime delay, Handler handler) {
     return schedule_at(now_ + delay, std::move(handler));
 }
 
-void EventQueue::Batch::add(SimTime at, Handler handler) {
-    if (!handler) {
-        throw std::invalid_argument("EventQueue::Batch::add: empty handler");
-    }
-    items_.push_back(Item{at, std::move(handler)});
-}
-
-std::size_t EventQueue::schedule_batch(Batch&& batch) {
-    std::vector<Batch::Item>& items = batch.items_;
-    if (items.empty()) return 0;
-    for (const Batch::Item& item : items) {
-        if (item.at < now_) {
-            throw std::logic_error("EventQueue::schedule_batch: time in the past");
-        }
-    }
-    // Stable sort keeps add order inside equal-time groups; assigning
-    // sequence numbers along the sorted order then makes seq ascend with
-    // add order within each group — the exact tie-break schedule_at would
-    // have produced.
-    std::vector<std::uint32_t> order(items.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(),
-                     [&items](std::uint32_t a, std::uint32_t b) {
-                         return items[a].at < items[b].at;
-                     });
-    Run run;
-    run.entries.reserve(items.size());
-    for (const std::uint32_t i : order) {
-        const std::uint64_t seq = next_seq_++;
-        const std::uint32_t index = acquire_slot();
-        Slot& slot = slots_[index];
-        slot.handler = std::move(items[i].handler);
-        slot.seq = seq;
-        ++slot.generation;
-        ++pending_;
-        run.entries.push_back(HeapEntry{items[i].at, seq, index});
-    }
-    const std::size_t scheduled = run.entries.size();
-    runs_.push_back(std::move(run));
-    items.clear();
-    return scheduled;
-}
-
 bool EventQueue::cancel(EventId id) {
     // Ids of events that already fired point at a freed (seq == 0) or
     // reused (generation bumped) slot, so a stale cancel is a no-op.
     if (id.index >= slots_.size()) return false;
     Slot& slot = slots_[id.index];
     if (slot.seq == 0 || slot.generation != id.generation) return false;
-    release_slot(id.index);  // the heap entry goes stale and is skipped later
+    release_slot(id.index);  // the queue entry goes stale and is dropped later
     return true;
 }
 
-bool EventQueue::skip_stale() {
-    while (!heap_.empty()) {
-        const HeapEntry& top = heap_.top();
-        if (slots_[top.slot].seq == top.seq) return true;
-        heap_.pop();
-    }
-    return false;
-}
-
-int EventQueue::find_best() {
-    const HeapEntry* best = nullptr;
-    int src = kSourceNone;
-    if (skip_stale()) {
-        best = &heap_.top();
-        src = kSourceHeap;
-    }
-    std::size_t kept = 0;
-    for (std::size_t r = 0; r < runs_.size(); ++r) {
-        Run& run = runs_[r];
-        while (run.cursor < run.entries.size()) {
-            const HeapEntry& head = run.entries[run.cursor];
-            if (slots_[head.slot].seq == head.seq) break;
-            ++run.cursor;  // cancelled or reused: skip lazily, like the heap
+bool EventQueue::settle(SimTime limit) {
+    std::vector<Entry>& front = buckets_[0].entries;
+    for (;;) {
+        // Liveness is checked only here, at the front: redistribution
+        // never reads the slab.
+        for (; front_ < front.size(); ++front_) {
+            if (live(front[front_])) return base_ <= limit;
         }
-        if (run.cursor == run.entries.size()) continue;  // exhausted: drop
-        const HeapEntry& head = run.entries[run.cursor];
-        if (best == nullptr || head.at < best->at ||
-            (head.at == best->at && head.seq < best->seq)) {
-            best = &head;
-            src = static_cast<int>(kept);
+        front.clear();
+        front_ = 0;
+        if (occupied_ == 0) {
+            // Drained, perhaps past stale entries beyond now_: later
+            // events may be due before the base reached here.
+            base_ = now_;
+            return false;
         }
-        // Compaction moves the Run object, not its entries buffer, so
-        // `best` stays valid.
-        if (kept != r) runs_[kept] = std::move(runs_[r]);
-        ++kept;
-    }
-    runs_.resize(kept);
-    return src;
-}
-
-std::vector<EventQueue::PendingEvent> EventQueue::pending_events() const {
-    std::vector<PendingEvent> live;
-    live.reserve(pending_);
-    // Each live slot has exactly one matching entry across the heap and the
-    // run lanes (sequence numbers are globally unique and never reused), so
-    // collecting seq-matching entries visits every pending event once.
-    const auto collect = [&](const HeapEntry& e) {
-        const Slot& slot = slots_[e.slot];
-        if (slot.seq != e.seq) return;  // cancelled or reused: stale entry
-        live.push_back(PendingEvent{EventId{e.slot, slot.generation}, e.at, e.seq});
-    };
-    for (const HeapEntry& e : heap_.entries()) collect(e);
-    for (const Run& run : runs_) {
-        for (std::size_t i = run.cursor; i < run.entries.size(); ++i) {
-            collect(run.entries[i]);
+        const auto b = static_cast<std::size_t>(std::countr_zero(occupied_)) + 1;
+        Bucket& bucket = buckets_[b];
+        if (bucket.min > limit) return false;
+        // The new base shares every bit from b-1 up with the bucket's
+        // entries, so each of them lands in a lower bucket and the walk
+        // can read the bucket in place; its minimum lands in bucket 0.
+        base_ = bucket.min;
+        occupied_ &= occupied_ - 1;
+        for (const Entry& e : bucket.entries) push(e);
+        // A bucket that once held the bulk of the queue keeps no more
+        // capacity than the queue now needs.
+        if (bucket.entries.capacity() > pending_) {
+            std::vector<Entry>().swap(bucket.entries);
+        } else {
+            bucket.entries.clear();
         }
     }
-    std::sort(live.begin(), live.end(),
-              [](const PendingEvent& a, const PendingEvent& b) {
-                  return a.id.index < b.id.index;
-              });
-    assert(live.size() == pending_);
-    return live;
 }
 
-bool EventQueue::step() {
-    const int src = find_best();
-    if (src == kSourceNone) return false;
-    HeapEntry top;
-    if (src == kSourceHeap) {
-        top = heap_.top();
-        heap_.pop();
-    } else {
-        Run& run = runs_[static_cast<std::size_t>(src)];
-        top = run.entries[run.cursor++];
-    }
+void EventQueue::run_front() {
+    const Entry top = buckets_[0].entries[front_++];
     // Move the handler out before running it: the handler may schedule new
     // events, which can reuse this slot or grow the slab.
     Handler handler = std::move(slots_[top.slot].handler);
@@ -222,23 +125,17 @@ bool EventQueue::step() {
     now_ = top.at;
     ++executed_;
     handler();
+}
+
+bool EventQueue::step() {
+    if (!settle(SimTime::max())) return false;
+    run_front();
     return true;
 }
 
 std::size_t EventQueue::run_until(SimTime until) {
     std::size_t n = 0;
-    for (;;) {
-        const int src = find_best();
-        if (src == kSourceNone) break;
-        const HeapEntry& head =
-            src == kSourceHeap
-                ? heap_.top()
-                : runs_[static_cast<std::size_t>(src)]
-                      .entries[runs_[static_cast<std::size_t>(src)].cursor];
-        if (head.at > until) break;
-        step();
-        ++n;
-    }
+    for (; settle(until); ++n) run_front();
     if (now_ < until) now_ = until;
     return n;
 }
@@ -247,6 +144,29 @@ std::size_t EventQueue::run_all(std::size_t max_events) {
     std::size_t n = 0;
     while (n < max_events && step()) ++n;
     return n;
+}
+
+std::vector<EventQueue::PendingEvent> EventQueue::pending_events() const {
+    std::vector<PendingEvent> live_events;
+    live_events.reserve(pending_);
+    // Each live slot has exactly one entry carrying its generation, so
+    // collecting live entries visits every pending event once.
+    for (std::size_t b = 0; b < buckets_.size(); ++b) {
+        const std::vector<Entry>& entries = buckets_[b].entries;
+        for (std::size_t i = b == 0 ? front_ : 0; i < entries.size(); ++i) {
+            const Entry& e = entries[i];
+            if (!live(e)) continue;
+            const Slot& slot = slots_[e.slot];
+            live_events.push_back(
+                PendingEvent{EventId{e.slot, slot.generation}, e.at, slot.seq});
+        }
+    }
+    std::sort(live_events.begin(), live_events.end(),
+              [](const PendingEvent& a, const PendingEvent& b) {
+                  return a.id.index < b.id.index;
+              });
+    assert(live_events.size() == pending_);
+    return live_events;
 }
 
 }  // namespace nbmg::sim

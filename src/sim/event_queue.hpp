@@ -4,24 +4,24 @@
 // tie-breaking), which makes every simulation bit-reproducible for a given
 // seed.  Events are cancellable in O(1): handlers live in a slab of reusable
 // slots addressed by {index, generation}, and a cancelled slot is simply
-// freed (its heap entry is skipped lazily when popped, recognized by a
-// stale sequence number).
+// freed (its queue entry is dropped lazily when it reaches the front,
+// recognized by a stale generation).
 //
 // Handlers are stored with small-buffer optimization: callables up to
 // InlineHandler::kInlineCapacity bytes (every lambda the simulator
 // schedules) live inline in the slot; larger ones fall back to one heap
-// allocation.  The ordering heap itself holds only 24-byte {time, seq,
-// slot} entries, so sift operations never touch handler storage.
+// allocation.
 //
-// Large pre-known schedules (a campaign's plan events, a stratum's
-// wakeups) can be inserted as one sorted block via Batch/schedule_batch:
-// the block becomes a "run lane" consumed front-to-back and merged with
-// the heap on the same (time, seq) total order, so firing order is
-// exactly what the equivalent sequence of schedule_at calls would
-// produce — at one stable sort per block instead of N heap sifts.
+// Ordering is a binary radix heap on the integer millisecond clock: the
+// queue entries are 16-byte {time, slot, generation} records, and bucket i
+// (1..64) holds the entries whose time first differs from the radix base in
+// bit i-1, bucket 0 those at the base itself.  Time never runs backwards,
+// so entries only ever move to lower buckets, and every entry of one
+// instant sits in the same bucket in scheduling order — FIFO at equal
+// times is structural, with no sequence-number comparisons at all.
 #pragma once
 
-#include <cassert>
+#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -63,7 +63,7 @@ public:
     using Handler = InlineHandler;
 
     EventQueue() = default;
-    explicit EventQueue(SimTime start) : now_(start) {}
+    explicit EventQueue(SimTime start) : now_(start), base_(start) {}
 
     EventQueue(const EventQueue&) = delete;
     EventQueue& operator=(const EventQueue&) = delete;
@@ -77,36 +77,6 @@ public:
 
     /// Schedules `handler` to run `delay` after the current time.
     EventId schedule_after(SimTime delay, Handler handler);
-
-    /// Order-preserving builder for schedule_batch(): accumulate timed
-    /// handlers, then insert them all as one pre-sorted block.
-    class Batch {
-    public:
-        /// Appends a handler to fire at absolute time `at` (validated
-        /// against now() when the batch is scheduled, not here).
-        void add(SimTime at, Handler handler);
-        void reserve(std::size_t n) { items_.reserve(n); }
-        [[nodiscard]] std::size_t size() const noexcept { return items_.size(); }
-        [[nodiscard]] bool empty() const noexcept { return items_.empty(); }
-
-    private:
-        friend class EventQueue;
-        struct Item {
-            SimTime at;
-            Handler handler;
-        };
-        std::vector<Item> items_;
-    };
-
-    /// Schedules every item of `batch` as one sorted run lane: one stable
-    /// sort over the block plus O(1) per event at pop time, instead of N
-    /// heap sifts.  Firing order is exactly what the equivalent sequence
-    /// of schedule_at calls (in add order) would produce — lanes and the
-    /// heap merge on the same (time, seq) total order, and sequence
-    /// numbers are assigned so equal-time batch events keep their add
-    /// order.  Any item before now() is a programming error.  Consumes
-    /// the batch; returns the number of events scheduled.
-    std::size_t schedule_batch(Batch&& batch);
 
     /// Cancels a pending event in O(1).  Returns false if the event already
     /// fired, was already cancelled, or never existed.
@@ -128,17 +98,17 @@ public:
     struct PendingEvent {
         EventId id;
         SimTime at{0};
-        std::uint64_t seq = 0;  // global scheduling order (FIFO tie-break)
+        std::uint64_t seq = 0;  // global scheduling order
 
         friend bool operator==(const PendingEvent&, const PendingEvent&) = default;
     };
 
     /// Snapshot of every live (non-cancelled) event in deterministic slab
     /// order: ascending slot index, each live slot exactly once.  The order
-    /// depends only on the scheduling history, never on heap shape or lane
-    /// compaction, so two queues built by the same call sequence report
-    /// identical snapshots.  O(pending log pending) — introspection and
-    /// serialization only, not for the hot loop.
+    /// depends only on the scheduling history, never on bucket layout, so
+    /// two queues built by the same call sequence report identical
+    /// snapshots.  O(pending log pending) — introspection and serialization
+    /// only, not for the hot loop.
     [[nodiscard]] std::vector<PendingEvent> pending_events() const;
 
     /// Number of pending (non-cancelled) events.
@@ -155,77 +125,54 @@ public:
 
 private:
     /// One slab cell.  `seq == 0` marks the slot free; a live slot keeps
-    /// the globally unique sequence number of its occupant, which the heap
-    /// entry must match to be considered live.
+    /// the scheduling sequence number of its occupant for pending_events().
     struct Slot {
         Handler handler;
         std::uint64_t seq = 0;
         std::uint32_t generation = 0;
     };
-    /// Heap entries carry no handler: 24 bytes, moved freely during sifts.
-    struct HeapEntry {
+    /// Queue entries carry no handler, so redistribution never touches
+    /// handler storage.  An entry is live while its slot holds the same
+    /// generation and is not free.
+    struct Entry {
         SimTime at;
-        std::uint64_t seq = 0;  // FIFO tie-break + staleness check
         std::uint32_t slot = 0;
+        std::uint32_t generation = 0;
     };
-
-    /// 4-ary min-heap on (at, seq).  The comparator is a total order (seq
-    /// is unique), so the pop sequence is independent of heap shape or
-    /// arity — switching from the binary std::priority_queue changes only
-    /// the constant factor (half the levels, cache-friendlier sifts), not
-    /// the order in which events fire.
-    class EventHeap {
-    public:
-        [[nodiscard]] bool empty() const noexcept { return v_.empty(); }
-        [[nodiscard]] const HeapEntry& top() const noexcept { return v_.front(); }
-        /// Raw entry storage (heap order, may contain stale entries) for
-        /// pending_events()'s slab-order walk.
-        [[nodiscard]] const std::vector<HeapEntry>& entries() const noexcept {
-            return v_;
-        }
-        void push(const HeapEntry& e);
-        void pop();
-
-    private:
-        static constexpr std::size_t kArity = 4;
-        static bool before(const HeapEntry& a, const HeapEntry& b) noexcept {
-            if (a.at != b.at) return a.at < b.at;
-            return a.seq < b.seq;
-        }
-
-        std::vector<HeapEntry> v_;
+    /// `min` is the least time pushed since the bucket was last emptied.
+    /// It may belong to a cancelled entry, which still makes it a valid
+    /// radix base: no entry lies before it.
+    struct Bucket {
+        std::vector<Entry> entries;
+        SimTime min{0};
     };
-
-    /// One schedule_batch block: entries sorted by (at, seq), consumed
-    /// front-to-back through `cursor`; exhausted lanes are dropped by
-    /// find_best().
-    struct Run {
-        std::vector<HeapEntry> entries;
-        std::size_t cursor = 0;
-    };
-
-    // Source tags for find_best().
-    static constexpr int kSourceNone = -2;
-    static constexpr int kSourceHeap = -1;
 
     [[nodiscard]] std::uint32_t acquire_slot();
     void release_slot(std::uint32_t index) noexcept;
+    [[nodiscard]] bool live(const Entry& e) const noexcept {
+        const Slot& slot = slots_[e.slot];
+        return slot.seq != 0 && slot.generation == e.generation;
+    }
 
-    // Pops entries whose slot was cancelled/reused off the top; returns
-    // false when drained.
-    bool skip_stale();
+    /// Files `e` into the bucket its time selects relative to base_.
+    void push(const Entry& e);
 
-    /// Skips stale entries on the heap and every run lane, compacts away
-    /// exhausted lanes, and returns where the globally earliest live
-    /// event sits: kSourceHeap, a lane index, or kSourceNone when
-    /// drained.
-    int find_best();
+    /// Drops stale entries off the front of bucket 0 and refills it from
+    /// the lowest occupied bucket, never moving base_ past `limit`.
+    /// Returns true when the front of bucket 0 is a live event due at or
+    /// before `limit`.
+    bool settle(SimTime limit);
 
-    EventHeap heap_;
-    std::vector<Run> runs_;
+    /// Pops and runs the settled front of bucket 0.
+    void run_front();
+
+    std::array<Bucket, 65> buckets_;  // bucket 0 plus one per bit of the key
+    std::uint64_t occupied_ = 0;  // bit i-1 set: bucket i is non-empty
+    std::size_t front_ = 0;       // next unread entry of bucket 0
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> free_slots_;
     SimTime now_{0};
+    SimTime base_{0};  // radix base: <= now_, <= every queued entry
     std::uint64_t next_seq_ = 1;
     std::uint64_t executed_ = 0;
     std::size_t pending_ = 0;

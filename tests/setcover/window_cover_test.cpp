@@ -170,8 +170,8 @@ WindowCoverResult reference_window_cover(std::vector<PoEvent> events,
         std::size_t anchor = 0;
         std::size_t coverage = 0;
     };
-    const auto find_best = [&](const std::vector<PoEvent>& evs,
-                               std::vector<std::uint32_t>& counts) {
+    const auto best_round = [&](const std::vector<PoEvent>& evs,
+                                std::vector<std::uint32_t>& counts) {
         counts.assign(device_count, 0);
         std::size_t distinct = 0;
         RoundBest best;
@@ -214,7 +214,7 @@ WindowCoverResult reference_window_cover(std::vector<PoEvent> events,
     std::vector<bool> covered(device_count, false);
     std::vector<std::uint32_t> counts;
     while (!events.empty()) {
-        const RoundBest best = find_best(events, counts);
+        const RoundBest best = best_round(events, counts);
         if (best.coverage == 0) break;
         const sim::SimTime start = events[best.anchor].at;
         const sim::SimTime limit = start + window;

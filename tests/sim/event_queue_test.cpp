@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -221,21 +222,6 @@ TEST(EventQueueTest, PendingEventsSkipsCancelledAndExecuted) {
     EXPECT_EQ(pending.size(), q.pending());
 }
 
-TEST(EventQueueTest, PendingEventsCoversBatchLanes) {
-    EventQueue q;
-    q.schedule_at(SimTime{5}, [] {});
-    EventQueue::Batch batch;
-    batch.add(SimTime{15}, [] {});
-    batch.add(SimTime{25}, [] {});
-    q.schedule_batch(std::move(batch));
-    q.step();  // drain the heap-side event; lane events stay pending
-    const auto pending = q.pending_events();
-    ASSERT_EQ(pending.size(), 2u);
-    EXPECT_EQ(pending[0].at, SimTime{15});
-    EXPECT_EQ(pending[1].at, SimTime{25});
-    EXPECT_LT(pending[0].id.index, pending[1].id.index);
-}
-
 TEST(EventQueueTest, PendingEventsTraceIdenticalForIdenticalHistories) {
     // Two queues driven by the same scripted scheduling history expose
     // identical pending-event sequences at every observation point —
@@ -330,317 +316,182 @@ TEST(EventQueueTest, InlineHandlerMoveTransfersTarget) {
     EXPECT_EQ(calls, 1);
 }
 
-TEST(EventQueueBatchTest, EmptyBatchSchedulesNothing) {
-    EventQueue q;
-    EXPECT_EQ(q.schedule_batch(EventQueue::Batch{}), 0u);
-    EXPECT_TRUE(q.empty());
+TEST(EventQueueTest, NegativeStartTimeOrdersAcrossZero) {
+    // Two's-complement times: entries on both sides of zero, and one far
+    // above it, still fire in time order from a negative start.
+    EventQueue q{SimTime{-5000}};
+    std::vector<std::int64_t> fired;
+    for (const std::int64_t t : {7LL, -1LL, -4999LL, 0LL, -5000LL, 1LL << 40, -1LL}) {
+        q.schedule_at(SimTime{t}, [&] { fired.push_back(q.now().count()); });
+    }
+    q.run_all();
+    EXPECT_EQ(fired,
+              (std::vector<std::int64_t>{-5000, -4999, -1, -1, 0, 7, 1LL << 40}));
 }
+
+TEST(EventQueueTest, DrainingCancelledEventsKeepsLaterOrder) {
+    // step() walks past the cancelled 100 ms event and finds the queue
+    // empty; events scheduled afterwards, before 100 ms, still fire in
+    // time order.
+    EventQueue q;
+    const EventId late = q.schedule_at(SimTime{100}, [] {});
+    ASSERT_TRUE(q.cancel(late));
+    EXPECT_FALSE(q.step());
+    EXPECT_EQ(q.now(), SimTime{0});
+    std::vector<std::int64_t> fired;
+    for (const std::int64_t t : {99, 50, 60}) {
+        q.schedule_at(SimTime{t}, [&] { fired.push_back(q.now().count()); });
+    }
+    q.run_all();
+    EXPECT_EQ(fired, (std::vector<std::int64_t>{50, 60, 99}));
+}
+
+TEST(EventQueueTest, TiesAtRunUntilStopRunBeforeLaterEvents) {
+    // run_until stops short of the 1000 ms event without moving past
+    // 600 ms, so events scheduled at the stop instant still fire first,
+    // in scheduling order.
+    EventQueue q;
+    std::vector<int> order;
+    q.schedule_at(SimTime{1000}, [&] { order.push_back(3); });
+    EXPECT_EQ(q.run_until(SimTime{600}), 0u);
+    EXPECT_EQ(q.now(), SimTime{600});
+    q.schedule_at(SimTime{600}, [&] { order.push_back(1); });
+    q.schedule_at(SimTime{600}, [&] { order.push_back(2); });
+    q.run_all();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueueTest, CancellingTheEarliestEventKeepsOrder) {
+    // The cancelled 100 ms event is the least time its bucket ever held;
+    // the survivors still fire in time order after it is gone.
+    EventQueue q;
+    std::vector<int> order;
+    const EventId first = q.schedule_at(SimTime{100}, [&] { order.push_back(0); });
+    q.schedule_at(SimTime{120}, [&] { order.push_back(2); });
+    q.schedule_at(SimTime{110}, [&] { order.push_back(1); });
+    ASSERT_TRUE(q.cancel(first));
+    q.run_all();
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+    EXPECT_EQ(q.now(), SimTime{120});
+}
+
+// A batch is a block of schedule_at calls made back to back, the way the
+// campaign schedules its plan events and an NPRACH window its retries.
+// Firing order is time, then scheduling order, whatever the order of the
+// times inside the block.
 
 TEST(EventQueueBatchTest, BatchEventsRunInTimeThenAddOrder) {
     EventQueue q;
     std::vector<int> order;
-    EventQueue::Batch batch;
-    batch.add(SimTime{30}, [&] { order.push_back(3); });
-    batch.add(SimTime{10}, [&] { order.push_back(1); });
-    batch.add(SimTime{10}, [&] { order.push_back(2); });  // FIFO tie w/ above
-    batch.add(SimTime{40}, [&] { order.push_back(4); });
-    EXPECT_EQ(q.schedule_batch(std::move(batch)), 4u);
-    EXPECT_EQ(q.pending(), 4u);
+    q.schedule_at(SimTime{30}, [&] { order.push_back(3); });
+    q.schedule_at(SimTime{1 << 20}, [&] { order.push_back(5); });
+    q.schedule_at(SimTime{10}, [&] { order.push_back(1); });
+    q.schedule_at(SimTime{10}, [&] { order.push_back(2); });  // FIFO tie w/ above
+    q.schedule_at(SimTime{40}, [&] { order.push_back(4); });
+    EXPECT_EQ(q.pending(), 5u);
     q.run_all();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-}
-
-TEST(EventQueueBatchTest, BatchAndHeapMergeOnSeqAtEqualTimes) {
-    // schedule_at before the batch fires first at an equal instant;
-    // schedule_at after the batch fires last — exactly as if the batch
-    // items had been schedule_at calls in add order.
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule_at(SimTime{10}, [&] { order.push_back(0); });
-    EventQueue::Batch batch;
-    batch.add(SimTime{10}, [&] { order.push_back(1); });
-    batch.add(SimTime{10}, [&] { order.push_back(2); });
-    q.schedule_batch(std::move(batch));
-    q.schedule_at(SimTime{10}, [&] { order.push_back(3); });
-    q.run_all();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(EventQueueBatchTest, MultipleBatchLanesMerge) {
-    EventQueue q;
-    std::vector<int> order;
-    EventQueue::Batch a;
-    a.add(SimTime{5}, [&] { order.push_back(5); });
-    a.add(SimTime{20}, [&] { order.push_back(20); });
-    EventQueue::Batch b;
-    b.add(SimTime{10}, [&] { order.push_back(10); });
-    b.add(SimTime{15}, [&] { order.push_back(15); });
-    q.schedule_batch(std::move(a));
-    q.schedule_batch(std::move(b));
-    q.run_all();
-    EXPECT_EQ(order, (std::vector<int>{5, 10, 15, 20}));
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
 TEST(EventQueueBatchTest, BatchHandlerMayScheduleMoreEvents) {
+    // A handler that schedules at its own instant queues behind every
+    // event already due then — the order an NPRACH window relies on when
+    // a completion callback schedules before the window's retries are
+    // added.
     EventQueue q;
-    int count = 0;
-    EventQueue::Batch batch;
-    batch.add(SimTime{10}, [&] {
-        q.schedule_after(SimTime{1}, [&] { ++count; });
+    std::vector<int> order;
+    q.schedule_at(SimTime{10}, [&] {
+        order.push_back(0);
+        q.schedule_after(SimTime{0}, [&] { order.push_back(3); });
+        q.schedule_after(SimTime{1}, [&] { order.push_back(4); });
     });
-    q.schedule_batch(std::move(batch));
+    q.schedule_at(SimTime{10}, [&] { order.push_back(1); });
+    q.schedule_at(SimTime{10}, [&] { order.push_back(2); });
     q.run_all();
-    EXPECT_EQ(count, 1);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
     EXPECT_EQ(q.now(), SimTime{11});
 }
 
-TEST(EventQueueBatchTest, RunUntilHonoursLaneHeads) {
-    EventQueue q;
-    int ran = 0;
-    EventQueue::Batch batch;
-    batch.add(SimTime{10}, [&] { ++ran; });
-    batch.add(SimTime{20}, [&] { ++ran; });
-    batch.add(SimTime{21}, [&] { ++ran; });
-    q.schedule_batch(std::move(batch));
-    EXPECT_EQ(q.run_until(SimTime{20}), 2u);
-    EXPECT_EQ(ran, 2);
-    EXPECT_EQ(q.now(), SimTime{20});
-    EXPECT_EQ(q.pending(), 1u);
-}
-
-TEST(EventQueueBatchTest, PastTimeInBatchThrows) {
-    EventQueue q;
-    q.schedule_at(SimTime{10}, [] {});
-    q.step();
-    EventQueue::Batch batch;
-    batch.add(SimTime{5}, [] {});
-    EXPECT_THROW(q.schedule_batch(std::move(batch)), std::logic_error);
-}
-
-TEST(EventQueueBatchTest, EmptyHandlerInBatchThrows) {
-    EventQueue::Batch batch;
-    EXPECT_THROW(batch.add(SimTime{1}, EventQueue::Handler{}),
-                 std::invalid_argument);
-}
-
-TEST(EventQueueBatchTest, CancelBatchEventBeforeLaneReached) {
-    // Cancelling a lane event after schedule_batch must be an O(1) slab
-    // release: the lane entry goes stale and is skipped at its cursor.
-    EventQueue q;
-    std::vector<int> order;
-    q.schedule_at(SimTime{5}, [&] { order.push_back(5); });
-    EventQueue::Batch batch;
-    batch.add(SimTime{10}, [&] { order.push_back(10); });
-    batch.add(SimTime{20}, [&] { order.push_back(20); });
-    batch.add(SimTime{30}, [&] { order.push_back(30); });
-    q.schedule_batch(std::move(batch));
-    // schedule_batch returns no ids; recover them via introspection (slab
-    // order == lane sorted order here: the heap event took slot 0).
-    const auto pending = q.pending_events();
-    ASSERT_EQ(pending.size(), 4u);
-    ASSERT_EQ(pending[2].at, SimTime{20});
-    EXPECT_TRUE(q.cancel(pending[2].id));
-    EXPECT_FALSE(q.cancel(pending[2].id));  // second cancel is a no-op
-    EXPECT_EQ(q.pending(), 3u);
-    q.run_all();
-    EXPECT_EQ(order, (std::vector<int>{5, 10, 30}));
-}
-
 TEST(EventQueueBatchTest, CancelledBatchSlotReuseKeepsIdsFresh) {
-    // A cancelled lane event frees its slot; the next insert (heap path)
-    // reuses it with a bumped generation.  The stale lane id must not
-    // cancel the new occupant, and the lane's stale entry must not
-    // resurrect when the slot is live again with a different seq.
+    // A cancelled event frees its slot; the next schedule_at reuses it at
+    // the same instant with a bumped generation.  The stale id must not
+    // cancel the new occupant, and the stale entry, which sits in the
+    // reuser's bucket, must not run the reuser a second time.
     EventQueue q;
-    EventQueue::Batch batch;
-    bool lane_ran = false;
-    batch.add(SimTime{10}, [&] { lane_ran = true; });
-    q.schedule_batch(std::move(batch));
-    const auto before = q.pending_events();
-    ASSERT_EQ(before.size(), 1u);
-    const EventId lane_id = before[0].id;
-    ASSERT_TRUE(q.cancel(lane_id));
+    bool first_ran = false;
+    const EventId first = q.schedule_at(SimTime{10}, [&] { first_ran = true; });
+    ASSERT_TRUE(q.cancel(first));
 
-    bool reuser_ran = false;
-    const EventId reuser = q.schedule_at(SimTime{10}, [&] { reuser_ran = true; });
-    EXPECT_EQ(reuser.index, lane_id.index);  // slab reuses LIFO
-    EXPECT_NE(reuser.generation, lane_id.generation);
-    EXPECT_FALSE(q.cancel(lane_id));  // stale id cannot reach the reuser
+    int reuser_runs = 0;
+    const EventId reuser = q.schedule_at(SimTime{10}, [&] { ++reuser_runs; });
+    EXPECT_EQ(reuser.index, first.index);  // slab reuses LIFO
+    EXPECT_NE(reuser.generation, first.generation);
+    EXPECT_FALSE(q.cancel(first));  // stale id cannot reach the reuser
     q.run_all();
-    EXPECT_FALSE(lane_ran);
-    EXPECT_TRUE(reuser_ran);
+    EXPECT_FALSE(first_ran);
+    EXPECT_EQ(reuser_runs, 1);
+    EXPECT_EQ(q.executed(), 1u);
 }
 
 TEST(EventQueueBatchTest, BatchSlotReusedByLaterBatchStaysDistinct) {
-    // Slot reuse across two batch lanes: the first lane's stale entry and
-    // the second lane's live entry share a slot index but not a seq, so
-    // pending_events lists exactly the live one and cancellation by the
-    // fresh id works.
+    // Slot reuse across two blocks: the first block's stale entry (10 ms)
+    // and the second block's live entry (20 ms) share a slot index but sit
+    // in different buckets, so pending_events lists exactly the live one.
     EventQueue q;
-    EventQueue::Batch first;
-    first.add(SimTime{10}, [] {});
-    q.schedule_batch(std::move(first));
-    const auto first_pending = q.pending_events();
-    ASSERT_EQ(first_pending.size(), 1u);
-    ASSERT_TRUE(q.cancel(first_pending[0].id));
+    const EventId first = q.schedule_at(SimTime{10}, [] {});
+    ASSERT_TRUE(q.cancel(first));
 
-    EventQueue::Batch second;
     bool second_ran = false;
-    second.add(SimTime{20}, [&] { second_ran = true; });
-    q.schedule_batch(std::move(second));
-    const auto second_pending = q.pending_events();
-    ASSERT_EQ(second_pending.size(), 1u);
-    EXPECT_EQ(second_pending[0].id.index, first_pending[0].id.index);
-    EXPECT_NE(second_pending[0].id.generation, first_pending[0].id.generation);
-    EXPECT_EQ(second_pending[0].at, SimTime{20});
+    const EventId second = q.schedule_at(SimTime{20}, [&] { second_ran = true; });
+    const auto pending = q.pending_events();
+    ASSERT_EQ(pending.size(), 1u);
+    EXPECT_EQ(pending[0].id, second);
+    EXPECT_EQ(second.index, first.index);
+    EXPECT_NE(second.generation, first.generation);
+    EXPECT_EQ(pending[0].at, SimTime{20});
     q.run_all();
     EXPECT_TRUE(second_ran);
-    EXPECT_FALSE(q.cancel(second_pending[0].id));  // already fired
+    EXPECT_FALSE(q.cancel(second));  // already fired
 }
 
 TEST(EventQueueBatchTest, PendingEventsPinnedAfterMixedCancels) {
-    // Slab-order introspection after cancels on both paths: heap events in
-    // slots {0,1}, lane events in slots {2,3,4}, then cancel one of each.
+    // Slab-order introspection after cancels, with the entries spread over
+    // the radix buckets of base 0: 1 ms in bucket 1, 5 ms in bucket 3,
+    // 40 and 50 ms in bucket 6, 2^20 ms in bucket 21.
     EventQueue q;
-    const EventId h0 = q.schedule_at(SimTime{50}, [] {});
-    const EventId h1 = q.schedule_at(SimTime{40}, [] {});
-    EventQueue::Batch batch;
-    batch.add(SimTime{35}, [] {});
-    batch.add(SimTime{15}, [] {});
-    batch.add(SimTime{25}, [] {});
-    q.schedule_batch(std::move(batch));
+    const EventId a = q.schedule_at(SimTime{50}, [] {});
+    const EventId b = q.schedule_at(SimTime{40}, [] {});
+    const EventId c = q.schedule_at(SimTime{1 << 20}, [] {});
+    const EventId d = q.schedule_at(SimTime{5}, [] {});
+    const EventId e = q.schedule_at(SimTime{1}, [] {});
     auto pending = q.pending_events();
     ASSERT_EQ(pending.size(), 5u);
-    // Lane slots are acquired in sorted-time order: 15, 25, 35.
-    EXPECT_EQ(pending[2].at, SimTime{15});
-    EXPECT_EQ(pending[3].at, SimTime{25});
-    EXPECT_EQ(pending[4].at, SimTime{35});
-    ASSERT_TRUE(q.cancel(h0));
-    ASSERT_TRUE(q.cancel(pending[3].id));  // the 25 ms lane event
+    EXPECT_EQ(pending[0].id, a);
+    EXPECT_EQ(pending[2].at, SimTime{1 << 20});
+    EXPECT_EQ(pending[4].id, e);
+
+    ASSERT_TRUE(q.cancel(a));
+    ASSERT_TRUE(q.cancel(d));
     pending = q.pending_events();
     ASSERT_EQ(pending.size(), 3u);
-    EXPECT_EQ(pending[0].id, h1);
+    EXPECT_EQ(pending[0].id, b);
     EXPECT_EQ(pending[0].at, SimTime{40});
-    EXPECT_EQ(pending[1].at, SimTime{15});
-    EXPECT_EQ(pending[2].at, SimTime{35});
+    EXPECT_EQ(pending[1].id, c);
+    EXPECT_EQ(pending[2].id, e);
+    EXPECT_EQ(pending[2].at, SimTime{1});
     EXPECT_LT(pending[0].id.index, pending[1].id.index);
     EXPECT_LT(pending[1].id.index, pending[2].id.index);
+    EXPECT_LT(pending[0].seq, pending[1].seq);
+
+    // Runs the 1 ms event, then settles on the cancelled 5 ms entry and
+    // stops short of 40 ms.
+    EXPECT_EQ(q.run_until(SimTime{5}), 1u);
+    pending = q.pending_events();
+    ASSERT_EQ(pending.size(), 2u);
+    EXPECT_EQ(pending[0].id, b);
+    EXPECT_EQ(pending[1].id, c);
+    EXPECT_EQ(pending[1].at, SimTime{1 << 20});
     EXPECT_EQ(pending.size(), q.pending());
-}
-
-TEST(EventQueueBatchTest, CancelHeavyBatchTraceIdenticalToScheduleAtLoop) {
-    // Property: batch insertion + random cancellation of BOTH lane and
-    // heap events is trace-identical to the equivalent schedule_at-only
-    // history (the existing trace test above never cancels lane events).
-    for (const std::uint64_t seed : {13u, 404u, 31337u}) {
-        auto trace = [&](bool batched) {
-            EventQueue q;
-            RandomStream rng{seed};
-            std::vector<std::pair<int, std::int64_t>> out;
-            std::vector<EventId> ids;
-            for (int round = 0; round < 8; ++round) {
-                for (int i = 0; i < 20; ++i) {  // heap-side contemporaries
-                    const int label = round * 1000 + i;
-                    ids.push_back(q.schedule_at(
-                        q.now() + SimTime{rng.uniform_int(0, 60)},
-                        [&out, &q, label] {
-                            out.emplace_back(label, q.now().count());
-                        }));
-                }
-                std::vector<std::pair<SimTime, int>> items;
-                for (int i = 0; i < 40; ++i) {
-                    items.emplace_back(q.now() + SimTime{rng.uniform_int(0, 60)},
-                                       round * 1000 + 100 + i);
-                }
-                // Both branches register the new ids in sorted-time order
-                // (stable on add order) — the order schedule_batch assigns
-                // seqs along — so ids[pick] names the same logical event.
-                std::stable_sort(items.begin(), items.end(),
-                                 [](const auto& a, const auto& b) {
-                                     return a.first < b.first;
-                                 });
-                if (batched) {
-                    EventQueue::Batch batch;
-                    for (const auto& [at, label] : items) {
-                        batch.add(at, [&out, &q, label = label] {
-                            out.emplace_back(label, q.now().count());
-                        });
-                    }
-                    q.schedule_batch(std::move(batch));
-                    // Recover the lane ids: seqs are globally monotonic, so
-                    // the just-scheduled events hold the largest seqs among
-                    // everything pending.  Ascending seq == sorted-time
-                    // (add) order.
-                    auto pending = q.pending_events();
-                    std::sort(pending.begin(), pending.end(),
-                              [](const auto& a, const auto& b) {
-                                  return a.seq < b.seq;
-                              });
-                    EXPECT_GE(pending.size(), items.size());
-                    for (std::size_t i = pending.size() - items.size();
-                         i < pending.size(); ++i) {
-                        ids.push_back(pending[i].id);
-                    }
-                } else {
-                    for (const auto& [at, label] : items) {
-                        ids.push_back(q.schedule_at(at, [&out, &q,
-                                                         label = label] {
-                            out.emplace_back(label, q.now().count());
-                        }));
-                    }
-                }
-                for (int i = 0; i < 15; ++i) {  // cancel across both paths
-                    const auto pick = static_cast<std::size_t>(rng.uniform_int(
-                        0, static_cast<std::int64_t>(ids.size()) - 1));
-                    (void)q.cancel(ids[pick]);
-                }
-                (void)q.run_until(q.now() + SimTime{rng.uniform_int(10, 40)});
-            }
-            q.run_all();
-            return out;
-        };
-        EXPECT_EQ(trace(true), trace(false)) << "seed=" << seed;
-    }
-}
-
-TEST(EventQueueBatchTest, BatchFiringOrderIdenticalToScheduleAtLoop) {
-    // Property: for scattered pseudo-random times (with plenty of ties),
-    // inserting via one batch is trace-identical to the equivalent
-    // schedule_at loop, including interleaved heap-side events.
-    for (const std::uint64_t seed : {7u, 99u, 12345u}) {
-        auto trace = [&](bool batched) {
-            EventQueue q;
-            RandomStream rng{seed};
-            std::vector<std::pair<int, std::int64_t>> out;
-            std::vector<std::pair<SimTime, int>> items;
-            for (int i = 0; i < 400; ++i) {
-                items.emplace_back(SimTime{rng.uniform_int(0, 60)}, i);
-            }
-            for (int i = 0; i < 50; ++i) {  // heap-side contemporaries
-                q.schedule_at(SimTime{rng.uniform_int(0, 60)}, [&out, &q, i] {
-                    out.emplace_back(10'000 + i, q.now().count());
-                });
-            }
-            if (batched) {
-                EventQueue::Batch batch;
-                for (const auto& [at, label] : items) {
-                    batch.add(at, [&out, &q, label = label] {
-                        out.emplace_back(label, q.now().count());
-                    });
-                }
-                q.schedule_batch(std::move(batch));
-            } else {
-                for (const auto& [at, label] : items) {
-                    q.schedule_at(at, [&out, &q, label = label] {
-                        out.emplace_back(label, q.now().count());
-                    });
-                }
-            }
-            q.run_all();
-            return out;
-        };
-        EXPECT_EQ(trace(true), trace(false)) << "seed=" << seed;
-    }
 }
 
 /// The seed implementation, kept verbatim as the ordering reference: a
@@ -684,6 +535,22 @@ public:
         }
     }
 
+    /// Added to the seed: runs every live event at or before `until`,
+    /// then advances the clock to `until`.
+    std::size_t run_until(SimTime until) {
+        std::size_t n = 0;
+        for (;;) {
+            while (!heap_.empty() && !pending_ids_.contains(heap_.top().seq)) {
+                heap_.pop();
+            }
+            if (heap_.empty() || heap_.top().at > until) break;
+            step();
+            ++n;
+        }
+        if (now_ < until) now_ = until;
+        return n;
+    }
+
 private:
     struct Entry {
         SimTime at;
@@ -703,44 +570,101 @@ private:
     std::uint64_t next_seq_ = 1;
 };
 
+/// Shape of a scripted workload: every time and delay is drawn as
+/// v << s with s uniform in [0, span_bits], so span_bits = 28 spreads the
+/// 0-80 ms draws up to about 2^34 ms and reaches every radix bucket in
+/// use.  `start` is the first instant the script schedules at.
+struct ScriptShape {
+    int span_bits = 0;
+    SimTime start{0};
+};
+
+/// Starts `Queue` at `start` when it takes a start time (the reference
+/// queue does not, and the script never reads its clock outside handlers).
+template <typename Queue>
+Queue make_queue(SimTime start) {
+    if constexpr (std::is_constructible_v<Queue, SimTime>) {
+        return Queue{start};
+    } else {
+        return Queue{};
+    }
+}
+
 /// Runs the same RNG-scripted workload — scattered schedules, random
-/// cancellations, handlers that schedule children and cancel peers — on
-/// any queue type and records the (label, fire-time) trace.  Identical
+/// cancellations, handlers that schedule children and cancel peers, and
+/// run_until stops that stop short of a pending event and are followed by
+/// ties at the stop instant and a cancel of the earliest pending event —
+/// on any queue type and records the (label, fire-time) trace.  Identical
 /// traces imply identical execution order AND identical RNG consumption
 /// (handler decisions draw from the shared stream in fire order).
 template <typename Queue>
-std::vector<std::pair<int, std::int64_t>> scripted_trace(std::uint64_t seed) {
-    Queue q;
+std::vector<std::pair<int, std::int64_t>> scripted_trace(std::uint64_t seed,
+                                                         ScriptShape shape = {}) {
+    Queue q = make_queue<Queue>(shape.start);
     RandomStream rng{seed};
     std::vector<std::pair<int, std::int64_t>> trace;
     using Id = decltype(q.schedule_at(SimTime{0}, [] {}));
+    // Indexed by label: labels are handed out in scheduling order.
     std::vector<Id> ids;
-    int next_label = 0;
+    std::vector<SimTime> due;
+    std::vector<bool> live;
 
-    std::function<void(int)> fire = [&](int label) {
+    const auto draw = [&](std::int64_t hi) {
+        const std::int64_t v = rng.uniform_int(0, hi);
+        return SimTime{shape.span_bits > 0 ? v << rng.uniform_int(0, shape.span_bits) : v};
+    };
+    std::function<void(int)> fire;
+    const auto schedule = [&](SimTime at) {
+        const int label = static_cast<int>(ids.size());
+        ids.push_back(q.schedule_at(at, [&fire, label] { fire(label); }));
+        due.push_back(at);
+        live.push_back(true);
+    };
+    const auto cancel = [&](std::size_t label) {
+        if (q.cancel(ids[label])) live[label] = false;
+    };
+    const auto cancel_random = [&] {
+        cancel(static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1)));
+    };
+    const auto cancel_earliest = [&] {
+        std::size_t earliest = ids.size();
+        for (std::size_t i = 0; i < ids.size(); ++i) {
+            if (live[i] && (earliest == ids.size() || due[i] < due[earliest])) {
+                earliest = i;
+            }
+        }
+        if (earliest != ids.size()) cancel(earliest);
+    };
+
+    fire = [&](int label) {
+        live[static_cast<std::size_t>(label)] = false;
         trace.emplace_back(label, q.now().count());
         const std::int64_t action = rng.uniform_int(0, 9);
         if (action < 3) {
-            const int child = next_label++;
-            ids.push_back(q.schedule_after(SimTime{rng.uniform_int(0, 40)},
-                                           [&fire, child] { fire(child); }));
-        } else if (action < 5 && !ids.empty()) {
-            const auto pick = static_cast<std::size_t>(
-                rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1));
-            (void)q.cancel(ids[pick]);
+            schedule(q.now() + draw(40));
+        } else if (action < 5) {
+            cancel_random();
         }
     };
 
     for (int i = 0; i < 300; ++i) {
-        const int label = next_label++;
         // Coarse times force plenty of equal-time FIFO ties.
-        ids.push_back(q.schedule_at(SimTime{rng.uniform_int(0, 80)},
-                                    [&fire, label] { fire(label); }));
+        schedule(shape.start + draw(80));
     }
-    for (int i = 0; i < 120; ++i) {
-        const auto pick = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(ids.size()) - 1));
-        (void)q.cancel(ids[pick]);
+    for (int i = 0; i < 120; ++i) cancel_random();
+
+    SimTime clock = shape.start;
+    for (int round = 0; round < 40; ++round) {
+        const SimTime stop = clock + draw(40);
+        // Something is always pending past the stop.
+        schedule(stop + SimTime{1} + draw(40));
+        (void)q.run_until(stop);
+        clock = stop;
+        cancel_earliest();  // the least time its bucket holds
+        const auto ties = rng.uniform_int(1, 3);
+        for (std::int64_t i = 0; i < ties; ++i) schedule(stop);
+        if (rng.bernoulli(0.5)) cancel_earliest();  // the first tie
     }
     q.run_all();
     return trace;
@@ -755,8 +679,29 @@ TEST_P(SlabQueueTraceTest, PopOrderMatchesReferenceImplementation) {
     EXPECT_EQ(slab, reference);
 }
 
+TEST_P(SlabQueueTraceTest, PopOrderMatchesReferenceAcrossWideTimes) {
+    const ScriptShape wide{.span_bits = 28};
+    const auto reference = scripted_trace<ReferenceEventQueue>(GetParam(), wide);
+    const auto slab = scripted_trace<EventQueue>(GetParam(), wide);
+    ASSERT_FALSE(reference.empty());
+    EXPECT_GT(reference.back().second, std::int64_t{1} << 30);
+    EXPECT_EQ(slab, reference);
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomScripts, SlabQueueTraceTest,
                          ::testing::Values(1u, 2u, 3u, 17u, 42u, 1234u, 99991u));
+
+TEST(EventQueueTest, NegativeStartTraceMatchesReference) {
+    // Starts below zero and spans past it: the sign bit picks the top
+    // bucket.
+    const ScriptShape negative{.span_bits = 28, .start = SimTime{-5000}};
+    const auto reference = scripted_trace<ReferenceEventQueue>(42, negative);
+    const auto slab = scripted_trace<EventQueue>(42, negative);
+    ASSERT_FALSE(reference.empty());
+    EXPECT_LT(reference.front().second, 0);
+    EXPECT_GT(reference.back().second, 0);
+    EXPECT_EQ(slab, reference);
+}
 
 }  // namespace
 }  // namespace nbmg::sim
