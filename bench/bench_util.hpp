@@ -14,11 +14,8 @@
 namespace nbmg::bench {
 
 using scenario::apply_spec_overrides;
-using scenario::flag_assignment;
-using scenario::flag_cells;
 using scenario::flag_error;
 using scenario::flag_text;
-using scenario::flag_threads;
 using scenario::flag_u64;
 using scenario::flag_value;
 using scenario::positional_text;

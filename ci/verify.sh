@@ -54,6 +54,10 @@ run_scenario_smokes() {
     --scenario examples/scenarios/citywide_16cells.scenario 800 8 42
   "${build_dir}/bench/ablation_scptm" --preset ablation-scptm \
     --devices 50 --runs 2 --threads 2
+  for scenario in examples/scenarios/*.scenario; do
+    "${build_dir}/examples/run_scenario" --scenario "${scenario}" \
+      --runs 1 --devices 200
+  done
 
   echo "=== ${build_dir}: wall-clock coordinator smoke (staggered + backhaul) ==="
   "${build_dir}/examples/run_scenario" --preset citywide-staggered \

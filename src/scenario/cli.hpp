@@ -1,7 +1,8 @@
 // Command-line surface of the scenario API, shared by every bench and
 // example shell: the strict flag parsers (formerly bench/bench_util.hpp)
 // plus the resolution of --scenario FILE / --preset NAME into a
-// ScenarioSpec with the classic flags applied on top as overrides.
+// ScenarioSpec with the key table's flags (scenario/keys.hpp) applied on
+// top as overrides.
 //
 // Parsing stays strict: malformed values, unknown presets, and scenario
 // files that fail to parse all exit with a usage message and status 2
@@ -90,72 +91,15 @@ namespace nbmg::scenario {
         flag_u64(argc, argv, flag, fallback, min_value));
 }
 
-/// Parses "--threads N"; 0 (the default) means one worker per hardware
-/// thread.  Results never depend on the thread count.
-[[nodiscard]] inline std::size_t flag_threads(int argc, char** argv) {
-    return static_cast<std::size_t>(flag_u64(argc, argv, "--threads", 0));
-}
+/// True for --scenario, --preset and every key-table row's flag
+/// (scenario/keys.hpp).  Shared by the positional scanner below and by
+/// shells (microbench_kernels) that strip these flags before handing argv
+/// to another parser.
+[[nodiscard]] bool is_scenario_flag(const char* token);
 
-/// Parses "--cells N" for multicell deployments; at least one cell.
-[[nodiscard]] inline std::size_t flag_cells(int argc, char** argv,
-                                            std::size_t fallback = 1) {
-    return flag_value(argc, argv, "--cells", fallback, 1);
-}
-
-/// Parses "--assignment NAME" strictly: the value must be one of the
-/// multicell policy spellings (uniform | hotspot | class-affinity); any
-/// other value exits with a usage message instead of silently falling back.
-[[nodiscard]] inline multicell::AssignmentPolicy flag_assignment(
-    int argc, char** argv,
-    multicell::AssignmentPolicy fallback = multicell::AssignmentPolicy::uniform_hash) {
-    const char* text = flag_text(argc, argv, "--assignment");
-    if (text == nullptr) return fallback;
-    const auto parsed = multicell::parse_assignment_policy(text);
-    if (!parsed.has_value()) {
-        flag_error("--assignment", text, "unknown assignment policy",
-                   "uniform | hotspot | class-affinity");
-    }
-    return *parsed;
-}
-
-/// The scenario-layer flag set: --scenario/--preset resolution plus the
-/// classic overrides apply_spec_overrides handles.  Shared by the
-/// positional scanner below and by shells (microbench_kernels) that strip
-/// these flags before handing argv to another parser.
-inline constexpr const char* kScenarioFlags[] = {
-    "--scenario",    "--preset", "--runs",        "--devices",
-    "--seed",        "--threads", "--payload-kb", "--ti-ms",
-    "--cells",       "--assignment", "--coordinator", "--stagger-ms",
-    "--backhaul-kbps", "--strata",  "--telemetry",  "--trace-out",
-    "--metrics-out", "--timeline-out", "--checkpoint-out",
-    "--checkpoint-every-ms", "--checkpoint-stop-after", "--resume",
-    "--churn-leave-rate", "--churn-rejoin-ms", "--cell-down",
-    "--backhaul-loss",
-};
-
-[[nodiscard]] inline bool is_scenario_flag(const char* token) {
-    for (const char* flag : kScenarioFlags) {
-        if (std::strcmp(token, flag) == 0) return true;
-    }
-    return false;
-}
-
-/// Usage error for a `--token` no parser owns (typo or wrong shell).
-[[noreturn]] inline void unknown_flag_error(const char* token) {
-    std::fprintf(stderr, "error: %s: unknown flag\n", token);
-    std::fprintf(stderr,
-                 "usage: known flags are --scenario FILE, --preset NAME, "
-                 "--runs N, --devices N, --seed N, --threads N, "
-                 "--payload-kb N, --ti-ms N, --strata N, --cells N, "
-                 "--assignment NAME, --coordinator NAME, --stagger-ms N, "
-                 "--backhaul-kbps X, --telemetry MODE, --trace-out FILE, "
-                 "--metrics-out FILE, --timeline-out FILE, "
-                 "--checkpoint-out FILE, --checkpoint-every-ms N, "
-                 "--checkpoint-stop-after N, --resume FILE, "
-                 "--churn-leave-rate X, --churn-rejoin-ms N, "
-                 "--cell-down CELL@T_MS, --backhaul-loss X\n");
-    std::exit(2);
-}
+/// Usage error for a `--token` no parser owns (typo or wrong shell); the
+/// usage line lists every scenario flag with its value shape.
+[[noreturn]] void unknown_flag_error(const char* token);
 
 /// The k-th positional (non-flag) argument, or nullptr.  Every known flag
 /// consumes the following token as its value, so mixing positionals with
@@ -186,9 +130,10 @@ inline const char* positional_text(int argc, char** argv, std::size_t index) {
                                            std::size_t index,
                                            std::uint64_t fallback);
 
-/// Strict KB -> bytes conversion, shared by the --payload-kb flag path and
-/// the examples' positional payload spellings: the multiply must not wrap
-/// the int64 payload.  `flag`/`text` label the usage error.
+/// Strict KB -> bytes conversion for the examples' positional payload
+/// spellings (the payload_kb row bounds --payload-kb the same way): the
+/// multiply must not wrap the int64 payload.  `flag`/`text` label the
+/// usage error.
 [[nodiscard]] inline std::int64_t payload_kb_to_bytes(std::uint64_t kb,
                                                       const char* flag,
                                                       const char* text) {
@@ -255,7 +200,7 @@ void reject_unknown_flags(int argc, char** argv, const ShellFlags& shell);
 
 /// Resolves the base spec: `--scenario FILE` (parsed, strict) beats
 /// `--preset NAME` (registry lookup) beats the `default_preset`; giving
-/// both flags is a usage error.  Then applies the classic flag overrides
+/// both flags is a usage error.  Then applies the flag overrides
 /// (apply_spec_overrides) and validates the result.  Unknown `--` tokens
 /// (outside `shell`) and every other failure exit with status 2 and a
 /// diagnostic.
@@ -267,23 +212,13 @@ void reject_unknown_flags(int argc, char** argv, const ShellFlags& shell);
                                           ScenarioSpec fallback,
                                           const ShellFlags& shell = {});
 
-/// Applies the classic flags as overrides onto `spec`:
-/// --runs, --devices, --seed, --threads, --payload-kb, --ti-ms,
-/// --strata (paging-frame strata, [1, 32]),
-/// --cells (engages/updates the multicell grid), --assignment, the
-/// wall-clock coordinator set: --coordinator NAME (simultaneous |
-/// fixed-stagger | backhaul | none, requires a multicell scenario),
-/// --stagger-ms N (requires the fixed-stagger policy), --backhaul-kbps X
-/// (requires the backhaul policy), and the telemetry set:
-/// --telemetry MODE (off | trace | metrics | full), --trace-out FILE /
-/// --metrics-out FILE / --timeline-out FILE (each engages its collection
-/// mode, mirroring the file keys), and the checkpoint set:
-/// --checkpoint-out FILE, --checkpoint-every-ms N / --checkpoint-stop-after N
-/// (each requires a snapshot path after all overrides apply), --resume FILE,
-/// and the failure-injection set: --churn-leave-rate X (departures per
-/// device-hour) / --churn-rejoin-ms N (off-air time, required when churn is
-/// enabled), --cell-down CELL@T_MS (requires a multicell scenario),
-/// --backhaul-loss X (requires the backhaul policy).
+/// Applies every key-table row whose flag is given (scenario/keys.hpp) as
+/// an override onto `spec`, with the row's rules: e.g. --assignment
+/// requires a multicell grid, --stagger-ms the fixed-stagger policy.  An
+/// output flag (--trace-out, ...) turns its collection mode on, --cells
+/// keeps the topology kind, --telemetry adds to the base spec's modes, and
+/// --coordinator none clears the coordinator.  A failure exits with status
+/// 2 and a usage message.
 void apply_spec_overrides(ScenarioSpec& spec, int argc, char** argv);
 
 }  // namespace nbmg::scenario

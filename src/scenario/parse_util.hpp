@@ -1,8 +1,8 @@
 // The one strict non-negative-decimal parser behind every scenario-layer
-// number: command-line flags (cli.hpp), positionals (cli.cpp) and
-// scenario-file values (parser.cpp) all share these mechanics and differ
-// only in how they report the error, so a rule change (e.g. rejecting a
-// new edge) cannot silently miss one entry point.
+// number: command-line flags (cli.hpp), positionals (cli.cpp) and the key
+// table's values (keys.cpp) all share these mechanics and differ only in
+// how they report the error, so a rule change (e.g. rejecting a new edge)
+// cannot silently miss one entry point.
 #pragma once
 
 #include <cctype>
@@ -10,8 +10,20 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <string_view>
 
 namespace nbmg::scenario {
+
+/// `text` without leading and trailing whitespace.
+[[nodiscard]] inline std::string_view trim(std::string_view text) noexcept {
+    while (!text.empty() && std::isspace(static_cast<unsigned char>(text.front())) != 0) {
+        text.remove_prefix(1);
+    }
+    while (!text.empty() && std::isspace(static_cast<unsigned char>(text.back())) != 0) {
+        text.remove_suffix(1);
+    }
+    return text;
+}
 
 enum class U64ParseError : std::uint8_t {
     none,

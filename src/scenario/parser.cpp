@@ -1,17 +1,13 @@
 #include "scenario/parser.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
+#include <algorithm>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <sstream>
+#include <vector>
 
-#include "faults/spec.hpp"
+#include "scenario/keys.hpp"
 #include "scenario/parse_util.hpp"
-#include "scenario/registry.hpp"
 
 namespace nbmg::scenario {
 namespace {
@@ -27,184 +23,19 @@ struct LineContext {
     }
 };
 
-std::string_view trim(std::string_view text) {
-    while (!text.empty() &&
-           std::isspace(static_cast<unsigned char>(text.front())) != 0) {
-        text.remove_prefix(1);
-    }
-    while (!text.empty() &&
-           std::isspace(static_cast<unsigned char>(text.back())) != 0) {
-        text.remove_suffix(1);
-    }
-    return text;
-}
-
-std::uint64_t parse_u64(const LineContext& ctx, std::string_view key,
-                        const std::string& value) {
-    std::uint64_t parsed = 0;
-    switch (parse_strict_u64(value.c_str(), parsed)) {
-        case U64ParseError::none: return parsed;
-        case U64ParseError::out_of_range:
-            ctx.fail("bad value '" + value + "' for key '" + std::string(key) +
-                     "': out of range");
-        case U64ParseError::empty:
-        case U64ParseError::negative:
-        case U64ParseError::not_decimal:
-            break;
-    }
-    ctx.fail("bad value '" + value + "' for key '" + std::string(key) +
-             "': not a non-negative decimal integer");
-}
-
-std::uint64_t parse_positive_u64(const LineContext& ctx, std::string_view key,
-                                 const std::string& value) {
-    const std::uint64_t parsed = parse_u64(ctx, key, value);
-    if (parsed == 0) {
-        ctx.fail("bad value '" + value + "' for key '" + std::string(key) +
-                 "': must be >= 1");
-    }
-    return parsed;
-}
-
-/// parse_positive_u64 with an inclusive upper bound, for values that are
-/// narrowed (int fields) or multiplied (payload_kb) downstream — an
-/// overflow must fail at file:line, not wrap silently.
-std::uint64_t parse_bounded_u64(const LineContext& ctx, std::string_view key,
-                                const std::string& value, std::uint64_t max_value) {
-    const std::uint64_t parsed = parse_positive_u64(ctx, key, value);
-    if (parsed > max_value) {
-        ctx.fail("bad value '" + value + "' for key '" + std::string(key) +
-                 "': out of range");
-    }
-    return parsed;
-}
-
-double parse_double(const LineContext& ctx, std::string_view key,
-                    const std::string& value) {
-    double parsed = 0.0;
-    switch (parse_strict_double(value.c_str(), parsed)) {
-        case DoubleParseError::none: return parsed;
-        case DoubleParseError::empty:
-            ctx.fail("bad value '' for key '" + std::string(key) +
-                     "': not a number");
-        case DoubleParseError::not_number:
-        case DoubleParseError::not_finite:
-            break;
-    }
-    ctx.fail("bad value '" + value + "' for key '" + std::string(key) +
-             "': not a finite number");
-}
-
-bool parse_bool(const LineContext& ctx, std::string_view key,
-                const std::string& value) {
-    if (value == "true" || value == "1") return true;
-    if (value == "false" || value == "0") return false;
-    ctx.fail("bad value '" + value + "' for key '" + std::string(key) +
-             "': expected true | false");
-}
-
-std::vector<core::MechanismKind> parse_mechanisms(const LineContext& ctx,
-                                                  const std::string& value) {
-    std::vector<core::MechanismKind> kinds;
-    std::string_view remaining = value;
-    while (true) {
-        const std::size_t comma = remaining.find(',');
-        const std::string_view token = trim(remaining.substr(0, comma));
-        if (token.empty()) {
-            ctx.fail("bad value '" + value +
-                     "' for key 'mechanisms': empty mechanism name");
-        }
-        const auto kind = Registry::instance().find_mechanism(token);
-        if (!kind) {
-            std::string names;
-            for (const std::string& name :
-                 Registry::instance().mechanism_names()) {
-                if (!names.empty()) names += " | ";
-                names += name;
-            }
-            ctx.fail("unknown mechanism '" + std::string(token) +
-                     "' for key 'mechanisms'; expected " + names);
-        }
-        kinds.push_back(*kind);
-        if (comma == std::string_view::npos) break;
-        remaining.remove_prefix(comma + 1);
-    }
-    return kinds;
-}
-
-/// Declarative multicell fields, assembled after all lines are read so key
-/// order does not matter.
-struct MulticellFields {
-    std::optional<std::size_t> cells;
-    std::optional<TopologySpec::Kind> kind;
-    std::optional<double> hotspot_exponent;
-    std::optional<multicell::AssignmentPolicy> assignment;
-    std::size_t first_multicell_line = 0;
-};
-
-/// Wall-clock coordinator fields, assembled after all lines are read so the
-/// policy key and its policy-scoped sub-keys may appear in any order.
-struct CoordinatorFields {
-    std::optional<multicell::StartPolicy> policy;
-    std::optional<std::int64_t> stagger_ms;
-    std::optional<double> backhaul_kbps;
-    std::size_t policy_line = 0;
-    std::size_t first_subkey_line = 0;
-};
-
-/// Telemetry fields, assembled after all lines are read so the mode key
-/// and its mode-scoped sub-keys may appear in any order.
-struct TelemetryFields {
-    /// (trace, metrics) from the `telemetry` mode key.
-    std::optional<std::pair<bool, bool>> mode;
-    std::optional<std::int64_t> bucket_ms;
-    std::optional<std::string> trace_out;
-    std::optional<std::string> metrics_out;
-    std::optional<std::string> timeline_out;
-    std::size_t bucket_line = 0;
-    std::size_t trace_out_line = 0;
-    std::size_t metrics_out_line = 0;
-    std::size_t timeline_out_line = 0;
-};
-
-/// Checkpoint fields, assembled after all lines are read so the snapshot
-/// path and its dependent sub-keys may appear in any order.
-struct CheckpointFields {
-    std::optional<std::string> out;
-    std::optional<std::int64_t> every_ms;
-    std::optional<std::uint64_t> stop_after;
-    std::optional<std::string> resume;
-    std::size_t every_ms_line = 0;
-    std::size_t stop_after_line = 0;
-};
-
-/// Failure-injection fields, assembled after all lines are read so churn
-/// keys, the outage key and their dependencies may appear in any order.
-struct FaultFields {
-    std::optional<double> churn_leave_rate;
-    std::optional<std::int64_t> churn_rejoin_ms;
-    std::optional<faults::OutageSpec> cell_down;
-    std::optional<double> backhaul_loss;
-    std::size_t rejoin_line = 0;
-    std::size_t cell_down_line = 0;
-    std::size_t backhaul_loss_line = 0;
-};
-
 }  // namespace
 
 ScenarioSpec parse_scenario_text(std::string_view text,
                                  std::string_view source_name) {
-    ScenarioSpec spec;
-    spec.name = "custom";
-    MulticellFields multicell_fields;
-    CoordinatorFields coordinator_fields;
-    TelemetryFields telemetry_fields;
-    CheckpointFields checkpoint_fields;
-    FaultFields fault_fields;
-    std::optional<double> batch_mean;
-    // key -> line it was first set on, for duplicate diagnostics.  The
-    // payload keys alias each other, so both map to the same slot.
-    std::map<std::string, std::size_t, std::less<>> seen;
+    const std::span<const KeyRow> rows = scenario_keys();
+    // Each row's value and the line it was given on (0 = not given).
+    struct Given {
+        std::string value;
+        std::size_t line = 0;
+    };
+    std::vector<Given> given(rows.size());
+    // key (or the key it shares a slot with) -> line it was first set on.
+    std::map<std::string_view, std::size_t> seen;
 
     LineContext ctx{source_name, 0};
     std::size_t start = 0;
@@ -225,432 +56,42 @@ ScenarioSpec parse_scenario_text(std::string_view text,
             ctx.fail("expected 'key = value', got '" + std::string(line) + "'");
         }
         const std::string key{trim(line.substr(0, equals))};
-        const std::string value{trim(line.substr(equals + 1))};
         if (key.empty()) ctx.fail("missing key before '='");
-
-        // The payload spellings share one logical key.
-        const std::string dedup_key =
-            (key == "payload_kb" || key == "payload_bytes") ? "payload" : key;
-        if (const auto it = seen.find(dedup_key); it != seen.end()) {
-            std::ostringstream reason;
-            reason << "duplicate key '" << key << "' (first set on line "
-                   << it->second << ")";
-            ctx.fail(reason.str());
+        const auto row = std::find_if(rows.begin(), rows.end(), [&](const KeyRow& r) {
+            return key == r.key;
+        });
+        if (row == rows.end()) ctx.fail("unknown key '" + key + "'");
+        const auto [first, fresh] =
+            seen.emplace(row->same_as != nullptr ? row->same_as : row->key, ctx.line);
+        if (!fresh) {
+            ctx.fail("duplicate key '" + key + "' (first set on line " +
+                     std::to_string(first->second) + ")");
         }
-        seen.emplace(dedup_key, ctx.line);
-
-        if (key == "name") {
-            spec.name = value;
-        } else if (key == "description") {
-            spec.description = value;
-        } else if (key == "profile") {
-            if (!Registry::instance().has_profile(value)) {
-                std::string names;
-                for (const std::string& name :
-                     Registry::instance().profile_names()) {
-                    if (!names.empty()) names += " | ";
-                    names += name;
-                }
-                ctx.fail("unknown profile '" + value + "'; expected " + names);
-            }
-            spec.profile = Registry::instance().profile(value);
-        } else if (key == "batch_mean") {
-            batch_mean = parse_double(ctx, key, value);
-            if (*batch_mean < 1.0) {
-                ctx.fail("bad value '" + value +
-                         "' for key 'batch_mean': must be >= 1");
-            }
-        } else if (key == "devices") {
-            spec.device_count =
-                static_cast<std::size_t>(parse_positive_u64(ctx, key, value));
-        } else if (key == "payload_bytes") {
-            spec.payload_bytes = static_cast<std::int64_t>(parse_bounded_u64(
-                ctx, key, value,
-                std::numeric_limits<std::int64_t>::max()));
-        } else if (key == "payload_kb") {
-            spec.payload_bytes =
-                static_cast<std::int64_t>(parse_bounded_u64(
-                    ctx, key, value,
-                    std::numeric_limits<std::int64_t>::max() / 1024)) *
-                1024;
-        } else if (key == "runs") {
-            spec.runs =
-                static_cast<std::size_t>(parse_positive_u64(ctx, key, value));
-        } else if (key == "seed") {
-            spec.base_seed = parse_u64(ctx, key, value);
-        } else if (key == "threads") {
-            spec.threads = static_cast<std::size_t>(parse_u64(ctx, key, value));
-        } else if (key == "mechanisms") {
-            spec.mechanisms = parse_mechanisms(ctx, value);
-        } else if (key == "ti_ms") {
-            spec.config.inactivity_timer =
-                nbiot::SimTime{static_cast<std::int64_t>(parse_bounded_u64(
-                    ctx, key, value,
-                    std::numeric_limits<std::int64_t>::max()))};
-        } else if (key == "ra_guard_ms") {
-            const std::uint64_t parsed = parse_u64(ctx, key, value);
-            if (parsed > static_cast<std::uint64_t>(
-                             std::numeric_limits<std::int64_t>::max())) {
-                ctx.fail("bad value '" + value + "' for key '" + key +
-                         "': out of range");
-            }
-            spec.config.ra_guard =
-                nbiot::SimTime{static_cast<std::int64_t>(parsed)};
-        } else if (key == "include_inactivity_tail") {
-            spec.config.include_inactivity_tail = parse_bool(ctx, key, value);
-        } else if (key == "page_miss_prob") {
-            const double parsed = parse_double(ctx, key, value);
-            if (parsed < 0.0 || parsed >= 1.0) {
-                ctx.fail("bad value '" + value +
-                         "' for key 'page_miss_prob': must be in [0, 1)");
-            }
-            spec.config.page_miss_prob = parsed;
-        } else if (key == "max_page_attempts") {
-            spec.config.max_page_attempts = static_cast<int>(parse_bounded_u64(
-                ctx, key, value,
-                static_cast<std::uint64_t>(std::numeric_limits<int>::max())));
-        } else if (key == "background_ra_per_second") {
-            const double parsed = parse_double(ctx, key, value);
-            if (parsed < 0.0) {
-                ctx.fail("bad value '" + value +
-                         "' for key 'background_ra_per_second': must be >= 0");
-            }
-            spec.config.background_ra_per_second = parsed;
-        } else if (key == "max_page_records") {
-            spec.config.paging.max_page_records = static_cast<int>(parse_bounded_u64(
-                ctx, key, value,
-                static_cast<std::uint64_t>(std::numeric_limits<int>::max())));
-        } else if (key == "sc_ptm_mcch_period_ms") {
-            spec.config.sc_ptm_mcch_period =
-                nbiot::SimTime{static_cast<std::int64_t>(parse_bounded_u64(
-                    ctx, key, value,
-                    std::numeric_limits<std::int64_t>::max()))};
-        } else if (key == "strata") {
-            spec.config.strata = static_cast<std::size_t>(
-                parse_bounded_u64(ctx, key, value, core::kMaxStrata));
-        } else if (key == "cells") {
-            multicell_fields.cells =
-                static_cast<std::size_t>(parse_positive_u64(ctx, key, value));
-            if (multicell_fields.first_multicell_line == 0) {
-                multicell_fields.first_multicell_line = ctx.line;
-            }
-        } else if (key == "topology") {
-            if (value == "uniform") {
-                multicell_fields.kind = TopologySpec::Kind::uniform;
-            } else if (value == "hotspot") {
-                multicell_fields.kind = TopologySpec::Kind::hotspot;
-            } else {
-                ctx.fail("bad value '" + value +
-                         "' for key 'topology': expected uniform | hotspot");
-            }
-            if (multicell_fields.first_multicell_line == 0) {
-                multicell_fields.first_multicell_line = ctx.line;
-            }
-        } else if (key == "hotspot_exponent") {
-            const double parsed = parse_double(ctx, key, value);
-            if (parsed < 0.0) {
-                ctx.fail("bad value '" + value +
-                         "' for key 'hotspot_exponent': must be >= 0");
-            }
-            multicell_fields.hotspot_exponent = parsed;
-            if (multicell_fields.first_multicell_line == 0) {
-                multicell_fields.first_multicell_line = ctx.line;
-            }
-        } else if (key == "assignment") {
-            const auto parsed = multicell::parse_assignment_policy(value);
-            if (!parsed) {
-                ctx.fail("bad value '" + value +
-                         "' for key 'assignment': expected uniform | hotspot | "
-                         "class-affinity");
-            }
-            multicell_fields.assignment = *parsed;
-            if (multicell_fields.first_multicell_line == 0) {
-                multicell_fields.first_multicell_line = ctx.line;
-            }
-        } else if (key == "coordinator") {
-            const auto parsed = multicell::parse_start_policy(value);
-            if (!parsed) {
-                ctx.fail("bad value '" + value +
-                         "' for key 'coordinator': expected simultaneous | "
-                         "fixed-stagger | backhaul");
-            }
-            coordinator_fields.policy = *parsed;
-            coordinator_fields.policy_line = ctx.line;
-        } else if (key == "coordinator.stagger_ms") {
-            // 0 is a valid stagger (degenerates to simultaneous starts).
-            const std::uint64_t parsed = parse_u64(ctx, key, value);
-            if (parsed > static_cast<std::uint64_t>(
-                             std::numeric_limits<std::int64_t>::max())) {
-                ctx.fail("bad value '" + value + "' for key '" + key +
-                         "': out of range");
-            }
-            coordinator_fields.stagger_ms = static_cast<std::int64_t>(parsed);
-            if (coordinator_fields.first_subkey_line == 0) {
-                coordinator_fields.first_subkey_line = ctx.line;
-            }
-        } else if (key == "coordinator.backhaul_kbps") {
-            const double parsed = parse_double(ctx, key, value);
-            if (parsed <= 0.0) {
-                ctx.fail("bad value '" + value +
-                         "' for key 'coordinator.backhaul_kbps': must be > 0");
-            }
-            coordinator_fields.backhaul_kbps = parsed;
-            if (coordinator_fields.first_subkey_line == 0) {
-                coordinator_fields.first_subkey_line = ctx.line;
-            }
-        } else if (key == "telemetry") {
-            if (value == "off") {
-                telemetry_fields.mode = std::pair{false, false};
-            } else if (value == "trace") {
-                telemetry_fields.mode = std::pair{true, false};
-            } else if (value == "metrics") {
-                telemetry_fields.mode = std::pair{false, true};
-            } else if (value == "full") {
-                telemetry_fields.mode = std::pair{true, true};
-            } else {
-                ctx.fail("bad value '" + value +
-                         "' for key 'telemetry': expected off | trace | "
-                         "metrics | full");
-            }
-        } else if (key == "telemetry.bucket_ms") {
-            telemetry_fields.bucket_ms = static_cast<std::int64_t>(
-                parse_bounded_u64(ctx, key, value,
-                                  std::numeric_limits<std::int64_t>::max()));
-            telemetry_fields.bucket_line = ctx.line;
-        } else if (key == "trace_out") {
-            if (value.empty()) {
-                ctx.fail("bad value '' for key 'trace_out': empty path");
-            }
-            telemetry_fields.trace_out = value;
-            telemetry_fields.trace_out_line = ctx.line;
-        } else if (key == "metrics_out") {
-            if (value.empty()) {
-                ctx.fail("bad value '' for key 'metrics_out': empty path");
-            }
-            telemetry_fields.metrics_out = value;
-            telemetry_fields.metrics_out_line = ctx.line;
-        } else if (key == "timeline_out") {
-            if (value.empty()) {
-                ctx.fail("bad value '' for key 'timeline_out': empty path");
-            }
-            telemetry_fields.timeline_out = value;
-            telemetry_fields.timeline_out_line = ctx.line;
-        } else if (key == "checkpoint.out") {
-            if (value.empty()) {
-                ctx.fail("bad value '' for key 'checkpoint.out': empty path");
-            }
-            checkpoint_fields.out = value;
-        } else if (key == "checkpoint.every_ms") {
-            // 0 (write after every task) is the default; an explicit
-            // throttle must be >= 1 ms of simulated time.
-            checkpoint_fields.every_ms = static_cast<std::int64_t>(
-                parse_bounded_u64(ctx, key, value,
-                                  std::numeric_limits<std::int64_t>::max()));
-            checkpoint_fields.every_ms_line = ctx.line;
-        } else if (key == "checkpoint.stop_after") {
-            checkpoint_fields.stop_after = parse_positive_u64(ctx, key, value);
-            checkpoint_fields.stop_after_line = ctx.line;
-        } else if (key == "checkpoint.resume") {
-            if (value.empty()) {
-                ctx.fail("bad value '' for key 'checkpoint.resume': empty path");
-            }
-            checkpoint_fields.resume = value;
-        } else if (key == "churn.leave_rate") {
-            const double parsed = parse_double(ctx, key, value);
-            if (parsed < 0.0) {
-                ctx.fail("bad value '" + value +
-                         "' for key 'churn.leave_rate': must be >= 0");
-            }
-            fault_fields.churn_leave_rate = parsed;
-        } else if (key == "churn.rejoin_ms") {
-            fault_fields.churn_rejoin_ms = static_cast<std::int64_t>(
-                parse_bounded_u64(ctx, key, value,
-                                  std::numeric_limits<std::int64_t>::max()));
-            fault_fields.rejoin_line = ctx.line;
-        } else if (key == "faults.cell_down") {
-            const auto parsed = faults::parse_cell_down(value);
-            if (!parsed) {
-                ctx.fail("bad value '" + value +
-                         "' for key 'faults.cell_down': expected CELL@T_MS "
-                         "(e.g. 3@600000, T >= 1)");
-            }
-            fault_fields.cell_down = *parsed;
-            fault_fields.cell_down_line = ctx.line;
-        } else if (key == "faults.backhaul_loss") {
-            const double parsed = parse_double(ctx, key, value);
-            if (parsed < 0.0 || parsed >= 1.0) {
-                ctx.fail("bad value '" + value +
-                         "' for key 'faults.backhaul_loss': must be in [0, 1)");
-            }
-            fault_fields.backhaul_loss = parsed;
-            fault_fields.backhaul_loss_line = ctx.line;
-        } else {
-            ctx.fail("unknown key '" + key + "'");
-        }
+        given[static_cast<std::size_t>(row - rows.begin())] = {
+            std::string(trim(line.substr(equals + 1))), ctx.line};
     }
 
-    if (batch_mean) spec.profile.batch_mean = *batch_mean;
-
-    if (multicell_fields.kind || multicell_fields.hotspot_exponent ||
-        multicell_fields.assignment || multicell_fields.cells) {
-        if (!multicell_fields.cells) {
-            ctx.line = multicell_fields.first_multicell_line;
-            ctx.fail(
-                "multicell keys (topology, hotspot_exponent, assignment) "
-                "require 'cells'");
+    // Table order, so every row a `when` reads is applied before it.
+    ScenarioSpec spec;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        if (given[i].line == 0) continue;
+        ctx.line = given[i].line;
+        const KeyRow& row = rows[i];
+        const KeyInput input{given[i].value, false};
+        if (row.when != nullptr && !row.when(spec, input)) {
+            ctx.fail(std::string("'") + row.key + "' requires " + row.needs);
         }
-        TopologySpec topo;
-        topo.cells = *multicell_fields.cells;
-        topo.kind =
-            multicell_fields.kind.value_or(TopologySpec::Kind::uniform);
-        topo.hotspot_exponent = multicell_fields.hotspot_exponent.value_or(1.0);
-        spec.topology = topo;
-        if (multicell_fields.assignment) {
-            spec.assignment = *multicell_fields.assignment;
+        if (const std::string reason = row.set(spec, input); !reason.empty()) {
+            ctx.fail("bad value '" + input.value + "' for key '" + row.key + "': " + reason);
         }
     }
-
-    if (coordinator_fields.stagger_ms || coordinator_fields.backhaul_kbps) {
-        if (!coordinator_fields.policy) {
-            ctx.line = coordinator_fields.first_subkey_line;
-            ctx.fail(
-                "coordinator.* sub-keys require a 'coordinator' policy key "
-                "(simultaneous | fixed-stagger | backhaul)");
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        if (given[i].line == 0 || rows[i].settle == nullptr) continue;
+        if (const std::string reason = rows[i].settle(spec); !reason.empty()) {
+            ctx.line = given[i].line;
+            ctx.fail("bad value '" + given[i].value + "' for key '" + rows[i].key +
+                     "': " + reason);
         }
-    }
-    if (coordinator_fields.policy) {
-        ctx.line = coordinator_fields.policy_line;
-        if (!multicell_fields.cells) {
-            ctx.fail("'coordinator' requires a multicell grid ('cells')");
-        }
-        multicell::CoordinatorSpec coordinator;
-        coordinator.policy = *coordinator_fields.policy;
-        switch (coordinator.policy) {
-            case multicell::StartPolicy::simultaneous:
-                if (coordinator_fields.stagger_ms ||
-                    coordinator_fields.backhaul_kbps) {
-                    ctx.fail(
-                        "coordinator = simultaneous takes no "
-                        "coordinator.stagger_ms / coordinator.backhaul_kbps");
-                }
-                break;
-            case multicell::StartPolicy::fixed_stagger:
-                if (!coordinator_fields.stagger_ms) {
-                    ctx.fail(
-                        "coordinator = fixed-stagger requires "
-                        "coordinator.stagger_ms");
-                }
-                if (coordinator_fields.backhaul_kbps) {
-                    ctx.fail(
-                        "coordinator.backhaul_kbps belongs to coordinator = "
-                        "backhaul, not fixed-stagger");
-                }
-                coordinator.stagger_ms = *coordinator_fields.stagger_ms;
-                break;
-            case multicell::StartPolicy::backhaul_budgeted:
-                if (!coordinator_fields.backhaul_kbps) {
-                    ctx.fail(
-                        "coordinator = backhaul requires "
-                        "coordinator.backhaul_kbps");
-                }
-                if (coordinator_fields.stagger_ms) {
-                    ctx.fail(
-                        "coordinator.stagger_ms belongs to coordinator = "
-                        "fixed-stagger, not backhaul");
-                }
-                coordinator.backhaul_kbps = *coordinator_fields.backhaul_kbps;
-                break;
-        }
-        spec.coordinator = coordinator;
-    }
-
-    if (fault_fields.churn_rejoin_ms && !fault_fields.churn_leave_rate) {
-        ctx.line = fault_fields.rejoin_line;
-        ctx.fail("'churn.rejoin_ms' requires 'churn.leave_rate'");
-    }
-    if (fault_fields.churn_leave_rate) {
-        spec.config.churn.leave_rate = *fault_fields.churn_leave_rate;
-        if (fault_fields.churn_rejoin_ms) {
-            spec.config.churn.rejoin_ms = *fault_fields.churn_rejoin_ms;
-        }
-    }
-    if (fault_fields.cell_down) {
-        if (!multicell_fields.cells) {
-            ctx.line = fault_fields.cell_down_line;
-            ctx.fail("'faults.cell_down' requires a multicell grid ('cells')");
-        }
-        spec.cell_down = *fault_fields.cell_down;
-    }
-    if (fault_fields.backhaul_loss) {
-        if (!spec.coordinator ||
-            spec.coordinator->policy !=
-                multicell::StartPolicy::backhaul_budgeted) {
-            ctx.line = fault_fields.backhaul_loss_line;
-            ctx.fail("'faults.backhaul_loss' requires coordinator = backhaul");
-        }
-        spec.coordinator->loss_prob = *fault_fields.backhaul_loss;
-    }
-
-    {
-        const bool trace_on =
-            telemetry_fields.mode.has_value() && telemetry_fields.mode->first;
-        const bool metrics_on =
-            telemetry_fields.mode.has_value() && telemetry_fields.mode->second;
-        if (telemetry_fields.trace_out && !trace_on) {
-            ctx.line = telemetry_fields.trace_out_line;
-            ctx.fail("'trace_out' requires telemetry = trace or full");
-        }
-        if (telemetry_fields.timeline_out && !trace_on) {
-            ctx.line = telemetry_fields.timeline_out_line;
-            ctx.fail("'timeline_out' requires telemetry = trace or full");
-        }
-        if (telemetry_fields.metrics_out && !metrics_on) {
-            ctx.line = telemetry_fields.metrics_out_line;
-            ctx.fail("'metrics_out' requires telemetry = metrics or full");
-        }
-        if (telemetry_fields.bucket_ms && !(trace_on || metrics_on)) {
-            ctx.line = telemetry_fields.bucket_line;
-            ctx.fail(
-                "'telemetry.bucket_ms' requires an enabled telemetry mode "
-                "(trace | metrics | full)");
-        }
-        spec.telemetry.trace = trace_on;
-        spec.telemetry.metrics = metrics_on;
-        if (telemetry_fields.bucket_ms) {
-            spec.telemetry.bucket_ms = *telemetry_fields.bucket_ms;
-        }
-        if (telemetry_fields.trace_out) {
-            spec.telemetry.trace_out = *telemetry_fields.trace_out;
-        }
-        if (telemetry_fields.metrics_out) {
-            spec.telemetry.metrics_out = *telemetry_fields.metrics_out;
-        }
-        if (telemetry_fields.timeline_out) {
-            spec.telemetry.timeline_out = *telemetry_fields.timeline_out;
-        }
-    }
-
-    if (checkpoint_fields.every_ms && !checkpoint_fields.out) {
-        ctx.line = checkpoint_fields.every_ms_line;
-        ctx.fail(
-            "'checkpoint.every_ms' requires a snapshot path "
-            "('checkpoint.out')");
-    }
-    if (checkpoint_fields.stop_after && !checkpoint_fields.out) {
-        ctx.line = checkpoint_fields.stop_after_line;
-        ctx.fail(
-            "'checkpoint.stop_after' requires a snapshot path "
-            "('checkpoint.out')");
-    }
-    if (checkpoint_fields.out) spec.checkpoint.out = *checkpoint_fields.out;
-    if (checkpoint_fields.every_ms) {
-        spec.checkpoint.every_ms = *checkpoint_fields.every_ms;
-    }
-    if (checkpoint_fields.stop_after) {
-        spec.checkpoint.stop_after = *checkpoint_fields.stop_after;
-    }
-    if (checkpoint_fields.resume) {
-        spec.checkpoint.resume = *checkpoint_fields.resume;
     }
 
     try {

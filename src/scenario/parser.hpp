@@ -7,22 +7,10 @@
 // Grammar, one statement per line:
 //   key = value        # trailing comments are not supported; a '#' in
 //   # full-line comment  column one (after whitespace) skips the line
-// Keys: name, description, profile, batch_mean, devices, payload_bytes,
-// payload_kb, runs, seed, threads, mechanisms (comma list of registry
-// spellings), ti_ms, ra_guard_ms, include_inactivity_tail, page_miss_prob,
-// max_page_attempts, background_ra_per_second, max_page_records,
-// sc_ptm_mcch_period_ms, cells, topology (uniform | hotspot),
-// hotspot_exponent, assignment (uniform | hotspot | class-affinity),
-// telemetry (off | trace | metrics | full), telemetry.bucket_ms,
-// trace_out, metrics_out, timeline_out, checkpoint.out,
-// checkpoint.every_ms, checkpoint.stop_after, checkpoint.resume.
-// The multicell keys (topology, hotspot_exponent, assignment) require
-// `cells`; `cells` alone engages the multicell engine on a uniform grid.
-// The telemetry output keys require the matching collection mode:
-// trace_out/timeline_out need telemetry = trace or full, metrics_out
-// needs telemetry = metrics or full, telemetry.bucket_ms needs any
-// enabled mode.  The checkpoint sub-keys checkpoint.every_ms and
-// checkpoint.stop_after require a snapshot path (checkpoint.out).
+// The keys, their value domains and their dependency rules (e.g.
+// `topology` requires `cells`, `trace_out` requires telemetry = trace or
+// full) are the rows of the key table (scenario/keys.hpp); the parser
+// applies the given rows in table order, so keys may appear in any order.
 #pragma once
 
 #include <stdexcept>

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/report.hpp"
+#include "scenario/keys.hpp"
 #include "scenario/parser.hpp"
 #include "scenario/registry.hpp"
 #include "snapshot/checkpoint.hpp"
@@ -35,41 +36,6 @@ void write_artifact(const std::string& path, const std::string& text) {
         throw ScenarioError("write to telemetry output file '" + path +
                             "' failed");
     }
-}
-
-/// Results-identity fingerprint of a spec: FNV-1a64 over the scenario file
-/// text of a normalized copy — the checkpoint block, the telemetry output
-/// paths, the thread count, and the informational name/description are
-/// cleared first.  Resuming across --threads or into different artifact
-/// paths is therefore allowed, while any results-affecting change (devices,
-/// seed, strata, mechanisms, topology, coordinator, telemetry modes, ...)
-/// changes the fingerprint and is rejected at load time.
-std::uint64_t spec_fingerprint(const ScenarioSpec& spec) {
-    ScenarioSpec normalized = spec;
-    normalized.name.clear();
-    normalized.description.clear();
-    normalized.threads = 0;
-    normalized.checkpoint = CheckpointSpec{};
-    normalized.telemetry.trace_out.clear();
-    normalized.telemetry.metrics_out.clear();
-    normalized.telemetry.timeline_out.clear();
-    std::string text;
-    try {
-        text = normalized.to_file_text();
-    } catch (const std::invalid_argument& error) {
-        // An unregistered profile or deep-config edit has no file form, so
-        // there is nothing stable to fingerprint (or to resume against).
-        throw ScenarioError(
-            std::string("checkpointing requires a file-expressible "
-                        "scenario: ") +
-            error.what());
-    }
-    std::uint64_t hash = 14695981039346656037ULL;
-    for (const char c : text) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 1099511628211ULL;
-    }
-    return hash;
 }
 
 }  // namespace

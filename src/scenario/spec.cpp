@@ -1,12 +1,10 @@
 #include "scenario/spec.hpp"
 
 #include <cmath>
-#include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#include "scenario/registry.hpp"
+#include "scenario/keys.hpp"
 
 namespace nbmg::scenario {
 
@@ -57,10 +55,6 @@ ScenarioSpec& ScenarioSpec::with_mechanisms(std::vector<core::MechanismKind> val
     mechanisms = std::move(value);
     return *this;
 }
-ScenarioSpec& ScenarioSpec::with_config(core::CampaignConfig value) {
-    config = value;
-    return *this;
-}
 ScenarioSpec& ScenarioSpec::with_inactivity_timer_ms(std::int64_t value) {
     config.inactivity_timer = nbiot::SimTime{value};
     return *this;
@@ -79,10 +73,6 @@ ScenarioSpec& ScenarioSpec::with_cell_count(std::size_t cells) {
     TopologySpec topo = topology.value_or(TopologySpec{});
     topo.cells = cells;
     topology = topo;
-    return *this;
-}
-ScenarioSpec& ScenarioSpec::with_topology(TopologySpec value) {
-    topology = std::move(value);
     return *this;
 }
 ScenarioSpec& ScenarioSpec::with_hotspot(std::size_t cells, double exponent) {
@@ -141,10 +131,6 @@ ScenarioSpec& ScenarioSpec::with_churn(double leave_rate, std::int64_t rejoin_ms
 }
 ScenarioSpec& ScenarioSpec::with_cell_down(faults::OutageSpec value) {
     cell_down = value;
-    return *this;
-}
-ScenarioSpec& ScenarioSpec::with_telemetry(TelemetrySpec value) {
-    telemetry = std::move(value);
     return *this;
 }
 ScenarioSpec& ScenarioSpec::with_telemetry_modes(bool trace, bool metrics) {
@@ -331,156 +317,8 @@ void ScenarioSpec::validate() const {
 }
 
 std::string ScenarioSpec::to_file_text() const {
-    if (!Registry::instance().has_profile(profile.name)) {
-        throw std::invalid_argument(
-            "scenario '" + name + "': profile '" + profile.name +
-            "' is not a registered builtin; the scenario-file format stores "
-            "profiles by name");
-    }
-    // Profiles travel by name (+ batch_mean): any deeper edit under a
-    // registered name would silently reload as the builtin.
-    traffic::PopulationProfile builtin = Registry::instance().profile(profile.name);
-    builtin.batch_mean = profile.batch_mean;
-    if (!(profile == builtin)) {
-        throw std::invalid_argument(
-            "scenario '" + name + "': profile '" + profile.name +
-            "' was modified beyond batch_mean; the scenario-file format "
-            "cannot express per-class edits");
-    }
-    if (config.outage_at_ms != -1) {
-        // The per-campaign outage instant is engine plumbing run_deployment
-        // derives from cell_down; refusing keeps the serializer from
-        // silently dropping a programmatic override.
-        throw std::invalid_argument(
-            "scenario '" + name +
-            "': config.outage_at_ms is engine plumbing; describe outages with "
-            "cell_down (faults.cell_down) instead");
-    }
-    if (coordinator && !topology) {
-        // Invalid anyway (validate rejects it); refusing here keeps the
-        // serializer from silently dropping the coordinator keys.
-        throw std::invalid_argument(
-            "scenario '" + name +
-            "': coordinator requires a multicell topology (cells)");
-    }
-    // Deep config (timing/RACH/radio/signaling models, the paging geometry
-    // beyond max_page_records) has no file keys; refuse to serialize specs
-    // that changed it rather than silently reloading defaults.
-    const core::CampaignConfig defaults{};
-    const bool deep_config_default =
-        config.timing == defaults.timing && config.rach == defaults.rach &&
-        config.radio == defaults.radio && config.sizes == defaults.sizes &&
-        config.paging.nb_num == defaults.paging.nb_num &&
-        config.paging.nb_den == defaults.paging.nb_den &&
-        config.paging.ue_id_modulus == defaults.paging.ue_id_modulus;
-    if (!deep_config_default) {
-        throw std::invalid_argument(
-            "scenario '" + name +
-            "': deep campaign config (timing/rach/radio/signaling/paging "
-            "geometry) differs from the defaults and has no scenario-file "
-            "keys; keep such specs programmatic");
-    }
-
-    std::ostringstream out;
-    // Full round-trip precision: a saved-and-reloaded spec must run the
-    // same experiment, so doubles may not lose digits on the way out.
-    out.precision(std::numeric_limits<double>::max_digits10);
-    out << "# nbmg scenario file (key = value; '#' starts a comment)\n";
-    out << "name = " << name << "\n";
-    if (!description.empty()) out << "description = " << description << "\n";
-    out << "profile = " << profile.name << "\n";
-    const double builtin_batch_mean =
-        Registry::instance().profile(profile.name).batch_mean;
-    if (profile.batch_mean != builtin_batch_mean) {
-        out << "batch_mean = " << profile.batch_mean << "\n";
-    }
-    out << "devices = " << device_count << "\n";
-    out << "payload_bytes = " << payload_bytes << "\n";
-    out << "runs = " << runs << "\n";
-    out << "seed = " << base_seed << "\n";
-    if (threads != 0) out << "threads = " << threads << "\n";
-    out << "mechanisms = ";
-    for (std::size_t m = 0; m < mechanisms.size(); ++m) {
-        if (m != 0) out << ",";
-        out << Registry::instance().mechanism_name(mechanisms[m]);
-    }
-    out << "\n";
-    out << "ti_ms = " << config.inactivity_timer.count() << "\n";
-    out << "ra_guard_ms = " << config.ra_guard.count() << "\n";
-    out << "include_inactivity_tail = "
-        << (config.include_inactivity_tail ? "true" : "false") << "\n";
-    out << "page_miss_prob = " << config.page_miss_prob << "\n";
-    out << "max_page_attempts = " << config.max_page_attempts << "\n";
-    out << "background_ra_per_second = " << config.background_ra_per_second << "\n";
-    out << "max_page_records = " << config.paging.max_page_records << "\n";
-    out << "sc_ptm_mcch_period_ms = " << config.sc_ptm_mcch_period.count() << "\n";
-    if (config.strata != 1) out << "strata = " << config.strata << "\n";
-    if (config.churn.enabled()) {
-        out << "churn.leave_rate = " << config.churn.leave_rate << "\n";
-        out << "churn.rejoin_ms = " << config.churn.rejoin_ms << "\n";
-    }
-    if (telemetry.enabled()) {
-        out << "telemetry = "
-            << (telemetry.trace && telemetry.metrics
-                    ? "full"
-                    : (telemetry.trace ? "trace" : "metrics"))
-            << "\n";
-        if (telemetry.bucket_ms != TelemetrySpec{}.bucket_ms) {
-            out << "telemetry.bucket_ms = " << telemetry.bucket_ms << "\n";
-        }
-        if (!telemetry.trace_out.empty()) {
-            out << "trace_out = " << telemetry.trace_out << "\n";
-        }
-        if (!telemetry.metrics_out.empty()) {
-            out << "metrics_out = " << telemetry.metrics_out << "\n";
-        }
-        if (!telemetry.timeline_out.empty()) {
-            out << "timeline_out = " << telemetry.timeline_out << "\n";
-        }
-    }
-    if (checkpoint.enabled()) {
-        if (!checkpoint.out.empty()) {
-            out << "checkpoint.out = " << checkpoint.out << "\n";
-        }
-        if (checkpoint.every_ms != 0) {
-            out << "checkpoint.every_ms = " << checkpoint.every_ms << "\n";
-        }
-        if (checkpoint.stop_after != 0) {
-            out << "checkpoint.stop_after = " << checkpoint.stop_after << "\n";
-        }
-        if (!checkpoint.resume.empty()) {
-            out << "checkpoint.resume = " << checkpoint.resume << "\n";
-        }
-    }
-    if (topology) {
-        out << "cells = " << topology->cells << "\n";
-        out << "topology = " << to_string(topology->kind) << "\n";
-        if (topology->kind == TopologySpec::Kind::hotspot) {
-            out << "hotspot_exponent = " << topology->hotspot_exponent << "\n";
-        }
-        out << "assignment = " << multicell::to_string(assignment) << "\n";
-        if (coordinator) {
-            out << "coordinator = " << multicell::to_string(coordinator->policy)
-                << "\n";
-            if (coordinator->policy == multicell::StartPolicy::fixed_stagger) {
-                out << "coordinator.stagger_ms = " << coordinator->stagger_ms
-                    << "\n";
-            }
-            if (coordinator->policy == multicell::StartPolicy::backhaul_budgeted) {
-                out << "coordinator.backhaul_kbps = " << coordinator->backhaul_kbps
-                    << "\n";
-                if (coordinator->loss_prob != 0.0) {
-                    out << "faults.backhaul_loss = " << coordinator->loss_prob
-                        << "\n";
-                }
-            }
-        }
-        if (cell_down) {
-            out << "faults.cell_down = " << faults::format_cell_down(*cell_down)
-                << "\n";
-        }
-    }
-    return out.str();
+    return "# nbmg scenario file (key = value; '#' starts a comment)\n" +
+           key_lines(*this, /*results_only=*/false);
 }
 
 multicell::DeploymentSetup to_deployment_setup(const ScenarioSpec& spec) {

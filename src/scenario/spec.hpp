@@ -159,7 +159,6 @@ struct ScenarioSpec {
     ScenarioSpec& with_seed(std::uint64_t value);
     ScenarioSpec& with_threads(std::size_t value);
     ScenarioSpec& with_mechanisms(std::vector<core::MechanismKind> value);
-    ScenarioSpec& with_config(core::CampaignConfig value);
     ScenarioSpec& with_inactivity_timer_ms(std::int64_t value);
     /// Requested paging-frame stratum count (CampaignConfig::strata);
     /// non-powers-of-two round down at run time (core::resolve_strata).
@@ -171,7 +170,6 @@ struct ScenarioSpec {
     /// exponent.  Engages a uniform grid when the spec was single-cell.
     /// This is what the --cells override uses.
     ScenarioSpec& with_cell_count(std::size_t cells);
-    ScenarioSpec& with_topology(TopologySpec value);
     /// Engages a Zipf-skewed hotspot multicell grid.
     ScenarioSpec& with_hotspot(std::size_t cells, double exponent);
     ScenarioSpec& with_assignment(multicell::AssignmentPolicy value);
@@ -194,8 +192,6 @@ struct ScenarioSpec {
     ScenarioSpec& with_churn(double leave_rate, std::int64_t rejoin_ms);
     /// Mid-campaign cell outage (requires a multicell topology).
     ScenarioSpec& with_cell_down(faults::OutageSpec value);
-    /// Replaces the whole telemetry request.
-    ScenarioSpec& with_telemetry(TelemetrySpec value);
     /// Enables trace and/or metrics collection without output files (the
     /// in-memory report alone).
     ScenarioSpec& with_telemetry_modes(bool trace, bool metrics);
@@ -231,9 +227,10 @@ struct ScenarioSpec {
     void validate() const;
 
     /// Serializes the declarative subset to the scenario-file format, one
-    /// `key = value` per line (parse_scenario_text inverts it).  Throws
-    /// std::invalid_argument for specs the format cannot express, e.g. a
-    /// profile that is not a registered builtin.
+    /// `key = value` per line in key-table order (scenario/keys.hpp;
+    /// parse_scenario_text inverts it).  Throws std::invalid_argument for
+    /// specs the format cannot express, e.g. a profile that is not a
+    /// registered builtin or a name with a line break in it.
     [[nodiscard]] std::string to_file_text() const;
 };
 

@@ -38,7 +38,8 @@ public:
 // 3: one engine — the checkpoint header lost its engine byte, and
 //    single-cell scenarios checkpoint the 1-cell deployment's (run, cell)
 //    slot blobs instead of per-run MechanismStats blobs.
-inline constexpr std::uint32_t kFormatVersion = 3;
+// 4: the header's scenario fingerprint hashes the key table's results rows.
+inline constexpr std::uint32_t kFormatVersion = 4;
 inline constexpr std::string_view kMagic = "NBMGSNAP";  // exactly 8 bytes
 
 /// One length-framed section of a snapshot file.

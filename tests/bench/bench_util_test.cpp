@@ -7,6 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <fstream>
+#include <string>
+
+#include "scenario/registry.hpp"
 
 namespace nbmg::bench {
 namespace {
@@ -30,43 +34,48 @@ TEST(BenchFlagTest, AbsentFlagsFallBack) {
     Args<0> args({});
     EXPECT_EQ(flag_value(args.argc, args.argv(), "--runs", 50), 50u);
     EXPECT_EQ(flag_u64(args.argc, args.argv(), "--seed", 42), 42u);
-    EXPECT_EQ(flag_cells(args.argc, args.argv()), 1u);
-    EXPECT_EQ(flag_cells(args.argc, args.argv(), 16), 16u);
-    EXPECT_EQ(flag_assignment(args.argc, args.argv()),
-              multicell::AssignmentPolicy::uniform_hash);
-    EXPECT_EQ(flag_assignment(args.argc, args.argv(),
-                              multicell::AssignmentPolicy::hotspot),
+    // Without --cells / --assignment the base spec's grid and policy stand.
+    Args<0> none({});
+    EXPECT_EQ(spec_from_args(none.argc, none.argv(), "fig6a").cell_count(), 1u);
+    const scenario::ScenarioSpec city =
+        spec_from_args(none.argc, none.argv(), "citywide");
+    EXPECT_EQ(city.cell_count(), 16u);
+    EXPECT_EQ(city.assignment, multicell::AssignmentPolicy::uniform_hash);
+    EXPECT_EQ(spec_from_args(none.argc, none.argv(),
+                             scenario::ScenarioSpec{}.with_cells(4).with_assignment(
+                                 multicell::AssignmentPolicy::hotspot))
+                  .assignment,
               multicell::AssignmentPolicy::hotspot);
 }
 
 TEST(BenchFlagTest, ValidValuesParse) {
     Args<4> cells({"--cells", "64", "--seed", "0"});
-    EXPECT_EQ(flag_cells(cells.argc, cells.argv()), 64u);
+    EXPECT_EQ(spec_from_args(cells.argc, cells.argv(), "fig6a").cell_count(), 64u);
     EXPECT_EQ(flag_u64(cells.argc, cells.argv(), "--seed", 42), 0u);
 
     Args<2> uniform({"--assignment", "uniform"});
-    EXPECT_EQ(flag_assignment(uniform.argc, uniform.argv()),
+    EXPECT_EQ(spec_from_args(uniform.argc, uniform.argv(), "citywide").assignment,
               multicell::AssignmentPolicy::uniform_hash);
     Args<2> hotspot({"--assignment", "hotspot"});
-    EXPECT_EQ(flag_assignment(hotspot.argc, hotspot.argv()),
+    EXPECT_EQ(spec_from_args(hotspot.argc, hotspot.argv(), "citywide").assignment,
               multicell::AssignmentPolicy::hotspot);
     Args<2> affinity({"--assignment", "class-affinity"});
-    EXPECT_EQ(flag_assignment(affinity.argc, affinity.argv()),
+    EXPECT_EQ(spec_from_args(affinity.argc, affinity.argv(), "citywide").assignment,
               multicell::AssignmentPolicy::class_affinity);
 }
 
 TEST(BenchFlagDeathTest, MalformedCellCountsRejected) {
     Args<2> zero({"--cells", "0"});
-    EXPECT_EXIT((void)flag_cells(zero.argc, zero.argv()),
+    EXPECT_EXIT((void)spec_from_args(zero.argc, zero.argv(), "fig6a"),
                 ::testing::ExitedWithCode(2), "value must be >= 1");
     Args<2> junk({"--cells", "16x"});
-    EXPECT_EXIT((void)flag_cells(junk.argc, junk.argv()),
+    EXPECT_EXIT((void)spec_from_args(junk.argc, junk.argv(), "fig6a"),
                 ::testing::ExitedWithCode(2), "not a decimal integer");
     Args<2> negative({"--cells", "-4"});
-    EXPECT_EXIT((void)flag_cells(negative.argc, negative.argv()),
+    EXPECT_EXIT((void)spec_from_args(negative.argc, negative.argv(), "fig6a"),
                 ::testing::ExitedWithCode(2), "must be non-negative");
     Args<1> missing({"--cells"});
-    EXPECT_EXIT((void)flag_cells(missing.argc, missing.argv()),
+    EXPECT_EXIT((void)spec_from_args(missing.argc, missing.argv(), "fig6a"),
                 ::testing::ExitedWithCode(2), "missing value");
 }
 
@@ -202,10 +211,10 @@ TEST(BenchFlagDeathTest, SpecFromArgsValidatesTheFinalSpec) {
 }
 
 TEST(BenchFlagDeathTest, AssignmentOverrideRequiresMulticell) {
-    // Mirrors the file parser's "multicell keys require 'cells'" rule.
+    // The same rule as the file's "'assignment' requires a multicell grid".
     Args<4> args({"--preset", "fig6a", "--assignment", "hotspot"});
     EXPECT_EXIT((void)spec_from_args(args.argc, args.argv(), "fig6a"),
-                ::testing::ExitedWithCode(2), "requires a multicell scenario");
+                ::testing::ExitedWithCode(2), "requires a multicell grid");
 }
 
 TEST(BenchFlagTest, CellsOverridePreservesTopologyKind) {
@@ -256,7 +265,7 @@ TEST(BenchFlagDeathTest, CoordinatorOverridesValidated) {
     Args<2> single_cell({"--coordinator", "simultaneous"});
     EXPECT_EXIT((void)spec_from_args(single_cell.argc, single_cell.argv(),
                                      "fig6a"),
-                ::testing::ExitedWithCode(2), "requires a multicell scenario");
+                ::testing::ExitedWithCode(2), "requires a multicell grid");
 
     Args<4> unknown({"--cells", "4", "--coordinator", "staggered"});
     EXPECT_EXIT((void)spec_from_args(unknown.argc, unknown.argv(), "fig6a"),
@@ -313,6 +322,54 @@ TEST(BenchFlagTest, CheckpointOverridesApply) {
     EXPECT_EQ(spec.checkpoint.resume, "prev.snapshot");
 }
 
+TEST(BenchFlagTest, CoordinatorNoneOnASingleCellPresetChangesNothing) {
+    // --coordinator none clears the coordinator of any base spec, so it
+    // needs no grid of its own.
+    Args<2> args({"--coordinator", "none"});
+    EXPECT_EQ(spec_from_args(args.argc, args.argv(), "fig6a").to_file_text(),
+              scenario::Registry::instance().preset("fig6a").to_file_text());
+}
+
+TEST(BenchFlagTest, TraceOutAloneTurnsOnTraceCollection) {
+    // An output flag turns its collection mode on; the file key instead
+    // requires telemetry = trace or full.
+    Args<2> args({"--trace-out", "run.trace.jsonl"});
+    const scenario::ScenarioSpec spec =
+        spec_from_args(args.argc, args.argv(), "citywide-staggered");
+    EXPECT_TRUE(spec.telemetry.trace);
+    EXPECT_FALSE(spec.telemetry.metrics);
+    EXPECT_EQ(spec.telemetry.trace_out, "run.trace.jsonl");
+}
+
+TEST(BenchFlagTest, TelemetryOverrideAddsToTheBaseModes) {
+    // On a fresh spec this is the file key's meaning; on a base that
+    // already collects metrics, --telemetry trace keeps them, and off
+    // also drops the output paths.
+    const scenario::ScenarioSpec base =
+        scenario::ScenarioSpec{}.with_metrics_out("m.csv");
+    Args<2> trace({"--telemetry", "trace"});
+    scenario::ScenarioSpec both = base;
+    apply_spec_overrides(both, trace.argc, trace.argv());
+    EXPECT_TRUE(both.telemetry.trace);
+    EXPECT_TRUE(both.telemetry.metrics);
+    EXPECT_EQ(both.telemetry.metrics_out, "m.csv");
+
+    Args<2> off({"--telemetry", "off"});
+    scenario::ScenarioSpec none = base;
+    apply_spec_overrides(none, off.argc, off.argv());
+    EXPECT_EQ(none.telemetry, scenario::TelemetrySpec{});
+}
+
+TEST(BenchFlagDeathTest, CoordinatorNoneStaysRejectedInFiles) {
+    // `none` is a flag-only spelling; a file leaves the key out instead.
+    const std::string path = testing::TempDir() + "coordinator_none.scenario";
+    std::ofstream(path) << "cells = 4\ncoordinator = none\n";
+    Args<2> args({"--scenario", path.c_str()});
+    EXPECT_EXIT((void)spec_from_args(args.argc, args.argv(), "fig6a"),
+                ::testing::ExitedWithCode(2),
+                "bad value 'none' for key 'coordinator'");
+}
+
 TEST(BenchFlagDeathTest, CheckpointOverridesValidated) {
     // The sub-flags need a snapshot path from somewhere.
     Args<2> bare_every({"--checkpoint-every-ms", "5000"});
@@ -347,16 +404,16 @@ TEST(BenchFlagDeathTest, CheckpointOverridesValidated) {
 
 TEST(BenchFlagDeathTest, MalformedAssignmentsRejected) {
     Args<2> unknown({"--assignment", "zipf"});
-    EXPECT_EXIT((void)flag_assignment(unknown.argc, unknown.argv()),
+    EXPECT_EXIT((void)spec_from_args(unknown.argc, unknown.argv(), "citywide"),
                 ::testing::ExitedWithCode(2), "unknown assignment policy");
     Args<2> cased({"--assignment", "Uniform"});
-    EXPECT_EXIT((void)flag_assignment(cased.argc, cased.argv()),
+    EXPECT_EXIT((void)spec_from_args(cased.argc, cased.argv(), "citywide"),
                 ::testing::ExitedWithCode(2), "unknown assignment policy");
     Args<2> empty({"--assignment", ""});
-    EXPECT_EXIT((void)flag_assignment(empty.argc, empty.argv()),
+    EXPECT_EXIT((void)spec_from_args(empty.argc, empty.argv(), "citywide"),
                 ::testing::ExitedWithCode(2), "unknown assignment policy");
     Args<1> missing({"--assignment"});
-    EXPECT_EXIT((void)flag_assignment(missing.argc, missing.argv()),
+    EXPECT_EXIT((void)spec_from_args(missing.argc, missing.argv(), "citywide"),
                 ::testing::ExitedWithCode(2), "missing value");
 }
 

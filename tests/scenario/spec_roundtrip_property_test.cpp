@@ -4,8 +4,9 @@
 // The generator (seeded mt19937_64, fixed seed: the battery is
 // deterministic) draws every file-expressible knob — profile, batch_mean,
 // devices/payload/runs/seed/threads, mechanism lists, the shallow campaign
-// config keys, multicell topology + assignment, and the coordinator.*
-// keys in every policy shape.  Two invariants per spec:
+// config keys, telemetry, multicell topology + assignment, the
+// coordinator.* keys in every policy shape, churn.*, faults.cell_down,
+// faults.backhaul_loss and checkpoint.*.  Two invariants per spec:
 //  1. the reloaded spec re-serializes to the exact same text (the strict
 //     form of round-trip identity: any field the parser dropped or
 //     defaulted differently would change the second serialization), and
@@ -105,10 +106,27 @@ public:
                         break;
                     default:
                         spec.with_backhaul_kbps(uniform(0.001, 65'536.0));
+                        if (chance(0.5)) spec.with_backhaul_loss(uniform(0.0, 0.99));
                         break;
                 }
             }
+            if (chance(0.3)) {
+                spec.with_cell_down(faults::OutageSpec{
+                    index(cells), 1 + static_cast<std::int64_t>(index(3'600'000))});
+            }
         }
+        if (chance(0.3)) {
+            spec.with_churn(uniform(0.01, 10.0),
+                            1 + static_cast<std::int64_t>(index(600'000)));
+        }
+        if (chance(0.3)) {
+            spec.with_checkpoint_out("out/c" + std::to_string(index(9)) + ".snap");
+            if (chance(0.5)) {
+                spec.with_checkpoint_every_ms(1 + static_cast<std::int64_t>(index(600'000)));
+            }
+            if (chance(0.5)) spec.with_checkpoint_stop_after(1 + index(100));
+        }
+        if (chance(0.2)) spec.with_resume("out/prev.snap");
         return spec;
     }
 
@@ -161,6 +179,9 @@ void expect_specs_equal(const ScenarioSpec& parsed, const ScenarioSpec& spec) {
               spec.config.paging.max_page_records);
     EXPECT_EQ(parsed.config.sc_ptm_mcch_period, spec.config.sc_ptm_mcch_period);
     EXPECT_EQ(parsed.config.strata, spec.config.strata);
+    EXPECT_EQ(parsed.config.churn, spec.config.churn);
+    EXPECT_EQ(parsed.cell_down, spec.cell_down);
+    EXPECT_EQ(parsed.checkpoint, spec.checkpoint);
     ASSERT_EQ(parsed.is_multicell(), spec.is_multicell());
     if (spec.is_multicell()) {
         EXPECT_EQ(parsed.topology->cells, spec.topology->cells);
@@ -178,6 +199,7 @@ void expect_specs_equal(const ScenarioSpec& parsed, const ScenarioSpec& spec) {
         EXPECT_EQ(parsed.coordinator->stagger_ms, spec.coordinator->stagger_ms);
         EXPECT_EQ(parsed.coordinator->backhaul_kbps,
                   spec.coordinator->backhaul_kbps);
+        EXPECT_EQ(parsed.coordinator->loss_prob, spec.coordinator->loss_prob);
     }
 }
 

@@ -249,6 +249,24 @@ TEST(ScenarioSpecTest, FileTextRejectsSilentlyDroppableState) {
     EXPECT_EQ(parsed.profile.batch_mean, 3.5);
 }
 
+TEST(ScenarioSpecTest, FileTextRefusesTextAFileCannotCarry) {
+    // A line break would smuggle a key into the file (this name reloads as
+    // a 4-cell spec); surrounding whitespace is trimmed on reload.
+    EXPECT_THROW((void)ScenarioSpec{}.with_name("x\ncells = 4").to_file_text(),
+                 std::invalid_argument);
+    EXPECT_THROW((void)ScenarioSpec{}.with_name("x\ry").to_file_text(),
+                 std::invalid_argument);
+    EXPECT_THROW((void)ScenarioSpec{}.with_description(" padded").to_file_text(),
+                 std::invalid_argument);
+    EXPECT_THROW((void)ScenarioSpec{}.with_trace_out("t.jsonl ").to_file_text(),
+                 std::invalid_argument);
+    EXPECT_THROW((void)ScenarioSpec{}.with_checkpoint_out("a\nb").to_file_text(),
+                 std::invalid_argument);
+    // Inner whitespace survives the trip.
+    const ScenarioSpec spaced = ScenarioSpec{}.with_name("two words");
+    EXPECT_EQ(parse_scenario_text(spaced.to_file_text()).name, "two words");
+}
+
 TEST(ScenarioSpecTest, ValidationRejectsNonFiniteKnobs) {
     const double nan = std::nan("");
     ScenarioSpec spec = small_spec();
