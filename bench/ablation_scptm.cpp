@@ -26,11 +26,10 @@ int main(int argc, char** argv) {
     stats::Table table({"mechanism", "light-sleep (s/device)", "connected (s/device)",
                         "vs unicast light-sleep", "transmissions"});
     table.add_row({"Unicast",
-                   stats::Table::cell(outcome.unicast.stats.mean_light_sleep_seconds.mean(), 2),
-                   stats::Table::cell(outcome.unicast.stats.mean_connected_seconds.mean(), 2),
-                   "-", stats::Table::cell(outcome.unicast.stats.transmissions.mean(), 0)});
-    for (const auto& mechanism : outcome.mechanisms) {
-        const core::MechanismStats& s = mechanism.stats;
+                   stats::Table::cell(outcome.unicast.mean_light_sleep_seconds.mean(), 2),
+                   stats::Table::cell(outcome.unicast.mean_connected_seconds.mean(), 2),
+                   "-", stats::Table::cell(outcome.unicast.transmissions.mean(), 0)});
+    for (const core::MechanismStats& s : outcome.mechanisms) {
         table.add_row({std::string{core::to_string(s.kind)},
                        stats::Table::cell(s.mean_light_sleep_seconds.mean(), 2),
                        stats::Table::cell(s.mean_connected_seconds.mean(), 2),

@@ -45,8 +45,7 @@ int main(int argc, char** argv) {
         double dasc_conn = 0.0;
         double drsi_conn = 0.0;
         double dasc_light = 0.0;
-        for (const auto& mechanism : outcome.mechanisms) {
-            const core::MechanismStats& s = mechanism.stats;
+        for (const core::MechanismStats& s : outcome.mechanisms) {
             switch (s.kind) {
                 case core::MechanismKind::dr_sc:
                     drsc_tx = s.transmissions_per_device.mean();

@@ -29,17 +29,16 @@ int main(int argc, char** argv) {
 
     const scenario::ScenarioResult result = scenario::run_scenario(spec);
     const multicell::DeploymentResult& outcome = result.deployment();
-    const double base_light = outcome.unicast.stats.mean_light_sleep_seconds.mean();
+    const double base_light = outcome.unicast.mean_light_sleep_seconds.mean();
     const double base_total =
-        base_light + outcome.unicast.stats.mean_connected_seconds.mean();
+        base_light + outcome.unicast.mean_connected_seconds.mean();
 
     stats::Table table({"mechanism", "light-sleep uptime (s/device)",
                         "increase vs unicast", "ci95",
                         "as % of total unicast uptime", "paper shape"});
     table.add_row({"Unicast", stats::Table::cell(base_light, 2), "-", "-", "-",
                    "reference"});
-    for (const auto& mechanism : outcome.mechanisms) {
-        const core::MechanismStats& s = mechanism.stats;
+    for (const core::MechanismStats& s : outcome.mechanisms) {
         // Light-sleep delta expressed against the unicast *total* uptime
         // (light sleep + connected), the conclusions' framing.
         const double light_vs_total =

@@ -52,10 +52,9 @@ int main(int argc, char** argv) {
             scenario::run_scenario(point).outcome;
         table.add_row({payload.name, "Unicast",
                        stats::Table::cell(
-                           outcome.unicast.stats.mean_connected_seconds.mean(), 2),
+                           outcome.unicast.mean_connected_seconds.mean(), 2),
                        "-", "-", "reference"});
-        for (const auto& mechanism : outcome.mechanisms) {
-            const core::MechanismStats& s = mechanism.stats;
+        for (const core::MechanismStats& s : outcome.mechanisms) {
             const char* expected =
                 s.kind == core::MechanismKind::da_sc
                     ? "longest"

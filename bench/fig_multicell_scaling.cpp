@@ -101,8 +101,8 @@ int main(int argc, char** argv) {
             stats::Table::cell(serial_seconds / seconds, 2),
             stats::Table::cell(result.cell_load.max(), 0),
             stats::Table::cell(static_cast<std::int64_t>(result.empty_cell_runs)),
-            stats::Table::cell(dr_sc.stats.transmissions.mean(), 1),
-            stats::Table::cell_percent(dr_sc.stats.light_sleep_increase.mean(), 2),
+            stats::Table::cell(dr_sc.transmissions.mean(), 1),
+            stats::Table::cell_percent(dr_sc.light_sleep_increase.mean(), 2),
             stats::Table::cell(result.rach_collision_across_cells.quantile(0.5), 4),
             stats::Table::cell(result.rach_collision_across_cells.quantile(0.95),
                                4)};

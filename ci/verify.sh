@@ -9,7 +9,7 @@
 #             subset (ctest -L tier1, which now includes the analysis
 #             and stress labels); scenario-file + coordinator smokes;
 #             failure-injection smoke (churn scenario, outage preset,
-#             lossy backhaul — the churn CSV is byte-diffed Debug vs
+#             lossy backhaul — all three CSVs are byte-diffed Debug vs
 #             Release); kill-and-resume checkpoint smoke (stop a citywide
 #             run and a single-cell churn run mid-flight, resume at a
 #             different --threads, byte-diff every artifact against the
@@ -79,17 +79,20 @@ run_scenario_smokes() {
     --timeline-out "${build_dir}/telemetry_smoke.timeline.json"
 
   echo "=== ${build_dir}: failure-injection smoke (churn + outage + lossy backhaul) ==="
-  # The churn CSV is captured for the Debug-vs-Release byte-diff below:
+  # The three CSVs are captured for the Debug-vs-Release byte-diff below:
   # fault draws come only from the derived "faults" streams, so the
-  # faulted aggregates are pure functions of (spec, seed) too.
+  # faulted aggregates are pure functions of (spec, seed) too.  The outage
+  # and lossy-backhaul runs also drive the outage-recovery pass and the
+  # summary table's every column.
   "${build_dir}/examples/run_scenario" \
     --scenario examples/scenarios/churn.scenario \
     --devices 100 --runs 2 --threads 2 --csv \
     > "${build_dir}/churn_smoke.csv"
   "${build_dir}/examples/run_scenario" --preset outage \
-    --devices 400 --runs 1 --threads 2 --csv > /dev/null
+    --devices 400 --runs 1 --threads 2 --csv > "${build_dir}/outage_smoke.csv"
   "${build_dir}/examples/run_scenario" --preset citywide-backhaul \
-    --devices 400 --runs 1 --threads 2 --backhaul-loss 0.2 --csv > /dev/null
+    --devices 400 --runs 1 --threads 2 --backhaul-loss 0.2 --csv \
+    > "${build_dir}/lossy_backhaul_smoke.csv"
 
   run_checkpoint_smoke "${build_dir}"
 }
@@ -210,14 +213,17 @@ for leg in "${legs[@]}"; do
 
   run_scenario_smokes "${build_dir}"
 
-  # The telemetry artifacts are pure functions of (spec, seed): the Debug
-  # and Release runs of the smoke above must agree byte for byte.
+  # The telemetry artifacts and the faulted CSVs are pure functions of
+  # (spec, seed): the Debug and Release runs of the smokes above must agree
+  # byte for byte.
   if [[ "${config}" == "Release" && -f build-debug/telemetry_smoke.trace.jsonl ]]; then
-    echo "=== cross-config determinism: Debug vs Release telemetry artifacts ==="
+    echo "=== cross-config determinism: Debug vs Release telemetry artifacts + fault CSVs ==="
     cmp build-debug/telemetry_smoke.trace.jsonl "${build_dir}/telemetry_smoke.trace.jsonl"
     cmp build-debug/telemetry_smoke.metrics.csv "${build_dir}/telemetry_smoke.metrics.csv"
     cmp build-debug/telemetry_smoke.timeline.json "${build_dir}/telemetry_smoke.timeline.json"
     cmp build-debug/churn_smoke.csv "${build_dir}/churn_smoke.csv"
+    cmp build-debug/outage_smoke.csv "${build_dir}/outage_smoke.csv"
+    cmp build-debug/lossy_backhaul_smoke.csv "${build_dir}/lossy_backhaul_smoke.csv"
   fi
 
   if [[ "${config}" == "Release" ]]; then

@@ -105,19 +105,19 @@ int main(int argc, char** argv) {
             dr_sc_index >= 0
                 ? stats::Table::cell(
                       mechanisms[static_cast<std::size_t>(dr_sc_index)]
-                          .stats.transmissions.mean(),
+                          .transmissions.mean(),
                       1)
                 : "-",
             dr_sc_index >= 0
                 ? stats::Table::cell_percent(
                       mechanisms[static_cast<std::size_t>(dr_sc_index)]
-                          .stats.connected_increase.mean(),
+                          .connected_increase.mean(),
                       1)
                 : "-",
             da_sc_index >= 0
                 ? stats::Table::cell_percent(
                       mechanisms[static_cast<std::size_t>(da_sc_index)]
-                          .stats.light_sleep_increase.mean(),
+                          .light_sleep_increase.mean(),
                       2)
                 : "-",
             stats::Table::cell(result.rach_collision_across_cells.quantile(0.95),

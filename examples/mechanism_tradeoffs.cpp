@@ -66,8 +66,7 @@ int main(int argc, char** argv) {
             Scorecard dr_sc;
             Scorecard da_sc;
             Scorecard dr_si;
-            for (const auto& mechanism : outcome.mechanisms) {
-                const core::MechanismStats& s = mechanism.stats;
+            for (const core::MechanismStats& s : outcome.mechanisms) {
                 Scorecard card;
                 card.bandwidth_tx_per_device = s.transmissions_per_device.mean();
                 card.connected_increase = s.connected_increase.mean();

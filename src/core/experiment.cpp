@@ -7,21 +7,6 @@
 
 namespace nbmg::core {
 
-void MechanismStats::merge(const MechanismStats& other) noexcept {
-    light_sleep_increase.merge(other.light_sleep_increase);
-    connected_increase.merge(other.connected_increase);
-    transmissions.merge(other.transmissions);
-    transmissions_per_device.merge(other.transmissions_per_device);
-    bytes_ratio.merge(other.bytes_ratio);
-    recovery_transmissions.merge(other.recovery_transmissions);
-    unreceived_devices.merge(other.unreceived_devices);
-    mean_connected_seconds.merge(other.mean_connected_seconds);
-    mean_light_sleep_seconds.merge(other.mean_light_sleep_seconds);
-    completion_p99_ms.merge(other.completion_p99_ms);
-    redelivery_bytes.merge(other.redelivery_bytes);
-    stranded_devices.merge(other.stranded_devices);
-}
-
 SharedPopulations generate_comparison_populations(
     const traffic::PopulationProfile& profile, std::size_t device_count,
     std::size_t runs, std::uint64_t base_seed) {

@@ -62,9 +62,6 @@ struct MechanismStats {
     stats::Summary completion_p99_ms;          // fleet completion tail per run
     stats::Summary redelivery_bytes;           // fault re-delivery overhead
     stats::Summary stranded_devices;           // incomplete at cell outage
-
-    /// Field-wise stats::Summary::merge; `other.kind` must match.
-    void merge(const MechanismStats& other) noexcept;
 };
 
 /// Fig. 7 fast path: DR-SC is planned (not executed) because the figure

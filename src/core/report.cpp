@@ -38,7 +38,6 @@ double mean_connected_ms(const CampaignResult& result) noexcept {
 }
 
 double completion_p99_ms(const CampaignResult& result) {
-    if (result.devices.empty()) return 0.0;
     std::vector<std::int64_t> completion;
     completion.reserve(result.devices.size());
     for (const auto& d : result.devices) {
@@ -46,8 +45,11 @@ double completion_p99_ms(const CampaignResult& result) {
         completion.push_back(complete ? d.released_at->count()
                                       : result.observation_horizon.count());
     }
-    // Nearest-rank p99: the smallest value with at least 99% of devices
-    // at or below it.
+    return nearest_rank_p99(completion);
+}
+
+double nearest_rank_p99(std::vector<std::int64_t>& completion) {
+    if (completion.empty()) return 0.0;
     const std::size_t rank =
         (completion.size() * 99 + 99) / 100;  // ceil(0.99 n), 1-based
     const std::size_t index = std::min(rank, completion.size()) - 1;
@@ -122,36 +124,30 @@ BandwidthComparison bandwidth_comparison(const CampaignResult& mechanism,
     return out;
 }
 
-stats::Table mechanism_summary_table(
-    const MechanismStats& unicast,
-    std::span<const MechanismStats* const> mechanisms) {
+stats::Table mechanism_summary_table(const MechanismStats& reference,
+                                     std::span<const MechanismStats> mechanisms) {
     stats::Table table({"mechanism", "transmissions", "tx/device",
                         "light-sleep vs unicast", "connected vs unicast",
                         "bytes vs unicast", "recovery tx", "unreceived",
                         "p99 completion (s)", "redelivered (KB)", "stranded"});
-    table.add_row({std::string{to_string(unicast.kind)},
-                   stats::Table::cell(unicast.transmissions.mean(), 1),
-                   stats::Table::cell(unicast.transmissions_per_device.mean(), 3),
-                   "-", "-", "-",
-                   stats::Table::cell(unicast.recovery_transmissions.mean(), 1),
-                   stats::Table::cell(unicast.unreceived_devices.mean(), 1),
-                   stats::Table::cell(unicast.completion_p99_ms.mean() / 1000.0, 1),
-                   stats::Table::cell(unicast.redelivery_bytes.mean() / 1024.0, 1),
-                   stats::Table::cell(unicast.stranded_devices.mean(), 1)});
-    for (const MechanismStats* mech : mechanisms) {
+    const auto add_row = [&table](const MechanismStats& s, bool is_reference) {
         table.add_row(
-            {std::string{to_string(mech->kind)},
-             stats::Table::cell(mech->transmissions.mean(), 1),
-             stats::Table::cell(mech->transmissions_per_device.mean(), 3),
-             stats::Table::cell_percent(mech->light_sleep_increase.mean(), 2),
-             stats::Table::cell_percent(mech->connected_increase.mean(), 2),
-             stats::Table::cell(mech->bytes_ratio.mean(), 3),
-             stats::Table::cell(mech->recovery_transmissions.mean(), 1),
-             stats::Table::cell(mech->unreceived_devices.mean(), 1),
-             stats::Table::cell(mech->completion_p99_ms.mean() / 1000.0, 1),
-             stats::Table::cell(mech->redelivery_bytes.mean() / 1024.0, 1),
-             stats::Table::cell(mech->stranded_devices.mean(), 1)});
-    }
+            {std::string{to_string(s.kind)},
+             stats::Table::cell(s.transmissions.mean(), 1),
+             stats::Table::cell(s.transmissions_per_device.mean(), 3),
+             is_reference ? "-"
+                          : stats::Table::cell_percent(s.light_sleep_increase.mean(), 2),
+             is_reference ? "-"
+                          : stats::Table::cell_percent(s.connected_increase.mean(), 2),
+             is_reference ? "-" : stats::Table::cell(s.bytes_ratio.mean(), 3),
+             stats::Table::cell(s.recovery_transmissions.mean(), 1),
+             stats::Table::cell(s.unreceived_devices.mean(), 1),
+             stats::Table::cell(s.completion_p99_ms.mean() / 1000.0, 1),
+             stats::Table::cell(s.redelivery_bytes.mean() / 1024.0, 1),
+             stats::Table::cell(s.stranded_devices.mean(), 1)});
+    };
+    add_row(reference, true);
+    for (const MechanismStats& s : mechanisms) add_row(s, false);
     return table;
 }
 

@@ -4,7 +4,9 @@
 // through.
 #pragma once
 
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "core/campaign.hpp"
 #include "stats/table.hpp"
@@ -30,6 +32,11 @@ struct MechanismStats;  // core/experiment.hpp
 /// horizon, so faults push the tail instead of silently dropping out of
 /// it.  Returns 0 for an empty population.
 [[nodiscard]] double completion_p99_ms(const CampaignResult& result);
+
+/// The nearest-rank p99 rule behind completion_p99_ms: the smallest value
+/// with at least 99% of `completion` at or below it.  Reorders the list;
+/// returns 0 for an empty one.
+[[nodiscard]] double nearest_rank_p99(std::vector<std::int64_t>& completion);
 
 /// The paper's headline metric (Fig. 6): relative uptime increase of a
 /// mechanism over the unicast reference, computed on the same population,
@@ -65,11 +72,10 @@ struct BandwidthComparison {
 /// mechanism (unicast reference first) with the paper's headline aggregates,
 /// fed from the deployment result's fleet-wide MechanismStats.  The generic
 /// shell (examples/run_scenario.cpp, incl. --csv) prints it, while the
-/// figure shells keep their figure-specific columns.  `mechanisms` is a
-/// span of pointers because callers hold the stats inside
-/// multicell::DeploymentMechanismStats wrappers.
+/// figure shells keep their figure-specific columns.  The reference row
+/// prints "-" in the three vs-unicast columns; a mechanism of kind unicast
+/// keeps its numbers there.
 [[nodiscard]] stats::Table mechanism_summary_table(
-    const MechanismStats& unicast,
-    std::span<const MechanismStats* const> mechanisms);
+    const MechanismStats& reference, std::span<const MechanismStats> mechanisms);
 
 }  // namespace nbmg::core

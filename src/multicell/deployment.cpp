@@ -68,18 +68,6 @@ CellRunTotals totals_from(const core::CampaignResult& result) {
     return t;
 }
 
-/// Nearest-rank p99 over completion instants (the same rank rule as
-/// core::completion_p99_ms, reused on the recovery-adjusted list).
-double p99_of(std::vector<std::int64_t>& completion) {
-    if (completion.empty()) return 0.0;
-    const std::size_t rank = (completion.size() * 99 + 99) / 100;
-    const std::size_t index = std::min(rank, completion.size()) - 1;
-    std::nth_element(completion.begin(),
-                     completion.begin() + static_cast<std::ptrdiff_t>(index),
-                     completion.end());
-    return static_cast<double>(completion[index]);
-}
-
 /// Self-healing pass of the down cell: every device its stopped campaign
 /// left without the payload is deterministically re-assigned to a
 /// surviving cell (the existing assignment machinery over the reduced
@@ -89,11 +77,11 @@ double p99_of(std::vector<std::int64_t>& completion) {
 /// airtime per adopted device, queued per neighbor from the outage
 /// instant.  Adjusts the totals in place: re-delivered devices stop
 /// counting as unreceived, their bytes and completion instants join the
-/// tallies, and `stranded` keeps the outage's raw hit count.
+/// tallies, and `stranded` keeps the outage's raw hit count.  The
+/// redelivery records go to the campaign's own sink, config.telemetry.
 void apply_outage_recovery(CellRunTotals& t, const DeploymentSetup& setup,
                            const core::CampaignConfig& config,
-                           const core::CampaignResult& result,
-                           telemetry::CampaignSink* sink) {
+                           const core::CampaignResult& result) {
     std::vector<nbiot::UeSpec> stranded_specs;
     for (const core::DeviceOutcome& d : result.devices) {
         if (!d.received) stranded_specs.push_back(d.spec);
@@ -140,22 +128,33 @@ void apply_outage_recovery(CellRunTotals& t, const DeploymentSetup& setup,
         completion.push_back(feed_clock[target]);
         t.redelivery_bytes += result.payload_bytes;
         t.bytes_on_air += result.payload_bytes + reattach_bytes;
-        NBMG_TELEMETRY_EMIT(sink, telemetry::EventKind::redelivery,
+        NBMG_TELEMETRY_EMIT(config.telemetry, telemetry::EventKind::redelivery,
                             feed_clock[target], stranded_specs[i].device.value,
                             result.payload_bytes, 1);
     }
     t.unreceived -= stranded_specs.size();
-    t.completion_p99_ms = p99_of(completion);
+    t.completion_p99_ms = core::nearest_rank_p99(completion);
 }
 
-/// One (run, cell) contribution: the unicast reference plus every
-/// requested mechanism, executed on this cell's camped devices only.
+/// One (run, cell) contribution: every campaign, executed on this cell's
+/// camped devices only.
 struct CellRunOutcome {
     std::size_t devices = 0;  // 0 = empty cell, nothing executed
     std::int64_t horizon_ms = 0;
-    CellRunTotals unicast;
-    std::vector<CellRunTotals> mechanisms;
+    /// Slot 0 is the unicast reference, slot m + 1 is setup.mechanisms[m].
+    std::vector<CellRunTotals> campaigns;
 };
+
+/// The mechanism campaign `slot` runs (see CellRunOutcome::campaigns).
+core::MechanismKind slot_kind(const DeploymentSetup& setup, std::size_t slot) {
+    return slot == 0 ? core::MechanismKind::unicast : setup.mechanisms[slot - 1];
+}
+
+/// The aggregates of campaign `slot` in a DeploymentResult or CellAggregates.
+template <class Aggregates>
+core::MechanismStats& slot_stats(Aggregates& aggregates, std::size_t slot) {
+    return slot == 0 ? aggregates.unicast : aggregates.mechanisms[slot - 1];
+}
 
 CellRunOutcome run_cell(const DeploymentSetup& setup,
                         std::span<const nbiot::UeSpec> specs,
@@ -164,23 +163,12 @@ CellRunOutcome run_cell(const DeploymentSetup& setup,
                         std::size_t cell, std::size_t strata_threads) {
     CellRunOutcome out;
     out.devices = specs.size();
-    out.mechanisms.resize(setup.mechanisms.size());
+    out.campaigns.resize(setup.mechanisms.size() + 1);
     if (specs.empty()) return out;
 
-    // Telemetry: each (run, cell, campaign) writes its own pre-allocated
-    // collector slot; the pointer is the only config field that differs.
-    const auto campaign_config = [&](std::size_t campaign_slot) {
-        core::CampaignConfig cfg = config;
-        if (setup.telemetry != nullptr) {
-            cfg.telemetry = setup.telemetry->sink(run, cell, campaign_slot);
-        }
-        return cfg;
-    };
-
-    // One horizon and one execution seed shared by every mechanism of this
+    // One horizon and one execution seed shared by every campaign of this
     // cell's run.
     const sim::RngFactory rng_factory(cell_root);
-    const core::UnicastBaseline unicast;
     const nbiot::SimTime horizon =
         core::recommended_horizon(specs, config, setup.payload_bytes);
     out.horizon_ms = horizon.count();
@@ -192,33 +180,26 @@ CellRunOutcome run_cell(const DeploymentSetup& setup,
         setup.cell_down && config.outage_at_ms >= 1 &&
         setup.cell_down->cell == cell && setup.cell_down->at_ms < out.horizon_ms;
 
-    sim::RandomStream unicast_rng = rng_factory.stream("plan-unicast", run);
-    const core::CampaignConfig unicast_config = campaign_config(0);
-    const core::MulticastPlan unicast_plan =
-        unicast.plan(specs, unicast_config, unicast_rng);
-    {
-        const core::CampaignResult result =
-            core::CampaignRunner(unicast_config, strata_threads)
-                .run(unicast_plan, specs, setup.payload_bytes, horizon, run_seed);
-        out.unicast = totals_from(result);
-        if (outage_here) {
-            apply_outage_recovery(out.unicast, setup, unicast_config, result,
-                                  unicast_config.telemetry);
+    for (std::size_t slot = 0; slot < out.campaigns.size(); ++slot) {
+        const auto mechanism = core::make_mechanism(slot_kind(setup, slot));
+        // The reference plans on its own stream, even when a mechanism slot
+        // also runs unicast.
+        sim::RandomStream plan_rng =
+            rng_factory.stream(slot == 0 ? "plan-unicast" : mechanism->name(), run);
+        // Telemetry: each (run, cell, campaign) writes its own pre-allocated
+        // collector slot; the pointer is the only config field that differs.
+        core::CampaignConfig campaign_config = config;
+        if (setup.telemetry != nullptr) {
+            campaign_config.telemetry = setup.telemetry->sink(run, cell, slot);
         }
-    }
-
-    for (std::size_t m = 0; m < setup.mechanisms.size(); ++m) {
-        const auto mechanism = core::make_mechanism(setup.mechanisms[m]);
-        sim::RandomStream plan_rng = rng_factory.stream(mechanism->name(), run);
-        const core::CampaignConfig mech_config = campaign_config(m + 1);
-        const core::MulticastPlan plan = mechanism->plan(specs, mech_config, plan_rng);
+        const core::MulticastPlan plan =
+            mechanism->plan(specs, campaign_config, plan_rng);
         const core::CampaignResult result =
-            core::CampaignRunner(mech_config, strata_threads)
+            core::CampaignRunner(campaign_config, strata_threads)
                 .run(plan, specs, setup.payload_bytes, horizon, run_seed);
-        out.mechanisms[m] = totals_from(result);
+        out.campaigns[slot] = totals_from(result);
         if (outage_here) {
-            apply_outage_recovery(out.mechanisms[m], setup, mech_config, result,
-                                  mech_config.telemetry);
+            apply_outage_recovery(out.campaigns[slot], setup, campaign_config, result);
         }
     }
     return out;
@@ -257,30 +238,35 @@ CellRunTotals take_totals(snapshot::Reader& r) {
 }
 
 /// Checkpoint slot blob of one (run, cell) task: the raw campaign totals
-/// plus — when a collector is attached — the sinks this task filled.
+/// — the reference's, the mechanism count, then the mechanisms' — plus,
+/// when a collector is attached, the sinks this task filled.
 std::vector<std::uint8_t> encode_cell_outcome(const DeploymentSetup& setup,
                                               std::size_t run, std::size_t cell,
                                               const CellRunOutcome& out) {
     snapshot::Writer w;
     w.put_u64(out.devices);
     w.put_i64(out.horizon_ms);
-    put_totals(w, out.unicast);
-    w.put_u64(out.mechanisms.size());
-    for (const CellRunTotals& m : out.mechanisms) put_totals(w, m);
+    put_totals(w, out.campaigns.front());
+    w.put_u64(out.campaigns.size() - 1);
+    for (const CellRunTotals& t : std::span(out.campaigns).subspan(1)) put_totals(w, t);
     w.put_u8(setup.telemetry != nullptr ? 1 : 0);
     if (setup.telemetry != nullptr) {
-        for (std::size_t c = 0; c < setup.mechanisms.size() + 1; ++c) {
-            snapshot::put_sink(w, *setup.telemetry->sink(run, cell, c));
+        for (std::size_t slot = 0; slot < out.campaigns.size(); ++slot) {
+            snapshot::put_sink(w, *setup.telemetry->sink(run, cell, slot));
         }
     }
     return w.take();
 }
 
 /// Inverse of encode_cell_outcome; also restores the task's collector
-/// sinks.  Runs inside the sweep worker that owns this grid slot, so the
-/// sink writes stay single-writer.
+/// sinks.  The snapshot has no checksum, so the slot's device counts and
+/// horizon are checked against `specs`, the shard this run assigns to the
+/// cell, under the cell's `config`.  Runs inside the sweep worker that owns
+/// this grid slot, so the sink writes stay single-writer.
 CellRunOutcome decode_cell_outcome(const DeploymentSetup& setup, std::size_t run,
                                    std::size_t cell,
+                                   std::span<const nbiot::UeSpec> specs,
+                                   const core::CampaignConfig& config,
                                    const std::vector<std::uint8_t>& blob) {
     const std::string label = "checkpoint slot (run " + std::to_string(run) +
                               ", cell " + std::to_string(cell) + ")";
@@ -288,7 +274,7 @@ CellRunOutcome decode_cell_outcome(const DeploymentSetup& setup, std::size_t run
     CellRunOutcome out;
     out.devices = r.take_u64();
     out.horizon_ms = r.take_i64();
-    out.unicast = take_totals(r);
+    out.campaigns.push_back(take_totals(r));
     const std::uint64_t mechanism_count = r.take_u64();
     if (mechanism_count != setup.mechanisms.size()) {
         throw snapshot::SnapshotError(
@@ -296,9 +282,21 @@ CellRunOutcome decode_cell_outcome(const DeploymentSetup& setup, std::size_t run
             " mechanisms in snapshot, setup has " +
             std::to_string(setup.mechanisms.size()));
     }
-    out.mechanisms.reserve(setup.mechanisms.size());
-    for (std::size_t m = 0; m < setup.mechanisms.size(); ++m) {
-        out.mechanisms.push_back(take_totals(r));
+    for (std::size_t m = 0; m < mechanism_count; ++m) {
+        out.campaigns.push_back(take_totals(r));
+    }
+    const std::int64_t horizon_ms =
+        specs.empty()
+            ? 0
+            : core::recommended_horizon(specs, config, setup.payload_bytes).count();
+    if (out.devices != specs.size() || out.horizon_ms != horizon_ms ||
+        !std::ranges::all_of(out.campaigns, [&](const CellRunTotals& t) {
+            return t.devices == out.devices;
+        })) {
+        throw snapshot::SnapshotError(
+            label + ": device counts or horizon disagree with the cell's shard (" +
+            std::to_string(specs.size()) + " devices over " +
+            std::to_string(horizon_ms) + " ms)");
     }
     const bool had_telemetry = r.take_u8() != 0;
     if (had_telemetry != (setup.telemetry != nullptr)) {
@@ -306,77 +304,49 @@ CellRunOutcome decode_cell_outcome(const DeploymentSetup& setup, std::size_t run
             label + ": telemetry attachment differs from the checkpointed run");
     }
     if (setup.telemetry != nullptr) {
-        for (std::size_t c = 0; c < setup.mechanisms.size() + 1; ++c) {
-            snapshot::restore_sink(r, *setup.telemetry->sink(run, cell, c));
+        for (std::size_t slot = 0; slot < out.campaigns.size(); ++slot) {
+            snapshot::restore_sink(r, *setup.telemetry->sink(run, cell, slot));
         }
     }
     r.expect_end();
     return out;
 }
 
-/// The unicast reference's per-run samples (no relative-increase samples
-/// for the reference itself).
-void add_unicast_samples(DeploymentMechanismStats& out, const CellRunTotals& u) {
-    const double n = static_cast<double>(u.devices);
-    core::MechanismStats& s = out.stats;
-    s.transmissions.add(static_cast<double>(u.transmissions));
-    s.transmissions_per_device.add(static_cast<double>(u.transmissions) / n);
-    s.bytes_ratio.add(1.0);
-    s.recovery_transmissions.add(static_cast<double>(u.recovery_transmissions));
-    s.unreceived_devices.add(static_cast<double>(u.unreceived));
-    s.mean_connected_seconds.add(u.connected_ms / n / 1000.0);
-    s.mean_light_sleep_seconds.add(u.light_sleep_ms / n / 1000.0);
-    s.completion_p99_ms.add(u.completion_p99_ms);
-    s.redelivery_bytes.add(static_cast<double>(u.redelivery_bytes));
-    s.stranded_devices.add(static_cast<double>(u.stranded));
-    out.bytes_on_air.add(static_cast<double>(u.bytes_on_air));
-}
-
-/// A mechanism's per-run samples against the same-scope unicast reference:
-/// core::relative_uptime / bandwidth_comparison applied to the summed
-/// totals, including their zero-baseline guards.
-void add_mechanism_samples(DeploymentMechanismStats& out, const CellRunTotals& m,
-                           const CellRunTotals& u) {
+/// Merges one run's totals `m` of a campaign into `into`, against the
+/// same-scope unicast reference `u`: core::relative_uptime /
+/// bandwidth_comparison applied to the summed totals, including their
+/// zero-baseline guards.  The `reference` itself (m = u) takes no increase
+/// samples and a bytes ratio of exactly 1.  Every sample is merged as a
+/// one-sample stats::Summary: the merge path rounds differently from
+/// Summary::add, and the pinned single-cell goldens are defined by it.
+void merge_run(core::MechanismStats& into, const CellRunTotals& m,
+               const CellRunTotals& u, bool reference) {
+    const auto merge = [](stats::Summary& summary, double sample) {
+        stats::Summary one;
+        one.add(sample);
+        summary.merge(one);
+    };
     const double n = static_cast<double>(m.devices);
-    core::MechanismStats& s = out.stats;
-    s.light_sleep_increase.add(
-        u.light_sleep_ms > 0.0 ? m.light_sleep_ms / u.light_sleep_ms - 1.0 : 0.0);
-    s.connected_increase.add(
-        u.connected_ms > 0.0 ? m.connected_ms / u.connected_ms - 1.0 : 0.0);
-    s.transmissions.add(static_cast<double>(m.transmissions));
-    s.transmissions_per_device.add(static_cast<double>(m.transmissions) / n);
-    s.bytes_ratio.add(u.bytes_on_air > 0
-                          ? static_cast<double>(m.bytes_on_air) /
-                                static_cast<double>(u.bytes_on_air)
-                          : 0.0);
-    s.recovery_transmissions.add(static_cast<double>(m.recovery_transmissions));
-    s.unreceived_devices.add(static_cast<double>(m.unreceived));
-    s.mean_connected_seconds.add(m.connected_ms / n / 1000.0);
-    s.mean_light_sleep_seconds.add(m.light_sleep_ms / n / 1000.0);
-    s.completion_p99_ms.add(m.completion_p99_ms);
-    s.redelivery_bytes.add(static_cast<double>(m.redelivery_bytes));
-    s.stranded_devices.add(static_cast<double>(m.stranded));
-    out.bytes_on_air.add(static_cast<double>(m.bytes_on_air));
-}
-
-void add_rach_sample(DeploymentMechanismStats& fleet, DeploymentMechanismStats& cell,
-                     stats::Histogram& across_cells, const CellRunTotals& t) {
-    if (t.rach_attempts == 0) return;
-    const double rate = static_cast<double>(t.rach_collisions) /
-                        static_cast<double>(t.rach_attempts);
-    fleet.rach_collision_rate.add(rate);
-    cell.rach_collision_rate.add(rate);
-    across_cells.add(rate);
-}
-
-/// Merges a per-run contribution of single-sample summaries, field-wise.
-/// The merge path rounds differently from adding samples directly; the
-/// pinned single-cell goldens are defined by it.
-void merge_contribution(DeploymentMechanismStats& into,
-                        const DeploymentMechanismStats& contrib) {
-    into.stats.merge(contrib.stats);
-    into.bytes_on_air.merge(contrib.bytes_on_air);
-    into.rach_collision_rate.merge(contrib.rach_collision_rate);
+    if (!reference) {
+        merge(into.light_sleep_increase,
+              u.light_sleep_ms > 0.0 ? m.light_sleep_ms / u.light_sleep_ms - 1.0 : 0.0);
+        merge(into.connected_increase,
+              u.connected_ms > 0.0 ? m.connected_ms / u.connected_ms - 1.0 : 0.0);
+    }
+    merge(into.transmissions, static_cast<double>(m.transmissions));
+    merge(into.transmissions_per_device, static_cast<double>(m.transmissions) / n);
+    const double bytes_ratio =
+        u.bytes_on_air > 0
+            ? static_cast<double>(m.bytes_on_air) / static_cast<double>(u.bytes_on_air)
+            : 0.0;
+    merge(into.bytes_ratio, reference ? 1.0 : bytes_ratio);
+    merge(into.recovery_transmissions, static_cast<double>(m.recovery_transmissions));
+    merge(into.unreceived_devices, static_cast<double>(m.unreceived));
+    merge(into.mean_connected_seconds, m.connected_ms / n / 1000.0);
+    merge(into.mean_light_sleep_seconds, m.light_sleep_ms / n / 1000.0);
+    merge(into.completion_p99_ms, m.completion_p99_ms);
+    merge(into.redelivery_bytes, static_cast<double>(m.redelivery_bytes));
+    merge(into.stranded_devices, static_cast<double>(m.stranded));
 }
 
 }  // namespace
@@ -486,7 +456,9 @@ DeploymentResult run_deployment(const DeploymentSetup& setup) {
             if (checkpoint != nullptr) {
                 if (const std::vector<std::uint8_t>* blob =
                         checkpoint->restored(slot)) {
-                    return decode_cell_outcome(setup, run, cell, *blob);
+                    return decode_cell_outcome(setup, run, cell,
+                                               shards[run].cell_specs[cell],
+                                               cell_configs[cell], *blob);
                 }
                 // Once the stop budget fired, remaining slots return a
                 // dummy: the pending CheckpointStop unwinds the sweep
@@ -506,22 +478,15 @@ DeploymentResult run_deployment(const DeploymentSetup& setup) {
             return out;
         });
 
-    // Phase 3 — reduce in (run, cell) order on this thread.
+    // Phase 3 — reduce in (run, cell, slot) order on this thread.
     DeploymentResult result;
-    result.unicast.stats.kind = core::MechanismKind::unicast;
-    result.mechanisms.resize(setup.mechanisms.size());
-    result.cells.resize(cells);
-    for (std::size_t m = 0; m < setup.mechanisms.size(); ++m) {
-        result.mechanisms[m].stats.kind = setup.mechanisms[m];
+    for (const core::MechanismKind kind : setup.mechanisms) {
+        result.mechanisms.emplace_back().kind = kind;
     }
+    result.cells.resize(cells);
     for (std::size_t c = 0; c < cells; ++c) {
-        CellAggregates& agg = result.cells[c];
-        agg.cell = static_cast<std::uint32_t>(c);
-        agg.unicast.stats.kind = core::MechanismKind::unicast;
-        agg.mechanisms.resize(setup.mechanisms.size());
-        for (std::size_t m = 0; m < setup.mechanisms.size(); ++m) {
-            agg.mechanisms[m].stats.kind = setup.mechanisms[m];
-        }
+        result.cells[c].cell = static_cast<std::uint32_t>(c);
+        result.cells[c].mechanisms = result.mechanisms;
     }
 
     result.spans.reserve(outcomes.size());
@@ -529,11 +494,10 @@ DeploymentResult run_deployment(const DeploymentSetup& setup) {
         result.spans.push_back(CellRunSpan{outcome.devices, outcome.horizon_ms});
     }
 
-    std::vector<CellRunTotals> fleet_mechanisms(setup.mechanisms.size());
+    const std::size_t slots = setup.mechanisms.size() + 1;
+    std::vector<CellRunTotals> fleet(slots);
     for (std::size_t run = 0; run < setup.runs; ++run) {
-        CellRunTotals fleet_unicast{};
-        fleet_mechanisms.assign(setup.mechanisms.size(), CellRunTotals{});
-
+        fleet.assign(slots, CellRunTotals{});
         for (std::size_t c = 0; c < cells; ++c) {
             const CellRunOutcome& outcome = outcomes[run * cells + c];
             CellAggregates& agg = result.cells[c];
@@ -543,32 +507,19 @@ DeploymentResult run_deployment(const DeploymentSetup& setup) {
                 ++result.empty_cell_runs;
                 continue;
             }
-
-            fleet_unicast.accumulate(outcome.unicast);
-            DeploymentMechanismStats cell_contrib;
-            add_unicast_samples(cell_contrib, outcome.unicast);
-            merge_contribution(agg.unicast, cell_contrib);
-            add_rach_sample(result.unicast, agg.unicast,
-                            result.rach_collision_across_cells, outcome.unicast);
-            for (std::size_t m = 0; m < setup.mechanisms.size(); ++m) {
-                fleet_mechanisms[m].accumulate(outcome.mechanisms[m]);
-                DeploymentMechanismStats mech_contrib;
-                add_mechanism_samples(mech_contrib, outcome.mechanisms[m],
-                                      outcome.unicast);
-                merge_contribution(agg.mechanisms[m], mech_contrib);
-                add_rach_sample(result.mechanisms[m], agg.mechanisms[m],
-                                result.rach_collision_across_cells,
-                                outcome.mechanisms[m]);
+            const std::vector<CellRunTotals>& t = outcome.campaigns;
+            for (std::size_t slot = 0; slot < slots; ++slot) {
+                fleet[slot].accumulate(t[slot]);
+                merge_run(slot_stats(agg, slot), t[slot], t[0], slot == 0);
+                if (t[slot].rach_attempts > 0) {
+                    result.rach_collision_across_cells.add(
+                        static_cast<double>(t[slot].rach_collisions) /
+                        static_cast<double>(t[slot].rach_attempts));
+                }
             }
         }
-
-        DeploymentMechanismStats unicast_contrib;
-        add_unicast_samples(unicast_contrib, fleet_unicast);
-        merge_contribution(result.unicast, unicast_contrib);
-        for (std::size_t m = 0; m < setup.mechanisms.size(); ++m) {
-            DeploymentMechanismStats mech_contrib;
-            add_mechanism_samples(mech_contrib, fleet_mechanisms[m], fleet_unicast);
-            merge_contribution(result.mechanisms[m], mech_contrib);
+        for (std::size_t slot = 0; slot < slots; ++slot) {
+            merge_run(slot_stats(result, slot), fleet[slot], fleet[0], slot == 0);
         }
     }
     return result;

@@ -5,9 +5,12 @@
 // Per run, the fleet population is generated once (stream("population",
 // run) of the base seed), assigned to cells by a deterministic policy, and
 // every cell plans (DR-SC/DA-SC/DR-SI over its own camped devices) and
-// executes its campaign as an independent event loop.  Per-cell results
-// are merged in (run, cell) order into fleet-wide and per-cell aggregates,
-// so every number is bit-identical for any --threads.
+// executes its campaign as an independent event loop.  A cell's campaigns
+// are numbered in slots, the numbering the telemetry collector and the
+// checkpoint header share: slot 0 is the unicast reference every ratio is
+// taken against, slot m + 1 is setup.mechanisms[m].  Per-cell results are
+// merged in (run, cell, slot) order into fleet-wide and per-cell
+// aggregates, so every number is bit-identical for any --threads.
 //
 // With one cell the cell's RNG root is the base seed itself and the whole
 // fleet camps on cell 0 under every policy, so the single-cell paper
@@ -86,25 +89,14 @@ struct DeploymentSetup {
     snapshot::CheckpointContext* checkpoint = nullptr;
 };
 
-/// Fleet- or cell-level aggregates of one mechanism, plus deployment-only
-/// extensions core::MechanismStats does not track.
-struct DeploymentMechanismStats {
-    /// Per-run samples; the ratios are against the same-scope unicast
-    /// reference.
-    core::MechanismStats stats;
-    /// Absolute bytes on the air interface per run (fleet/cell total).
-    stats::Summary bytes_on_air;
-    /// RACH collision fraction samples, one per (run, cell) with attempts.
-    stats::Summary rach_collision_rate;
-};
-
-/// Per-cell aggregates across runs.
+/// Per-cell aggregates across runs: one sample per run in which the cell
+/// had devices, the ratios against this cell's own unicast reference.
 struct CellAggregates {
     std::uint32_t cell = 0;
     /// Devices camped on this cell, one sample per run.
     stats::Summary devices;
-    DeploymentMechanismStats unicast;
-    std::vector<DeploymentMechanismStats> mechanisms;  // setup.mechanisms order
+    core::MechanismStats unicast;
+    std::vector<core::MechanismStats> mechanisms;  // setup.mechanisms order
 };
 
 /// Timing footprint of one (run, cell) campaign on the city wall-clock:
@@ -121,15 +113,18 @@ struct CellRunSpan {
 };
 
 struct DeploymentResult {
-    /// Fleet-wide aggregates: per run, cell totals are summed in cell order
-    /// before any ratio is formed.
-    DeploymentMechanismStats unicast;
-    std::vector<DeploymentMechanismStats> mechanisms;  // setup.mechanisms order
-    std::vector<CellAggregates> cells;                 // topology order
+    /// Fleet-wide aggregates, one sample per run: per run, cell totals are
+    /// summed in cell order before any ratio is formed, so bytes_ratio is
+    /// the run's fleet bytes on air against the fleet's unicast bytes.
+    core::MechanismStats unicast;
+    std::vector<core::MechanismStats> mechanisms;  // setup.mechanisms order
+    std::vector<CellAggregates> cells;             // topology order
     /// Devices per (run, cell): the realized load distribution.
     stats::Summary cell_load;
-    /// RACH collision fraction across every (run, cell, campaign) with
-    /// attempts — quantile() gives the contention percentiles across cells.
+    /// RACH collision fraction of every (run, cell, campaign) with attempts,
+    /// unicast first within a (run, cell) — the only per-(run, cell)
+    /// collision record; quantile() gives the contention percentiles across
+    /// cells.
     stats::Histogram rach_collision_across_cells{0.0, 1.0, 64};
     /// (run, cell) pairs that received no devices (skipped, no campaign).
     std::size_t empty_cell_runs = 0;

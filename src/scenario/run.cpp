@@ -41,12 +41,7 @@ void write_artifact(const std::string& path, const std::string& text) {
 }  // namespace
 
 stats::Table ScenarioResult::summary_table() const {
-    std::vector<const core::MechanismStats*> mechanisms;
-    mechanisms.reserve(mechanism_count());
-    for (std::size_t m = 0; m < mechanism_count(); ++m) {
-        mechanisms.push_back(&mechanism_stats(m));
-    }
-    return core::mechanism_summary_table(unicast_stats(), mechanisms);
+    return core::mechanism_summary_table(outcome.unicast, outcome.mechanisms);
 }
 
 std::string ScenarioResult::summary_csv() const { return summary_table().to_csv(); }

@@ -53,12 +53,12 @@ struct ScenarioResult {
 
     /// Fleet-wide per-run aggregate stats of the unicast reference.
     [[nodiscard]] const core::MechanismStats& unicast_stats() const noexcept {
-        return outcome.unicast.stats;
+        return outcome.unicast;
     }
     /// Fleet-wide aggregates of spec.mechanisms[index] (same order).
     [[nodiscard]] const core::MechanismStats& mechanism_stats(
         std::size_t index) const {
-        return outcome.mechanisms.at(index).stats;
+        return outcome.mechanisms.at(index);
     }
     [[nodiscard]] std::size_t mechanism_count() const noexcept {
         return outcome.mechanisms.size();

@@ -3,10 +3,14 @@
 // must reproduce the seed implementation's aggregates to the last bit.  The
 // golden values below were recorded from the pre-optimization (PR 1)
 // kernels; any drift means a hot-path rewrite changed observable
-// behaviour.
+// behaviour.  The summary table's text is pinned on hand-built stats.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
+
 #include "core/experiment.hpp"
+#include "core/report.hpp"
 #include "scenario/run.hpp"
 #include "traffic/population.hpp"
 
@@ -113,6 +117,54 @@ TEST(ExperimentRegressionTest, DrscTransmissionPointMatchesPinnedGolden) {
         traffic::massive_iot_city(), 120, config, 4, 42, 1);
     EXPECT_DOUBLE_EQ(point.transmissions.mean(), 65.75);
     EXPECT_DOUBLE_EQ(point.transmissions_per_device.mean(), 0.54791666666666672);
+}
+
+stats::Summary samples(std::initializer_list<double> values) {
+    stats::Summary summary;
+    for (const double v : values) summary.add(v);
+    return summary;
+}
+
+TEST(ExperimentRegressionTest, SummaryTableTextIsPinned) {
+    // The reference row prints "-" in the three vs-unicast columns because
+    // it is the reference, not because of its kind: a mechanism slot that
+    // also runs unicast keeps its numbers.  p99 is shown in s (/1000),
+    // redelivered bytes in KB (/1024), percentages at 2 decimals.
+    MechanismStats reference;
+    reference.transmissions = samples({300.0});
+    reference.transmissions_per_device = samples({1.0});
+    reference.bytes_ratio = samples({1.0});
+    reference.recovery_transmissions = samples({2.0, 4.0});
+    reference.unreceived_devices = samples({1.0});
+    reference.completion_p99_ms = samples({11'300.0});
+    reference.redelivery_bytes = samples({3'072.0});
+    reference.stranded_devices = samples({5.0});
+
+    MechanismStats dr_sc;
+    dr_sc.kind = MechanismKind::dr_sc;
+    dr_sc.light_sleep_increase = samples({0.0123});
+    dr_sc.connected_increase = samples({0.2, 0.25});
+    dr_sc.transmissions = samples({139.0, 141.0});
+    dr_sc.transmissions_per_device = samples({0.4667});
+    dr_sc.bytes_ratio = samples({0.468});
+    dr_sc.recovery_transmissions = samples({0.0});
+    dr_sc.unreceived_devices = samples({0.0});
+    dr_sc.completion_p99_ms = samples({20'600.0, 20'800.0});
+    dr_sc.redelivery_bytes = samples({0.0});
+    dr_sc.stranded_devices = samples({0.0});
+
+    MechanismStats unicast_mechanism = reference;
+    unicast_mechanism.light_sleep_increase = samples({0.0});
+    unicast_mechanism.connected_increase = samples({0.0});
+
+    const MechanismStats mechanisms[] = {dr_sc, unicast_mechanism};
+    EXPECT_EQ(mechanism_summary_table(reference, mechanisms).to_csv(),
+              std::string{"mechanism,transmissions,tx/device,light-sleep vs unicast,"
+                          "connected vs unicast,bytes vs unicast,recovery tx,"
+                          "unreceived,p99 completion (s),redelivered (KB),stranded\n"
+                          "Unicast,300.0,1.000,-,-,-,3.0,1.0,11.3,3.0,5.0\n"
+                          "DR-SC,140.0,0.467,1.23%,22.50%,0.468,0.0,0.0,20.7,0.0,0.0\n"
+                          "Unicast,300.0,1.000,0.00%,0.00%,1.000,3.0,1.0,11.3,3.0,5.0\n"});
 }
 
 }  // namespace

@@ -3,9 +3,9 @@
 // bit-identical" (tests/multicell/deployment_test.cpp,
 // tests/multicell/coordinator_test.cpp,
 // tests/scenario/scenario_golden_test.cpp, ...).  One superset comparison —
-// stats, per-cell aggregates, RACH summaries and histogram quantiles,
-// spans — so a field added to DeploymentResult only needs remembering
-// here, not in per-suite copies that drift apart.
+// stats, per-cell aggregates, RACH histogram quantiles, spans — so a field
+// added to DeploymentResult only needs remembering here, not in per-suite
+// copies that drift apart.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -34,32 +34,24 @@ inline void expect_mechanism_stats_equal(const core::MechanismStats& a,
     EXPECT_TRUE(a.stranded_devices == b.stranded_devices);
 }
 
-inline void expect_deployment_mechanism_equal(
-    const multicell::DeploymentMechanismStats& a,
-    const multicell::DeploymentMechanismStats& b) {
-    expect_mechanism_stats_equal(a.stats, b.stats);
-    EXPECT_TRUE(a.bytes_on_air == b.bytes_on_air);
-    EXPECT_TRUE(a.rach_collision_rate == b.rach_collision_rate);
-}
-
 /// Full bit-exact equality of two DeploymentResults: fleet and per-cell
 /// aggregates, cell-load samples, RACH percentiles across cells, and the
 /// recorded per-(run, cell) spans.
 inline void expect_deployment_results_equal(const multicell::DeploymentResult& a,
                                             const multicell::DeploymentResult& b) {
-    expect_deployment_mechanism_equal(a.unicast, b.unicast);
+    expect_mechanism_stats_equal(a.unicast, b.unicast);
     ASSERT_EQ(a.mechanisms.size(), b.mechanisms.size());
     for (std::size_t m = 0; m < a.mechanisms.size(); ++m) {
-        expect_deployment_mechanism_equal(a.mechanisms[m], b.mechanisms[m]);
+        expect_mechanism_stats_equal(a.mechanisms[m], b.mechanisms[m]);
     }
     ASSERT_EQ(a.cell_count(), b.cell_count());
     for (std::size_t c = 0; c < a.cell_count(); ++c) {
         EXPECT_EQ(a.cells[c].cell, b.cells[c].cell);
         EXPECT_TRUE(a.cells[c].devices == b.cells[c].devices);
-        expect_deployment_mechanism_equal(a.cells[c].unicast, b.cells[c].unicast);
+        expect_mechanism_stats_equal(a.cells[c].unicast, b.cells[c].unicast);
         ASSERT_EQ(a.cells[c].mechanisms.size(), b.cells[c].mechanisms.size());
         for (std::size_t m = 0; m < a.cells[c].mechanisms.size(); ++m) {
-            expect_deployment_mechanism_equal(a.cells[c].mechanisms[m],
+            expect_mechanism_stats_equal(a.cells[c].mechanisms[m],
                                               b.cells[c].mechanisms[m]);
         }
     }
