@@ -7,13 +7,14 @@
 #             trial build of the nbmg lib.
 #   Debug   — warnings-as-errors build of everything; fast tier-1 CTest
 #             subset (ctest -L tier1, which now includes the analysis
-#             and stress labels); scenario-file + coordinator smokes;
-#             failure-injection smoke (churn scenario, outage preset,
-#             lossy backhaul — all three CSVs are byte-diffed Debug vs
-#             Release); kill-and-resume checkpoint smoke (stop a citywide
-#             run and a single-cell churn run mid-flight, resume at a
-#             different --threads, byte-diff every artifact against the
-#             uninterrupted run).
+#             and stress labels); scenario-file + coordinator smokes
+#             (the DA-SC tail/page-loss file's CSV is byte-diffed Debug
+#             vs Release); failure-injection smoke (churn scenario,
+#             outage preset, lossy backhaul — all three CSVs are
+#             byte-diffed Debug vs Release); kill-and-resume checkpoint
+#             smoke (stop a citywide run and a single-cell churn run
+#             mid-flight, resume at a different --threads, byte-diff every
+#             artifact against the uninterrupted run).
 #   Release — same build with NBMG_ENABLE_LTO (so the option cannot
 #             rot); the full suite including the randomized property
 #             batteries; microbenchmark + multicell smokes; the
@@ -58,6 +59,11 @@ run_scenario_smokes() {
     "${build_dir}/examples/run_scenario" --scenario "${scenario}" \
       --runs 1 --devices 200
   done
+  # DA-SC with the inactivity tail and page loss, at the file's own size:
+  # its CSV joins the Debug-vs-Release byte-diff below.
+  "${build_dir}/examples/run_scenario" \
+    --scenario examples/scenarios/dasc_tail.scenario --threads 2 --csv \
+    > "${build_dir}/dasc_tail_smoke.csv"
 
   echo "=== ${build_dir}: wall-clock coordinator smoke (staggered + backhaul) ==="
   "${build_dir}/examples/run_scenario" --preset citywide-staggered \
@@ -213,16 +219,17 @@ for leg in "${legs[@]}"; do
 
   run_scenario_smokes "${build_dir}"
 
-  # The telemetry artifacts and the faulted CSVs are pure functions of
-  # (spec, seed): the Debug and Release runs of the smokes above must agree
-  # byte for byte.
+  # The telemetry artifacts, the faulted CSVs and the DA-SC tail CSV are
+  # pure functions of (spec, seed): the Debug and Release runs of the smokes
+  # above must agree byte for byte.
   if [[ "${config}" == "Release" && -f build-debug/telemetry_smoke.trace.jsonl ]]; then
-    echo "=== cross-config determinism: Debug vs Release telemetry artifacts + fault CSVs ==="
+    echo "=== cross-config determinism: Debug vs Release telemetry artifacts + fault and DA-SC tail CSVs ==="
     cmp build-debug/telemetry_smoke.trace.jsonl "${build_dir}/telemetry_smoke.trace.jsonl"
     cmp build-debug/telemetry_smoke.metrics.csv "${build_dir}/telemetry_smoke.metrics.csv"
     cmp build-debug/telemetry_smoke.timeline.json "${build_dir}/telemetry_smoke.timeline.json"
     cmp build-debug/churn_smoke.csv "${build_dir}/churn_smoke.csv"
     cmp build-debug/outage_smoke.csv "${build_dir}/outage_smoke.csv"
+    cmp build-debug/dasc_tail_smoke.csv "${build_dir}/dasc_tail_smoke.csv"
     cmp build-debug/lossy_backhaul_smoke.csv "${build_dir}/lossy_backhaul_smoke.csv"
   fi
 

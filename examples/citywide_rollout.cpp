@@ -32,7 +32,8 @@ int main(int argc, char** argv) {
 
     scenario::ScenarioSpec base = bench::spec_from_args(argc, argv, "citywide");
     base.with_devices(bench::positional_value(argc, argv, 0, base.device_count));
-    base.with_cell_count(bench::positional_value(argc, argv, 1, base.cell_count()));
+    base.with_cell_count(
+        bench::positional_value(argc, argv, 1, base.cell_count(), 1, scenario::kMaxCells));
     base.with_seed(bench::positional_u64(argc, argv, 2, base.base_seed));
     const std::size_t devices = base.device_count;
     const std::size_t cells = base.cell_count();

@@ -38,15 +38,10 @@ void Ue::require_state(UeState expected, const char* operation) const {
 
 void Ue::start_monitoring(SimTime until) {
     monitor_until_ = until;
-    if (materialized_) {
-        schedule_next_po();
-        return;
-    }
-    analytic_from_ = sim_->now() + SimTime{1};
-    if (analytic_from_ < until) {
-        // One sentinel at the horizon settles the whole analytic window,
-        // so po_count()/energy() are final once the queue drains past
-        // `until` — the same observable the per-occasion chain provided.
+    unsettled_from_ = sim_->now() + SimTime{1};
+    if (unsettled_from_ < until) {
+        // One sentinel at the horizon settles the whole window, so
+        // po_count()/energy() are final once the queue drains past `until`.
         sim_->queue().schedule_at(until, [this] { settle_pos(monitor_until_); });
     }
 }
@@ -61,19 +56,11 @@ bool Ue::listening_at(SimTime t) const {
 }
 
 void Ue::halt_monitoring() {
-    if (materialized_) {
-        if (po_event_) {
-            sim_->queue().cancel(*po_event_);
-            po_event_.reset();
-        }
-        materialized_ = false;
-    } else {
-        settle_pos(sim_->now() + SimTime{1});
-    }
-    // Freeze the analytic ledger: the horizon sentinel (and any later
-    // settle) must not charge occasions past this instant.  power_on
-    // re-opens the window at the rejoin instant.
-    analytic_from_ = monitor_until_;
+    settle_pos(sim_->now() + SimTime{1});
+    // Freeze the ledger: the horizon sentinel (and any later settle) must
+    // not charge occasions past this instant.  power_on re-opens the window
+    // at the rejoin instant.
+    unsettled_from_ = monitor_until_;
 }
 
 void Ue::power_off() {
@@ -105,36 +92,14 @@ void Ue::power_on() {
     accounting_->energy[device_.value].add(
         PowerState::connected_signaling, timing_->rrc_setup + timing_->rrc_release);
     // Resume closed-form PO monitoring from the rejoin instant.
-    analytic_from_ = sim_->now() + SimTime{1};
-}
-
-void Ue::schedule_next_po() {
-    if (po_event_) {
-        sim_->queue().cancel(*po_event_);
-        po_event_.reset();
-    }
-    // Strictly after `now` so a PO that triggered the current event is not
-    // scheduled twice after a cycle change.
-    const SimTime next = next_po_at_or_after(sim_->now() + SimTime{1});
-    if (next >= monitor_until_) return;
-    next_po_time_ = next;
-    po_event_ = sim_->queue().schedule_at(next, [this] { on_po(); });
-}
-
-void Ue::on_po() {
-    po_event_.reset();
-    ++accounting_->po_count[device_.value];
-    accounting_->energy[device_.value].add(PowerState::po_monitor,
-                                           timing_->po_monitor);
-    schedule_next_po();
+    unsettled_from_ = sim_->now() + SimTime{1};
 }
 
 void Ue::settle_pos(SimTime bound) {
-    if (materialized_) return;
     bound = std::min(bound, monitor_until_);
-    if (bound <= analytic_from_) return;
+    if (bound <= unsettled_from_) return;
     const std::int64_t n =
-        paging_->po_count_in_range(analytic_from_, bound, imsi_, cycle_);
+        paging_->po_count_in_range(unsettled_from_, bound, imsi_, cycle_);
     if (n > 0) {
         accounting_->po_count[device_.value] += static_cast<std::uint64_t>(n);
         // Integer-millisecond uptime, so the single multiplication equals
@@ -142,32 +107,7 @@ void Ue::settle_pos(SimTime bound) {
         accounting_->energy[device_.value].add(PowerState::po_monitor,
                                                timing_->po_monitor * n);
     }
-    analytic_from_ = bound;
-}
-
-void Ue::materialize_pos() {
-    if (materialized_) return;
-    // The page that triggers materialization lands on one of this device's
-    // occasions; the legacy chain's pending event at the page instant
-    // fires after the page handler (it carries a higher sequence number)
-    // and still counts it, so the analytic window closes just past `now`.
-    settle_pos(sim_->now() + SimTime{1});
-    materialized_ = true;
-    schedule_next_po();
-}
-
-void Ue::dematerialize_pos() {
-    if (!materialized_) return;
-    materialized_ = false;
-    if (po_event_) {
-        sim_->queue().cancel(*po_event_);
-        po_event_.reset();
-        // The chain counted every occasion strictly before the pending
-        // one; resume the closed form exactly there.
-        analytic_from_ = next_po_time_;
-    } else {
-        analytic_from_ = monitor_until_;
-    }
+    unsettled_from_ = bound;
 }
 
 void Ue::apply_cycle(DrxCycle cycle) {
@@ -175,16 +115,8 @@ void Ue::apply_cycle(DrxCycle cycle) {
     NBMG_TELEMETRY_EMIT(sim_->telemetry(), telemetry::EventKind::drx_transition,
                         sim_->now().count(), device_.value, cycle_.period_ms(),
                         cycle.period_ms());
-    if (!materialized_) {
-        // Only materialized procedures change cycles today; keep the
-        // analytic ledger well-defined anyway by closing the old-cycle
-        // window through the current instant.
-        settle_pos(sim_->now() + SimTime{1});
-        cycle_ = cycle;
-        return;
-    }
+    settle_pos(sim_->now() + SimTime{1});
     cycle_ = cycle;
-    schedule_next_po();
 }
 
 void Ue::start_connection(SimTime earliest, EstablishmentCause cause,
@@ -253,9 +185,6 @@ void Ue::page_mltc(SimTime wake_at) {
 
 void Ue::page_for_reconfig(DrxCycle new_cycle) {
     require_state(UeState::idle, "page_for_reconfig");
-    // The one procedure whose event ordering against a concurrent cycle
-    // change matters: run per-occasion events until the cycle is restored.
-    materialize_pos();
     charge(PowerState::paging_rx, timing_->paging_decode);
     const SimTime ra_start = sim_->now() + timing_->paging_decode + timing_->page_to_rach;
     start_connection(ra_start, EstablishmentCause::mt_access, [this, new_cycle] {
@@ -299,9 +228,6 @@ void Ue::begin_reception(SimTime data_end, SimTime tail) {
             NBMG_TELEMETRY_EMIT(sim_->telemetry(), telemetry::EventKind::rrc_released,
                                 sim_->now().count(), device_.value, 0, 0);
             if (restore) apply_cycle(original_cycle_);
-            // The adjustment window is over (or never mattered): drop back
-            // to closed-form occasion accounting.
-            dematerialize_pos();
             if (hooks().on_released) hooks().on_released(device_, sim_->now());
         });
     });

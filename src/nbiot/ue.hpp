@@ -11,18 +11,19 @@
 // cycle over the horizon) and keeps the unicast reference exactly
 // comparable; the overlap is at most one occasion per connection.
 //
-// Performance note: PO monitoring is hybrid analytic/event-driven.  While
-// a device's DRX cycle is fixed, its occasions in any window are a closed
+// Performance note: PO monitoring is one closed-form ledger.  While a
+// device's DRX cycle is fixed, its occasions in any window are a closed
 // form (PagingSchedule::po_count_in_range), so the UE schedules no
-// per-occasion events at all — one sentinel at the monitoring horizon
-// settles the count and the energy in a single multiplication.  Only
-// page_for_reconfig (the DA-SC adjustment, the one procedure whose
-// event ordering against a concurrent cycle change matters) switches the
-// device to materialized per-occasion events, and the release that
-// restores the cycle switches it back.  Both modes are bit-identical in
-// every observable (po_count, energy, fire order of surviving events):
-// PO accounting commutes with every other handler, and the materialized
-// window reproduces the legacy event chain verbatim.
+// per-occasion events at all: one sentinel at the monitoring horizon
+// settles the count and the energy in a single multiplication, and every
+// cycle change (DA-SC's adjustment at the reconfiguration release, the
+// restore at the reception release) first settles the old cycle through
+// the change instant.  Tie rule: a PO at the instant of a cycle change
+// counts under the old cycle; the new cycle's occasions start just after
+// it.  This is the paper's own accounting — light-sleep uptime is a pure
+// function of the DRX cycle over the horizon, and DA-SC only changes which
+// cycle applies when — and it keeps a device's queue events independent
+// of its cycle and of the horizon.
 #pragma once
 
 #include <cstdint>
@@ -135,8 +136,8 @@ public:
 
     /// Powers the device off from idle: PO accounting is settled through
     /// the current instant and then frozen (no occasions are charged while
-    /// off-air), any materialized occasion event is cancelled, and the
-    /// device stops listening — pages delivered while off are misses.
+    /// off-air), and the device stops listening — pages delivered while off
+    /// are misses.
     void power_off();
 
     /// Rejoins the network after power_off: the device re-attaches (one
@@ -192,24 +193,17 @@ public:
     [[nodiscard]] EstablishmentCause last_cause() const noexcept { return last_cause_; }
 
 private:
-    void schedule_next_po();
-    void on_po();
-    /// Analytic-mode settlement: adds every PO in [analytic_from_, bound)
-    /// to the fleet counters in one closed-form step and advances the
-    /// window.  No-op in materialized mode.
+    /// Adds every PO of the current cycle in [unsettled_from_, bound) to
+    /// the fleet counters in one closed-form step and advances the window.
     void settle_pos(SimTime bound);
-    /// Switches to per-occasion events (the legacy chain), settling the
-    /// analytic window through the current instant first.
-    void materialize_pos();
-    /// Returns to analytic mode: cancels the pending occasion event and
-    /// resumes closed-form counting exactly where the chain stopped.
-    void dematerialize_pos();
     /// Continuation capacity 16: every caller captures at most `this` plus
     /// one DrxCycle, and the small bound keeps the enclosing RA-completion
     /// closure inside RachChannel::Callback's own inline buffer.
     using ConnectedFn = sim::SmallFunction<void(), 16>;
     void start_connection(SimTime earliest, EstablishmentCause cause,
                           ConnectedFn once_connected);
+    /// Switches to `cycle` after settling the old cycle's POs through the
+    /// current instant, inclusive (the tie rule above).
     void apply_cycle(DrxCycle cycle);
     void require_state(UeState expected, const char* operation) const;
     [[nodiscard]] const Hooks& hooks() const noexcept {
@@ -232,10 +226,7 @@ private:
     UeState state_ = UeState::idle;
     bool powered_ = true;
     SimTime monitor_until_{0};
-    std::optional<sim::EventId> po_event_;
-    SimTime next_po_time_{0};   // fire time of po_event_, when set
-    SimTime analytic_from_{0};  // next unsettled instant in analytic mode
-    bool materialized_ = false;
+    SimTime unsettled_from_{0};  // first instant whose PO is not yet counted
     SimTime wait_started_{0};
     bool payload_received_ = false;
     std::optional<SimTime> connected_at_;

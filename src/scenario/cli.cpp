@@ -14,7 +14,9 @@ namespace {
 /// Strict numeric parse of a positional token (same rules as flag_u64,
 /// shared mechanics in parse_util.hpp).
 std::uint64_t parse_positional(const char* text, std::size_t index,
-                               std::uint64_t min_value) {
+                               std::uint64_t min_value,
+                               std::uint64_t max_value =
+                                   std::numeric_limits<std::uint64_t>::max()) {
     char flag_name[32];
     std::snprintf(flag_name, sizeof flag_name, "positional #%zu", index + 1);
     std::uint64_t parsed = 0;
@@ -34,16 +36,24 @@ std::uint64_t parse_positional(const char* text, std::size_t index,
                       min_value);
         flag_error(flag_name, text, reason);
     }
+    if (parsed > max_value) {
+        char reason[64];
+        std::snprintf(reason, sizeof reason, "value must be <= %" PRIu64,
+                      max_value);
+        flag_error(flag_name, text, reason);
+    }
     return parsed;
 }
 
 }  // namespace
 
 std::size_t positional_value(int argc, char** argv, std::size_t index,
-                             std::size_t fallback, std::size_t min_value) {
+                             std::size_t fallback, std::size_t min_value,
+                             std::size_t max_value) {
     const char* text = positional_text(argc, argv, index);
     if (text == nullptr) return fallback;
-    return static_cast<std::size_t>(parse_positional(text, index, min_value));
+    return static_cast<std::size_t>(
+        parse_positional(text, index, min_value, max_value));
 }
 
 std::uint64_t positional_u64(int argc, char** argv, std::size_t index,

@@ -121,11 +121,12 @@ inline const char* positional_text(int argc, char** argv, std::size_t index) {
 }
 
 /// Strict positional counterpart of flag_value, for the examples' classic
-/// `binary [devices] [seed]` spellings.
-[[nodiscard]] std::size_t positional_value(int argc, char** argv,
-                                           std::size_t index,
-                                           std::size_t fallback,
-                                           std::size_t min_value = 1);
+/// `binary [devices] [seed]` spellings; a value outside [min_value,
+/// max_value] is a usage error.
+[[nodiscard]] std::size_t positional_value(
+    int argc, char** argv, std::size_t index, std::size_t fallback,
+    std::size_t min_value = 1,
+    std::size_t max_value = std::numeric_limits<std::size_t>::max());
 [[nodiscard]] std::uint64_t positional_u64(int argc, char** argv,
                                            std::size_t index,
                                            std::uint64_t fallback);

@@ -37,7 +37,7 @@ std::string read_integer(const In& in, T& out, std::uint64_t lo,
         case U64ParseError::out_of_range: return "value out of range";
     }
     if (value < lo) return "value must be >= " + std::to_string(lo);
-    if (value > hi) return "value out of range (max " + std::to_string(hi) + ")";
+    if (value > hi) return "value must be <= " + std::to_string(hi);
     out = static_cast<T>(value);
     return {};
 }
@@ -389,7 +389,7 @@ const KeyRow kRows[] = {
     {.key = "cells", .flag = "--cells",
      .set = [](Spec& s, const In& in) {
          std::size_t cells = s.cell_count();
-         std::string reason = read_integer(in, cells, 1);
+         std::string reason = read_integer(in, cells, 1, kMaxCells);
          if (reason.empty()) s.with_cell_count(cells);  // a hotspot base stays one
          return reason;
      },

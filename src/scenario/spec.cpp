@@ -224,9 +224,9 @@ void ScenarioSpec::validate() const {
                                     "': mechanism list must not be empty");
     }
     if (topology) {
-        if (topology->cells == 0) {
-            throw std::invalid_argument("scenario '" + name +
-                                        "': cells must be >= 1");
+        if (topology->cells < 1 || topology->cells > kMaxCells) {
+            throw std::invalid_argument("scenario '" + name + "': cells must be in [1, " +
+                                        std::to_string(kMaxCells) + "]");
         }
         if (!(topology->hotspot_exponent >= 0.0) ||
             !std::isfinite(topology->hotspot_exponent)) {

@@ -25,6 +25,12 @@
 
 namespace nbmg::scenario {
 
+/// Upper bound on a scenario's cell count (the `cells` key, --cells and
+/// validate()).  Far above any grid the presets run (64 cells at most),
+/// and low enough that a mistyped count is refused before the engine sizes
+/// its per-cell state.
+inline constexpr std::size_t kMaxCells = 4096;
+
 /// Declarative multicell grid: how many cells and how load skews across
 /// them.  `realize()` builds the multicell::CellTopology the deployment
 /// engine consumes.

@@ -77,6 +77,13 @@ TEST(BenchFlagDeathTest, MalformedCellCountsRejected) {
     Args<1> missing({"--cells"});
     EXPECT_EXIT((void)spec_from_args(missing.argc, missing.argv(), "fig6a"),
                 ::testing::ExitedWithCode(2), "missing value");
+    // Past kMaxCells: a usage error, not a length_error or bad_alloc abort.
+    const std::string bound = "value must be <= " + std::to_string(scenario::kMaxCells);
+    for (const char* cells : {"9223372036854775000", "4000000000"}) {
+        Args<4> huge({"--preset", "citywide", "--cells", cells});
+        EXPECT_EXIT((void)spec_from_args(huge.argc, huge.argv(), "fig6a"),
+                    ::testing::ExitedWithCode(2), bound);
+    }
 }
 
 TEST(BenchFlagDeathTest, ScenarioAndPresetResolutionRejected) {
@@ -121,7 +128,7 @@ TEST(BenchFlagDeathTest, MalformedStrataRejected) {
     // reserved for valid requests flowing through resolve_strata).
     Args<4> over({"--preset", "fig6a", "--strata", "33"});
     EXPECT_EXIT((void)spec_from_args(over.argc, over.argv(), "fig6a"),
-                ::testing::ExitedWithCode(2), "value out of range");
+                ::testing::ExitedWithCode(2), "value must be <= 32");
     Args<3> missing({"--preset", "fig6a", "--strata"});
     EXPECT_EXIT((void)spec_from_args(missing.argc, missing.argv(), "fig6a"),
                 ::testing::ExitedWithCode(2), "missing value");
@@ -156,6 +163,12 @@ TEST(BenchFlagDeathTest, MalformedPositionalsRejected) {
     Args<1> junk({"12x"});
     EXPECT_EXIT((void)positional_value(junk.argc, junk.argv(), 0, 1),
                 ::testing::ExitedWithCode(2), "not a decimal integer");
+    // citywide_rollout's positional cell count meets the `cells` bound.
+    Args<2> cells({"800", "4000000000"});
+    EXPECT_EXIT((void)positional_value(cells.argc, cells.argv(), 1, 1, 1,
+                                       scenario::kMaxCells),
+                ::testing::ExitedWithCode(2),
+                "value must be <= " + std::to_string(scenario::kMaxCells));
 }
 
 TEST(BenchFlagDeathTest, UnknownFlagCannotSwallowAPositional) {
@@ -199,7 +212,7 @@ TEST(BenchFlagDeathTest, MisspelledFlagsRejectedBySpecResolution) {
 TEST(BenchFlagDeathTest, PayloadKbOverrideCannotWrapInt64) {
     Args<4> args({"--preset", "fig6a", "--payload-kb", "18014398509481985"});
     EXPECT_EXIT((void)spec_from_args(args.argc, args.argv(), "fig6a"),
-                ::testing::ExitedWithCode(2), "value out of range");
+                ::testing::ExitedWithCode(2), "value must be <= 9007199254740991");
 }
 
 TEST(BenchFlagDeathTest, SpecFromArgsValidatesTheFinalSpec) {

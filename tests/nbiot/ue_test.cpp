@@ -1,9 +1,13 @@
 // UE state-machine behaviour: PO monitoring, paging reactions, the DR-SI
-// T322 path, DA-SC reconfiguration (anchored and formula models), and the
-// uptime buckets each procedure charges.
+// T322 path, DA-SC reconfiguration (anchored and formula models), the
+// closed-form PO ledger's tie rule at a cycle change and its
+// horizon-independent event count, and the uptime buckets each procedure
+// charges.
 #include "nbiot/ue.hpp"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "nbiot/cell.hpp"
 
@@ -225,6 +229,79 @@ TEST_F(UeTest, RestoreAfterReceptionRestoresCycle) {
     // Back on the formula grid of the original cycle.
     EXPECT_TRUE(cell_.paging().is_po(ue.next_po_at_or_after(second_page + SimTime{1}),
                                      ue.imsi(), drx::seconds_163_84()));
+}
+
+TEST_F(UeTest, PoAtTheRestoreInstantCountsUnderTheAdaptedCycle) {
+    // Tie rule (ue.hpp): a PO at the instant of a cycle change counts under
+    // the old cycle.  Here the release that restores the original cycle
+    // lands exactly on an adapted-cycle PO, after a 10 s inactivity tail
+    // that outlasts the 2.56 s adapted cycle.  The same rule covers the
+    // switch at the reconfiguration release.
+    const DrxCycle original = drx::seconds_163_84();
+    const DrxCycle adapted = drx::seconds_2_56();
+    const SimTime tail{10'000};
+    const SimTime restore_signaling = timing_.rrc_release + timing_.rrc_reconfiguration;
+    const SimTime horizon{800'000};
+    Ue& ue = make_ue(original);
+    ue.start_monitoring(horizon);
+    const PagingSchedule& paging = cell_.paging();
+
+    SimTime restore_at{0};
+    std::vector<SimTime> releases;
+    Ue::Hooks hooks;
+    hooks.on_connected = [&](DeviceId, SimTime at) {
+        restore_at = paging.first_po_at_or_after(
+            at + SimTime{1'000} + tail + restore_signaling, ue.imsi(), adapted);
+        ue.begin_reception(restore_at - tail - restore_signaling, tail);
+    };
+    hooks.on_released = [&](DeviceId, SimTime at) { releases.push_back(at); };
+    ue.set_hooks(std::move(hooks));
+    const SimTime po = po_of(ue);
+    cell_.simulation().queue().schedule_at(po, [&] { ue.page_for_reconfig(adapted); });
+    const SimTime second_page = po + SimTime{8 * adapted.period_ms()};
+    cell_.simulation().queue().schedule_at(second_page, [&] {
+        ASSERT_TRUE(ue.listening_at(second_page));
+        ue.page_normal();
+    });
+    run();
+
+    ASSERT_EQ(releases.size(), 2u);
+    const SimTime reconfigured_at = releases[0];
+    ASSERT_EQ(releases[1], restore_at);
+    ASSERT_TRUE(paging.is_po(restore_at, ue.imsi(), adapted));
+    EXPECT_EQ(ue.current_cycle(), original);
+    const std::int64_t expected =
+        paging.po_count_in_range(SimTime{1}, reconfigured_at + SimTime{1}, ue.imsi(),
+                                 original) +
+        paging.po_count_in_range(reconfigured_at + SimTime{1}, restore_at + SimTime{1},
+                                 ue.imsi(), adapted) +
+        paging.po_count_in_range(restore_at + SimTime{1}, horizon, ue.imsi(), original);
+    EXPECT_EQ(static_cast<std::int64_t>(ue.po_count()), expected);
+    EXPECT_EQ(ue.energy().uptime(PowerState::po_monitor),
+              timing_.po_monitor * static_cast<std::int64_t>(ue.po_count()));
+}
+
+/// Queue events one device executes when reconfigured from 163.84 s to
+/// 2.56 s and then monitored to `horizon`.
+std::uint64_t reconfigured_device_events(SimTime horizon) {
+    Cell cell(1234, PagingConfig{}, RachConfig{}, TimingModel{});
+    Ue& ue = cell.add_ue(
+        UeSpec{DeviceId{0}, Imsi{777'000'111}, drx::seconds_163_84(), CeLevel::ce0});
+    ue.start_monitoring(horizon);
+    const SimTime po =
+        cell.paging().first_po_at_or_after(SimTime{0}, ue.imsi(), ue.current_cycle());
+    cell.simulation().queue().schedule_at(
+        po, [&] { ue.page_for_reconfig(drx::seconds_2_56()); });
+    cell.simulation().queue().run_all();
+    EXPECT_EQ(ue.current_cycle(), drx::seconds_2_56());
+    return cell.simulation().queue().executed();
+}
+
+TEST(UeEventCountTest, ReconfiguredDeviceRunsTheSameEventsAtAnyHorizon) {
+    // A per-occasion event chain would add one event per 2.56 s of
+    // horizon; the closed-form ledger keeps the count fixed.
+    EXPECT_EQ(reconfigured_device_events(SimTime{400'000}),
+              reconfigured_device_events(SimTime{4'000'000}));
 }
 
 TEST_F(UeTest, ListeningOnlyAtOwnPos) {

@@ -116,17 +116,24 @@ TEST(ScenarioParserTest, TypeMismatchNamesTheLine) {
     // Values that would wrap when multiplied (payload_kb) or narrowed to
     // int must fail at the line, not run a different experiment.
     expect_parse_error("payload_kb = 18014398509481985\n",
-                       {"test.scenario:1", "out of range"});
+                       {"test.scenario:1", "value must be <= 9007199254740991"});
     expect_parse_error("max_page_records = 4294967312\n",
-                       {"test.scenario:1", "out of range"});
+                       {"test.scenario:1", "value must be <= 2147483647"});
     expect_parse_error("max_page_attempts = 2147483648\n",
-                       {"test.scenario:1", "out of range"});
+                       {"test.scenario:1", "value must be <= 2147483647"});
     expect_parse_error("ti_ms = 9223372036854775808\n",
-                       {"test.scenario:1", "out of range"});
+                       {"test.scenario:1", "value must be <= 9223372036854775807"});
     expect_parse_error("ra_guard_ms = 9223372036854775808\n",
-                       {"test.scenario:1", "out of range"});
+                       {"test.scenario:1", "value must be <= 9223372036854775807"});
     expect_parse_error("sc_ptm_mcch_period_ms = 9223372036854775808\n",
-                       {"test.scenario:1", "out of range"});
+                       {"test.scenario:1", "value must be <= 9223372036854775807"});
+    // A cell count past kMaxCells fails at its line, before the engine
+    // sizes any per-cell state (it used to abort in vector::reserve or
+    // die with bad_alloc).
+    const std::string cells_bound = "value must be <= " + std::to_string(kMaxCells);
+    expect_parse_error("cells = 9223372036854775000\n",
+                       {"test.scenario:1", cells_bound.c_str()});
+    expect_parse_error("cells = 4000000000\n", {"test.scenario:1", cells_bound.c_str()});
     // Rows apply in table order, `when` before the value: without cells
     // the grid rule fires first.
     expect_parse_error("devices = 10\ntopology = ring\n",
@@ -235,7 +242,7 @@ TEST(ScenarioParserTest, CoordinatorKeysValidatedAsAGroup) {
                        {"test.scenario:3", "not a finite number"});
     expect_parse_error("cells = 4\ncoordinator = fixed-stagger\n"
                        "coordinator.stagger_ms = 9223372036854775808\n",
-                       {"test.scenario:3", "out of range"});
+                       {"test.scenario:3", "value must be <= 9223372036854775807"});
 }
 
 TEST(ScenarioParserTest, ParsesTelemetryKeysInAnyOrder) {
@@ -345,7 +352,7 @@ TEST(ScenarioParserTest, CheckpointKeysValidatedAsAGroup) {
     expect_parse_error(
         "checkpoint.out = s.bin\n"
         "checkpoint.every_ms = 9223372036854775808\n",
-        {"test.scenario:2", "out of range"});
+        {"test.scenario:2", "value must be <= 9223372036854775807"});
     // Empty paths.
     expect_parse_error("checkpoint.out =\n", {"test.scenario:1", "empty path"});
     expect_parse_error("checkpoint.resume =\n",

@@ -7,7 +7,10 @@
 // recorded as 64-bit digests before the fold, at --threads 1 and 8 (equal
 // at both): FNV-1a over the little-endian stats::Summary state bytes
 // (snapshot::put_summary) of all 12 MechanismStats fields, the unicast row
-// first, then each mechanism in spec order.
+// first, then each mechanism in spec order.  The DA-SC tail/page-loss file
+// (examples/scenarios/dasc_tail.scenario) is pinned the same way, recorded
+// on the 1-cell deployment while the UE still ran one event per paging
+// occasion through DA-SC's adjustment window.
 //
 // Multicell: the 16-cell citywide preset must reproduce run_deployment on
 // the hand-assembled pre-redesign setup, with and without a coordinator, at
@@ -20,6 +23,7 @@
 
 #include "core/experiment.hpp"
 #include "multicell/deployment.hpp"
+#include "scenario/parser.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/run.hpp"
 #include "snapshot/codec.hpp"
@@ -96,6 +100,15 @@ TEST(ScenarioGoldenTest, Fig7DrScMatchesPinnedDigest) {
 TEST(ScenarioGoldenTest, ChurnMatchesPinnedDigest) {
     expect_pinned_digest(Registry::instance().preset("churn"),
                          0x046770bc98869f3fULL);
+}
+
+TEST(ScenarioGoldenTest, DaScTailAndPageLossMatchPinnedDigest) {
+    // DA-SC with the inactivity tail on, the one setting in which the
+    // release that restores a device's cycle can outlast the adapted
+    // cycle, plus lossy paging.
+    expect_pinned_digest(
+        load_scenario_file(std::string(NBMG_SCENARIO_DIR) + "/dasc_tail.scenario"),
+        0x84e2de613c3b9899ULL);
 }
 
 TEST(ScenarioGoldenTest, SingleRunStrataWithTelemetryMatchPinnedDigests) {

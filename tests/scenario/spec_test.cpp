@@ -103,6 +103,10 @@ TEST(ScenarioSpecTest, ValidationNamesTheOffendingField) {
                  std::invalid_argument);
     EXPECT_THROW(ScenarioSpec{}.with_hotspot(4, -1.0).validate(),
                  std::invalid_argument);
+    // The builder API meets the same cell bound as the `cells` key.
+    EXPECT_NO_THROW(ScenarioSpec{}.with_cells(kMaxCells).validate());
+    EXPECT_THROW(ScenarioSpec{}.with_cells(kMaxCells + 1).validate(),
+                 std::invalid_argument);
 }
 
 TEST(ScenarioSpecTest, CoordinatorBuildersAndValidation) {
