@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
                      "note: scenario runs=%zu ignored — the battery projection "
                      "runs one campaign per mechanism\n",
                      spec.runs);
-        spec.with_runs(1);
+        spec.runs = 1;
     }
     const std::size_t devices = spec.device_count;
     const std::size_t updates_per_year =

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
     bench::reject_flags(argc, argv, {"--ti-ms"},
                         "has no effect here: the ablation sweeps TI over "
                         "5/10/20/30 s");
-    scenario::ScenarioSpec base = bench::require_single_cell(
+    const scenario::ScenarioSpec base = bench::require_single_cell(
         bench::spec_from_args(argc, argv, "ablation-ti"), "ablation_ti_sweep");
     if (base.config.inactivity_timer != core::CampaignConfig{}.inactivity_timer) {
         std::fprintf(stderr,
@@ -30,13 +30,9 @@ int main(int argc, char** argv) {
     stats::Table table({"TI (s)", "DR-SC tx/device", "DR-SC connected vs unicast",
                         "DA-SC connected vs unicast", "DR-SI connected vs unicast",
                         "DA-SC light-sleep vs unicast"});
-    // Every TI point replays the same per-run populations; generate them
-    // once and share (bit-identical to regenerating at each point).
-    base.with_populations(core::generate_comparison_populations(
-        base.profile, base.device_count, base.runs, base.base_seed));
     for (const std::int64_t ti_ms : {5'000, 10'000, 20'000, 30'000}) {
         scenario::ScenarioSpec point = base;
-        point.with_inactivity_timer_ms(ti_ms);
+        point.config.inactivity_timer = nbiot::SimTime{ti_ms};
 
         const multicell::DeploymentResult outcome =
             scenario::run_scenario(point).outcome;

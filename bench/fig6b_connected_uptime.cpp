@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
     bench::reject_flags(argc, argv, {"--payload-kb"},
                         "has no effect here: fig6b sweeps the paper's "
                         "100KB/1MB/10MB payloads");
-    scenario::ScenarioSpec base = bench::require_single_cell(
+    const scenario::ScenarioSpec base = bench::require_single_cell(
         bench::spec_from_args(argc, argv, "fig6b"), "fig6b_connected_uptime");
     if (base.payload_bytes != traffic::firmware_100kb().bytes) {
         std::fprintf(stderr,
@@ -37,16 +37,11 @@ int main(int argc, char** argv) {
                         "relative connected-mode uptime increase vs unicast");
     bench::print_scenario_line(base);
 
-    // The payload sweep replays the same per-run populations at every
-    // point; generate them once and share.
-    base.with_populations(core::generate_comparison_populations(
-        base.profile, base.device_count, base.runs, base.base_seed));
-
     stats::Table table({"payload", "mechanism", "connected uptime (s/device)",
                         "increase vs unicast", "ci95", "paper shape"});
     for (const auto& payload : traffic::paper_payloads()) {
         scenario::ScenarioSpec point = base;
-        point.with_payload_bytes(payload.bytes);
+        point.payload_bytes = payload.bytes;
 
         const multicell::DeploymentResult outcome =
             scenario::run_scenario(point).outcome;

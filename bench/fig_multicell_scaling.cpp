@@ -3,9 +3,9 @@
 // the dominant costs (DR-SC cover, paging-slot search, the event loop)
 // shrink superlinearly with the shard size, and the independent (run, cell)
 // loops fan across the worker pool — wall-clock drops from one serial loop
-// toward max-over-cells.  The fleet population is generated once and shared
-// by every sweep point, and aggregates stay bit-identical for any
-// --threads.
+// toward max-over-cells.  Every sweep point draws the same fleet (run r's
+// population depends only on the seed and r), and aggregates stay
+// bit-identical for any --threads.
 //
 // Scenario shell: the `multicell-scaling` preset (or --scenario/--preset)
 // provides the fleet; --cells sets the sweep's end point.  With a
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
     }
     scenario::ShellFlags shell;
     shell.bare_flags = {"--profile"};
-    scenario::ScenarioSpec base =
+    const scenario::ScenarioSpec base =
         bench::spec_from_args(argc, argv, "multicell-scaling", shell);
     const std::size_t max_cells = base.cell_count();
 
@@ -50,12 +50,6 @@ int main(int argc, char** argv) {
     bench::print_scenario_line(base);
 
     telemetry::PhaseProfiler profiler(profile);
-
-    // One fleet, every sweep point: population generation is paid once.
-    profiler.begin("generate populations");
-    base.with_populations(core::generate_comparison_populations(
-        base.profile, base.device_count, base.runs, base.base_seed));
-    profiler.end();
 
     // The per-mechanism columns report the scenario's *first* mechanism
     // (DR-SC in the preset); label them accordingly.
@@ -83,7 +77,8 @@ int main(int argc, char** argv) {
     for (const std::size_t cells : cell_counts) {
         scenario::ScenarioSpec point = base;
         // Count-only change: a hotspot scenario sweeps as a hotspot.
-        point.with_cell_count(cells);
+        if (!point.topology) point.topology.emplace();
+        point.topology->cells = cells;
 
         profiler.begin("cells " + std::to_string(cells));
         const auto started = std::chrono::steady_clock::now();

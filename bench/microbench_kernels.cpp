@@ -158,8 +158,9 @@ BENCHMARK(BM_DrScPlan)->Arg(200)->Arg(1'000)->Arg(10'000)->Unit(benchmark::kMill
 void BM_MulticellCampaign(benchmark::State& state) {
     // One fleet-wide comparison run (unicast reference + DR-SC) sharded
     // across `cells` cells with 8 workers: the deployment-layer scaling
-    // case.  The population is generated once outside the timed region and
-    // shared, exactly as fig_multicell_scaling shares it across points.
+    // case.  The engine generates the fleet inside the timed region: about
+    // 25 ms for 10^5 devices (~244 ns per device), against a case measured
+    // in seconds.
     multicell::DeploymentSetup setup;
     setup.profile = bench_base_spec().profile;
     setup.config = bench_base_spec().config;
@@ -171,8 +172,6 @@ void BM_MulticellCampaign(benchmark::State& state) {
     setup.mechanisms = {core::MechanismKind::dr_sc};
     setup.topology = multicell::CellTopology::uniform(
         static_cast<std::size_t>(state.range(1)));
-    setup.populations = core::generate_comparison_populations(
-        setup.profile, setup.device_count, setup.runs, setup.base_seed);
     for (auto _ : state) {
         benchmark::DoNotOptimize(multicell::run_deployment(setup));
     }
@@ -300,7 +299,7 @@ int main(int argc, char** argv) {
     shell.bare_flags = {"--help", "--version"};
     bench_base_spec() = scenario::require_single_cell(
         scenario::spec_from_args(
-            argc, argv, scenario::ScenarioSpec{}.with_name("microbench"),
+            argc, argv, scenario::ScenarioSpec{.name = "microbench"},
             shell),
         "microbench_kernels");
     std::vector<char*> remaining;

@@ -7,7 +7,8 @@
 #             trial build of the nbmg lib.
 #   Debug   — warnings-as-errors build of everything; fast tier-1 CTest
 #             subset (ctest -L tier1, which now includes the analysis
-#             and stress labels); scenario-file + coordinator smokes
+#             and stress labels); every bench and example shell at a
+#             tiny size; scenario-file + coordinator smokes
 #             (the DA-SC tail/page-loss file's CSV is byte-diffed Debug
 #             vs Release); failure-injection smoke (churn scenario,
 #             outage preset, lossy backhaul — all three CSVs are
@@ -55,6 +56,18 @@ run_scenario_smokes() {
     --scenario examples/scenarios/citywide_16cells.scenario 800 8 42
   "${build_dir}/bench/ablation_scptm" --preset ablation-scptm \
     --devices 50 --runs 2 --threads 2
+  echo "=== ${build_dir}: every bench and example shell at a tiny size ==="
+  "${build_dir}/bench/fig6b_connected_uptime" --devices 50 --runs 2 --threads 2
+  "${build_dir}/bench/fig7_transmissions" --runs 2 --threads 2
+  "${build_dir}/bench/ablation_battery_life" --devices 50 --threads 2
+  "${build_dir}/bench/ablation_contention" --devices 50 --runs 1 --threads 2
+  "${build_dir}/bench/ablation_drx_mix" --devices 50 --runs 2 --threads 2
+  "${build_dir}/bench/ablation_setcover" --runs 2 --threads 2
+  "${build_dir}/bench/ablation_ti_sweep" --devices 50 --runs 2 --threads 2
+  "${build_dir}/examples/quickstart" 50 1
+  "${build_dir}/examples/firmware_campaign" 100 100 7
+  "${build_dir}/examples/mechanism_tradeoffs" 50 1
+  "${build_dir}/examples/paging_explorer"
   for scenario in examples/scenarios/*.scenario; do
     "${build_dir}/examples/run_scenario" --scenario "${scenario}" \
       --runs 1 --devices 200

@@ -31,12 +31,12 @@ int main(int argc, char** argv) {
     using namespace nbmg;
 
     scenario::ScenarioSpec base = bench::spec_from_args(argc, argv, "citywide");
-    base.with_devices(bench::positional_value(argc, argv, 0, base.device_count));
-    base.with_cell_count(
-        bench::positional_value(argc, argv, 1, base.cell_count(), 1, scenario::kMaxCells));
-    base.with_seed(bench::positional_u64(argc, argv, 2, base.base_seed));
+    base.device_count =
+        bench::positional_value(argc, argv, 0, base.device_count, 1, scenario::kMaxDevices);
+    const std::size_t cells =
+        bench::positional_value(argc, argv, 1, base.cell_count(), 1, scenario::kMaxCells);
+    base.base_seed = bench::positional_u64(argc, argv, 2, base.base_seed);
     const std::size_t devices = base.device_count;
-    const std::size_t cells = base.cell_count();
 
     std::printf(
         "citywide rollout: %zu devices over %zu cells, %zu runs, seed %llu\n"
@@ -44,10 +44,6 @@ int main(int argc, char** argv) {
         devices, cells, base.runs,
         static_cast<unsigned long long>(base.base_seed),
         static_cast<double>(base.payload_bytes) / 1024.0);
-
-    // The fleet is the same under every scenario: generate it once.
-    base.with_populations(core::generate_comparison_populations(
-        base.profile, base.device_count, base.runs, base.base_seed));
 
     // The DR-SC/DA-SC columns follow the scenario's mechanism list; a list
     // without one of them shows "-" instead of indexing out of bounds.
@@ -73,18 +69,16 @@ int main(int argc, char** argv) {
           multicell::AssignmentPolicy::hotspot,
           multicell::AssignmentPolicy::class_affinity}) {
         scenario::ScenarioSpec point = base;
-        point.with_assignment(policy);
+        point.assignment = policy;
+        point.topology = scenario::TopologySpec{.cells = cells};
         if (policy == multicell::AssignmentPolicy::hotspot) {
             // Keep a scenario-provided Zipf exponent; default to the classic
             // downtown gradient otherwise.
-            const double exponent =
-                base.topology &&
-                        base.topology->kind == scenario::TopologySpec::Kind::hotspot
-                    ? base.topology->hotspot_exponent
-                    : 1.0;
-            point.with_hotspot(cells, exponent);
-        } else {
-            point.with_cells(cells);
+            point.topology->kind = scenario::TopologySpec::Kind::hotspot;
+            if (base.topology &&
+                base.topology->kind == scenario::TopologySpec::Kind::hotspot) {
+                point.topology->hotspot_exponent = base.topology->hotspot_exponent;
+            }
         }
 
         const scenario::ScenarioResult scenario_result =

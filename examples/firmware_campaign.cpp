@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
                      "note: scenario runs=%zu ignored — firmware_campaign "
                      "narrates a single campaign\n",
                      spec.runs);
-        spec.with_runs(1);
+        spec.runs = 1;
     }
     if (spec.mechanisms !=
         std::vector<core::MechanismKind>{core::MechanismKind::da_sc}) {
@@ -40,16 +40,16 @@ int main(int argc, char** argv) {
                      "narrates the DA-SC rollout (its plan-inspection "
                      "sections are DA-SC specific)\n");
     }
-    spec.with_devices(bench::positional_value(argc, argv, 0, spec.device_count));
+    spec.device_count =
+        bench::positional_value(argc, argv, 0, spec.device_count, 1, scenario::kMaxDevices);
     // Only an actually-given positional converts KB -> bytes; the fallback
     // keeps the spec's payload untouched (it need not be KiB-aligned).
     if (const char* payload_kb = bench::positional_text(argc, argv, 1);
         payload_kb != nullptr) {
-        spec.with_payload_bytes(scenario::payload_kb_to_bytes(
-            bench::positional_value(argc, argv, 1, 1), "positional #2",
-            payload_kb));
+        spec.payload_bytes = scenario::payload_kb_to_bytes(
+            bench::positional_value(argc, argv, 1, 1), "positional #2", payload_kb);
     }
-    spec.with_seed(bench::positional_u64(argc, argv, 2, spec.base_seed));
+    spec.base_seed = bench::positional_u64(argc, argv, 2, spec.base_seed);
     const std::size_t n = spec.device_count;
 
     sim::RandomStream pop_rng{sim::derive_seed(spec.base_seed, "population")};

@@ -47,8 +47,9 @@ int main(int argc, char** argv) {
     scenario::ScenarioSpec base = bench::require_single_cell(
         bench::spec_from_args(argc, argv, "mechanism-tradeoffs"),
         "mechanism_tradeoffs");
-    base.with_devices(bench::positional_value(argc, argv, 0, base.device_count));
-    base.with_seed(bench::positional_u64(argc, argv, 1, base.base_seed));
+    base.device_count =
+        bench::positional_value(argc, argv, 0, base.device_count, 1, scenario::kMaxDevices);
+    base.base_seed = bench::positional_u64(argc, argv, 1, base.base_seed);
 
     std::printf("mechanism_tradeoffs: n=%zu, profile=%s\n", base.device_count,
                 base.profile.name.c_str());
@@ -59,7 +60,8 @@ int main(int argc, char** argv) {
     for (const auto& payload : traffic::paper_payloads()) {
         for (const std::int64_t ti : {10'000, 30'000}) {
             scenario::ScenarioSpec point = base;
-            point.with_payload_bytes(payload.bytes).with_inactivity_timer_ms(ti);
+            point.payload_bytes = payload.bytes;
+            point.config.inactivity_timer = nbiot::SimTime{ti};
 
             const multicell::DeploymentResult outcome =
                 scenario::run_scenario(point).outcome;

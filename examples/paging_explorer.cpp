@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
         "paging config and TI");
     const scenario::ScenarioSpec spec = bench::require_single_cell(
         bench::spec_from_args(
-            argc, argv, scenario::ScenarioSpec{}.with_name("paging-explorer")),
+            argc, argv, scenario::ScenarioSpec{.name = "paging-explorer"}),
         "paging_explorer");
     const std::uint64_t imsi_value =
         bench::positional_u64(argc, argv, 0, 262'042'000'012'345ULL);

@@ -26,10 +26,11 @@ int main(int argc, char** argv) {
                      "note: scenario runs=%zu ignored — quickstart runs one "
                      "campaign per mechanism\n",
                      spec.runs);
-        spec.with_runs(1);
+        spec.runs = 1;
     }
-    spec.with_devices(bench::positional_value(argc, argv, 0, spec.device_count));
-    spec.with_seed(bench::positional_u64(argc, argv, 1, spec.base_seed));
+    spec.device_count =
+        bench::positional_value(argc, argv, 0, spec.device_count, 1, scenario::kMaxDevices);
+    spec.base_seed = bench::positional_u64(argc, argv, 1, spec.base_seed);
 
     // 1. The device population from the scenario's profile (default: the
     //    calibrated "Massive IoT in the City" mix).

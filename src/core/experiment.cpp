@@ -7,29 +7,11 @@
 
 namespace nbmg::core {
 
-SharedPopulations generate_comparison_populations(
+std::vector<traffic::GeneratedDevice> run_population(
     const traffic::PopulationProfile& profile, std::size_t device_count,
-    std::size_t runs, std::uint64_t base_seed) {
-    const sim::RngFactory rng_factory(base_seed);
-    auto populations = std::make_shared<ComparisonPopulations>();
-    populations->profile_name = profile.name;
-    populations->device_count = device_count;
-    populations->base_seed = base_seed;
-    populations->runs.reserve(runs);
-    populations->class_indices.reserve(runs);
-    for (std::size_t run = 0; run < runs; ++run) {
-        sim::RandomStream pop_rng = rng_factory.stream("population", run);
-        const auto generated =
-            traffic::generate_population(profile, device_count, pop_rng);
-        populations->runs.push_back(traffic::to_specs(generated));
-        std::vector<std::uint32_t> classes;
-        classes.reserve(generated.size());
-        for (const auto& d : generated) {
-            classes.push_back(static_cast<std::uint32_t>(d.class_index));
-        }
-        populations->class_indices.push_back(std::move(classes));
-    }
-    return populations;
+    std::uint64_t base_seed, std::size_t run) {
+    sim::RandomStream rng = sim::RngFactory(base_seed).stream("population", run);
+    return traffic::generate_population(profile, device_count, rng);
 }
 
 std::vector<TransmissionSweepPoint> drsc_transmission_sweep(
@@ -49,13 +31,10 @@ std::vector<TransmissionSweepPoint> drsc_transmission_sweep(
     // on (base_seed, run), exactly as the serial loop derived them.
     const auto plan_cell = [&](std::size_t point, std::size_t run) -> double {
         const std::size_t device_count = device_counts[point];
-        const sim::RngFactory rng_factory(base_seed);
         const DrScMechanism dr_sc;
-        sim::RandomStream pop_rng = rng_factory.stream("population", run);
-        const auto population =
-            traffic::generate_population(profile, device_count, pop_rng);
-        const auto specs = traffic::to_specs(population);
-        sim::RandomStream plan_rng = rng_factory.stream("plan-drsc", run);
+        const auto specs =
+            traffic::to_specs(run_population(profile, device_count, base_seed, run));
+        sim::RandomStream plan_rng = sim::RngFactory(base_seed).stream("plan-drsc", run);
         const MulticastPlan plan = dr_sc.plan(specs, config, plan_rng);
         return static_cast<double>(plan.transmissions.size());
     };

@@ -1,5 +1,5 @@
 // Multi-run experiment building blocks shared by every driver: the
-// per-run device populations, the per-mechanism aggregate bundle, and the
+// per-run device population, the per-mechanism aggregate bundle, and the
 // Fig. 7 DR-SC planning sweep.  The campaign engine itself is
 // multicell::run_deployment (a single-cell scenario is its 1-cell
 // deployment); scenario::run_scenario is the front door.
@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,29 +22,13 @@
 
 namespace nbmg::core {
 
-/// Per-run device populations generated once and shared across every
-/// mechanism and every sweep point that uses the same (profile,
-/// device_count, base_seed).  The generating parameters travel with the
-/// specs so the engine can reject a set generated for a different setup
-/// instead of silently producing non-reproducible aggregates.
-struct ComparisonPopulations {
-    std::string profile_name;
-    std::size_t device_count = 0;
-    std::uint64_t base_seed = 0;
-    std::vector<std::vector<nbiot::UeSpec>> runs;  // index: runs[run]
-    /// Per-device profile class (parallel to `runs`): class_indices[run][d]
-    /// is the index into PopulationProfile::classes that generated device d;
-    /// the deployment engine feeds it to class-affinity assignment policies.
-    std::vector<std::vector<std::uint32_t>> class_indices;
-};
-using SharedPopulations = std::shared_ptr<const ComparisonPopulations>;
-
-/// Generates the populations of runs 0..runs-1, each from
-/// stream("population", run) of base_seed — aggregates computed from a
-/// shared set are bit-identical to regenerating per call.
-[[nodiscard]] SharedPopulations generate_comparison_populations(
+/// The fleet of run `run`: `device_count` devices drawn from `profile`
+/// with stream("population", run) of base_seed.  Every driver that needs
+/// run r's devices (the deployment engine, the Fig. 7 planning sweep)
+/// draws them here, so they all see the same fleet.
+[[nodiscard]] std::vector<traffic::GeneratedDevice> run_population(
     const traffic::PopulationProfile& profile, std::size_t device_count,
-    std::size_t runs, std::uint64_t base_seed);
+    std::uint64_t base_seed, std::size_t run);
 
 /// Aggregated results of one mechanism across runs.
 struct MechanismStats {

@@ -57,9 +57,9 @@ struct DeviceAssignment {
 };
 
 /// Assigns every device to a cell.  `class_indices` must parallel `devices`
-/// for class_affinity (see ComparisonPopulations::class_indices) and may be
-/// empty for the other policies.  Throws std::invalid_argument on an
-/// invalid topology or a missing/mismatched class span.
+/// for class_affinity (each device's traffic::GeneratedDevice::class_index)
+/// and may be empty for the other policies.  Throws std::invalid_argument
+/// on an invalid topology or a missing/mismatched class span.
 [[nodiscard]] DeviceAssignment assign_devices(
     const CellTopology& topology, std::span<const nbiot::UeSpec> devices,
     std::span<const std::uint32_t> class_indices, AssignmentPolicy policy,

@@ -295,20 +295,4 @@ CoordinationAggregates coordinate_deployment(const DeploymentResult& deployment,
     return aggregates;
 }
 
-CoordinatedResult run_coordinated(const DeploymentSetup& setup,
-                                  const CoordinatorSpec& coordinator) {
-    if (!coordinator.valid()) {
-        throw std::invalid_argument(
-            "run_coordinated: invalid coordinator spec (policy-scoped knobs: "
-            "stagger_ms needs fixed-stagger, backhaul_kbps > 0 needs backhaul)");
-    }
-    CoordinatedResult result;
-    result.deployment = run_deployment(setup);
-    result.coordination = coordinate_deployment(result.deployment, coordinator,
-                                                setup.payload_bytes,
-                                                setup.telemetry,
-                                                setup.base_seed);
-    return result;
-}
-
 }  // namespace nbmg::multicell

@@ -4,10 +4,10 @@
 // The deployment layer runs each (run, cell) campaign as an independent
 // event loop in its own local time — cells share no radio state, so
 // shifting a cell's start on the city clock changes nothing inside the
-// cell.  The coordinator exploits exactly that: it runs the deployment
-// engine untouched (run_coordinated's embedded DeploymentResult is
-// bit-identical to calling run_deployment directly, for every policy) and
-// schedules the per-cell campaign spans run_deployment records
+// cell.  The coordinator exploits exactly that: it leaves the deployment
+// engine untouched (the DeploymentResult is the same whether or not it is
+// coordinated afterwards, for every policy) and schedules the per-cell
+// campaign spans run_deployment records
 // (DeploymentResult::spans) onto a shared wall-clock with a deterministic
 // start policy:
 //
@@ -129,13 +129,6 @@ struct CoordinationAggregates {
     stats::Summary redelivered_bytes;
 };
 
-struct CoordinatedResult {
-    /// Bit-identical to run_deployment(setup): coordination never reaches
-    /// into the cells' event loops.
-    DeploymentResult deployment;
-    CoordinationAggregates coordination;
-};
-
 /// Schedules one run's cell spans onto the city clock.  Pure and
 /// deterministic; exposed for direct testing.  `payload_bytes` is the
 /// per-cell image size the backhaul policy must deliver.  `sink` (not
@@ -150,18 +143,13 @@ struct CoordinatedResult {
                                        telemetry::CampaignSink* sink = nullptr,
                                        std::uint64_t loss_seed = 0);
 
-/// Runs the deployment and coordinates every run's cells on the shared
-/// wall-clock.  Throws std::invalid_argument on an invalid coordinator
-/// spec (see CoordinatorSpec::valid) or deployment setup.
-[[nodiscard]] CoordinatedResult run_coordinated(const DeploymentSetup& setup,
-                                                const CoordinatorSpec& coordinator);
-
 /// Coordinates an already-executed deployment (reuses its recorded spans;
-/// the run count is spans.size() / cell_count).  run_coordinated is this
-/// composed with run_deployment.  `telemetry` (not owned, may be null)
-/// routes each run's backhaul feed events to the collector's per-run city
-/// sink (telemetry::Collector::city_sink).  `base_seed` roots the lossy
-/// feed's per-run retransmission streams (ignored when loss_prob == 0).
+/// the run count is spans.size() / cell_count).  `telemetry` (not owned,
+/// may be null) routes each run's backhaul feed events to the collector's
+/// per-run city sink (telemetry::Collector::city_sink).  `base_seed` roots
+/// the lossy feed's per-run retransmission streams (ignored when
+/// loss_prob == 0).  Throws std::invalid_argument on an invalid coordinator
+/// (see CoordinatorSpec::valid).
 [[nodiscard]] CoordinationAggregates coordinate_deployment(
     const DeploymentResult& deployment, const CoordinatorSpec& coordinator,
     std::int64_t payload_bytes, telemetry::Collector* telemetry = nullptr,

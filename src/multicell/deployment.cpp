@@ -364,31 +364,6 @@ DeploymentResult run_deployment(const DeploymentSetup& setup) {
         throw std::invalid_argument("run_deployment: invalid topology");
     }
 
-    core::SharedPopulations populations = setup.populations;
-    if (populations) {
-        if (populations->base_seed != setup.base_seed ||
-            populations->device_count != setup.device_count ||
-            populations->profile_name != setup.profile.name) {
-            throw std::invalid_argument(
-                "run_deployment: shared populations were generated for a "
-                "different (profile, device_count, base_seed)");
-        }
-        if (populations->runs.size() < setup.runs) {
-            throw std::invalid_argument(
-                "run_deployment: shared populations cover fewer runs than "
-                "setup.runs");
-        }
-        if (setup.assignment == AssignmentPolicy::class_affinity &&
-            populations->class_indices.size() < setup.runs) {
-            throw std::invalid_argument(
-                "run_deployment: class_affinity needs shared populations with "
-                "class indices");
-        }
-    } else {
-        populations = core::generate_comparison_populations(
-            setup.profile, setup.device_count, setup.runs, setup.base_seed);
-    }
-
     const std::size_t cells = setup.topology.cell_count();
 
     // Per-cell campaign configs (paging-capacity overrides).
@@ -409,10 +384,10 @@ DeploymentResult run_deployment(const DeploymentSetup& setup) {
         cell_configs[setup.cell_down->cell].outage_at_ms = setup.cell_down->at_ms;
     }
 
-    // Phase 1 — shard every run's fleet into per-cell spec slices (local
-    // dense device ids, fleet order preserved within a cell).  Assignment
-    // hashes IMSIs against the base seed, so the map is independent of the
-    // thread count.
+    // Phase 1 — generate every run's fleet and shard it into per-cell spec
+    // slices (local dense device ids, fleet order preserved within a cell).
+    // The fleet depends only on (base seed, run) and assignment hashes IMSIs
+    // against the base seed, so the map is independent of the thread count.
     struct RunShards {
         std::vector<std::vector<nbiot::UeSpec>> cell_specs;
     };
@@ -420,10 +395,15 @@ DeploymentResult run_deployment(const DeploymentSetup& setup) {
         setup.runs, setup.threads, [&](std::size_t run) {
             RunShards out;
             out.cell_specs.resize(cells);
-            const std::vector<nbiot::UeSpec>& fleet = populations->runs[run];
-            std::span<const std::uint32_t> classes;
+            const std::vector<traffic::GeneratedDevice> population = core::run_population(
+                setup.profile, setup.device_count, setup.base_seed, run);
+            const std::vector<nbiot::UeSpec> fleet = traffic::to_specs(population);
+            std::vector<std::uint32_t> classes;
             if (setup.assignment == AssignmentPolicy::class_affinity) {
-                classes = populations->class_indices[run];
+                classes.reserve(population.size());
+                for (const traffic::GeneratedDevice& device : population) {
+                    classes.push_back(static_cast<std::uint32_t>(device.class_index));
+                }
             }
             const DeviceAssignment assignment = assign_devices(
                 setup.topology, fleet, classes, setup.assignment, setup.base_seed);

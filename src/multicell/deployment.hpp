@@ -2,8 +2,9 @@
 // independent cells and fans the per-cell plan+campaign event loops over
 // the sweep worker pool.  A single-cell scenario is the 1-cell deployment.
 //
-// Per run, the fleet population is generated once (stream("population",
-// run) of the base seed), assigned to cells by a deterministic policy, and
+// Per run, the fleet population is generated once (core::run_population:
+// stream("population", run) of the base seed) inside that run's shard
+// task, assigned to cells by a deterministic policy, and
 // every cell plans (DR-SC/DA-SC/DR-SI over its own camped devices) and
 // executes its campaign as an independent event loop.  A cell's campaigns
 // are numbered in slots, the numbering the telemetry collector and the
@@ -67,12 +68,6 @@ struct DeploymentSetup {
     /// machinery, each receiving an analytic serialized unicast
     /// re-delivery (counted in redelivery_bytes and the completion tail).
     std::optional<faults::OutageSpec> cell_down;
-    /// Optional precomputed fleet populations (see
-    /// generate_comparison_populations); reused across every cell and — by
-    /// sharing the handle — across cell-count sweep points.  Must match
-    /// (profile, device_count, base_seed) and cover `runs`; class_affinity
-    /// additionally needs its class_indices.
-    core::SharedPopulations populations;
     /// Optional telemetry collector (telemetry/collector.hpp); not owned,
     /// null = telemetry disabled.  Must be sized for at least `runs` runs,
     /// topology.cell_count() cells and mechanisms.size() + 1 campaigns
@@ -141,7 +136,7 @@ struct DeploymentResult {
 /// Runs the deployment: `runs` campaigns of the full fleet, each sharded
 /// over `setup.topology` by `setup.assignment`, all (run, cell) event loops
 /// fanned across the worker pool.  Throws std::invalid_argument on an
-/// empty/invalid setup or mismatched shared populations.
+/// empty/invalid setup.
 [[nodiscard]] DeploymentResult run_deployment(const DeploymentSetup& setup);
 
 /// The RNG root of one cell: the base seed itself for a 1-cell deployment

@@ -20,28 +20,8 @@ std::uint64_t parse_positional(const char* text, std::size_t index,
     char flag_name[32];
     std::snprintf(flag_name, sizeof flag_name, "positional #%zu", index + 1);
     std::uint64_t parsed = 0;
-    switch (parse_strict_u64(text, parsed)) {
-        case U64ParseError::none: break;
-        case U64ParseError::empty: flag_error(flag_name, text, "empty value");
-        case U64ParseError::negative:
-            flag_error(flag_name, text, "value must be non-negative");
-        case U64ParseError::not_decimal:
-            flag_error(flag_name, text, "not a decimal integer");
-        case U64ParseError::out_of_range:
-            flag_error(flag_name, text, "value out of range");
-    }
-    if (parsed < min_value) {
-        char reason[64];
-        std::snprintf(reason, sizeof reason, "value must be >= %" PRIu64,
-                      min_value);
-        flag_error(flag_name, text, reason);
-    }
-    if (parsed > max_value) {
-        char reason[64];
-        std::snprintf(reason, sizeof reason, "value must be <= %" PRIu64,
-                      max_value);
-        flag_error(flag_name, text, reason);
-    }
+    const std::string reason = parse_u64_in_range(text, parsed, min_value, max_value);
+    if (!reason.empty()) flag_error(flag_name, text, reason.c_str());
     return parsed;
 }
 

@@ -11,13 +11,13 @@
 // tests/scenario/parser_test.cpp).
 #pragma once
 
-#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <initializer_list>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "scenario/parse_util.hpp"
@@ -64,21 +64,9 @@ namespace nbmg::scenario {
     const char* text = flag_text(argc, argv, flag);
     if (text == nullptr) return fallback;
     std::uint64_t v = 0;
-    switch (parse_strict_u64(text, v)) {
-        case U64ParseError::none: break;
-        case U64ParseError::empty: flag_error(flag, text, "empty value");
-        case U64ParseError::negative:
-            flag_error(flag, text, "value must be non-negative");
-        case U64ParseError::not_decimal:
-            flag_error(flag, text, "not a decimal integer");
-        case U64ParseError::out_of_range:
-            flag_error(flag, text, "value out of range");
-    }
-    if (v < min_value) {
-        char reason[64];
-        std::snprintf(reason, sizeof reason, "value must be >= %" PRIu64, min_value);
-        flag_error(flag, text, reason);
-    }
+    const std::string reason = parse_u64_in_range(
+        text, v, min_value, std::numeric_limits<std::uint64_t>::max());
+    if (!reason.empty()) flag_error(flag, text, reason.c_str());
     return v;
 }
 

@@ -29,17 +29,9 @@ std::string read_integer(const In& in, T& out, std::uint64_t lo,
                          std::uint64_t hi = static_cast<std::uint64_t>(
                              std::numeric_limits<T>::max())) {
     std::uint64_t value = 0;
-    switch (parse_strict_u64(in.value.c_str(), value)) {
-        case U64ParseError::none: break;
-        case U64ParseError::empty: return "empty value";
-        case U64ParseError::negative: return "value must be non-negative";
-        case U64ParseError::not_decimal: return "not a decimal integer";
-        case U64ParseError::out_of_range: return "value out of range";
-    }
-    if (value < lo) return "value must be >= " + std::to_string(lo);
-    if (value > hi) return "value must be <= " + std::to_string(hi);
-    out = static_cast<T>(value);
-    return {};
+    std::string reason = parse_u64_in_range(in.value.c_str(), value, lo, hi);
+    if (reason.empty()) out = static_cast<T>(value);
+    return reason;
 }
 
 /// read_integer for a millisecond duration.
@@ -158,7 +150,7 @@ std::string read_telemetry(Spec& spec, const In& in) {
 std::string read_coordinator(Spec& spec, const In& in) {
     // `none` is a flag-only spelling: a file leaves the key out instead.
     if (in.flag && in.value == "none") {
-        spec.without_coordinator();
+        spec.coordinator.reset();
         return {};
     }
     const auto policy = multicell::parse_start_policy(in.value);
@@ -249,7 +241,9 @@ const KeyRow kRows[] = {
                             Registry::instance().profile(s.profile.name).batch_mean);
      }},
     {.key = "devices", .flag = "--devices",
-     .set = [](Spec& s, const In& in) { return read_integer(in, s.device_count, 1); },
+     .set = [](Spec& s, const In& in) {
+         return read_integer(in, s.device_count, 1, kMaxDevices);
+     },
      .get = [](const Spec& s) { return text(s.device_count); }},
     {.key = "payload_bytes",
      .set = [](Spec& s, const In& in) { return read_integer(in, s.payload_bytes, 1); },
@@ -265,7 +259,7 @@ const KeyRow kRows[] = {
      .get = [](const Spec&) { return Text{}; },  // written as payload_bytes
      .same_as = "payload_bytes"},
     {.key = "runs", .flag = "--runs",
-     .set = [](Spec& s, const In& in) { return read_integer(in, s.runs, 1); },
+     .set = [](Spec& s, const In& in) { return read_integer(in, s.runs, 1, kMaxRuns); },
      .get = [](const Spec& s) { return text(s.runs); }},
     {.key = "seed", .flag = "--seed",
      .set = [](Spec& s, const In& in) { return read_integer(in, s.base_seed, 0); },
@@ -390,7 +384,10 @@ const KeyRow kRows[] = {
      .set = [](Spec& s, const In& in) {
          std::size_t cells = s.cell_count();
          std::string reason = read_integer(in, cells, 1, kMaxCells);
-         if (reason.empty()) s.with_cell_count(cells);  // a hotspot base stays one
+         if (reason.empty()) {
+             if (!s.topology) s.topology.emplace();  // a hotspot base stays one
+             s.topology->cells = cells;
+         }
          return reason;
      },
      .get = [](const Spec& s) { return text_if(grid(s), s.cell_count()); }},

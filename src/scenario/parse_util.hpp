@@ -1,8 +1,8 @@
 // The one strict non-negative-decimal parser behind every scenario-layer
 // number: command-line flags (cli.hpp), positionals (cli.cpp) and the key
-// table's values (keys.cpp) all share these mechanics and differ only in
-// how they report the error, so a rule change (e.g. rejecting a new edge)
-// cannot silently miss one entry point.
+// table's values (keys.cpp) all read integers through parse_u64_in_range
+// and differ only in how they report its reason, so a rule change (e.g.
+// rejecting a new edge) or a message cannot silently miss one entry point.
 #pragma once
 
 #include <cctype>
@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <string>
 #include <string_view>
 
 namespace nbmg::scenario {
@@ -51,6 +52,24 @@ enum class U64ParseError : std::uint8_t {
     if (end == text || *end != '\0') return U64ParseError::not_decimal;
     out = static_cast<std::uint64_t>(parsed);
     return U64ParseError::none;
+}
+
+/// Parses `text` (parse_strict_u64's grammar) as an integer in [lo, hi]
+/// into `out`; returns why it cannot, or "" on success.
+[[nodiscard]] inline std::string parse_u64_in_range(const char* text, std::uint64_t& out,
+                                                    std::uint64_t lo, std::uint64_t hi) {
+    std::uint64_t value = 0;
+    switch (parse_strict_u64(text, value)) {
+        case U64ParseError::none: break;
+        case U64ParseError::empty: return "empty value";
+        case U64ParseError::negative: return "value must be non-negative";
+        case U64ParseError::not_decimal: return "not a decimal integer";
+        case U64ParseError::out_of_range: return "value out of range";
+    }
+    if (value < lo) return "value must be >= " + std::to_string(lo);
+    if (value > hi) return "value must be <= " + std::to_string(hi);
+    out = value;
+    return {};
 }
 
 enum class DoubleParseError : std::uint8_t {

@@ -1,7 +1,6 @@
 #include "scenario/registry.hpp"
 
 #include <stdexcept>
-#include <utility>
 
 #include "traffic/firmware.hpp"
 
@@ -21,192 +20,107 @@ namespace {
 
 using core::MechanismKind;
 
+struct MechanismEntry {
+    const char* name;  // command-line / scenario-file spelling
+    MechanismKind kind;
+};
+
+constexpr MechanismEntry kMechanisms[] = {
+    {"dr-sc", MechanismKind::dr_sc},  // DRX respecting, standards compliant
+    {"da-sc", MechanismKind::da_sc},  // DRX adjusting, standards compliant
+    {"dr-si", MechanismKind::dr_si},  // DRX respecting, standards incompliant
+    {"unicast", MechanismKind::unicast},  // the paper's energy reference
+    {"sc-ptm", MechanismKind::sc_ptm},    // SC-PTM periodic monitoring baseline
+};
+
 /// One preset per shipped bench/example workload, frozen at the defaults
 /// the pre-redesign binaries hand-assembled (the golden equivalence tests
-/// in tests/scenario/ compare against exactly these).
-void register_builtin_presets(Registry& registry) {
-    registry.register_preset(
-        "fig6a", "Fig. 6(a): relative light-sleep uptime increase vs unicast",
-        ScenarioSpec{}.with_name("fig6a").with_devices(300).with_runs(50));
-
-    registry.register_preset(
-        "fig6b",
-        "Fig. 6(b): relative connected-mode uptime increase (payload sweep base)",
-        ScenarioSpec{}.with_name("fig6b").with_devices(300).with_runs(30));
-
-    registry.register_preset(
-        "fig7", "Fig. 7: DR-SC multicast transmissions vs device count",
-        ScenarioSpec{}.with_name("fig7").with_devices(1000).with_runs(100).with_mechanisms(
-            {MechanismKind::dr_sc}));
-
-    registry.register_preset(
-        "ablation-setcover",
-        "A1: greedy vs first-fit/random/exact on DR-SC window instances",
-        ScenarioSpec{}.with_name("ablation-setcover").with_devices(24).with_runs(40).with_mechanisms(
-            {MechanismKind::dr_sc}));
-
-    registry.register_preset(
-        "ablation-ti", "A2: inactivity-timer (TI) sweep base point",
-        ScenarioSpec{}.with_name("ablation-ti").with_devices(300).with_runs(20));
-
-    registry.register_preset(
-        "ablation-drx-mix", "A3: DRX-mix sensitivity of DR-SC transmissions",
-        ScenarioSpec{}.with_name("ablation-drx-mix").with_devices(500).with_runs(30).with_mechanisms(
-            {MechanismKind::dr_sc}));
-
-    registry.register_preset(
-        "ablation-contention",
-        "A4: paging capacity, RACH load and page-loss stress (DR-SI)",
-        ScenarioSpec{}.with_name("ablation-contention").with_devices(400).with_runs(10).with_mechanisms(
-            {MechanismKind::dr_si}));
-
-    registry.register_preset(
-        "ablation-scptm", "A5: SC-PTM standing-cost baseline vs on-demand",
-        ScenarioSpec{}
-            .with_name("ablation-scptm")
-            .with_devices(200)
-            .with_runs(15)
-            .with_mechanisms({MechanismKind::dr_sc, MechanismKind::da_sc,
-                              MechanismKind::dr_si, MechanismKind::sc_ptm}));
-
-    registry.register_preset(
-        "ablation-battery", "A6: battery-life projection per mechanism",
-        ScenarioSpec{}
-            .with_name("ablation-battery")
-            .with_devices(150)
-            .with_runs(1)
-            .with_payload_bytes(traffic::firmware_1mb().bytes)
-            .with_mechanisms({MechanismKind::dr_sc, MechanismKind::da_sc,
-                              MechanismKind::dr_si, MechanismKind::sc_ptm}));
-
-    registry.register_preset(
-        "smoke", "40-device CI smoke of all three mechanisms",
-        ScenarioSpec{}
-            .with_name("smoke")
-            .with_devices(40)
-            .with_payload_bytes(100 * 1024)
-            .with_runs(2)
-            .with_seed(42)
-            .with_inactivity_timer_ms(10'000));
-
-    registry.register_preset(
-        "quickstart", "one small campaign per mechanism, narrated",
-        ScenarioSpec{}.with_name("quickstart").with_devices(200).with_runs(1).with_seed(1));
-
-    registry.register_preset(
-        "firmware-campaign", "DA-SC firmware rollout for a metering fleet",
-        ScenarioSpec{}
-            .with_name("firmware-campaign")
-            .with_devices(2'000)
-            .with_runs(1)
-            .with_seed(7)
-            .with_payload_bytes(traffic::firmware_1mb().bytes)
-            .with_mechanisms({MechanismKind::da_sc}));
-
-    registry.register_preset(
-        "mechanism-tradeoffs", "payload x TI recommendation sweep base point",
-        ScenarioSpec{}.with_name("mechanism-tradeoffs").with_devices(200).with_runs(5));
-
-    registry.register_preset(
-        "citywide", "one fleet campaign sharded over a 16-cell city grid",
-        ScenarioSpec{}.with_name("citywide").with_devices(6'000).with_runs(2).with_cells(16));
-
-    registry.register_preset(
-        "citywide-staggered",
-        "citywide fleet with 30 s staggered per-cell campaign starts",
-        ScenarioSpec{}
-            .with_name("citywide-staggered")
-            .with_devices(6'000)
-            .with_runs(2)
-            .with_cells(16)
-            .with_stagger_ms(30'000));
-
-    registry.register_preset(
-        "citywide-backhaul",
-        "citywide 1 MB rollout gated by a 512 KB/s central eNB feed",
-        ScenarioSpec{}
-            .with_name("citywide-backhaul")
-            .with_devices(6'000)
-            .with_runs(2)
-            .with_cells(16)
-            .with_payload_bytes(traffic::firmware_1mb().bytes)
-            .with_backhaul_kbps(512.0));
-
-    registry.register_preset(
-        "megacell",
-        "one 10^6-device cell split into 8 paging-frame strata (DR-SI)",
-        ScenarioSpec{}
-            .with_name("megacell")
-            .with_devices(1'000'000)
-            .with_runs(1)
-            .with_strata(8)
-            .with_mechanisms({MechanismKind::dr_si}));
-
-    registry.register_preset(
-        "churn",
-        "single-cell campaign under device churn (leave/rejoin point "
-        "processes)",
-        ScenarioSpec{}
-            .with_name("churn")
-            .with_devices(300)
-            .with_runs(5)
-            .with_churn(2.0, 120'000));
-
-    registry.register_preset(
-        "outage",
-        "4-cell rollout with cell 1 dying mid-campaign; stranded devices "
-        "self-heal onto the survivors",
-        ScenarioSpec{}
-            .with_name("outage")
-            .with_devices(2'000)
-            .with_runs(3)
-            .with_cells(4)
-            .with_cell_down(faults::OutageSpec{1, 60'000}));
-
-    registry.register_preset(
-        "multicell-scaling",
-        "fixed fleet sharded over up to 64 cells (scaling sweep base)",
-        ScenarioSpec{}
-            .with_name("multicell-scaling")
-            .with_devices(20'000)
-            .with_runs(2)
-            .with_cells(64)
-            .with_mechanisms({MechanismKind::dr_sc}));
+/// in tests/scenario/ compare against exactly these, and registry_test
+/// pins every entry's fingerprint).  Each entry's name fills its spec's.
+std::vector<Registry::PresetEntry> builtin_presets() {
+    using multicell::StartPolicy;
+    const std::int64_t firmware = traffic::firmware_1mb().bytes;
+    const std::vector<MechanismKind> four{MechanismKind::dr_sc, MechanismKind::da_sc,
+                                          MechanismKind::dr_si, MechanismKind::sc_ptm};
+    std::vector<Registry::PresetEntry> presets{
+        {"fig6a", "Fig. 6(a): relative light-sleep uptime increase vs unicast",
+         {.device_count = 300, .runs = 50}},
+        {"fig6b", "Fig. 6(b): relative connected-mode uptime increase (payload sweep base)",
+         {.device_count = 300, .runs = 30}},
+        {"fig7", "Fig. 7: DR-SC multicast transmissions vs device count",
+         {.device_count = 1'000, .runs = 100, .mechanisms = {MechanismKind::dr_sc}}},
+        {"ablation-setcover", "A1: greedy vs first-fit/random/exact on DR-SC window instances",
+         {.device_count = 24, .runs = 40, .mechanisms = {MechanismKind::dr_sc}}},
+        {"ablation-ti", "A2: inactivity-timer (TI) sweep base point",
+         {.device_count = 300, .runs = 20}},
+        {"ablation-drx-mix", "A3: DRX-mix sensitivity of DR-SC transmissions",
+         {.device_count = 500, .runs = 30, .mechanisms = {MechanismKind::dr_sc}}},
+        {"ablation-contention", "A4: paging capacity, RACH load and page-loss stress (DR-SI)",
+         {.device_count = 400, .runs = 10, .mechanisms = {MechanismKind::dr_si}}},
+        {"ablation-scptm", "A5: SC-PTM standing-cost baseline vs on-demand",
+         {.device_count = 200, .runs = 15, .mechanisms = four}},
+        {"ablation-battery", "A6: battery-life projection per mechanism",
+         {.device_count = 150, .payload_bytes = firmware, .runs = 1, .mechanisms = four}},
+        {"smoke", "40-device CI smoke of all three mechanisms",
+         {.device_count = 40, .runs = 2}},
+        {"quickstart", "one small campaign per mechanism, narrated",
+         {.device_count = 200, .runs = 1, .base_seed = 1}},
+        {"firmware-campaign", "DA-SC firmware rollout for a metering fleet",
+         {.device_count = 2'000,
+          .payload_bytes = firmware,
+          .runs = 1,
+          .base_seed = 7,
+          .mechanisms = {MechanismKind::da_sc}}},
+        {"mechanism-tradeoffs", "payload x TI recommendation sweep base point",
+         {.device_count = 200, .runs = 5}},
+        {"citywide", "one fleet campaign sharded over a 16-cell city grid",
+         {.device_count = 6'000, .runs = 2, .topology = TopologySpec{.cells = 16}}},
+        {"citywide-staggered", "citywide fleet with 30 s staggered per-cell campaign starts",
+         {.device_count = 6'000,
+          .runs = 2,
+          .topology = TopologySpec{.cells = 16},
+          .coordinator = multicell::CoordinatorSpec{.policy = StartPolicy::fixed_stagger,
+                                                    .stagger_ms = 30'000}}},
+        {"citywide-backhaul", "citywide 1 MB rollout gated by a 512 KB/s central eNB feed",
+         {.device_count = 6'000,
+          .payload_bytes = firmware,
+          .runs = 2,
+          .topology = TopologySpec{.cells = 16},
+          .coordinator = multicell::CoordinatorSpec{.policy = StartPolicy::backhaul_budgeted,
+                                                    .backhaul_kbps = 512.0}}},
+        {"megacell", "one 10^6-device cell split into 8 paging-frame strata (DR-SI)",
+         {.device_count = 1'000'000,
+          .config = {.strata = 8},
+          .runs = 1,
+          .mechanisms = {MechanismKind::dr_si}}},
+        {"churn", "single-cell campaign under device churn (leave/rejoin point processes)",
+         {.device_count = 300,
+          .config = {.churn = {.leave_rate = 2.0, .rejoin_ms = 120'000}},
+          .runs = 5}},
+        {"outage",
+         "4-cell rollout with cell 1 dying mid-campaign; stranded devices self-heal onto "
+         "the survivors",
+         {.device_count = 2'000,
+          .runs = 3,
+          .topology = TopologySpec{.cells = 4},
+          .cell_down = faults::OutageSpec{.cell = 1, .at_ms = 60'000}}},
+        {"multicell-scaling", "fixed fleet sharded over up to 64 cells (scaling sweep base)",
+         {.device_count = 20'000,
+          .runs = 2,
+          .mechanisms = {MechanismKind::dr_sc},
+          .topology = TopologySpec{.cells = 64}}},
+    };
+    for (Registry::PresetEntry& entry : presets) entry.spec.name = entry.name;
+    return presets;
 }
 
 }  // namespace
 
-Registry::Registry() {
-    mechanisms_ = {
-        {"dr-sc", MechanismKind::dr_sc,
-         "DRX respecting, standards compliant (greedy window cover)"},
-        {"da-sc", MechanismKind::da_sc,
-         "DRX adjusting, standards compliant (single transmission)"},
-        {"dr-si", MechanismKind::dr_si,
-         "DRX respecting, standards incompliant (paging extension)"},
-        {"unicast", MechanismKind::unicast,
-         "per-device delivery; the paper's energy reference"},
-        {"sc-ptm", MechanismKind::sc_ptm,
-         "SC-PTM-style periodic monitoring (extension baseline)"},
-    };
-    profiles_ = traffic::builtin_profiles();
-    register_builtin_presets(*this);
-}
+Registry::Registry() : presets_(builtin_presets()) {}
 
-Registry& Registry::instance() {
-    static Registry registry;
+const Registry& Registry::instance() {
+    static const Registry registry;
     return registry;
-}
-
-void Registry::register_mechanism(MechanismEntry entry) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const MechanismEntry& existing : mechanisms_) {
-        if (existing.name == entry.name) {
-            throw std::invalid_argument("mechanism '" + entry.name +
-                                        "' is already registered");
-        }
-    }
-    mechanisms_.push_back(std::move(entry));
 }
 
 core::MechanismKind Registry::mechanism(std::string_view name) const {
@@ -216,93 +130,55 @@ core::MechanismKind Registry::mechanism(std::string_view name) const {
 
 std::optional<core::MechanismKind> Registry::find_mechanism(
     std::string_view name) const noexcept {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const MechanismEntry& entry : mechanisms_) {
+    for (const MechanismEntry& entry : kMechanisms) {
         if (entry.name == name) return entry.kind;
     }
     return std::nullopt;
 }
 
 std::string Registry::mechanism_name(core::MechanismKind kind) const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const MechanismEntry& entry : mechanisms_) {
+    for (const MechanismEntry& entry : kMechanisms) {
         if (entry.kind == kind) return entry.name;
     }
     return core::to_string(kind);
 }
 
 std::vector<std::string> Registry::mechanism_names() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
     std::vector<std::string> names;
-    names.reserve(mechanisms_.size());
-    for (const MechanismEntry& entry : mechanisms_) names.push_back(entry.name);
+    for (const MechanismEntry& entry : kMechanisms) names.emplace_back(entry.name);
     return names;
 }
 
-void Registry::register_profile(traffic::PopulationProfile profile) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const traffic::PopulationProfile& existing : profiles_) {
-        if (existing.name == profile.name) {
-            throw std::invalid_argument("profile '" + profile.name +
-                                        "' is already registered");
-        }
-    }
-    profiles_.push_back(std::move(profile));
-}
-
 traffic::PopulationProfile Registry::profile(std::string_view name) const {
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        for (const traffic::PopulationProfile& entry : profiles_) {
-            if (entry.name == name) return entry;
-        }
+    for (const traffic::PopulationProfile& entry : traffic::builtin_profiles()) {
+        if (entry.name == name) return entry;
     }
     throw_unknown("profile", name, profile_names());
 }
 
 bool Registry::has_profile(std::string_view name) const noexcept {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const traffic::PopulationProfile& entry : profiles_) {
+    for (const traffic::PopulationProfile& entry : traffic::builtin_profiles()) {
         if (entry.name == name) return true;
     }
     return false;
 }
 
 std::vector<std::string> Registry::profile_names() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
     std::vector<std::string> names;
-    names.reserve(profiles_.size());
-    for (const traffic::PopulationProfile& entry : profiles_) {
+    for (const traffic::PopulationProfile& entry : traffic::builtin_profiles()) {
         names.push_back(entry.name);
     }
     return names;
 }
 
-void Registry::register_preset(std::string name, std::string description,
-                               ScenarioSpec spec) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const PresetEntry& existing : presets_) {
-        if (existing.name == name) {
-            throw std::invalid_argument("preset '" + name +
-                                        "' is already registered");
-        }
-    }
-    presets_.push_back(
-        PresetEntry{std::move(name), std::move(description), std::move(spec)});
-}
-
 ScenarioSpec Registry::preset(std::string_view name) const {
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        for (const PresetEntry& entry : presets_) {
-            if (entry.name == name) return entry.spec;
-        }
+    for (const PresetEntry& entry : presets_) {
+        if (entry.name == name) return entry.spec;
     }
     throw_unknown("preset", name, preset_names());
 }
 
 bool Registry::has_preset(std::string_view name) const noexcept {
-    const std::lock_guard<std::mutex> lock(mutex_);
     for (const PresetEntry& entry : presets_) {
         if (entry.name == name) return true;
     }
@@ -310,16 +186,9 @@ bool Registry::has_preset(std::string_view name) const noexcept {
 }
 
 std::vector<std::string> Registry::preset_names() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
     std::vector<std::string> names;
-    names.reserve(presets_.size());
     for (const PresetEntry& entry : presets_) names.push_back(entry.name);
     return names;
-}
-
-std::vector<Registry::PresetEntry> Registry::presets() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return presets_;
 }
 
 }  // namespace nbmg::scenario

@@ -2,16 +2,14 @@
 // population profiles, and named preset scenarios.
 //
 // Drivers (bench shells, examples, the scenario-file parser) resolve names
-// through the registry instead of switch-casing, so a new mechanism,
-// profile or preset becomes available to every binary by registering it
-// once.  The built-ins (the paper's mechanisms, the traffic profiles, and
-// one preset per shipped bench/example workload) self-register when the
-// singleton is first touched; duplicate-name registration throws, and
-// unknown-name lookups throw with the list of available names so a typo on
-// the command line is self-diagnosing.
+// through the registry instead of switch-casing.  The three tables (the
+// paper's mechanisms, the traffic profiles, and one preset per shipped
+// bench/example workload) are const tables in registry.cpp: the registry
+// is built once, on first use, and never changes afterwards, so lookups
+// need no lock.  Unknown-name lookups throw with the list of available
+// names so a typo on the command line is self-diagnosing.
 #pragma once
 
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -23,55 +21,42 @@ namespace nbmg::scenario {
 
 class Registry {
 public:
-    struct MechanismEntry {
-        std::string name;  // command-line / scenario-file spelling
-        core::MechanismKind kind = core::MechanismKind::unicast;
-        std::string description;
-    };
     struct PresetEntry {
-        std::string name;
+        std::string name;  // also the spec's name
         std::string description;
         ScenarioSpec spec;
     };
 
-    /// The process-wide registry, built-ins pre-registered.
-    [[nodiscard]] static Registry& instance();
+    /// The process-wide registry.
+    [[nodiscard]] static const Registry& instance();
 
     // --- mechanisms ---
-    /// Throws std::invalid_argument when `entry.name` is already taken.
-    void register_mechanism(MechanismEntry entry);
-    /// Throws std::invalid_argument listing the registered spellings.
+    /// Throws std::invalid_argument listing the known spellings.
     [[nodiscard]] core::MechanismKind mechanism(std::string_view name) const;
     [[nodiscard]] std::optional<core::MechanismKind> find_mechanism(
         std::string_view name) const noexcept;
-    /// Canonical spelling of a kind (first registered entry for it).
+    /// Canonical spelling of a kind (first table entry for it).
     [[nodiscard]] std::string mechanism_name(core::MechanismKind kind) const;
     [[nodiscard]] std::vector<std::string> mechanism_names() const;
 
     // --- population profiles ---
-    /// Throws std::invalid_argument when the profile's name is taken.
-    void register_profile(traffic::PopulationProfile profile);
-    /// Throws std::invalid_argument listing the registered names.
+    /// Throws std::invalid_argument listing the known names.
     [[nodiscard]] traffic::PopulationProfile profile(std::string_view name) const;
     [[nodiscard]] bool has_profile(std::string_view name) const noexcept;
     [[nodiscard]] std::vector<std::string> profile_names() const;
 
     // --- preset scenarios ---
-    /// Throws std::invalid_argument when `name` is already taken.
-    void register_preset(std::string name, std::string description,
-                         ScenarioSpec spec);
-    /// Throws std::invalid_argument listing the registered names.
+    /// Throws std::invalid_argument listing the known names.
     [[nodiscard]] ScenarioSpec preset(std::string_view name) const;
     [[nodiscard]] bool has_preset(std::string_view name) const noexcept;
     [[nodiscard]] std::vector<std::string> preset_names() const;
-    [[nodiscard]] std::vector<PresetEntry> presets() const;
+    [[nodiscard]] const std::vector<PresetEntry>& presets() const noexcept {
+        return presets_;
+    }
 
 private:
     Registry();
 
-    mutable std::mutex mutex_;
-    std::vector<MechanismEntry> mechanisms_;
-    std::vector<traffic::PopulationProfile> profiles_;
     std::vector<PresetEntry> presets_;
 };
 

@@ -119,13 +119,11 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     multicell::DeploymentSetup setup = to_deployment_setup(spec);
     if (collector) setup.telemetry = &*collector;
     if (checkpoint) setup.checkpoint = &*checkpoint;
+    result.outcome = multicell::run_deployment(setup);
     if (spec.coordinator) {
-        multicell::CoordinatedResult coordinated =
-            multicell::run_coordinated(setup, *spec.coordinator);
-        result.coordination = std::move(coordinated.coordination);
-        result.outcome = std::move(coordinated.deployment);
-    } else {
-        result.outcome = multicell::run_deployment(setup);
+        result.coordination = multicell::coordinate_deployment(
+            result.outcome, *spec.coordinator, setup.payload_bytes, setup.telemetry,
+            setup.base_seed);
     }
     // Leave a complete snapshot behind on normal completion, so a
     // time-sharded driver may treat "finished" and "stopped" uniformly.

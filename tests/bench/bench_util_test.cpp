@@ -42,8 +42,8 @@ TEST(BenchFlagTest, AbsentFlagsFallBack) {
     EXPECT_EQ(city.cell_count(), 16u);
     EXPECT_EQ(city.assignment, multicell::AssignmentPolicy::uniform_hash);
     EXPECT_EQ(spec_from_args(none.argc, none.argv(),
-                             scenario::ScenarioSpec{}.with_cells(4).with_assignment(
-                                 multicell::AssignmentPolicy::hotspot))
+                             {.topology = scenario::TopologySpec{.cells = 4},
+                              .assignment = multicell::AssignmentPolicy::hotspot})
                   .assignment,
               multicell::AssignmentPolicy::hotspot);
 }
@@ -62,6 +62,16 @@ TEST(BenchFlagTest, ValidValuesParse) {
     Args<2> affinity({"--assignment", "class-affinity"});
     EXPECT_EQ(spec_from_args(affinity.argc, affinity.argv(), "citywide").assignment,
               multicell::AssignmentPolicy::class_affinity);
+
+    // The device and run caps themselves are accepted.
+    Args<4> at_cap({"--devices", "10000000", "--runs", "100000"});
+    const scenario::ScenarioSpec capped = spec_from_args(at_cap.argc, at_cap.argv(), "fig6a");
+    EXPECT_EQ(capped.device_count, scenario::kMaxDevices);
+    EXPECT_EQ(capped.runs, scenario::kMaxRuns);
+    Args<1> positional({"10000000"});
+    EXPECT_EQ(positional_value(positional.argc, positional.argv(), 0, 1, 1,
+                               scenario::kMaxDevices),
+              scenario::kMaxDevices);
 }
 
 TEST(BenchFlagDeathTest, MalformedCellCountsRejected) {
@@ -84,6 +94,27 @@ TEST(BenchFlagDeathTest, MalformedCellCountsRejected) {
         EXPECT_EXIT((void)spec_from_args(huge.argc, huge.argv(), "fig6a"),
                     ::testing::ExitedWithCode(2), bound);
     }
+}
+
+TEST(BenchFlagDeathTest, OversizedDeviceAndRunCountsRejected) {
+    // Past kMaxDevices / kMaxRuns: a usage error, not a length_error from
+    // vector::reserve or a bad_alloc abort.
+    const std::string devices_bound =
+        "value must be <= " + std::to_string(scenario::kMaxDevices);
+    for (const char* devices : {"9223372036854775808", "100000000000", "10000001"}) {
+        Args<4> huge({"--preset", "smoke", "--devices", devices});
+        EXPECT_EXIT((void)spec_from_args(huge.argc, huge.argv(), "fig6a"),
+                    ::testing::ExitedWithCode(2), devices_bound);
+    }
+    Args<4> runs({"--preset", "smoke", "--runs", "9223372036854775808"});
+    EXPECT_EXIT((void)spec_from_args(runs.argc, runs.argv(), "fig6a"),
+                ::testing::ExitedWithCode(2),
+                "value must be <= " + std::to_string(scenario::kMaxRuns));
+    // The examples' positional device counts meet the same bound.
+    Args<2> positional({"10000001", "7"});
+    EXPECT_EXIT((void)positional_value(positional.argc, positional.argv(), 0, 1, 1,
+                                       scenario::kMaxDevices),
+                ::testing::ExitedWithCode(2), devices_bound);
 }
 
 TEST(BenchFlagDeathTest, ScenarioAndPresetResolutionRejected) {
@@ -183,13 +214,13 @@ TEST(BenchFlagDeathTest, SingleCellShellsRejectMulticellScenarios) {
     // 2 naming the binary), never a std::bad_variant_access abort or a
     // silently ignored topology.
     EXPECT_EXIT((void)require_single_cell(
-                    scenario::ScenarioSpec{}.with_cells(4), "fig6a_test"),
+                    {.topology = scenario::TopologySpec{.cells = 4}}, "fig6a_test"),
                 ::testing::ExitedWithCode(2),
                 "fig6a_test drives the single-cell engine");
 }
 
 TEST(BenchFlagTest, RequireSingleCellPassesThroughSingleCellSpecs) {
-    const scenario::ScenarioSpec spec = scenario::ScenarioSpec{}.with_devices(7);
+    const scenario::ScenarioSpec spec{.device_count = 7};
     EXPECT_EQ(require_single_cell(spec, "test").device_count, 7u);
 }
 
@@ -232,12 +263,21 @@ TEST(BenchFlagDeathTest, AssignmentOverrideRequiresMulticell) {
 
 TEST(BenchFlagTest, CellsOverridePreservesTopologyKind) {
     Args<2> args({"--cells", "9"});
-    scenario::ScenarioSpec spec =
-        scenario::ScenarioSpec{}.with_hotspot(4, 1.5);
+    scenario::ScenarioSpec spec{
+        .topology = scenario::TopologySpec{.cells = 4,
+                                           .kind = scenario::TopologySpec::Kind::hotspot,
+                                           .hotspot_exponent = 1.5}};
     apply_spec_overrides(spec, args.argc, args.argv());
     EXPECT_EQ(spec.cell_count(), 9u);
     EXPECT_EQ(spec.topology->kind, scenario::TopologySpec::Kind::hotspot);
     EXPECT_EQ(spec.topology->hotspot_exponent, 1.5);
+}
+
+/// A 4-cell spec under fixed-stagger starts `ms` apart.
+scenario::ScenarioSpec staggered_grid(std::int64_t ms) {
+    return {.topology = scenario::TopologySpec{.cells = 4},
+            .coordinator = multicell::CoordinatorSpec{
+                .policy = multicell::StartPolicy::fixed_stagger, .stagger_ms = ms}};
 }
 
 TEST(BenchFlagTest, CoordinatorOverridesApply) {
@@ -261,15 +301,13 @@ TEST(BenchFlagTest, CoordinatorOverridesApply) {
     // "none" clears a preset's coordinator; the knob flags then have no
     // policy to attach to (covered by the death tests below).
     Args<2> cleared({"--coordinator", "none"});
-    scenario::ScenarioSpec preset =
-        scenario::ScenarioSpec{}.with_cells(4).with_stagger_ms(1'000);
+    scenario::ScenarioSpec preset = staggered_grid(1'000);
     apply_spec_overrides(preset, cleared.argc, cleared.argv());
     EXPECT_FALSE(preset.is_coordinated());
 
     // A same-policy override keeps the scenario's knobs.
     Args<2> same({"--coordinator", "fixed-stagger"});
-    scenario::ScenarioSpec keep =
-        scenario::ScenarioSpec{}.with_cells(4).with_stagger_ms(7'000);
+    scenario::ScenarioSpec keep = staggered_grid(7'000);
     apply_spec_overrides(keep, same.argc, same.argv());
     EXPECT_EQ(keep.coordinator->stagger_ms, 7'000);
 }
@@ -358,8 +396,8 @@ TEST(BenchFlagTest, TelemetryOverrideAddsToTheBaseModes) {
     // On a fresh spec this is the file key's meaning; on a base that
     // already collects metrics, --telemetry trace keeps them, and off
     // also drops the output paths.
-    const scenario::ScenarioSpec base =
-        scenario::ScenarioSpec{}.with_metrics_out("m.csv");
+    const scenario::ScenarioSpec base{
+        .telemetry = {.metrics = true, .metrics_out = "m.csv"}};
     Args<2> trace({"--telemetry", "trace"});
     scenario::ScenarioSpec both = base;
     apply_spec_overrides(both, trace.argc, trace.argv());

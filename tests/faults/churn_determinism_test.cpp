@@ -29,35 +29,33 @@ struct Shape {
 /// A faulted single-cell workload: aggressive churn so departures land in
 /// every run, telemetry on so the fault events are compared byte for byte.
 ScenarioSpec churn_spec(std::size_t strata) {
-    ScenarioSpec spec;
-    spec.name = "churn-property";
-    spec.device_count = 50;
-    spec.runs = 3;
-    spec.payload_bytes = 60 * 1024;
-    spec.base_seed = 90'210;
-    spec.with_strata(strata);
-    spec.with_churn(40.0, 90'000);
-    spec.with_telemetry_modes(true, true);
-    return spec;
+    return ScenarioSpec{
+        .name = "churn-property",
+        .device_count = 50,
+        .payload_bytes = 60 * 1024,
+        .config = {.churn = {.leave_rate = 40.0, .rejoin_ms = 90'000}, .strata = strata},
+        .runs = 3,
+        .base_seed = 90'210,
+        .telemetry = {.trace = true, .metrics = true}};
 }
 
 /// A multicell workload with all three fault classes engaged: churn, a
 /// mid-campaign outage of cell 1, and 10% backhaul chunk loss.
 ScenarioSpec faulted_city_spec(std::size_t strata) {
-    ScenarioSpec spec;
-    spec.name = "faulted-city-property";
-    spec.device_count = 120;
-    spec.runs = 2;
-    spec.payload_bytes = 60 * 1024;
-    spec.base_seed = 4'242;
-    spec.with_strata(strata);
-    spec.with_cells(3);
-    spec.with_backhaul_kbps(256.0);
-    spec.with_backhaul_loss(0.1);
-    spec.with_churn(20.0, 120'000);
-    spec.with_cell_down(faults::OutageSpec{1, 60'000});
-    spec.with_telemetry_modes(true, true);
-    return spec;
+    return ScenarioSpec{
+        .name = "faulted-city-property",
+        .device_count = 120,
+        .payload_bytes = 60 * 1024,
+        .config = {.churn = {.leave_rate = 20.0, .rejoin_ms = 120'000}, .strata = strata},
+        .runs = 2,
+        .base_seed = 4'242,
+        .topology = TopologySpec{.cells = 3},
+        .coordinator =
+            multicell::CoordinatorSpec{.policy = multicell::StartPolicy::backhaul_budgeted,
+                                       .backhaul_kbps = 256.0,
+                                       .loss_prob = 0.1},
+        .cell_down = faults::OutageSpec{.cell = 1, .at_ms = 60'000},
+        .telemetry = {.trace = true, .metrics = true}};
 }
 
 void expect_telemetry_equal(const ScenarioResult& a, const ScenarioResult& b) {
@@ -75,9 +73,9 @@ class FaultDeterminismProperty : public ::testing::TestWithParam<Shape> {};
 TEST_P(FaultDeterminismProperty, ChurnedComparisonIsThreadInvariant) {
     const Shape shape = GetParam();
     ScenarioSpec a = churn_spec(shape.strata);
-    a.with_threads(shape.threads_a);
+    a.threads = shape.threads_a;
     ScenarioSpec b = churn_spec(shape.strata);
-    b.with_threads(shape.threads_b);
+    b.threads = shape.threads_b;
     const ScenarioResult ra = run_scenario(a);
     const ScenarioResult rb = run_scenario(b);
     test_support::expect_deployment_results_equal(ra.deployment(),
@@ -90,9 +88,9 @@ TEST_P(FaultDeterminismProperty, ChurnedComparisonIsThreadInvariant) {
 TEST_P(FaultDeterminismProperty, FaultedCityIsThreadInvariant) {
     const Shape shape = GetParam();
     ScenarioSpec a = faulted_city_spec(shape.strata);
-    a.with_threads(shape.threads_a);
+    a.threads = shape.threads_a;
     ScenarioSpec b = faulted_city_spec(shape.strata);
-    b.with_threads(shape.threads_b);
+    b.threads = shape.threads_b;
     const ScenarioResult ra = run_scenario(a);
     const ScenarioResult rb = run_scenario(b);
     test_support::expect_deployment_results_equal(ra.deployment(),
@@ -122,9 +120,9 @@ INSTANTIATE_TEST_SUITE_P(Shapes, FaultDeterminismProperty,
 TEST(FaultDeterminismTest, ChurnOnActuallyDiffersFromOff) {
     ScenarioSpec off = churn_spec(1);
     off.config.churn = faults::ChurnSpec{};
-    off.with_threads(1);
+    off.threads = 1;
     ScenarioSpec on = churn_spec(1);
-    on.with_threads(1);
+    on.threads = 1;
     const ScenarioResult roff = run_scenario(off);
     const ScenarioResult ron = run_scenario(on);
     // Departed devices sleep through paging occasions they would have
@@ -136,17 +134,13 @@ TEST(FaultDeterminismTest, ChurnOnActuallyDiffersFromOff) {
 }
 
 TEST(FaultDeterminismTest, CheckpointResumeThroughOutageMatchesUninterrupted) {
-    const ScenarioSpec base = [] {
-        ScenarioSpec spec = faulted_city_spec(8);
-        spec.with_telemetry_modes(true, true);
-        return spec;
-    }();
+    const ScenarioSpec base = faulted_city_spec(8);
     const std::string snap =
         testing::TempDir() + "churn_outage_checkpoint.bin";
     std::remove(snap.c_str());
 
     ScenarioSpec full = base;
-    full.with_threads(1);
+    full.threads = 1;
     const ScenarioResult expected = run_scenario(full);
 
     // Interrupt after half the (run, cell) grid — before some of the
@@ -154,9 +148,8 @@ TEST(FaultDeterminismTest, CheckpointResumeThroughOutageMatchesUninterrupted) {
     const std::uint64_t budget = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(base.runs) * base.cell_count() / 2);
     ScenarioSpec interrupted = base;
-    interrupted.with_threads(1)
-        .with_checkpoint_out(snap)
-        .with_checkpoint_stop_after(budget);
+    interrupted.threads = 1;
+    interrupted.checkpoint = {.out = snap, .stop_after = budget};
     bool stopped = false;
     try {
         (void)run_scenario(interrupted);
@@ -167,7 +160,8 @@ TEST(FaultDeterminismTest, CheckpointResumeThroughOutageMatchesUninterrupted) {
     ASSERT_TRUE(stopped) << "stop budget " << budget << " never fired";
 
     ScenarioSpec resumed = base;
-    resumed.with_threads(8).with_resume(snap);
+    resumed.threads = 8;
+    resumed.checkpoint.resume = snap;
     const ScenarioResult actual = run_scenario(resumed);
     test_support::expect_deployment_results_equal(actual.deployment(),
                                                   expected.deployment());

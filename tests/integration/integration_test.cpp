@@ -71,12 +71,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweepTest,
 
 TEST(ConnectedOrderingInExpectation, DaScLongestOnAverage) {
     const scenario::ScenarioResult outcome =
-        scenario::run_scenario(scenario::ScenarioSpec{}
-                                   .with_profile(traffic::massive_iot_city())
-                                   .with_devices(200)
-                                   .with_payload_bytes(traffic::firmware_100kb().bytes)
-                                   .with_runs(6)
-                                   .with_seed(1234));
+        scenario::run_scenario({.profile = traffic::massive_iot_city(),
+                                .device_count = 200,
+                                .payload_bytes = traffic::firmware_100kb().bytes,
+                                .runs = 6,
+                                .base_seed = 1234});
     double da_sc = 0.0;
     double dr_si = 0.0;
     double dr_sc = 0.0;
@@ -147,11 +146,10 @@ TEST(TiMonotonicityTest, TransmissionsDecreaseWithTi) {
 
 TEST(ExperimentDriverTest, SingleCellScenarioAggregatesAllMechanisms) {
     const scenario::ScenarioResult outcome =
-        scenario::run_scenario(scenario::ScenarioSpec{}
-                                   .with_profile(traffic::massive_iot_city())
-                                   .with_devices(50)
-                                   .with_payload_bytes(traffic::firmware_100kb().bytes)
-                                   .with_runs(3));
+        scenario::run_scenario({.profile = traffic::massive_iot_city(),
+                                .device_count = 50,
+                                .payload_bytes = traffic::firmware_100kb().bytes,
+                                .runs = 3});
     ASSERT_EQ(outcome.mechanism_count(), 3u);
     for (std::size_t m = 0; m < outcome.mechanism_count(); ++m) {
         EXPECT_EQ(outcome.mechanism_stats(m).transmissions.count(), 3u);
@@ -161,7 +159,7 @@ TEST(ExperimentDriverTest, SingleCellScenarioAggregatesAllMechanisms) {
 }
 
 TEST(ExperimentDriverTest, RejectsEmptySetups) {
-    EXPECT_THROW((void)scenario::run_scenario(scenario::ScenarioSpec{}.with_runs(0)),
+    EXPECT_THROW((void)scenario::run_scenario({.runs = 0}),
                  std::invalid_argument);
     EXPECT_THROW((void)drsc_transmission_point(traffic::massive_iot_city(), 0,
                                                CampaignConfig{}, 1, 1),

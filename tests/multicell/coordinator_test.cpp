@@ -1,9 +1,9 @@
 // Determinism battery for the city-wide wall-clock coordinator
 // (multicell/coordinator.hpp), pinning the contracts the scenario layer
 // builds on:
-//  - the embedded DeploymentResult is bit-identical to run_deployment for
-//    every start policy (coordination is a pure post-pass over the
-//    recorded spans),
+//  - a coordinated scenario's DeploymentResult is bit-identical to the
+//    uncoordinated one for every start policy (coordination is a pure
+//    post-pass over the recorded spans),
 //  - the simultaneous policy reproduces the pre-coordinator goldens: same
 //    campaign aggregates, time axis equal to the per-cell horizons,
 //  - fleet time-axis aggregates are bit-identical at --threads {1, 2, 8},
@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "scenario/run.hpp"
 #include "tests/support/deployment_equal.hpp"
 #include "traffic/population.hpp"
 
@@ -51,6 +52,17 @@ CoordinatorSpec backhaul(double kbps) {
 
 using test_support::expect_deployment_results_equal;
 
+/// The deployment of `setup` and its coordination under `coordinator`.
+struct Coordinated {
+    DeploymentResult deployment;
+    CoordinationAggregates coordination;
+};
+Coordinated coordinate(const DeploymentSetup& setup, const CoordinatorSpec& coordinator) {
+    Coordinated out{run_deployment(setup), {}};
+    out.coordination = coordinate_deployment(out.deployment, coordinator, setup.payload_bytes);
+    return out;
+}
+
 void expect_coordination_equal(const CoordinationAggregates& a,
                                const CoordinationAggregates& b) {
     EXPECT_TRUE(a.completion_ms == b.completion_ms);
@@ -74,18 +86,26 @@ void expect_coordination_equal(const CoordinationAggregates& a,
 }
 
 TEST(CoordinatorTest, EveryPolicyKeepsDeploymentBitIdentical) {
-    const DeploymentSetup setup = small_setup(4);
-    const DeploymentResult reference = run_deployment(setup);
+    // run_scenario coordinates after the engine ran, so every policy leaves
+    // the uncoordinated scenario's campaign aggregates untouched.
+    scenario::ScenarioSpec spec{.device_count = 120,
+                                .payload_bytes = 20 * 1024,
+                                .runs = 3,
+                                .threads = 1,
+                                .topology = scenario::TopologySpec{.cells = 4}};
+    const DeploymentResult reference = scenario::run_scenario(spec).outcome;
     for (const CoordinatorSpec& coordinator :
          {CoordinatorSpec{}, stagger(20'000), backhaul(256.0)}) {
-        const CoordinatedResult coordinated = run_coordinated(setup, coordinator);
-        expect_deployment_results_equal(coordinated.deployment, reference);
+        spec.coordinator = coordinator;
+        const scenario::ScenarioResult coordinated = scenario::run_scenario(spec);
+        ASSERT_TRUE(coordinated.is_coordinated());
+        expect_deployment_results_equal(coordinated.outcome, reference);
     }
 }
 
 TEST(CoordinatorTest, SimultaneousReproducesPreCoordinatorTimeAxis) {
     const DeploymentSetup setup = small_setup(4);
-    const CoordinatedResult result = run_coordinated(setup, CoordinatorSpec{});
+    const Coordinated result = coordinate(setup, CoordinatorSpec{});
     ASSERT_EQ(result.coordination.timelines.size(), setup.runs);
     for (std::size_t run = 0; run < setup.runs; ++run) {
         const RunTimeline& timeline = result.coordination.timelines[run];
@@ -117,10 +137,10 @@ TEST(CoordinatorTest, AggregatesBitIdenticalAcrossThreadCounts) {
          {CoordinatorSpec{}, stagger(15'000), backhaul(64.0)}) {
         DeploymentSetup setup = small_setup(4);
         setup.threads = 1;
-        const CoordinatedResult serial = run_coordinated(setup, coordinator);
+        const Coordinated serial = coordinate(setup, coordinator);
         for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
             setup.threads = threads;
-            const CoordinatedResult threaded = run_coordinated(setup, coordinator);
+            const Coordinated threaded = coordinate(setup, coordinator);
             expect_deployment_results_equal(threaded.deployment, serial.deployment);
             expect_coordination_equal(threaded.coordination, serial.coordination);
         }
@@ -130,7 +150,7 @@ TEST(CoordinatorTest, AggregatesBitIdenticalAcrossThreadCounts) {
 TEST(CoordinatorTest, FixedStaggerOffsetsAreTopologyOrderTimesStagger) {
     const DeploymentSetup setup = small_setup(5);
     const std::int64_t step = 10'000;
-    const CoordinatedResult result = run_coordinated(setup, stagger(step));
+    const Coordinated result = coordinate(setup, stagger(step));
     for (const RunTimeline& timeline : result.coordination.timelines) {
         std::int64_t last_active_start = 0;
         for (std::size_t c = 0; c < timeline.cells.size(); ++c) {
@@ -154,9 +174,9 @@ TEST(CoordinatorTest, StaggerBeyondSpanSerializesTheCity) {
     for (const CellRunSpan& span : plain.spans) {
         max_horizon = std::max(max_horizon, span.horizon_ms);
     }
-    const CoordinatedResult result =
-        run_coordinated(setup, stagger(max_horizon + 1));
-    for (const RunTimeline& timeline : result.coordination.timelines) {
+    const CoordinationAggregates coordination =
+        coordinate_deployment(plain, stagger(max_horizon + 1), setup.payload_bytes);
+    for (const RunTimeline& timeline : coordination.timelines) {
         EXPECT_EQ(timeline.peak_concurrent_cells, 1u);
     }
 }
@@ -201,16 +221,20 @@ TEST(CoordinatorTest, PeakOverlapTreatsIntervalsAsHalfOpen) {
 
 TEST(CoordinatorTest, InvalidSpecsThrow) {
     const DeploymentSetup setup = small_setup(2);
+    const DeploymentResult deployment = run_deployment(setup);
 
     CoordinatorSpec mixed_knobs;  // stagger on a simultaneous policy
     mixed_knobs.stagger_ms = 5'000;
     EXPECT_FALSE(mixed_knobs.valid());
-    EXPECT_THROW((void)run_coordinated(setup, mixed_knobs), std::invalid_argument);
+    EXPECT_THROW(
+        (void)coordinate_deployment(deployment, mixed_knobs, setup.payload_bytes),
+        std::invalid_argument);
 
     CoordinatorSpec no_budget;  // backhaul without a feed budget
     no_budget.policy = StartPolicy::backhaul_budgeted;
     EXPECT_FALSE(no_budget.valid());
-    EXPECT_THROW((void)run_coordinated(setup, no_budget), std::invalid_argument);
+    EXPECT_THROW((void)coordinate_deployment(deployment, no_budget, setup.payload_bytes),
+                 std::invalid_argument);
 
     EXPECT_TRUE(CoordinatorSpec{}.valid());
     EXPECT_TRUE(stagger(0).valid());

@@ -134,6 +134,18 @@ TEST(ScenarioParserTest, TypeMismatchNamesTheLine) {
     expect_parse_error("cells = 9223372036854775000\n",
                        {"test.scenario:1", cells_bound.c_str()});
     expect_parse_error("cells = 4000000000\n", {"test.scenario:1", cells_bound.c_str()});
+    // The same for the device and run counts: refused at the line instead
+    // of aborting in the engine's reservations.
+    const std::string devices_bound = "value must be <= " + std::to_string(kMaxDevices);
+    expect_parse_error("devices = 9223372036854775808\n",
+                       {"test.scenario:1", devices_bound.c_str()});
+    expect_parse_error("devices = 100000000000\n", {"test.scenario:1", devices_bound.c_str()});
+    expect_parse_error("devices = 10000001\n", {"test.scenario:1", devices_bound.c_str()});
+    const std::string runs_bound = "value must be <= " + std::to_string(kMaxRuns);
+    expect_parse_error("runs = 9223372036854775808\n", {"test.scenario:1", runs_bound.c_str()});
+    expect_parse_error("runs = 100001\n", {"test.scenario:1", runs_bound.c_str()});
+    EXPECT_EQ(parse_scenario_text("devices = 10000000\nruns = 100000\n").device_count,
+              kMaxDevices);
     // Rows apply in table order, `when` before the value: without cells
     // the grid rule fires first.
     expect_parse_error("devices = 10\ntopology = ring\n",
@@ -321,11 +333,10 @@ TEST(ScenarioParserTest, ParsesCheckpointKeysInAnyOrder) {
 }
 
 TEST(ScenarioParserTest, CheckpointRoundTripsThroughFileText) {
-    ScenarioSpec spec;
-    spec.with_checkpoint_out("out/run.snapshot")
-        .with_checkpoint_every_ms(120'000)
-        .with_checkpoint_stop_after(9)
-        .with_resume("out/prev.snapshot");
+    const ScenarioSpec spec{.checkpoint = {.out = "out/run.snapshot",
+                                           .every_ms = 120'000,
+                                           .stop_after = 9,
+                                           .resume = "out/prev.snapshot"}};
     const ScenarioSpec reparsed =
         parse_scenario_text(spec.to_file_text(), "roundtrip.scenario");
     EXPECT_EQ(reparsed.checkpoint, spec.checkpoint);

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 
-#include "core/experiment.hpp"
 #include "multicell/deployment.hpp"
 #include "scenario/parser.hpp"
 #include "scenario/registry.hpp"
@@ -69,31 +68,33 @@ std::uint64_t stats_digest(const ScenarioResult& result) {
 /// Runs `spec` at --threads 1 and 8 and checks both against `digest`.
 void expect_pinned_digest(ScenarioSpec spec, std::uint64_t digest) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-        spec.with_threads(threads);
+        spec.threads = threads;
         EXPECT_EQ(stats_digest(run_scenario(spec)), digest) << "threads " << threads;
     }
 }
 
 TEST(ScenarioGoldenTest, Fig6aMatchesPinnedDigest) {
     ScenarioSpec spec = Registry::instance().preset("fig6a");
-    spec.with_devices(60).with_runs(4);
+    spec.device_count = 60;
+    spec.runs = 4;
     expect_pinned_digest(spec, 0x005ab34308a4b48bULL);
 }
 
-TEST(ScenarioGoldenTest, Fig6bPayloadPointBitIdenticalWithSharedPopulations) {
-    // The fig6b shell shares populations across the payload sweep; the
-    // 1 MB point must match the golden recorded with the same sharing.
+TEST(ScenarioGoldenTest, Fig6bPayloadPointMatchesPinnedDigest) {
+    // The 1 MB point of the fig6b shell's payload sweep, recorded when the
+    // shell shared one set of pre-generated populations across the sweep:
+    // the engine's own per-run fleets must be the same devices.
     ScenarioSpec spec = Registry::instance().preset("fig6b");
-    spec.with_devices(50).with_runs(3);
-    spec.with_populations(core::generate_comparison_populations(
-        spec.profile, spec.device_count, spec.runs, spec.base_seed));
-    spec.with_payload_bytes(traffic::firmware_1mb().bytes);
+    spec.device_count = 50;
+    spec.runs = 3;
+    spec.payload_bytes = traffic::firmware_1mb().bytes;
     expect_pinned_digest(spec, 0x9d834d007dbbd36aULL);
 }
 
 TEST(ScenarioGoldenTest, Fig7DrScMatchesPinnedDigest) {
     ScenarioSpec spec = Registry::instance().preset("fig7");
-    spec.with_devices(80).with_runs(3);
+    spec.device_count = 80;
+    spec.runs = 3;
     expect_pinned_digest(spec, 0x4076e43ede1e8ad4ULL);
 }
 
@@ -115,10 +116,12 @@ TEST(ScenarioGoldenTest, SingleRunStrataWithTelemetryMatchPinnedDigests) {
     // One run, so at --threads 8 the spare workers run the 8 strata.  The
     // telemetry artifacts were pinned alongside the aggregates.
     ScenarioSpec spec = Registry::instance().preset("smoke");
-    spec.with_runs(1).with_strata(8).with_telemetry_modes(true, true);
+    spec.runs = 1;
+    spec.config.strata = 8;
+    spec.telemetry = {.trace = true, .metrics = true};
     expect_pinned_digest(spec, 0xf688df06072cda30ULL);
     for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-        spec.with_threads(threads);
+        spec.threads = threads;
         const ScenarioResult result = run_scenario(spec);
         ASSERT_TRUE(result.telemetry.has_value());
         ASSERT_TRUE(result.telemetry->metrics.has_value());
@@ -146,7 +149,9 @@ multicell::DeploymentSetup legacy_citywide_setup(std::size_t threads) {
 TEST(ScenarioGoldenTest, Citywide16CellsBitIdenticalToRunDeployment) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
         ScenarioSpec spec = Registry::instance().preset("citywide");
-        spec.with_devices(400).with_runs(2).with_threads(threads);
+        spec.device_count = 400;
+        spec.runs = 2;
+        spec.threads = threads;
         ASSERT_EQ(spec.cell_count(), 16u);
 
         const multicell::DeploymentResult expected =
@@ -164,8 +169,10 @@ TEST(ScenarioGoldenTest, CoordinatorSimultaneousBitIdenticalToRunDeployment) {
     // single campaign number.
     for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
         ScenarioSpec spec = Registry::instance().preset("citywide");
-        spec.with_devices(400).with_runs(2).with_threads(threads);
-        spec.with_coordinator(multicell::CoordinatorSpec{});
+        spec.device_count = 400;
+        spec.runs = 2;
+        spec.threads = threads;
+        spec.coordinator = multicell::CoordinatorSpec{};
 
         const multicell::DeploymentResult expected =
             multicell::run_deployment(legacy_citywide_setup(threads));
@@ -189,8 +196,10 @@ TEST(ScenarioGoldenTest, StaggeredAndBackhaulKeepCampaignAggregatesGolden) {
         multicell::run_deployment(legacy_citywide_setup(1));
     for (const char* preset : {"citywide-staggered", "citywide-backhaul"}) {
         ScenarioSpec spec = Registry::instance().preset(preset);
-        spec.with_devices(400).with_runs(2).with_threads(1);
-        spec.with_payload_bytes(traffic::firmware_100kb().bytes);
+        spec.device_count = 400;
+        spec.runs = 2;
+        spec.threads = 1;
+        spec.payload_bytes = traffic::firmware_100kb().bytes;
 
         const ScenarioResult result = run_scenario(spec);
         ASSERT_TRUE(result.is_coordinated()) << preset;

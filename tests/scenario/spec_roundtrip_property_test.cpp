@@ -30,24 +30,22 @@ public:
     explicit SpecGenerator(std::uint64_t seed) : rng_(seed) {}
 
     ScenarioSpec next() {
-        ScenarioSpec spec;
-        spec.with_name("prop-" + std::to_string(counter_++));
+        ScenarioSpec spec{.name = "prop-" + std::to_string(counter_++)};
         if (chance(0.5)) {
-            spec.with_description("generated round-trip spec");
+            spec.description = "generated round-trip spec";
         }
         const std::vector<std::string> profiles =
             Registry::instance().profile_names();
-        spec.with_profile(
-            Registry::instance().profile(profiles[index(profiles.size())]));
+        spec.profile = Registry::instance().profile(profiles[index(profiles.size())]);
         if (chance(0.3)) {
             spec.profile.batch_mean = uniform(1.0, 8.0);
         }
-        spec.with_devices(1 + index(5'000));
-        spec.with_payload_bytes(1 + static_cast<std::int64_t>(index(1 << 22)));
-        spec.with_runs(1 + index(200));
-        spec.with_seed(rng_());
-        spec.with_threads(index(9));  // 0 = hardware concurrency
-        spec.with_mechanisms(mechanisms());
+        spec.device_count = 1 + index(5'000);
+        spec.payload_bytes = 1 + static_cast<std::int64_t>(index(1 << 22));
+        spec.runs = 1 + index(200);
+        spec.base_seed = rng_();
+        spec.threads = index(9);  // 0 = hardware concurrency
+        spec.mechanisms = mechanisms();
 
         // Shallow campaign-config keys (the file-expressible subset).
         spec.config.inactivity_timer =
@@ -63,70 +61,67 @@ public:
         spec.config.paging.max_page_records = 1 + static_cast<int>(index(16));
         spec.config.sc_ptm_mcch_period =
             nbiot::SimTime{1 + static_cast<std::int64_t>(index(40'000))};
-        if (chance(0.5)) spec.with_strata(1 + index(core::kMaxStrata));
+        if (chance(0.5)) spec.config.strata = 1 + index(core::kMaxStrata);
 
         if (chance(0.4)) {
-            const bool trace = chance(0.6);
-            const bool metrics = chance(0.6);
-            spec.with_telemetry_modes(trace, metrics);
-            if ((trace || metrics) && chance(0.5)) {
-                spec.with_telemetry_bucket_ms(
-                    1 + static_cast<std::int64_t>(index(600'000)));
+            TelemetrySpec& telemetry = spec.telemetry;
+            telemetry.trace = chance(0.6);
+            telemetry.metrics = chance(0.6);
+            if (telemetry.enabled() && chance(0.5)) {
+                telemetry.bucket_ms = 1 + static_cast<std::int64_t>(index(600'000));
             }
-            if (trace && chance(0.5)) {
-                spec.with_trace_out("out/t" + std::to_string(index(9)) +
-                                    ".jsonl");
+            if (telemetry.trace && chance(0.5)) {
+                telemetry.trace_out = "out/t" + std::to_string(index(9)) + ".jsonl";
             }
-            if (trace && chance(0.5)) spec.with_timeline_out("out/tl.json");
-            if (metrics && chance(0.5)) spec.with_metrics_out("out/m.csv");
+            if (telemetry.trace && chance(0.5)) telemetry.timeline_out = "out/tl.json";
+            if (telemetry.metrics && chance(0.5)) telemetry.metrics_out = "out/m.csv";
         }
 
         if (chance(0.6)) {
             const std::size_t cells = 1 + index(64);
+            spec.topology = TopologySpec{.cells = cells};
             if (chance(0.5)) {
-                spec.with_hotspot(cells, uniform(0.0, 3.0));
-            } else {
-                spec.with_cells(cells);
+                spec.topology->kind = TopologySpec::Kind::hotspot;
+                spec.topology->hotspot_exponent = uniform(0.0, 3.0);
             }
             switch (index(3)) {
-                case 0: spec.with_assignment(multicell::AssignmentPolicy::uniform_hash); break;
-                case 1: spec.with_assignment(multicell::AssignmentPolicy::hotspot); break;
-                default:
-                    spec.with_assignment(multicell::AssignmentPolicy::class_affinity);
-                    break;
+                case 0: spec.assignment = multicell::AssignmentPolicy::uniform_hash; break;
+                case 1: spec.assignment = multicell::AssignmentPolicy::hotspot; break;
+                default: spec.assignment = multicell::AssignmentPolicy::class_affinity; break;
             }
             if (chance(0.6)) {
+                using multicell::StartPolicy;
                 switch (index(3)) {
-                    case 0:
-                        spec.with_coordinator(multicell::CoordinatorSpec{});
-                        break;
+                    case 0: spec.coordinator = multicell::CoordinatorSpec{}; break;
                     case 1:
-                        spec.with_stagger_ms(
-                            static_cast<std::int64_t>(index(600'000)));
+                        spec.coordinator = {
+                            .policy = StartPolicy::fixed_stagger,
+                            .stagger_ms = static_cast<std::int64_t>(index(600'000))};
                         break;
                     default:
-                        spec.with_backhaul_kbps(uniform(0.001, 65'536.0));
-                        if (chance(0.5)) spec.with_backhaul_loss(uniform(0.0, 0.99));
+                        spec.coordinator = {.policy = StartPolicy::backhaul_budgeted,
+                                            .backhaul_kbps = uniform(0.001, 65'536.0)};
+                        if (chance(0.5)) spec.coordinator->loss_prob = uniform(0.0, 0.99);
                         break;
                 }
             }
             if (chance(0.3)) {
-                spec.with_cell_down(faults::OutageSpec{
-                    index(cells), 1 + static_cast<std::int64_t>(index(3'600'000))});
+                spec.cell_down = faults::OutageSpec{
+                    index(cells), 1 + static_cast<std::int64_t>(index(3'600'000))};
             }
         }
         if (chance(0.3)) {
-            spec.with_churn(uniform(0.01, 10.0),
-                            1 + static_cast<std::int64_t>(index(600'000)));
+            spec.config.churn.leave_rate = uniform(0.01, 10.0);
+            spec.config.churn.rejoin_ms = 1 + static_cast<std::int64_t>(index(600'000));
         }
         if (chance(0.3)) {
-            spec.with_checkpoint_out("out/c" + std::to_string(index(9)) + ".snap");
+            spec.checkpoint.out = "out/c" + std::to_string(index(9)) + ".snap";
             if (chance(0.5)) {
-                spec.with_checkpoint_every_ms(1 + static_cast<std::int64_t>(index(600'000)));
+                spec.checkpoint.every_ms = 1 + static_cast<std::int64_t>(index(600'000));
             }
-            if (chance(0.5)) spec.with_checkpoint_stop_after(1 + index(100));
+            if (chance(0.5)) spec.checkpoint.stop_after = 1 + index(100);
         }
-        if (chance(0.2)) spec.with_resume("out/prev.snap");
+        if (chance(0.2)) spec.checkpoint.resume = "out/prev.snap";
         return spec;
     }
 

@@ -1,11 +1,13 @@
-// ScenarioSpec: builder semantics, validation, scenario-file serialization
-// round trips, and the conversion to the engine's DeploymentSetup.
+// ScenarioSpec: plain-data defaults, validation, scenario-file
+// serialization round trips, and the conversion to the engine's
+// DeploymentSetup.
 #include "scenario/spec.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <type_traits>
 
 #include "scenario/parser.hpp"
 #include "scenario/registry.hpp"
@@ -13,17 +15,25 @@
 namespace nbmg::scenario {
 namespace {
 
+// A spec is plain data: designated initializers name any subset of its
+// members, every other member keeps its default.
+static_assert(std::is_aggregate_v<ScenarioSpec>);
+
 ScenarioSpec small_spec() {
-    return ScenarioSpec{}
-        .with_name("unit")
-        .with_devices(40)
-        .with_runs(3)
-        .with_seed(7)
-        .with_threads(2)
-        .with_payload_bytes(20 * 1024);
+    return ScenarioSpec{.name = "unit",
+                        .device_count = 40,
+                        .payload_bytes = 20 * 1024,
+                        .runs = 3,
+                        .base_seed = 7,
+                        .threads = 2};
 }
 
-TEST(ScenarioSpecTest, BuilderChainsAndDefaults) {
+TopologySpec hotspot(std::size_t cells, double exponent) {
+    return TopologySpec{
+        .cells = cells, .kind = TopologySpec::Kind::hotspot, .hotspot_exponent = exponent};
+}
+
+TEST(ScenarioSpecTest, DesignatedInitializerKeepsTheDefaults) {
     const ScenarioSpec spec = small_spec();
     EXPECT_EQ(spec.name, "unit");
     EXPECT_EQ(spec.device_count, 40u);
@@ -38,35 +48,26 @@ TEST(ScenarioSpecTest, BuilderChainsAndDefaults) {
                                                     core::MechanismKind::da_sc,
                                                     core::MechanismKind::dr_si};
     EXPECT_EQ(spec.mechanisms, expected);
+    EXPECT_FALSE(spec.telemetry.enabled());
+    EXPECT_FALSE(spec.checkpoint.enabled());
     EXPECT_NO_THROW(spec.validate());
 }
 
 TEST(ScenarioSpecTest, WithCellsEngagesMulticellAndSingleCellClearsIt) {
-    ScenarioSpec spec = small_spec().with_cells(16);
+    ScenarioSpec spec{.topology = TopologySpec{.cells = 16}};
     EXPECT_TRUE(spec.is_multicell());
     EXPECT_EQ(spec.cell_count(), 16u);
     EXPECT_EQ(spec.topology->kind, TopologySpec::Kind::uniform);
-    spec.single_cell();
+    spec.topology.reset();
     EXPECT_FALSE(spec.is_multicell());
-}
-
-TEST(ScenarioSpecTest, WithCellsResetsToUniformButCellCountPreservesKind) {
-    // with_cells is documented as a fresh uniform grid...
-    ScenarioSpec spec = small_spec().with_hotspot(8, 1.5).with_cells(4);
-    EXPECT_EQ(spec.topology->kind, TopologySpec::Kind::uniform);
-    EXPECT_EQ(spec.cell_count(), 4u);
-    // ...while with_cell_count (the --cells override) keeps the shape.
-    spec = small_spec().with_hotspot(8, 1.5).with_cell_count(32);
-    EXPECT_EQ(spec.topology->kind, TopologySpec::Kind::hotspot);
-    EXPECT_EQ(spec.topology->hotspot_exponent, 1.5);
-    EXPECT_EQ(spec.cell_count(), 32u);
+    EXPECT_EQ(spec.cell_count(), 1u);
 }
 
 TEST(ScenarioSpecTest, FileTextKeepsFullDoublePrecision) {
     ScenarioSpec spec = small_spec();
     spec.config.page_miss_prob = 0.0123456789;
     spec.config.background_ra_per_second = 1.0 / 3.0;
-    spec.with_hotspot(4, 0.1234567890123);
+    spec.topology = hotspot(4, 0.1234567890123);
     const ScenarioSpec parsed =
         parse_scenario_text(spec.to_file_text(), "precision");
     EXPECT_EQ(parsed.config.page_miss_prob, spec.config.page_miss_prob);
@@ -77,7 +78,7 @@ TEST(ScenarioSpecTest, FileTextKeepsFullDoublePrecision) {
 }
 
 TEST(ScenarioSpecTest, WithHotspotRealizesZipfTopology) {
-    const ScenarioSpec spec = small_spec().with_hotspot(8, 1.0);
+    const ScenarioSpec spec{.topology = hotspot(8, 1.0)};
     ASSERT_TRUE(spec.is_multicell());
     const multicell::CellTopology topology = spec.topology->realize();
     ASSERT_EQ(topology.cell_count(), 8u);
@@ -88,7 +89,7 @@ TEST(ScenarioSpecTest, ValidationNamesTheOffendingField) {
     EXPECT_THROW(
         {
             try {
-                ScenarioSpec{}.with_devices(0).validate();
+                ScenarioSpec{.device_count = 0}.validate();
             } catch (const std::invalid_argument& error) {
                 EXPECT_NE(std::string(error.what()).find("devices"),
                           std::string::npos);
@@ -96,63 +97,80 @@ TEST(ScenarioSpecTest, ValidationNamesTheOffendingField) {
             }
         },
         std::invalid_argument);
-    EXPECT_THROW(ScenarioSpec{}.with_runs(0).validate(), std::invalid_argument);
-    EXPECT_THROW(ScenarioSpec{}.with_payload_bytes(0).validate(),
+    EXPECT_THROW(ScenarioSpec{.runs = 0}.validate(), std::invalid_argument);
+    EXPECT_THROW(ScenarioSpec{.payload_bytes = 0}.validate(), std::invalid_argument);
+    EXPECT_THROW(ScenarioSpec{.mechanisms = {}}.validate(), std::invalid_argument);
+    EXPECT_THROW(ScenarioSpec{.topology = hotspot(4, -1.0)}.validate(),
                  std::invalid_argument);
-    EXPECT_THROW(ScenarioSpec{}.with_mechanisms({}).validate(),
+    // A hand-built spec meets the same bounds as the `cells`, `devices`
+    // and `runs` keys: the cap passes, one more throws.
+    EXPECT_NO_THROW(ScenarioSpec{.topology = TopologySpec{.cells = kMaxCells}}.validate());
+    EXPECT_THROW(ScenarioSpec{.topology = TopologySpec{.cells = kMaxCells + 1}}.validate(),
                  std::invalid_argument);
-    EXPECT_THROW(ScenarioSpec{}.with_hotspot(4, -1.0).validate(),
-                 std::invalid_argument);
-    // The builder API meets the same cell bound as the `cells` key.
-    EXPECT_NO_THROW(ScenarioSpec{}.with_cells(kMaxCells).validate());
-    EXPECT_THROW(ScenarioSpec{}.with_cells(kMaxCells + 1).validate(),
-                 std::invalid_argument);
+    EXPECT_NO_THROW(ScenarioSpec{.device_count = kMaxDevices}.validate());
+    try {
+        ScenarioSpec{.device_count = kMaxDevices + 1}.validate();
+        ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& error) {
+        EXPECT_NE(std::string(error.what()).find("devices must be in [1, 10000000]"),
+                  std::string::npos)
+            << error.what();
+    }
+    EXPECT_NO_THROW(ScenarioSpec{.runs = kMaxRuns}.validate());
+    try {
+        ScenarioSpec{.runs = kMaxRuns + 1}.validate();
+        ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& error) {
+        EXPECT_NE(std::string(error.what()).find("runs must be in [1, 100000]"),
+                  std::string::npos)
+            << error.what();
+    }
 }
 
-TEST(ScenarioSpecTest, CoordinatorBuildersAndValidation) {
-    // The convenience builders imply their policy.
-    ScenarioSpec staggered = small_spec().with_cells(4).with_stagger_ms(20'000);
-    ASSERT_TRUE(staggered.is_coordinated());
-    EXPECT_EQ(staggered.coordinator->policy,
-              multicell::StartPolicy::fixed_stagger);
-    EXPECT_NO_THROW(staggered.validate());
+multicell::CoordinatorSpec stagger(std::int64_t ms) {
+    return {.policy = multicell::StartPolicy::fixed_stagger, .stagger_ms = ms};
+}
 
-    ScenarioSpec budgeted = small_spec().with_cells(4).with_backhaul_kbps(64.0);
-    EXPECT_EQ(budgeted.coordinator->policy,
-              multicell::StartPolicy::backhaul_budgeted);
+multicell::CoordinatorSpec backhaul(double kbps, double loss = 0.0) {
+    return {.policy = multicell::StartPolicy::backhaul_budgeted,
+            .backhaul_kbps = kbps,
+            .loss_prob = loss};
+}
+
+TEST(ScenarioSpecTest, CoordinatorValidation) {
+    ScenarioSpec staggered = small_spec();
+    staggered.topology = TopologySpec{.cells = 4};
+    staggered.coordinator = stagger(20'000);
+    EXPECT_NO_THROW(staggered.validate());
+    ScenarioSpec budgeted = staggered;
+    budgeted.coordinator = backhaul(64.0, 0.25);
     EXPECT_NO_THROW(budgeted.validate());
 
     // A coordinator needs a grid to schedule.
-    EXPECT_THROW(small_spec().with_stagger_ms(1'000).validate(),
-                 std::invalid_argument);
-    // Policy-scoped knobs must be consistent.
-    ScenarioSpec inconsistent = small_spec().with_cells(4);
-    multicell::CoordinatorSpec mixed;
-    mixed.policy = multicell::StartPolicy::backhaul_budgeted;
-    mixed.stagger_ms = 5'000;
-    mixed.backhaul_kbps = 64.0;
-    inconsistent.with_coordinator(mixed);
+    ScenarioSpec gridless = staggered;
+    gridless.topology.reset();
+    EXPECT_THROW(gridless.validate(), std::invalid_argument);
+    // Policy-scoped knobs must be consistent: a stagger under the backhaul
+    // policy, and a backhaul loss without a backhaul feed.
+    ScenarioSpec inconsistent = budgeted;
+    inconsistent.coordinator->stagger_ms = 5'000;
     EXPECT_THROW(inconsistent.validate(), std::invalid_argument);
-
-    // single_cell drops the coordinator along with the grid; the spec
-    // stays valid instead of stranding a coordinator without cells.
-    ScenarioSpec cleared = small_spec().with_cells(4).with_stagger_ms(1'000);
-    cleared.single_cell();
-    EXPECT_FALSE(cleared.is_coordinated());
-    EXPECT_NO_THROW(cleared.validate());
-    EXPECT_FALSE(small_spec().with_cells(4).with_stagger_ms(1'000)
-                     .without_coordinator()
-                     .is_coordinated());
+    ScenarioSpec stranded_loss = staggered;
+    stranded_loss.coordinator->loss_prob = 0.1;
+    EXPECT_THROW(stranded_loss.validate(), std::invalid_argument);
 }
 
 TEST(ScenarioSpecTest, CoordinatorKeysSerializeAndReparse) {
-    ScenarioSpec spec = small_spec().with_hotspot(6, 0.5).with_stagger_ms(45'000);
+    ScenarioSpec spec = small_spec();
+    spec.topology = hotspot(6, 0.5);
+    spec.coordinator = stagger(45'000);
     ScenarioSpec parsed = parse_scenario_text(spec.to_file_text(), "staggered");
     ASSERT_TRUE(parsed.is_coordinated());
     EXPECT_EQ(parsed.coordinator->policy, multicell::StartPolicy::fixed_stagger);
     EXPECT_EQ(parsed.coordinator->stagger_ms, 45'000);
 
-    spec = small_spec().with_cells(3).with_backhaul_kbps(0.125);
+    spec.topology = TopologySpec{.cells = 3};
+    spec.coordinator = backhaul(0.125);
     parsed = parse_scenario_text(spec.to_file_text(), "backhaul");
     ASSERT_TRUE(parsed.is_coordinated());
     EXPECT_EQ(parsed.coordinator->policy,
@@ -160,34 +178,39 @@ TEST(ScenarioSpecTest, CoordinatorKeysSerializeAndReparse) {
     EXPECT_EQ(parsed.coordinator->backhaul_kbps, 0.125);
 }
 
-TEST(ScenarioSpecTest, TelemetryBuildersImplyTheirModes) {
-    ScenarioSpec spec = small_spec().with_trace_out("t.jsonl");
-    EXPECT_TRUE(spec.telemetry.trace);
-    EXPECT_FALSE(spec.telemetry.metrics);
+TEST(ScenarioSpecTest, TelemetryOutputsNeedTheirModes) {
+    ScenarioSpec spec = small_spec();
+    spec.telemetry = {.trace = true, .trace_out = "t.jsonl"};
     EXPECT_NO_THROW(spec.validate());
-    spec.with_metrics_out("m.csv").with_timeline_out("tl.json");
-    EXPECT_TRUE(spec.telemetry.metrics);
+    spec.telemetry = {.trace = true,
+                      .metrics = true,
+                      .trace_out = "t.jsonl",
+                      .metrics_out = "m.csv",
+                      .timeline_out = "tl.json"};
     EXPECT_TRUE(spec.telemetry.enabled());
     EXPECT_NO_THROW(spec.validate());
 
-    // Paths hand-assembled without the matching mode are rejected.
+    // Paths without the matching mode are rejected.
     ScenarioSpec orphan = small_spec();
     orphan.telemetry.trace_out = "t.jsonl";
     EXPECT_THROW(orphan.validate(), std::invalid_argument);
-    ScenarioSpec orphan_metrics = small_spec().with_telemetry_modes(true, false);
-    orphan_metrics.telemetry.metrics_out = "m.csv";
+    ScenarioSpec orphan_metrics = small_spec();
+    orphan_metrics.telemetry = {.trace = true, .metrics_out = "m.csv"};
     EXPECT_THROW(orphan_metrics.validate(), std::invalid_argument);
 
-    ScenarioSpec bad_bucket = small_spec().with_telemetry_bucket_ms(0);
+    ScenarioSpec bad_bucket = small_spec();
+    bad_bucket.telemetry.bucket_ms = 0;
     EXPECT_THROW(bad_bucket.validate(), std::invalid_argument);
 }
 
 TEST(ScenarioSpecTest, TelemetryKeysSerializeAndReparse) {
-    const ScenarioSpec spec = small_spec()
-                                  .with_trace_out("out/t.jsonl")
-                                  .with_metrics_out("out/m.csv")
-                                  .with_timeline_out("out/tl.json")
-                                  .with_telemetry_bucket_ms(250);
+    ScenarioSpec spec = small_spec();
+    spec.telemetry = {.trace = true,
+                      .metrics = true,
+                      .bucket_ms = 250,
+                      .trace_out = "out/t.jsonl",
+                      .metrics_out = "out/m.csv",
+                      .timeline_out = "out/tl.json"};
     const ScenarioSpec parsed =
         parse_scenario_text(spec.to_file_text(), "telemetry");
     EXPECT_EQ(parsed.telemetry, spec.telemetry);
@@ -197,20 +220,13 @@ TEST(ScenarioSpecTest, TelemetryKeysSerializeAndReparse) {
     EXPECT_EQ(text.find("telemetry"), std::string::npos) << text;
 }
 
-TEST(ScenarioSpecTest, MismatchedSharedPopulationsRejected) {
-    ScenarioSpec spec = small_spec();
-    spec.with_populations(core::generate_comparison_populations(
-        spec.profile, spec.device_count, spec.runs, spec.base_seed + 1));
-    EXPECT_THROW(spec.validate(), std::invalid_argument);
-}
-
 TEST(ScenarioSpecTest, FileTextRoundTripsDeclarativeSpecs) {
     ScenarioSpec spec = small_spec();
-    spec.with_inactivity_timer_ms(20'000);
+    spec.config.inactivity_timer = nbiot::SimTime{20'000};
     spec.config.page_miss_prob = 0.25;
     spec.config.paging.max_page_records = 4;
-    spec.with_hotspot(12, 0.8).with_assignment(
-        multicell::AssignmentPolicy::class_affinity);
+    spec.topology = hotspot(12, 0.8);
+    spec.assignment = multicell::AssignmentPolicy::class_affinity;
 
     const ScenarioSpec parsed =
         parse_scenario_text(spec.to_file_text(), "round-trip");
@@ -256,18 +272,17 @@ TEST(ScenarioSpecTest, FileTextRejectsSilentlyDroppableState) {
 TEST(ScenarioSpecTest, FileTextRefusesTextAFileCannotCarry) {
     // A line break would smuggle a key into the file (this name reloads as
     // a 4-cell spec); surrounding whitespace is trimmed on reload.
-    EXPECT_THROW((void)ScenarioSpec{}.with_name("x\ncells = 4").to_file_text(),
+    EXPECT_THROW((void)ScenarioSpec{.name = "x\ncells = 4"}.to_file_text(),
                  std::invalid_argument);
-    EXPECT_THROW((void)ScenarioSpec{}.with_name("x\ry").to_file_text(),
+    EXPECT_THROW((void)ScenarioSpec{.name = "x\ry"}.to_file_text(), std::invalid_argument);
+    EXPECT_THROW((void)ScenarioSpec{.description = " padded"}.to_file_text(),
                  std::invalid_argument);
-    EXPECT_THROW((void)ScenarioSpec{}.with_description(" padded").to_file_text(),
-                 std::invalid_argument);
-    EXPECT_THROW((void)ScenarioSpec{}.with_trace_out("t.jsonl ").to_file_text(),
-                 std::invalid_argument);
-    EXPECT_THROW((void)ScenarioSpec{}.with_checkpoint_out("a\nb").to_file_text(),
+    const ScenarioSpec padded_path{.telemetry = {.trace = true, .trace_out = "t.jsonl "}};
+    EXPECT_THROW((void)padded_path.to_file_text(), std::invalid_argument);
+    EXPECT_THROW((void)ScenarioSpec{.checkpoint = {.out = "a\nb"}}.to_file_text(),
                  std::invalid_argument);
     // Inner whitespace survives the trip.
-    const ScenarioSpec spaced = ScenarioSpec{}.with_name("two words");
+    const ScenarioSpec spaced{.name = "two words"};
     EXPECT_EQ(parse_scenario_text(spaced.to_file_text()).name, "two words");
 }
 
@@ -289,7 +304,8 @@ TEST(ScenarioSpecTest, FileTextRejectsUnregisteredProfileAndStrandedCoordinator)
 
     // A coordinator stranded without a grid must not silently vanish on
     // the way to a file.
-    ScenarioSpec stranded = small_spec().with_stagger_ms(1'000);
+    ScenarioSpec stranded = small_spec();
+    stranded.coordinator = stagger(1'000);
     EXPECT_THROW((void)stranded.to_file_text(), std::invalid_argument);
 }
 

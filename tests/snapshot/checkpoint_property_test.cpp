@@ -39,11 +39,11 @@ ScenarioSpec random_spec(sim::RandomStream& rng, bool multicell,
     spec.runs = static_cast<std::size_t>(rng.uniform_int(4, 8));
     spec.payload_bytes = rng.uniform_int(20, 120) * 1024;
     spec.base_seed = rng.next_u64();
-    spec.with_strata(shape.strata);
+    spec.config.strata = shape.strata;
     if (multicell) {
-        spec.with_cells(static_cast<std::size_t>(rng.uniform_int(2, 4)));
+        spec.topology = TopologySpec{.cells = static_cast<std::size_t>(rng.uniform_int(2, 4))};
     }
-    spec.with_telemetry_modes(true, true);
+    spec.telemetry = {.trace = true, .metrics = true};
     return spec;
 }
 
@@ -81,16 +81,15 @@ TEST_P(CheckpointResumeProperty, InterruptedResumeMatchesUninterrupted) {
 
         // Reference: the uninterrupted, checkpoint-off run.
         ScenarioSpec full = base;
-        full.with_threads(shape.stop_threads);
+        full.threads = shape.stop_threads;
         const ScenarioResult expected = run_scenario(full);
 
         // Interrupted: stop after roughly half the grid.
         const std::uint64_t budget = std::max<std::uint64_t>(
             1, total_tasks(base) / 2);
         ScenarioSpec interrupted = base;
-        interrupted.with_threads(shape.stop_threads)
-            .with_checkpoint_out(snap)
-            .with_checkpoint_stop_after(budget);
+        interrupted.threads = shape.stop_threads;
+        interrupted.checkpoint = {.out = snap, .stop_after = budget};
         bool stopped = false;
         try {
             (void)run_scenario(interrupted);
@@ -103,23 +102,24 @@ TEST_P(CheckpointResumeProperty, InterruptedResumeMatchesUninterrupted) {
         // Resumed at a different thread count: bit-identical to the
         // uninterrupted run.
         ScenarioSpec resumed = base;
-        resumed.with_threads(shape.resume_threads).with_resume(snap);
+        resumed.threads = shape.resume_threads;
+        resumed.checkpoint.resume = snap;
         const ScenarioResult actual = run_scenario(resumed);
         expect_results_equal(actual, expected);
 
         // The resumed run left a complete snapshot behind (save_final on
         // its default checkpoint.out = "" writes nothing; re-point it).
         ScenarioSpec refreshed = base;
-        refreshed.with_threads(shape.resume_threads)
-            .with_checkpoint_out(snap)
-            .with_resume(snap);
+        refreshed.threads = shape.resume_threads;
+        refreshed.checkpoint = {.out = snap, .resume = snap};
         const ScenarioResult again = run_scenario(refreshed);
         expect_results_equal(again, expected);
 
         // Resume-from-final: every slot restores, nothing recomputes, and
         // the aggregates still match bit for bit.
         ScenarioSpec from_final = base;
-        from_final.with_threads(1).with_resume(snap);
+        from_final.threads = 1;
+        from_final.checkpoint.resume = snap;
         expect_results_equal(run_scenario(from_final), expected);
 
         std::remove(snap.c_str());

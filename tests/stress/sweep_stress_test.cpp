@@ -36,7 +36,9 @@ inline void benchmark_do_not_optimize(std::uint64_t& value) {
 /// cells, not from device count) with a small per-cell population.
 scenario::ScenarioSpec stress_spec(const char* preset, std::size_t threads) {
     scenario::ScenarioSpec spec = scenario::Registry::instance().preset(preset);
-    spec.with_devices(320).with_runs(3).with_threads(threads);
+    spec.device_count = 320;
+    spec.runs = 3;
+    spec.threads = threads;
     return spec;
 }
 

@@ -28,11 +28,11 @@ constexpr std::size_t kStressThreads = 8;
 scenario::ScenarioSpec stress_spec(std::size_t threads, std::size_t strata) {
     scenario::ScenarioSpec spec =
         scenario::Registry::instance().preset("citywide-staggered");
-    spec.with_devices(320)
-        .with_runs(2)
-        .with_threads(threads)
-        .with_strata(strata)
-        .with_telemetry_modes(true, true);
+    spec.device_count = 320;
+    spec.runs = 2;
+    spec.threads = threads;
+    spec.config.strata = strata;
+    spec.telemetry = {.trace = true, .metrics = true};
     return spec;
 }
 

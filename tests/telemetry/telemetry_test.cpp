@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scenario/run.hpp"
@@ -190,20 +191,21 @@ TEST(ExportTest, TimelineCarriesSpansMetadataAndSentinel) {
 }
 
 /// A small single-cell spec; runs in well under a second.
-scenario::ScenarioSpec small_spec() {
-    return scenario::ScenarioSpec{}
-        .with_name("telemetry-test")
-        .with_devices(40)
-        .with_payload_bytes(50 * 1024)
-        .with_runs(2)
-        .with_seed(42)
-        .with_inactivity_timer_ms(10'000);
+scenario::ScenarioSpec small_spec(scenario::TelemetrySpec telemetry = {}) {
+    return scenario::ScenarioSpec{.name = "telemetry-test",
+                                  .device_count = 40,
+                                  .payload_bytes = 50 * 1024,
+                                  .config = {.inactivity_timer = nbiot::SimTime{10'000}},
+                                  .runs = 2,
+                                  .base_seed = 42,
+                                  .telemetry = std::move(telemetry)};
 }
+
+const scenario::TelemetrySpec kFullTelemetry{.trace = true, .metrics = true};
 
 TEST(ScenarioTelemetryTest, MetricsCollectionNeverPerturbsResults) {
     const scenario::ScenarioResult off = scenario::run_scenario(small_spec());
-    const scenario::ScenarioResult on = scenario::run_scenario(
-        small_spec().with_telemetry_modes(true, true));
+    const scenario::ScenarioResult on = scenario::run_scenario(small_spec(kFullTelemetry));
     ASSERT_TRUE(on.telemetry.has_value());
     EXPECT_FALSE(off.telemetry.has_value());
     // Bit-identical summary: telemetry is purely observational.
@@ -217,10 +219,10 @@ TEST(ScenarioTelemetryTest, ArtifactsBitIdenticalAcrossThreadsAndStrata) {
     // golden is per strata count; thread count must never matter.
     for (const std::size_t strata : {std::size_t{1}, std::size_t{8}}) {
         const auto run_with = [&](std::size_t threads) {
-            return scenario::run_scenario(small_spec()
-                                              .with_telemetry_modes(true, true)
-                                              .with_strata(strata)
-                                              .with_threads(threads));
+            scenario::ScenarioSpec spec = small_spec(kFullTelemetry);
+            spec.config.strata = strata;
+            spec.threads = threads;
+            return scenario::run_scenario(spec);
         };
         const scenario::ScenarioResult one = run_with(1);
         const scenario::ScenarioResult eight = run_with(8);
@@ -237,7 +239,7 @@ TEST(ScenarioTelemetryTest, ArtifactsBitIdenticalAcrossThreadsAndStrata) {
 
 TEST(ScenarioTelemetryDeathTest, UnwritableTraceOutExitsWithUsageError) {
     const scenario::ScenarioSpec spec =
-        small_spec().with_trace_out("/nonexistent_nbmg_dir/trace.jsonl");
+        small_spec({.trace = true, .trace_out = "/nonexistent_nbmg_dir/trace.jsonl"});
     EXPECT_EXIT((void)scenario::run_scenario_or_exit(spec),
                 ::testing::ExitedWithCode(2), "error:");
 }
