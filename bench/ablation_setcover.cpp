@@ -12,7 +12,7 @@
 #include <utility>
 
 #include "bench/bench_util.hpp"
-#include "core/mechanism.hpp"
+#include "core/planners.hpp"
 #include "core/sweep.hpp"
 #include "scenario/spec.hpp"
 #include "setcover/solvers.hpp"
@@ -60,13 +60,9 @@ int main(int argc, char** argv) {
         const nbiot::SimTime horizon{
             2 * core::population_max_cycle(specs).period_ms()};
 
-        std::vector<setcover::PoEvent> events;
-        for (const auto& dev : specs) {
-            for (const auto po :
-                 paging.pos_in_range(nbiot::SimTime{0}, horizon, dev.imsi, dev.cycle)) {
-                events.push_back({po, dev.device.value});
-            }
-        }
+        // DR-SC's own cover input.
+        std::vector<setcover::PoEvent> events =
+            core::dr_sc_po_events(specs, paging, horizon);
 
         InstanceResult out;
         // Build the generic instance first so the window greedy can consume

@@ -9,8 +9,9 @@
 #             subset (ctest -L tier1, which now includes the analysis
 #             and stress labels); every bench and example shell at a
 #             tiny size; scenario-file + coordinator smokes
-#             (the DA-SC tail/page-loss file's CSV is byte-diffed Debug
-#             vs Release); failure-injection smoke (churn scenario,
+#             (the DA-SC tail/page-loss file's CSV and a DR-SC-only fig7
+#             run's CSV are byte-diffed Debug vs Release);
+#             failure-injection smoke (churn scenario,
 #             outage preset, lossy backhaul — all three CSVs are
 #             byte-diffed Debug vs Release); kill-and-resume checkpoint
 #             smoke (stop a citywide run and a single-cell churn run
@@ -77,6 +78,10 @@ run_scenario_smokes() {
   "${build_dir}/examples/run_scenario" \
     --scenario examples/scenarios/dasc_tail.scenario --threads 2 --csv \
     > "${build_dir}/dasc_tail_smoke.csv"
+  # DR-SC alone on 1,000-device cells: its window cover (PO enumeration,
+  # counting-sort ordering, greedy) joins the byte-diff too.
+  "${build_dir}/examples/run_scenario" --preset fig7 --runs 3 --threads 2 --csv \
+    > "${build_dir}/fig7_drsc_smoke.csv"
 
   echo "=== ${build_dir}: wall-clock coordinator smoke (staggered + backhaul) ==="
   "${build_dir}/examples/run_scenario" --preset citywide-staggered \
@@ -232,11 +237,11 @@ for leg in "${legs[@]}"; do
 
   run_scenario_smokes "${build_dir}"
 
-  # The telemetry artifacts, the faulted CSVs and the DA-SC tail CSV are
-  # pure functions of (spec, seed): the Debug and Release runs of the smokes
-  # above must agree byte for byte.
+  # The telemetry artifacts, the faulted CSVs, the DA-SC tail CSV and the
+  # DR-SC-only fig7 CSV are pure functions of (spec, seed): the Debug and
+  # Release runs of the smokes above must agree byte for byte.
   if [[ "${config}" == "Release" && -f build-debug/telemetry_smoke.trace.jsonl ]]; then
-    echo "=== cross-config determinism: Debug vs Release telemetry artifacts + fault and DA-SC tail CSVs ==="
+    echo "=== cross-config determinism: Debug vs Release telemetry artifacts + fault, DA-SC tail and DR-SC CSVs ==="
     cmp build-debug/telemetry_smoke.trace.jsonl "${build_dir}/telemetry_smoke.trace.jsonl"
     cmp build-debug/telemetry_smoke.metrics.csv "${build_dir}/telemetry_smoke.metrics.csv"
     cmp build-debug/telemetry_smoke.timeline.json "${build_dir}/telemetry_smoke.timeline.json"
@@ -244,6 +249,7 @@ for leg in "${legs[@]}"; do
     cmp build-debug/outage_smoke.csv "${build_dir}/outage_smoke.csv"
     cmp build-debug/dasc_tail_smoke.csv "${build_dir}/dasc_tail_smoke.csv"
     cmp build-debug/lossy_backhaul_smoke.csv "${build_dir}/lossy_backhaul_smoke.csv"
+    cmp build-debug/fig7_drsc_smoke.csv "${build_dir}/fig7_drsc_smoke.csv"
   fi
 
   if [[ "${config}" == "Release" ]]; then

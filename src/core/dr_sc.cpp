@@ -16,6 +16,26 @@
 
 namespace nbmg::core {
 
+std::vector<setcover::PoEvent> dr_sc_po_events(std::span<const nbiot::UeSpec> devices,
+                                               const nbiot::PagingSchedule& paging,
+                                               nbiot::SimTime horizon) {
+    std::size_t total = 0;
+    for (const nbiot::UeSpec& dev : devices) {
+        total += static_cast<std::size_t>(
+            paging.po_count_in_range(nbiot::SimTime{0}, horizon, dev.imsi, dev.cycle));
+    }
+    std::vector<setcover::PoEvent> events;
+    events.reserve(total);
+    for (const nbiot::UeSpec& dev : devices) {
+        const nbiot::SimTime period{dev.cycle.period_ms()};
+        for (nbiot::SimTime po = paging.po_offset(dev.imsi, dev.cycle); po < horizon;
+             po += period) {
+            events.push_back(setcover::PoEvent{po, dev.device.value});
+        }
+    }
+    return events;
+}
+
 MulticastPlan DrScMechanism::plan(std::span<const nbiot::UeSpec> devices,
                                   const CampaignConfig& config,
                                   sim::RandomStream& rng) const {
@@ -37,16 +57,9 @@ MulticastPlan DrScMechanism::plan(std::span<const nbiot::UeSpec> devices,
     }
 
     // Every PO of every device over the repetition period.
-    std::vector<setcover::PoEvent> events;
-    for (const auto& dev : devices) {
-        for (const nbiot::SimTime po :
-             paging.pos_in_range(nbiot::SimTime{0}, horizon, dev.imsi, dev.cycle)) {
-            events.push_back(setcover::PoEvent{po, dev.device.value});
-        }
-    }
-
     const setcover::WindowCoverResult cover = setcover::greedy_window_cover(
-        std::move(events), window, static_cast<std::uint32_t>(devices.size()), rng);
+        dr_sc_po_events(devices, paging, horizon), window,
+        static_cast<std::uint32_t>(devices.size()), rng);
     // Every device has >= 2 POs in [0, 2*maxDRX), so nothing is uncoverable.
     if (!cover.uncoverable.empty()) {
         throw std::logic_error("DrSc: device without paging occasions in horizon");

@@ -3,7 +3,10 @@
 // baseline included as an extension.
 #pragma once
 
+#include <vector>
+
 #include "core/mechanism.hpp"
+#include "setcover/window_cover.hpp"
 
 namespace nbmg::core {
 
@@ -20,6 +23,13 @@ public:
                                      const CampaignConfig& config,
                                      sim::RandomStream& rng) const override;
 };
+
+/// DR-SC's cover input: every PO of every device in [0, horizon), device
+/// by device, each device's in time order (its `pos_in_range`, written in
+/// closed form: the PO offset, then + one period while below `horizon`).
+[[nodiscard]] std::vector<setcover::PoEvent> dr_sc_po_events(
+    std::span<const nbiot::UeSpec> devices, const nbiot::PagingSchedule& paging,
+    nbiot::SimTime horizon);
 
 /// Sec. III-B: picks t = 2*maxDRX; devices without a PO in [t-TI, t) are
 /// paged at their last PO before t-TI and reconfigured to the longest

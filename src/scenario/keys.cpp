@@ -34,10 +34,10 @@ std::string read_integer(const In& in, T& out, std::uint64_t lo,
     return reason;
 }
 
-/// read_integer for a millisecond duration.
+/// read_integer for a millisecond duration, at most kMaxDurationMs.
 std::string read_ms(const In& in, nbiot::SimTime& out, std::uint64_t lo) {
     std::int64_t ms = out.count();
-    std::string reason = read_integer(in, ms, lo);
+    std::string reason = read_integer(in, ms, lo, kMaxDurationMs);
     out = nbiot::SimTime{ms};
     return reason;
 }
@@ -246,13 +246,14 @@ const KeyRow kRows[] = {
      },
      .get = [](const Spec& s) { return text(s.device_count); }},
     {.key = "payload_bytes",
-     .set = [](Spec& s, const In& in) { return read_integer(in, s.payload_bytes, 1); },
+     .set = [](Spec& s, const In& in) {
+         return read_integer(in, s.payload_bytes, 1, kMaxPayloadBytes);
+     },
      .get = [](const Spec& s) { return text(s.payload_bytes); }},
     {.key = "payload_kb", .flag = "--payload-kb",
      .set = [](Spec& s, const In& in) {
          std::int64_t kb = 0;
-         std::string reason =
-             read_integer(in, kb, 1, std::numeric_limits<std::int64_t>::max() / 1024);
+         std::string reason = read_integer(in, kb, 1, kMaxPayloadBytes / 1024);
          if (reason.empty()) s.payload_bytes = kb * 1024;
          return reason;
      },
@@ -329,7 +330,9 @@ const KeyRow kRows[] = {
      },
      .get = [](const Spec& s) { return text_if(churn_on(s), s.config.churn.leave_rate); }},
     {.key = "churn.rejoin_ms", .flag = "--churn-rejoin-ms",
-     .set = [](Spec& s, const In& in) { return read_integer(in, s.config.churn.rejoin_ms, 1); },
+     .set = [](Spec& s, const In& in) {
+         return read_integer(in, s.config.churn.rejoin_ms, 1, kMaxDurationMs);
+     },
      .get = [](const Spec& s) { return text_if(churn_on(s), s.config.churn.rejoin_ms); },
      .when = churn_on, .needs = "'churn.leave_rate' > 0 (or --churn-leave-rate X)"},
     {.key = "telemetry", .flag = "--telemetry", .shape = "off | trace | metrics | full",

@@ -25,9 +25,10 @@ void ScenarioSpec::validate() const {
         throw std::invalid_argument("scenario '" + name + "': runs must be in [1, " +
                                     std::to_string(kMaxRuns) + "]");
     }
-    if (payload_bytes <= 0) {
+    if (payload_bytes < 1 || payload_bytes > kMaxPayloadBytes) {
         throw std::invalid_argument("scenario '" + name +
-                                    "': payload must be >= 1 byte");
+                                    "': payload must be in [1, " +
+                                    std::to_string(kMaxPayloadBytes) + "] bytes");
     }
     if (!profile.valid()) {
         throw std::invalid_argument("scenario '" + name +
@@ -47,6 +48,20 @@ void ScenarioSpec::validate() const {
     if (config.strata < 1 || config.strata > core::kMaxStrata) {
         throw std::invalid_argument("scenario '" + name + "': strata must be in [1, " +
                                     std::to_string(core::kMaxStrata) + "]");
+    }
+    const auto check_ms = [this](const char* key, nbiot::SimTime value, std::int64_t lo) {
+        if (value.count() < lo || value.count() > kMaxDurationMs) {
+            throw std::invalid_argument("scenario '" + name + "': " + key + " must be in [" +
+                                        std::to_string(lo) + ", " +
+                                        std::to_string(kMaxDurationMs) + "]");
+        }
+    };
+    check_ms("ti_ms", config.inactivity_timer, 1);
+    check_ms("ra_guard_ms", config.ra_guard, 0);
+    check_ms("sc_ptm_mcch_period_ms", config.sc_ptm_mcch_period, 1);
+    if (config.churn.rejoin_ms > kMaxDurationMs) {
+        throw std::invalid_argument("scenario '" + name + "': churn.rejoin_ms must be <= " +
+                                    std::to_string(kMaxDurationMs));
     }
     if (!config.churn.valid()) {
         throw std::invalid_argument(

@@ -45,6 +45,18 @@ inline constexpr std::size_t kMaxDevices = 10'000'000;
 /// validate()), refused before the engine reserves per-run state.
 inline constexpr std::size_t kMaxRuns = 100'000;
 
+/// Upper bound on the millisecond durations `ti_ms`, `ra_guard_ms`,
+/// `sc_ptm_mcch_period_ms` and `churn.rejoin_ms` (the keys, their flags and
+/// validate()): 10^9 ms, about 11.6 days, 48 times the longest planning
+/// horizon (2 x the 10,485.76 s eDRX cycle).  The engine adds them to its
+/// horizons and instants, which a larger value could overflow.
+inline constexpr std::int64_t kMaxDurationMs = 1'000'000'000;
+
+/// Upper bound on the payload (`payload_bytes`, `payload_kb` and
+/// validate()): 2^30 bytes, 1,024 times the firmware preset, so the radio
+/// model's bit and airtime arithmetic stays far inside int64.
+inline constexpr std::int64_t kMaxPayloadBytes = std::int64_t{1} << 30;
+
 /// ScenarioSpec's default mechanism list.  (A range, not a braced list:
 /// GCC 12 flags the implicit constructor's initializer_list copy as maybe
 /// uninitialized once it is inlined.)

@@ -1,12 +1,68 @@
 #include "setcover/window_cover.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 #include <stdexcept>
 
 #include "setcover/bitset.hpp"
 
 namespace nbmg::setcover {
 namespace {
+
+/// (at, device) order.  It orders every event except exact duplicates,
+/// which are interchangeable, so any correct sort yields the same array.
+bool event_before(const PoEvent& a, const PoEvent& b) noexcept {
+    if (a.at != b.at) return a.at < b.at;
+    return a.device < b.device;
+}
+
+/// Sorts `events` into (at, device) order in linear time: a stable counting
+/// sort on the time's high bits, shifted so there is about one bucket per
+/// event, then an insertion sort inside each bucket (std::sort for a bucket
+/// of more than a few dozen events, e.g. every event at one instant).  The
+/// span is taken in unsigned arithmetic, so any SimTime buckets without
+/// overflow.
+void sort_events(std::vector<PoEvent>& events) {
+    const std::size_t n = events.size();
+    if (n < 2) return;
+    const auto [min_it, max_it] = std::minmax_element(
+        events.begin(), events.end(),
+        [](const PoEvent& a, const PoEvent& b) { return a.at < b.at; });
+    const auto lo = static_cast<std::uint64_t>(min_it->at.count());
+    const std::uint64_t span = static_cast<std::uint64_t>(max_it->at.count()) - lo;
+    // The smallest shift with (span >> shift) < n, so at most n buckets.
+    const auto shift = static_cast<unsigned>(std::bit_width(span / n));
+    const auto bucket_of = [lo, shift](const PoEvent& e) {
+        return static_cast<std::size_t>((static_cast<std::uint64_t>(e.at.count()) - lo) >>
+                                        shift);
+    };
+
+    // first[b] counts bucket b, then (prefix sums) ends it, then (the
+    // back-to-front scatter) starts it; first.back() stays n.
+    std::vector<std::size_t> first((span >> shift) + 2, 0);
+    for (const PoEvent& e : events) ++first[bucket_of(e)];
+    std::inclusive_scan(first.begin(), first.end(), first.begin());
+    std::vector<PoEvent> sorted(n);
+    for (std::size_t i = n; i-- > 0;) sorted[--first[bucket_of(events[i])]] = events[i];
+
+    constexpr std::size_t kInsertionSortMax = 32;
+    for (std::size_t b = 0; b + 1 < first.size(); ++b) {
+        PoEvent* const begin = sorted.data() + first[b];
+        PoEvent* const end = sorted.data() + first[b + 1];
+        if (static_cast<std::size_t>(end - begin) > kInsertionSortMax) {
+            std::sort(begin, end, event_before);
+            continue;
+        }
+        for (PoEvent* i = begin + 1; i < end; ++i) {
+            const PoEvent e = *i;
+            PoEvent* j = i;
+            for (; j != begin && event_before(e, *(j - 1)); --j) *j = *(j - 1);
+            *j = e;
+        }
+    }
+    events.swap(sorted);
+}
 
 /// Best anchor of one greedy round: the anchor index whose window covers
 /// the most distinct devices, with uniform tie-breaking.
@@ -293,10 +349,7 @@ WindowCoverResult greedy_window_cover(std::vector<PoEvent> events, sim::SimTime 
             throw std::invalid_argument("greedy_window_cover: device id out of range");
         }
     }
-    std::sort(events.begin(), events.end(), [](const PoEvent& a, const PoEvent& b) {
-        if (a.at != b.at) return a.at < b.at;
-        return a.device < b.device;
-    });
+    sort_events(events);
 
     WindowCoverResult result;
     CoverageBitset seen(device_count);
@@ -360,10 +413,7 @@ WindowCoverResult greedy_window_cover(std::vector<PoEvent> events, sim::SimTime 
 SetCoverInstance to_set_cover_instance(const std::vector<PoEvent>& events,
                                        sim::SimTime window, std::uint32_t device_count) {
     std::vector<PoEvent> sorted = events;
-    std::sort(sorted.begin(), sorted.end(), [](const PoEvent& a, const PoEvent& b) {
-        if (a.at != b.at) return a.at < b.at;
-        return a.device < b.device;
-    });
+    sort_events(sorted);
 
     std::vector<std::vector<Element>> sets;
     sets.reserve(sorted.size());

@@ -47,9 +47,11 @@ struct WindowCoverResult {
     std::vector<std::uint32_t> uncoverable;
 };
 
-/// Runs the greedy window cover.  `device_count` bounds the device ids in
-/// `events`.  `window` is TI (inclusive window [s, s+window]).  Ties between
-/// equally good windows are broken uniformly at random via `rng`.
+/// Runs the greedy window cover.  `events` may come in any order; they are
+/// put in (time, device) order in linear time (a counting sort on the
+/// time's high bits).  `device_count` bounds the device ids in `events`.
+/// `window` is TI (inclusive window [s, s+window]).  Ties between equally
+/// good windows are broken uniformly at random via `rng`.
 [[nodiscard]] WindowCoverResult greedy_window_cover(std::vector<PoEvent> events,
                                                     sim::SimTime window,
                                                     std::uint32_t device_count,

@@ -68,6 +68,14 @@ TEST(BenchFlagTest, ValidValuesParse) {
     const scenario::ScenarioSpec capped = spec_from_args(at_cap.argc, at_cap.argv(), "fig6a");
     EXPECT_EQ(capped.device_count, scenario::kMaxDevices);
     EXPECT_EQ(capped.runs, scenario::kMaxRuns);
+    // So are the duration and payload caps.
+    Args<6> durations_at_cap(
+        {"--ti-ms", "1000000000", "--churn-rejoin-ms", "1000000000", "--payload-kb", "1048576"});
+    const scenario::ScenarioSpec durations =
+        spec_from_args(durations_at_cap.argc, durations_at_cap.argv(), "churn");
+    EXPECT_EQ(durations.config.inactivity_timer.count(), scenario::kMaxDurationMs);
+    EXPECT_EQ(durations.config.churn.rejoin_ms, scenario::kMaxDurationMs);
+    EXPECT_EQ(durations.payload_bytes, scenario::kMaxPayloadBytes);
     Args<1> positional({"10000000"});
     EXPECT_EQ(positional_value(positional.argc, positional.argv(), 0, 1, 1,
                                scenario::kMaxDevices),
@@ -241,9 +249,27 @@ TEST(BenchFlagDeathTest, MisspelledFlagsRejectedBySpecResolution) {
 }
 
 TEST(BenchFlagDeathTest, PayloadKbOverrideCannotWrapInt64) {
-    Args<4> args({"--preset", "fig6a", "--payload-kb", "18014398509481985"});
-    EXPECT_EXIT((void)spec_from_args(args.argc, args.argv(), "fig6a"),
-                ::testing::ExitedWithCode(2), "value must be <= 9007199254740991");
+    const std::string bound =
+        "value must be <= " + std::to_string(scenario::kMaxPayloadBytes / 1024);
+    for (const char* kb : {"18014398509481985", "9007199254740991", "1048577"}) {
+        Args<4> args({"--preset", "fig6a", "--payload-kb", kb});
+        EXPECT_EXIT((void)spec_from_args(args.argc, args.argv(), "fig6a"),
+                    ::testing::ExitedWithCode(2), bound);
+    }
+}
+
+TEST(BenchFlagDeathTest, OversizedDurationsRejected) {
+    // Past kMaxDurationMs: a usage error, not an int64 overflow in the
+    // engine's horizon and churn arithmetic.
+    const std::string bound = "value must be <= " + std::to_string(scenario::kMaxDurationMs);
+    for (const char* ms : {"9223372036854775807", "1000000001"}) {
+        Args<6> ti({"--preset", "smoke", "--devices", "20", "--ti-ms", ms});
+        EXPECT_EXIT((void)spec_from_args(ti.argc, ti.argv(), "fig6a"),
+                    ::testing::ExitedWithCode(2), bound);
+        Args<4> rejoin({"--preset", "churn", "--churn-rejoin-ms", ms});
+        EXPECT_EXIT((void)spec_from_args(rejoin.argc, rejoin.argv(), "fig6a"),
+                    ::testing::ExitedWithCode(2), bound);
+    }
 }
 
 TEST(BenchFlagDeathTest, SpecFromArgsValidatesTheFinalSpec) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <set>
 #include <tuple>
+#include <utility>
 
 #include "core/mechanism.hpp"
 #include "core/planners.hpp"
@@ -150,6 +151,59 @@ TEST(DrScPlanTest, IdenticalImsiBatchSharesOneTransmission) {
     const MulticastPlan plan = plan_with(MechanismKind::dr_sc, devices, config);
     EXPECT_EQ(plan.transmissions.size(), 1u);
     EXPECT_EQ(plan.transmissions.front().devices.size(), 4u);
+}
+
+/// The reference for dr_sc_po_events: each device's pos_in_range over
+/// [0, horizon), concatenated in device order.
+std::vector<setcover::PoEvent> concatenated_pos_in_range(
+    std::span<const nbiot::UeSpec> devices, const nbiot::PagingSchedule& paging,
+    SimTime horizon) {
+    std::vector<setcover::PoEvent> events;
+    for (const nbiot::UeSpec& dev : devices) {
+        for (const SimTime po : paging.pos_in_range(SimTime{0}, horizon, dev.imsi, dev.cycle)) {
+            events.push_back({po, dev.device.value});
+        }
+    }
+    return events;
+}
+
+TEST(DrScPoEventsTest, MatchesConcatenatedPosInRange) {
+    sim::RandomStream gen{2024};
+    const auto ladder = nbiot::drx_ladder();
+    const std::int64_t longest = ladder.back().period_ms();
+    // nB = T, T/2, 2T and 4T: every PO-offset formula branch.
+    const std::pair<std::int64_t, std::int64_t> nb_ratios[] = {{1, 1}, {1, 2}, {2, 1}, {4, 1}};
+    for (const auto& [nb_num, nb_den] : nb_ratios) {
+        const nbiot::PagingSchedule paging(
+            nbiot::PagingConfig{.nb_num = nb_num, .nb_den = nb_den});
+        for (int trial = 0; trial < 4; ++trial) {
+            // Every ladder cycle, twice, each time with a random IMSI.
+            std::vector<nbiot::UeSpec> devices;
+            for (std::uint32_t k = 0; k < 2 * ladder.size(); ++k) {
+                devices.push_back({nbiot::DeviceId{k}, nbiot::Imsi{gen.next_u64()},
+                                   ladder[k % ladder.size()], nbiot::CeLevel::ce0});
+            }
+            // DR-SC's own horizon, then one that is a multiple of no period
+            // (every period is a whole number of 10 ms frames).
+            const std::int64_t odd = 10 * gen.uniform_int(1, longest / 5) + 3;
+            for (const std::int64_t horizon : {2 * longest, odd}) {
+                EXPECT_EQ(dr_sc_po_events(devices, paging, SimTime{horizon}),
+                          concatenated_pos_in_range(devices, paging, SimTime{horizon}))
+                    << "horizon " << horizon;
+            }
+            // A horizon at or below a device's PO offset gives it no event;
+            // one past the offset gives exactly the offset.
+            for (const nbiot::UeSpec& dev : devices) {
+                const SimTime offset = paging.po_offset(dev.imsi, dev.cycle);
+                const std::span<const nbiot::UeSpec> one(&dev, 1);
+                EXPECT_TRUE(dr_sc_po_events(one, paging, offset).empty());
+                EXPECT_TRUE(dr_sc_po_events(one, paging, SimTime{0}).empty());
+                EXPECT_EQ(dr_sc_po_events(one, paging, offset + SimTime{1}),
+                          concatenated_pos_in_range(one, paging, offset + SimTime{1}));
+                EXPECT_EQ(dr_sc_po_events(one, paging, offset + SimTime{1}).size(), 1u);
+            }
+        }
+    }
 }
 
 // --------------------------------------------------------------- DA-SC ----

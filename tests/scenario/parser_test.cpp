@@ -115,18 +115,35 @@ TEST(ScenarioParserTest, TypeMismatchNamesTheLine) {
                        {"test.scenario:1", "expected true | false"});
     // Values that would wrap when multiplied (payload_kb) or narrowed to
     // int must fail at the line, not run a different experiment.
+    const std::string payload_bound = "value must be <= " + std::to_string(kMaxPayloadBytes);
+    const std::string payload_kb_bound =
+        "value must be <= " + std::to_string(kMaxPayloadBytes / 1024);
     expect_parse_error("payload_kb = 18014398509481985\n",
-                       {"test.scenario:1", "value must be <= 9007199254740991"});
+                       {"test.scenario:1", payload_kb_bound.c_str()});
+    expect_parse_error("payload_kb = 1048577\n", {"test.scenario:1", payload_kb_bound.c_str()});
+    expect_parse_error("payload_bytes = 9223372036854775807\n",
+                       {"test.scenario:1", payload_bound.c_str()});
+    expect_parse_error("payload_bytes = 1073741825\n", {"test.scenario:1", payload_bound.c_str()});
+    EXPECT_EQ(parse_scenario_text("payload_kb = 1048576\n").payload_bytes, kMaxPayloadBytes);
+    EXPECT_EQ(parse_scenario_text("payload_bytes = 1073741824\n").payload_bytes,
+              kMaxPayloadBytes);
     expect_parse_error("max_page_records = 4294967312\n",
                        {"test.scenario:1", "value must be <= 2147483647"});
     expect_parse_error("max_page_attempts = 2147483648\n",
                        {"test.scenario:1", "value must be <= 2147483647"});
-    expect_parse_error("ti_ms = 9223372036854775808\n",
-                       {"test.scenario:1", "value must be <= 9223372036854775807"});
-    expect_parse_error("ra_guard_ms = 9223372036854775808\n",
-                       {"test.scenario:1", "value must be <= 9223372036854775807"});
-    expect_parse_error("sc_ptm_mcch_period_ms = 9223372036854775808\n",
-                       {"test.scenario:1", "value must be <= 9223372036854775807"});
+    // Durations the engine adds into its horizons stop at kMaxDurationMs
+    // (they used to overflow int64 there).
+    const std::string ms_bound = "value must be <= " + std::to_string(kMaxDurationMs);
+    for (const char* key : {"ti_ms", "ra_guard_ms", "sc_ptm_mcch_period_ms"}) {
+        for (const char* value : {"9223372036854775808", "9223372036854775807", "1000000001"}) {
+            expect_parse_error(std::string(key) + " = " + value + "\n",
+                               {"test.scenario:1", ms_bound.c_str()});
+        }
+    }
+    expect_parse_error("churn.leave_rate = 1\nchurn.rejoin_ms = 9223372036854775807\n",
+                       {"test.scenario:2", ms_bound.c_str()});
+    expect_parse_error("churn.leave_rate = 1\nchurn.rejoin_ms = 1000000001\n",
+                       {"test.scenario:2", ms_bound.c_str()});
     // A cell count past kMaxCells fails at its line, before the engine
     // sizes any per-cell state (it used to abort in vector::reserve or
     // die with bad_alloc).

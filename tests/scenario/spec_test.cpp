@@ -11,6 +11,7 @@
 
 #include "scenario/parser.hpp"
 #include "scenario/registry.hpp"
+#include "scenario/run.hpp"
 
 namespace nbmg::scenario {
 namespace {
@@ -102,28 +103,72 @@ TEST(ScenarioSpecTest, ValidationNamesTheOffendingField) {
     EXPECT_THROW(ScenarioSpec{.mechanisms = {}}.validate(), std::invalid_argument);
     EXPECT_THROW(ScenarioSpec{.topology = hotspot(4, -1.0)}.validate(),
                  std::invalid_argument);
-    // A hand-built spec meets the same bounds as the `cells`, `devices`
-    // and `runs` keys: the cap passes, one more throws.
+    // A hand-built spec meets the same bounds as the `cells`, `devices`,
+    // `runs`, payload and duration keys: the cap passes, one more throws.
+    const auto expect_rejected = [](const ScenarioSpec& spec, const std::string& message) {
+        try {
+            spec.validate();
+            ADD_FAILURE() << "expected std::invalid_argument: " << message;
+        } catch (const std::invalid_argument& error) {
+            EXPECT_NE(std::string(error.what()).find(message), std::string::npos)
+                << error.what();
+        }
+    };
     EXPECT_NO_THROW(ScenarioSpec{.topology = TopologySpec{.cells = kMaxCells}}.validate());
     EXPECT_THROW(ScenarioSpec{.topology = TopologySpec{.cells = kMaxCells + 1}}.validate(),
                  std::invalid_argument);
     EXPECT_NO_THROW(ScenarioSpec{.device_count = kMaxDevices}.validate());
-    try {
-        ScenarioSpec{.device_count = kMaxDevices + 1}.validate();
-        ADD_FAILURE() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& error) {
-        EXPECT_NE(std::string(error.what()).find("devices must be in [1, 10000000]"),
-                  std::string::npos)
-            << error.what();
-    }
+    expect_rejected(ScenarioSpec{.device_count = kMaxDevices + 1},
+                    "devices must be in [1, 10000000]");
     EXPECT_NO_THROW(ScenarioSpec{.runs = kMaxRuns}.validate());
-    try {
-        ScenarioSpec{.runs = kMaxRuns + 1}.validate();
-        ADD_FAILURE() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument& error) {
-        EXPECT_NE(std::string(error.what()).find("runs must be in [1, 100000]"),
-                  std::string::npos)
-            << error.what();
+    expect_rejected(ScenarioSpec{.runs = kMaxRuns + 1}, "runs must be in [1, 100000]");
+    EXPECT_NO_THROW(ScenarioSpec{.payload_bytes = kMaxPayloadBytes}.validate());
+    expect_rejected(ScenarioSpec{.payload_bytes = kMaxPayloadBytes + 1},
+                    "payload must be in [1, 1073741824] bytes");
+    ScenarioSpec at_cap;
+    at_cap.config.inactivity_timer = nbiot::SimTime{kMaxDurationMs};
+    at_cap.config.ra_guard = nbiot::SimTime{kMaxDurationMs};
+    at_cap.config.sc_ptm_mcch_period = nbiot::SimTime{kMaxDurationMs};
+    at_cap.config.churn = faults::ChurnSpec{.leave_rate = 1.0, .rejoin_ms = kMaxDurationMs};
+    EXPECT_NO_THROW(at_cap.validate());
+    ScenarioSpec past_cap = at_cap;
+    past_cap.config.inactivity_timer += nbiot::SimTime{1};
+    expect_rejected(past_cap, "ti_ms must be in [1, 1000000000]");
+    past_cap = at_cap;
+    past_cap.config.ra_guard += nbiot::SimTime{1};
+    expect_rejected(past_cap, "ra_guard_ms must be in [0, 1000000000]");
+    past_cap = at_cap;
+    past_cap.config.sc_ptm_mcch_period += nbiot::SimTime{1};
+    expect_rejected(past_cap, "sc_ptm_mcch_period_ms must be in [1, 1000000000]");
+    past_cap = at_cap;
+    past_cap.config.churn.rejoin_ms += 1;
+    expect_rejected(past_cap, "churn.rejoin_ms must be <= 1000000000");
+}
+
+TEST(ScenarioSpecTest, EveryDurationAndPayloadCapRuns) {
+    // Every capped key at its cap at once, through every mechanism: the
+    // engine adds TI, the RA guard, the TI tail and the 2^30-byte airtime
+    // into its horizon, churn schedules rejoins 10^9 ms out and SC-PTM
+    // transmits one MCCH period in.  The sanitizer legs run these sums
+    // under UBSan.
+    const ScenarioSpec spec = parse_scenario_text(
+        "devices = 10\nruns = 1\nthreads = 1\n"
+        "mechanisms = dr-sc,da-sc,dr-si,unicast,sc-ptm\n"
+        "payload_bytes = 1073741824\n"
+        "ti_ms = 1000000000\nra_guard_ms = 1000000000\n"
+        "sc_ptm_mcch_period_ms = 1000000000\ninclude_inactivity_tail = true\n"
+        "churn.leave_rate = 0.5\nchurn.rejoin_ms = 1000000000\n");
+    EXPECT_EQ(spec.payload_bytes, kMaxPayloadBytes);
+    EXPECT_EQ(spec.config.churn.rejoin_ms, kMaxDurationMs);
+    const ScenarioResult result = run_scenario(spec);
+    ASSERT_EQ(result.mechanism_count(), 5u);
+    for (std::size_t m = 0; m < result.mechanism_count(); ++m) {
+        const core::MechanismStats& stats = result.mechanism_stats(m);
+        SCOPED_TRACE(core::to_string(stats.kind));
+        EXPECT_EQ(stats.transmissions.count(), 1u);
+        EXPECT_GE(stats.transmissions.mean(), 1.0);
+        EXPECT_LE(stats.unreceived_devices.mean(), 10.0);
+        EXPECT_TRUE(std::isfinite(stats.completion_p99_ms.mean()));
     }
 }
 

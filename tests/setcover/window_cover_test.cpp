@@ -234,34 +234,86 @@ WindowCoverResult reference_window_cover(std::vector<PoEvent> events,
     return result;
 }
 
-class WindowCoverTraceTest : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(WindowCoverTraceTest, BitsetGreedyMatchesReference) {
-    sim::RandomStream gen{GetParam() * 131 + 5};
-    const std::uint32_t devices = 60;
+/// 1-6 events for each of `devices` devices, device by device, each time
+/// drawn by `draw`.
+template <class Draw>
+std::vector<PoEvent> draw_events(sim::RandomStream& gen, std::uint32_t devices,
+                                 Draw draw) {
     std::vector<PoEvent> events;
     for (std::uint32_t d = 0; d < devices; ++d) {
         const int pos = static_cast<int>(gen.uniform_int(1, 6));
-        for (int k = 0; k < pos; ++k) {
-            // Coarse grid -> frequent exact ties between windows.
-            events.push_back({SimTime{100 * gen.uniform_int(0, 40)}, d});
-        }
+        for (int k = 0; k < pos; ++k) events.push_back({SimTime{draw(gen)}, d});
     }
-    sim::RandomStream ref_rng{GetParam()};
-    sim::RandomStream fast_rng{GetParam()};
-    const WindowCoverResult ref =
-        reference_window_cover(events, SimTime{500}, devices, ref_rng);
-    const WindowCoverResult fast =
-        greedy_window_cover(events, SimTime{500}, devices, fast_rng);
+    return events;
+}
 
-    EXPECT_EQ(fast.uncoverable, ref.uncoverable);
-    ASSERT_EQ(fast.windows.size(), ref.windows.size());
-    for (std::size_t w = 0; w < ref.windows.size(); ++w) {
-        EXPECT_EQ(fast.windows[w].start, ref.windows[w].start);
-        EXPECT_EQ(fast.windows[w].end, ref.windows[w].end);
-        EXPECT_EQ(fast.windows[w].devices, ref.windows[w].devices);
+/// Coarse grid -> frequent exact ties between windows.
+std::int64_t grid_time(sim::RandomStream& gen) { return 100 * gen.uniform_int(0, 40); }
+
+/// One input pattern of the trace test.  The first is the coarse grid; the
+/// others reach the edges of the linear-time (time, device) ordering that
+/// opens greedy_window_cover, which the reference does with std::sort.
+struct TracePattern {
+    const char* name;
+    std::vector<PoEvent> (*events)(sim::RandomStream& gen, std::uint32_t devices);
+};
+
+const TracePattern kTracePatterns[] = {
+    {"coarse grid",
+     [](sim::RandomStream& gen, std::uint32_t devices) {
+         return draw_events(gen, devices, grid_time);
+     }},
+    {"every event at one instant (one bucket holds them all)",
+     [](sim::RandomStream& gen, std::uint32_t devices) {
+         return draw_events(gen, devices, [](sim::RandomStream&) { return std::int64_t{7}; });
+     }},
+    {"clusters 2^36 ms apart, a span past 2^40 ms (the bucket shift)",
+     [](sim::RandomStream& gen, std::uint32_t devices) {
+         return draw_events(gen, devices, [](sim::RandomStream& g) {
+             const std::int64_t cluster = g.uniform_int(0, 39) << 36;
+             return cluster + grid_time(g);
+         });
+     }},
+    {"negative times: clusters at -2^62, 0 and 2^62 ms, a span past 2^63 ms",
+     [](sim::RandomStream& gen, std::uint32_t devices) {
+         return draw_events(gen, devices, [](sim::RandomStream& g) {
+             const std::int64_t base = g.uniform_int(-1, 1) * (std::int64_t{1} << 62);
+             return base - grid_time(g);
+         });
+     }},
+    {"every (time, device) event repeated, the copies in reverse order",
+     [](sim::RandomStream& gen, std::uint32_t devices) {
+         std::vector<PoEvent> events = draw_events(gen, devices, grid_time);
+         const std::vector<PoEvent> copies(events.rbegin(), events.rend());
+         events.insert(events.end(), copies.begin(), copies.end());
+         return events;
+     }},
+};
+
+class WindowCoverTraceTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(WindowCoverTraceTest, BitsetGreedyMatchesReference) {
+    for (const TracePattern& pattern : kTracePatterns) {
+        SCOPED_TRACE(pattern.name);
+        sim::RandomStream gen{GetParam() * 131 + 5};
+        const std::uint32_t devices = 60;
+        const std::vector<PoEvent> events = pattern.events(gen, devices);
+        sim::RandomStream ref_rng{GetParam()};
+        sim::RandomStream fast_rng{GetParam()};
+        const WindowCoverResult ref =
+            reference_window_cover(events, SimTime{500}, devices, ref_rng);
+        const WindowCoverResult fast =
+            greedy_window_cover(events, SimTime{500}, devices, fast_rng);
+
+        EXPECT_EQ(fast.uncoverable, ref.uncoverable);
+        ASSERT_EQ(fast.windows.size(), ref.windows.size());
+        for (std::size_t w = 0; w < ref.windows.size(); ++w) {
+            EXPECT_EQ(fast.windows[w].start, ref.windows[w].start);
+            EXPECT_EQ(fast.windows[w].end, ref.windows[w].end);
+            EXPECT_EQ(fast.windows[w].devices, ref.windows[w].devices);
+        }
+        EXPECT_EQ(fast_rng.next_u64(), ref_rng.next_u64());
     }
-    EXPECT_EQ(fast_rng.next_u64(), ref_rng.next_u64());
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomPoPatterns, WindowCoverTraceTest,
