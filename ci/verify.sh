@@ -16,7 +16,9 @@
 #             byte-diffed Debug vs Release); kill-and-resume checkpoint
 #             smoke (stop a citywide run and a single-cell churn run
 #             mid-flight, resume at a different --threads, byte-diff every
-#             artifact against the uninterrupted run).
+#             artifact against the uninterrupted run; likewise from the
+#             stop journal with its last record torn, and from the journal
+#             of a run killed with SIGKILL).
 #   Release — same build with NBMG_ENABLE_LTO (so the option cannot
 #             rot); the full suite including the randomized property
 #             batteries; microbenchmark + multicell smokes; the
@@ -161,18 +163,63 @@ run_checkpoint_leg() {
     exit 1
   fi
   [[ -f "${ckpt_dir}/snap.bin" ]]
+  resume_and_compare "${build_dir}" "${ckpt_dir}" resumed "${ckpt_dir}/snap.bin" 2 \
+    "${common[@]}"
 
-  "${build_dir}/examples/run_scenario" "${common[@]}" --threads 2 \
-    --resume "${ckpt_dir}/snap.bin" \
-    --trace-out "${ckpt_dir}/resumed.trace.jsonl" \
-    --metrics-out "${ckpt_dir}/resumed.metrics.csv" \
-    --timeline-out "${ckpt_dir}/resumed.timeline.json" \
-    > "${ckpt_dir}/resumed.csv"
+  # A torn tail: cutting 5 bytes tears the stop journal's last record,
+  # which the resume drops and recomputes.
+  cp "${ckpt_dir}/snap.bin" "${ckpt_dir}/torn.bin"
+  truncate -s -5 "${ckpt_dir}/torn.bin"
+  resume_and_compare "${build_dir}" "${ckpt_dir}" torn "${ckpt_dir}/torn.bin" 2 \
+    "${common[@]}"
 
-  cmp "${ckpt_dir}/full.csv" "${ckpt_dir}/resumed.csv"
-  cmp "${ckpt_dir}/full.trace.jsonl" "${ckpt_dir}/resumed.trace.jsonl"
-  cmp "${ckpt_dir}/full.metrics.csv" "${ckpt_dir}/resumed.metrics.csv"
-  cmp "${ckpt_dir}/full.timeline.json" "${ckpt_dir}/resumed.timeline.json"
+  # A killed process: a one-thread run that flushes its journal after every
+  # task gets SIGKILL once the journal has grown past its 56-byte magic,
+  # version and header, then resumes at --threads 8.  A run that finishes
+  # before the kill lands resumes from its final journal instead.
+  local journal="${ckpt_dir}/killed.bin"
+  "${build_dir}/examples/run_scenario" "${common[@]}" --threads 1 \
+    --checkpoint-out "${journal}" > /dev/null &
+  local pid=$!
+  while kill -0 "${pid}" 2>/dev/null; do
+    if [[ -f "${journal}" ]] && (( $(stat -c %s "${journal}") > 56 )); then
+      kill -9 "${pid}" 2>/dev/null || true
+      break
+    fi
+    sleep 0.005
+  done
+  set +e
+  wait "${pid}"
+  status=$?
+  set -e
+  case ${status} in
+    137) echo "${name}: SIGKILL landed mid-run; resuming from the journal it left" ;;
+    0) echo "${name}: the run finished before the kill; resuming from its final journal" ;;
+    *)
+      echo "error: killed ${name} run exited ${status}, expected 137 (SIGKILL) or 0" >&2
+      exit 1
+      ;;
+  esac
+  resume_and_compare "${build_dir}" "${ckpt_dir}" killed "${journal}" 8 \
+    "${common[@]}"
+}
+
+# Resumes a checkpoint leg's run from journal $4 at --threads $5 (the run's
+# own arguments follow) and byte-compares every artifact with the
+# uninterrupted run's.
+resume_and_compare() {
+  local build_dir="$1" ckpt_dir="$2" name="$3" journal="$4" threads="$5"
+  shift 5
+  "${build_dir}/examples/run_scenario" "$@" --threads "${threads}" \
+    --resume "${journal}" \
+    --trace-out "${ckpt_dir}/${name}.trace.jsonl" \
+    --metrics-out "${ckpt_dir}/${name}.metrics.csv" \
+    --timeline-out "${ckpt_dir}/${name}.timeline.json" \
+    > "${ckpt_dir}/${name}.csv"
+  local artifact
+  for artifact in csv trace.jsonl metrics.csv timeline.json; do
+    cmp "${ckpt_dir}/full.${artifact}" "${ckpt_dir}/${name}.${artifact}"
+  done
 }
 
 run_sanitizer_leg() {

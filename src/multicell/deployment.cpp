@@ -259,9 +259,10 @@ std::vector<std::uint8_t> encode_cell_outcome(const DeploymentSetup& setup,
 }
 
 /// Inverse of encode_cell_outcome; also restores the task's collector
-/// sinks.  The snapshot has no checksum, so the slot's device counts and
-/// horizon are checked against `specs`, the shard this run assigns to the
-/// cell, under the cell's `config`.  Runs inside the sweep worker that owns
+/// sinks.  The journal's record checksum catches damage, not a crafted
+/// record, so the slot's device counts and horizon are checked against
+/// `specs`, the shard this run assigns to the cell, under the cell's
+/// `config`.  Runs inside the sweep worker that owns
 /// this grid slot, so the sink writes stay single-writer.
 CellRunOutcome decode_cell_outcome(const DeploymentSetup& setup, std::size_t run,
                                    std::size_t cell,

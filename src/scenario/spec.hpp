@@ -113,16 +113,17 @@ struct TelemetrySpec {
 
 /// Declarative checkpoint/resume request (snapshot/checkpoint.hpp).
 /// Checkpointing works at (run, cell) task granularity: the snapshot
-/// records the serialized outcome of every completed grid task, and a
-/// resumed run restores those outcomes and re-executes only the rest —
-/// bit-identical to the uninterrupted run at any --threads.  Attaching a
-/// checkpoint changes no aggregate and no RNG draw.
+/// journal records the serialized outcome of every completed grid task,
+/// and a resumed run restores those outcomes and re-executes only the
+/// rest — bit-identical to the uninterrupted run at any --threads.
+/// Attaching a checkpoint changes no aggregate and no RNG draw.
 struct CheckpointSpec {
     /// Snapshot path ("" = never write snapshots).
     std::string out{};
-    /// Simulated-time write throttle: rewrite the snapshot once at least
-    /// this many simulated ms of tasks completed since the last write;
-    /// 0 = rewrite after every completed task.  Requires `out`.
+    /// Simulated-time flush throttle: append the completed tasks' records
+    /// to the journal once at least this many simulated ms of tasks
+    /// completed since the last flush; 0 = flush after every completed
+    /// task.  Requires `out`.
     std::int64_t every_ms = 0;
     /// Stop with exit status 3 after this many freshly computed tasks
     /// (restored tasks do not count); 0 = run to completion.  A

@@ -1,29 +1,48 @@
 #include "snapshot/checkpoint.hpp"
 
+#include <iterator>
 #include <utility>
 
 namespace nbmg::snapshot {
 namespace {
 
-// Section ids of the checkpoint snapshot layout.
-constexpr std::uint32_t kSectionHeader = 1;
-constexpr std::uint32_t kSectionSlots = 2;
+// A slot record's payload around its blob: the u64 slot index before it
+// and the u64 checksum after it.
+constexpr std::uint64_t kRecordOverheadBytes = 16;
+
+std::uint64_t record_checksum(std::uint64_t slot,
+                              const std::vector<std::uint8_t>& blob) {
+    Writer index;
+    index.put_u64(slot);
+    return fnv1a64(blob, fnv1a64(index.buffer()));
+}
+
+bool put(std::FILE* file, const std::vector<std::uint8_t>& bytes) {
+    // An empty blob's data() may be null, which fwrite must not see.
+    return bytes.empty() ||
+           std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
+}
+
+bool put_record(std::FILE* file, std::uint64_t slot,
+                const std::vector<std::uint8_t>& blob, std::uint64_t checksum) {
+    Writer head;
+    head.put_frame_header(kJournalRecordSection, blob.size() + kRecordOverheadBytes);
+    head.put_u64(slot);
+    Writer tail;
+    tail.put_u64(checksum);
+    return put(file, head.buffer()) && put(file, blob) && put(file, tail.buffer());
+}
 
 }  // namespace
 
 void CheckpointContext::load(const std::string& path) {
-    const std::vector<Section> sections = read_snapshot_file(path);
-    const Section* header_section = nullptr;
-    const Section* slots_section = nullptr;
-    for (const Section& section : sections) {
-        if (section.id == kSectionHeader) header_section = &section;
-        if (section.id == kSectionSlots) slots_section = &section;
+    const std::vector<std::uint8_t> bytes = read_snapshot_bytes(path);
+    Reader r = open_snapshot(bytes, path);
+    if (r.take_u32() != kJournalHeaderSection) {
+        throw SnapshotError(path + ": missing header section");
     }
-    if (header_section == nullptr || slots_section == nullptr) {
-        throw SnapshotError(path + ": missing header or slot-table section");
-    }
-
-    Reader header_reader(header_section->payload, path + " (header section)");
+    const std::vector<std::uint8_t> header_payload = r.take_blob();
+    Reader header_reader(header_payload, path + " (header section)");
     CheckpointHeader loaded;
     loaded.fingerprint = header_reader.take_u64();
     loaded.runs = header_reader.take_u64();
@@ -49,54 +68,61 @@ void CheckpointContext::load(const std::string& path) {
             std::to_string(header_.campaigns) + " campaigns)");
     }
 
-    Reader slots_reader(slots_section->payload, path + " (slot-table section)");
-    const std::uint64_t count = slots_reader.take_u64();
     const std::uint64_t total_slots = header_.runs * header_.cells;
-    if (count > total_slots) {
-        throw SnapshotError(path + ": slot table lists " + std::to_string(count) +
-                            " completed tasks, grid only has " +
-                            std::to_string(total_slots));
-    }
     std::lock_guard<std::mutex> lock(mutex_);
     slots_.clear();
-    for (std::uint64_t i = 0; i < count; ++i) {
-        const std::uint64_t slot = slots_reader.take_u64();
+    next_slot_ = 0;
+    // The journal ends at its first torn frame or checksum mismatch: a run
+    // killed mid-append tears at most its last record, and the engine
+    // recomputes every task past the end.
+    while (r.remaining() >= kFrameHeaderBytes) {
+        const std::uint32_t id = r.take_u32();
+        const std::uint64_t length = r.take_u64();
+        if (id != kJournalRecordSection || length < kRecordOverheadBytes ||
+            length > r.remaining()) {
+            break;
+        }
+        const std::uint64_t slot = r.take_u64();
+        std::vector<std::uint8_t> blob = r.take_bytes(length - kRecordOverheadBytes);
+        const std::uint64_t checksum = r.take_u64();
+        if (checksum != record_checksum(slot, blob)) break;
         if (slot >= total_slots) {
             throw SnapshotError(path + ": slot index " + std::to_string(slot) +
                                 " out of range (grid has " +
                                 std::to_string(total_slots) + " tasks)");
         }
-        if (!slots_.emplace(slot, slots_reader.take_blob()).second) {
+        if (!slots_.emplace(slot, Record{std::move(blob), checksum, true}).second) {
             throw SnapshotError(path + ": duplicate slot index " +
                                 std::to_string(slot));
         }
     }
-    slots_reader.expect_end();
-    restored_count_ = count;
+    restored_count_ = slots_.size();
 }
 
 const std::vector<std::uint8_t>* CheckpointContext::restored(
     std::uint64_t slot) const {
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = slots_.find(slot);
-    // Map nodes are address-stable and never erased, so handing the pointer
-    // out of the lock is safe.
-    return it == slots_.end() ? nullptr : &it->second;
+    // Restored records are never erased and map nodes are address-stable,
+    // so handing the pointer out of the lock is safe.
+    return it == slots_.end() || !it->second.restored ? nullptr : &it->second.blob;
 }
 
 void CheckpointContext::complete_slot(std::uint64_t slot,
                                       std::vector<std::uint8_t> blob,
                                       std::int64_t sim_ms) {
+    const bool persist = !out_path_.empty();
+    const std::uint64_t checksum = persist ? record_checksum(slot, blob) : 0;
     std::lock_guard<std::mutex> lock(mutex_);
-    slots_[slot] = std::move(blob);
+    if (persist) slots_.emplace(slot, Record{std::move(blob), checksum});
     ++fresh_completed_;
     unsaved_sim_ms_ += sim_ms < 0 ? 0 : sim_ms;
 
     const bool stop = stop_after_ != 0 && fresh_completed_ >= stop_after_ &&
                       !stopping_.load(std::memory_order_relaxed);
     const bool throttle_due = every_ms_ <= 0 || unsaved_sim_ms_ >= every_ms_;
-    if (!out_path_.empty() && (stop || throttle_due)) {
-        save_locked();
+    if (persist && (stop || throttle_due)) {
+        flush_locked(false);
         unsaved_sim_ms_ = 0;
     }
     if (stop) {
@@ -108,28 +134,52 @@ void CheckpointContext::complete_slot(std::uint64_t slot,
 void CheckpointContext::save_final() {
     if (out_path_.empty()) return;
     std::lock_guard<std::mutex> lock(mutex_);
-    save_locked();
+    flush_locked(true);
     unsaved_sim_ms_ = 0;
 }
 
-void CheckpointContext::save_locked() {
-    Writer header_writer;
-    header_writer.put_u64(header_.fingerprint);
-    header_writer.put_u64(header_.runs);
-    header_writer.put_u64(header_.cells);
-    header_writer.put_u64(header_.campaigns);
-
-    Writer slots_writer;
-    slots_writer.put_u64(slots_.size());
-    for (const auto& [slot, blob] : slots_) {
-        slots_writer.put_u64(slot);
-        slots_writer.put_blob(blob);
+void CheckpointContext::flush_locked(bool final) {
+    // The first flush builds the journal under a temp name and renames it
+    // into place, so the out path never holds a headerless journal or a
+    // half-replaced older one; a flush after save_final appends.
+    const std::string tmp = out_path_ + ".tmp";
+    const std::string& target = journal_created_ ? out_path_ : tmp;
+    bool ok = true;
+    if (!journal_) {
+        journal_.reset(std::fopen(target.c_str(), journal_created_ ? "ab" : "wb"));
+        if (!journal_) throw SnapshotError(target + ": cannot open for writing");
+        if (!journal_created_) {
+            Writer header;
+            header.put_u64(header_.fingerprint);
+            header.put_u64(header_.runs);
+            header.put_u64(header_.cells);
+            header.put_u64(header_.campaigns);
+            ok = put(journal_.get(),
+                     encode_snapshot({Section{kJournalHeaderSection, header.take()}}));
+        }
     }
-
-    std::vector<Section> sections;
-    sections.push_back(Section{kSectionHeader, header_writer.take()});
-    sections.push_back(Section{kSectionSlots, slots_writer.take()});
-    write_snapshot_file(out_path_, sections);
+    for (auto it = slots_.lower_bound(next_slot_);
+         ok && it != slots_.end() && (final || it->first == next_slot_);) {
+        ok = put_record(journal_.get(), it->first, it->second.blob,
+                        it->second.checksum);
+        next_slot_ = it->first + 1;
+        it = it->second.restored ? std::next(it) : slots_.erase(it);
+    }
+    ok = std::fflush(journal_.get()) == 0 && ok;
+    if (final) ok = std::fclose(journal_.release()) == 0 && ok;
+    if (!ok) {
+        journal_.reset();
+        if (!journal_created_) std::remove(tmp.c_str());
+        throw SnapshotError(target + ": short write");
+    }
+    if (!journal_created_) {
+        if (std::rename(tmp.c_str(), out_path_.c_str()) != 0) {
+            journal_.reset();
+            std::remove(tmp.c_str());
+            throw SnapshotError(out_path_ + ": rename from temp file failed");
+        }
+        journal_created_ = true;
+    }
 }
 
 }  // namespace nbmg::snapshot

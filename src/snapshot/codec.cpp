@@ -8,6 +8,10 @@
 namespace nbmg::snapshot {
 namespace {
 
+// Wire width of one put_sink trace record: at_ms, a, b (8 each), device
+// (4), stratum (2), kind (1).
+constexpr std::uint64_t kTraceRecordBytes = 31;
+
 void put_buckets(Writer& w, const telemetry::CampaignSink& sink,
                  telemetry::EventKind kind) {
     w.put_u64_vector(sink.series(kind));
@@ -43,7 +47,7 @@ void put_sink(Writer& w, const telemetry::CampaignSink& sink) {
 }
 
 void restore_sink(Reader& r, telemetry::CampaignSink& sink) {
-    const std::uint64_t record_count = r.take_u64();
+    const std::uint64_t record_count = r.take_count(kTraceRecordBytes);
     std::vector<telemetry::TraceRecord> records;
     records.reserve(record_count);
     for (std::uint64_t i = 0; i < record_count; ++i) {

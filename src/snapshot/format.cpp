@@ -7,22 +7,26 @@
 
 namespace nbmg::snapshot {
 
-void Writer::put_u16(std::uint16_t v) {
-    put_u8(static_cast<std::uint8_t>(v & 0xFFU));
-    put_u8(static_cast<std::uint8_t>(v >> 8));
+namespace {
+
+/// Appends the `Width` little-endian bytes of `v` in one insert (one
+/// capacity check instead of one per byte).
+template <std::uint32_t Width>
+void put_le(std::vector<std::uint8_t>& out, std::uint64_t v) {
+    std::array<std::uint8_t, Width> bytes{};
+    for (std::uint32_t i = 0; i < Width; ++i) {
+        bytes[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xFFU);
+    }
+    out.insert(out.end(), bytes.begin(), bytes.end());
 }
 
-void Writer::put_u32(std::uint32_t v) {
-    for (std::uint32_t shift = 0; shift < 32; shift += 8) {
-        put_u8(static_cast<std::uint8_t>((v >> shift) & 0xFFU));
-    }
-}
+}  // namespace
 
-void Writer::put_u64(std::uint64_t v) {
-    for (std::uint32_t shift = 0; shift < 64; shift += 8) {
-        put_u8(static_cast<std::uint8_t>((v >> shift) & 0xFFU));
-    }
-}
+void Writer::put_u16(std::uint16_t v) { put_le<2>(out_, v); }
+
+void Writer::put_u32(std::uint32_t v) { put_le<4>(out_, v); }
+
+void Writer::put_u64(std::uint64_t v) { put_le<8>(out_, v); }
 
 void Writer::put_f64(double v) { put_u64(std::bit_cast<std::uint64_t>(v)); }
 
@@ -43,6 +47,11 @@ void Writer::put_blob(const std::vector<std::uint8_t>& blob) {
 
 void Writer::append_raw(const std::vector<std::uint8_t>& bytes) {
     out_.insert(out_.end(), bytes.begin(), bytes.end());
+}
+
+void Writer::put_frame_header(std::uint32_t id, std::uint64_t length) {
+    put_u32(id);
+    put_u64(length);
 }
 
 void Reader::need(std::uint64_t bytes) const {
@@ -103,22 +112,34 @@ std::string Reader::take_string() {
 }
 
 std::vector<std::uint64_t> Reader::take_u64_vector() {
-    const std::uint64_t count = take_u64();
-    need(count * 8);
+    const std::uint64_t count = take_count(8);
     std::vector<std::uint64_t> v;
     v.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) v.push_back(take_u64());
     return v;
 }
 
-std::vector<std::uint8_t> Reader::take_blob() {
-    const std::uint64_t length = take_u64();
-    need(length);
-    std::vector<std::uint8_t> blob(data_->begin() + static_cast<std::int64_t>(pos_),
-                                   data_->begin() +
-                                       static_cast<std::int64_t>(pos_ + length));
-    pos_ += length;
-    return blob;
+std::vector<std::uint8_t> Reader::take_blob() { return take_bytes(take_u64()); }
+
+std::vector<std::uint8_t> Reader::take_bytes(std::uint64_t count) {
+    need(count);
+    std::vector<std::uint8_t> bytes(data_->begin() + static_cast<std::int64_t>(pos_),
+                                    data_->begin() +
+                                        static_cast<std::int64_t>(pos_ + count));
+    pos_ += count;
+    return bytes;
+}
+
+std::uint64_t Reader::take_count(std::uint64_t element_bytes) {
+    const std::uint64_t count = take_u64();
+    // Divide rather than multiply: count * element_bytes can wrap.
+    if (count > remaining() / element_bytes) {
+        throw SnapshotError(label_ + ": count " + std::to_string(count) + " of " +
+                            std::to_string(element_bytes) +
+                            "-byte elements exceeds the " +
+                            std::to_string(remaining()) + " bytes left");
+    }
+    return count;
 }
 
 std::uint64_t Reader::remaining() const noexcept { return data_->size() - pos_; }
@@ -130,20 +151,27 @@ void Reader::expect_end() const {
     }
 }
 
+std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes, std::uint64_t hash) {
+    for (const std::uint8_t byte : bytes) {
+        hash ^= byte;
+        hash *= 1099511628211ULL;
+    }
+    return hash;
+}
+
 std::vector<std::uint8_t> encode_snapshot(const std::vector<Section>& sections) {
     Writer w;
     for (const char c : kMagic) w.put_u8(static_cast<std::uint8_t>(c));
     w.put_u32(kFormatVersion);
     for (const Section& section : sections) {
-        w.put_u32(section.id);
-        w.put_u64(section.payload.size());
+        w.put_frame_header(section.id, section.payload.size());
         w.append_raw(section.payload);
     }
     return w.take();
 }
 
-std::vector<Section> decode_snapshot(const std::vector<std::uint8_t>& bytes,
-                                     const std::string& label) {
+Reader open_snapshot(const std::vector<std::uint8_t>& bytes,
+                     const std::string& label) {
     Reader r(bytes, label);
     std::string magic;
     for (std::uint32_t i = 0; i < kMagic.size(); ++i) {
@@ -162,6 +190,12 @@ std::vector<Section> decode_snapshot(const std::vector<std::uint8_t>& bytes,
                             std::to_string(kFormatVersion) +
                             " — re-run the scenario instead of resuming");
     }
+    return r;
+}
+
+std::vector<Section> decode_snapshot(const std::vector<std::uint8_t>& bytes,
+                                     const std::string& label) {
+    Reader r = open_snapshot(bytes, label);
     std::vector<Section> sections;
     while (r.remaining() > 0) {
         Section section;
@@ -192,7 +226,7 @@ void write_snapshot_file(const std::string& path,
     }
 }
 
-std::vector<Section> read_snapshot_file(const std::string& path) {
+std::vector<std::uint8_t> read_snapshot_bytes(const std::string& path) {
     std::FILE* file = std::fopen(path.c_str(), "rb");
     if (file == nullptr) {
         throw SnapshotError(path + ": cannot open snapshot file");
@@ -208,7 +242,11 @@ std::vector<Section> read_snapshot_file(const std::string& path) {
     const bool ok = std::ferror(file) == 0;
     std::fclose(file);
     if (!ok) throw SnapshotError(path + ": read error");
-    return decode_snapshot(bytes, path);
+    return bytes;
+}
+
+std::vector<Section> read_snapshot_file(const std::string& path) {
+    return decode_snapshot(read_snapshot_bytes(path), path);
 }
 
 }  // namespace nbmg::snapshot

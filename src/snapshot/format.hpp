@@ -6,7 +6,9 @@
 // apart byte by byte — no struct dumps, no host-width integers — so a
 // snapshot written on any supported platform reads identically on any
 // other.  A reader that sees a different version (or a mangled frame)
-// rejects the file with a diagnostic instead of guessing.
+// rejects the file with a diagnostic instead of guessing; the checkpoint
+// journal's loader (checkpoint.hpp) alone ends its record frames at the
+// first torn or corrupt one.
 //
 // Versioning policy: kFormatVersion bumps on ANY layout change, including
 // additions — there are no optional trailing fields.  Old snapshots are
@@ -17,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -39,8 +42,13 @@ public:
 //    single-cell scenarios checkpoint the 1-cell deployment's (run, cell)
 //    slot blobs instead of per-run MechanismStats blobs.
 // 4: the header's scenario fingerprint hashes the key table's results rows.
-inline constexpr std::uint32_t kFormatVersion = 4;
+// 5: the checkpoint is an append-only journal — the header section, then
+//    one checksummed record section per completed (run, cell) task, in
+//    slot order — instead of one rewritten slot-table section.
+inline constexpr std::uint32_t kFormatVersion = 5;
 inline constexpr std::string_view kMagic = "NBMGSNAP";  // exactly 8 bytes
+/// Width of a section frame's (u32 id, u64 payload length) prefix.
+inline constexpr std::uint64_t kFrameHeaderBytes = 12;
 
 /// One length-framed section of a snapshot file.
 struct Section {
@@ -69,6 +77,9 @@ public:
     void put_blob(const std::vector<std::uint8_t>& blob);
     /// Raw bytes, no framing (section assembly only).
     void append_raw(const std::vector<std::uint8_t>& bytes);
+    /// The (u32 id, u64 length) prefix of a section whose `length`-byte
+    /// payload follows.
+    void put_frame_header(std::uint32_t id, std::uint64_t length);
 
     [[nodiscard]] const std::vector<std::uint8_t>& buffer() const noexcept {
         return out_;
@@ -82,8 +93,9 @@ private:
 };
 
 /// Sequential little-endian reader over one section payload.  Every take_*
-/// throws SnapshotError naming `label` when the payload is too short;
-/// expect_end() rejects trailing garbage.
+/// throws SnapshotError naming `label` when the payload is too short —
+/// before allocating for a decoded length or count; expect_end() rejects
+/// trailing garbage.
 class Reader {
 public:
     Reader(const std::vector<std::uint8_t>& data, std::string label)
@@ -100,6 +112,12 @@ public:
     [[nodiscard]] std::string take_string();
     [[nodiscard]] std::vector<std::uint64_t> take_u64_vector();
     [[nodiscard]] std::vector<std::uint8_t> take_blob();
+    /// `count` raw bytes, no length prefix.
+    [[nodiscard]] std::vector<std::uint8_t> take_bytes(std::uint64_t count);
+    /// A u64 element count, checked against the bytes left at
+    /// `element_bytes` (>= 1) per element, so a crafted count fails here
+    /// instead of sizing an allocation.
+    [[nodiscard]] std::uint64_t take_count(std::uint64_t element_bytes);
 
     [[nodiscard]] std::uint64_t remaining() const noexcept;
     /// Throws unless the payload was consumed exactly.
@@ -113,10 +131,22 @@ private:
     std::string label_;
 };
 
+/// 64-bit FNV-1a over `bytes`, continuing from `hash`: chained calls over
+/// consecutive ranges equal one call over their concatenation.
+[[nodiscard]] std::uint64_t fnv1a64(
+    std::span<const std::uint8_t> bytes,
+    std::uint64_t hash = 14695981039346656037ULL);
+
 /// Frames `sections` into one snapshot byte stream (magic, version,
 /// sections in the given order).
 [[nodiscard]] std::vector<std::uint8_t> encode_snapshot(
     const std::vector<Section>& sections);
+
+/// Validates magic + version and returns a reader positioned at the first
+/// section frame.  `label` (usually the file path) prefixes every
+/// diagnostic; `bytes` must outlive the reader.
+[[nodiscard]] Reader open_snapshot(const std::vector<std::uint8_t>& bytes,
+                                   const std::string& label);
 
 /// Validates magic + version and splits the stream back into sections.
 /// `label` (usually the file path) prefixes every diagnostic.
@@ -128,6 +158,9 @@ private:
 /// the final name.  Throws SnapshotError on any I/O failure.
 void write_snapshot_file(const std::string& path,
                          const std::vector<Section>& sections);
+
+/// The raw bytes of a snapshot file; throws SnapshotError on I/O errors.
+[[nodiscard]] std::vector<std::uint8_t> read_snapshot_bytes(const std::string& path);
 
 /// Reads and decodes a snapshot file; throws SnapshotError on I/O errors
 /// or any framing/version problem.

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -200,37 +201,33 @@ TEST(DeploymentTest, FleetCountsAreSumsOfCellCounts) {
     EXPECT_GT(stranded, 0.0);  // the outage hit devices
 }
 
-/// Rewrites the u64 at `offset` of one slot's blob in a saved snapshot.
+/// Rewrites the u64 at `offset` of one slot's blob in a saved journal and
+/// re-seals the record's checksum, so only the semantic checks can object.
 void rewrite_slot_u64(const std::string& from, const std::string& to,
                       std::uint64_t slot, std::size_t offset, std::uint64_t value) {
     std::vector<snapshot::Section> sections = snapshot::read_snapshot_file(from);
     for (snapshot::Section& section : sections) {
-        if (section.id != 2) continue;  // the slot table (snapshot/checkpoint.cpp)
-        snapshot::Reader r(section.payload, "slot table");
-        snapshot::Writer w;
-        const std::uint64_t count = r.take_u64();
-        w.put_u64(count);
-        for (std::uint64_t i = 0; i < count; ++i) {
-            const std::uint64_t index = r.take_u64();
-            std::vector<std::uint8_t> blob = r.take_blob();
-            if (index == slot) {
-                snapshot::Writer patch;
-                patch.put_u64(value);
-                std::copy(patch.buffer().begin(), patch.buffer().end(),
-                          blob.begin() + static_cast<std::ptrdiff_t>(offset));
-            }
-            w.put_u64(index);
-            w.put_blob(blob);
-        }
-        section.payload = w.take();
+        if (section.id != snapshot::kJournalRecordSection) continue;
+        // Record payload: u64 slot, the blob, u64 FNV-1a over both.
+        std::vector<std::uint8_t>& payload = section.payload;
+        snapshot::Reader r(payload, "slot record");
+        if (r.take_u64() != slot) continue;
+        snapshot::Writer patch;
+        patch.put_u64(value);
+        std::copy(patch.buffer().begin(), patch.buffer().end(),
+                  payload.begin() + 8 + static_cast<std::ptrdiff_t>(offset));
+        snapshot::Writer seal;
+        seal.put_u64(snapshot::fnv1a64(std::span(payload).first(payload.size() - 8)));
+        std::copy(seal.buffer().begin(), seal.buffer().end(), payload.end() - 8);
     }
     snapshot::write_snapshot_file(to, sections);
 }
 
 TEST(DeploymentTest, RestoredSlotMustMatchItsShard) {
-    // A snapshot has no checksum: a slot's device count and horizon are
-    // checked against the shard this run assigns to its cell, and every
-    // campaign's device count against the slot's.
+    // A record checksum catches damage, not a crafted record: a slot's
+    // device count and horizon are checked against the shard this run
+    // assigns to its cell, and every campaign's device count against the
+    // slot's.
     DeploymentSetup setup = small_setup();
     setup.device_count = 120;
     setup.runs = 2;

@@ -3,13 +3,18 @@
 // mid-flight (checkpoint.stop_after) and resumed at a different
 // --threads produces aggregates bit-identical to the uninterrupted run
 // and byte-identical telemetry artifacts.  Also pins resume-from-final
-// (every task restored, none recomputed) and that a checkpointed run is
-// bit-identical to a checkpoint-off run.
+// (every task restored, none recomputed), that a checkpointed run is
+// bit-identical to a checkpoint-off run, that the journal itself is
+// byte-identical at any --threads and across an in-place resume, and that
+// a journal cut at or just before any record boundary resumes to the
+// uninterrupted result.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -124,6 +129,94 @@ TEST_P(CheckpointResumeProperty, InterruptedResumeMatchesUninterrupted) {
 
         std::remove(snap.c_str());
     }
+}
+
+std::vector<std::uint8_t> read_bytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// A multicell spec of 8-32 (run, cell) tasks, strata 1.
+ScenarioSpec journal_spec() {
+    sim::RandomStream rng{sim::derive_seed(20261017, "checkpoint-journal", 0)};
+    return random_spec(rng, true, Shape{1, 1, 1});
+}
+
+/// The journal an uninterrupted run at `threads` leaves at `path`.
+std::vector<std::uint8_t> uninterrupted_journal(const std::string& path,
+                                                std::size_t threads) {
+    ScenarioSpec spec = journal_spec();
+    spec.threads = threads;
+    spec.checkpoint = {.out = path};
+    (void)run_scenario(spec);
+    return read_bytes(path);
+}
+
+TEST(CheckpointJournalTest, FinalJournalIsByteIdenticalAcrossThreads) {
+    const std::string path = testing::TempDir() + "checkpoint_journal_threads.bin";
+    const std::vector<std::uint8_t> serial = uninterrupted_journal(path, 1);
+    ASSERT_FALSE(serial.empty());
+    EXPECT_EQ(uninterrupted_journal(path, 8), serial);
+    std::remove(path.c_str());
+}
+
+TEST(CheckpointJournalTest, InPlaceResumeLeavesTheUninterruptedJournal) {
+    const std::string path = testing::TempDir() + "checkpoint_journal_in_place.bin";
+    const std::vector<std::uint8_t> expected = uninterrupted_journal(path, 1);
+    std::remove(path.c_str());
+
+    ScenarioSpec interrupted = journal_spec();
+    interrupted.threads = 8;
+    interrupted.checkpoint = {.out = path,
+                              .stop_after = std::max<std::uint64_t>(
+                                  1, total_tasks(interrupted) / 2)};
+    EXPECT_THROW((void)run_scenario(interrupted), snapshot::CheckpointStop);
+
+    ScenarioSpec resumed = journal_spec();
+    resumed.threads = 2;
+    resumed.checkpoint = {.out = path, .resume = path};
+    (void)run_scenario(resumed);
+    EXPECT_EQ(read_bytes(path), expected);
+    std::remove(path.c_str());
+}
+
+TEST(CheckpointJournalTest, ResumeFromAnyRecordCutMatchesUninterrupted) {
+    const std::string path = testing::TempDir() + "checkpoint_journal_source.bin";
+    const std::string cut_path = testing::TempDir() + "checkpoint_journal_cut.bin";
+    const std::vector<std::uint8_t> bytes = uninterrupted_journal(path, 4);
+    ScenarioSpec full = journal_spec();
+    full.threads = 4;
+    const ScenarioResult expected = run_scenario(full);
+
+    // Frame ends: after magic + version, each section adds its (u32 id,
+    // u64 length) prefix and its payload.  The first is the header's.
+    std::vector<std::uint64_t> ends;
+    std::uint64_t offset = 12;
+    for (const snapshot::Section& section : snapshot::read_snapshot_file(path)) {
+        offset += 12 + section.payload.size();
+        ends.push_back(offset);
+    }
+    ASSERT_EQ(ends.back(), bytes.size());
+    ASSERT_EQ(ends.size(), total_tasks(full) + 1);
+
+    std::vector<std::uint64_t> cuts{ends.front()};
+    for (std::size_t record = 1; record < ends.size(); ++record) {
+        cuts.push_back(ends[record] - 1);  // tears this record
+        cuts.push_back(ends[record]);
+    }
+    for (const std::uint64_t cut : cuts) {
+        SCOPED_TRACE("cut at byte " + std::to_string(cut));
+        std::FILE* file = std::fopen(cut_path.c_str(), "wb");
+        ASSERT_NE(file, nullptr);
+        ASSERT_EQ(std::fwrite(bytes.data(), 1, cut, file), cut);
+        std::fclose(file);
+        ScenarioSpec resumed = journal_spec();
+        resumed.threads = 2;
+        resumed.checkpoint.resume = cut_path;
+        expect_results_equal(run_scenario(resumed), expected);
+    }
+    std::remove(path.c_str());
+    std::remove(cut_path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(
