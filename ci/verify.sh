@@ -103,6 +103,16 @@ run_scenario_smokes() {
     --trace-out "${build_dir}/telemetry_smoke.trace.jsonl" \
     --metrics-out "${build_dir}/telemetry_smoke.metrics.csv" \
     --timeline-out "${build_dir}/telemetry_smoke.timeline.json"
+  # A multicell trace (16 cells x 4 campaigns + the coordinator's records)
+  # rendered at one and at four threads: the record ranges of the parallel
+  # render must join into the same bytes.  Four runs make 46,412 records,
+  # so the trace spans two 2^15-record ranges (two runs would fit in one).
+  for threads in 1 4; do
+    "${build_dir}/examples/run_scenario" --preset citywide-backhaul \
+      --devices 400 --runs 4 --threads "${threads}" --telemetry trace \
+      --trace-out "${build_dir}/citywide_trace.t${threads}.jsonl"
+  done
+  cmp "${build_dir}/citywide_trace.t1.jsonl" "${build_dir}/citywide_trace.t4.jsonl"
 
   echo "=== ${build_dir}: failure-injection smoke (churn + outage + lossy backhaul) ==="
   # The three CSVs are captured for the Debug-vs-Release byte-diff below:
@@ -284,14 +294,16 @@ for leg in "${legs[@]}"; do
 
   run_scenario_smokes "${build_dir}"
 
-  # The telemetry artifacts, the faulted CSVs, the DA-SC tail CSV and the
-  # DR-SC-only fig7 CSV are pure functions of (spec, seed): the Debug and
-  # Release runs of the smokes above must agree byte for byte.
+  # The telemetry artifacts (the multicell trace included), the faulted
+  # CSVs, the DA-SC tail CSV and the DR-SC-only fig7 CSV are pure functions
+  # of (spec, seed): the Debug and Release runs of the smokes above must
+  # agree byte for byte.
   if [[ "${config}" == "Release" && -f build-debug/telemetry_smoke.trace.jsonl ]]; then
     echo "=== cross-config determinism: Debug vs Release telemetry artifacts + fault, DA-SC tail and DR-SC CSVs ==="
     cmp build-debug/telemetry_smoke.trace.jsonl "${build_dir}/telemetry_smoke.trace.jsonl"
     cmp build-debug/telemetry_smoke.metrics.csv "${build_dir}/telemetry_smoke.metrics.csv"
     cmp build-debug/telemetry_smoke.timeline.json "${build_dir}/telemetry_smoke.timeline.json"
+    cmp build-debug/citywide_trace.t4.jsonl "${build_dir}/citywide_trace.t4.jsonl"
     cmp build-debug/churn_smoke.csv "${build_dir}/churn_smoke.csv"
     cmp build-debug/outage_smoke.csv "${build_dir}/outage_smoke.csv"
     cmp build-debug/dasc_tail_smoke.csv "${build_dir}/dasc_tail_smoke.csv"

@@ -266,7 +266,7 @@ const KeyRow kRows[] = {
      .set = [](Spec& s, const In& in) { return read_integer(in, s.base_seed, 0); },
      .get = [](const Spec& s) { return text(s.base_seed); }},
     {.key = "threads", .flag = "--threads",
-     .set = [](Spec& s, const In& in) { return read_integer(in, s.threads, 0); },
+     .set = [](Spec& s, const In& in) { return read_integer(in, s.threads, 0, kMaxThreads); },
      .get = [](const Spec& s) { return text_unless(s.threads, 0); },
      .results = false},
     {.key = "mechanisms",

@@ -133,7 +133,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
         TelemetryReport report;
         report.config = spec.telemetry;
         if (spec.telemetry.trace) {
-            report.trace_jsonl = telemetry::trace_jsonl(*collector);
+            report.trace_jsonl = telemetry::trace_jsonl(*collector, spec.threads);
             report.timeline_json = telemetry::timeline_json(
                 *collector,
                 result.coordination ? &*result.coordination : nullptr);

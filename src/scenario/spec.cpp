@@ -25,6 +25,10 @@ void ScenarioSpec::validate() const {
         throw std::invalid_argument("scenario '" + name + "': runs must be in [1, " +
                                     std::to_string(kMaxRuns) + "]");
     }
+    if (threads > kMaxThreads) {
+        throw std::invalid_argument("scenario '" + name + "': threads must be <= " +
+                                    std::to_string(kMaxThreads));
+    }
     if (payload_bytes < 1 || payload_bytes > kMaxPayloadBytes) {
         throw std::invalid_argument("scenario '" + name +
                                     "': payload must be in [1, " +

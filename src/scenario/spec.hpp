@@ -45,6 +45,13 @@ inline constexpr std::size_t kMaxDevices = 10'000'000;
 /// validate()), refused before the engine reserves per-run state.
 inline constexpr std::size_t kMaxRuns = 100'000;
 
+/// Upper bound on a scenario's worker-thread count (the `threads` key,
+/// --threads and validate()).  The engine asks its worker pool for up to
+/// one thread per task, so an unbounded count could spawn that many OS
+/// threads; a failed spawn would abort instead of exiting with a usage
+/// error.
+inline constexpr std::size_t kMaxThreads = 1024;
+
 /// Upper bound on the millisecond durations `ti_ms`, `ra_guard_ms`,
 /// `sc_ptm_mcch_period_ms` and `churn.rejoin_ms` (the keys, their flags and
 /// validate()): 10^9 ms, about 11.6 days, 48 times the longest planning

@@ -1,10 +1,21 @@
 #include "telemetry/export.hpp"
 
+#include <algorithm>
 #include <array>
+#include <bit>
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <numeric>
+#include <span>
+#include <stdexcept>
+#include <string_view>
+#include <system_error>
+#include <utility>
 #include <vector>
 
+#include "core/sweep.hpp"
 #include "multicell/coordinator.hpp"
 
 namespace nbmg::telemetry {
@@ -15,31 +26,6 @@ void append_escaped(std::string& out, const std::string& text) {
         if (ch == '"' || ch == '\\') out.push_back('\\');
         out.push_back(ch);
     }
-}
-
-void append_record_line(std::string& out, std::size_t run, std::int64_t cell,
-                        const std::string& campaign, const TraceRecord& record) {
-    out += "{\"run\":";
-    out += std::to_string(run);
-    out += ",\"cell\":";
-    out += std::to_string(cell);
-    out += ",\"campaign\":\"";
-    append_escaped(out, campaign);
-    out += "\",\"stratum\":";
-    out += record.stratum == kNoStratum ? "-1" : std::to_string(record.stratum);
-    out += ",\"at\":";
-    out += std::to_string(record.at_ms);
-    out += ",\"kind\":\"";
-    out += to_string(record.kind);
-    out += "\",\"device\":";
-    out += record.device == kNoDevice
-               ? "-1"
-               : std::to_string(static_cast<std::int64_t>(record.device));
-    out += ",\"a\":";
-    out += std::to_string(record.a);
-    out += ",\"b\":";
-    out += std::to_string(record.b);
-    out += "}\n";
 }
 
 /// One trace_event "complete" slice; Chrome timestamps are microseconds.
@@ -72,30 +58,199 @@ void append_thread_name(std::string& out, std::size_t pid, std::int64_t tid,
     out += "\"}},\n";
 }
 
+// --- JSONL trace: every line is
+// {"run":R,"cell":C,"campaign":"L","stratum":S,"at":T,"kind":"K","device":D,"a":A,"b":B}
+// with the stratum and device sentinels printed as -1.
+
+/// Trace records per work item of the render.  A constant, so the cut
+/// never depends on the thread count, and small enough that one slot of a
+/// single-cell trace still spreads over the pool.
+constexpr std::size_t kRangeRecords = std::size_t{1} << 15;
+
+constexpr std::string_view kCityCampaign = ",\"campaign\":\"coordinator\",\"stratum\":";
+constexpr std::string_view kAt = ",\"at\":";
+constexpr std::string_view kKind = ",\"kind\":\"";
+constexpr std::string_view kDevice = "\",\"device\":";
+constexpr std::string_view kA = ",\"a\":";
+constexpr std::string_view kB = ",\"b\":";
+constexpr std::string_view kLineEnd = "}\n";
+constexpr std::size_t kLiteralBytes = kAt.size() + kKind.size() + kDevice.size() +
+                                      kA.size() + kB.size() + kLineEnd.size();
+
+std::int64_t stratum_field(const TraceRecord& record) {
+    return record.stratum == kNoStratum ? -1 : std::int64_t{record.stratum};
+}
+
+/// Also the cell of a city-level record.
+std::int64_t device_field(const TraceRecord& record) {
+    return record.device == kNoDevice ? -1 : std::int64_t{record.device};
+}
+
+constexpr auto kPowersOf10 = [] {
+    std::array<std::uint64_t, 20> powers{};
+    std::uint64_t power = 1;
+    for (std::uint64_t& entry : powers) {
+        entry = power;
+        power *= 10;  // wraps once, past the last entry (10^19)
+    }
+    return powers;
+}();
+
+/// Characters std::to_chars writes for `value`.
+std::size_t decimal_width(std::int64_t value) {
+    // The magnitude in unsigned arithmetic, so INT64_MIN has one.  Setting
+    // the low bit moves no magnitude across a power of ten and makes 0
+    // count as one digit.
+    const std::uint64_t magnitude =
+        (value < 0 ? 0 - static_cast<std::uint64_t>(value) : static_cast<std::uint64_t>(value)) |
+        1;
+    // bit_width * log10(2), in 12-bit fixed point, is floor(log10) or one more.
+    const auto log10 = static_cast<std::size_t>((std::bit_width(magnitude) * 1233) >> 12);
+    const std::size_t digits = log10 + (magnitude >= kPowersOf10[log10] ? 1 : 0);
+    return digits + (value < 0 ? 1 : 0);
+}
+
+/// One non-empty sink, in file order.
+struct TraceSlot {
+    std::span<const TraceRecord> records;
+    std::size_t first = 0;  // index of records[0] in the whole trace
+    /// The line up to the stratum value; a city slot's stops after "cell":,
+    /// because its records carry the cell in the device field.
+    std::string head;
+    bool city = false;
+};
+
+std::size_t line_bytes(const TraceSlot& slot, const TraceRecord& record) {
+    std::size_t bytes = slot.head.size() + kLiteralBytes +
+                        std::string_view{to_string(record.kind)}.size() +
+                        decimal_width(stratum_field(record)) +
+                        decimal_width(record.at_ms) + decimal_width(device_field(record)) +
+                        decimal_width(record.a) + decimal_width(record.b);
+    if (slot.city) bytes += decimal_width(device_field(record)) + kCityCampaign.size();
+    return bytes;
+}
+
+/// Writes lines into one range's share of the output.  Every write is
+/// bounded by the share's end, so a width that disagrees with line_bytes
+/// throws instead of writing into a neighbouring range.
+class LineWriter {
+public:
+    LineWriter(char* begin, char* end) : next_(begin), end_(end) {}
+
+    void line(const TraceSlot& slot, const TraceRecord& record) {
+        text(slot.head);
+        if (slot.city) {
+            number(device_field(record));
+            text(kCityCampaign);
+        }
+        number(stratum_field(record));
+        text(kAt);
+        number(record.at_ms);
+        text(kKind);
+        text(to_string(record.kind));
+        text(kDevice);
+        number(device_field(record));
+        text(kA);
+        number(record.a);
+        text(kB);
+        number(record.b);
+        text(kLineEnd);
+    }
+
+    [[nodiscard]] bool at_end() const noexcept { return next_ == end_; }
+
+private:
+    void text(std::string_view bytes) {
+        if (static_cast<std::size_t>(end_ - next_) < bytes.size()) overflow();
+        std::memcpy(next_, bytes.data(), bytes.size());
+        next_ += bytes.size();
+    }
+
+    void number(std::int64_t value) {
+        const std::to_chars_result written = std::to_chars(next_, end_, value);
+        if (written.ec != std::errc{}) overflow();
+        next_ = written.ptr;
+    }
+
+    [[noreturn]] static void overflow() {
+        throw std::logic_error("trace_jsonl: a record range outgrew its measured width");
+    }
+
+    char* next_ = nullptr;
+    char* end_ = nullptr;
+};
+
+/// Calls fn(slot, record) for the records [lo, hi) of the trace, in order.
+template <typename Fn>
+void for_each_record(const std::vector<TraceSlot>& slots, std::size_t lo, std::size_t hi,
+                     Fn&& fn) {
+    auto slot = std::upper_bound(slots.begin(), slots.end(), lo,
+                                 [](std::size_t n, const TraceSlot& s) { return n < s.first; });
+    for (--slot; lo < hi; ++slot) {
+        const std::size_t end = std::min(slot->records.size(), hi - slot->first);
+        for (std::size_t i = lo - slot->first; i < end; ++i) fn(*slot, slot->records[i]);
+        lo = slot->first + end;
+    }
+}
+
 }  // namespace
 
-std::string trace_jsonl(const Collector& collector) {
-    std::string out;
-    const std::string coordinator_label = "coordinator";
+std::string trace_jsonl(const Collector& collector, std::size_t threads) {
+    std::vector<TraceSlot> slots;
+    std::size_t records = 0;
+    const auto add = [&](const CampaignSink& sink, std::string head, bool city) {
+        slots.push_back(TraceSlot{sink.records(), records, std::move(head), city});
+        records += sink.records().size();
+    };
     for (std::size_t run = 0; run < collector.runs(); ++run) {
+        const std::string run_head = "{\"run\":" + std::to_string(run) + ",\"cell\":";
         for (std::size_t cell = 0; cell < collector.cells(); ++cell) {
             for (std::size_t k = 0; k < collector.campaigns(); ++k) {
                 const CampaignSink& sink = collector.slot(run, cell, k);
-                for (const TraceRecord& record : sink.records()) {
-                    append_record_line(out, run, static_cast<std::int64_t>(cell),
-                                       collector.label(k), record);
-                }
+                if (sink.records().empty()) continue;
+                std::string head = run_head + std::to_string(cell) + ",\"campaign\":\"";
+                append_escaped(head, collector.label(k));
+                head += "\",\"stratum\":";
+                add(sink, std::move(head), false);
             }
         }
-        // City-level records use the device field as the cell index.
-        for (const TraceRecord& record : collector.city_slot(run).records()) {
-            append_record_line(out, run,
-                               record.device == kNoDevice
-                                   ? -1
-                                   : static_cast<std::int64_t>(record.device),
-                               coordinator_label, record);
-        }
+        // City-level records follow the run's campaign slots.
+        const CampaignSink& city = collector.city_slot(run);
+        if (!city.records().empty()) add(city, run_head, true);
     }
+
+    const std::size_t ranges = (records + kRangeRecords - 1) / kRangeRecords;
+    const auto range_end = [&](std::size_t range) {
+        return std::min((range + 1) * kRangeRecords, records);
+    };
+    const core::WorkerPool pool(threads);
+
+    // Pass 1: the exact bytes of every range; their prefix sums place the
+    // ranges in the one output buffer.
+    std::vector<std::size_t> offsets(ranges + 1, 0);
+    pool.run(ranges, [&](std::size_t range) {
+        std::size_t bytes = 0;
+        for_each_record(slots, range * kRangeRecords, range_end(range),
+                        [&](const TraceSlot& slot, const TraceRecord& record) {
+                            bytes += line_bytes(slot, record);
+                        });
+        offsets[range + 1] = bytes;
+    });
+    std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+
+    // Pass 2: every range writes its lines at its offset and must end
+    // exactly where the next range begins.
+    std::string out(offsets.back(), '\0');
+    pool.run(ranges, [&](std::size_t range) {
+        LineWriter writer(out.data() + offsets[range], out.data() + offsets[range + 1]);
+        for_each_record(slots, range * kRangeRecords, range_end(range),
+                        [&](const TraceSlot& slot, const TraceRecord& record) {
+                            writer.line(slot, record);
+                        });
+        if (!writer.at_end()) {
+            throw std::logic_error("trace_jsonl: a record range ended short of its measured width");
+        }
+    });
     return out;
 }
 

@@ -7,6 +7,7 @@
 // discipline guarantees at any --threads/--strata).
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "stats/table.hpp"
@@ -21,7 +22,13 @@ namespace nbmg::telemetry {
 /// One JSON object per line, one line per trace record, slots in
 /// deterministic order.  Each run's city-level backhaul records (campaign
 /// "coordinator") follow the run's campaign slots.
-[[nodiscard]] std::string trace_jsonl(const Collector& collector);
+///
+/// The render measures every line's exact width first, allocates the
+/// output once, then writes each line in place.  Both passes cut the trace
+/// into fixed-size record ranges and fan them over `threads` workers
+/// (core::resolve_threads semantics: 0 = one per hardware thread), so the
+/// bytes are identical at any width.
+[[nodiscard]] std::string trace_jsonl(const Collector& collector, std::size_t threads = 1);
 
 /// Counter + bucketed-series registry summed across runs and cells, one
 /// block per campaign label: columns {campaign, metric, window_start_ms,

@@ -63,11 +63,12 @@ TEST(BenchFlagTest, ValidValuesParse) {
     EXPECT_EQ(spec_from_args(affinity.argc, affinity.argv(), "citywide").assignment,
               multicell::AssignmentPolicy::class_affinity);
 
-    // The device and run caps themselves are accepted.
-    Args<4> at_cap({"--devices", "10000000", "--runs", "100000"});
+    // The device, run and thread caps themselves are accepted.
+    Args<6> at_cap({"--devices", "10000000", "--runs", "100000", "--threads", "1024"});
     const scenario::ScenarioSpec capped = spec_from_args(at_cap.argc, at_cap.argv(), "fig6a");
     EXPECT_EQ(capped.device_count, scenario::kMaxDevices);
     EXPECT_EQ(capped.runs, scenario::kMaxRuns);
+    EXPECT_EQ(capped.threads, scenario::kMaxThreads);
     // So are the duration and payload caps.
     Args<6> durations_at_cap(
         {"--ti-ms", "1000000000", "--churn-rejoin-ms", "1000000000", "--payload-kb", "1048576"});
@@ -123,6 +124,18 @@ TEST(BenchFlagDeathTest, OversizedDeviceAndRunCountsRejected) {
     EXPECT_EXIT((void)positional_value(positional.argc, positional.argv(), 0, 1, 1,
                                        scenario::kMaxDevices),
                 ::testing::ExitedWithCode(2), devices_bound);
+}
+
+TEST(BenchFlagDeathTest, OversizedThreadCountRejected) {
+    // Past kMaxThreads: a usage error before the worker pool could try to
+    // spawn up to one OS thread per task (a failed spawn aborts).  Parse
+    // only; nothing runs.
+    for (const char* threads : {"18446744073709551615", "1025"}) {
+        Args<6> huge({"--preset", "smoke", "--runs", "100000", "--threads", threads});
+        EXPECT_EXIT((void)spec_from_args(huge.argc, huge.argv(), "fig6a"),
+                    ::testing::ExitedWithCode(2),
+                    "value must be <= " + std::to_string(scenario::kMaxThreads));
+    }
 }
 
 TEST(BenchFlagDeathTest, ScenarioAndPresetResolutionRejected) {

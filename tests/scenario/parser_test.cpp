@@ -163,6 +163,13 @@ TEST(ScenarioParserTest, TypeMismatchNamesTheLine) {
     expect_parse_error("runs = 100001\n", {"test.scenario:1", runs_bound.c_str()});
     EXPECT_EQ(parse_scenario_text("devices = 10000000\nruns = 100000\n").device_count,
               kMaxDevices);
+    // The worker-thread count too: a huge one used to parse, and the
+    // engine's pool would have asked for up to one OS thread per task.
+    const std::string threads_bound = "value must be <= " + std::to_string(kMaxThreads);
+    expect_parse_error("threads = 18446744073709551615\n",
+                       {"test.scenario:1", threads_bound.c_str()});
+    expect_parse_error("threads = 1025\n", {"test.scenario:1", threads_bound.c_str()});
+    EXPECT_EQ(parse_scenario_text("threads = 1024\n").threads, kMaxThreads);
     // Rows apply in table order, `when` before the value: without cells
     // the grid rule fires first.
     expect_parse_error("devices = 10\ntopology = ring\n",

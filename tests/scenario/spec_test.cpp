@@ -122,6 +122,10 @@ TEST(ScenarioSpecTest, ValidationNamesTheOffendingField) {
                     "devices must be in [1, 10000000]");
     EXPECT_NO_THROW(ScenarioSpec{.runs = kMaxRuns}.validate());
     expect_rejected(ScenarioSpec{.runs = kMaxRuns + 1}, "runs must be in [1, 100000]");
+    EXPECT_NO_THROW(ScenarioSpec{.threads = kMaxThreads}.validate());
+    expect_rejected(ScenarioSpec{.threads = kMaxThreads + 1}, "threads must be <= 1024");
+    expect_rejected(ScenarioSpec{.threads = std::numeric_limits<std::size_t>::max()},
+                    "threads must be <= 1024");
     EXPECT_NO_THROW(ScenarioSpec{.payload_bytes = kMaxPayloadBytes}.validate());
     expect_rejected(ScenarioSpec{.payload_bytes = kMaxPayloadBytes + 1},
                     "payload must be in [1, 1073741824] bytes");

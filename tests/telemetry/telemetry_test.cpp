@@ -6,7 +6,9 @@
 // --threads/--strata, and unwritable output paths are a usage error.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,9 +26,91 @@ using telemetry::CampaignSink;
 using telemetry::Collector;
 using telemetry::EventKind;
 using telemetry::TelemetryConfig;
+using telemetry::TraceRecord;
 
 constexpr TelemetryConfig kFull{.trace = true, .metrics = true,
                                 .bucket_ms = 100};
+
+// --- The trace render's oracle: the per-field std::to_string renderer that
+// trace_jsonl replaced, kept here so the exact-size parallel render is
+// checked against it byte for byte.
+
+void append_escaped(std::string& out, const std::string& text) {
+    for (const char ch : text) {
+        if (ch == '"' || ch == '\\') out.push_back('\\');
+        out.push_back(ch);
+    }
+}
+
+void append_record_line(std::string& out, std::size_t run, std::int64_t cell,
+                        const std::string& campaign, const TraceRecord& record) {
+    out += "{\"run\":";
+    out += std::to_string(run);
+    out += ",\"cell\":";
+    out += std::to_string(cell);
+    out += ",\"campaign\":\"";
+    append_escaped(out, campaign);
+    out += "\",\"stratum\":";
+    out += record.stratum == telemetry::kNoStratum ? "-1" : std::to_string(record.stratum);
+    out += ",\"at\":";
+    out += std::to_string(record.at_ms);
+    out += ",\"kind\":\"";
+    out += telemetry::to_string(record.kind);
+    out += "\",\"device\":";
+    out += record.device == telemetry::kNoDevice
+               ? "-1"
+               : std::to_string(static_cast<std::int64_t>(record.device));
+    out += ",\"a\":";
+    out += std::to_string(record.a);
+    out += ",\"b\":";
+    out += std::to_string(record.b);
+    out += "}\n";
+}
+
+std::string reference_trace_jsonl(const Collector& collector) {
+    std::string out;
+    for (std::size_t run = 0; run < collector.runs(); ++run) {
+        for (std::size_t cell = 0; cell < collector.cells(); ++cell) {
+            for (std::size_t k = 0; k < collector.campaigns(); ++k) {
+                for (const TraceRecord& record : collector.slot(run, cell, k).records()) {
+                    append_record_line(out, run, static_cast<std::int64_t>(cell),
+                                       collector.label(k), record);
+                }
+            }
+        }
+        for (const TraceRecord& record : collector.city_slot(run).records()) {
+            append_record_line(out, run,
+                               record.device == telemetry::kNoDevice
+                                   ? -1
+                                   : static_cast<std::int64_t>(record.device),
+                               "coordinator", record);
+        }
+    }
+    return out;
+}
+
+/// Byte equality of two renders.  On a mismatch it names the first
+/// differing line instead of printing gtest's line diff, whose cost is
+/// quadratic in the line count.
+::testing::AssertionResult same_render(const std::string& got, const std::string& want) {
+    if (got == want) return ::testing::AssertionSuccess();
+    const std::size_t at = static_cast<std::size_t>(
+        std::mismatch(got.begin(), got.begin() + static_cast<std::ptrdiff_t>(
+                                                     std::min(got.size(), want.size())),
+                      want.begin())
+            .first -
+        got.begin());
+    const std::size_t line = want.rfind('\n', at == 0 ? 0 : at - 1);
+    const std::size_t from = line == std::string::npos || at == 0 ? 0 : line + 1;
+    return ::testing::AssertionFailure()
+           << got.size() << " bytes vs " << want.size() << " expected; first difference at byte "
+           << at << "\n  got:  " << got.substr(from, 160) << "\n  want: " << want.substr(from, 160);
+}
+
+/// Fills a sink's trace with exactly `records`.
+void fill(CampaignSink* sink, std::vector<TraceRecord> records) {
+    sink->restore(std::move(records), {}, {}, {}, {});
+}
 
 TEST(SinkTest, DefaultConstructedSinkIsDisabledAndDropsEverything) {
     CampaignSink sink;
@@ -151,6 +235,85 @@ TEST(ExportTest, TraceJsonlRendersOneRecordPerLineWithEscaping) {
               "{\"run\":0,\"cell\":0,\"campaign\":\"coordinator\","
               "\"stratum\":-1,\"at\":0,\"kind\":\"backhaul_chunk\","
               "\"device\":0,\"a\":40,\"b\":10}\n");
+}
+
+TEST(ExportTest, TraceJsonlMatchesReferenceAtExtremeValuesAndAnyWidth) {
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    const std::vector<std::int64_t> values = {kMin,  kMin + 1, -100, -10, -9, -1, 0,
+                                              1,     9,        10,   99,  100, kMax - 1,
+                                              kMax};
+    const std::vector<std::uint32_t> devices = {0, 7, 0xFFFF'FFFEU, telemetry::kNoDevice};
+    const std::vector<std::uint16_t> strata = {0, 9, 0xFFFE, telemetry::kNoStratum};
+    // Record i walks every kind, device, stratum and (at, a, b) value.
+    const auto records = [&](std::size_t count, std::size_t seed) {
+        std::vector<TraceRecord> out;
+        for (std::size_t i = seed; i < seed + count; ++i) {
+            out.push_back(TraceRecord{
+                .at_ms = values[i % values.size()],
+                .a = values[(i / 3) % values.size()],
+                .b = values[(i / 5) % values.size()],
+                .device = devices[(i / 7) % devices.size()],
+                .stratum = strata[(i / 11) % strata.size()],
+                .kind = static_cast<EventKind>(i % telemetry::kEventKindCount)});
+        }
+        return out;
+    };
+    // 2 runs x 2 cells x 2 campaigns, an escaped label, empty slots, and
+    // about 2.1 ranges of records cut inside slots.
+    Collector collector{kFull, 2, 2, {R"(uni"ca\st)", "dr-sc"}};
+    fill(collector.sink(0, 0, 0), records(20'000, 0));
+    fill(collector.sink(0, 1, 0), records(1, 3));
+    fill(collector.sink(0, 1, 1), records(15'000, 5));
+    fill(collector.sink(1, 1, 1), records(33'000, 17));
+    // City records carry the cell in the device field, kNoDevice as -1.
+    std::vector<TraceRecord> city = records(300, 1);
+    for (std::size_t i = 0; i < city.size(); ++i) {
+        city[i].kind = EventKind::backhaul_chunk;
+        city[i].device = devices[i % devices.size()];
+    }
+    fill(collector.city_sink(0), city);
+
+    const std::string reference = reference_trace_jsonl(collector);
+    ASSERT_EQ(std::count(reference.begin(), reference.end(), '\n'), 68'301);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                      std::size_t{8}}) {
+        EXPECT_TRUE(same_render(telemetry::trace_jsonl(collector, threads), reference))
+            << "threads=" << threads;
+    }
+    // The one-argument call renders serially.
+    EXPECT_TRUE(same_render(telemetry::trace_jsonl(collector), reference));
+}
+
+TEST(ExportTest, TraceJsonlCutsInsideAndBetweenSlotsAtAnyWidth) {
+    // One run, one cell: a slot of 3 ranges and 7 records, then a second
+    // campaign slot of a few records, so ranges end inside the first slot
+    // and the last one crosses into the second.
+    Collector collector{kFull, 1, 1, {"unicast", "dr-sc"}};
+    std::vector<TraceRecord> big;
+    constexpr std::size_t kRange = std::size_t{1} << 15;
+    for (std::size_t i = 0; i < 3 * kRange + 7; ++i) {
+        const auto n = static_cast<std::int64_t>(i);
+        big.push_back(TraceRecord{.at_ms = n,
+                                  .a = n * 7 - 3,
+                                  .b = -n,
+                                  .device = static_cast<std::uint32_t>(i % 1000),
+                                  .kind = EventKind::rach_attempt});
+    }
+    fill(collector.sink(0, 0, 0), std::move(big));
+    for (std::int64_t i = 0; i < 5; ++i) {
+        collector.sink(0, 0, 1)->emit(EventKind::tx_multicast, i, 3, i, 2);
+    }
+    const std::string serial = telemetry::trace_jsonl(collector, 1);
+    EXPECT_TRUE(same_render(telemetry::trace_jsonl(collector, 8), serial));
+    EXPECT_TRUE(same_render(serial, reference_trace_jsonl(collector)));
+}
+
+TEST(ExportTest, TraceJsonlOfAnEmptyCollectorIsEmptyAtAnyWidth) {
+    const Collector collector{kFull, 2, 3, {"unicast", "dr-sc"}};
+    for (const std::size_t threads : {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
+        EXPECT_EQ(telemetry::trace_jsonl(collector, threads), "") << "threads=" << threads;
+    }
 }
 
 TEST(ExportTest, MetricsTableSumsAcrossRunsAndCells) {
