@@ -113,6 +113,21 @@ run_scenario_smokes() {
       --trace-out "${build_dir}/citywide_trace.t${threads}.jsonl"
   done
   cmp "${build_dir}/citywide_trace.t1.jsonl" "${build_dir}/citywide_trace.t4.jsonl"
+  # One run on one cell (the reference and three mechanisms) at one and at
+  # four threads: at four, the task's spare workers run its campaigns side
+  # by side, and every artifact must still equal the serial run's.
+  for threads in 1 4; do
+    "${build_dir}/examples/run_scenario" --preset quickstart --devices 400 \
+      --threads "${threads}" --telemetry full --csv \
+      --trace-out "${build_dir}/campaign_fanout.t${threads}.jsonl" \
+      --metrics-out "${build_dir}/campaign_fanout.t${threads}.metrics.csv" \
+      --timeline-out "${build_dir}/campaign_fanout.t${threads}.timeline.json" \
+      > "${build_dir}/campaign_fanout.t${threads}.csv"
+  done
+  for artifact in csv jsonl metrics.csv timeline.json; do
+    cmp "${build_dir}/campaign_fanout.t1.${artifact}" \
+      "${build_dir}/campaign_fanout.t4.${artifact}"
+  done
 
   echo "=== ${build_dir}: failure-injection smoke (churn + outage + lossy backhaul) ==="
   # The three CSVs are captured for the Debug-vs-Release byte-diff below:
@@ -294,16 +309,18 @@ for leg in "${legs[@]}"; do
 
   run_scenario_smokes "${build_dir}"
 
-  # The telemetry artifacts (the multicell trace included), the faulted
-  # CSVs, the DA-SC tail CSV and the DR-SC-only fig7 CSV are pure functions
-  # of (spec, seed): the Debug and Release runs of the smokes above must
-  # agree byte for byte.
+  # The telemetry artifacts (the multicell trace and the campaign fan-out's
+  # CSV and trace included), the faulted CSVs, the DA-SC tail CSV and the
+  # DR-SC-only fig7 CSV are pure functions of (spec, seed): the Debug and
+  # Release runs of the smokes above must agree byte for byte.
   if [[ "${config}" == "Release" && -f build-debug/telemetry_smoke.trace.jsonl ]]; then
     echo "=== cross-config determinism: Debug vs Release telemetry artifacts + fault, DA-SC tail and DR-SC CSVs ==="
     cmp build-debug/telemetry_smoke.trace.jsonl "${build_dir}/telemetry_smoke.trace.jsonl"
     cmp build-debug/telemetry_smoke.metrics.csv "${build_dir}/telemetry_smoke.metrics.csv"
     cmp build-debug/telemetry_smoke.timeline.json "${build_dir}/telemetry_smoke.timeline.json"
     cmp build-debug/citywide_trace.t4.jsonl "${build_dir}/citywide_trace.t4.jsonl"
+    cmp build-debug/campaign_fanout.t4.csv "${build_dir}/campaign_fanout.t4.csv"
+    cmp build-debug/campaign_fanout.t4.jsonl "${build_dir}/campaign_fanout.t4.jsonl"
     cmp build-debug/churn_smoke.csv "${build_dir}/churn_smoke.csv"
     cmp build-debug/outage_smoke.csv "${build_dir}/outage_smoke.csv"
     cmp build-debug/dasc_tail_smoke.csv "${build_dir}/dasc_tail_smoke.csv"

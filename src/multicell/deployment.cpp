@@ -160,7 +160,7 @@ CellRunOutcome run_cell(const DeploymentSetup& setup,
                         std::span<const nbiot::UeSpec> specs,
                         const core::CampaignConfig& config,
                         std::uint64_t cell_root, std::size_t run,
-                        std::size_t cell, std::size_t strata_threads) {
+                        std::size_t cell, TaskThreads threads) {
     CellRunOutcome out;
     out.devices = specs.size();
     out.campaigns.resize(setup.mechanisms.size() + 1);
@@ -180,7 +180,11 @@ CellRunOutcome run_cell(const DeploymentSetup& setup,
         setup.cell_down && config.outage_at_ms >= 1 &&
         setup.cell_down->cell == cell && setup.cell_down->at_ms < out.horizon_ms;
 
-    for (std::size_t slot = 0; slot < out.campaigns.size(); ++slot) {
+    // Every slot owns its mechanism, plan stream, config copy (with its own
+    // collector sink) and runner, and writes only out.campaigns[slot], so
+    // the slots run side by side on the task's campaign threads.
+    const core::WorkerPool pool(threads.campaigns);
+    pool.run(out.campaigns.size(), [&](std::size_t slot) {
         const auto mechanism = core::make_mechanism(slot_kind(setup, slot));
         // The reference plans on its own stream, even when a mechanism slot
         // also runs unicast.
@@ -195,13 +199,13 @@ CellRunOutcome run_cell(const DeploymentSetup& setup,
         const core::MulticastPlan plan =
             mechanism->plan(specs, campaign_config, plan_rng);
         const core::CampaignResult result =
-            core::CampaignRunner(campaign_config, strata_threads)
+            core::CampaignRunner(campaign_config, threads.strata)
                 .run(plan, specs, setup.payload_bytes, horizon, run_seed);
         out.campaigns[slot] = totals_from(result);
         if (outage_here) {
             apply_outage_recovery(out.campaigns[slot], setup, campaign_config, result);
         }
-    }
+    });
     return out;
 }
 
@@ -357,6 +361,13 @@ std::uint64_t cell_seed_root(std::uint64_t base_seed, std::size_t cell_count,
     return cell_count == 1 ? base_seed : sim::derive_seed(base_seed, "cell", cell);
 }
 
+TaskThreads task_threads(std::size_t workers, std::size_t tasks,
+                         std::size_t campaigns, std::size_t strata) noexcept {
+    const std::size_t spare = tasks != 0 && tasks < workers ? workers / tasks : 1;
+    const std::size_t s = std::clamp<std::size_t>(strata, 1, spare);
+    return TaskThreads{std::clamp<std::size_t>(campaigns, 1, spare / s), s};
+}
+
 DeploymentResult run_deployment(const DeploymentSetup& setup) {
     if (setup.runs == 0 || setup.device_count == 0) {
         throw std::invalid_argument("run_deployment: empty setup");
@@ -425,10 +436,12 @@ DeploymentResult run_deployment(const DeploymentSetup& setup) {
     // Phase 2 — every (run, cell) campaign is an independent event loop;
     // fan the whole grid across the pool.  Grid tasks take the workers
     // first; when there are fewer tasks than workers, the spare ones run
-    // each task's strata, so the pool is never oversubscribed.
+    // each task's strata, then its campaigns, so the pool is never
+    // oversubscribed.
     const std::size_t tasks = setup.runs * cells;
-    const std::size_t workers = core::resolve_threads(setup.threads);
-    const std::size_t strata_threads = tasks >= workers ? 1 : workers / tasks;
+    const TaskThreads per_task =
+        task_threads(core::resolve_threads(setup.threads), tasks,
+                     setup.mechanisms.size() + 1, core::resolve_strata(setup.config.strata));
     const std::vector<CellRunOutcome> outcomes = core::sweep_indexed(
         tasks, setup.threads, [&](std::size_t slot) {
             const std::size_t run = slot / cells;
@@ -450,7 +463,7 @@ DeploymentResult run_deployment(const DeploymentSetup& setup) {
                 setup, shards[run].cell_specs[cell], cell_configs[cell],
                 cell_seed_root(setup.base_seed, cells,
                                static_cast<std::uint32_t>(cell)),
-                run, cell, strata_threads);
+                run, cell, per_task);
             if (checkpoint != nullptr) {
                 checkpoint->complete_slot(
                     slot, encode_cell_outcome(setup, run, cell, out),

@@ -53,8 +53,8 @@ struct DeploymentSetup {
     std::uint64_t base_seed = 42;
     /// Worker threads; 0 = one per hardware thread.  The runs x cells grid
     /// takes them first, and when it has fewer tasks than workers the
-    /// spare ones execute each task's paging-frame strata.  Results do not
-    /// depend on this value.
+    /// spare ones go to each task's paging-frame strata, then to its
+    /// campaigns (task_threads).  Results do not depend on this value.
     std::size_t threads = 0;
     std::vector<core::MechanismKind> mechanisms{
         core::MechanismKind::dr_sc, core::MechanismKind::da_sc,
@@ -132,6 +132,25 @@ struct DeploymentResult {
         return spans.at(run * cells.size() + cell);
     }
 };
+
+/// Threads one (run, cell) task runs on: its campaign slots side by side
+/// on `campaigns` threads, each campaign's strata on `strata` threads.
+struct TaskThreads {
+    std::size_t campaigns = 1;
+    std::size_t strata = 1;
+
+    friend bool operator==(const TaskThreads&, const TaskThreads&) = default;
+};
+
+/// Splits `workers` threads over a grid of `tasks` (run, cell) tasks, each
+/// running `campaigns` campaign slots of `strata` executed strata
+/// (core::resolve_strata).  A grid smaller than the pool leaves each task
+/// spare = workers / tasks threads, else 1.  Strata take theirs first,
+/// s = min(spare, strata); the campaigns get min(campaigns, spare / s).
+/// Every count is >= 1, and tasks x campaigns x strata <= max(tasks, workers).
+[[nodiscard]] TaskThreads task_threads(std::size_t workers, std::size_t tasks,
+                                       std::size_t campaigns,
+                                       std::size_t strata) noexcept;
 
 /// Runs the deployment: `runs` campaigns of the full fleet, each sharded
 /// over `setup.topology` by `setup.assignment`, all (run, cell) event loops

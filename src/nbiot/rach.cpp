@@ -24,8 +24,7 @@ SimTime RachChannel::next_window_at_or_after(SimTime t) const noexcept {
 
 void RachChannel::request(SimTime earliest, Callback done) {
     if (!done) throw std::invalid_argument("RachChannel::request: empty callback");
-    procedures_.push_back(Procedure{std::move(done), 0, SimTime{0}, false});
-    enroll(earliest, procedures_.size() - 1);
+    enroll(earliest, acquire(std::move(done)));
 }
 
 void RachChannel::inject_background_load(double arrivals_per_second, SimTime until) {
@@ -35,9 +34,19 @@ void RachChannel::inject_background_load(double arrivals_per_second, SimTime unt
     while (true) {
         t += SimTime{static_cast<std::int64_t>(rng_.exponential(mean_gap_ms)) + 1};
         if (t >= until) break;
-        procedures_.push_back(Procedure{[](const RachOutcome&) {}, 0, SimTime{0}, true});
-        enroll(t, procedures_.size() - 1);
+        enroll(t, acquire(Callback{}));
     }
+}
+
+std::size_t RachChannel::acquire(Callback done) {
+    if (free_procedures_.empty()) {
+        procedures_.push_back(Procedure{std::move(done), 0, SimTime{0}});
+        return procedures_.size() - 1;
+    }
+    const std::size_t index = free_procedures_.back();
+    free_procedures_.pop_back();
+    procedures_[index] = Procedure{std::move(done), 0, SimTime{0}};
+    return index;
 }
 
 void RachChannel::enroll(SimTime earliest, std::size_t proc_index) {
@@ -58,11 +67,11 @@ void RachChannel::resolve_window(SimTime window_start) {
     // Draw preambles and find collisions.  The preamble space is dense
     // ([0, num_preambles), 48 by default), so the histogram is a plain
     // indexed vector — no hashed container anywhere near an RNG draw.
-    std::vector<int> preamble_count(static_cast<std::size_t>(config_.num_preambles), 0);
-    std::vector<int> choice(entrants.size());
+    preamble_count_.assign(static_cast<std::size_t>(config_.num_preambles), 0);
+    choice_.resize(entrants.size());
     for (std::size_t i = 0; i < entrants.size(); ++i) {
-        choice[i] = static_cast<int>(rng_.uniform_int(0, config_.num_preambles - 1));
-        ++preamble_count[static_cast<std::size_t>(choice[i])];
+        choice_[i] = static_cast<int>(rng_.uniform_int(0, config_.num_preambles - 1));
+        ++preamble_count_[static_cast<std::size_t>(choice_[i])];
     }
 
     const SimTime resolution = window_start + config_.attempt_active_time();
@@ -70,44 +79,53 @@ void RachChannel::resolve_window(SimTime window_start) {
     // scheduled after the loop, in entrant order: a completion callback
     // inside the loop may schedule an event at this very instant, and it
     // must keep its place ahead of the retries.
-    std::vector<std::pair<SimTime, std::size_t>> retries;
+    retries_.clear();
     telemetry::CampaignSink* const sink = sim_->telemetry();
     const auto window_ms = window_start.count();
     const auto entrant_count = static_cast<std::int64_t>(entrants.size());
     for (std::size_t i = 0; i < entrants.size(); ++i) {
+        // A completion below may request again and grow procedures_, so
+        // the reference is not used past finish().
         Procedure& proc = procedures_[entrants[i]];
         ++proc.attempts;
         ++total_attempts_;
         proc.active_time += config_.attempt_active_time();
         NBMG_TELEMETRY_EMIT(sink, telemetry::EventKind::rach_attempt, window_ms,
-                            telemetry::kNoDevice, choice[i], entrant_count);
+                            telemetry::kNoDevice, choice_[i], entrant_count);
 
-        if (preamble_count[static_cast<std::size_t>(choice[i])] == 1) {
-            if (!proc.background) {
-                proc.done(RachOutcome{true, resolution, proc.attempts, proc.active_time});
-            }
+        const int sharing = preamble_count_[static_cast<std::size_t>(choice_[i])];
+        if (sharing == 1) {
+            finish(entrants[i], true, resolution);
             continue;
         }
 
         ++total_collisions_;
         NBMG_TELEMETRY_EMIT(sink, telemetry::EventKind::rach_collision, window_ms,
-                            telemetry::kNoDevice, choice[i],
-                            preamble_count[static_cast<std::size_t>(choice[i])]);
+                            telemetry::kNoDevice, choice_[i], sharing);
         if (proc.attempts >= config_.max_attempts) {
             ++total_failures_;
             NBMG_TELEMETRY_EMIT(sink, telemetry::EventKind::rach_failure, window_ms,
                                 telemetry::kNoDevice, proc.attempts, entrant_count);
-            if (!proc.background) {
-                proc.done(RachOutcome{false, resolution, proc.attempts, proc.active_time});
-            }
+            finish(entrants[i], false, resolution);
             continue;
         }
         const SimTime backoff{rng_.uniform_int(0, config_.backoff_max.count())};
-        retries.emplace_back(resolution + backoff, entrants[i]);
+        retries_.emplace_back(resolution + backoff, entrants[i]);
     }
-    for (const auto& [at, index] : retries) {
+    for (const auto& [at, index] : retries_) {
         sim_->queue().schedule_at(at, [this, index] { enroll(sim_->now(), index); });
     }
+}
+
+void RachChannel::finish(std::size_t proc_index, bool success, SimTime at) {
+    Procedure& proc = procedures_[proc_index];
+    const RachOutcome outcome{success, at, proc.attempts, proc.active_time};
+    // The callback leaves its slot, and the slot is free, before it runs:
+    // a completion that requests again may take this very slot or grow the
+    // table, and neither may move the running closure.
+    Callback done = std::move(proc.done);
+    free_procedures_.push_back(proc_index);
+    if (done) done(outcome);
 }
 
 }  // namespace nbmg::nbiot

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "nbiot/types.hpp"
@@ -79,25 +80,36 @@ public:
 
 private:
     struct Procedure {
-        Callback done;
+        Callback done;  // empty for a background arrival, which reports to no one
         int attempts = 0;
         SimTime active_time{0};
-        bool background = false;
     };
 
     /// First window start at or after `t`.
     [[nodiscard]] SimTime next_window_at_or_after(SimTime t) const noexcept;
 
+    /// Stores `done` in a free procedure slot (the last one freed, else a
+    /// new one) and returns the slot's index.
+    [[nodiscard]] std::size_t acquire(Callback done);
     void enroll(SimTime earliest, std::size_t proc_index);
     void resolve_window(SimTime window_start);
+    /// Frees the slot, then reports `success` at `at` to its callback.
+    void finish(std::size_t proc_index, bool success, SimTime at);
 
     sim::Simulation* sim_;  // not owned
     RachConfig config_;
     sim::RandomStream rng_;
     std::vector<Procedure> procedures_;
+    std::vector<std::size_t> free_procedures_;  // LIFO
     // A window has a resolve_window event pending exactly while it has an
     // entry here.
     std::map<SimTime, std::vector<std::size_t>> window_entrants_;
+    // resolve_window's scratch, kept across windows: the preamble
+    // histogram, each entrant's preamble, and the collided entrants' retry
+    // instants.
+    std::vector<int> preamble_count_;
+    std::vector<int> choice_;
+    std::vector<std::pair<SimTime, std::size_t>> retries_;
     std::uint64_t total_attempts_ = 0;
     std::uint64_t total_collisions_ = 0;
     std::uint64_t total_failures_ = 0;

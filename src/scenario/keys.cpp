@@ -307,8 +307,10 @@ const KeyRow kRows[] = {
      .get = [](const Spec& s) { return text(s.config.max_page_attempts); }},
     {.key = "background_ra_per_second",
      .set = [](Spec& s, const In& in) {
-         return read_number(in, s.config.background_ra_per_second, non_negative,
-                            "value must be >= 0");
+         return read_number(
+             in, s.config.background_ra_per_second,
+             [](double v) { return v >= 0.0 && v <= kMaxBackgroundRaPerSecond; },
+             "value must be in [0, 1000]");
      },
      .get = [](const Spec& s) { return text(s.config.background_ra_per_second); }},
     {.key = "max_page_records",

@@ -49,6 +49,10 @@ void ScenarioSpec::validate() const {
             "scenario '" + name +
             "': campaign config rates must be finite");
     }
+    if (config.background_ra_per_second > kMaxBackgroundRaPerSecond) {
+        throw std::invalid_argument("scenario '" + name +
+                                    "': background_ra_per_second must be in [0, 1000]");
+    }
     if (config.strata < 1 || config.strata > core::kMaxStrata) {
         throw std::invalid_argument("scenario '" + name + "': strata must be in [1, " +
                                     std::to_string(core::kMaxStrata) + "]");

@@ -64,6 +64,12 @@ inline constexpr std::int64_t kMaxDurationMs = 1'000'000'000;
 /// model's bit and airtime arithmetic stays far inside int64.
 inline constexpr std::int64_t kMaxPayloadBytes = std::int64_t{1} << 30;
 
+/// Upper bound on `background_ra_per_second` (the key and validate()).
+/// Background arrival gaps are whole milliseconds, so no rate past
+/// 1,000/s can be realized, and every arrival of the horizon is enrolled
+/// when a campaign starts: a larger rate only costs time and memory.
+inline constexpr double kMaxBackgroundRaPerSecond = 1000.0;
+
 /// ScenarioSpec's default mechanism list.  (A range, not a braced list:
 /// GCC 12 flags the implicit constructor's initializer_list copy as maybe
 /// uninitialized once it is inlined.)

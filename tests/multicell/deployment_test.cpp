@@ -1,6 +1,9 @@
 // Determinism contracts of the deployment engine:
 //  - results are bit-identical under any worker-thread count, including
-//    when spare workers run a task's strata,
+//    when spare workers run a task's strata or its campaigns side by side
+//    (trace and metrics byte-identical too, an outage's recovery included),
+//  - task_threads gives spare workers to strata first, then to campaigns,
+//    and never more than the pool,
 //  - class-affinity assignment reads each generated device's class,
 //  - the fleet's count-valued totals are the sums of its cells',
 //  - a restored checkpoint slot whose device count or horizon disagrees
@@ -21,7 +24,10 @@
 
 #include "core/experiment.hpp"
 #include "snapshot/checkpoint.hpp"
+#include "telemetry/collector.hpp"
+#include "telemetry/export.hpp"
 #include "tests/support/deployment_equal.hpp"
+#include "tests/support/same_render.hpp"
 #include "traffic/population.hpp"
 
 namespace nbmg::multicell {
@@ -29,6 +35,7 @@ namespace {
 
 using test_support::expect_deployment_results_equal;
 using test_support::expect_mechanism_stats_equal;
+using test_support::same_render;
 
 DeploymentSetup small_setup() {
     DeploymentSetup setup;
@@ -72,6 +79,104 @@ TEST(DeploymentTest, SpareWorkersRunStrataBitIdentically) {
     const DeploymentResult serial = run_deployment(setup);
     setup.threads = 8;
     expect_deployment_results_equal(run_deployment(setup), serial);
+}
+
+/// A run's result with the trace and metrics CSV a collector attached to
+/// it rendered.
+struct Observed {
+    DeploymentResult result;
+    std::string trace;
+    std::string metrics;
+};
+
+Observed run_observed(DeploymentSetup setup) {
+    telemetry::Collector collector{{.trace = true, .metrics = true},
+                                   setup.runs,
+                                   setup.topology.cell_count(),
+                                   {"unicast", "dr-sc", "da-sc", "dr-si"}};
+    setup.telemetry = &collector;
+    Observed out{run_deployment(setup), {}, {}};
+    out.trace = telemetry::trace_jsonl(collector);
+    out.metrics = telemetry::metrics_table(collector).to_csv();
+    return out;
+}
+
+void expect_observed_equal(const Observed& got, const Observed& want) {
+    expect_deployment_results_equal(got.result, want.result);
+    EXPECT_TRUE(same_render(got.trace, want.trace));
+    EXPECT_TRUE(same_render(got.metrics, want.metrics));
+}
+
+TEST(DeploymentTest, SpareWorkersRunCampaignsBitIdentically) {
+    // One run on one cell: the grid has 1 task, so from 2 threads on its
+    // four campaign slots (the reference and the three mechanisms) run
+    // side by side, each writing its own collector sink.
+    DeploymentSetup setup = small_setup();
+    setup.device_count = 300;
+    setup.runs = 1;
+    const Observed serial = run_observed(setup);
+    ASSERT_FALSE(serial.trace.empty());
+    for (const std::size_t threads : {2, 3, 4, 8}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        setup.threads = threads;
+        expect_observed_equal(run_observed(setup), serial);
+    }
+}
+
+TEST(DeploymentTest, SpareWorkersRunOutageRecoveryBitIdentically) {
+    // Two cells, one run, 8 threads: each task gets 4 spare workers, so
+    // the down cell runs its four campaigns, and their recovery passes, at
+    // once.
+    DeploymentSetup setup = small_setup();
+    setup.device_count = 300;
+    setup.runs = 1;
+    setup.topology = CellTopology::uniform(2);
+    setup.cell_down = faults::OutageSpec{1, 60'000};
+    const Observed serial = run_observed(setup);
+    double stranded = serial.result.unicast.stranded_devices.sum();
+    for (const core::MechanismStats& m : serial.result.mechanisms) {
+        stranded += m.stranded_devices.sum();
+    }
+    ASSERT_GT(stranded, 0.0);  // the outage hit devices
+    setup.threads = 8;
+    expect_observed_equal(run_observed(setup), serial);
+}
+
+TEST(DeploymentTest, TaskThreadsGiveStrataThenCampaignsTheSpareWorkers) {
+    struct Case {
+        std::size_t workers, tasks, campaigns, strata;
+        TaskThreads want;
+    };
+    const Case cases[] = {
+        {4, 1, 2, 1, {2, 1}},    // one DR-SI cell: the reference runs beside it
+        {4, 1, 2, 8, {1, 4}},    // megacell: the strata fill the spare workers
+        {8, 1, 4, 2, {4, 2}},
+        {8, 2, 4, 1, {4, 1}},
+        {4, 3, 4, 1, {1, 1}},    // 4 / 3 leaves one worker per task
+        {4, 150, 4, 1, {1, 1}},  // a full grid runs every slot inline
+    };
+    for (const Case& c : cases) {
+        const TaskThreads got = task_threads(c.workers, c.tasks, c.campaigns, c.strata);
+        EXPECT_TRUE(got == c.want) << c.workers << " workers, " << c.tasks << " tasks, "
+                                   << c.campaigns << " campaigns, " << c.strata
+                                   << " strata -> (" << got.campaigns << ", "
+                                   << got.strata << ")";
+    }
+    for (std::size_t workers = 1; workers <= 9; ++workers) {
+        for (std::size_t tasks = 1; tasks <= 9; ++tasks) {
+            for (std::size_t campaigns = 1; campaigns <= 5; ++campaigns) {
+                for (std::size_t strata = 1; strata <= 32; strata *= 2) {
+                    const TaskThreads t = task_threads(workers, tasks, campaigns, strata);
+                    EXPECT_GE(t.campaigns, 1u);
+                    EXPECT_LE(t.campaigns, campaigns);
+                    EXPECT_GE(t.strata, 1u);
+                    EXPECT_LE(t.strata, strata);
+                    EXPECT_LE(tasks * t.campaigns * t.strata, std::max(tasks, workers))
+                        << workers << " workers, " << tasks << " tasks";
+                }
+            }
+        }
+    }
 }
 
 TEST(DeploymentTest, ClassAffinityLoadsArePinnedAndThreadInvariant) {

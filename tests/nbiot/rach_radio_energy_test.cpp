@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "nbiot/energy.hpp"
 #include "nbiot/rach.hpp"
 #include "nbiot/radio.hpp"
@@ -118,6 +120,34 @@ TEST_F(RachTest, BackgroundLoadOccupiesPreambles) {
     // ~50/s over 60 s.
     EXPECT_GT(rach.total_attempts(), 2000u);
     EXPECT_GT(rach.total_collisions(), 0u);
+}
+
+TEST_F(RachTest, CompletionMayRequestAgain) {
+    // A completion that starts the next procedure from inside itself, then
+    // reads its captures.  The channel must not run the closure out of a
+    // procedure slot that the new request reuses or reallocates.
+    struct Chain {
+        RachChannel* rach;
+        std::vector<RachOutcome>* outcomes;
+        int left;
+        void operator()(const RachOutcome& o) const {
+            if (left > 0) rach->request(o.completed_at, Chain{rach, outcomes, left - 1});
+            outcomes->push_back(o);
+        }
+    };
+    RachChannel rach(sim_, config_, sim_.stream("rach"));
+    std::vector<RachOutcome> outcomes;
+    rach.request(SimTime{0}, Chain{&rach, &outcomes, 100});
+    sim_.queue().run_all();
+    ASSERT_EQ(outcomes.size(), 101u);
+    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+        EXPECT_TRUE(outcomes[i].success) << i;
+        EXPECT_EQ(outcomes[i].attempts, 1) << i;
+        if (i > 0) {
+            EXPECT_GT(outcomes[i].completed_at, outcomes[i - 1].completed_at) << i;
+        }
+    }
+    EXPECT_EQ(rach.total_attempts(), 101u);
 }
 
 TEST_F(RachTest, EmptyCallbackRejected) {

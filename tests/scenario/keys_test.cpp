@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 
 #include "scenario/cli.hpp"
 #include "scenario/parser.hpp"
@@ -121,6 +123,20 @@ TEST(ScenarioKeyTableTest, FingerprintMovesWithExactlyTheResultsRows) {
             EXPECT_EQ(one, two) << row.key << " must not block a resume";
         }
     }
+}
+
+TEST(ScenarioKeyTableTest, BackgroundRaRateStopsAtItsCap) {
+    const auto row = std::ranges::find_if(scenario_keys(), [](const KeyRow& r) {
+        return std::string_view(r.key) == "background_ra_per_second";
+    });
+    ASSERT_NE(row, scenario_keys().end());
+    ScenarioSpec spec;
+    EXPECT_EQ(row->set(spec, KeyInput{"1000"}), "");
+    EXPECT_EQ(spec.config.background_ra_per_second, kMaxBackgroundRaPerSecond);
+    for (const char* past : {"1000.5", "1e5"}) {
+        EXPECT_EQ(row->set(spec, KeyInput{past}), "value must be in [0, 1000]") << past;
+    }
+    EXPECT_EQ(spec.config.background_ra_per_second, kMaxBackgroundRaPerSecond);
 }
 
 }  // namespace

@@ -170,6 +170,15 @@ TEST(ScenarioParserTest, TypeMismatchNamesTheLine) {
                        {"test.scenario:1", threads_bound.c_str()});
     expect_parse_error("threads = 1025\n", {"test.scenario:1", threads_bound.c_str()});
     EXPECT_EQ(parse_scenario_text("threads = 1024\n").threads, kMaxThreads);
+    // Background RA arrivals are whole milliseconds apart, so a rate past
+    // kMaxBackgroundRaPerSecond cannot be realized; it only enrolled more.
+    expect_parse_error("background_ra_per_second = 1000.5\n",
+                       {"test.scenario:1", "value must be in [0, 1000]"});
+    expect_parse_error("background_ra_per_second = 1e5\n",
+                       {"test.scenario:1", "value must be in [0, 1000]"});
+    EXPECT_EQ(parse_scenario_text("background_ra_per_second = 1000\n")
+                  .config.background_ra_per_second,
+              kMaxBackgroundRaPerSecond);
     // Rows apply in table order, `when` before the value: without cells
     // the grid rule fires first.
     expect_parse_error("devices = 10\ntopology = ring\n",

@@ -129,6 +129,13 @@ TEST(ScenarioSpecTest, ValidationNamesTheOffendingField) {
     EXPECT_NO_THROW(ScenarioSpec{.payload_bytes = kMaxPayloadBytes}.validate());
     expect_rejected(ScenarioSpec{.payload_bytes = kMaxPayloadBytes + 1},
                     "payload must be in [1, 1073741824] bytes");
+    ScenarioSpec busy_rach;
+    busy_rach.config.background_ra_per_second = kMaxBackgroundRaPerSecond;
+    EXPECT_NO_THROW(busy_rach.validate());
+    for (const double rate : {1000.5, 1e5}) {
+        busy_rach.config.background_ra_per_second = rate;
+        expect_rejected(busy_rach, "background_ra_per_second must be in [0, 1000]");
+    }
     ScenarioSpec at_cap;
     at_cap.config.inactivity_timer = nbiot::SimTime{kMaxDurationMs};
     at_cap.config.ra_guard = nbiot::SimTime{kMaxDurationMs};

@@ -5,9 +5,10 @@
 // and byte-identical telemetry artifacts.  Also pins resume-from-final
 // (every task restored, none recomputed), that a checkpointed run is
 // bit-identical to a checkpoint-off run, that the journal itself is
-// byte-identical at any --threads and across an in-place resume, and that
-// a journal cut at or just before any record boundary resumes to the
-// uninterrupted result.
+// byte-identical at any --threads (a single task's campaigns running side
+// by side included) and across an in-place resume, and that a journal cut
+// at or just before any record boundary resumes to the uninterrupted
+// result.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "scenario/run.hpp"
@@ -142,10 +144,10 @@ ScenarioSpec journal_spec() {
     return random_spec(rng, true, Shape{1, 1, 1});
 }
 
-/// The journal an uninterrupted run at `threads` leaves at `path`.
+/// The journal an uninterrupted run of `spec` at `threads` leaves at `path`.
 std::vector<std::uint8_t> uninterrupted_journal(const std::string& path,
-                                                std::size_t threads) {
-    ScenarioSpec spec = journal_spec();
+                                                std::size_t threads,
+                                                ScenarioSpec spec = journal_spec()) {
     spec.threads = threads;
     spec.checkpoint = {.out = path};
     (void)run_scenario(spec);
@@ -153,10 +155,22 @@ std::vector<std::uint8_t> uninterrupted_journal(const std::string& path,
 }
 
 TEST(CheckpointJournalTest, FinalJournalIsByteIdenticalAcrossThreads) {
+    // The multicell grid at 8 threads, and one run on one cell at 4: there
+    // the task's campaigns run side by side, and its one record (the totals
+    // and every filled sink, in slot order) is still written after they
+    // join.
+    sim::RandomStream rng{sim::derive_seed(20261018, "checkpoint-journal", 1)};
+    ScenarioSpec single_task = random_spec(rng, false, Shape{1, 1, 1});
+    single_task.runs = 1;
+    const std::pair<ScenarioSpec, std::size_t> cases[] = {{journal_spec(), 8},
+                                                          {single_task, 4}};
     const std::string path = testing::TempDir() + "checkpoint_journal_threads.bin";
-    const std::vector<std::uint8_t> serial = uninterrupted_journal(path, 1);
-    ASSERT_FALSE(serial.empty());
-    EXPECT_EQ(uninterrupted_journal(path, 8), serial);
+    for (const auto& [spec, threads] : cases) {
+        const std::vector<std::uint8_t> serial = uninterrupted_journal(path, 1, spec);
+        ASSERT_FALSE(serial.empty());
+        EXPECT_EQ(uninterrupted_journal(path, threads, spec), serial)
+            << spec.cell_count() << " cells, " << spec.runs << " runs";
+    }
     std::remove(path.c_str());
 }
 

@@ -18,6 +18,7 @@
 #include "telemetry/collector.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/sink.hpp"
+#include "tests/support/same_render.hpp"
 
 namespace nbmg {
 namespace {
@@ -27,6 +28,7 @@ using telemetry::Collector;
 using telemetry::EventKind;
 using telemetry::TelemetryConfig;
 using telemetry::TraceRecord;
+using test_support::same_render;
 
 constexpr TelemetryConfig kFull{.trace = true, .metrics = true,
                                 .bucket_ms = 100};
@@ -87,24 +89,6 @@ std::string reference_trace_jsonl(const Collector& collector) {
         }
     }
     return out;
-}
-
-/// Byte equality of two renders.  On a mismatch it names the first
-/// differing line instead of printing gtest's line diff, whose cost is
-/// quadratic in the line count.
-::testing::AssertionResult same_render(const std::string& got, const std::string& want) {
-    if (got == want) return ::testing::AssertionSuccess();
-    const std::size_t at = static_cast<std::size_t>(
-        std::mismatch(got.begin(), got.begin() + static_cast<std::ptrdiff_t>(
-                                                     std::min(got.size(), want.size())),
-                      want.begin())
-            .first -
-        got.begin());
-    const std::size_t line = want.rfind('\n', at == 0 ? 0 : at - 1);
-    const std::size_t from = line == std::string::npos || at == 0 ? 0 : line + 1;
-    return ::testing::AssertionFailure()
-           << got.size() << " bytes vs " << want.size() << " expected; first difference at byte "
-           << at << "\n  got:  " << got.substr(from, 160) << "\n  want: " << want.substr(from, 160);
 }
 
 /// Fills a sink's trace with exactly `records`.
