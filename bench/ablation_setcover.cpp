@@ -9,7 +9,6 @@
 // provides profile, campaign config, instance size (devices), instance
 // count (runs), seed and threads.
 #include <cstdio>
-#include <utility>
 
 #include "bench/bench_util.hpp"
 #include "core/planners.hpp"
@@ -57,22 +56,19 @@ int main(int argc, char** argv) {
         const auto population =
             traffic::generate_population(spec.profile, devices, pop_rng);
         const auto specs = traffic::to_specs(population);
-        const nbiot::SimTime horizon{
-            2 * core::population_max_cycle(specs).period_ms()};
-
-        // DR-SC's own cover input.
-        std::vector<setcover::PoEvent> events =
-            core::dr_sc_po_events(specs, paging, horizon);
+        const nbiot::SimTime max_drx{core::population_max_cycle(specs).period_ms()};
 
         InstanceResult out;
-        // Build the generic instance first so the window greedy can consume
-        // `events` without a copy.
+        // The generic solvers get the flat events of the 2 * maxDRX horizon;
+        // the window greedy gets DR-SC's own call: one maxDRX period of POs
+        // and its two copies.
         const setcover::SetCoverInstance instance = setcover::to_set_cover_instance(
-            events, config.inactivity_timer, static_cast<std::uint32_t>(devices));
+            core::dr_sc_po_events(specs, paging, 2 * max_drx), config.inactivity_timer,
+            static_cast<std::uint32_t>(devices));
         sim::RandomStream tie_rng{sim::derive_seed(spec.base_seed, "tie", run)};
         const auto fast = setcover::greedy_window_cover(
-            std::move(events), config.inactivity_timer,
-            static_cast<std::uint32_t>(devices), tie_rng);
+            core::dr_sc_po_events(specs, paging, max_drx), max_drx, 2,
+            config.inactivity_timer, static_cast<std::uint32_t>(devices), tie_rng);
         out.greedy = static_cast<double>(fast.windows.size());
         out.first_fit =
             static_cast<double>(setcover::first_fit_cover(instance).chosen.size());

@@ -97,9 +97,10 @@ void BM_WindowCoverGreedy(benchmark::State& state) {
     for (auto _ : state) {
         sim::RandomStream rng{7};
         auto copy = events;
-        benchmark::DoNotOptimize(
-            setcover::greedy_window_cover(std::move(copy), sim::SimTime{10'000},
-                                          devices, rng));
+        // One copy of a period longer than the events' span.
+        benchmark::DoNotOptimize(setcover::greedy_window_cover(
+            std::move(copy), sim::SimTime{20'000'001}, 1, sim::SimTime{10'000}, devices,
+            rng));
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(events.size()));

@@ -1,9 +1,12 @@
 // DR-SC planner (Sec. III-A).
 //
-// Enumerate every device's paging occasions over one repetition period of
-// the PO pattern (2 * maxDRX, per the paper), run the greedy window cover
-// (window = TI, random tie-break), transmit at each window's end plus the
-// RA guard, and page each covered device at its first PO inside its window.
+// The planning horizon is 2 * maxDRX (per the paper): two repetitions of
+// the PO pattern, since every ladder cycle divides maxDRX.  Enumerate every
+// device's paging occasions over one repetition, [0, maxDRX), run the
+// greedy window cover over its two copies (window = TI, random tie-break;
+// the second copy is read in place, never built), transmit at each
+// window's end plus the RA guard, and page each covered device at its
+// first PO inside its window.
 // Devices that cannot be paged inside their window (paging-channel
 // capacity) fall back to later rounds and, ultimately, to a dedicated
 // transmission — so the plan always covers everyone the channel can reach.
@@ -56,11 +59,13 @@ MulticastPlan DrScMechanism::plan(std::span<const nbiot::UeSpec> devices,
         plan.schedules[i].device = devices[i].device;
     }
 
-    // Every PO of every device over the repetition period.
+    // Every PO of every device over the horizon: one repetition, twice.
+    // maxDRX is whole frames, so the horizon is exactly 2 * maxDRX.
+    const nbiot::SimTime max_drx{population_max_cycle(devices).period_ms()};
     const setcover::WindowCoverResult cover = setcover::greedy_window_cover(
-        dr_sc_po_events(devices, paging, horizon), window,
+        dr_sc_po_events(devices, paging, max_drx), max_drx, 2, window,
         static_cast<std::uint32_t>(devices.size()), rng);
-    // Every device has >= 2 POs in [0, 2*maxDRX), so nothing is uncoverable.
+    // Every device has >= 1 PO in [0, maxDRX), so nothing is uncoverable.
     if (!cover.uncoverable.empty()) {
         throw std::logic_error("DrSc: device without paging occasions in horizon");
     }

@@ -12,7 +12,8 @@ namespace nbmg::core {
 
 /// Sec. III-A: respects every DRX cycle; greedy window cover over paging
 /// occasions (set-cover heuristic, random tie-break); one transmission per
-/// chosen window.
+/// chosen window.  The planning horizon, 2 * maxDRX, holds two copies of
+/// the PO pattern: the cover gets one maxDRX of POs and a copy count of 2.
 class DrScMechanism final : public GroupingMechanism {
 public:
     [[nodiscard]] MechanismKind kind() const noexcept override {
@@ -27,6 +28,7 @@ public:
 /// DR-SC's cover input: every PO of every device in [0, horizon), device
 /// by device, each device's in time order (its `pos_in_range`, written in
 /// closed form: the PO offset, then + one period while below `horizon`).
+/// The planner passes horizon = maxDRX, one period of the pattern.
 [[nodiscard]] std::vector<setcover::PoEvent> dr_sc_po_events(
     std::span<const nbiot::UeSpec> devices, const nbiot::PagingSchedule& paging,
     nbiot::SimTime horizon);

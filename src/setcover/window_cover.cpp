@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <numeric>
+#include <span>
 #include <stdexcept>
+#include <string>
 
 #include "setcover/bitset.hpp"
 
@@ -64,58 +67,169 @@ void sort_events(std::vector<PoEvent>& events) {
     events.swap(sorted);
 }
 
-/// Best anchor of one greedy round: the anchor index whose window covers
-/// the most distinct devices, with uniform tie-breaking.
+/// `copies` back-to-back copies of one period of (time, device)-ordered
+/// events, copy c shifted by c × `period`, read in place: virtual index
+/// v = c × n + i is event i of copy c (n = events.size()).  The events span
+/// less than `period`, so the virtual array is in (time, device) order too,
+/// exactly the flat array a rescan of every copy would sort.
+struct Repeated {
+    const std::vector<PoEvent>& events;
+    sim::SimTime period{0};
+    std::size_t copies = 1;
+
+    /// A virtual position, stepped without dividing.
+    struct Position {
+        std::size_t v = 0;      // virtual index
+        std::size_t i = 0;      // index into `events`
+        sim::SimTime shift{0};  // v's copy times `period`
+    };
+
+    [[nodiscard]] std::size_t size() const noexcept { return events.size() * copies; }
+
+    [[nodiscard]] Position position(std::size_t v) const noexcept {
+        const std::size_t n = events.size();
+        return {v, v % n, period * static_cast<std::int64_t>(v / n)};
+    }
+
+    void step(Position& p) const noexcept {
+        ++p.v;
+        if (++p.i == events.size()) {
+            p.i = 0;
+            if (p.v < size()) p.shift += period;  // never past the last copy
+        }
+    }
+
+    [[nodiscard]] sim::SimTime at(const Position& p) const noexcept {
+        return events[p.i].at + p.shift;
+    }
+
+    /// Virtual index of the first boundary anchor: at least n, size() when
+    /// there is none.  An anchor of a later copy covers exactly what its
+    /// copy-0 twin covers unless its window, on the endless repetition,
+    /// would reach the first event of copy `copies`; such a boundary anchor
+    /// may cover less.  Anchor times grow with v, so the boundary anchors
+    /// are a suffix of the array.
+    [[nodiscard]] std::size_t boundary_begin(sim::SimTime window) const {
+        const std::size_t n = events.size();
+        const sim::SimTime first = events.front().at;
+        for (std::size_t c = 1; c < copies; ++c) {
+            // Event i of copy c is a boundary anchor when
+            // at_i + c·period + window >= first + copies·period.
+            const sim::SimTime need =
+                period * static_cast<std::int64_t>(copies - c) - window;
+            if (need <= sim::SimTime{0}) return c * n;
+            if (need > events.back().at - first) continue;
+            const auto it = std::lower_bound(
+                events.begin(), events.end(), first + need,
+                [](const PoEvent& e, sim::SimTime t) { return e.at < t; });
+            return c * n + static_cast<std::size_t>(it - events.begin());
+        }
+        return size();
+    }
+};
+
+/// Exact coverage of every anchor v in [first, last) of `rep`: one
+/// two-pointer sweep with incremental distinct-device counts, the leading
+/// pointer reading on into later copies but never past the last.  Calls
+/// visit(v, coverage) in anchor order.  `counts` must be all-zero on entry
+/// and is all-zero again on return: every increment the leading pointer
+/// applies, the trailing pointer (or the final unwind) undoes, so the
+/// buffer never needs a per-round reset.
+template <class Visit>
+void sweep_coverage(const Repeated& rep, sim::SimTime window, std::size_t first,
+                    std::size_t last, std::vector<std::uint32_t>& counts, Visit visit) {
+    if (first >= last) return;
+    const std::vector<PoEvent>& events = rep.events;
+    const std::size_t end = rep.size();
+    std::size_t distinct = 0;
+    Repeated::Position anchor = rep.position(first);
+    Repeated::Position lead = anchor;
+    for (; anchor.v < last; rep.step(anchor)) {
+        // Window anchored at the anchor event: [at, at + window] inclusive.
+        const sim::SimTime limit = rep.at(anchor) + window;
+        while (lead.v < end && rep.at(lead) <= limit) {
+            if (counts[events[lead.i].device]++ == 0) ++distinct;
+            rep.step(lead);
+        }
+        visit(anchor.v, distinct);
+        // Slide: remove the anchor event before moving to the next one.
+        if (--counts[events[anchor.i].device] == 0) --distinct;
+    }
+    for (; anchor.v < lead.v; rep.step(anchor)) --counts[events[anchor.i].device];
+}
+
+/// Draws a round's anchor from its ties in virtual-index order, the order a
+/// rescan of the expanded array lists them in: each copy-0 tie i stands
+/// for itself and its twins c·n + i below `boundary` (copy by copy), then
+/// come the boundary ties.  Both spans ascend.  Draws from `rng` only when
+/// there is more than one tie.
+std::size_t draw_tie(std::span<const std::size_t> twinned,
+                     std::span<const std::size_t> boundary_ties, std::size_t n,
+                     std::size_t boundary, sim::RandomStream& rng) {
+    const std::size_t t = twinned.size();
+    const std::size_t shared =
+        boundary / n * t +
+        static_cast<std::size_t>(
+            std::lower_bound(twinned.begin(), twinned.end(), boundary % n) -
+            twinned.begin());
+    const std::size_t total = shared + boundary_ties.size();
+    std::size_t k = 0;
+    if (total > 1) {
+        k = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(total) - 1));
+    }
+    return k < shared ? k / t * n + twinned[k % t] : boundary_ties[k - shared];
+}
+
+/// Best anchor of one greedy round: the anchor's virtual index and the
+/// number of distinct devices its window covers.
 struct RoundBest {
     std::size_t anchor = 0;
     std::size_t coverage = 0;
 };
 
-/// The seed implementation's round: one two-pointer sweep over the
-/// compacted event array with incremental distinct-device counts.
-/// `scratch_counts` must be all-zero on entry and is all-zero again on
-/// return: every increment the leading pointer applies, the trailing
-/// pointer undoes, so the buffer never needs a per-round reset.
-RoundBest best_window_round(const std::vector<PoEvent>& events, sim::SimTime window,
+/// The seed implementation's round, folded: the anchor whose window covers
+/// the most distinct devices, with uniform tie-breaking.  One sweep over
+/// copy 0's anchors also scores every later copy's non-boundary anchors
+/// (each covers what its twin covers); the boundary anchors get one short
+/// sweep of their own and never beat their twins, so copy 0 holds the
+/// maximum.  `ties` and `boundary_ties` are scratch.
+RoundBest best_window_round(const Repeated& rep, sim::SimTime window,
                             sim::RandomStream& rng,
                             std::vector<std::uint32_t>& scratch_counts,
-                            std::vector<std::size_t>& ties) {
-    std::size_t distinct = 0;
-
+                            std::vector<std::size_t>& ties,
+                            std::vector<std::size_t>& boundary_ties) {
+    const std::size_t n = rep.events.size();
     RoundBest best;
     ties.clear();
-    std::size_t j = 0;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-        // Window anchored at events[i]: [at, at + window] inclusive.
-        const sim::SimTime limit = events[i].at + window;
-        while (j < events.size() && events[j].at <= limit) {
-            if (scratch_counts[events[j].device]++ == 0) ++distinct;
-            ++j;
-        }
-        if (distinct > best.coverage) {
-            best.coverage = distinct;
-            best.anchor = i;
-            ties.assign(1, i);
-        } else if (distinct == best.coverage && distinct > 0) {
-            ties.push_back(i);
-        }
-        // Slide: remove the anchor event before moving to the next one.
-        if (--scratch_counts[events[i].device] == 0) --distinct;
-    }
-    if (!ties.empty() && ties.size() > 1) {
-        best.anchor = ties[static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(ties.size()) - 1))];
-    }
+    sweep_coverage(rep, window, 0, n, scratch_counts,
+                   [&](std::size_t v, std::size_t coverage) {
+                       if (coverage > best.coverage) {
+                           best.coverage = coverage;
+                           ties.assign(1, v);
+                       } else if (coverage == best.coverage && coverage > 0) {
+                           ties.push_back(v);
+                       }
+                   });
+    const std::size_t boundary = rep.boundary_begin(window);
+    boundary_ties.clear();
+    sweep_coverage(rep, window, boundary, rep.size(), scratch_counts,
+                   [&](std::size_t v, std::size_t coverage) {
+                       if (coverage == best.coverage) boundary_ties.push_back(v);
+                   });
+    best.anchor = draw_tie(ties, boundary_ties, n, boundary, rng);
     return best;
 }
 
 /// Lazy-greedy tail state: once rounds stop removing large fractions of
 /// the events, the full rescan's O(rounds x events) becomes the dominant
 /// cost and this structure takes over.  Alive events (a frozen, sorted,
-/// compacted array) form a doubly-linked list; every alive event is a
-/// candidate window anchor, bucketed by its last exactly evaluated
-/// coverage.  Coverage is monotone non-increasing as devices get covered,
-/// so a bucket key is always a valid upper bound and a round only
+/// compacted period) form a linked list, which walks follow copy by copy.  The candidate window anchors are copy 0's alive events plus the
+/// boundary anchors fixed at hand-over (the first alive event only moves
+/// later, so no other anchor ever becomes one), each bucketed by its last
+/// exactly evaluated coverage; a copy-0 anchor stands for its non-boundary
+/// twins.  Coverage is monotone non-increasing as devices get covered, so
+/// a bucket key is always a valid upper bound and a round only
 /// re-evaluates anchors that could still hold or tie the maximum.
 ///
 /// When a chosen window invalidates bounds wholesale (a dense-cycle device
@@ -129,37 +243,37 @@ RoundBest best_window_round(const std::vector<PoEvent>& events, sim::SimTime win
 /// their device lists, and the RNG consumption are bit-identical to the
 /// full rescan.  That requires exhaustive tie re-evaluation — every anchor
 /// whose bound equals the round's maximum is re-evaluated, and the
-/// confirmed ties are drawn from in ascending event order, exactly as the
+/// confirmed ties are drawn from in ascending virtual order, exactly as the
 /// rescan enumerated them.
 class LazyWindowGreedy {
 public:
-    LazyWindowGreedy(const std::vector<PoEvent>& events, sim::SimTime window,
-                     std::uint32_t device_count)
-        : events_(events),
+    LazyWindowGreedy(const Repeated& rep, sim::SimTime window, std::uint32_t device_count)
+        : rep_(rep),
+          n_(rep.events.size()),
           window_(window),
-          next_(events.size() + 1),
-          prev_(events.size() + 1),
-          bucket_of_(events.size()),
-          eval_epoch_(events.size(), 0),
+          boundary_(rep.boundary_begin(window)),
+          next_(n_ + 1),
+          bucket_of_(n_ + rep.size() - boundary_),
+          eval_epoch_(bucket_of_.size(), 0),
           device_dead_(device_count),
-          dev_event_count_(device_count, 0),
+          dev_anchors_(device_count, 0),
           stamp_(device_count, 0),
           count_in_window_(device_count, 0) {
-        const std::size_t n = events_.size();
-        for (std::size_t i = 0; i <= n; ++i) {
-            next_[i] = i + 1 <= n ? i + 1 : 0;
-            prev_[i] = i > 0 ? i - 1 : n;
+        for (std::size_t i = 0; i <= n_; ++i) next_[i] = i + 1 <= n_ ? i + 1 : 0;
+        for (const PoEvent& e : rep_.events) ++dev_anchors_[e.device];
+        for (std::size_t v = boundary_; v < rep_.size(); ++v) {
+            boundary_index_.push_back(v % n_);
+            ++dev_anchors_[rep_.events[v % n_].device];
         }
-        alive_count_ = n;
-        for (const PoEvent& e : events_) ++dev_event_count_[e.device];
+        live_anchors_ = bucket_of_.size();
         rebuild();
     }
 
-    [[nodiscard]] bool exhausted() const noexcept { return alive_count_ == 0; }
+    [[nodiscard]] bool exhausted() const noexcept { return live_anchors_ == 0; }
 
     /// One greedy round: finds the maximum-coverage anchor (exhaustively
     /// re-evaluating every potential tie), breaks ties through `rng` exactly
-    /// as the rescan did, and returns the chosen anchor's event index.
+    /// as the rescan did, and returns the chosen anchor's virtual index.
     [[nodiscard]] std::size_t choose_anchor(sim::RandomStream& rng) {
         candidates_.clear();
         while (cur_max_ > 0) {
@@ -167,50 +281,52 @@ public:
             // work since the bounds were last exact (wholesale staleness):
             // pay for one exact resweep and restart the round on clean
             // buckets, where the drain below finds the ties directly.
-            if (work_since_rebuild_ > alive_count_ + 64) {
+            if (work_since_rebuild_ > live_anchors_ + 64) {
                 rebuild();
                 candidates_.clear();
             }
             std::vector<std::size_t>& bucket = buckets_[cur_max_];
-            while (!bucket.empty() && work_since_rebuild_ <= alive_count_ + 64) {
-                const std::size_t i = bucket.back();
+            while (!bucket.empty() && work_since_rebuild_ <= live_anchors_ + 64) {
+                const std::size_t v = bucket.back();
                 bucket.pop_back();
                 ++work_since_rebuild_;
-                if (!alive(i) || bucket_of_[i] != cur_max_) continue;  // stale copy
-                if (eval_epoch_[i] == epoch_) {
+                const std::size_t s = slot(v);
+                if (!alive(v) || bucket_of_[s] != cur_max_) continue;  // stale copy
+                if (eval_epoch_[s] == epoch_) {
                     // Evaluated since the last removal: the key is exact.
-                    candidates_.push_back(i);
+                    candidates_.push_back(v);
                     continue;
                 }
-                const std::size_t exact = evaluate(i);
-                eval_epoch_[i] = epoch_;
-                bucket_of_[i] = exact;
+                const std::size_t exact = evaluate(v);
+                eval_epoch_[s] = epoch_;
+                bucket_of_[s] = exact;
                 if (exact == cur_max_) {
-                    candidates_.push_back(i);
+                    candidates_.push_back(v);
                 } else {
-                    buckets_[exact].push_back(i);
+                    buckets_[exact].push_back(v);
                 }
             }
-            if (work_since_rebuild_ > alive_count_ + 64) continue;  // rebuild + retry
+            if (work_since_rebuild_ > live_anchors_ + 64) continue;  // rebuild + retry
             if (!candidates_.empty()) break;
             --cur_max_;
         }
-        if (candidates_.empty()) return events_.size();  // no anchor (defensive)
+        if (candidates_.empty()) return rep_.size();  // no anchor (defensive)
 
         // The rescan collected ties in ascending anchor order; entries here
-        // arrive in bucket (stack) order, so restore the event order before
-        // consuming the tie-break stream.
+        // arrive in bucket (stack) order, so restore the virtual order
+        // (copy-0 anchors, then boundary anchors) before drawing.
         std::sort(candidates_.begin(), candidates_.end());
-        std::size_t chosen = candidates_.front();
-        if (candidates_.size() > 1) {
-            chosen = candidates_[static_cast<std::size_t>(rng.uniform_int(
-                0, static_cast<std::int64_t>(candidates_.size()) - 1))];
-        }
+        const auto copy0_end =
+            std::lower_bound(candidates_.begin(), candidates_.end(), n_);
+        const std::size_t chosen =
+            draw_tie({candidates_.begin(), copy0_end}, {copy0_end, candidates_.end()},
+                     n_, boundary_, rng);
         // Losing ties stay candidates for later rounds: put them back in
         // their bucket (their coverage is exact for this epoch and a valid
-        // upper bound afterwards).  The chosen anchor goes back too; its
-        // events die with its device, so the alive check drops it.
-        for (const std::size_t i : candidates_) buckets_[cur_max_].push_back(i);
+        // upper bound afterwards).  The chosen anchor (or its copy-0 twin)
+        // goes back too; its events die with its device, so the alive check
+        // drops it.
+        for (const std::size_t v : candidates_) buckets_[cur_max_].push_back(v);
         return chosen;
     }
 
@@ -218,13 +334,9 @@ public:
     /// order, first occurrence) to `out`, marking them in `covered`.
     void collect_window(std::size_t anchor, CoverageBitset& covered,
                         std::vector<std::uint32_t>& out) {
-        const sim::SimTime limit = events_[anchor].at + window_;
-        for (std::size_t j = anchor;
-             j != events_.size() && events_[j].at <= limit; j = next_[j]) {
-            ++work_since_rebuild_;
-            const std::uint32_t d = events_[j].device;
+        walk(anchor, [&](std::uint32_t d) {
             if (covered.test_and_set(d)) out.push_back(d);
-        }
+        });
     }
 
     /// Marks the given devices covered; their events die in place (walks
@@ -234,90 +346,123 @@ public:
     void remove_devices(const std::vector<std::uint32_t>& devices) {
         for (const std::uint32_t d : devices) {
             device_dead_.set(d);
-            alive_count_ -= dev_event_count_[d];
+            live_anchors_ -= dev_anchors_[d];
         }
         ++epoch_;
     }
 
 private:
-    [[nodiscard]] bool alive(std::size_t i) const noexcept {
-        return !device_dead_.test(events_[i].device);
+    /// Index into bucket_of_/eval_epoch_: copy-0 anchors first, then the
+    /// boundary anchors.
+    [[nodiscard]] std::size_t slot(std::size_t v) const noexcept {
+        return v < n_ ? v : n_ + (v - boundary_);
     }
 
-    /// Exact current coverage of the window anchored at alive event `i`:
-    /// distinct uncovered devices with an alive event in [t_i, t_i + TI].
-    [[nodiscard]] std::size_t evaluate(std::size_t i) {
-        const sim::SimTime limit = events_[i].at + window_;
+    [[nodiscard]] bool alive(std::size_t v) const noexcept {
+        const std::size_t i = v < n_ ? v : boundary_index_[v - boundary_];
+        return !device_dead_.test(rep_.events[i].device);
+    }
+
+    /// Calls visit(device) for every linked event in the window anchored at
+    /// virtual index `v`, in order: along the alive list, on into the next
+    /// copy at the list's end, never past the last copy.
+    template <class Visit>
+    void walk(std::size_t v, Visit visit) {
+        std::size_t copy = v / n_;
+        std::size_t i = v - copy * n_;
+        sim::SimTime shift = rep_.period * static_cast<std::int64_t>(copy);
+        const sim::SimTime limit = rep_.events[i].at + shift + window_;
+        while (rep_.events[i].at + shift <= limit) {
+            ++work_since_rebuild_;
+            visit(rep_.events[i].device);
+            i = next_[i];
+            if (i == n_) {  // the sentinel: this copy's list ends here
+                if (++copy == rep_.copies) break;
+                shift += rep_.period;
+                i = next_[n_];
+            }
+        }
+    }
+
+    /// Exact current coverage of the window anchored at alive virtual index
+    /// `v`: distinct uncovered devices with an alive event in [t_v, t_v + TI].
+    [[nodiscard]] std::size_t evaluate(std::size_t v) {
         ++visit_;
         std::size_t distinct = 0;
-        for (std::size_t j = i; j != events_.size() && events_[j].at <= limit;
-             j = next_[j]) {
-            ++work_since_rebuild_;
-            const std::uint32_t d = events_[j].device;
+        walk(v, [&](std::uint32_t d) {
             if (!device_dead_.test(d) && stamp_[d] != visit_) {
                 stamp_[d] = visit_;
                 ++distinct;
             }
-        }
+        });
         return distinct;
     }
 
-    /// Exact coverage of every alive anchor in one two-pointer sweep with
-    /// incremental distinct-device counts (the rescan's inner loop), then
-    /// rebucket everything.  The alive events are compacted into contiguous
-    /// scratch first so the sweep runs over sequential memory, and the
-    /// linked list is relinked over the survivors so later walks never
-    /// revisit dead events.  O(alive).
+    /// Exact coverage of every alive anchor in two two-pointer sweeps with
+    /// incremental distinct-device counts (the rescan's inner loop): copy
+    /// 0's anchors, then the alive boundary anchors; then rebucket
+    /// everything.  The alive events are compacted into contiguous scratch
+    /// first so the sweeps run over sequential memory, and the linked list
+    /// is relinked over the survivors so later walks never revisit dead
+    /// events.  O(alive).
     void rebuild() {
         for (std::vector<std::size_t>& b : buckets_) b.clear();
-        const std::size_t sentinel = events_.size();
         scratch_events_.clear();
         scratch_index_.clear();
-        for (std::size_t i = next_[sentinel]; i != sentinel; i = next_[i]) {
-            if (device_dead_.test(events_[i].device)) continue;
-            scratch_events_.push_back(events_[i]);
+        for (std::size_t i = next_[n_]; i != n_; i = next_[i]) {
+            if (device_dead_.test(rep_.events[i].device)) continue;
+            scratch_events_.push_back(rep_.events[i]);
             scratch_index_.push_back(i);
         }
-        std::size_t tail = sentinel;
+        std::size_t tail = n_;
         for (const std::size_t i : scratch_index_) {
             next_[tail] = i;
-            prev_[i] = tail;
             tail = i;
         }
-        next_[tail] = sentinel;
-        prev_[sentinel] = tail;
+        next_[tail] = n_;
 
+        const Repeated alive_rep{scratch_events_, rep_.period, rep_.copies};
         const std::size_t m = scratch_events_.size();
-        std::size_t distinct = 0;
         std::size_t max_cov = 0;
-        std::size_t j = 0;
-        for (std::size_t i = 0; i < m; ++i) {
-            const sim::SimTime limit = scratch_events_[i].at + window_;
-            while (j < m && scratch_events_[j].at <= limit) {
-                if (count_in_window_[scratch_events_[j].device]++ == 0) ++distinct;
-                ++j;
-            }
-            if (buckets_.size() <= distinct) buckets_.resize(distinct + 1);
-            const std::size_t orig = scratch_index_[i];
-            bucket_of_[orig] = distinct;
-            eval_epoch_[orig] = epoch_;
-            buckets_[distinct].push_back(orig);
-            max_cov = std::max(max_cov, distinct);
-            if (--count_in_window_[scratch_events_[i].device] == 0) --distinct;
-        }
+        const auto place = [&](std::size_t v, std::size_t coverage) {
+            if (buckets_.size() <= coverage) buckets_.resize(coverage + 1);
+            bucket_of_[slot(v)] = coverage;
+            eval_epoch_[slot(v)] = epoch_;
+            buckets_[coverage].push_back(v);
+            max_cov = std::max(max_cov, coverage);
+        };
+        sweep_coverage(alive_rep, window_, 0, m, count_in_window_,
+                       [&](std::size_t k, std::size_t coverage) {
+                           place(scratch_index_[k], coverage);
+                       });
+        // The alive boundary anchors, from the boundary's copy on: in that
+        // copy, the survivors at or past its index; every one after it.
+        const std::size_t from =
+            boundary_ / n_ * m +
+            static_cast<std::size_t>(std::lower_bound(scratch_index_.begin(),
+                                                      scratch_index_.end(),
+                                                      boundary_ % n_) -
+                                     scratch_index_.begin());
+        sweep_coverage(alive_rep, window_, from, alive_rep.size(), count_in_window_,
+                       [&](std::size_t k, std::size_t coverage) {
+                           place(k / m * n_ + scratch_index_[k % m], coverage);
+                       });
         cur_max_ = max_cov;
         work_since_rebuild_ = 0;
     }
 
-    const std::vector<PoEvent>& events_;
+    const Repeated& rep_;
+    std::size_t n_ = 0;  // events per copy; also the list's sentinel
     sim::SimTime window_;
+    std::size_t boundary_ = 0;  // first boundary anchor's virtual index (>= n_)
+    std::vector<std::size_t> boundary_index_;  // boundary anchor -> event index
 
-    // Alive list over sorted event indices; events_.size() is the sentinel.
+    // Alive list over the period's sorted event indices (singly linked:
+    // walks only go forward, and a rebuild relinks it whole).
     std::vector<std::size_t> next_;
-    std::vector<std::size_t> prev_;
-    std::size_t alive_count_ = 0;
+    std::size_t live_anchors_ = 0;
 
-    // Lazy-evaluation state.
+    // Lazy-evaluation state, per anchor slot; buckets hold virtual indices.
     std::vector<std::vector<std::size_t>> buckets_;
     std::vector<std::size_t> bucket_of_;
     std::vector<std::uint64_t> eval_epoch_;
@@ -328,7 +473,7 @@ private:
 
     // Coverage state and scratch for evaluate()/rebuild().
     CoverageBitset device_dead_;
-    std::vector<std::uint32_t> dev_event_count_;
+    std::vector<std::uint32_t> dev_anchors_;  // a device's events + boundary anchors
     std::vector<std::uint64_t> stamp_;
     std::uint64_t visit_ = 0;
     std::vector<std::uint32_t> count_in_window_;
@@ -336,21 +481,46 @@ private:
     std::vector<std::size_t> scratch_index_;
 };
 
-}  // namespace
+/// The earliest and latest event times (lo > hi for no events).
+struct TimeRange {
+    std::int64_t lo = std::numeric_limits<std::int64_t>::max();
+    std::int64_t hi = std::numeric_limits<std::int64_t>::min();
+};
 
-WindowCoverResult greedy_window_cover(std::vector<PoEvent> events, sim::SimTime window,
-                                      std::uint32_t device_count,
-                                      sim::RandomStream& rng) {
+/// Checks the window and the device ids, and returns the events' times.
+TimeRange check_events(const std::vector<PoEvent>& events, sim::SimTime window,
+                       std::uint32_t device_count) {
     if (window < sim::SimTime{0}) {
         throw std::invalid_argument("greedy_window_cover: negative window");
     }
+    TimeRange range;
     for (const PoEvent& e : events) {
         if (e.device >= device_count) {
             throw std::invalid_argument("greedy_window_cover: device id out of range");
         }
+        range.lo = std::min(range.lo, e.at.count());
+        range.hi = std::max(range.hi, e.at.count());
     }
-    sort_events(events);
+    return range;
+}
 
+/// Checks for `caller` that the latest window, anchored at the last copy's
+/// latest event (`hi` shifted by `shift`), ends inside SimTime: every time
+/// the window sweeps compute is then representable.
+void check_window_end(const char* caller, std::int64_t hi, std::int64_t shift,
+                      sim::SimTime window) {
+    std::int64_t end = 0;
+    if (__builtin_add_overflow(hi, shift, &end) ||
+        __builtin_add_overflow(end, window.count(), &end)) {
+        throw std::invalid_argument(std::string(caller) +
+                                    ": the last window ends past the largest SimTime");
+    }
+}
+
+/// The greedy over `copies` copies of `events` (one period, sorted).
+WindowCoverResult cover_sorted(std::vector<PoEvent> events, sim::SimTime period,
+                               std::size_t copies, sim::SimTime window,
+                               std::uint32_t device_count, sim::RandomStream& rng) {
     WindowCoverResult result;
     CoverageBitset seen(device_count);
     for (const PoEvent& e : events) seen.set(e.device);
@@ -359,48 +529,50 @@ WindowCoverResult greedy_window_cover(std::vector<PoEvent> events, sim::SimTime 
     }
 
     CoverageBitset covered(device_count);
+    const Repeated rep{events, period, copies};
 
     // Dense phase: as long as each round retires a sizeable fraction of the
     // events (dense-cycle devices put a PO in almost every window, so early
     // windows cover them all at once), the rescan round is near optimal —
-    // one contiguous sweep plus one compaction, both O(remaining).
+    // two contiguous sweeps plus one compaction, all O(remaining period).
     std::vector<std::uint32_t> scratch_counts(device_count, 0);
     std::vector<std::size_t> ties;
+    std::vector<std::size_t> boundary_ties;
     ties.reserve(64);
     bool tail = false;
     while (!events.empty() && !tail) {
         const RoundBest best =
-            best_window_round(events, window, rng, scratch_counts, ties);
-        if (best.coverage == 0) break;  // defensive; events would be empty
+            best_window_round(rep, window, rng, scratch_counts, ties, boundary_ties);
 
-        const sim::SimTime start = events[best.anchor].at;
+        Repeated::Position p = rep.position(best.anchor);
+        const sim::SimTime start = rep.at(p);
         const sim::SimTime limit = start + window;
         CoverWindow chosen{start, limit, {}};
         chosen.devices.reserve(best.coverage);
-        for (std::size_t k = best.anchor; k < events.size() && events[k].at <= limit;
-             ++k) {
-            const std::uint32_t d = events[k].device;
+        for (; p.v < rep.size() && rep.at(p) <= limit; rep.step(p)) {
+            const std::uint32_t d = events[p.i].device;
             if (covered.test_and_set(d)) chosen.devices.push_back(d);
         }
         result.windows.push_back(std::move(chosen));
 
-        // Drop every event of a covered device.
+        // Drop every event of a covered device (from every copy at once).
         const std::size_t before = events.size();
         std::erase_if(events,
                       [&covered](const PoEvent& e) { return covered.test(e.device); });
         // Small removal: the long tail has begun — rounds now retire a few
         // sparse-cycle devices each, and rescanning everything per round
         // would dominate.  Hand the remaining events to the lazy greedy.
-        tail = before - events.size() < before / 8;
+        // The test counts every copy's events, as the expanded rescan did.
+        tail = copies * (before - events.size()) < copies * before / 8;
     }
 
     if (!events.empty()) {
-        LazyWindowGreedy greedy(events, window, device_count);
+        LazyWindowGreedy greedy(rep, window, device_count);
         while (!greedy.exhausted()) {
             const std::size_t anchor = greedy.choose_anchor(rng);
-            if (anchor == events.size()) break;  // defensive
+            if (anchor == rep.size()) break;  // defensive
 
-            const sim::SimTime start = events[anchor].at;
+            const sim::SimTime start = rep.at(rep.position(anchor));
             CoverWindow chosen{start, start + window, {}};
             greedy.collect_window(anchor, covered, chosen.devices);
             greedy.remove_devices(chosen.devices);
@@ -410,8 +582,54 @@ WindowCoverResult greedy_window_cover(std::vector<PoEvent> events, sim::SimTime 
     return result;
 }
 
+}  // namespace
+
+WindowCoverResult greedy_window_cover(std::vector<PoEvent> period_events,
+                                      sim::SimTime period, std::uint32_t copies,
+                                      sim::SimTime window, std::uint32_t device_count,
+                                      sim::RandomStream& rng) {
+    if (copies == 0) throw std::invalid_argument("greedy_window_cover: zero copies");
+    const TimeRange range = check_events(period_events, window, device_count);
+    // The span in unsigned arithmetic, so any two SimTimes subtract.
+    const std::uint64_t span =
+        period_events.empty()
+            ? 0
+            : static_cast<std::uint64_t>(range.hi) - static_cast<std::uint64_t>(range.lo);
+    if (period <= sim::SimTime{0} || span >= static_cast<std::uint64_t>(period.count())) {
+        throw std::invalid_argument(
+            "greedy_window_cover: the events must span less than the (positive) period");
+    }
+    std::int64_t shift = 0;
+    if (__builtin_mul_overflow(period.count(), std::int64_t{copies} - 1, &shift)) {
+        throw std::invalid_argument(
+            "greedy_window_cover: the last copy starts past the largest SimTime");
+    }
+    if (!period_events.empty()) {
+        check_window_end("greedy_window_cover", range.hi, shift, window);
+    }
+    sort_events(period_events);
+    return cover_sorted(std::move(period_events), period, copies, window, device_count,
+                        rng);
+}
+
+WindowCoverResult greedy_window_cover(std::vector<PoEvent> events, sim::SimTime window,
+                                      std::uint32_t device_count,
+                                      sim::RandomStream& rng) {
+    const TimeRange range = check_events(events, window, device_count);
+    if (!events.empty()) check_window_end("greedy_window_cover", range.hi, 0, window);
+    sort_events(events);
+    // One copy: the period is never read.
+    return cover_sorted(std::move(events), sim::SimTime{0}, 1, window, device_count, rng);
+}
+
 SetCoverInstance to_set_cover_instance(const std::vector<PoEvent>& events,
                                        sim::SimTime window, std::uint32_t device_count) {
+    if (!events.empty()) {
+        const auto latest = std::max_element(
+            events.begin(), events.end(),
+            [](const PoEvent& a, const PoEvent& b) { return a.at < b.at; });
+        check_window_end("to_set_cover_instance", latest->at.count(), 0, window);
+    }
     std::vector<PoEvent> sorted = events;
     sort_events(sorted);
 

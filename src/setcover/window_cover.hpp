@@ -13,10 +13,20 @@
 // coverage (a valid upper bound, since coverage only shrinks as devices are
 // covered), so a round re-evaluates only the anchors that could still hold
 // or tie the maximum instead of rescanning every remaining event.  Covered
-// devices' events are unlinked from a doubly-linked alive list in O(1)
-// each, giving near-linear total work on typical PO patterns.  The chosen
+// devices' events die in place, O(1) per device (walks skip them, and the
+// next exact resweep unlinks them from the alive list), giving near-linear
+// total work on typical PO patterns.  The chosen
 // windows and the tie-break RNG stream are bit-identical to the full
 // rescan (see tests/setcover/window_cover_test.cpp, WindowCoverTraceTest).
+//
+// A periodic horizon is folded: DR-SC's 2 × maxDRX holds two copies of the
+// PO pattern, the second shifted by one period.  The greedy takes one
+// period and a copy count and reads the later copies in place.  An anchor
+// in a later copy covers what its copy-0 twin covers unless its window
+// would reach past the last copy (a boundary anchor: for TI < period, the
+// last TI ms of the last copy); only copy 0's anchors and the boundary
+// anchors are ever swept or evaluated, and the ties are listed in the
+// order of the expanded array, so the result equals the flat call's.
 #pragma once
 
 #include <cstdint>
@@ -47,11 +57,29 @@ struct WindowCoverResult {
     std::vector<std::uint32_t> uncoverable;
 };
 
-/// Runs the greedy window cover.  `events` may come in any order; they are
-/// put in (time, device) order in linear time (a counting sort on the
-/// time's high bits).  `device_count` bounds the device ids in `events`.
-/// `window` is TI (inclusive window [s, s+window]).  Ties between equally
-/// good windows are broken uniformly at random via `rng`.
+/// Runs the greedy window cover over `copies` back-to-back copies of one
+/// period of PO events, copy c shifted by c × `period`, without building
+/// the copies.  `period_events` may come in any order; they are put in
+/// (time, device) order in linear time (a counting sort on the time's high
+/// bits).  `device_count` bounds the device ids.  `window` is TI (inclusive
+/// window [s, s+window]).  Ties between equally good windows are broken
+/// uniformly at random via `rng`.  The windows, their device lists,
+/// `uncoverable` and the draws from `rng` equal those of the flat call
+/// below on the expanded events.  Throws std::invalid_argument when
+/// `copies` is 0, when the events span `period` or more (or `period` is
+/// not positive), or when a window from the last copy's latest event would
+/// end past the largest SimTime.
+[[nodiscard]] WindowCoverResult greedy_window_cover(std::vector<PoEvent> period_events,
+                                                    sim::SimTime period,
+                                                    std::uint32_t copies,
+                                                    sim::SimTime window,
+                                                    std::uint32_t device_count,
+                                                    sim::RandomStream& rng);
+
+/// The same greedy over a flat event list: one copy, no period.  Throws
+/// std::invalid_argument on a negative window, a device id not below
+/// `device_count`, or a window from the latest event ending past the
+/// largest SimTime.
 [[nodiscard]] WindowCoverResult greedy_window_cover(std::vector<PoEvent> events,
                                                     sim::SimTime window,
                                                     std::uint32_t device_count,
@@ -59,7 +87,9 @@ struct WindowCoverResult {
 
 /// Converts PO events to a generic set-cover instance (one candidate set
 /// per distinct anchored window).  Used by tests and the solver-comparison
-/// ablation; the dedicated greedy above is the fast path.
+/// ablation; the dedicated greedy above is the fast path.  Throws
+/// std::invalid_argument when a window from the latest event would end past
+/// the largest SimTime.
 [[nodiscard]] SetCoverInstance to_set_cover_instance(const std::vector<PoEvent>& events,
                                                      sim::SimTime window,
                                                      std::uint32_t device_count);

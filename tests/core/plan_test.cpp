@@ -206,6 +206,80 @@ TEST(DrScPoEventsTest, MatchesConcatenatedPosInRange) {
     }
 }
 
+/// DR-SC plans one maxDRX of POs and folds the horizon's second copy: over
+/// [0, 2 maxDRX) the events, in (time, device) order, are those of
+/// [0, maxDRX) followed by the same events shifted by maxDRX.  Every cycle
+/// up to maxDRX divides it, under every nB ratio.
+TEST(DrScPoEventsTest, TwoMaxDrxHoldTwoCopiesOfOne) {
+    sim::RandomStream gen{2025};
+    const auto ladder = nbiot::drx_ladder();
+    // (time, device) order as one integer key, times shifted by `shift`:
+    // every time here stays below 2^32 ms.
+    const auto sorted_keys = [](const std::vector<setcover::PoEvent>& events,
+                                SimTime shift) {
+        std::vector<std::uint64_t> keys;
+        keys.reserve(events.size());
+        for (const setcover::PoEvent& e : events) {
+            keys.push_back(static_cast<std::uint64_t>((e.at + shift).count()) << 32 |
+                           e.device);
+        }
+        std::sort(keys.begin(), keys.end());
+        return keys;
+    };
+    const std::pair<std::int64_t, std::int64_t> nb_ratios[] = {{1, 1}, {1, 2}, {2, 1}, {4, 1}};
+    for (const auto& [nb_num, nb_den] : nb_ratios) {
+        const nbiot::PagingSchedule paging(
+            nbiot::PagingConfig{.nb_num = nb_num, .nb_den = nb_den});
+        for (std::size_t top = 0; top < ladder.size(); ++top) {
+            // maxDRX is ladder[top]: one device on every cycle up to it,
+            // each with a random IMSI.
+            std::vector<nbiot::UeSpec> devices;
+            for (std::uint32_t k = 0; k <= top; ++k) {
+                devices.push_back({nbiot::DeviceId{k}, nbiot::Imsi{gen.next_u64()}, ladder[k],
+                                   nbiot::CeLevel::ce0});
+            }
+            const SimTime max_drx{ladder[top].period_ms()};
+            const std::vector<setcover::PoEvent> one = dr_sc_po_events(devices, paging, max_drx);
+            std::vector<std::uint64_t> expected = sorted_keys(one, SimTime{0});
+            const std::vector<std::uint64_t> second = sorted_keys(one, max_drx);
+            expected.insert(expected.end(), second.begin(), second.end());
+            EXPECT_EQ(sorted_keys(dr_sc_po_events(devices, paging, 2 * max_drx), SimTime{0}),
+                      expected)
+                << "nB " << nb_num << "/" << nb_den << ", maxDRX " << max_drx.count();
+        }
+    }
+}
+
+/// The planner's call, one maxDRX period and two copies, covers exactly as
+/// the flat call over the whole 2 maxDRX horizon does: the same windows,
+/// device lists and tie-break draws on 20 city fleets.
+TEST(DrScCoverTest, TwoCopiesOfOneMaxDrxEqualTheFlatHorizon) {
+    const CampaignConfig config;
+    const nbiot::PagingSchedule paging(config.paging);
+    for (std::uint64_t fleet = 0; fleet < 20; ++fleet) {
+        SCOPED_TRACE(::testing::Message() << "fleet " << fleet);
+        const auto devices = make_population(300, 1'000 + fleet);
+        const auto count = static_cast<std::uint32_t>(devices.size());
+        const SimTime max_drx{population_max_cycle(devices).period_ms()};
+        sim::RandomStream folded_rng{fleet};
+        sim::RandomStream flat_rng{fleet};
+        const setcover::WindowCoverResult folded = setcover::greedy_window_cover(
+            dr_sc_po_events(devices, paging, max_drx), max_drx, 2, config.inactivity_timer,
+            count, folded_rng);
+        const setcover::WindowCoverResult flat = setcover::greedy_window_cover(
+            dr_sc_po_events(devices, paging, 2 * max_drx), config.inactivity_timer, count,
+            flat_rng);
+        EXPECT_EQ(folded.uncoverable, flat.uncoverable);
+        ASSERT_EQ(folded.windows.size(), flat.windows.size());
+        for (std::size_t w = 0; w < flat.windows.size(); ++w) {
+            EXPECT_EQ(folded.windows[w].start, flat.windows[w].start) << "window " << w;
+            EXPECT_EQ(folded.windows[w].end, flat.windows[w].end) << "window " << w;
+            EXPECT_EQ(folded.windows[w].devices, flat.windows[w].devices) << "window " << w;
+        }
+        EXPECT_EQ(folded_rng.next_u64(), flat_rng.next_u64());
+    }
+}
+
 // --------------------------------------------------------------- DA-SC ----
 
 TEST(DaScPlanTest, SingleTransmissionAfterReference) {

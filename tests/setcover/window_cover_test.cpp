@@ -319,12 +319,200 @@ TEST_P(WindowCoverTraceTest, BitsetGreedyMatchesReference) {
 INSTANTIATE_TEST_SUITE_P(RandomPoPatterns, WindowCoverTraceTest,
                          ::testing::Range(std::uint64_t{1}, std::uint64_t{16}));
 
+/// One period of PO-like events, shuffled: device d repeats every
+/// period / 2^k ms (k in 0..3, so its cycle divides the period;
+/// device 0 has k = 0, one event per period) from an offset on a 100 ms
+/// grid below its cycle, and every fifth device's events come twice.  The
+/// period starts at a random base, possibly negative.
+std::vector<PoEvent> periodic_events(sim::RandomStream& gen, std::uint32_t devices,
+                                     std::int64_t period) {
+    const std::int64_t base = 100 * gen.uniform_int(-50, 50);
+    std::vector<PoEvent> events;
+    for (std::uint32_t d = 0; d < devices; ++d) {
+        const std::int64_t cycle = period >> (d == 0 ? 0 : gen.uniform_int(0, 3));
+        const std::int64_t offset = 100 * gen.uniform_int(0, cycle / 100 - 1);
+        for (std::int64_t at = offset; at < period; at += cycle) {
+            events.push_back({SimTime{base + at}, d});
+            if (d % 5 == 4) events.push_back({SimTime{base + at}, d});
+        }
+    }
+    gen.shuffle(events);
+    return events;
+}
+
+/// One period of sparse events at both of its edges, shuffled: each device
+/// gets one or two events (device 0 exactly one) on a 10 ms grid within
+/// the period's first or last 5 s, and every fifth device's events come
+/// twice.  Short windows then cover a few devices each, so the greedy hands
+/// over to the lazy tail early, and windows near the period's end read on
+/// into the next copy's start.
+std::vector<PoEvent> edge_events(sim::RandomStream& gen, std::uint32_t devices,
+                                 std::int64_t period) {
+    const std::int64_t base = 100 * gen.uniform_int(-50, 50);
+    std::vector<PoEvent> events;
+    for (std::uint32_t d = 0; d < devices; ++d) {
+        const std::int64_t count = d == 0 ? 1 : gen.uniform_int(1, 2);
+        for (std::int64_t k = 0; k < count; ++k) {
+            const std::int64_t offset = 10 * gen.uniform_int(0, 499);
+            const std::int64_t at = gen.uniform_int(0, 1) == 0 ? offset : period - 1 - offset;
+            events.push_back({SimTime{base + at}, d});
+            if (d % 5 == 4) events.push_back({SimTime{base + at}, d});
+        }
+    }
+    gen.shuffle(events);
+    return events;
+}
+
+/// `copies` copies of `period_events`, copy c shifted by c × `period`.
+std::vector<PoEvent> expand(const std::vector<PoEvent>& period_events, SimTime period,
+                            std::uint32_t copies) {
+    std::vector<PoEvent> events;
+    for (std::uint32_t c = 0; c < copies; ++c) {
+        for (const PoEvent& e : period_events) {
+            events.push_back({e.at + static_cast<std::int64_t>(c) * period, e.device});
+        }
+    }
+    return events;
+}
+
+void expect_same_cover(const WindowCoverResult& fast, const WindowCoverResult& ref) {
+    EXPECT_EQ(fast.uncoverable, ref.uncoverable);
+    ASSERT_EQ(fast.windows.size(), ref.windows.size());
+    for (std::size_t w = 0; w < ref.windows.size(); ++w) {
+        EXPECT_EQ(fast.windows[w].start, ref.windows[w].start) << "window " << w;
+        EXPECT_EQ(fast.windows[w].end, ref.windows[w].end) << "window " << w;
+        EXPECT_EQ(fast.windows[w].devices, ref.windows[w].devices) << "window " << w;
+    }
+}
+
+/// The folded greedy over one period equals the reference rescan over the
+/// expanded copies: windows, device lists, uncoverable devices and the
+/// tie-break draws, over 1, 2 and 3 copies.  Windows run from zero through
+/// a few hundred ms and half a period to a whole one and past two, so
+/// boundary anchors sit in the last copy only or reach back through every
+/// copy.  Forty devices on cycles that divide the period keep most covers
+/// in the dense rescan rounds; 150 devices at the period's edges reach the
+/// lazy tail, where windows wrap into the next copy.
+class PeriodicWindowCoverTraceTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PeriodicWindowCoverTraceTest, OnePeriodMatchesReferenceOnTheCopies) {
+    sim::RandomStream gen{GetParam() * 131 + 7};
+    const SimTime cycles_period{800 * gen.uniform_int(1, 6)};
+    const SimTime edges_period{1'000 * gen.uniform_int(12, 40)};
+    struct Pattern {
+        const char* name;
+        std::uint32_t devices;
+        SimTime period;
+        std::vector<PoEvent> events;
+    };
+    const Pattern patterns[] = {
+        {"cycles", 40, cycles_period, periodic_events(gen, 40, cycles_period.count())},
+        {"edges", 150, edges_period, edge_events(gen, 150, edges_period.count())},
+    };
+    for (const Pattern& pattern : patterns) {
+        const SimTime period = pattern.period;
+        // Three more device ids than devices with events: those are uncoverable.
+        const std::uint32_t device_count = pattern.devices + 3;
+        for (std::uint32_t copies = 1; copies <= 3; ++copies) {
+            for (const SimTime window : {SimTime{0}, SimTime{300}, SimTime{700}, period / 2,
+                                         period, 2 * period + SimTime{100}}) {
+                SCOPED_TRACE(::testing::Message()
+                             << pattern.name << ", period " << period.count() << " ms, "
+                             << copies << " copies, window " << window.count() << " ms");
+                sim::RandomStream ref_rng{GetParam()};
+                sim::RandomStream fast_rng{GetParam()};
+                const WindowCoverResult ref = reference_window_cover(
+                    expand(pattern.events, period, copies), window, device_count, ref_rng);
+                const WindowCoverResult fast = greedy_window_cover(
+                    pattern.events, period, copies, window, device_count, fast_rng);
+                expect_same_cover(fast, ref);
+                EXPECT_EQ(fast_rng.next_u64(), ref_rng.next_u64());
+            }
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomPeriods, PeriodicWindowCoverTraceTest,
+                         ::testing::Range(std::uint64_t{1}, std::uint64_t{16}));
+
+TEST(PeriodicWindowCoverTest, EmptyPeriodLeavesEveryDeviceUncoverable) {
+    for (std::uint32_t copies = 1; copies <= 3; ++copies) {
+        sim::RandomStream rng{9};
+        const auto result = greedy_window_cover({}, SimTime{1'000}, copies, SimTime{50}, 3, rng);
+        EXPECT_TRUE(result.windows.empty());
+        EXPECT_EQ(result.uncoverable, (std::vector<std::uint32_t>{0, 1, 2}));
+        sim::RandomStream untouched{9};
+        EXPECT_EQ(rng.next_u64(), untouched.next_u64());
+    }
+}
+
+TEST(PeriodicWindowCoverTest, ZeroCopiesThrows) {
+    sim::RandomStream rng{10};
+    const std::vector<PoEvent> events{{SimTime{10}, 0}};
+    EXPECT_THROW((void)greedy_window_cover(events, SimTime{100}, 0, SimTime{50}, 1, rng),
+                 std::invalid_argument);
+    EXPECT_THROW((void)greedy_window_cover({}, SimTime{100}, 0, SimTime{50}, 1, rng),
+                 std::invalid_argument);
+}
+
+TEST(PeriodicWindowCoverTest, EventsSpanningThePeriodThrow) {
+    sim::RandomStream rng{11};
+    // Span 100 ms: a period of 101 ms holds them, one of 100 ms does not.
+    // (With 101 ms, one window covers device 1 at 80 ms and device 0 at 81.)
+    const std::vector<PoEvent> events{{SimTime{80}, 1}, {SimTime{-20}, 0}};
+    EXPECT_EQ(greedy_window_cover(events, SimTime{101}, 2, SimTime{50}, 2, rng).windows.size(),
+              1u);
+    for (std::uint32_t copies = 1; copies <= 2; ++copies) {
+        EXPECT_THROW(
+            (void)greedy_window_cover(events, SimTime{100}, copies, SimTime{50}, 2, rng),
+            std::invalid_argument);
+    }
+    // A period must be positive, even for no events or a single instant.
+    EXPECT_THROW((void)greedy_window_cover({}, SimTime{0}, 1, SimTime{50}, 2, rng),
+                 std::invalid_argument);
+    EXPECT_THROW((void)greedy_window_cover({{SimTime{5}, 0}}, SimTime{-1}, 1, SimTime{50},
+                                           2, rng),
+                 std::invalid_argument);
+    // The span is taken in unsigned arithmetic: past 2^63 ms it still counts.
+    const std::vector<PoEvent> extremes{{SimTime::min(), 0}, {SimTime::max(), 1}};
+    EXPECT_THROW((void)greedy_window_cover(extremes, SimTime::max(), 1, SimTime{0}, 2, rng),
+                 std::invalid_argument);
+}
+
+TEST(PeriodicWindowCoverTest, WindowsPastTheLargestTimeThrow) {
+    sim::RandomStream rng{12};
+    const std::vector<PoEvent> late{{SimTime::max() - SimTime{10}, 0}};
+    // The last copy, or the window from its latest event, would pass the
+    // largest SimTime.
+    EXPECT_THROW((void)greedy_window_cover(late, SimTime{100}, 2, SimTime{0}, 1, rng),
+                 std::invalid_argument);
+    EXPECT_THROW((void)greedy_window_cover(late, SimTime{100}, 1, SimTime{11}, 1, rng),
+                 std::invalid_argument);
+    EXPECT_THROW((void)greedy_window_cover(late, SimTime{11}, 1, rng), std::invalid_argument);
+    const SimTime huge{std::int64_t{1} << 62};
+    EXPECT_THROW((void)greedy_window_cover({{SimTime{0}, 0}}, huge, 3, SimTime{0}, 1, rng),
+                 std::invalid_argument);
+    // Up to the largest SimTime itself, every window is formed.
+    EXPECT_EQ(greedy_window_cover(late, SimTime{100}, 1, SimTime{10}, 1, rng).windows.size(),
+              1u);
+    EXPECT_EQ(greedy_window_cover(late, SimTime{10}, 1, rng).windows.size(), 1u);
+    EXPECT_EQ(greedy_window_cover({{SimTime{0}, 0}}, huge, 2, SimTime{0}, 1, rng)
+                  .windows.size(),
+              1u);
+}
+
 TEST(ToSetCoverInstanceTest, OneSetPerAnchor) {
     const std::vector<PoEvent> events{{SimTime{0}, 0}, {SimTime{50}, 1}};
     const SetCoverInstance inst = to_set_cover_instance(events, SimTime{100}, 2);
     ASSERT_EQ(inst.set_count(), 2u);
     EXPECT_EQ(inst.set(0).size(), 2u);  // window at 0 covers both
     EXPECT_EQ(inst.set(1).size(), 1u);  // window at 50 covers only device 1
+}
+
+TEST(ToSetCoverInstanceTest, WindowPastTheLargestTimeThrows) {
+    const std::vector<PoEvent> late{{SimTime{0}, 1}, {SimTime::max() - SimTime{10}, 0}};
+    EXPECT_THROW((void)to_set_cover_instance(late, SimTime{11}, 2), std::invalid_argument);
+    EXPECT_EQ(to_set_cover_instance(late, SimTime{10}, 2).set_count(), 2u);
 }
 
 }  // namespace
