@@ -10,7 +10,8 @@ never grow:
                   steady_clock outside bench/ (benches time themselves;
                   simulation code must never read a host clock).
   raw-rng         std::rand/srand/random_device, or constructing a
-                  std::mt19937* engine outside sim/random.* — every draw
+                  std::mt19937* engine or the simulator's own
+                  MersenneTwister64 outside sim/random.* — every draw
                   must flow through a derive_seed()-rooted RandomStream.
   unordered-iter  any use of std::unordered_map/std::unordered_set.
                   Iteration order is implementation-defined, so an
@@ -120,10 +121,11 @@ WALL_CLOCK_RE = re.compile(
 )
 STEADY_CLOCK_RE = re.compile(r"std::chrono::steady_clock")
 RAW_RNG_RE = re.compile(
-    r"std::rand\b|(?<![\w:])srand\s*\("
+    r"std::s?rand\b|(?<![\w:])srand\s*\("
     r"|std::random_device|(?<![\w:])random_device\b"
     r"|std::(?:mt19937|mt19937_64|minstd_rand|minstd_rand0|ranlux\w+|"
     r"knuth_b|default_random_engine)\b"
+    r"|\bMersenneTwister64\b"
 )
 UNORDERED_RE = re.compile(r"std::unordered_(?:map|set|multimap|multiset)\b")
 UNORDERED_INCLUDE_RE = re.compile(r'#\s*include\s*<unordered_(?:map|set)>')

@@ -222,13 +222,16 @@ void Execution::schedule_next_leave(std::size_t idx) {
     // Exponential inter-departure gap, floored at 1 ms so the leave is
     // strictly after `now` (the draw itself is in continuous time).
     const double gap = fault_rng_[idx].exponential(config_.churn.mean_leave_gap_ms());
-    const SimTime leave_at = now + SimTime{static_cast<std::int64_t>(gap) + 1};
     // A departure whose rejoin would land past the horizon is not acted
     // out: the device would never come back inside the observation
     // window, and a rejoin event past the horizon would charge re-attach
-    // energy outside the uptime ledger's denominator.
-    if (leave_at + SimTime{config_.churn.rejoin_ms} >= horizon_) return;
-    cell_.simulation().queue().schedule_at(leave_at,
+    // energy outside the uptime ledger's denominator.  The leave would land
+    // at now + floor(gap) + 1, so that is every gap at or past `last`; the
+    // double is compared before the cast, which a gap past INT64_MAX (a
+    // tiny leave rate) must never reach.
+    const std::int64_t last = (horizon_ - now - SimTime{config_.churn.rejoin_ms}).count() - 1;
+    if (gap >= static_cast<double>(last)) return;
+    cell_.simulation().queue().schedule_at(now + SimTime{static_cast<std::int64_t>(gap) + 1},
                                            [this, idx] { attempt_leave(idx); });
 }
 

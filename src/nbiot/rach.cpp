@@ -32,8 +32,13 @@ void RachChannel::inject_background_load(double arrivals_per_second, SimTime unt
     const double mean_gap_ms = 1000.0 / arrivals_per_second;
     SimTime t = sim_->now();
     while (true) {
-        t += SimTime{static_cast<std::int64_t>(rng_.exponential(mean_gap_ms)) + 1};
-        if (t >= until) break;
+        // The next arrival would land at t + floor(gap) + 1, at or past
+        // `until` for every gap at or past the bound.  The double is
+        // compared before the cast, which a gap past INT64_MAX (a tiny
+        // rate) must never reach.
+        const double gap = rng_.exponential(mean_gap_ms);
+        if (gap >= static_cast<double>((until - t).count() - 1)) break;
+        t += SimTime{static_cast<std::int64_t>(gap) + 1};
         enroll(t, acquire(Callback{}));
     }
 }

@@ -1,13 +1,27 @@
 #include "sim/random.hpp"
 
-#include <numeric>
-#include <sstream>
+#include <random>
 
 namespace nbmg::sim {
 namespace {
 
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+
+// MersenneTwister64's seeding multiplier and twist matrix (the standard's
+// f and a for its 64-bit engine); r = 31 splits a word into its upper 33
+// bits and lower 31.
+constexpr std::uint64_t kInitMultiplier = 6364136223846793005ULL;
+constexpr std::uint64_t kTwistMatrix = 0xb5026f5aa96619e9ULL;
+constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+
+/// The twisted value of a word: `upper` is the word itself, `lower` its
+/// successor and `far` the word m places on, cyclically.
+constexpr std::uint64_t twist_word(std::uint64_t upper, std::uint64_t lower,
+                                   std::uint64_t far) noexcept {
+    const std::uint64_t y = (upper & kUpperMask) | (lower & ~kUpperMask);
+    return far ^ (y >> 1) ^ ((std::uint64_t{0} - (y & 1)) & kTwistMatrix);
+}
 
 constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
     x += 0x9E3779B97F4A7C15ULL;
@@ -29,20 +43,43 @@ std::uint64_t derive_seed(std::uint64_t root, std::string_view label,
     return splitmix64(splitmix64(h));
 }
 
-std::string RandomStream::save_state() const {
-    std::ostringstream out;
-    out << engine_;
-    return out.str();
+void MersenneTwister64::refill() noexcept {
+    if (next_ < kLazyDraws) {
+        // Early in the first block: word next_ alone, from words next_,
+        // next_ + 1 and next_ + m as seeded.
+        seed_through(next_ + kShift);
+        state_[next_] = twist_word(state_[next_], state_[next_ + 1], state_[next_ + kShift]);
+        ready_ = next_ + 1;
+        return;
+    }
+    if (next_ == kWords) {
+        next_ = 0;  // the next block
+    } else {
+        seed_through(kWords - 1);  // the rest of the first block
+    }
+    twist_from(next_);
+    ready_ = kWords;
 }
 
-void RandomStream::load_state(const std::string& state) {
-    std::istringstream in(state);
-    std::mt19937_64 restored;
-    in >> restored;
-    if (in.fail()) {
-        throw std::invalid_argument("RandomStream::load_state: malformed state text");
+void MersenneTwister64::seed_through(std::size_t last) noexcept {
+    for (std::size_t i = seeded_; i <= last; ++i) {
+        const std::uint64_t prev = state_[i - 1];
+        state_[i] = kInitMultiplier * (prev ^ (prev >> 62)) + i;
     }
-    engine_ = restored;
+    seeded_ = last + 1;
+}
+
+void MersenneTwister64::twist_from(std::size_t first) noexcept {
+    // The standard's three loops: word k reads word k + m until that wraps,
+    // then the already twisted word k + m - n; the last word reads word 0.
+    std::size_t k = first;
+    for (; k < kWords - kShift; ++k) {
+        state_[k] = twist_word(state_[k], state_[k + 1], state_[k + kShift]);
+    }
+    for (; k < kWords - 1; ++k) {
+        state_[k] = twist_word(state_[k], state_[k + 1], state_[k + kShift - kWords]);
+    }
+    state_[kWords - 1] = twist_word(state_[kWords - 1], state_[0], state_[kShift - 1]);
 }
 
 std::int64_t RandomStream::uniform_int(std::int64_t lo, std::int64_t hi) {

@@ -6,13 +6,13 @@
 // from the root seed alone.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <random>
 #include <span>
 #include <stdexcept>
-#include <string>
 #include <string_view>
-#include <vector>
+#include <utility>
 
 namespace nbmg::sim {
 
@@ -22,8 +22,64 @@ namespace nbmg::sim {
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t root, std::string_view label,
                                         std::uint64_t index = 0) noexcept;
 
-/// Convenience wrapper over mt19937_64 with the distributions the simulator
-/// needs.  Copyable so a stream can be forked for what-if analysis.
+/// The standard library's 64-bit Mersenne Twister engine (n = 312,
+/// m = 156, the same seeding, twist and tempering), drawing the same
+/// numbers for every seed, but seeded and twisted only as far as the
+/// stream has read.  A fleet holds one stream per device, most of which
+/// draw a dozen numbers, so the standard engine's up-front 312-word seeding
+/// and first 312-word twist are most of a stream's cost.
+///
+/// Construction stores the seed.  Draw k < kLazyDraws of the first block
+/// seeds the words up to k + m and twists word k alone (its inputs are
+/// words k, k + 1 and k + m as seeded).  The next draw seeds the rest of the
+/// block and twists it from that word on in one pass, and every later block
+/// is twisted in one pass, as the standard engine does.  The refill stays
+/// off the draw path: a draw is a compare, a load and the tempering.
+class MersenneTwister64 {
+public:
+    using result_type = std::uint64_t;
+
+    static constexpr std::size_t kWords = 312;
+    static constexpr std::size_t kShift = 156;
+    /// Draws of the first block served by twisting one word each.  Past it,
+    /// the remaining words twist in one pass: word by word, interleaved
+    /// streams would touch scattered words of their states.
+    static constexpr std::size_t kLazyDraws = 32;
+    static_assert(kLazyDraws <= kWords - kShift, "a lazy draw reads word k + m untwisted");
+
+    explicit MersenneTwister64(result_type seed) noexcept { state_[0] = seed; }
+
+    [[nodiscard]] static constexpr result_type min() noexcept { return 0; }
+    [[nodiscard]] static constexpr result_type max() noexcept { return ~result_type{0}; }
+
+    result_type operator()() noexcept {
+        if (next_ == ready_) [[unlikely]] refill();
+        result_type z = state_[next_++];
+        z ^= (z >> 29) & 0x5555555555555555ULL;
+        z ^= (z << 17) & 0x71d67fffeda60000ULL;
+        z ^= (z << 37) & 0xfff7eee000000000ULL;
+        return z ^ (z >> 43);
+    }
+
+    /// Equal seeds at equal draw counts compare equal.
+    friend bool operator==(const MersenneTwister64&, const MersenneTwister64&) = default;
+
+private:
+    /// Makes state_[next_] drawable.
+    void refill() noexcept;
+    /// Seeds the words [seeded_, last].
+    void seed_through(std::size_t last) noexcept;
+    /// Twists the words [first, kWords) in place, in the standard order.
+    void twist_from(std::size_t first) noexcept;
+
+    std::size_t next_ = 0;    // the word the next draw tempers
+    std::size_t ready_ = 0;   // words of the current block twisted so far
+    std::size_t seeded_ = 1;  // words seeded (kWords once the first block is)
+    std::array<result_type, kWords> state_{};
+};
+
+/// One MersenneTwister64 with the distributions the simulator needs.
+/// Copyable so a stream can be forked for what-if analysis.
 class RandomStream {
 public:
     explicit RandomStream(std::uint64_t seed) : engine_(seed) {}
@@ -72,20 +128,10 @@ public:
     /// Raw 64-bit draw (for tests and hashing).
     [[nodiscard]] std::uint64_t next_u64() { return engine_(); }
 
-    [[nodiscard]] std::mt19937_64& engine() noexcept { return engine_; }
-
-    /// Serializes the engine state as the standardized mt19937_64 textual
-    /// token stream — decimal integers, portable across platforms and
-    /// standard libraries, unlike a raw struct dump.
-    [[nodiscard]] std::string save_state() const;
-
-    /// Restores a state previously produced by save_state(); the stream
-    /// then replays exactly the draws it would have produced from the
-    /// saved point.  Throws std::invalid_argument on malformed text.
-    void load_state(const std::string& state);
+    [[nodiscard]] MersenneTwister64& engine() noexcept { return engine_; }
 
 private:
-    std::mt19937_64 engine_;
+    MersenneTwister64 engine_;
 };
 
 /// Factory handing out independent named streams from one root seed.

@@ -7,9 +7,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <system_error>
 #include <utility>
@@ -17,6 +19,10 @@
 
 #include "core/sweep.hpp"
 #include "multicell/coordinator.hpp"
+
+#if !defined(__cpp_lib_string_resize_and_overwrite)
+#error "trace_jsonl needs std::string::resize_and_overwrite (C++23 standard library)"
+#endif
 
 namespace nbmg::telemetry {
 namespace {
@@ -239,18 +245,32 @@ std::string trace_jsonl(const Collector& collector, std::size_t threads) {
     std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
 
     // Pass 2: every range writes its lines at its offset and must end
-    // exactly where the next range begins.
-    std::string out(offsets.back(), '\0');
-    pool.run(ranges, [&](std::size_t range) {
-        LineWriter writer(out.data() + offsets[range], out.data() + offsets[range + 1]);
-        for_each_record(slots, range * kRangeRecords, range_end(range),
-                        [&](const TraceSlot& slot, const TraceRecord& record) {
-                            writer.line(slot, record);
-                        });
-        if (!writer.at_end()) {
-            throw std::logic_error("trace_jsonl: a record range ended short of its measured width");
+    // exactly where the next range begins.  The buffer is never zero-filled:
+    // pass 2's workers are the first to touch its pages.  The operation
+    // must not throw, so a failure (a range check, a thread that would not
+    // start) empties the string and is rethrown after it.
+    std::string out;
+    std::exception_ptr error;
+    out.resize_and_overwrite(offsets.back(), [&](char* data, std::size_t size) noexcept {
+        try {
+            pool.run(ranges, [&](std::size_t range) {
+                LineWriter writer(data + offsets[range], data + offsets[range + 1]);
+                for_each_record(slots, range * kRangeRecords, range_end(range),
+                                [&](const TraceSlot& slot, const TraceRecord& record) {
+                                    writer.line(slot, record);
+                                });
+                if (!writer.at_end()) {
+                    throw std::logic_error(
+                        "trace_jsonl: a record range ended short of its measured width");
+                }
+            });
+        } catch (...) {
+            error = std::current_exception();
+            return std::size_t{0};
         }
+        return size;
     });
+    if (error) std::rethrow_exception(error);
     return out;
 }
 

@@ -24,7 +24,8 @@ namespace nbmg::telemetry {
 /// "coordinator") follow the run's campaign slots.
 ///
 /// The render measures every line's exact width first, allocates the
-/// output once, then writes each line in place.  Both passes cut the trace
+/// output once without filling it, then writes each line in place, so the
+/// writers are the first to touch the buffer.  Both passes cut the trace
 /// into fixed-size record ranges and fan them over `threads` workers
 /// (core::resolve_threads semantics: 0 = one per hardware thread), so the
 /// bytes are identical at any width.

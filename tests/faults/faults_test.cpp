@@ -218,6 +218,18 @@ TEST(FaultsCampaignTest, ChurnRecordsLeavesAndReattachSignaling) {
               total_uptime(baseline, nbiot::PowerState::rach));
 }
 
+TEST(FaultsCampaignTest, VanishingLeaveRateCompletesWithoutLeaves) {
+    // At 1e-300 leaves per hour every gap is past INT64_MAX ms: each draw
+    // means no leave inside the horizon, never a leave cast into the past.
+    const auto devices = make_population(20, 11);
+    core::CampaignConfig faulted;
+    faulted.churn.leave_rate = 1e-300;
+    faulted.churn.rejoin_ms = 120'000;
+    const core::CampaignResult result =
+        run_campaign(core::MechanismKind::dr_sc, devices, faulted);
+    EXPECT_EQ(result.churn_leaves, 0u);
+}
+
 TEST(FaultsCampaignTest, ChurnedDeliveryMissesCountRedeliveryBytes) {
     const auto devices = make_population(300, 5);
     core::CampaignConfig faulted;

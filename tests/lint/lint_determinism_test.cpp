@@ -66,7 +66,9 @@ TEST(LintDeterminismTest, RawRngPatternsCaught) {
     EXPECT_EQ(run.exit_code, 1) << run.output;
     expect_finding(run, "bad_raw_rng.cpp", 7, "raw-rng");   // random_device
     expect_finding(run, "bad_raw_rng.cpp", 8, "raw-rng");   // mt19937_64
+    expect_finding(run, "bad_raw_rng.cpp", 9, "raw-rng");   // std::srand
     expect_finding(run, "bad_raw_rng.cpp", 10, "raw-rng");  // std::rand
+    expect_finding(run, "bad_raw_rng.cpp", 11, "raw-rng");  // MersenneTwister64
 }
 
 TEST(LintDeterminismTest, UnorderedContainersCaught) {

@@ -122,6 +122,15 @@ TEST_F(RachTest, BackgroundLoadOccupiesPreambles) {
     EXPECT_GT(rach.total_collisions(), 0u);
 }
 
+TEST_F(RachTest, VanishingBackgroundRateEnrolsNoAttempt) {
+    // At 1e-300 arrivals per second the first gap is past INT64_MAX ms:
+    // no arrival lands before `until`.
+    RachChannel rach(sim_, config_, sim_.stream("rach"));
+    rach.inject_background_load(1e-300, SimTime{60'000});
+    sim_.queue().run_all();
+    EXPECT_EQ(rach.total_attempts(), 0u);
+}
+
 TEST_F(RachTest, CompletionMayRequestAgain) {
     // A completion that starts the next procedure from inside itself, then
     // reads its captures.  The channel must not run the closure out of a

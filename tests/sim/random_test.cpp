@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <limits>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -156,50 +158,147 @@ TEST(RandomStreamTest, ShufflePreservesElements) {
     EXPECT_EQ(v, sorted);
 }
 
-TEST(RandomStreamTest, SaveLoadStateRoundTripsBitIdentical) {
-    // save -> draw N -> load -> the same N draws come back bit for bit.
-    RandomStream rng{123};
-    for (int i = 0; i < 50; ++i) (void)rng.next_u64();  // off the seed point
-    const std::string state = rng.save_state();
-    std::vector<std::uint64_t> first;
-    for (int i = 0; i < 200; ++i) first.push_back(rng.next_u64());
-    rng.load_state(state);
-    for (std::size_t i = 0; i < first.size(); ++i) {
-        EXPECT_EQ(rng.next_u64(), first[i]) << "draw " << i;
+/// 1,000 seeds: the extremes, the standard's default seed and well-spread
+/// derived ones.
+std::vector<std::uint64_t> engine_seeds() {
+    std::vector<std::uint64_t> seeds{0,
+                                     1,
+                                     5489,
+                                     std::uint64_t{1} << 32,
+                                     std::uint64_t{1} << 63,
+                                     std::numeric_limits<std::uint64_t>::max()};
+    for (std::uint64_t i = 0; seeds.size() < 1000; ++i) {
+        seeds.push_back(derive_seed(2018, "mt-seeds", i));
+    }
+    return seeds;
+}
+
+constexpr std::size_t kLazy = MersenneTwister64::kLazyDraws;
+constexpr std::size_t kBlock = MersenneTwister64::kWords;
+
+// The lazy first block (draws 0 to kLazy + 1), the word m = 156 whose
+// seeding the early draws read, the first block's end and several blocks:
+// one sequence of four blocks and two draws passes every one of those draw
+// counts.
+TEST(MersenneTwister64Test, DrawsStdMt19937_64ForEverySeed) {
+    for (const std::uint64_t seed : engine_seeds()) {
+        std::mt19937_64 reference(seed);
+        MersenneTwister64 engine(seed);
+        for (std::size_t draw = 0; draw < 4 * kBlock + 2; ++draw) {
+            const std::uint64_t expected = reference();
+            const std::uint64_t actual = engine();
+            if (actual != expected) {
+                FAIL() << "seed " << seed << ", draw " << draw << ": " << actual
+                       << " != " << expected;
+            }
+        }
     }
 }
 
-TEST(RandomStreamTest, LoadStateTransfersAcrossStreams) {
-    RandomStream a{1};
-    for (int i = 0; i < 7; ++i) (void)a.next_u64();
-    RandomStream b{999};  // unrelated seed, fully overwritten by the load
-    b.load_state(a.save_state());
-    for (int i = 0; i < 50; ++i) EXPECT_EQ(b.next_u64(), a.next_u64());
+/// The reference for RandomStream::weighted_index: a uniform draw over the
+/// total, placed on the running sums.
+std::size_t reference_weighted_index(std::mt19937_64& engine,
+                                     std::span<const double> weights) {
+    double total = 0.0;
+    for (const double w : weights) total += w;
+    const double r = std::uniform_real_distribution<double>(0.0, total)(engine);
+    double acc = 0.0;
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+        acc += weights[i];
+        if (r < acc) return i;
+    }
+    return weights.size() - 1;
 }
 
-TEST(RandomStreamTest, SavedStateCoversDistributionDraws) {
-    // The state is the engine position, so mixed distribution draws after
-    // a reload replay identically too.
-    RandomStream rng{77};
-    const std::string state = rng.save_state();
-    const double real = rng.uniform_real(0.0, 1.0);
-    const std::int64_t integer = rng.uniform_int(0, 1000);
-    const double exp = rng.exponential(10.0);
-    rng.load_state(state);
-    EXPECT_EQ(rng.uniform_real(0.0, 1.0), real);
-    EXPECT_EQ(rng.uniform_int(0, 1000), integer);
-    EXPECT_EQ(rng.exponential(10.0), exp);
+// Every distribution RandomStream draws, interleaved (so each consumes its
+// own number of engine draws, through the lazy block and past it), against
+// the same std distribution over std::mt19937_64.
+TEST(MersenneTwister64Test, StreamDistributionsMatchStdOverMt19937_64) {
+    const std::array<std::pair<std::int64_t, std::int64_t>, 4> int_ranges{{
+        {-5, 17},
+        {0, (std::int64_t{1} << 62) + 1},  // rejects about half its draws
+        {std::numeric_limits<std::int64_t>::min(), std::numeric_limits<std::int64_t>::max()},
+        {7, 7},
+    }};
+    const std::array<double, 4> weights{0.5, 0.0, 2.0, 1.25};
+    const std::vector<std::uint64_t> seeds = engine_seeds();
+    for (std::size_t s = 0; s < 200; ++s) {
+        std::mt19937_64 reference(seeds[s]);
+        RandomStream stream(seeds[s]);
+        for (std::size_t draw = 0; draw < 600; ++draw) {
+            switch (draw % 6) {
+                case 0: {
+                    const auto [lo, hi] = int_ranges[(draw / 6) % int_ranges.size()];
+                    ASSERT_EQ(stream.uniform_int(lo, hi),
+                              std::uniform_int_distribution<std::int64_t>(lo, hi)(reference))
+                        << "seed " << seeds[s] << ", draw " << draw;
+                    break;
+                }
+                case 1:
+                    ASSERT_EQ(stream.uniform_real(0.25, 0.75),
+                              std::uniform_real_distribution<double>(0.25, 0.75)(reference))
+                        << "seed " << seeds[s] << ", draw " << draw;
+                    break;
+                case 2:
+                    ASSERT_EQ(stream.bernoulli(0.3), std::bernoulli_distribution(0.3)(reference))
+                        << "seed " << seeds[s] << ", draw " << draw;
+                    break;
+                case 3:
+                    ASSERT_EQ(stream.exponential(50.0),
+                              std::exponential_distribution<double>(1.0 / 50.0)(reference))
+                        << "seed " << seeds[s] << ", draw " << draw;
+                    break;
+                case 4:
+                    ASSERT_EQ(stream.geometric(0.25),
+                              std::geometric_distribution<std::int64_t>(0.25)(reference))
+                        << "seed " << seeds[s] << ", draw " << draw;
+                    break;
+                default:
+                    ASSERT_EQ(stream.weighted_index(weights),
+                              reference_weighted_index(reference, weights))
+                        << "seed " << seeds[s] << ", draw " << draw;
+                    break;
+            }
+        }
+    }
 }
 
-TEST(RandomStreamTest, LoadStateRejectsMalformedTextAndKeepsStream) {
-    RandomStream rng{5};
-    const std::string state = rng.save_state();
-    EXPECT_THROW(rng.load_state("not a state"), std::invalid_argument);
-    EXPECT_THROW(rng.load_state(""), std::invalid_argument);
-    // The failed loads must not have corrupted the stream.
-    RandomStream pristine{5};
-    pristine.load_state(state);
-    EXPECT_EQ(rng.next_u64(), pristine.next_u64());
+// A copy taken at any point of the lazy first block, or just past it,
+// carries the seeded and twisted words: it and the original go on drawing
+// the reference's numbers.
+TEST(MersenneTwister64Test, CopiesContinueIdentically) {
+    const std::uint64_t seed = derive_seed(2018, "mt-copies");
+    for (std::size_t taken = 0; taken <= kLazy + 8; ++taken) {
+        std::mt19937_64 reference(seed);
+        RandomStream original(seed);
+        for (std::size_t i = 0; i < taken; ++i) {
+            ASSERT_EQ(original.next_u64(), reference()) << "draw " << i;
+        }
+        RandomStream copy = original;
+        ASSERT_TRUE(copy.engine() == original.engine()) << "copy taken at draw " << taken;
+        for (std::size_t i = taken; i < 2 * kBlock + 5; ++i) {
+            const std::uint64_t expected = reference();
+            ASSERT_EQ(copy.next_u64(), expected) << "copy taken at " << taken << ", draw " << i;
+            ASSERT_EQ(original.next_u64(), expected)
+                << "copy taken at " << taken << ", draw " << i;
+        }
+    }
+}
+
+TEST(MersenneTwister64Test, EqualExactlyAtEqualSeedAndPosition) {
+    const std::vector<std::size_t> counts{
+        0, 1, 2, kLazy - 1, kLazy, kLazy + 1, 155, 156, 157, 311, 312, 313, 624, 625};
+    const auto drawn = [](std::uint64_t seed, std::size_t count) {
+        MersenneTwister64 engine(seed);
+        for (std::size_t i = 0; i < count; ++i) (void)engine();
+        return engine;
+    };
+    for (const std::size_t i : counts) {
+        for (const std::size_t j : counts) {
+            EXPECT_EQ(drawn(42, i) == drawn(42, j), i == j) << i << " vs " << j << " draws";
+        }
+        EXPECT_FALSE(drawn(42, i) == drawn(43, i)) << i << " draws";
+    }
 }
 
 TEST(RandomStreamTest, SameSeedSameSequence) {
