@@ -35,20 +35,19 @@ scenario::ScenarioSpec& bench_base_spec() {
     return spec;
 }
 
-void BM_PagingFirstPoAtOrAfter(benchmark::State& state) {
+void BM_PagingPhaseFirstAtOrAfter(benchmark::State& state) {
     const nbiot::PagingSchedule paging;
     const nbiot::DrxCycle cycle =
         nbiot::DrxCycle::from_index(static_cast<int>(state.range(0)));
     std::uint64_t imsi = 100'000'000'000'000ULL;
     nbiot::SimTime t{0};
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            paging.first_po_at_or_after(t, nbiot::Imsi{imsi}, cycle));
+        benchmark::DoNotOptimize(paging.phase(nbiot::Imsi{imsi}, cycle).first_at_or_after(t));
         ++imsi;
         t += nbiot::SimTime{997};
     }
 }
-BENCHMARK(BM_PagingFirstPoAtOrAfter)->Arg(3)->Arg(9)->Arg(15);
+BENCHMARK(BM_PagingPhaseFirstAtOrAfter)->Arg(3)->Arg(9)->Arg(15);
 
 void BM_EventQueueScheduleRun(benchmark::State& state) {
     for (auto _ : state) {

@@ -13,6 +13,8 @@
 #             run's CSV are byte-diffed Debug vs Release);
 #             failure-injection smoke (churn scenario,
 #             outage preset, lossy backhaul — all three CSVs are
+#             byte-diffed Debug vs Release); SC-PTM smoke (a 10 ms
+#             SC-MCCH period with churn, and a 4-cell outage — both CSVs
 #             byte-diffed Debug vs Release); kill-and-resume checkpoint
 #             smoke (stop a citywide run and a single-cell churn run
 #             mid-flight, resume at a different --threads, byte-diff every
@@ -144,6 +146,37 @@ run_scenario_smokes() {
   "${build_dir}/examples/run_scenario" --preset citywide-backhaul \
     --devices 400 --runs 1 --threads 2 --backhaul-loss 0.2 --csv \
     > "${build_dir}/lossy_backhaul_smoke.csv"
+
+  echo "=== ${build_dir}: SC-PTM smoke (10 ms SC-MCCH period with churn; outage) ==="
+  # SC-PTM's SC-MCCH reads are charged in closed form when each device's
+  # ledger closes: at the horizon, or at the outage instant.  A 10 ms
+  # modification period would otherwise be ~2 million reads per campaign.
+  # Both CSVs join the Debug-vs-Release byte-diff below.
+  cat > "${build_dir}/scptm_churn.scenario" <<'SCENARIO'
+name = scptm-churn
+profile = massive_iot_city
+devices = 100
+runs = 2
+mechanisms = sc-ptm
+sc_ptm_mcch_period_ms = 10
+churn.leave_rate = 2
+churn.rejoin_ms = 120000
+SCENARIO
+  cat > "${build_dir}/scptm_outage.scenario" <<'SCENARIO'
+name = scptm-outage
+profile = massive_iot_city
+devices = 400
+runs = 1
+mechanisms = sc-ptm,da-sc
+cells = 4
+faults.cell_down = 1@60000
+SCENARIO
+  "${build_dir}/examples/run_scenario" \
+    --scenario "${build_dir}/scptm_churn.scenario" --threads 2 --csv \
+    > "${build_dir}/scptm_churn_smoke.csv"
+  "${build_dir}/examples/run_scenario" \
+    --scenario "${build_dir}/scptm_outage.scenario" --threads 2 --csv \
+    > "${build_dir}/scptm_outage_smoke.csv"
 
   run_checkpoint_smoke "${build_dir}"
 }
@@ -310,11 +343,12 @@ for leg in "${legs[@]}"; do
   run_scenario_smokes "${build_dir}"
 
   # The telemetry artifacts (the multicell trace and the campaign fan-out's
-  # CSV and trace included), the faulted CSVs, the DA-SC tail CSV and the
-  # DR-SC-only fig7 CSV are pure functions of (spec, seed): the Debug and
-  # Release runs of the smokes above must agree byte for byte.
+  # CSV and trace included), the faulted CSVs, the DA-SC tail CSV, the
+  # DR-SC-only fig7 CSV and the two SC-PTM CSVs are pure functions of
+  # (spec, seed): the Debug and Release runs of the smokes above must agree
+  # byte for byte.
   if [[ "${config}" == "Release" && -f build-debug/telemetry_smoke.trace.jsonl ]]; then
-    echo "=== cross-config determinism: Debug vs Release telemetry artifacts + fault, DA-SC tail and DR-SC CSVs ==="
+    echo "=== cross-config determinism: Debug vs Release telemetry artifacts + fault, DA-SC tail, DR-SC and SC-PTM CSVs ==="
     cmp build-debug/telemetry_smoke.trace.jsonl "${build_dir}/telemetry_smoke.trace.jsonl"
     cmp build-debug/telemetry_smoke.metrics.csv "${build_dir}/telemetry_smoke.metrics.csv"
     cmp build-debug/telemetry_smoke.timeline.json "${build_dir}/telemetry_smoke.timeline.json"
@@ -326,13 +360,15 @@ for leg in "${legs[@]}"; do
     cmp build-debug/dasc_tail_smoke.csv "${build_dir}/dasc_tail_smoke.csv"
     cmp build-debug/lossy_backhaul_smoke.csv "${build_dir}/lossy_backhaul_smoke.csv"
     cmp build-debug/fig7_drsc_smoke.csv "${build_dir}/fig7_drsc_smoke.csv"
+    cmp build-debug/scptm_churn_smoke.csv "${build_dir}/scptm_churn_smoke.csv"
+    cmp build-debug/scptm_outage_smoke.csv "${build_dir}/scptm_outage_smoke.csv"
   fi
 
   if [[ "${config}" == "Release" ]]; then
     if [[ -x "${build_dir}/bench/microbench_kernels" ]]; then
       echo "=== ${config}: microbenchmark smoke (small kernel cases) ==="
       "${build_dir}/bench/microbench_kernels" \
-        --benchmark_filter='PagingFirstPoAtOrAfter/3$|EventQueueScheduleRun/1000$|EventQueueCancelHeavy/10000$|WindowCoverGreedy/100$|GreedyCover/1000/|DrScPlan/200$|FullCampaign/100$' \
+        --benchmark_filter='PagingPhaseFirstAtOrAfter/3$|EventQueueScheduleRun/1000$|EventQueueCancelHeavy/10000$|WindowCoverGreedy/100$|GreedyCover/1000/|DrScPlan/200$|FullCampaign/100$' \
         --benchmark_min_time=0.01
     fi
 

@@ -71,13 +71,13 @@ int main(int argc, char** argv) {
     std::printf("\nLadder nesting: every PO of a cycle is also a PO of every\n"
                 "shorter cycle (same UE).  Check for the 20.48s PO:\n");
     const nbiot::DrxCycle long_cycle = nbiot::drx::seconds_20_48();
-    const SimTime po = paging.first_po_at_or_after(SimTime{0}, imsi, long_cycle);
+    const SimTime po = paging.phase(imsi, long_cycle).first_at_or_after(SimTime{0});
     for (int idx = long_cycle.index(); idx >= long_cycle.index() - 3; --idx) {
         const nbiot::DrxCycle cycle = nbiot::DrxCycle::from_index(idx);
         std::printf("  PO %.2fs on the %s grid: %s\n",
                     static_cast<double>(po.count()) / 1000.0,
                     cycle.to_string().c_str(),
-                    paging.is_po(po, imsi, cycle) ? "yes" : "NO (bug!)");
+                    paging.phase(imsi, cycle).is_po(po) ? "yes" : "NO (bug!)");
     }
 
     // What DA-SC would do for this device at t = 2 * cycle.
@@ -89,20 +89,19 @@ int main(int argc, char** argv) {
                 static_cast<double>(t.count()) / 1000.0,
                 static_cast<double>(window_start.count()) / 1000.0,
                 static_cast<double>(t.count()) / 1000.0);
+    const nbiot::PoPhase phase = paging.phase(imsi, original);
     std::printf("  natural PO in window: %s\n",
-                paging.has_po_in_range(window_start, t, imsi, original) ? "yes (no "
-                                                                          "adjustment)"
-                                                                        : "no");
-    const auto p_adj = paging.last_po_before(window_start, imsi, original);
+                phase.has_in_range(window_start, t) ? "yes (no adjustment)" : "no");
+    const auto p_adj = phase.last_before(window_start);
     if (p_adj) {
         std::printf("  adjustment PO (last before window): %.1fs\n",
                     static_cast<double>(p_adj->count()) / 1000.0);
     }
     for (int idx = original.index() - 1; idx >= 0; --idx) {
         const nbiot::DrxCycle candidate = nbiot::DrxCycle::from_index(idx);
-        if (paging.has_po_in_range(window_start, t, imsi, candidate)) {
-            const SimTime hit =
-                paging.first_po_at_or_after(window_start, imsi, candidate);
+        const nbiot::PoPhase candidate_phase = paging.phase(imsi, candidate);
+        if (candidate_phase.has_in_range(window_start, t)) {
+            const SimTime hit = candidate_phase.first_at_or_after(window_start);
             std::printf("  longest adapted cycle with a PO in the window: %s "
                         "(PO at %.1fs)\n",
                         candidate.to_string().c_str(),

@@ -50,8 +50,8 @@ double exact_light_sleep_ms(const CampaignConfig& config, const nbiot::UeSpec& d
     const nbiot::PagingSchedule paging(config.paging);
     // The UE monitoring loop fires on POs strictly after t = 0 and strictly
     // before the horizon.
-    const std::int64_t pos = paging.po_count_in_range(nbiot::SimTime{1}, horizon,
-                                                      device.imsi, device.cycle);
+    const std::int64_t pos =
+        paging.phase(device.imsi, device.cycle).count_in_range(nbiot::SimTime{1}, horizon);
     double ms = static_cast<double>(pos) *
                 static_cast<double>(config.timing.po_monitor.count());
     ms += static_cast<double>(paging_decodes) *

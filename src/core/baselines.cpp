@@ -13,7 +13,7 @@ MulticastPlan UnicastBaseline::plan(std::span<const nbiot::UeSpec> devices,
     if (!config.valid()) throw std::invalid_argument("Unicast: invalid config");
 
     const nbiot::PagingSchedule paging(config.paging);
-    nbiot::PagingScheduler scheduler(paging, config.paging.max_page_records);
+    nbiot::PagingScheduler scheduler(config.paging.max_page_records, devices.size());
     scheduler.set_telemetry(config.telemetry);
     const nbiot::SimTime deadline = detail::open_deadline(devices);
 
@@ -30,8 +30,8 @@ MulticastPlan UnicastBaseline::plan(std::span<const nbiot::UeSpec> devices,
         // "Each device receiving the multicast data based on its own DRX
         // and without waiting for other devices": page at the next PO,
         // transmit as soon as it connects.
-        const auto slot = scheduler.enqueue_record(dev.device, dev.imsi, dev.cycle,
-                                                   nbiot::SimTime{0}, deadline);
+        const auto slot = scheduler.enqueue_record(
+            dev.device, paging.phase(dev.imsi, dev.cycle), nbiot::SimTime{0}, deadline);
         if (!slot) {
             plan.unserved.push_back(dev.device);
             continue;

@@ -184,24 +184,6 @@ void Execution::schedule_plan_events() {
                           [this, t] { start_transmission(t); });
     }
 
-    // SC-PTM: every device monitors the SC-MCCH once per modification
-    // period, forever, whether or not multicast data exists — the standing
-    // cost the on-demand scheme of [3] removes.  (Tick handlers only
-    // charge energy, which commutes with everything at the same instant,
-    // so scheduling them after the plan events is order-safe.)
-    if (plan_.kind == MechanismKind::sc_ptm) {
-        const SimTime period = config_.sc_ptm_mcch_period;
-        for (SimTime at = period; at < horizon_; at += period) {
-            queue.schedule_at(at, [this] {
-                for (std::size_t i = 0; i < specs_.size(); ++i) {
-                    cell_.ue(DeviceId{static_cast<std::uint32_t>(i)})
-                        .charge(nbiot::PowerState::po_monitor,
-                                config_.timing.po_monitor);
-                }
-            });
-        }
-    }
-
     if (config_.background_ra_per_second > 0.0) {
         cell_.rach().inject_background_load(config_.background_ra_per_second, horizon_);
     }
@@ -492,13 +474,16 @@ CampaignResult Execution::run() {
     count_initial_paging();
 
     const SimTime outage_at{config_.outage_at_ms};
+    // Every PO ledger closes at the horizon, or at the outage instant when
+    // the cell goes dark first.
+    SimTime ledger_end = horizon_;
     if (config_.outage_at_ms >= 1 && outage_at < horizon_) {
         // The cell goes dark at `outage_at`: every event up to and
-        // including that instant runs, then the loop stops cold.  The
-        // analytic PO sentinels never fire, so each device's ledger is
-        // closed explicitly at the outage instant; devices without their
-        // payload are stranded (the deployment layer re-assigns them to
-        // surviving neighbor cells).
+        // including that instant runs, then the loop stops cold.  Each
+        // device's ledger closes at the outage instant; devices without
+        // their payload are stranded (the deployment layer re-assigns them
+        // to surviving neighbor cells).
+        ledger_end = outage_at + SimTime{1};
         cell_.simulation().queue().run_until(outage_at);
         std::size_t complete = 0;
         for (std::size_t i = 0; i < specs_.size(); ++i) {
@@ -531,10 +516,23 @@ CampaignResult Execution::run() {
     result.redelivery_bytes = redelivery_bytes_;
     result.churn_leaves = churn_leaves_;
 
+    // SC-PTM: every device, on air or not, reads the SC-MCCH at each
+    // modification period boundary k * period (k >= 1) before the ledger
+    // closes, whether or not multicast data exists — the standing cost the
+    // on-demand scheme of [3] removes.  Uptime is whole milliseconds, so
+    // one multiplication equals the per-read adds bit for bit.
+    SimTime mcch_uptime{0};
+    if (plan_.kind == MechanismKind::sc_ptm && ledger_end > SimTime{0}) {
+        mcch_uptime = config_.timing.po_monitor *
+                      ((ledger_end - SimTime{1}) / config_.sc_ptm_mcch_period);
+    }
+
     result.devices.reserve(specs_.size());
     std::size_t restores = 0;
     for (std::size_t i = 0; i < specs_.size(); ++i) {
-        const nbiot::Ue& ue = cell_.ue(DeviceId{static_cast<std::uint32_t>(i)});
+        nbiot::Ue& ue = cell_.ue(DeviceId{static_cast<std::uint32_t>(i)});
+        ue.finish_monitoring();
+        if (mcch_uptime > SimTime{0}) ue.charge(nbiot::PowerState::po_monitor, mcch_uptime);
         DeviceOutcome outcome;
         outcome.spec = specs_[i];
         outcome.energy = ue.energy();

@@ -18,6 +18,7 @@ namespace {
 struct AdjustmentChoice {
     nbiot::SimTime adjust_page_at{0};
     nbiot::DrxCycle adapted_cycle = nbiot::DrxCycle::from_index(0);
+    nbiot::PoPhase adapted_phase;  // the device's POs under adapted_cycle
     nbiot::SimTime window_po{0};
 };
 
@@ -41,14 +42,13 @@ std::optional<AdjustmentChoice> choose_adjustment(const nbiot::PagingSchedule& p
 
     for (int idx = dev.cycle.index() - 1; idx >= 0; --idx) {
         const nbiot::DrxCycle candidate = nbiot::DrxCycle::from_index(idx);
-        const nbiot::SimTime first =
-            paging.first_po_at_or_after(earliest, dev.imsi, candidate);
+        const nbiot::PoPhase phase = paging.phase(dev.imsi, candidate);
+        const nbiot::SimTime first = phase.first_at_or_after(earliest);
         if (first >= t) continue;
-        const std::int64_t count =
-            1 + (t - first - nbiot::SimTime{1}).count() / candidate.period_ms();
+        const std::int64_t count = 1 + (t - first - nbiot::SimTime{1}).count() / phase.period;
         const std::int64_t pick = rng.uniform_int(0, count - 1);
-        const nbiot::SimTime po = first + nbiot::SimTime{pick * candidate.period_ms()};
-        return AdjustmentChoice{p_adj, candidate, po};
+        const nbiot::SimTime po = first + nbiot::SimTime{pick * phase.period};
+        return AdjustmentChoice{p_adj, candidate, phase, po};
     }
     return std::nullopt;
 }
@@ -62,7 +62,7 @@ MulticastPlan DaScMechanism::plan(std::span<const nbiot::UeSpec> devices,
     if (!config.valid()) throw std::invalid_argument("DaSc: invalid config");
 
     const nbiot::PagingSchedule paging(config.paging);
-    nbiot::PagingScheduler scheduler(paging, config.paging.max_page_records);
+    nbiot::PagingScheduler scheduler(config.paging.max_page_records, devices.size());
     scheduler.set_telemetry(config.telemetry);
 
     const nbiot::SimTime t = detail::reference_time(devices);
@@ -84,10 +84,10 @@ MulticastPlan DaScMechanism::plan(std::span<const nbiot::UeSpec> devices,
         DeviceSchedule& schedule = plan.schedules[i];
         schedule.device = dev.device;
 
-        if (paging.has_po_in_range(window_start, t, dev.imsi, dev.cycle)) {
+        const nbiot::PoPhase phase = paging.phase(dev.imsi, dev.cycle);
+        if (phase.has_in_range(window_start, t)) {
             // Natural PO inside the window: no adjustment needed.
-            const auto slot = scheduler.enqueue_record(dev.device, dev.imsi, dev.cycle,
-                                                       window_start, t);
+            const auto slot = scheduler.enqueue_record(dev.device, phase, window_start, t);
             if (slot) {
                 schedule.page_at = *slot;
                 schedule.transmission = 0;
@@ -101,17 +101,15 @@ MulticastPlan DaScMechanism::plan(std::span<const nbiot::UeSpec> devices,
         // Choose an adjustment PO (the last original-cycle PO before the
         // window, stepping back over full occasions) and place both pages.
         std::optional<AdjustmentChoice> placed_choice;
-        std::optional<nbiot::SimTime> p_adj =
-            paging.last_po_before(window_start, dev.imsi, dev.cycle);
+        std::optional<nbiot::SimTime> p_adj = phase.last_before(window_start);
         for (int attempt = 0; attempt < 8 && p_adj; ++attempt) {
             const auto choice = choose_adjustment(paging, dev, *p_adj, window_start, t,
                                                   adapt_lead, rng);
-            if (choice && scheduler.try_enqueue_record_at(dev.device, dev.imsi,
-                                                          dev.cycle, *p_adj)) {
+            if (choice && scheduler.try_enqueue_record_at(dev.device, phase, *p_adj)) {
                 placed_choice = choice;
                 break;
             }
-            p_adj = paging.last_po_before(*p_adj, dev.imsi, dev.cycle);
+            p_adj = phase.last_before(*p_adj);
         }
         if (!placed_choice) {
             plan.unserved.push_back(dev.device);
@@ -120,8 +118,7 @@ MulticastPlan DaScMechanism::plan(std::span<const nbiot::UeSpec> devices,
 
         // Page for the multicast at the adapted-cycle PO (full occasions
         // defer to later adapted POs, still before t).
-        const auto slot = scheduler.enqueue_record(dev.device, dev.imsi,
-                                                   placed_choice->adapted_cycle,
+        const auto slot = scheduler.enqueue_record(dev.device, placed_choice->adapted_phase,
                                                    placed_choice->window_po, t);
         if (!slot) {
             plan.unserved.push_back(dev.device);

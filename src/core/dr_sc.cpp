@@ -22,18 +22,20 @@ namespace nbmg::core {
 std::vector<setcover::PoEvent> dr_sc_po_events(std::span<const nbiot::UeSpec> devices,
                                                const nbiot::PagingSchedule& paging,
                                                nbiot::SimTime horizon) {
+    std::vector<nbiot::PoPhase> phases;
+    phases.reserve(devices.size());
     std::size_t total = 0;
     for (const nbiot::UeSpec& dev : devices) {
+        phases.push_back(paging.phase(dev.imsi, dev.cycle));
         total += static_cast<std::size_t>(
-            paging.po_count_in_range(nbiot::SimTime{0}, horizon, dev.imsi, dev.cycle));
+            phases.back().count_in_range(nbiot::SimTime{0}, horizon));
     }
     std::vector<setcover::PoEvent> events;
     events.reserve(total);
-    for (const nbiot::UeSpec& dev : devices) {
-        const nbiot::SimTime period{dev.cycle.period_ms()};
-        for (nbiot::SimTime po = paging.po_offset(dev.imsi, dev.cycle); po < horizon;
-             po += period) {
-            events.push_back(setcover::PoEvent{po, dev.device.value});
+    for (std::size_t i = 0; i < devices.size(); ++i) {
+        const nbiot::SimTime period{phases[i].period};
+        for (nbiot::SimTime po{phases[i].offset}; po < horizon; po += period) {
+            events.push_back(setcover::PoEvent{po, devices[i].device.value});
         }
     }
     return events;
@@ -46,7 +48,7 @@ MulticastPlan DrScMechanism::plan(std::span<const nbiot::UeSpec> devices,
     if (!config.valid()) throw std::invalid_argument("DrSc: invalid config");
 
     const nbiot::PagingSchedule paging(config.paging);
-    nbiot::PagingScheduler scheduler(paging, config.paging.max_page_records);
+    nbiot::PagingScheduler scheduler(config.paging.max_page_records, devices.size());
     scheduler.set_telemetry(config.telemetry);
     const nbiot::SimTime horizon = detail::reference_time(devices);
     const nbiot::SimTime window = config.inactivity_timer;
@@ -77,8 +79,9 @@ MulticastPlan DrScMechanism::plan(std::span<const nbiot::UeSpec> devices,
         for (const std::uint32_t d : w.devices) {
             const nbiot::UeSpec& spec = devices[d];
             // Page at the device's first free PO inside [window start, end].
-            const auto slot = scheduler.enqueue_record(
-                spec.device, spec.imsi, spec.cycle, w.start, w.end + nbiot::SimTime{1});
+            const auto slot =
+                scheduler.enqueue_record(spec.device, paging.phase(spec.imsi, spec.cycle),
+                                         w.start, w.end + nbiot::SimTime{1});
             if (!slot) {
                 leftovers.push_back(spec.device);
                 continue;
@@ -100,8 +103,8 @@ MulticastPlan DrScMechanism::plan(std::span<const nbiot::UeSpec> devices,
     for (const nbiot::DeviceId dev : leftovers) {
         const nbiot::UeSpec& spec = devices[dev.value];
         const auto slot =
-            scheduler.enqueue_record(spec.device, spec.imsi, spec.cycle, horizon,
-                                     detail::open_deadline(devices));
+            scheduler.enqueue_record(spec.device, paging.phase(spec.imsi, spec.cycle),
+                                     horizon, detail::open_deadline(devices));
         if (!slot) {
             plan.unserved.push_back(dev);
             continue;

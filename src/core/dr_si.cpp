@@ -18,7 +18,7 @@ MulticastPlan DrSiMechanism::plan(std::span<const nbiot::UeSpec> devices,
     if (!config.valid()) throw std::invalid_argument("DrSi: invalid config");
 
     const nbiot::PagingSchedule paging(config.paging);
-    nbiot::PagingScheduler scheduler(paging, config.paging.max_page_records);
+    nbiot::PagingScheduler scheduler(config.paging.max_page_records, devices.size());
     scheduler.set_telemetry(config.telemetry);
 
     const nbiot::SimTime t = detail::reference_time(devices);
@@ -37,9 +37,9 @@ MulticastPlan DrSiMechanism::plan(std::span<const nbiot::UeSpec> devices,
         DeviceSchedule& schedule = plan.schedules[i];
         schedule.device = dev.device;
 
-        if (paging.has_po_in_range(window_start, t, dev.imsi, dev.cycle)) {
-            const auto slot = scheduler.enqueue_record(dev.device, dev.imsi, dev.cycle,
-                                                       window_start, t);
+        const nbiot::PoPhase phase = paging.phase(dev.imsi, dev.cycle);
+        if (phase.has_in_range(window_start, t)) {
+            const auto slot = scheduler.enqueue_record(dev.device, phase, window_start, t);
             if (slot) {
                 schedule.page_at = *slot;
                 schedule.transmission = 0;
@@ -51,9 +51,8 @@ MulticastPlan DrSiMechanism::plan(std::span<const nbiot::UeSpec> devices,
         }
 
         const nbiot::SimTime wake_at{rng.uniform_int(window_start.count(), t.count() - 1)};
-        const auto slot = scheduler.enqueue_mltc(dev.device, dev.imsi, dev.cycle,
-                                                 nbiot::SimTime{0}, window_start,
-                                                 tx.start);
+        const auto slot =
+            scheduler.enqueue_mltc(dev.device, phase, nbiot::SimTime{0}, window_start);
         if (!slot) {
             plan.unserved.push_back(dev.device);
             continue;

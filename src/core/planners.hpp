@@ -26,9 +26,9 @@ public:
 };
 
 /// DR-SC's cover input: every PO of every device in [0, horizon), device
-/// by device, each device's in time order (its `pos_in_range`, written in
-/// closed form: the PO offset, then + one period while below `horizon`).
-/// The planner passes horizon = maxDRX, one period of the pattern.
+/// by device, each device's in time order (from its PoPhase: the offset,
+/// then + one period while below `horizon`).  The planner passes horizon =
+/// maxDRX, one period of the pattern.
 [[nodiscard]] std::vector<setcover::PoEvent> dr_sc_po_events(
     std::span<const nbiot::UeSpec> devices, const nbiot::PagingSchedule& paging,
     nbiot::SimTime horizon);

@@ -1,113 +1,42 @@
 #include "nbiot/paging.hpp"
 
-#include <algorithm>
-#include <array>
+#include <stdexcept>
 
 namespace nbmg::nbiot {
-namespace {
-
-/// PO subframe lookup (TS 36.304 Table 7.2-1, FDD).
-[[nodiscard]] std::int64_t po_subframe(std::int64_t ns, std::int64_t i_s) {
-    static constexpr std::array<std::int64_t, 1> kNs1{9};
-    static constexpr std::array<std::int64_t, 2> kNs2{4, 9};
-    static constexpr std::array<std::int64_t, 4> kNs4{0, 4, 5, 9};
-    switch (ns) {
-        case 1: return kNs1[static_cast<std::size_t>(i_s)];
-        case 2: return kNs2[static_cast<std::size_t>(i_s)];
-        case 4: return kNs4[static_cast<std::size_t>(i_s)];
-        default: throw std::logic_error("paging: unsupported Ns");
-    }
-}
-
-/// ceil(a / b) for b > 0 and any sign of a.
-[[nodiscard]] constexpr std::int64_t ceil_div(std::int64_t a, std::int64_t b) noexcept {
-    return a >= 0 ? (a + b - 1) / b : -((-a) / b);
-}
-
-}  // namespace
 
 PagingSchedule::PagingSchedule(PagingConfig config) : config_(config) {
     if (!config_.valid()) throw std::invalid_argument("PagingSchedule: invalid config");
     const std::int64_t ns = std::max<std::int64_t>(1, config_.nb_num / config_.nb_den);
-    if (ns != 1 && ns != 2 && ns != 4) {
-        throw std::invalid_argument("PagingSchedule: nB/T must give Ns in {1,2,4}");
+    // PO subframe by i_s (TS 36.304 Table 7.2-1, FDD).
+    std::array<std::int64_t, 4> subframe{};
+    switch (ns) {
+        case 1: subframe = {9, 0, 0, 0}; break;
+        case 2: subframe = {4, 9, 0, 0}; break;
+        case 4: subframe = {0, 4, 5, 9}; break;
+        default:
+            throw std::invalid_argument("PagingSchedule: nB/T must give Ns in {1,2,4}");
+    }
+    for (const DrxCycle cycle : drx_ladder()) {
+        const std::int64_t t_frames = cycle.period_frames();
+        // nB scaled from T; clamp to at least one paging frame per cycle.
+        // Ns = max(1, nB / T) is max(1, nb_num / nb_den) on every row
+        // (floor(floor(x) / T) = floor(x / T)), hence `ns` above.
+        const std::int64_t nb =
+            std::max<std::int64_t>(1, t_frames * config_.nb_num / config_.nb_den);
+        const std::int64_t n = std::min(t_frames, nb);
+        rows_[static_cast<std::size_t>(cycle.index())] =
+            CycleRow{.n = n, .ns = ns, .frame_step = t_frames / n, .subframe = subframe};
     }
 }
 
-SimTime PagingSchedule::po_offset(Imsi imsi, DrxCycle cycle) const {
-    const std::int64_t t_frames = cycle.period_frames();
-    const auto ue_id =
-        static_cast<std::int64_t>(imsi.value % config_.ue_id_modulus);
-
-    // nB scaled from T; clamp to at least one paging frame per cycle.
-    const std::int64_t nb =
-        std::max<std::int64_t>(1, t_frames * config_.nb_num / config_.nb_den);
-    const std::int64_t n = std::min(t_frames, nb);
-    const std::int64_t ns = std::max<std::int64_t>(1, nb / t_frames);
-
-    const std::int64_t pf_offset = (t_frames / n) * (ue_id % n) % t_frames;
-    const std::int64_t i_s = (ue_id / n) % ns;
-    const std::int64_t sf = po_subframe(ns, i_s);
-    return SimTime{pf_offset * kMillisPerFrame + sf * kMillisPerSubframe};
-}
-
-SimTime PagingSchedule::first_po_at_or_after(SimTime t, Imsi imsi, DrxCycle cycle) const {
-    const std::int64_t period = cycle.period_ms();
-    const std::int64_t offset = po_offset(imsi, cycle).count();
-    const std::int64_t tm = t.count();
-    if (tm <= offset) return SimTime{offset};
-    // Smallest k with offset + k*period >= tm.
-    const std::int64_t k = (tm - offset + period - 1) / period;
-    return SimTime{offset + k * period};
-}
-
-std::optional<SimTime> PagingSchedule::last_po_before(SimTime t, Imsi imsi,
-                                                      DrxCycle cycle) const {
-    const std::int64_t period = cycle.period_ms();
-    const std::int64_t offset = po_offset(imsi, cycle).count();
-    const std::int64_t tm = t.count();
-    if (tm <= offset) return std::nullopt;
-    // Largest k with offset + k*period < tm.
-    const std::int64_t k = (tm - offset - 1) / period;
-    return SimTime{offset + k * period};
-}
-
-std::vector<SimTime> PagingSchedule::pos_in_range(SimTime from, SimTime to, Imsi imsi,
-                                                  DrxCycle cycle) const {
-    std::vector<SimTime> out;
-    if (from >= to) return out;
-    const std::int64_t period = cycle.period_ms();
-    SimTime po = first_po_at_or_after(from, imsi, cycle);
-    while (po < to) {
-        out.push_back(po);
-        po += SimTime{period};
-    }
-    return out;
-}
-
-bool PagingSchedule::has_po_in_range(SimTime from, SimTime to, Imsi imsi,
-                                     DrxCycle cycle) const {
-    if (from >= to) return false;
-    return first_po_at_or_after(from, imsi, cycle) < to;
-}
-
-bool PagingSchedule::is_po(SimTime t, Imsi imsi, DrxCycle cycle) const {
-    const std::int64_t period = cycle.period_ms();
-    const std::int64_t offset = po_offset(imsi, cycle).count();
-    const std::int64_t tm = t.count();
-    if (tm < offset) return false;
-    return (tm - offset) % period == 0;
-}
-
-std::int64_t PagingSchedule::po_count_in_range(SimTime from, SimTime to, Imsi imsi,
-                                               DrxCycle cycle) const {
-    if (from >= to) return 0;
-    const std::int64_t period = cycle.period_ms();
-    const std::int64_t offset = po_offset(imsi, cycle).count();
-    // POs are offset + k*period for k >= 0; count those in [from, to).
-    const std::int64_t lo = std::max<std::int64_t>(0, ceil_div(from.count() - offset, period));
-    const std::int64_t hi = ceil_div(to.count() - offset, period);  // first k at or past `to`
-    return std::max<std::int64_t>(0, hi - lo);
+SimTime PagingSchedule::po_offset(Imsi imsi, DrxCycle cycle) const noexcept {
+    const CycleRow& row = rows_[static_cast<std::size_t>(cycle.index())];
+    const auto ue_id = static_cast<std::int64_t>(imsi.value % config_.ue_id_modulus);
+    // PF = (T/N) * (UE_ID mod N), which is below T: no reduction mod T.
+    const std::int64_t pf_offset = row.frame_step * (ue_id % row.n);
+    const std::int64_t i_s = row.ns > 1 ? (ue_id / row.n) % row.ns : 0;
+    return SimTime{pf_offset * kMillisPerFrame +
+                   row.subframe[static_cast<std::size_t>(i_s)] * kMillisPerSubframe};
 }
 
 }  // namespace nbmg::nbiot

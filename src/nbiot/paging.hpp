@@ -1,4 +1,4 @@
-// Paging-occasion arithmetic (TS 36.304 §7) and paging message contents.
+// Paging-occasion arithmetic (TS 36.304 §7).
 //
 // A UE in idle mode wakes once per DRX cycle at its paging occasion (PO) and
 // monitors the paging channel.  The PO position is a pure function of the
@@ -20,12 +20,19 @@
 // the PO set of cycle 2T is a subset of the PO set of cycle T for the same
 // UE, so lengthening a cycle only removes occasions and shortening it only
 // adds them.
+//
+// A device's occasions under one cycle are a PoPhase {offset, period}.
+// The planners, the paging table and the UE compute it once per (device,
+// cycle) with PagingSchedule::phase and answer every occasion query from
+// it inline.  po_offset itself reads one row per ladder cycle, built when
+// the schedule is constructed, so a call costs the formula's two modulo
+// operations (three when Ns > 1).
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
-#include <stdexcept>
-#include <vector>
 
 #include "nbiot/drx.hpp"
 #include "nbiot/frames.hpp"
@@ -55,6 +62,64 @@ struct PagingConfig {
     friend bool operator==(const PagingConfig&, const PagingConfig&) = default;
 };
 
+/// One device's paging occasions under one cycle: offset + k * period for
+/// every k >= 0, in milliseconds.  A plain value computed once per (device,
+/// cycle) by PagingSchedule::phase; every query is inline arithmetic.
+struct PoPhase {
+    std::int64_t offset = 0;  // 0 <= offset < period
+    std::int64_t period = 1;
+
+    /// First PO at or after `t`.
+    [[nodiscard]] constexpr SimTime first_at_or_after(SimTime t) const noexcept {
+        const std::int64_t tm = t.count();
+        if (tm <= offset) return SimTime{offset};
+        // Smallest k with offset + k*period >= tm.
+        const std::int64_t k = (tm - offset + period - 1) / period;
+        return SimTime{offset + k * period};
+    }
+
+    /// Last PO strictly before `t`; nullopt when no PO exists in [0, t).
+    [[nodiscard]] constexpr std::optional<SimTime> last_before(SimTime t) const noexcept {
+        const std::int64_t tm = t.count();
+        if (tm <= offset) return std::nullopt;
+        // Largest k with offset + k*period < tm.
+        const std::int64_t k = (tm - offset - 1) / period;
+        return SimTime{offset + k * period};
+    }
+
+    /// True when `t` is exactly a PO.
+    [[nodiscard]] constexpr bool is_po(SimTime t) const noexcept {
+        const std::int64_t tm = t.count();
+        if (tm < offset) return false;
+        return (tm - offset) % period == 0;
+    }
+
+    /// True when at least one PO lies in [from, to).
+    [[nodiscard]] constexpr bool has_in_range(SimTime from, SimTime to) const noexcept {
+        if (from >= to) return false;
+        return first_at_or_after(from) < to;
+    }
+
+    /// Number of POs in [from, to) (analytic; no enumeration).
+    [[nodiscard]] constexpr std::int64_t count_in_range(SimTime from,
+                                                        SimTime to) const noexcept {
+        if (from >= to) return 0;
+        // POs are offset + k*period for k >= 0; count those in [from, to).
+        const std::int64_t lo =
+            std::max<std::int64_t>(0, ceil_div(from.count() - offset, period));
+        // First k at or past `to`.
+        const std::int64_t hi = ceil_div(to.count() - offset, period);
+        return std::max<std::int64_t>(0, hi - lo);
+    }
+
+private:
+    /// ceil(a / b) for b > 0 and any sign of a.
+    [[nodiscard]] static constexpr std::int64_t ceil_div(std::int64_t a,
+                                                         std::int64_t b) noexcept {
+        return a >= 0 ? (a + b - 1) / b : -((-a) / b);
+    }
+};
+
 /// Computes paging occasions for (IMSI, DRX cycle) pairs.
 class PagingSchedule {
 public:
@@ -64,58 +129,24 @@ public:
 
     /// Offset of the (single) PO within one cycle, in milliseconds from the
     /// cycle boundary.  0 <= offset < cycle period.
-    [[nodiscard]] SimTime po_offset(Imsi imsi, DrxCycle cycle) const;
+    [[nodiscard]] SimTime po_offset(Imsi imsi, DrxCycle cycle) const noexcept;
 
-    /// First PO at or after `t`.
-    [[nodiscard]] SimTime first_po_at_or_after(SimTime t, Imsi imsi, DrxCycle cycle) const;
-
-    /// Last PO strictly before `t`; nullopt when no PO exists in [0, t).
-    [[nodiscard]] std::optional<SimTime> last_po_before(SimTime t, Imsi imsi,
-                                                        DrxCycle cycle) const;
-
-    /// All POs in the half-open interval [from, to).
-    [[nodiscard]] std::vector<SimTime> pos_in_range(SimTime from, SimTime to, Imsi imsi,
-                                                    DrxCycle cycle) const;
-
-    /// True when the device has at least one PO in [from, to).
-    [[nodiscard]] bool has_po_in_range(SimTime from, SimTime to, Imsi imsi,
-                                       DrxCycle cycle) const;
-
-    /// True when `t` is exactly a PO of the device.
-    [[nodiscard]] bool is_po(SimTime t, Imsi imsi, DrxCycle cycle) const;
-
-    /// Number of POs in [from, to) (analytic; no enumeration).
-    [[nodiscard]] std::int64_t po_count_in_range(SimTime from, SimTime to, Imsi imsi,
-                                                 DrxCycle cycle) const;
+    /// The device's paging occasions under `cycle`.
+    [[nodiscard]] PoPhase phase(Imsi imsi, DrxCycle cycle) const noexcept {
+        return PoPhase{po_offset(imsi, cycle).count(), cycle.period_ms()};
+    }
 
 private:
+    /// The TS 36.304 constants of one ladder cycle, fixed by the config.
+    struct CycleRow {
+        std::int64_t n = 1;           // N = min(T, nB)
+        std::int64_t ns = 1;          // Ns = max(1, nB / T)
+        std::int64_t frame_step = 1;  // T / N
+        std::array<std::int64_t, 4> subframe{};  // Table 7.2-1 row for Ns, by i_s
+    };
+
     PagingConfig config_;
-};
-
-/// One entry of the PagingRecordList: "connect, you have downlink data".
-struct PagingRecord {
-    DeviceId device;
-    Imsi imsi;
-};
-
-/// The paper's non-critical `mltc-Transmission` extension (Sec. III-C):
-/// tells the device when the multicast transmission will happen without
-/// requiring it to connect now.  Present only in the DR-SI mechanism.
-struct MltcExtension {
-    DeviceId device;
-    Imsi imsi;
-    SimTime multicast_at;  // absolute transmission start time
-};
-
-/// A paging message broadcast at one paging occasion.
-struct PagingMessage {
-    SimTime at;
-    std::vector<PagingRecord> records;
-    std::vector<MltcExtension> mltc_extensions;
-
-    [[nodiscard]] std::size_t occupancy() const noexcept {
-        return records.size() + mltc_extensions.size();
-    }
+    std::array<CycleRow, DrxCycle::kLadderSize> rows_{};
 };
 
 }  // namespace nbmg::nbiot

@@ -6,87 +6,65 @@
 
 namespace nbmg::nbiot {
 
-PagingScheduler::PagingScheduler(const PagingSchedule& schedule, int max_page_records)
-    : schedule_(&schedule), max_records_(max_page_records) {
+PagingScheduler::PagingScheduler(int max_page_records, std::size_t devices)
+    : max_records_(max_page_records) {
     if (max_page_records <= 0) {
         throw std::invalid_argument("PagingScheduler: max_page_records must be positive");
     }
+    occupancy_.reserve(devices);
 }
 
-std::optional<SimTime> PagingScheduler::find_slot(Imsi imsi, DrxCycle cycle,
+std::optional<SimTime> PagingScheduler::find_slot(const PoPhase& phase,
                                                   SimTime not_before,
                                                   SimTime deadline) const {
-    SimTime po = schedule_->first_po_at_or_after(not_before, imsi, cycle);
-    while (po < deadline) {
-        const auto it = by_time_.find(po);
-        if (it == by_time_.end() ||
-            it->second.occupancy() < static_cast<std::size_t>(max_records_)) {
-            return po;
-        }
-        po += cycle.period();
+    const auto capacity = static_cast<std::uint32_t>(max_records_);
+    for (SimTime po = phase.first_at_or_after(not_before); po < deadline;
+         po += SimTime{phase.period}) {
+        const auto it = occupancy_.find(po.count());
+        if (it == occupancy_.end() || it->second < capacity) return po;
     }
     return std::nullopt;
 }
 
-std::optional<SimTime> PagingScheduler::enqueue_record(DeviceId device, Imsi imsi,
-                                                       DrxCycle cycle, SimTime not_before,
-                                                       SimTime deadline) {
-    const auto slot = find_slot(imsi, cycle, not_before, deadline);
-    if (!slot) return std::nullopt;
-    auto& msg = by_time_[*slot];
-    msg.at = *slot;
-    msg.records.push_back(PagingRecord{device, imsi});
-    ++total_entries_;
-    NBMG_TELEMETRY_EMIT(telemetry_, telemetry::EventKind::page_scheduled,
-                        slot->count(), device.value,
-                        static_cast<std::int64_t>(msg.occupancy()), 0);
-    return slot;
-}
-
-std::optional<SimTime> PagingScheduler::enqueue_mltc(DeviceId device, Imsi imsi,
-                                                     DrxCycle cycle, SimTime not_before,
-                                                     SimTime deadline,
-                                                     SimTime multicast_at) {
-    const auto slot = find_slot(imsi, cycle, not_before, deadline);
-    if (!slot) return std::nullopt;
-    auto& msg = by_time_[*slot];
-    msg.at = *slot;
-    msg.mltc_extensions.push_back(MltcExtension{device, imsi, multicast_at});
-    ++total_entries_;
-    NBMG_TELEMETRY_EMIT(telemetry_, telemetry::EventKind::page_scheduled,
-                        slot->count(), device.value,
-                        static_cast<std::int64_t>(msg.occupancy()), 1);
-    return slot;
-}
-
-bool PagingScheduler::try_enqueue_record_at(DeviceId device, Imsi imsi, DrxCycle cycle,
-                                            SimTime po) {
-    if (!schedule_->is_po(po, imsi, cycle)) {
-        throw std::logic_error("PagingScheduler: not a paging occasion of the device");
-    }
-    return force_enqueue_record_at(device, imsi, po);
-}
-
-bool PagingScheduler::force_enqueue_record_at(DeviceId device, Imsi imsi, SimTime po) {
-    auto& msg = by_time_[po];
-    if (msg.occupancy() >= static_cast<std::size_t>(max_records_)) {
-        return false;
-    }
-    msg.at = po;
-    msg.records.push_back(PagingRecord{device, imsi});
+void PagingScheduler::place(DeviceId device, SimTime po, std::uint32_t& occupancy,
+                            int kind) {
+    ++occupancy;
     ++total_entries_;
     NBMG_TELEMETRY_EMIT(telemetry_, telemetry::EventKind::page_scheduled, po.count(),
-                        device.value, static_cast<std::int64_t>(msg.occupancy()), 0);
-    return true;
+                        device.value, static_cast<std::int64_t>(occupancy), kind);
 }
 
-std::vector<PagingMessage> PagingScheduler::messages() const {
-    std::vector<PagingMessage> out;
-    out.reserve(by_time_.size());
-    for (const auto& [at, msg] : by_time_) {
-        if (msg.occupancy() > 0) out.push_back(msg);
+std::optional<SimTime> PagingScheduler::enqueue_record(DeviceId device,
+                                                       const PoPhase& phase,
+                                                       SimTime not_before,
+                                                       SimTime deadline) {
+    const auto slot = find_slot(phase, not_before, deadline);
+    if (slot) place(device, *slot, occupancy_[slot->count()], 0);
+    return slot;
+}
+
+std::optional<SimTime> PagingScheduler::enqueue_mltc(DeviceId device,
+                                                     const PoPhase& phase,
+                                                     SimTime not_before,
+                                                     SimTime deadline) {
+    const auto slot = find_slot(phase, not_before, deadline);
+    if (slot) place(device, *slot, occupancy_[slot->count()], 1);
+    return slot;
+}
+
+bool PagingScheduler::try_enqueue_record_at(DeviceId device, const PoPhase& phase,
+                                            SimTime po) {
+    if (!phase.is_po(po)) {
+        throw std::logic_error("PagingScheduler: not a paging occasion of the device");
     }
-    return out;
+    return force_enqueue_record_at(device, po);
+}
+
+bool PagingScheduler::force_enqueue_record_at(DeviceId device, SimTime po) {
+    std::uint32_t& occupancy = occupancy_[po.count()];
+    if (occupancy >= static_cast<std::uint32_t>(max_records_)) return false;
+    place(device, po, occupancy, 0);
+    return true;
 }
 
 }  // namespace nbmg::nbiot

@@ -17,6 +17,7 @@ Ue::Ue(sim::Simulation& simulation, DeviceId device, Imsi imsi, DrxCycle cycle,
       cycle_(cycle),
       original_cycle_(cycle),
       ce_level_(ce_level),
+      phase_(paging.phase(imsi, cycle)),
       paging_(&paging),
       timing_(&timing),
       rach_(&rach),
@@ -39,27 +40,22 @@ void Ue::require_state(UeState expected, const char* operation) const {
 void Ue::start_monitoring(SimTime until) {
     monitor_until_ = until;
     unsettled_from_ = sim_->now() + SimTime{1};
-    if (unsettled_from_ < until) {
-        // One sentinel at the horizon settles the whole window, so
-        // po_count()/energy() are final once the queue drains past `until`.
-        sim_->queue().schedule_at(until, [this] { settle_pos(monitor_until_); });
-    }
 }
 
-SimTime Ue::next_po_at_or_after(SimTime t) const {
-    return paging_->first_po_at_or_after(t, imsi_, cycle_);
-}
+void Ue::finish_monitoring() { settle_pos(monitor_until_); }
+
+SimTime Ue::next_po_at_or_after(SimTime t) const { return phase_.first_at_or_after(t); }
 
 bool Ue::listening_at(SimTime t) const {
     if (!powered_ || state_ != UeState::idle) return false;
-    return paging_->is_po(t, imsi_, cycle_);
+    return phase_.is_po(t);
 }
 
 void Ue::halt_monitoring() {
     settle_pos(sim_->now() + SimTime{1});
-    // Freeze the ledger: the horizon sentinel (and any later settle) must
-    // not charge occasions past this instant.  power_on re-opens the window
-    // at the rejoin instant.
+    // Freeze the ledger: finish_monitoring (and any later settle) must not
+    // charge occasions past this instant.  power_on re-opens the window at
+    // the rejoin instant.
     unsettled_from_ = monitor_until_;
 }
 
@@ -83,6 +79,7 @@ void Ue::power_on() {
     // Any DA-SC adjustment is lost with the stored context: the device
     // re-enters the ladder at its original cycle.
     cycle_ = original_cycle_;
+    phase_ = paging_->phase(imsi_, cycle_);
     // Analytic re-attach cost: one clean (collision-free) random-access
     // exchange plus the RRC setup and immediate release.  Charged directly
     // rather than through RachChannel so the shared channel's contention
@@ -98,8 +95,7 @@ void Ue::power_on() {
 void Ue::settle_pos(SimTime bound) {
     bound = std::min(bound, monitor_until_);
     if (bound <= unsettled_from_) return;
-    const std::int64_t n =
-        paging_->po_count_in_range(unsettled_from_, bound, imsi_, cycle_);
+    const std::int64_t n = phase_.count_in_range(unsettled_from_, bound);
     if (n > 0) {
         accounting_->po_count[device_.value] += static_cast<std::uint64_t>(n);
         // Integer-millisecond uptime, so the single multiplication equals
@@ -117,6 +113,7 @@ void Ue::apply_cycle(DrxCycle cycle) {
                         cycle.period_ms());
     settle_pos(sim_->now() + SimTime{1});
     cycle_ = cycle;
+    phase_ = paging_->phase(imsi_, cycle);
 }
 
 void Ue::start_connection(SimTime earliest, EstablishmentCause cause,

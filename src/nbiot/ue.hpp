@@ -13,17 +13,19 @@
 //
 // Performance note: PO monitoring is one closed-form ledger.  While a
 // device's DRX cycle is fixed, its occasions in any window are a closed
-// form (PagingSchedule::po_count_in_range), so the UE schedules no
-// per-occasion events at all: one sentinel at the monitoring horizon
-// settles the count and the energy in a single multiplication, and every
-// cycle change (DA-SC's adjustment at the reconfiguration release, the
-// restore at the reception release) first settles the old cycle through
-// the change instant.  Tie rule: a PO at the instant of a cycle change
-// counts under the old cycle; the new cycle's occasions start just after
-// it.  This is the paper's own accounting — light-sleep uptime is a pure
-// function of the DRX cycle over the horizon, and DA-SC only changes which
-// cycle applies when — and it keeps a device's queue events independent
-// of its cycle and of the horizon.
+// form (PoPhase::count_in_range over the phase the UE caches for its
+// current cycle), so the UE schedules no monitoring events at all:
+// finish_monitoring, called once the event loop has drained, settles the
+// count and the energy through the horizon in a single multiplication,
+// and every cycle change (DA-SC's adjustment at the reconfiguration
+// release, the restore at the reception release) first settles the old
+// cycle through the change instant — or through the horizon, for a change
+// after it.  Tie rule: a PO at the instant of a cycle change counts under
+// the old cycle; the new cycle's occasions start just after it.  This is
+// the paper's own accounting — light-sleep uptime is a pure function of
+// the DRX cycle over the horizon, and DA-SC only changes which cycle
+// applies when — and it keeps a device's queue events independent of its
+// cycle and of the horizon.
 #pragma once
 
 #include <cstdint>
@@ -96,9 +98,15 @@ public:
         own_hooks_ = std::make_unique<Hooks>(std::move(hooks));
     }
 
-    /// Begins the PO-monitoring loop; the UE wakes at every PO of its
-    /// current DRX cycle until `until`.
+    /// Opens the PO ledger: every PO of the current DRX cycle after now
+    /// and before `until` is charged.  Schedules no event.
     void start_monitoring(SimTime until);
+
+    /// Closes the ledger: settles every PO still unsettled through the
+    /// `until` of start_monitoring.  Call once the event loop has drained;
+    /// po_count()/energy() are final after it.  A no-op after
+    /// halt_monitoring.
+    void finish_monitoring();
 
     /// --- eNB-initiated procedures (call at the device's PO time) ---
 
@@ -152,9 +160,8 @@ public:
 
     /// Ends PO monitoring at the current instant, from any state:
     /// occasions up to now are settled into the fleet counters, nothing
-    /// later is charged.  Used when the serving cell goes dark mid-run —
-    /// the event loop stops draining, so the analytic horizon sentinel
-    /// never fires and the ledger must be closed explicitly.
+    /// later is charged.  Used when the serving cell goes dark mid-run:
+    /// the ledger closes at the outage instant instead of the horizon.
     void halt_monitoring();
 
     [[nodiscard]] bool powered() const noexcept { return powered_; }
@@ -216,6 +223,7 @@ private:
     DrxCycle cycle_;
     DrxCycle original_cycle_;
     CeLevel ce_level_;
+    PoPhase phase_;  // the POs of cycle_
     const PagingSchedule* paging_;
     const TimingModel* timing_;
     RachChannel* rach_;

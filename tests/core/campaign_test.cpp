@@ -1,5 +1,6 @@
 // Campaign runner behaviour: delivery guarantees, uptime bucket semantics,
-// recovery under failure injection, and the bandwidth accounting.
+// every device's PO ledger closing at the horizon or the outage, recovery
+// under failure injection, and the bandwidth accounting.
 #include "core/campaign.hpp"
 
 #include <gtest/gtest.h>
@@ -212,6 +213,82 @@ TEST(CampaignRunnerTest, RachContentionRecordsCollisions) {
 }
 
 // ------------------------------------------------- failure injection ------
+
+// ------------------------------------------------------- PO ledgers ----
+
+/// Runs `kind` and checks that every device's PO ledger closed at the
+/// horizon, or just after the outage instant when the cell goes dark: its
+/// po_count is the closed form of its own cycle over [1, bound), and its
+/// po_monitor uptime is those POs plus, for SC-PTM, one SC-MCCH read at
+/// each modification period boundary before the bound.  DA-SC's adjusted
+/// devices change cycle mid-campaign and are left out.
+void expect_po_ledgers_closed(MechanismKind kind, std::span<const nbiot::UeSpec> devices,
+                              const CampaignConfig& config, SimTime horizon) {
+    sim::RandomStream rng{11};
+    const MulticastPlan plan = make_mechanism(kind)->plan(devices, config, rng);
+    const CampaignResult result =
+        CampaignRunner{config}.run(plan, devices, kPayload, horizon, 7);
+    const bool outage =
+        config.outage_at_ms >= 1 && SimTime{config.outage_at_ms} < horizon;
+    const SimTime bound = outage ? SimTime{config.outage_at_ms + 1} : horizon;
+    std::int64_t reads = 0;
+    if (kind == MechanismKind::sc_ptm) {
+        for (SimTime at = config.sc_ptm_mcch_period; at < bound;
+             at += config.sc_ptm_mcch_period) {
+            ++reads;
+        }
+    }
+    const nbiot::PagingSchedule paging(config.paging);
+    std::size_t checked = 0;
+    for (std::size_t i = 0; i < devices.size(); ++i) {
+        if (plan.schedules[i].adjustment) continue;
+        const DeviceOutcome& outcome = result.devices[i];
+        const std::int64_t pos =
+            paging.phase(devices[i].imsi, devices[i].cycle).count_in_range(SimTime{1}, bound);
+        EXPECT_EQ(static_cast<std::int64_t>(outcome.po_count), pos)
+            << to_string(kind) << " device " << i;
+        EXPECT_EQ(outcome.energy.uptime(nbiot::PowerState::po_monitor),
+                  config.timing.po_monitor * (pos + reads))
+            << to_string(kind) << " device " << i;
+        ++checked;
+    }
+    EXPECT_GT(checked, 0u) << to_string(kind);
+}
+
+constexpr MechanismKind kLedgerKinds[] = {MechanismKind::unicast, MechanismKind::dr_sc,
+                                          MechanismKind::dr_si, MechanismKind::sc_ptm,
+                                          MechanismKind::da_sc};
+
+TEST(CampaignLedgerTest, EveryDevicesPoLedgerClosesAtTheHorizon) {
+    const auto devices = make_population(120, 12);
+    const CampaignConfig config;
+    const SimTime horizon = recommended_horizon(devices, config, kPayload);
+    for (const MechanismKind kind : kLedgerKinds) {
+        expect_po_ledgers_closed(kind, devices, config, horizon);
+    }
+}
+
+TEST(CampaignLedgerTest, EveryDevicesPoLedgerClosesAtTheOutage) {
+    const auto devices = make_population(120, 12);
+    CampaignConfig config;
+    const SimTime horizon = recommended_horizon(devices, config, kPayload);
+    config.outage_at_ms = horizon.count() / 2;
+    for (const MechanismKind kind : kLedgerKinds) {
+        expect_po_ledgers_closed(kind, devices, config, horizon);
+    }
+}
+
+TEST(CampaignLedgerTest, ScPtmReadsEveryMillisecondAreChargedInClosedForm) {
+    // The modification period accepts 1 ms: 59,999 reads per device over a
+    // 60 s horizon, 19,999 when the cell goes dark at 20 s.
+    const auto devices = make_population(40, 13);
+    CampaignConfig config;
+    config.sc_ptm_mcch_period = SimTime{1};
+    const SimTime horizon{60'000};
+    expect_po_ledgers_closed(MechanismKind::sc_ptm, devices, config, horizon);
+    config.outage_at_ms = 20'000;
+    expect_po_ledgers_closed(MechanismKind::sc_ptm, devices, config, horizon);
+}
 
 TEST(FailureInjectionTest, PageLossIsRecoveredByRetries) {
     const auto devices = make_population(60, 16);

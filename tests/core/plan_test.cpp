@@ -110,7 +110,7 @@ TEST(DrScPlanTest, EveryDeviceIsPagedAtOwnPoInsideItsWindow) {
     for (const auto& s : plan.schedules) {
         ASSERT_TRUE(s.page_at.has_value());
         const auto& dev = devices[s.device.value];
-        EXPECT_TRUE(paging.is_po(*s.page_at, dev.imsi, dev.cycle))
+        EXPECT_TRUE(paging.phase(dev.imsi, dev.cycle).is_po(*s.page_at))
             << "DR-SC must respect the device's own paging occasions";
         EXPECT_FALSE(s.adjustment.has_value());
         EXPECT_FALSE(s.mltc.has_value());
@@ -153,6 +153,17 @@ TEST(DrScPlanTest, IdenticalImsiBatchSharesOneTransmission) {
     EXPECT_EQ(plan.transmissions.front().devices.size(), 4u);
 }
 
+/// A device's POs in [from, to), stepped one period at a time from its
+/// first PO at or after `from`.
+std::vector<SimTime> pos_in_range(const nbiot::PoPhase& phase, SimTime from, SimTime to) {
+    std::vector<SimTime> out;
+    if (from >= to) return out;
+    for (SimTime po = phase.first_at_or_after(from); po < to; po += SimTime{phase.period}) {
+        out.push_back(po);
+    }
+    return out;
+}
+
 /// The reference for dr_sc_po_events: each device's pos_in_range over
 /// [0, horizon), concatenated in device order.
 std::vector<setcover::PoEvent> concatenated_pos_in_range(
@@ -160,7 +171,8 @@ std::vector<setcover::PoEvent> concatenated_pos_in_range(
     SimTime horizon) {
     std::vector<setcover::PoEvent> events;
     for (const nbiot::UeSpec& dev : devices) {
-        for (const SimTime po : paging.pos_in_range(SimTime{0}, horizon, dev.imsi, dev.cycle)) {
+        for (const SimTime po :
+             pos_in_range(paging.phase(dev.imsi, dev.cycle), SimTime{0}, horizon)) {
             events.push_back({po, dev.device.value});
         }
     }
@@ -301,7 +313,7 @@ TEST(DaScPlanTest, DevicesWithNaturalPoInWindowAreNotAdjusted) {
     const SimTime window_start = t - config.inactivity_timer;
     for (const auto& s : plan.schedules) {
         const auto& dev = devices[s.device.value];
-        if (paging.has_po_in_range(window_start, t, dev.imsi, dev.cycle)) {
+        if (paging.phase(dev.imsi, dev.cycle).has_in_range(window_start, t)) {
             EXPECT_FALSE(s.adjustment.has_value())
                 << "natural-PO devices must keep their cycle (Sec. III-B)";
         } else {
@@ -324,7 +336,7 @@ TEST(DaScPlanTest, AdjustmentsAreShorterCyclesPagedBeforeWindow) {
             << "DA-SC only decreases cycles";
         EXPECT_LT(s.adjustment->adjust_page_at, window_start)
             << "adaptation happens at the last PO before t - TI";
-        EXPECT_TRUE(paging.is_po(s.adjustment->adjust_page_at, dev.imsi, dev.cycle))
+        EXPECT_TRUE(paging.phase(dev.imsi, dev.cycle).is_po(s.adjustment->adjust_page_at))
             << "the adjustment page rides a PO of the original cycle";
         ASSERT_TRUE(s.page_at.has_value());
         EXPECT_GE(*s.page_at, window_start);
@@ -345,7 +357,7 @@ TEST(DaScPlanTest, AdaptedPoSitsOnBothGrids) {
     for (const auto& s : plan.schedules) {
         if (!s.adjustment) continue;
         const auto& dev = devices[s.device.value];
-        EXPECT_TRUE(paging.is_po(*s.page_at, dev.imsi, s.adjustment->adapted_cycle));
+        EXPECT_TRUE(paging.phase(dev.imsi, s.adjustment->adapted_cycle).is_po(*s.page_at));
         const std::int64_t delta = (*s.page_at - s.adjustment->adjust_page_at).count();
         EXPECT_EQ(delta % s.adjustment->adapted_cycle.period_ms(), 0);
         EXPECT_GT(delta, 0);
@@ -387,7 +399,7 @@ TEST(DrSiPlanTest, ExtensionOnlyForDevicesOutsideWindow) {
     const SimTime window_start = t - config.inactivity_timer;
     for (const auto& s : plan.schedules) {
         const auto& dev = devices[s.device.value];
-        if (paging.has_po_in_range(window_start, t, dev.imsi, dev.cycle)) {
+        if (paging.phase(dev.imsi, dev.cycle).has_in_range(window_start, t)) {
             EXPECT_TRUE(s.page_at.has_value());
             EXPECT_FALSE(s.mltc.has_value());
         } else {
@@ -458,9 +470,8 @@ TEST(UnicastPlanTest, PagesAtFirstPo) {
         const auto& dev = devices[s.device.value];
         ASSERT_TRUE(s.page_at.has_value());
         // First PO unless capacity deferred (rare at this size).
-        EXPECT_LE(*s.page_at,
-                  paging.first_po_at_or_after(SimTime{0}, dev.imsi, dev.cycle) +
-                      SimTime{3 * dev.cycle.period_ms()});
+        EXPECT_LE(*s.page_at, paging.phase(dev.imsi, dev.cycle).first_at_or_after(SimTime{0}) +
+                                  SimTime{3 * dev.cycle.period_ms()});
     }
 }
 

@@ -95,7 +95,14 @@ protected:
             nbiot::Imsi{imsi}, cycle, nbiot::CeLevel::ce0});
     }
 
-    void run() { cell_.simulation().queue().run_all(); }
+    /// Drains the queue, then closes every UE's PO ledger, as a campaign
+    /// does once its event loop ends.
+    void run() {
+        cell_.simulation().queue().run_all();
+        for (std::uint32_t i = 0; i < cell_.ue_count(); ++i) {
+            cell_.ue(nbiot::DeviceId{i}).finish_monitoring();
+        }
+    }
 
     nbiot::Cell cell_;
     nbiot::TimingModel timing_{};
@@ -110,8 +117,8 @@ TEST_F(UePowerTest, PowerOffFreezesAccountingAndListening) {
     EXPECT_FALSE(ue.powered());
     EXPECT_EQ(ue.po_count(), 0u);
     EXPECT_EQ(ue.energy().uptime(nbiot::PowerState::po_monitor), SimTime{0});
-    const SimTime po = cell_.paging().first_po_at_or_after(SimTime{0}, ue.imsi(),
-                                                           ue.current_cycle());
+    const SimTime po =
+        cell_.paging().phase(ue.imsi(), ue.current_cycle()).first_at_or_after(SimTime{0});
     EXPECT_FALSE(ue.listening_at(po));
 }
 
@@ -132,8 +139,9 @@ TEST_F(UePowerTest, PowerOnChargesReattachAndResumesMonitoring) {
     EXPECT_EQ(ue.energy().uptime(nbiot::PowerState::connected_signaling),
               timing_.rrc_setup + timing_.rrc_release);
     // PO monitoring resumes from the rejoin instant, not from zero.
-    const std::int64_t expected = cell_.paging().po_count_in_range(
-        rejoin + SimTime{1}, horizon, ue.imsi(), ue.current_cycle());
+    const std::int64_t expected = cell_.paging()
+                                      .phase(ue.imsi(), ue.current_cycle())
+                                      .count_in_range(rejoin + SimTime{1}, horizon);
     EXPECT_EQ(static_cast<std::int64_t>(ue.po_count()), expected);
     EXPECT_GT(expected, 0);
 }

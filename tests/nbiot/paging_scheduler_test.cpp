@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace nbmg::nbiot {
 namespace {
 
@@ -12,134 +14,116 @@ protected:
 };
 
 TEST_F(PagingSchedulerTest, RejectsNonPositiveCapacity) {
-    EXPECT_THROW(PagingScheduler(paging_, 0), std::invalid_argument);
+    EXPECT_THROW(PagingScheduler(0, 1), std::invalid_argument);
 }
 
 TEST_F(PagingSchedulerTest, EnqueueLandsOnDevicePo) {
-    PagingScheduler sched(paging_, 16);
-    const Imsi imsi{424'242};
-    const DrxCycle cycle = drx::seconds_20_48();
-    const auto slot = sched.enqueue_record(DeviceId{0}, imsi, cycle, SimTime{0}, kFar);
+    PagingScheduler sched(16, 1);
+    const PoPhase phase = paging_.phase(Imsi{424'242}, drx::seconds_20_48());
+    const auto slot = sched.enqueue_record(DeviceId{0}, phase, SimTime{0}, kFar);
     ASSERT_TRUE(slot.has_value());
-    EXPECT_TRUE(paging_.is_po(*slot, imsi, cycle));
+    EXPECT_TRUE(phase.is_po(*slot));
     EXPECT_EQ(sched.total_entries(), 1u);
 }
 
 TEST_F(PagingSchedulerTest, EnqueueRespectsNotBefore) {
-    PagingScheduler sched(paging_, 16);
-    const Imsi imsi{7};
-    const DrxCycle cycle = drx::seconds_2_56();
+    PagingScheduler sched(16, 1);
+    const PoPhase phase = paging_.phase(Imsi{7}, drx::seconds_2_56());
     const SimTime not_before{100'000};
-    const auto slot =
-        sched.enqueue_record(DeviceId{0}, imsi, cycle, not_before, kFar);
+    const auto slot = sched.enqueue_record(DeviceId{0}, phase, not_before, kFar);
     ASSERT_TRUE(slot.has_value());
     EXPECT_GE(*slot, not_before);
 }
 
 TEST_F(PagingSchedulerTest, FullOccasionDefersToNextPo) {
-    PagingScheduler sched(paging_, 1);
-    const Imsi imsi{99};
+    PagingScheduler sched(1, 2);
     const DrxCycle cycle = drx::seconds_2_56();
-    const auto first = sched.enqueue_record(DeviceId{0}, imsi, cycle, SimTime{0}, kFar);
+    const PoPhase phase = paging_.phase(Imsi{99}, cycle);
+    const auto first = sched.enqueue_record(DeviceId{0}, phase, SimTime{0}, kFar);
     // Same UE identity -> same occasions; capacity 1 forces the next cycle.
-    const auto second = sched.enqueue_record(DeviceId{1}, imsi, cycle, SimTime{0}, kFar);
+    const auto second = sched.enqueue_record(DeviceId{1}, phase, SimTime{0}, kFar);
     ASSERT_TRUE(first.has_value());
     ASSERT_TRUE(second.has_value());
     EXPECT_EQ(*second - *first, cycle.period());
 }
 
 TEST_F(PagingSchedulerTest, DeadlineBoundsDeferral) {
-    PagingScheduler sched(paging_, 1);
-    const Imsi imsi{99};
-    const DrxCycle cycle = drx::seconds_2_56();
-    const auto first = sched.enqueue_record(DeviceId{0}, imsi, cycle, SimTime{0}, kFar);
+    PagingScheduler sched(1, 2);
+    const PoPhase phase = paging_.phase(Imsi{99}, drx::seconds_2_56());
+    const auto first = sched.enqueue_record(DeviceId{0}, phase, SimTime{0}, kFar);
     ASSERT_TRUE(first.has_value());
     // Deadline right after the first PO: the deferred request cannot fit.
-    const auto second = sched.enqueue_record(DeviceId{1}, imsi, cycle, SimTime{0},
-                                             *first + SimTime{1});
+    const auto second =
+        sched.enqueue_record(DeviceId{1}, phase, SimTime{0}, *first + SimTime{1});
     EXPECT_FALSE(second.has_value());
 }
 
 TEST_F(PagingSchedulerTest, DifferentDevicesShareOccasionUpToCapacity) {
-    PagingScheduler sched(paging_, 3);
-    const Imsi imsi{5};
-    const DrxCycle cycle = drx::seconds_20_48();
-    const auto a = sched.enqueue_record(DeviceId{0}, imsi, cycle, SimTime{0}, kFar);
-    const auto b = sched.enqueue_record(DeviceId{1}, imsi, cycle, SimTime{0}, kFar);
-    const auto c = sched.enqueue_record(DeviceId{2}, imsi, cycle, SimTime{0}, kFar);
-    const auto d = sched.enqueue_record(DeviceId{3}, imsi, cycle, SimTime{0}, kFar);
+    PagingScheduler sched(3, 4);
+    const PoPhase phase = paging_.phase(Imsi{5}, drx::seconds_20_48());
+    const auto a = sched.enqueue_record(DeviceId{0}, phase, SimTime{0}, kFar);
+    const auto b = sched.enqueue_record(DeviceId{1}, phase, SimTime{0}, kFar);
+    const auto c = sched.enqueue_record(DeviceId{2}, phase, SimTime{0}, kFar);
+    const auto d = sched.enqueue_record(DeviceId{3}, phase, SimTime{0}, kFar);
     EXPECT_EQ(*a, *b);
     EXPECT_EQ(*a, *c);
     EXPECT_NE(*a, *d);
 }
 
 TEST_F(PagingSchedulerTest, MltcSharesCapacityWithRecords) {
-    PagingScheduler sched(paging_, 2);
-    const Imsi imsi{5};
-    const DrxCycle cycle = drx::seconds_20_48();
-    const auto a = sched.enqueue_record(DeviceId{0}, imsi, cycle, SimTime{0}, kFar);
-    const auto b =
-        sched.enqueue_mltc(DeviceId{1}, imsi, cycle, SimTime{0}, kFar, SimTime{777});
-    const auto c = sched.enqueue_record(DeviceId{2}, imsi, cycle, SimTime{0}, kFar);
+    PagingScheduler sched(2, 3);
+    const PoPhase phase = paging_.phase(Imsi{5}, drx::seconds_20_48());
+    const auto a = sched.enqueue_record(DeviceId{0}, phase, SimTime{0}, kFar);
+    const auto b = sched.enqueue_mltc(DeviceId{1}, phase, SimTime{0}, kFar);
+    const auto c = sched.enqueue_record(DeviceId{2}, phase, SimTime{0}, kFar);
     EXPECT_EQ(*a, *b);
     EXPECT_NE(*a, *c);
 }
 
-TEST_F(PagingSchedulerTest, MessagesSortedAndCarryPayloads) {
-    PagingScheduler sched(paging_, 16);
-    const DrxCycle cycle = drx::seconds_20_48();
-    (void)sched.enqueue_record(DeviceId{0}, Imsi{100}, cycle, SimTime{0}, kFar);
-    (void)sched.enqueue_mltc(DeviceId{1}, Imsi{200}, cycle, SimTime{0}, kFar,
-                             SimTime{999});
-    const auto messages = sched.messages();
-    ASSERT_GE(messages.size(), 1u);
-    for (std::size_t i = 1; i < messages.size(); ++i) {
-        EXPECT_LT(messages[i - 1].at, messages[i].at);
+TEST_F(PagingSchedulerTest, CapacityPastUint16FillsOneOccasion) {
+    // max_page_records is an unbounded int key: the per-occasion count
+    // must not wrap at 2^16.
+    constexpr int kCapacity = std::numeric_limits<std::uint16_t>::max() + 2;
+    PagingScheduler sched(kCapacity, 1);
+    const PoPhase phase = paging_.phase(Imsi{5}, drx::seconds_20_48());
+    const SimTime po = phase.first_at_or_after(SimTime{0});
+    for (int i = 0; i < kCapacity; ++i) {
+        ASSERT_EQ(sched.enqueue_record(DeviceId{0}, phase, SimTime{0}, kFar), po) << i;
     }
-    std::size_t records = 0;
-    std::size_t extensions = 0;
-    for (const auto& m : messages) {
-        records += m.records.size();
-        extensions += m.mltc_extensions.size();
-        if (!m.mltc_extensions.empty()) {
-            EXPECT_EQ(m.mltc_extensions.front().multicast_at, SimTime{999});
-        }
-    }
-    EXPECT_EQ(records, 1u);
-    EXPECT_EQ(extensions, 1u);
+    EXPECT_EQ(sched.enqueue_record(DeviceId{0}, phase, SimTime{0}, kFar),
+              po + SimTime{phase.period});
+    EXPECT_FALSE(sched.force_enqueue_record_at(DeviceId{0}, po));
 }
 
 TEST_F(PagingSchedulerTest, TryEnqueueAtExactPo) {
-    PagingScheduler sched(paging_, 1);
-    const Imsi imsi{123};
-    const DrxCycle cycle = drx::seconds_40_96();
-    const SimTime po = paging_.first_po_at_or_after(SimTime{0}, imsi, cycle);
-    EXPECT_TRUE(sched.try_enqueue_record_at(DeviceId{0}, imsi, cycle, po));
-    EXPECT_FALSE(sched.try_enqueue_record_at(DeviceId{1}, imsi, cycle, po));
+    PagingScheduler sched(1, 2);
+    const PoPhase phase = paging_.phase(Imsi{123}, drx::seconds_40_96());
+    const SimTime po = phase.first_at_or_after(SimTime{0});
+    EXPECT_TRUE(sched.try_enqueue_record_at(DeviceId{0}, phase, po));
+    EXPECT_FALSE(sched.try_enqueue_record_at(DeviceId{1}, phase, po));
 }
 
 TEST_F(PagingSchedulerTest, TryEnqueueAtNonPoThrows) {
-    PagingScheduler sched(paging_, 16);
-    const Imsi imsi{123};
-    const DrxCycle cycle = drx::seconds_40_96();
-    const SimTime po = paging_.first_po_at_or_after(SimTime{0}, imsi, cycle);
-    EXPECT_THROW(
-        (void)sched.try_enqueue_record_at(DeviceId{0}, imsi, cycle, po + SimTime{1}),
-        std::logic_error);
+    PagingScheduler sched(16, 1);
+    const PoPhase phase = paging_.phase(Imsi{123}, drx::seconds_40_96());
+    const SimTime po = phase.first_at_or_after(SimTime{0});
+    EXPECT_THROW((void)sched.try_enqueue_record_at(DeviceId{0}, phase, po + SimTime{1}),
+                 std::logic_error);
 }
 
 TEST_F(PagingSchedulerTest, ForceEnqueueSkipsCongruenceCheck) {
-    PagingScheduler sched(paging_, 1);
+    PagingScheduler sched(1, 2);
     const SimTime anywhere{123'456};
-    EXPECT_TRUE(sched.force_enqueue_record_at(DeviceId{0}, Imsi{1}, anywhere));
-    EXPECT_FALSE(sched.force_enqueue_record_at(DeviceId{1}, Imsi{2}, anywhere));
+    EXPECT_TRUE(sched.force_enqueue_record_at(DeviceId{0}, anywhere));
+    EXPECT_FALSE(sched.force_enqueue_record_at(DeviceId{1}, anywhere));
 }
 
 TEST_F(PagingSchedulerTest, TotalEntriesAccumulates) {
-    PagingScheduler sched(paging_, 16);
+    PagingScheduler sched(16, 5);
     const DrxCycle cycle = drx::seconds_20_48();
     for (std::uint32_t i = 0; i < 5; ++i) {
-        (void)sched.enqueue_record(DeviceId{i}, Imsi{1000 + i}, cycle, SimTime{0}, kFar);
+        (void)sched.enqueue_record(DeviceId{i}, paging_.phase(Imsi{1000 + i}, cycle),
+                                   SimTime{0}, kFar);
     }
     EXPECT_EQ(sched.total_entries(), 5u);
 }

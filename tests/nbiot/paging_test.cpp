@@ -1,14 +1,32 @@
 // Paging-occasion arithmetic: unit tests plus parameterized property
 // sweeps over (cycle, UE identity) — periodicity, standards conformance
-// for short cycles, and the ladder-nesting property DA-SC relies on.
+// for short cycles, and the ladder-nesting property DA-SC relies on — and
+// an exactness sweep of the table-driven po_offset and every PoPhase query
+// against the per-call formula and a walk of the occasions.
 #include "nbiot/paging.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <limits>
+#include <optional>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 namespace nbmg::nbiot {
 namespace {
+
+/// Every PO of `phase` in [from, to), by walking offset + k * period from
+/// k = 0: the reference the closed-form queries are checked against.
+std::vector<SimTime> pos_in_range(const PoPhase& phase, SimTime from, SimTime to) {
+    std::vector<SimTime> out;
+    for (SimTime po{phase.offset}; po < to; po += SimTime{phase.period}) {
+        if (po >= from) out.push_back(po);
+    }
+    return out;
+}
 
 TEST(PagingConfigTest, DefaultIsValid) {
     EXPECT_TRUE(PagingConfig{}.valid());
@@ -59,28 +77,26 @@ TEST(PagingScheduleTest, FirstPoAtOrAfterReturnsExactPo) {
     const PagingSchedule paging;
     const Imsi imsi{4242};
     const DrxCycle cycle = drx::seconds_20_48();
-    const SimTime po = paging.first_po_at_or_after(SimTime{0}, imsi, cycle);
-    EXPECT_TRUE(paging.is_po(po, imsi, cycle));
+    const PoPhase phase = paging.phase(imsi, cycle);
+    const SimTime po = phase.first_at_or_after(SimTime{0});
+    EXPECT_TRUE(phase.is_po(po));
     EXPECT_EQ(po, paging.po_offset(imsi, cycle));
 }
 
 TEST(PagingScheduleTest, FirstPoAtOrAfterIsIdempotentAtPo) {
-    const PagingSchedule paging;
-    const Imsi imsi{31337};
-    const DrxCycle cycle = drx::seconds_40_96();
-    const SimTime po = paging.first_po_at_or_after(SimTime{100'000}, imsi, cycle);
-    EXPECT_EQ(paging.first_po_at_or_after(po, imsi, cycle), po);
+    const PoPhase phase = PagingSchedule{}.phase(Imsi{31337}, drx::seconds_40_96());
+    const SimTime po = phase.first_at_or_after(SimTime{100'000});
+    EXPECT_EQ(phase.first_at_or_after(po), po);
 }
 
 TEST(PagingScheduleTest, LastPoBeforeIsStrict) {
-    const PagingSchedule paging;
-    const Imsi imsi{5};
     const DrxCycle cycle = drx::seconds_2_56();
-    const SimTime po = paging.first_po_at_or_after(SimTime{50'000}, imsi, cycle);
-    const auto back = paging.last_po_before(po + SimTime{1}, imsi, cycle);
+    const PoPhase phase = PagingSchedule{}.phase(Imsi{5}, cycle);
+    const SimTime po = phase.first_at_or_after(SimTime{50'000});
+    const auto back = phase.last_before(po + SimTime{1});
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, po);
-    const auto strictly = paging.last_po_before(po, imsi, cycle);
+    const auto strictly = phase.last_before(po);
     ASSERT_TRUE(strictly.has_value());
     EXPECT_EQ(*strictly, po - cycle.period());
 }
@@ -89,44 +105,43 @@ TEST(PagingScheduleTest, LastPoBeforeNoneBeforeFirst) {
     const PagingSchedule paging;
     const Imsi imsi{123};
     const DrxCycle cycle = drx::seconds_10485_76();
+    const PoPhase phase = paging.phase(imsi, cycle);
     const SimTime first = paging.po_offset(imsi, cycle);
-    EXPECT_FALSE(paging.last_po_before(first, imsi, cycle).has_value());
-    EXPECT_FALSE(paging.last_po_before(SimTime{0}, imsi, cycle).has_value());
+    EXPECT_FALSE(phase.last_before(first).has_value());
+    EXPECT_FALSE(phase.last_before(SimTime{0}).has_value());
 }
 
 TEST(PagingScheduleTest, PosInRangeMatchesCountAndBounds) {
-    const PagingSchedule paging;
-    const Imsi imsi{888};
-    const DrxCycle cycle = drx::seconds_20_48();
+    const PoPhase phase = PagingSchedule{}.phase(Imsi{888}, drx::seconds_20_48());
     const SimTime from{12'345};
     const SimTime to{250'000};
-    const auto pos = paging.pos_in_range(from, to, imsi, cycle);
-    EXPECT_EQ(static_cast<std::int64_t>(pos.size()),
-              paging.po_count_in_range(from, to, imsi, cycle));
+    const auto pos = pos_in_range(phase, from, to);
+    EXPECT_EQ(static_cast<std::int64_t>(pos.size()), phase.count_in_range(from, to));
+    EXPECT_FALSE(pos.empty());
     for (const SimTime po : pos) {
         EXPECT_GE(po, from);
         EXPECT_LT(po, to);
-        EXPECT_TRUE(paging.is_po(po, imsi, cycle));
+        EXPECT_TRUE(phase.is_po(po));
     }
 }
 
 TEST(PagingScheduleTest, PosInRangeEmptyWhenDegenerate) {
-    const PagingSchedule paging;
-    const Imsi imsi{888};
-    const DrxCycle cycle = drx::seconds_20_48();
-    EXPECT_TRUE(paging.pos_in_range(SimTime{100}, SimTime{100}, imsi, cycle).empty());
-    EXPECT_TRUE(paging.pos_in_range(SimTime{200}, SimTime{100}, imsi, cycle).empty());
-    EXPECT_EQ(paging.po_count_in_range(SimTime{200}, SimTime{100}, imsi, cycle), 0);
+    const PoPhase phase = PagingSchedule{}.phase(Imsi{888}, drx::seconds_20_48());
+    EXPECT_TRUE(pos_in_range(phase, SimTime{100}, SimTime{100}).empty());
+    EXPECT_TRUE(pos_in_range(phase, SimTime{200}, SimTime{100}).empty());
+    EXPECT_FALSE(phase.has_in_range(SimTime{100}, SimTime{100}));
+    EXPECT_FALSE(phase.has_in_range(SimTime{200}, SimTime{100}));
+    EXPECT_EQ(phase.count_in_range(SimTime{200}, SimTime{100}), 0);
 }
 
 TEST(PagingScheduleTest, HasPoInRangeConsistent) {
     const PagingSchedule paging;
     const Imsi imsi{54'321};
     for (const DrxCycle cycle : drx_ladder()) {
+        const PoPhase phase = paging.phase(imsi, cycle);
         const SimTime from{cycle.period_ms() / 3};
         const SimTime to{cycle.period_ms() * 2};
-        EXPECT_EQ(paging.has_po_in_range(from, to, imsi, cycle),
-                  !paging.pos_in_range(from, to, imsi, cycle).empty());
+        EXPECT_EQ(phase.has_in_range(from, to), !pos_in_range(phase, from, to).empty());
     }
 }
 
@@ -134,10 +149,10 @@ TEST(PagingScheduleTest, AnyWindowOfCycleLengthContainsExactlyOnePo) {
     const PagingSchedule paging;
     const Imsi imsi{2'718'281};
     for (const DrxCycle cycle : drx_ladder()) {
+        const PoPhase phase = paging.phase(imsi, cycle);
         for (const std::int64_t start : {0L, 777L, cycle.period_ms() - 1}) {
-            EXPECT_EQ(paging.po_count_in_range(SimTime{start},
-                                               SimTime{start + cycle.period_ms()}, imsi,
-                                               cycle),
+            EXPECT_EQ(phase.count_in_range(SimTime{start},
+                                           SimTime{start + cycle.period_ms()}),
                       1);
         }
     }
@@ -152,15 +167,15 @@ TEST_P(PagingPropertyTest, PoPatternIsPeriodic) {
     const auto [index, imsi_value] = GetParam();
     const DrxCycle cycle = DrxCycle::from_index(index);
     const Imsi imsi{imsi_value};
-    const SimTime first = paging.first_po_at_or_after(SimTime{0}, imsi, cycle);
+    const PoPhase phase = paging.phase(imsi, cycle);
+    const SimTime first = phase.first_at_or_after(SimTime{0});
     for (int k = 1; k <= 3; ++k) {
         const SimTime expect = first + SimTime{k * cycle.period_ms()};
-        EXPECT_TRUE(paging.is_po(expect, imsi, cycle));
-        EXPECT_EQ(paging.first_po_at_or_after(expect - SimTime{1}, imsi, cycle), expect);
+        EXPECT_TRUE(phase.is_po(expect));
+        EXPECT_EQ(phase.first_at_or_after(expect - SimTime{1}), expect);
     }
     // Nothing between consecutive POs.
-    EXPECT_EQ(paging.po_count_in_range(first + SimTime{1},
-                                       first + SimTime{cycle.period_ms()}, imsi, cycle),
+    EXPECT_EQ(phase.count_in_range(first + SimTime{1}, first + SimTime{cycle.period_ms()}),
               0);
 }
 
@@ -176,23 +191,26 @@ TEST_P(PagingPropertyTest, DoublingNestsPoSets) {
         // the other side — the top cycle's POs nest inside every shorter
         // cycle's PO set.
         ASSERT_EQ(cycle.index(), DrxCycle::kLadderSize - 1);
-        const auto top_pos = paging.pos_in_range(
-            SimTime{0}, SimTime{2 * cycle.period_ms()}, imsi, cycle);
+        const auto top_pos =
+            pos_in_range(paging.phase(imsi, cycle), SimTime{0}, SimTime{2 * cycle.period_ms()});
         ASSERT_FALSE(top_pos.empty());
         for (const DrxCycle other : drx_ladder()) {
+            const PoPhase other_phase = paging.phase(imsi, other);
             for (const SimTime po : top_pos) {
-                EXPECT_TRUE(paging.is_po(po, imsi, other))
+                EXPECT_TRUE(other_phase.is_po(po))
                     << "top-of-ladder PO must be a PO of every shorter cycle";
             }
         }
         return;
     }
     const DrxCycle doubled = cycle.longer();
-    const auto pos = paging.pos_in_range(SimTime{0}, SimTime{4 * doubled.period_ms()},
-                                         imsi, doubled);
+    const auto pos =
+        pos_in_range(paging.phase(imsi, doubled), SimTime{0},
+                                    SimTime{4 * doubled.period_ms()});
     ASSERT_FALSE(pos.empty());
+    const PoPhase phase = paging.phase(imsi, cycle);
     for (const SimTime po : pos) {
-        EXPECT_TRUE(paging.is_po(po, imsi, cycle))
+        EXPECT_TRUE(phase.is_po(po))
             << "PO of doubled cycle must also be PO of the shorter cycle";
     }
 }
@@ -210,14 +228,14 @@ TEST_P(PagingPropertyTest, ShorteningOnlyAddsOccasions) {
         ASSERT_EQ(cycle.index(), 0);
         const SimTime to{2 * drx_ladder().back().period_ms()};
         for (const DrxCycle other : drx_ladder()) {
-            EXPECT_GE(paging.po_count_in_range(SimTime{0}, to, imsi, cycle),
-                      paging.po_count_in_range(SimTime{0}, to, imsi, other));
+            EXPECT_GE(paging.phase(imsi, cycle).count_in_range(SimTime{0}, to),
+                      paging.phase(imsi, other).count_in_range(SimTime{0}, to));
         }
         return;
     }
     const SimTime to{2 * cycle.period_ms()};
-    EXPECT_GE(paging.po_count_in_range(SimTime{0}, to, imsi, cycle.shorter()),
-              paging.po_count_in_range(SimTime{0}, to, imsi, cycle));
+    EXPECT_GE(paging.phase(imsi, cycle.shorter()).count_in_range(SimTime{0}, to),
+              paging.phase(imsi, cycle).count_in_range(SimTime{0}, to));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -274,12 +292,13 @@ TEST(LadderEdgeTest, EdgeNestingHoldsAtBothEnds) {
     const DrxCycle top = drx_ladder().back();
     const Imsi imsi{9'876'543'210ULL};
     const SimTime window{2 * top.period_ms()};
-    const auto top_pos = paging.pos_in_range(SimTime{0}, window, imsi, top);
+    const auto top_pos = pos_in_range(paging.phase(imsi, top), SimTime{0}, window);
     ASSERT_EQ(top_pos.size(), 2u);
+    const PoPhase bottom_phase = paging.phase(imsi, bottom);
     for (const SimTime po : top_pos) {
-        EXPECT_TRUE(paging.is_po(po, imsi, bottom));
+        EXPECT_TRUE(bottom_phase.is_po(po));
     }
-    EXPECT_EQ(paging.po_count_in_range(SimTime{0}, window, imsi, bottom),
+    EXPECT_EQ(bottom_phase.count_in_range(SimTime{0}, window),
               2 * (top.period_ms() / bottom.period_ms()));
 }
 
@@ -312,12 +331,86 @@ TEST(PagingScheduleNbVariantTest, TwoTUsesTwoSubframes) {
     EXPECT_TRUE(saw9);
 }
 
-TEST(PagingMessageTest, OccupancyCountsRecordsAndExtensions) {
-    PagingMessage msg;
-    msg.records.push_back(PagingRecord{DeviceId{0}, Imsi{1}});
-    msg.mltc_extensions.push_back(MltcExtension{DeviceId{1}, Imsi{2}, SimTime{5}});
-    msg.mltc_extensions.push_back(MltcExtension{DeviceId{2}, Imsi{3}, SimTime{5}});
-    EXPECT_EQ(msg.occupancy(), 3u);
+/// The per-call TS 36.304 formula po_offset evaluated before it read a
+/// per-cycle table: the reference the table must reproduce.
+std::int64_t reference_po_offset(const PagingConfig& config, Imsi imsi, DrxCycle cycle) {
+    const std::int64_t t_frames = cycle.period_frames();
+    const auto ue_id = static_cast<std::int64_t>(imsi.value % config.ue_id_modulus);
+    const std::int64_t nb =
+        std::max<std::int64_t>(1, t_frames * config.nb_num / config.nb_den);
+    const std::int64_t n = std::min(t_frames, nb);
+    const std::int64_t ns = std::max<std::int64_t>(1, nb / t_frames);
+    const std::int64_t pf_offset = (t_frames / n) * (ue_id % n) % t_frames;
+    const auto i_s = static_cast<std::size_t>((ue_id / n) % ns);
+    static constexpr std::array<std::int64_t, 1> kNs1{9};
+    static constexpr std::array<std::int64_t, 2> kNs2{4, 9};
+    static constexpr std::array<std::int64_t, 4> kNs4{0, 4, 5, 9};
+    const std::int64_t sf = ns == 1 ? kNs1.at(i_s) : ns == 2 ? kNs2.at(i_s) : kNs4.at(i_s);
+    return pf_offset * kMillisPerFrame + sf * kMillisPerSubframe;
+}
+
+TEST(PagingExactnessTest, PoOffsetAndPhaseQueriesMatchTheFormulaAndAWalk) {
+    // nB in {T/256, T/2, T, 2T, 4T}, then nb_den = 3 at Ns 1, 2 and 4.
+    const std::pair<std::int64_t, std::int64_t> nb_ratios[] = {
+        {1, 256}, {1, 2}, {1, 1}, {2, 1}, {4, 1}, {1, 3}, {4, 3}, {7, 3}, {13, 3}};
+    const std::uint64_t moduli[] = {std::uint64_t{1} << 20, 1'000'003, 999};
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    std::size_t checked = 0;
+    for (const auto& [nb_num, nb_den] : nb_ratios) {
+        for (const std::uint64_t modulus : moduli) {
+            const PagingConfig config{
+                .nb_num = nb_num, .nb_den = nb_den, .ue_id_modulus = modulus};
+            const PagingSchedule paging(config);
+            std::vector<std::uint64_t> imsis{0, kMax};
+            for (const std::uint64_t m :
+                 {modulus, 2 * modulus, 7 * modulus, kMax / modulus * modulus}) {
+                imsis.insert(imsis.end(), {m - 1, m, m + 1});
+            }
+            for (const std::uint64_t imsi_value : imsis) {
+                const Imsi imsi{imsi_value};
+                for (const DrxCycle cycle : drx_ladder()) {
+                    const std::int64_t offset = reference_po_offset(config, imsi, cycle);
+                    ASSERT_EQ(paging.po_offset(imsi, cycle).count(), offset)
+                        << "nB " << nb_num << "/" << nb_den << " modulus " << modulus
+                        << " imsi " << imsi_value << " cycle " << cycle.period_ms();
+                    const PoPhase phase = paging.phase(imsi, cycle);
+                    ASSERT_EQ(phase.offset, offset);
+                    ASSERT_EQ(phase.period, cycle.period_ms());
+
+                    // Negative, at the first and the fourth occasion, and
+                    // one either side of each.
+                    const std::int64_t p = phase.period;
+                    const std::int64_t fourth = offset + 3 * p;
+                    const std::vector<SimTime> times{
+                        SimTime{-p - 1}, SimTime{-1}, SimTime{offset - 1}, SimTime{offset},
+                        SimTime{offset + 1}, SimTime{fourth - 1}, SimTime{fourth},
+                        SimTime{fourth + 1}};
+                    const std::vector<SimTime> occasions =
+                        pos_in_range(phase, SimTime{0}, SimTime{fourth + p + 1});
+                    for (const SimTime t : times) {
+                        const auto at_or_after =
+                            std::find_if(occasions.begin(), occasions.end(),
+                                         [t](SimTime po) { return po >= t; });
+                        ASSERT_NE(at_or_after, occasions.end());
+                        EXPECT_EQ(phase.first_at_or_after(t), *at_or_after);
+                        const auto before = at_or_after == occasions.begin()
+                                                ? std::optional<SimTime>{}
+                                                : std::optional<SimTime>{*(at_or_after - 1)};
+                        EXPECT_EQ(phase.last_before(t), before);
+                        EXPECT_EQ(phase.is_po(t), std::ranges::count(occasions, t) == 1);
+                        for (const SimTime to : times) {
+                            const auto walked = std::ranges::count_if(
+                                occasions, [&](SimTime po) { return t <= po && po < to; });
+                            EXPECT_EQ(phase.count_in_range(t, to), walked);
+                            EXPECT_EQ(phase.has_in_range(t, to), walked > 0);
+                            ++checked;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(checked, std::size_t{9 * 3 * 14 * 16 * 8 * 8});
 }
 
 }  // namespace

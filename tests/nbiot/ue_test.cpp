@@ -1,8 +1,8 @@
 // UE state-machine behaviour: PO monitoring, paging reactions, the DR-SI
 // T322 path, DA-SC reconfiguration (anchored and formula models), the
-// closed-form PO ledger's tie rule at a cycle change and its
-// horizon-independent event count, and the uptime buckets each procedure
-// charges.
+// closed-form PO ledger's tie rule at a cycle change, its close after the
+// event loop and its horizon-independent event count, and the uptime
+// buckets each procedure charges.
 #include "nbiot/ue.hpp"
 
 #include <gtest/gtest.h>
@@ -24,11 +24,19 @@ protected:
     }
 
     SimTime po_of(const Ue& ue) {
-        return cell_.paging().first_po_at_or_after(SimTime{0}, ue.imsi(),
-                                                   ue.current_cycle());
+        return cell_.paging()
+            .phase(ue.imsi(), ue.current_cycle())
+            .first_at_or_after(SimTime{0});
     }
 
-    void run() { cell_.simulation().queue().run_all(); }
+    /// Drains the queue, then closes every UE's PO ledger, as a campaign
+    /// does once its event loop ends.
+    void run() {
+        cell_.simulation().queue().run_all();
+        for (std::uint32_t i = 0; i < cell_.ue_count(); ++i) {
+            cell_.ue(DeviceId{i}).finish_monitoring();
+        }
+    }
 
     Cell cell_;
     TimingModel timing_{};
@@ -51,8 +59,9 @@ TEST_F(UeTest, PoCountMatchesScheduleCount) {
     ue.start_monitoring(horizon);
     run();
     EXPECT_EQ(static_cast<std::int64_t>(ue.po_count()),
-              cell_.paging().po_count_in_range(SimTime{1}, horizon, ue.imsi(),
-                                               ue.current_cycle()));
+              cell_.paging()
+                  .phase(ue.imsi(), ue.current_cycle())
+                  .count_in_range(SimTime{1}, horizon));
 }
 
 TEST_F(UeTest, PageNormalConnectsAndWaits) {
@@ -195,7 +204,7 @@ TEST_F(UeTest, ReconfigGridPassesThroughAdjustmentPo) {
     ue.start_monitoring(SimTime{800'000});
     const SimTime po = po_of(ue);
     const DrxCycle adapted = drx::seconds_20_48();
-    EXPECT_TRUE(cell_.paging().is_po(po, ue.imsi(), adapted));
+    EXPECT_TRUE(cell_.paging().phase(ue.imsi(), adapted).is_po(po));
     cell_.simulation().queue().schedule_at(po, [&] { ue.page_for_reconfig(adapted); });
     run();
     EXPECT_EQ(ue.current_cycle(), adapted);
@@ -227,8 +236,9 @@ TEST_F(UeTest, RestoreAfterReceptionRestoresCycle) {
               2 * timing_.rrc_setup + 2 * timing_.rrc_reconfiguration +
                   2 * timing_.rrc_release);
     // Back on the formula grid of the original cycle.
-    EXPECT_TRUE(cell_.paging().is_po(ue.next_po_at_or_after(second_page + SimTime{1}),
-                                     ue.imsi(), drx::seconds_163_84()));
+    EXPECT_TRUE(cell_.paging()
+                    .phase(ue.imsi(), drx::seconds_163_84())
+                    .is_po(ue.next_po_at_or_after(second_page + SimTime{1})));
 }
 
 TEST_F(UeTest, PoAtTheRestoreInstantCountsUnderTheAdaptedCycle) {
@@ -244,14 +254,15 @@ TEST_F(UeTest, PoAtTheRestoreInstantCountsUnderTheAdaptedCycle) {
     const SimTime horizon{800'000};
     Ue& ue = make_ue(original);
     ue.start_monitoring(horizon);
-    const PagingSchedule& paging = cell_.paging();
+    const PoPhase original_phase = cell_.paging().phase(ue.imsi(), original);
+    const PoPhase adapted_phase = cell_.paging().phase(ue.imsi(), adapted);
 
     SimTime restore_at{0};
     std::vector<SimTime> releases;
     Ue::Hooks hooks;
     hooks.on_connected = [&](DeviceId, SimTime at) {
-        restore_at = paging.first_po_at_or_after(
-            at + SimTime{1'000} + tail + restore_signaling, ue.imsi(), adapted);
+        restore_at = adapted_phase.first_at_or_after(at + SimTime{1'000} + tail +
+                                                     restore_signaling);
         ue.begin_reception(restore_at - tail - restore_signaling, tail);
     };
     hooks.on_released = [&](DeviceId, SimTime at) { releases.push_back(at); };
@@ -268,14 +279,12 @@ TEST_F(UeTest, PoAtTheRestoreInstantCountsUnderTheAdaptedCycle) {
     ASSERT_EQ(releases.size(), 2u);
     const SimTime reconfigured_at = releases[0];
     ASSERT_EQ(releases[1], restore_at);
-    ASSERT_TRUE(paging.is_po(restore_at, ue.imsi(), adapted));
+    ASSERT_TRUE(adapted_phase.is_po(restore_at));
     EXPECT_EQ(ue.current_cycle(), original);
     const std::int64_t expected =
-        paging.po_count_in_range(SimTime{1}, reconfigured_at + SimTime{1}, ue.imsi(),
-                                 original) +
-        paging.po_count_in_range(reconfigured_at + SimTime{1}, restore_at + SimTime{1},
-                                 ue.imsi(), adapted) +
-        paging.po_count_in_range(restore_at + SimTime{1}, horizon, ue.imsi(), original);
+        original_phase.count_in_range(SimTime{1}, reconfigured_at + SimTime{1}) +
+        adapted_phase.count_in_range(reconfigured_at + SimTime{1}, restore_at + SimTime{1}) +
+        original_phase.count_in_range(restore_at + SimTime{1}, horizon);
     EXPECT_EQ(static_cast<std::int64_t>(ue.po_count()), expected);
     EXPECT_EQ(ue.energy().uptime(PowerState::po_monitor),
               timing_.po_monitor * static_cast<std::int64_t>(ue.po_count()));
@@ -289,7 +298,7 @@ std::uint64_t reconfigured_device_events(SimTime horizon) {
         UeSpec{DeviceId{0}, Imsi{777'000'111}, drx::seconds_163_84(), CeLevel::ce0});
     ue.start_monitoring(horizon);
     const SimTime po =
-        cell.paging().first_po_at_or_after(SimTime{0}, ue.imsi(), ue.current_cycle());
+        cell.paging().phase(ue.imsi(), ue.current_cycle()).first_at_or_after(SimTime{0});
     cell.simulation().queue().schedule_at(
         po, [&] { ue.page_for_reconfig(drx::seconds_2_56()); });
     cell.simulation().queue().run_all();
@@ -302,6 +311,44 @@ TEST(UeEventCountTest, ReconfiguredDeviceRunsTheSameEventsAtAnyHorizon) {
     // horizon; the closed-form ledger keeps the count fixed.
     EXPECT_EQ(reconfigured_device_events(SimTime{400'000}),
               reconfigured_device_events(SimTime{4'000'000}));
+}
+
+TEST(UeEventCountTest, IdleDeviceRunsNoQueueEvents) {
+    // PO monitoring schedules nothing, not even at the horizon: the
+    // ledger is settled in closed form when it closes.
+    Cell cell(1234, PagingConfig{}, RachConfig{}, TimingModel{});
+    Ue& ue = cell.add_ue(
+        UeSpec{DeviceId{0}, Imsi{777'000'111}, drx::seconds_2_56(), CeLevel::ce0});
+    const SimTime horizon{600'000};
+    ue.start_monitoring(horizon);
+    cell.simulation().queue().run_all();
+    EXPECT_EQ(cell.simulation().queue().executed(), 0u);
+    EXPECT_EQ(ue.po_count(), 0u);
+    ue.finish_monitoring();
+    EXPECT_EQ(static_cast<std::int64_t>(ue.po_count()),
+              cell.paging().phase(ue.imsi(), ue.current_cycle()).count_in_range(SimTime{1},
+                                                                               horizon));
+    EXPECT_GT(ue.po_count(), 0u);
+}
+
+TEST_F(UeTest, CycleChangePastTheHorizonSettlesTheHorizonUnderTheOldCycle) {
+    // A reconfiguration released after the horizon switches the cycle, but
+    // every PO before the horizon is charged under the cycle that held
+    // then: 163.84 s, not the adapted 2.56 s.
+    const DrxCycle original = drx::seconds_163_84();
+    Ue& ue = make_ue(original);
+    const SimTime po = po_of(ue);
+    const SimTime horizon = po + SimTime{3 * original.period_ms() + 1};
+    ue.start_monitoring(horizon);
+    cell_.simulation().queue().schedule_at(
+        po + 4 * original.period(), [&] { ue.page_for_reconfig(drx::seconds_2_56()); });
+    run();
+    ASSERT_EQ(ue.current_cycle(), drx::seconds_2_56());
+    ASSERT_GT(*ue.released_at(), horizon);
+    EXPECT_EQ(static_cast<std::int64_t>(ue.po_count()),
+              cell_.paging().phase(ue.imsi(), original).count_in_range(SimTime{1}, horizon));
+    EXPECT_GE(ue.po_count(), 3u);
+    EXPECT_LE(ue.po_count(), 4u);
 }
 
 TEST_F(UeTest, ListeningOnlyAtOwnPos) {

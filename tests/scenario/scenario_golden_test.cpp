@@ -10,7 +10,8 @@
 // first, then each mechanism in spec order.  The DA-SC tail/page-loss file
 // (examples/scenarios/dasc_tail.scenario) is pinned the same way, recorded
 // on the 1-cell deployment while the UE still ran one event per paging
-// occasion through DA-SC's adjustment window.
+// occasion through DA-SC's adjustment window.  The two SC-PTM pins were
+// recorded while every SC-MCCH read was a queue event.
 //
 // Multicell: the 16-cell citywide preset must reproduce run_deployment on
 // the hand-assembled pre-redesign setup, with and without a coordinator, at
@@ -110,6 +111,29 @@ TEST(ScenarioGoldenTest, DaScTailAndPageLossMatchPinnedDigest) {
     expect_pinned_digest(
         load_scenario_file(std::string(NBMG_SCENARIO_DIR) + "/dasc_tail.scenario"),
         0x84e2de613c3b9899ULL);
+}
+
+TEST(ScenarioGoldenTest, AblationScPtmMatchesPinnedDigest) {
+    // SC-PTM's standing SC-MCCH reads, recorded while each read was one
+    // queue event charging every device.
+    ScenarioSpec spec = Registry::instance().preset("ablation-scptm");
+    spec.device_count = 60;
+    spec.runs = 3;
+    expect_pinned_digest(spec, 0x81c814067165c57fULL);
+}
+
+TEST(ScenarioGoldenTest, ScPtmShortMcchPeriodWithChurnAndOutageMatchesPinnedDigest) {
+    // The same, at a 100 ms modification period, with churn and a cell
+    // that goes dark: reads stop at the outage instant, and off-air
+    // devices still pay them.
+    ScenarioSpec spec = Registry::instance().preset("ablation-scptm");
+    spec.device_count = 80;
+    spec.runs = 2;
+    spec.config.sc_ptm_mcch_period = nbiot::SimTime{100};
+    spec.config.churn = {.leave_rate = 2.0, .rejoin_ms = 60'000};
+    spec.topology = TopologySpec{.cells = 4};
+    spec.cell_down = faults::OutageSpec{.cell = 1, .at_ms = 600'000};
+    expect_pinned_digest(spec, 0x689a802d80f97ed7ULL);
 }
 
 TEST(ScenarioGoldenTest, SingleRunStrataWithTelemetryMatchPinnedDigests) {
