@@ -4,7 +4,7 @@
 //
 // Scenario shell: --scenario FILE / --preset NAME (with the classic flag
 // overrides) swap the population profile and campaign config the
-// campaign-shaped cases (BM_DrScPlan, BM_MulticellCampaign,
+// campaign-shaped cases (BM_DrScPlan, BM_DrScPoEvents, BM_MulticellCampaign,
 // BM_FullCampaign) run on; without them the defaults are byte-identical to
 // the pre-scenario binary, so BENCH_pr*.json baselines stay comparable.
 // The scenario flags are stripped before google-benchmark parses argv.
@@ -106,6 +106,31 @@ void BM_WindowCoverGreedy(benchmark::State& state) {
 }
 BENCHMARK(BM_WindowCoverGreedy)->Arg(100)->Arg(500)->Arg(5'000);
 
+void BM_WindowCoverGreedySparse(benchmark::State& state) {
+    // A sparse fleet: one or two POs per device, about 67 s apart on
+    // average against a 10 s window, so most rounds cover a single device
+    // (the greedy's single-device tail).
+    const auto devices = static_cast<std::uint32_t>(state.range(0));
+    const std::int64_t span = std::int64_t{100'000} * devices;
+    sim::RandomStream gen{42};
+    std::vector<setcover::PoEvent> events;
+    for (std::uint32_t d = 0; d < devices; ++d) {
+        const std::int64_t pos = gen.uniform_int(1, 2);
+        for (std::int64_t k = 0; k < pos; ++k) {
+            events.push_back({sim::SimTime{gen.uniform_int(0, span - 1)}, d});
+        }
+    }
+    for (auto _ : state) {
+        sim::RandomStream rng{7};
+        auto copy = events;
+        benchmark::DoNotOptimize(setcover::greedy_window_cover(
+            std::move(copy), sim::SimTime{span}, 1, sim::SimTime{10'000}, devices, rng));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(events.size()));
+}
+BENCHMARK(BM_WindowCoverGreedySparse)->Arg(1'000)->Arg(10'000);
+
 /// Random coverable instance shaped like the DR-SC window instances:
 /// `sets` candidate windows over a universe of `universe` devices.
 setcover::SetCoverInstance make_cover_instance(std::size_t sets,
@@ -154,6 +179,26 @@ void BM_DrScPlan(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_DrScPlan)->Arg(200)->Arg(1'000)->Arg(10'000)->Unit(benchmark::kMillisecond);
+
+void BM_DrScPoEvents(benchmark::State& state) {
+    // DR-SC's cover input on one fleet: every PO over maxDRX, generated
+    // in (time, device) order.
+    sim::RandomStream pop_rng{1};
+    const auto specs = traffic::to_specs(traffic::generate_population(
+        bench_base_spec().profile, static_cast<std::size_t>(state.range(0)),
+        pop_rng));
+    const nbiot::PagingSchedule paging(bench_base_spec().config.paging);
+    const nbiot::SimTime max_drx{core::population_max_cycle(specs).period_ms()};
+    std::int64_t events = 0;
+    for (auto _ : state) {
+        const std::vector<setcover::PoEvent> po = core::dr_sc_po_events(specs, paging, max_drx);
+        events += static_cast<std::int64_t>(po.size());
+        benchmark::DoNotOptimize(po.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(events);
+}
+BENCHMARK(BM_DrScPoEvents)->Arg(300)->Arg(10'000);
 
 void BM_MulticellCampaign(benchmark::State& state) {
     // One fleet-wide comparison run (unicast reference + DR-SC) sharded

@@ -368,7 +368,7 @@ for leg in "${legs[@]}"; do
     if [[ -x "${build_dir}/bench/microbench_kernels" ]]; then
       echo "=== ${config}: microbenchmark smoke (small kernel cases) ==="
       "${build_dir}/bench/microbench_kernels" \
-        --benchmark_filter='PagingPhaseFirstAtOrAfter/3$|EventQueueScheduleRun/1000$|EventQueueCancelHeavy/10000$|WindowCoverGreedy/100$|GreedyCover/1000/|DrScPlan/200$|FullCampaign/100$' \
+        --benchmark_filter='PagingPhaseFirstAtOrAfter/3$|EventQueueScheduleRun/1000$|EventQueueCancelHeavy/10000$|WindowCoverGreedy/100$|WindowCoverGreedySparse/1000$|GreedyCover/1000/|DrScPlan/200$|DrScPoEvents/300$|FullCampaign/100$' \
         --benchmark_min_time=0.01
     fi
 

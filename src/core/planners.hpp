@@ -25,10 +25,11 @@ public:
                                      sim::RandomStream& rng) const override;
 };
 
-/// DR-SC's cover input: every PO of every device in [0, horizon), device
-/// by device, each device's in time order (from its PoPhase: the offset,
-/// then + one period while below `horizon`).  The planner passes horizon =
-/// maxDRX, one period of the pattern.
+/// DR-SC's cover input: every PO of every device in [0, horizon) (from
+/// its PoPhase: the offset, then + one period while below `horizon`), in
+/// (time, device) order.  The planner passes horizon = maxDRX, one period
+/// of the pattern.  Throws std::logic_error when some device's period is
+/// not a multiple of the shortest (every DRX ladder cycle is).
 [[nodiscard]] std::vector<setcover::PoEvent> dr_sc_po_events(
     std::span<const nbiot::UeSpec> devices, const nbiot::PagingSchedule& paging,
     nbiot::SimTime horizon);

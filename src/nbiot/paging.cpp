@@ -25,18 +25,21 @@ PagingSchedule::PagingSchedule(PagingConfig config) : config_(config) {
             std::max<std::int64_t>(1, t_frames * config_.nb_num / config_.nb_den);
         const std::int64_t n = std::min(t_frames, nb);
         rows_[static_cast<std::size_t>(cycle.index())] =
-            CycleRow{.n = n, .ns = ns, .frame_step = t_frames / n, .subframe = subframe};
+            CycleRow{.n = static_cast<std::uint64_t>(n),
+                     .ns = static_cast<std::uint64_t>(ns),
+                     .frame_step = t_frames / n,
+                     .subframe = subframe};
     }
 }
 
 SimTime PagingSchedule::po_offset(Imsi imsi, DrxCycle cycle) const noexcept {
     const CycleRow& row = rows_[static_cast<std::size_t>(cycle.index())];
-    const auto ue_id = static_cast<std::int64_t>(imsi.value % config_.ue_id_modulus);
+    // UE_ID stays unsigned: a modulus past 2^63 gives UE_IDs past INT64_MAX.
+    const std::uint64_t ue_id = imsi.value % config_.ue_id_modulus;
     // PF = (T/N) * (UE_ID mod N), which is below T: no reduction mod T.
-    const std::int64_t pf_offset = row.frame_step * (ue_id % row.n);
-    const std::int64_t i_s = row.ns > 1 ? (ue_id / row.n) % row.ns : 0;
-    return SimTime{pf_offset * kMillisPerFrame +
-                   row.subframe[static_cast<std::size_t>(i_s)] * kMillisPerSubframe};
+    const std::int64_t pf_offset = row.frame_step * static_cast<std::int64_t>(ue_id % row.n);
+    const std::uint64_t i_s = row.ns > 1 ? (ue_id / row.n) % row.ns : 0;
+    return SimTime{pf_offset * kMillisPerFrame + row.subframe[i_s] * kMillisPerSubframe};
 }
 
 }  // namespace nbmg::nbiot

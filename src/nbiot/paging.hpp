@@ -139,8 +139,8 @@ public:
 private:
     /// The TS 36.304 constants of one ladder cycle, fixed by the config.
     struct CycleRow {
-        std::int64_t n = 1;           // N = min(T, nB)
-        std::int64_t ns = 1;          // Ns = max(1, nB / T)
+        std::uint64_t n = 1;          // N = min(T, nB)
+        std::uint64_t ns = 1;         // Ns = max(1, nB / T)
         std::int64_t frame_step = 1;  // T / N
         std::array<std::int64_t, 4> subframe{};  // Table 7.2-1 row for Ns, by i_s
     };

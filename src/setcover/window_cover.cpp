@@ -4,6 +4,7 @@
 #include <bit>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -77,30 +78,12 @@ struct Repeated {
     sim::SimTime period{0};
     std::size_t copies = 1;
 
-    /// A virtual position, stepped without dividing.
-    struct Position {
-        std::size_t v = 0;      // virtual index
-        std::size_t i = 0;      // index into `events`
-        sim::SimTime shift{0};  // v's copy times `period`
-    };
-
     [[nodiscard]] std::size_t size() const noexcept { return events.size() * copies; }
 
-    [[nodiscard]] Position position(std::size_t v) const noexcept {
+    /// Time of virtual index v.
+    [[nodiscard]] sim::SimTime at(std::size_t v) const noexcept {
         const std::size_t n = events.size();
-        return {v, v % n, period * static_cast<std::int64_t>(v / n)};
-    }
-
-    void step(Position& p) const noexcept {
-        ++p.v;
-        if (++p.i == events.size()) {
-            p.i = 0;
-            if (p.v < size()) p.shift += period;  // never past the last copy
-        }
-    }
-
-    [[nodiscard]] sim::SimTime at(const Position& p) const noexcept {
-        return events[p.i].at + p.shift;
+        return events[v % n].at + period * static_cast<std::int64_t>(v / n);
     }
 
     /// Virtual index of the first boundary anchor: at least n, size() when
@@ -130,32 +113,53 @@ struct Repeated {
 
 /// Exact coverage of every anchor v in [first, last) of `rep`: one
 /// two-pointer sweep with incremental distinct-device counts, the leading
-/// pointer reading on into later copies but never past the last.  Calls
-/// visit(v, coverage) in anchor order.  `counts` must be all-zero on entry
-/// and is all-zero again on return: every increment the leading pointer
-/// applies, the trailing pointer (or the final unwind) undoes, so the
-/// buffer never needs a per-round reset.
+/// pointer reading on into later copies but never past the last.  Each
+/// pointer keeps its event index and its copy's shift in locals and steps
+/// without dividing.  Calls visit(v, coverage) in anchor order.  `counts`
+/// must be all-zero on entry and is all-zero again on return: every
+/// increment the leading pointer applies, the trailing pointer (or the
+/// final unwind) undoes, so the buffer never needs a per-round reset.
 template <class Visit>
 void sweep_coverage(const Repeated& rep, sim::SimTime window, std::size_t first,
                     std::size_t last, std::vector<std::uint32_t>& counts, Visit visit) {
     if (first >= last) return;
-    const std::vector<PoEvent>& events = rep.events;
-    const std::size_t end = rep.size();
+    const PoEvent* const events = rep.events.data();
+    const std::size_t n = rep.events.size();
+    const std::int64_t period = rep.period.count();
+    std::uint32_t* const count = counts.data();
     std::size_t distinct = 0;
-    Repeated::Position anchor = rep.position(first);
-    Repeated::Position lead = anchor;
-    for (; anchor.v < last; rep.step(anchor)) {
+    // Anchor v is event i of its copy, shifted by `shift`; the leading
+    // pointer is event j of copy `lead_copy`, shifted by `lead_shift`.
+    std::size_t i = first % n;
+    std::int64_t shift = period * static_cast<std::int64_t>(first / n);
+    std::size_t j = i;
+    std::size_t lead_copy = first / n;
+    std::int64_t lead_shift = shift;
+    for (std::size_t v = first; v < last; ++v) {
         // Window anchored at the anchor event: [at, at + window] inclusive.
-        const sim::SimTime limit = rep.at(anchor) + window;
-        while (lead.v < end && rep.at(lead) <= limit) {
-            if (counts[events[lead.i].device]++ == 0) ++distinct;
-            rep.step(lead);
+        const std::int64_t limit = events[i].at.count() + shift + window.count();
+        for (;;) {
+            while (j < n && events[j].at.count() + lead_shift <= limit) {
+                distinct += count[events[j].device]++ == 0;
+                ++j;
+            }
+            if (j < n || lead_copy + 1 == rep.copies) break;
+            j = 0;  // on into the next copy, never past the last
+            ++lead_copy;
+            lead_shift += period;
         }
-        visit(anchor.v, distinct);
+        visit(v, distinct);
         // Slide: remove the anchor event before moving to the next one.
-        if (--counts[events[anchor.i].device] == 0) --distinct;
+        distinct -= --count[events[i].device] == 0;
+        if (++i == n) {
+            i = 0;
+            if (v + 1 < last) shift += period;  // never past the last copy
+        }
     }
-    for (; anchor.v < lead.v; rep.step(anchor)) --counts[events[anchor.i].device];
+    for (std::size_t v = last; v < lead_copy * n + j; ++v) {
+        --count[events[i].device];
+        if (++i == n) i = 0;
+    }
 }
 
 /// Draws a round's anchor from its ties in virtual-index order, the order a
@@ -224,7 +228,8 @@ RoundBest best_window_round(const Repeated& rep, sim::SimTime window,
 /// Lazy-greedy tail state: once rounds stop removing large fractions of
 /// the events, the full rescan's O(rounds x events) becomes the dominant
 /// cost and this structure takes over.  Alive events (a frozen, sorted,
-/// compacted period) form a linked list, which walks follow copy by copy.  The candidate window anchors are copy 0's alive events plus the
+/// compacted period) form a linked list, which walks follow copy by copy.
+/// The candidate window anchors are copy 0's alive events plus the
 /// boundary anchors fixed at hand-over (the first alive event only moves
 /// later, so no other anchor ever becomes one), each bucketed by its last
 /// exactly evaluated coverage; a copy-0 anchor stands for its non-boundary
@@ -237,7 +242,8 @@ RoundBest best_window_round(const Repeated& rep, sim::SimTime window,
 /// laziness degenerates; a work counter detects that and amortizes it away
 /// with one exact resweep (rebuild), so a lazy round never costs more than
 /// a constant factor of a rescan round, and typical tail rounds cost far
-/// less.
+/// less.  The greedy stops once every bucket above coverage 1 is empty:
+/// the rounds left are the single-device tail's.
 ///
 /// Trace contract (guarded by WindowCoverTraceTest): the chosen anchors,
 /// their device lists, and the RNG consumption are bit-identical to the
@@ -274,9 +280,11 @@ public:
     /// One greedy round: finds the maximum-coverage anchor (exhaustively
     /// re-evaluating every potential tie), breaks ties through `rng` exactly
     /// as the rescan did, and returns the chosen anchor's virtual index.
-    [[nodiscard]] std::size_t choose_anchor(sim::RandomStream& rng) {
+    /// Returns nullopt, drawing nothing, once no window covers two devices:
+    /// the single-device tail takes the remaining rounds.
+    [[nodiscard]] std::optional<std::size_t> choose_anchor(sim::RandomStream& rng) {
         candidates_.clear();
-        while (cur_max_ > 0) {
+        while (cur_max_ > 1) {
             // Lazy demotion has spent more than one full-rescan's worth of
             // work since the bounds were last exact (wholesale staleness):
             // pay for one exact resweep and restart the round on clean
@@ -284,6 +292,7 @@ public:
             if (work_since_rebuild_ > live_anchors_ + 64) {
                 rebuild();
                 candidates_.clear();
+                continue;  // the exact maximum may be 1
             }
             std::vector<std::size_t>& bucket = buckets_[cur_max_];
             while (!bucket.empty() && work_since_rebuild_ <= live_anchors_ + 64) {
@@ -310,7 +319,7 @@ public:
             if (!candidates_.empty()) break;
             --cur_max_;
         }
-        if (candidates_.empty()) return rep_.size();  // no anchor (defensive)
+        if (candidates_.empty()) return std::nullopt;
 
         // The rescan collected ties in ascending anchor order; entries here
         // arrive in bucket (stack) order, so restore the virtual order
@@ -481,27 +490,103 @@ private:
     std::vector<std::size_t> scratch_index_;
 };
 
-/// The earliest and latest event times (lo > hi for no events).
-struct TimeRange {
+/// The single-device tail: the rounds left once the best window covers
+/// one device.  Every alive anchor's window then holds its own device's
+/// events only (coverage is at least 1 and at most the maximum), so each
+/// round ties every alive anchor and covers the drawn anchor's device.
+/// The alive anchors, in virtual order, are copy by copy the period's t
+/// alive events, so tie k is copy k / t's (k mod t)-th alive event: where
+/// draw_tie's shared/boundary split sends k too, since the boundary
+/// anchors are the alive events from the boundary's virtual index on.  An
+/// order-statistic (Fenwick) tree over the period's alive events answers a
+/// round in O(log n), and per-device event lists retire a covered device's
+/// events.  The draw is the rescan's rng.uniform_int(0, total - 1) over the
+/// copies × t ties, made only when there is more than one.
+void cover_single_device_tail(const Repeated& rep, sim::SimTime window,
+                              const CoverageBitset& covered, sim::RandomStream& rng,
+                              std::vector<CoverWindow>& windows) {
+    const std::vector<PoEvent>& events = rep.events;
+    const std::size_t n = events.size();
+    // tree[k] counts the alive events among indices [k - lowbit(k), k).
+    std::vector<std::uint32_t> tree(n + 1, 0);
+    // Each alive device's events: first[d] counts them, then (prefix sums)
+    // ends them, then (the back-to-front scatter) starts them.
+    std::vector<std::uint32_t> first(covered.size() + 1, 0);
+    std::size_t alive = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (covered.test(events[i].device)) continue;
+        tree[i + 1] = 1;
+        ++first[events[i].device];
+        ++alive;
+    }
+    if (alive == 0) return;
+    for (std::size_t k = 1; k <= n; ++k) {
+        const std::size_t up = k + (k & (~k + 1));
+        if (up <= n) tree[up] += tree[k];
+    }
+    std::inclusive_scan(first.begin(), first.end(), first.begin());
+    std::vector<std::uint32_t> of_device(alive);
+    for (std::size_t i = n; i-- > 0;) {
+        if (!covered.test(events[i].device)) {
+            of_device[--first[events[i].device]] = static_cast<std::uint32_t>(i);
+        }
+    }
+
+    const std::size_t top = std::bit_floor(n);
+    while (alive > 0) {
+        const std::size_t total = rep.copies * alive;
+        std::size_t k = 0;
+        if (total > 1) {
+            k = static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(total) - 1));
+        }
+        // The (k mod alive)-th alive event: the longest prefix holding at
+        // most that many alive events ends right before it.
+        std::size_t i = 0;
+        std::size_t rank = k % alive;
+        for (std::size_t step = top; step > 0; step >>= 1) {
+            if (i + step <= n && tree[i + step] <= rank) {
+                i += step;
+                rank -= tree[i];
+            }
+        }
+        const std::uint32_t d = events[i].device;
+        const sim::SimTime start =
+            events[i].at + rep.period * static_cast<std::int64_t>(k / alive);
+        windows.push_back(CoverWindow{start, start + window, {d}});
+        for (std::uint32_t e = first[d]; e < first[d + 1]; ++e) {
+            for (std::size_t x = of_device[e] + 1; x <= n; x += x & (~x + 1)) --tree[x];
+        }
+        alive -= first[d + 1] - first[d];
+    }
+}
+
+/// The events' earliest and latest times (lo > hi for no events), and
+/// whether they already come in (time, device) order.
+struct EventScan {
     std::int64_t lo = std::numeric_limits<std::int64_t>::max();
     std::int64_t hi = std::numeric_limits<std::int64_t>::min();
+    bool ordered = true;
 };
 
-/// Checks the window and the device ids, and returns the events' times.
-TimeRange check_events(const std::vector<PoEvent>& events, sim::SimTime window,
+/// Checks the window and the device ids, and scans the events' times and
+/// order in the same pass.
+EventScan check_events(const std::vector<PoEvent>& events, sim::SimTime window,
                        std::uint32_t device_count) {
     if (window < sim::SimTime{0}) {
         throw std::invalid_argument("greedy_window_cover: negative window");
     }
-    TimeRange range;
-    for (const PoEvent& e : events) {
+    EventScan scan;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+        const PoEvent& e = events[i];
         if (e.device >= device_count) {
             throw std::invalid_argument("greedy_window_cover: device id out of range");
         }
-        range.lo = std::min(range.lo, e.at.count());
-        range.hi = std::max(range.hi, e.at.count());
+        scan.lo = std::min(scan.lo, e.at.count());
+        scan.hi = std::max(scan.hi, e.at.count());
+        if (i > 0 && event_before(e, events[i - 1])) scan.ordered = false;
     }
-    return range;
+    return scan;
 }
 
 /// Checks for `caller` that the latest window, anchored at the last copy's
@@ -539,21 +624,22 @@ WindowCoverResult cover_sorted(std::vector<PoEvent> events, sim::SimTime period,
     std::vector<std::size_t> ties;
     std::vector<std::size_t> boundary_ties;
     ties.reserve(64);
-    bool tail = false;
-    while (!events.empty() && !tail) {
+    bool lazy = false;
+    bool single = false;  // no window covers two devices any more
+    while (!events.empty() && !lazy && !single) {
         const RoundBest best =
             best_window_round(rep, window, rng, scratch_counts, ties, boundary_ties);
 
-        Repeated::Position p = rep.position(best.anchor);
-        const sim::SimTime start = rep.at(p);
+        const sim::SimTime start = rep.at(best.anchor);
         const sim::SimTime limit = start + window;
         CoverWindow chosen{start, limit, {}};
         chosen.devices.reserve(best.coverage);
-        for (; p.v < rep.size() && rep.at(p) <= limit; rep.step(p)) {
-            const std::uint32_t d = events[p.i].device;
+        for (std::size_t v = best.anchor; v < rep.size() && rep.at(v) <= limit; ++v) {
+            const std::uint32_t d = events[v % events.size()].device;
             if (covered.test_and_set(d)) chosen.devices.push_back(d);
         }
         result.windows.push_back(std::move(chosen));
+        single = best.coverage == 1;
 
         // Drop every event of a covered device (from every copy at once).
         const std::size_t before = events.size();
@@ -563,22 +649,25 @@ WindowCoverResult cover_sorted(std::vector<PoEvent> events, sim::SimTime period,
         // sparse-cycle devices each, and rescanning everything per round
         // would dominate.  Hand the remaining events to the lazy greedy.
         // The test counts every copy's events, as the expanded rescan did.
-        tail = copies * (before - events.size()) < copies * before / 8;
+        lazy = copies * (before - events.size()) < copies * before / 8;
     }
 
-    if (!events.empty()) {
+    if (!events.empty() && !single) {
         LazyWindowGreedy greedy(rep, window, device_count);
         while (!greedy.exhausted()) {
-            const std::size_t anchor = greedy.choose_anchor(rng);
-            if (anchor == rep.size()) break;  // defensive
-
-            const sim::SimTime start = rep.at(rep.position(anchor));
+            const std::optional<std::size_t> anchor = greedy.choose_anchor(rng);
+            if (!anchor) {
+                single = true;
+                break;
+            }
+            const sim::SimTime start = rep.at(*anchor);
             CoverWindow chosen{start, start + window, {}};
-            greedy.collect_window(anchor, covered, chosen.devices);
+            greedy.collect_window(*anchor, covered, chosen.devices);
             greedy.remove_devices(chosen.devices);
             result.windows.push_back(std::move(chosen));
         }
     }
+    if (single) cover_single_device_tail(rep, window, covered, rng, result.windows);
     return result;
 }
 
@@ -589,12 +678,12 @@ WindowCoverResult greedy_window_cover(std::vector<PoEvent> period_events,
                                       sim::SimTime window, std::uint32_t device_count,
                                       sim::RandomStream& rng) {
     if (copies == 0) throw std::invalid_argument("greedy_window_cover: zero copies");
-    const TimeRange range = check_events(period_events, window, device_count);
+    const EventScan scan = check_events(period_events, window, device_count);
     // The span in unsigned arithmetic, so any two SimTimes subtract.
     const std::uint64_t span =
         period_events.empty()
             ? 0
-            : static_cast<std::uint64_t>(range.hi) - static_cast<std::uint64_t>(range.lo);
+            : static_cast<std::uint64_t>(scan.hi) - static_cast<std::uint64_t>(scan.lo);
     if (period <= sim::SimTime{0} || span >= static_cast<std::uint64_t>(period.count())) {
         throw std::invalid_argument(
             "greedy_window_cover: the events must span less than the (positive) period");
@@ -605,9 +694,9 @@ WindowCoverResult greedy_window_cover(std::vector<PoEvent> period_events,
             "greedy_window_cover: the last copy starts past the largest SimTime");
     }
     if (!period_events.empty()) {
-        check_window_end("greedy_window_cover", range.hi, shift, window);
+        check_window_end("greedy_window_cover", scan.hi, shift, window);
     }
-    sort_events(period_events);
+    if (!scan.ordered) sort_events(period_events);
     return cover_sorted(std::move(period_events), period, copies, window, device_count,
                         rng);
 }
@@ -615,9 +704,9 @@ WindowCoverResult greedy_window_cover(std::vector<PoEvent> period_events,
 WindowCoverResult greedy_window_cover(std::vector<PoEvent> events, sim::SimTime window,
                                       std::uint32_t device_count,
                                       sim::RandomStream& rng) {
-    const TimeRange range = check_events(events, window, device_count);
-    if (!events.empty()) check_window_end("greedy_window_cover", range.hi, 0, window);
-    sort_events(events);
+    const EventScan scan = check_events(events, window, device_count);
+    if (!events.empty()) check_window_end("greedy_window_cover", scan.hi, 0, window);
+    if (!scan.ordered) sort_events(events);
     // One copy: the period is never read.
     return cover_sorted(std::move(events), sim::SimTime{0}, 1, window, device_count, rng);
 }

@@ -8,16 +8,27 @@
 // removes the covered devices.
 //
 // Only windows anchored at PO events need to be considered: shifting a
-// window left until its start touches a PO never loses coverage.  The
-// greedy runs lazily: anchors are bucketed by their last exactly evaluated
-// coverage (a valid upper bound, since coverage only shrinks as devices are
-// covered), so a round re-evaluates only the anchors that could still hold
-// or tie the maximum instead of rescanning every remaining event.  Covered
-// devices' events die in place, O(1) per device (walks skip them, and the
-// next exact resweep unlinks them from the alive list), giving near-linear
-// total work on typical PO patterns.  The chosen
-// windows and the tie-break RNG stream are bit-identical to the full
-// rescan (see tests/setcover/window_cover_test.cpp, WindowCoverTraceTest).
+// window left until its start touches a PO never loses coverage.  Events
+// already in (time, device) order (DR-SC generates them so) skip the
+// sort; others are put in that order in linear time.  Early rounds rescan
+// every anchor; then the greedy runs lazily: anchors are bucketed by their
+// last exactly evaluated coverage (a valid upper bound, since coverage only
+// shrinks as devices are covered), so a round re-evaluates only the
+// anchors that could still hold or tie the maximum.  Covered devices'
+// events die in place, O(1) per device (walks skip them, and the next
+// exact resweep unlinks them from the alive list).
+//
+// Once the best window covers one device, every alive anchor ties at
+// coverage 1 and covers only its own device, so each remaining round is
+// the rescan's uniform draw over all alive anchors in virtual order.  The
+// greedy answers those rounds in closed form: the same
+// rng.uniform_int(0, total - 1) call (only when total > 1), mapped to an
+// anchor by an order-statistic count over the period's alive events, and
+// the drawn device's events retired from per-device lists, in O(log n) a
+// round.  The chosen windows, their device lists and the tie-break RNG
+// stream are bit-identical to the full rescan in every phase (see
+// tests/setcover/window_cover_test.cpp: WindowCoverTraceTest,
+// PeriodicWindowCoverTraceTest, SingleDeviceTailTraceTest).
 //
 // A periodic horizon is folded: DR-SC's 2 × maxDRX holds two copies of the
 // PO pattern, the second shifted by one period.  The greedy takes one
@@ -59,9 +70,10 @@ struct WindowCoverResult {
 
 /// Runs the greedy window cover over `copies` back-to-back copies of one
 /// period of PO events, copy c shifted by c × `period`, without building
-/// the copies.  `period_events` may come in any order; they are put in
-/// (time, device) order in linear time (a counting sort on the time's high
-/// bits).  `device_count` bounds the device ids.  `window` is TI (inclusive
+/// the copies.  `period_events` may come in any order; unless they already
+/// come in (time, device) order (checked in the input validation's pass),
+/// they are put in that order in linear time (a counting sort on the
+/// time's high bits).  `device_count` bounds the device ids.  `window` is TI (inclusive
 /// window [s, s+window]).  Ties between equally good windows are broken
 /// uniformly at random via `rng`.  The windows, their device lists,
 /// `uncoverable` and the draws from `rng` equal those of the flat call

@@ -164,11 +164,17 @@ std::vector<SimTime> pos_in_range(const nbiot::PoPhase& phase, SimTime from, Sim
     return out;
 }
 
+/// (time, device) order.
+bool event_before(const setcover::PoEvent& a, const setcover::PoEvent& b) {
+    return std::tie(a.at, a.device) < std::tie(b.at, b.device);
+}
+
 /// The reference for dr_sc_po_events: each device's pos_in_range over
-/// [0, horizon), concatenated in device order.
-std::vector<setcover::PoEvent> concatenated_pos_in_range(
-    std::span<const nbiot::UeSpec> devices, const nbiot::PagingSchedule& paging,
-    SimTime horizon) {
+/// [0, horizon), concatenated in device order, then sorted into (time,
+/// device) order.
+std::vector<setcover::PoEvent> sorted_pos_in_range(std::span<const nbiot::UeSpec> devices,
+                                                   const nbiot::PagingSchedule& paging,
+                                                   SimTime horizon) {
     std::vector<setcover::PoEvent> events;
     for (const nbiot::UeSpec& dev : devices) {
         for (const SimTime po :
@@ -176,6 +182,7 @@ std::vector<setcover::PoEvent> concatenated_pos_in_range(
             events.push_back({po, dev.device.value});
         }
     }
+    std::sort(events.begin(), events.end(), event_before);
     return events;
 }
 
@@ -196,11 +203,19 @@ TEST(DrScPoEventsTest, MatchesConcatenatedPosInRange) {
                                    ladder[k % ladder.size()], nbiot::CeLevel::ce0});
             }
             // DR-SC's own horizon, then one that is a multiple of no period
-            // (every period is a whole number of 10 ms frames).
+            // (every period is a whole number of 10 ms frames).  The events
+            // come in strictly increasing (time, device) order.
             const std::int64_t odd = 10 * gen.uniform_int(1, longest / 5) + 3;
             for (const std::int64_t horizon : {2 * longest, odd}) {
-                EXPECT_EQ(dr_sc_po_events(devices, paging, SimTime{horizon}),
-                          concatenated_pos_in_range(devices, paging, SimTime{horizon}))
+                const std::vector<setcover::PoEvent> events =
+                    dr_sc_po_events(devices, paging, SimTime{horizon});
+                EXPECT_EQ(events, sorted_pos_in_range(devices, paging, SimTime{horizon}))
+                    << "horizon " << horizon;
+                EXPECT_EQ(std::adjacent_find(events.begin(), events.end(),
+                                             [](const auto& a, const auto& b) {
+                                                 return !event_before(a, b);
+                                             }),
+                          events.end())
                     << "horizon " << horizon;
             }
             // A horizon at or below a device's PO offset gives it no event;
@@ -211,7 +226,7 @@ TEST(DrScPoEventsTest, MatchesConcatenatedPosInRange) {
                 EXPECT_TRUE(dr_sc_po_events(one, paging, offset).empty());
                 EXPECT_TRUE(dr_sc_po_events(one, paging, SimTime{0}).empty());
                 EXPECT_EQ(dr_sc_po_events(one, paging, offset + SimTime{1}),
-                          concatenated_pos_in_range(one, paging, offset + SimTime{1}));
+                          sorted_pos_in_range(one, paging, offset + SimTime{1}));
                 EXPECT_EQ(dr_sc_po_events(one, paging, offset + SimTime{1}).size(), 1u);
             }
         }

@@ -335,13 +335,17 @@ TEST(PagingScheduleNbVariantTest, TwoTUsesTwoSubframes) {
 /// per-cycle table: the reference the table must reproduce.
 std::int64_t reference_po_offset(const PagingConfig& config, Imsi imsi, DrxCycle cycle) {
     const std::int64_t t_frames = cycle.period_frames();
-    const auto ue_id = static_cast<std::int64_t>(imsi.value % config.ue_id_modulus);
+    // UE_ID is unsigned: with a modulus past 2^63 it passes INT64_MAX.
+    const std::uint64_t ue_id = imsi.value % config.ue_id_modulus;
     const std::int64_t nb =
         std::max<std::int64_t>(1, t_frames * config.nb_num / config.nb_den);
     const std::int64_t n = std::min(t_frames, nb);
     const std::int64_t ns = std::max<std::int64_t>(1, nb / t_frames);
-    const std::int64_t pf_offset = (t_frames / n) * (ue_id % n) % t_frames;
-    const auto i_s = static_cast<std::size_t>((ue_id / n) % ns);
+    const std::int64_t pf_offset =
+        (t_frames / n) * static_cast<std::int64_t>(ue_id % static_cast<std::uint64_t>(n)) %
+        t_frames;
+    const auto i_s = static_cast<std::size_t>((ue_id / static_cast<std::uint64_t>(n)) %
+                                              static_cast<std::uint64_t>(ns));
     static constexpr std::array<std::int64_t, 1> kNs1{9};
     static constexpr std::array<std::int64_t, 2> kNs2{4, 9};
     static constexpr std::array<std::int64_t, 4> kNs4{0, 4, 5, 9};
@@ -353,15 +357,18 @@ TEST(PagingExactnessTest, PoOffsetAndPhaseQueriesMatchTheFormulaAndAWalk) {
     // nB in {T/256, T/2, T, 2T, 4T}, then nb_den = 3 at Ns 1, 2 and 4.
     const std::pair<std::int64_t, std::int64_t> nb_ratios[] = {
         {1, 256}, {1, 2}, {1, 1}, {2, 1}, {4, 1}, {1, 3}, {4, 3}, {7, 3}, {13, 3}};
-    const std::uint64_t moduli[] = {std::uint64_t{1} << 20, 1'000'003, 999};
+    // The last modulus takes UE_IDs past INT64_MAX.
     constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    const std::uint64_t moduli[] = {std::uint64_t{1} << 20, 1'000'003, 999, kMax};
+    constexpr std::uint64_t kHalf = std::uint64_t{1} << 63;
     std::size_t checked = 0;
     for (const auto& [nb_num, nb_den] : nb_ratios) {
         for (const std::uint64_t modulus : moduli) {
             const PagingConfig config{
                 .nb_num = nb_num, .nb_den = nb_den, .ue_id_modulus = modulus};
             const PagingSchedule paging(config);
-            std::vector<std::uint64_t> imsis{0, kMax};
+            std::vector<std::uint64_t> imsis{0, kMax, kHalf, kHalf + 5};
+            // The multiples wrap modulo 2^64 for the largest modulus.
             for (const std::uint64_t m :
                  {modulus, 2 * modulus, 7 * modulus, kMax / modulus * modulus}) {
                 imsis.insert(imsis.end(), {m - 1, m, m + 1});
@@ -410,7 +417,7 @@ TEST(PagingExactnessTest, PoOffsetAndPhaseQueriesMatchTheFormulaAndAWalk) {
             }
         }
     }
-    EXPECT_EQ(checked, std::size_t{9 * 3 * 14 * 16 * 8 * 8});
+    EXPECT_EQ(checked, std::size_t{9 * 4 * 16 * 16 * 8 * 8});
 }
 
 }  // namespace

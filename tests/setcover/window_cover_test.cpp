@@ -435,6 +435,114 @@ TEST_P(PeriodicWindowCoverTraceTest, OnePeriodMatchesReferenceOnTheCopies) {
 INSTANTIATE_TEST_SUITE_P(RandomPeriods, PeriodicWindowCoverTraceTest,
                          ::testing::Range(std::uint64_t{1}, std::uint64_t{16}));
 
+/// Single-device tails.  Once the best window covers one device, every
+/// remaining round draws among all alive anchors and covers the drawn
+/// anchor's device; the greedy settles those rounds in closed form.  Each
+/// case checks the windows, device lists and the RNG's next draw against
+/// the reference rescan over the expanded copies.
+class SingleDeviceTailTraceTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+/// Covers `copies` copies of `period_events` both ways, compares them, and
+/// returns the reference's cover.
+WindowCoverResult expect_cover_matches_reference(const std::vector<PoEvent>& period_events,
+                                                 SimTime period, std::uint32_t copies,
+                                                 SimTime window, std::uint32_t device_count,
+                                                 std::uint64_t seed) {
+    sim::RandomStream ref_rng{seed};
+    sim::RandomStream fast_rng{seed};
+    const WindowCoverResult ref = reference_window_cover(
+        expand(period_events, period, copies), window, device_count, ref_rng);
+    const WindowCoverResult fast =
+        greedy_window_cover(period_events, period, copies, window, device_count, fast_rng);
+    expect_same_cover(fast, ref);
+    EXPECT_EQ(fast_rng.next_u64(), ref_rng.next_u64());
+    return ref;
+}
+
+/// `count` devices from `first_device` on, one event each, on distinct
+/// slots `spacing` ms apart from `from`, shuffled onto the slots.
+std::vector<PoEvent> loners(sim::RandomStream& gen, std::uint32_t first_device,
+                            std::uint32_t count, std::int64_t from, std::int64_t spacing) {
+    std::vector<std::int64_t> slots;
+    for (std::uint32_t k = 0; k < count; ++k) slots.push_back(from + spacing * k);
+    gen.shuffle(slots);
+    std::vector<PoEvent> events;
+    for (std::uint32_t k = 0; k < count; ++k) {
+        events.push_back({SimTime{slots[k]}, first_device + k});
+    }
+    return events;
+}
+
+/// The tail starts in the lazy phase, with boundary anchors present.  In a
+/// 60 s period with TI = 500 ms, a three-device cluster is the first dense
+/// round (3 of 53 events: the lazy greedy takes over), two pairs are the
+/// lazy rounds of coverage 2, and the rest covers one device per window:
+/// 40 loners, a device with events at 0.1 s and 59.7 s (its windows wrap
+/// onto its own next occasion, and its copy-1 anchor at 119.7 s is a
+/// boundary anchor), one with two events and one with a repeated event.
+TEST_P(SingleDeviceTailTraceTest, TailFromTheLazyPhaseWithBoundaryAnchors) {
+    sim::RandomStream gen{GetParam() * 131 + 11};
+    const SimTime period{60'000};
+    const SimTime window{500};
+    std::vector<PoEvent> events{
+        {SimTime{10'000}, 0}, {SimTime{10'100}, 1}, {SimTime{10'200}, 2},  // cluster
+        {SimTime{20'000}, 3}, {SimTime{20'100}, 4},                        // pair
+        {SimTime{30'000}, 5}, {SimTime{30'100}, 6},                        // pair
+        {SimTime{100}, 47},   {SimTime{59'700}, 47},                       // wraps
+        {SimTime{2'000}, 48}, {SimTime{5'000}, 48},
+        {SimTime{7'000}, 49}, {SimTime{7'000}, 49}};
+    const std::vector<PoEvent> spread = loners(gen, 7, 40, 35'000, 600);
+    events.insert(events.end(), spread.begin(), spread.end());
+    gen.shuffle(events);
+    for (std::uint32_t copies = 2; copies <= 3; ++copies) {
+        SCOPED_TRACE(::testing::Message() << copies << " copies");
+        const WindowCoverResult ref =
+            expect_cover_matches_reference(events, period, copies, window, 50, GetParam());
+        ASSERT_EQ(ref.windows.size(), 46u);
+        EXPECT_EQ(ref.windows[0].devices.size(), 3u);
+        EXPECT_EQ(ref.windows[1].devices.size(), 2u);
+        EXPECT_EQ(ref.windows[2].devices.size(), 2u);
+        for (std::size_t w = 3; w < ref.windows.size(); ++w) {
+            EXPECT_EQ(ref.windows[w].devices.size(), 1u) << "window " << w;
+        }
+    }
+}
+
+/// The first dense round already covers one device: every event sits on
+/// its own 1 s slot with TI = 500 ms, each device on two or three slots.
+TEST_P(SingleDeviceTailTraceTest, FirstDenseRoundCoversOneDevice) {
+    sim::RandomStream gen{GetParam() * 131 + 13};
+    const SimTime period{100'000};
+    std::vector<PoEvent> events = loners(gen, 0, 100, 0, 1'000);
+    for (PoEvent& e : events) e.device %= 40;  // devices 0-19 get three slots
+    for (std::uint32_t copies = 1; copies <= 3; ++copies) {
+        SCOPED_TRACE(::testing::Message() << copies << " copies");
+        const WindowCoverResult ref = expect_cover_matches_reference(
+            events, period, copies, SimTime{500}, 41, GetParam());
+        EXPECT_EQ(ref.uncoverable, (std::vector<std::uint32_t>{40}));
+        ASSERT_EQ(ref.windows.size(), 40u);
+        for (const CoverWindow& w : ref.windows) EXPECT_EQ(w.devices.size(), 1u);
+    }
+}
+
+/// The tail ends on a single alive anchor, whose round draws nothing: one
+/// copy of one event per device, all more than TI apart, in the periodic
+/// and the flat call.
+TEST_P(SingleDeviceTailTraceTest, TailEndsOnOneAnchorWithoutADraw) {
+    sim::RandomStream gen{GetParam() * 131 + 17};
+    const std::vector<PoEvent> events = loners(gen, 0, 25, -3'000, 700);
+    (void)expect_cover_matches_reference(events, SimTime{20'000}, 1, SimTime{300}, 25,
+                                         GetParam());
+    sim::RandomStream ref_rng{GetParam()};
+    sim::RandomStream fast_rng{GetParam()};
+    expect_same_cover(greedy_window_cover(events, SimTime{300}, 25, fast_rng),
+                      reference_window_cover(events, SimTime{300}, 25, ref_rng));
+    EXPECT_EQ(fast_rng.next_u64(), ref_rng.next_u64());
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomDraws, SingleDeviceTailTraceTest,
+                         ::testing::Range(std::uint64_t{1}, std::uint64_t{9}));
+
 TEST(PeriodicWindowCoverTest, EmptyPeriodLeavesEveryDeviceUncoverable) {
     for (std::uint32_t copies = 1; copies <= 3; ++copies) {
         sim::RandomStream rng{9};
