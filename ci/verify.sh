@@ -15,7 +15,9 @@
 #             outage preset, lossy backhaul — all three CSVs are
 #             byte-diffed Debug vs Release); SC-PTM smoke (a 10 ms
 #             SC-MCCH period with churn, and a 4-cell outage — both CSVs
-#             byte-diffed Debug vs Release); kill-and-resume checkpoint
+#             byte-diffed Debug vs Release); two refused scenario files
+#             (a device count past kMaxDevices, an outage cell past the
+#             grid) exit 2 naming their file:line; kill-and-resume checkpoint
 #             smoke (stop a citywide run and a single-cell churn run
 #             mid-flight, resume at a different --threads, byte-diff every
 #             artifact against the uninterrupted run; likewise from the
@@ -82,8 +84,8 @@ run_scenario_smokes() {
   "${build_dir}/examples/run_scenario" \
     --scenario examples/scenarios/dasc_tail.scenario --threads 2 --csv \
     > "${build_dir}/dasc_tail_smoke.csv"
-  # DR-SC alone on 1,000-device cells: its window cover (PO enumeration,
-  # counting-sort ordering, greedy) joins the byte-diff too.
+  # DR-SC alone on 1,000-device cells: its window cover (ordered PO
+  # generation, greedy) joins the byte-diff too.
   "${build_dir}/examples/run_scenario" --preset fig7 --runs 3 --threads 2 --csv \
     > "${build_dir}/fig7_drsc_smoke.csv"
 
@@ -178,7 +180,30 @@ SCENARIO
     --scenario "${build_dir}/scptm_outage.scenario" --threads 2 --csv \
     > "${build_dir}/scptm_outage_smoke.csv"
 
+  echo "=== ${build_dir}: refused scenario files (exit 2 at the offending line) ==="
+  # A device count one past kMaxDevices, and an outage cell past the grid:
+  # each row's check refuses its value at the file line that gave it.
+  printf 'name = refused-devices\ndevices = 10000001\n' \
+    > "${build_dir}/refused_devices.scenario"
+  printf 'name = refused-outage\ncells = 4\nfaults.cell_down = 4@60000\n' \
+    > "${build_dir}/refused_outage.scenario"
+  expect_refused "${build_dir}" "${build_dir}/refused_devices.scenario" 2
+  expect_refused "${build_dir}" "${build_dir}/refused_outage.scenario" 3
+
   run_checkpoint_smoke "${build_dir}"
+}
+
+# Runs run_scenario on a scenario file that must be refused: exit status 2
+# and a diagnostic naming FILE:LINE.
+expect_refused() {
+  local build_dir="$1" file="$2" line="$3" status=0
+  "${build_dir}/examples/run_scenario" --scenario "${file}" 2> "${file}.err" || status=$?
+  if [[ ${status} -ne 2 ]] || ! grep -qF "${file}:${line}: " "${file}.err"; then
+    echo "expected exit 2 and '${file}:${line}:' from ${file}, got status ${status}:"
+    cat "${file}.err"
+    return 1
+  fi
+  cat "${file}.err"
 }
 
 run_checkpoint_smoke() {

@@ -46,7 +46,6 @@ MulticastPlan UnicastBaseline::plan(std::span<const nbiot::UeSpec> devices,
         plan.transmissions.push_back(std::move(tx));
     }
 
-    plan.paging_entries = scheduler.total_entries();
     return plan;
 }
 
@@ -73,7 +72,6 @@ MulticastPlan ScPtmBaseline::plan(std::span<const nbiot::UeSpec> devices,
         tx.devices.push_back(devices[i].device);
     }
     plan.transmissions.push_back(std::move(tx));
-    plan.paging_entries = 0;
     return plan;
 }
 

@@ -651,7 +651,6 @@ CampaignResult run_stratified(const CampaignConfig& config, std::size_t strata,
 
         sub.specs.reserve(sub.members.size());
         sub.plan.schedules.reserve(sub.members.size());
-        std::size_t entries = 0;
         for (std::size_t j = 0; j < sub.members.size(); ++j) {
             const std::size_t g = sub.members[j];
             nbiot::UeSpec spec = devices[g];
@@ -665,11 +664,8 @@ CampaignResult run_stratified(const CampaignConfig& config, std::size_t strata,
                 // stratum kept that transmission and the map is set.
                 schedule.transmission = tx_map[schedule.transmission];
             }
-            entries += (schedule.page_at ? 1U : 0U) + (schedule.adjustment ? 1U : 0U) +
-                       (schedule.mltc ? 1U : 0U);
             sub.plan.schedules.push_back(std::move(schedule));
         }
-        sub.plan.paging_entries = entries;
         for (const DeviceId dev : plan.unserved) {
             if (stratum_of[dev.value] == s) {
                 sub.plan.unserved.push_back(DeviceId{local_of[dev.value]});

@@ -133,7 +133,6 @@ MulticastPlan DaScMechanism::plan(std::span<const nbiot::UeSpec> devices,
     }
 
     plan.transmissions.push_back(std::move(tx));
-    plan.paging_entries = scheduler.total_entries();
     return plan;
 }
 

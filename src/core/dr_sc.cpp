@@ -189,7 +189,6 @@ MulticastPlan DrScMechanism::plan(std::span<const nbiot::UeSpec> devices,
         plan.transmissions.push_back(std::move(tx));
     }
 
-    plan.paging_entries = scheduler.total_entries();
     return plan;
 }
 

@@ -63,7 +63,6 @@ MulticastPlan DrSiMechanism::plan(std::span<const nbiot::UeSpec> devices,
     }
 
     plan.transmissions.push_back(std::move(tx));
-    plan.paging_entries = scheduler.total_entries();
     return plan;
 }
 

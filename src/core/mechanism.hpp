@@ -175,8 +175,6 @@ struct MulticastPlan {
     /// The planner's reference time t (DA-SC/DR-SI transmission instant
     /// reference; DR-SC planning-horizon end).
     nbiot::SimTime planning_reference{0};
-    /// Total paging records + extensions the plan sends.
-    std::size_t paging_entries = 0;
 };
 
 /// Planner interface.  `devices` must have dense ids 0..n-1 in order.

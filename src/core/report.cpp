@@ -80,30 +80,10 @@ RelativeUptime relative_uptime(const CampaignResult& mechanism,
         out.connected_increase = total_connected_ms(mechanism) / base_conn - 1.0;
     }
 
-    double light_sum = 0.0;
-    double conn_sum = 0.0;
-    std::size_t light_n = 0;
-    std::size_t conn_n = 0;
     for (std::size_t i = 0; i < mechanism.devices.size(); ++i) {
-        const auto& m = mechanism.devices[i].energy;
-        const auto& u = unicast_reference.devices[i].energy;
         if (mechanism.devices[i].spec.imsi != unicast_reference.devices[i].spec.imsi) {
             throw std::invalid_argument("relative_uptime: device pairing mismatch");
         }
-        if (u.light_sleep_uptime().count() > 0) {
-            light_sum += ms(m.light_sleep_uptime()) / ms(u.light_sleep_uptime()) - 1.0;
-            ++light_n;
-        }
-        if (u.connected_uptime().count() > 0) {
-            conn_sum += ms(m.connected_uptime()) / ms(u.connected_uptime()) - 1.0;
-            ++conn_n;
-        }
-    }
-    if (light_n > 0) {
-        out.per_device_light_sleep_increase = light_sum / static_cast<double>(light_n);
-    }
-    if (conn_n > 0) {
-        out.per_device_connected_increase = conn_sum / static_cast<double>(conn_n);
     }
     return out;
 }

@@ -45,10 +45,6 @@ struct RelativeUptime {
     /// Aggregate ratios: sum(mechanism)/sum(unicast) - 1.
     double light_sleep_increase = 0.0;
     double connected_increase = 0.0;
-    /// Mean over devices of per-device ratios (devices with a non-zero
-    /// baseline), exposing fairness across classes.
-    double per_device_light_sleep_increase = 0.0;
-    double per_device_connected_increase = 0.0;
 };
 
 [[nodiscard]] RelativeUptime relative_uptime(const CampaignResult& mechanism,

@@ -31,8 +31,6 @@ public:
     explicit WorkerPool(std::size_t threads = 0)
         : threads_(resolve_threads(threads)) {}
 
-    [[nodiscard]] std::size_t thread_count() const noexcept { return threads_; }
-
     /// Invokes fn(i) exactly once for every i in [0, count) and blocks until
     /// all invocations finish.  Runs inline when a single worker suffices.
     /// The first exception thrown by any task is rethrown on the caller.

@@ -41,10 +41,9 @@ public:
     /// Pre-sizes the fleet accounting arrays for `count` devices.
     void reserve_ues(std::size_t count);
 
-    /// Installs the cell-shared hook set every UE without a per-UE
-    /// override dispatches through — one std::function triple per cell
-    /// instead of three per device.  May be called before or after
-    /// add_ue; affects all UEs of this cell.
+    /// Installs the cell-shared hook set every UE dispatches through — one
+    /// std::function triple per cell instead of three per device.  May be
+    /// called before or after add_ue; affects all UEs of this cell.
     void set_ue_hooks(Ue::Hooks hooks) { fleet_hooks_ = std::move(hooks); }
 
     [[nodiscard]] Ue& ue(DeviceId device);

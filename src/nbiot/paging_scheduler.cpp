@@ -29,7 +29,6 @@ std::optional<SimTime> PagingScheduler::find_slot(const PoPhase& phase,
 void PagingScheduler::place(DeviceId device, SimTime po, std::uint32_t& occupancy,
                             int kind) {
     ++occupancy;
-    ++total_entries_;
     NBMG_TELEMETRY_EMIT(telemetry_, telemetry::EventKind::page_scheduled, po.count(),
                         device.value, static_cast<std::int64_t>(occupancy), kind);
 }

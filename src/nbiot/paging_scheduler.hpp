@@ -54,9 +54,6 @@ public:
     /// whose positions are not formula-derived.  Fails when full.
     bool force_enqueue_record_at(DeviceId device, SimTime po);
 
-    /// Total records + extensions planned so far.
-    [[nodiscard]] std::size_t total_entries() const noexcept { return total_entries_; }
-
 private:
     std::optional<SimTime> find_slot(const PoPhase& phase, SimTime not_before,
                                      SimTime deadline) const;
@@ -69,7 +66,6 @@ private:
     // positive `int` capacity.
     // nbmg-lint: allow(unordered-iter) looked up and inserted only, never iterated
     std::unordered_map<std::int64_t, std::uint32_t> occupancy_;
-    std::size_t total_entries_ = 0;
 };
 
 }  // namespace nbmg::nbiot

@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -83,20 +82,13 @@ public:
 
     /// `accounting` must outlive the UE and already hold a slot for
     /// `device`; `fleet_hooks` is the cell-shared hook set (may have empty
-    /// members), overridable per UE via set_hooks.
+    /// members).
     Ue(sim::Simulation& simulation, DeviceId device, Imsi imsi, DrxCycle cycle,
        CeLevel ce_level, const PagingSchedule& paging, const TimingModel& timing,
        RachChannel& rach, FleetAccounting& accounting, const Hooks& fleet_hooks);
 
     Ue(const Ue&) = delete;
     Ue& operator=(const Ue&) = delete;
-
-    /// Per-UE hook override; devices without one dispatch through the
-    /// cell-shared hook set (one std::function triple per cell instead of
-    /// three per device).
-    void set_hooks(Hooks hooks) {
-        own_hooks_ = std::make_unique<Hooks>(std::move(hooks));
-    }
 
     /// Opens the PO ledger: every PO of the current DRX cycle after now
     /// and before `until` is charged.  Schedules no event.
@@ -213,9 +205,7 @@ private:
     /// current instant, inclusive (the tie rule above).
     void apply_cycle(DrxCycle cycle);
     void require_state(UeState expected, const char* operation) const;
-    [[nodiscard]] const Hooks& hooks() const noexcept {
-        return own_hooks_ ? *own_hooks_ : *fleet_hooks_;
-    }
+    [[nodiscard]] const Hooks& hooks() const noexcept { return *fleet_hooks_; }
 
     sim::Simulation* sim_;
     DeviceId device_;
@@ -229,7 +219,6 @@ private:
     RachChannel* rach_;
     FleetAccounting* accounting_;
     const Hooks* fleet_hooks_;
-    std::unique_ptr<Hooks> own_hooks_;
 
     UeState state_ = UeState::idle;
     bool powered_ = true;

@@ -1,8 +1,10 @@
 #include "scenario/cli.hpp"
 
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "scenario/keys.hpp"
 #include "scenario/parser.hpp"
@@ -144,8 +146,10 @@ ScenarioSpec spec_from_args(int argc, char** argv, ScenarioSpec fallback,
 
 void apply_spec_overrides(ScenarioSpec& spec, int argc, char** argv) {
     // Table order, so every row a `when` reads is applied before it.
-    std::vector<std::pair<const KeyRow*, const char*>> given;
-    for (const KeyRow& row : scenario_keys()) {
+    const std::span<const KeyRow> rows = scenario_keys();
+    std::vector<const char*> given(rows.size(), nullptr);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const KeyRow& row = rows[i];
         if (row.flag == nullptr) continue;
         const char* value = flag_text(argc, argv, row.flag);
         if (value == nullptr) continue;
@@ -157,13 +161,14 @@ void apply_spec_overrides(ScenarioSpec& spec, int argc, char** argv) {
         if (const std::string reason = row.set(spec, input); !reason.empty()) {
             flag_error(row.flag, value, reason.c_str(), row.shape);
         }
-        given.emplace_back(&row, value);
+        given[i] = value;
     }
-    for (const auto& [row, value] : given) {
-        if (row->settle == nullptr) continue;
-        if (const std::string reason = row->settle(spec); !reason.empty()) {
-            flag_error(row->flag, value, reason.c_str(), row->shape);
-        }
+    // The given rows' checks on the finished spec, each at its own flag.
+    if (const Refusal refusal =
+            refused_row(spec, [&](std::size_t i) { return given[i] != nullptr; })) {
+        const KeyRow& row = *refusal.row;
+        flag_error(row.flag, given[static_cast<std::size_t>(&row - rows.data())],
+                   refusal.reason.c_str(), row.shape);
     }
 }
 

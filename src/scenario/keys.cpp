@@ -1,5 +1,7 @@
 #include "scenario/keys.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <concepts>
 #include <limits>
 #include <sstream>
@@ -21,11 +23,11 @@ using In = KeyInput;
 using Text = std::optional<std::string>;
 using multicell::StartPolicy;
 
-/// Reads a decimal integer in [lo, hi] into `out`; returns why it cannot,
-/// or "".  The bound keeps a value that is narrowed (int fields) or
-/// multiplied (payload_kb) downstream from wrapping.
+/// Reads a decimal integer into `out`, refusing one below `lo` or past
+/// `hi`: by default the field type's maximum, so nothing narrows.  Every
+/// other bound of the value is its row's check.
 template <class T>
-std::string read_integer(const In& in, T& out, std::uint64_t lo,
+std::string read_integer(const In& in, T& out, std::uint64_t lo = 0,
                          std::uint64_t hi = static_cast<std::uint64_t>(
                              std::numeric_limits<T>::max())) {
     std::uint64_t value = 0;
@@ -34,32 +36,59 @@ std::string read_integer(const In& in, T& out, std::uint64_t lo,
     return reason;
 }
 
-/// read_integer for a millisecond duration, at most kMaxDurationMs.
-std::string read_ms(const In& in, nbiot::SimTime& out, std::uint64_t lo) {
+/// read_integer for a field whose check caps it far inside its type (the
+/// durations at kMaxDurationMs, the payload at kMaxPayloadBytes): a value
+/// past the type saturates there instead, so the check refuses it in the
+/// cap's words.
+template <class T>
+std::string read_capped(const In& in, T& out) {
+    constexpr auto top = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+    std::uint64_t value = 0;
+    std::string reason = read_integer(in, value);
+    if (reason.empty()) out = static_cast<T>(std::min(value, top));
+    return reason;
+}
+
+/// read_capped for a millisecond duration.
+std::string read_ms(const In& in, nbiot::SimTime& out) {
     std::int64_t ms = out.count();
-    std::string reason = read_integer(in, ms, lo, kMaxDurationMs);
+    std::string reason = read_capped(in, ms);
     out = nbiot::SimTime{ms};
     return reason;
 }
 
-/// Reads a finite number that satisfies `in_range` into `out`; returns
-/// why it cannot (`range` for a number outside it), or "".
-std::string read_number(const In& in, double& out, bool (*in_range)(double),
-                        const char* range) {
-    double value = 0.0;
-    switch (parse_strict_double(in.value.c_str(), value)) {
-        case DoubleParseError::none: break;
+/// A duration's bound: at least `lo`, at most kMaxDurationMs.
+std::string ms_reason(nbiot::SimTime value, std::uint64_t lo) {
+    return bound_reason(value.count(), lo, kMaxDurationMs);
+}
+
+/// Reads a finite number into `out`; returns why it cannot, or "".
+std::string read_number(const In& in, double& out) {
+    switch (parse_strict_double(in.value.c_str(), out)) {
+        case DoubleParseError::none: return {};
         case DoubleParseError::empty: return "empty value";
         case DoubleParseError::not_number: return "not a number";
         case DoubleParseError::not_finite: return "not a finite number";
     }
-    if (!in_range(value)) return range;
-    out = value;
     return {};
 }
 
-bool non_negative(double value) { return value >= 0.0; }
-bool unit_interval(double value) { return value >= 0.0 && value < 1.0; }
+/// A number knob's domain, and the words that refuse a value outside it.
+struct Domain {
+    bool (*holds)(double);
+    const char* words;
+};
+constexpr Domain kNonNegative{[](double v) { return v >= 0.0; }, "value must be >= 0"};
+constexpr Domain kPositive{[](double v) { return v > 0.0; }, "value must be > 0"};
+constexpr Domain kUnitInterval{[](double v) { return v >= 0.0 && v < 1.0; },
+                               "value must be in [0, 1)"};
+
+/// Why the number `value` falls outside `domain`, or "".  A value that is
+/// not finite is refused in the parser's words for one.
+std::string number_reason(double value, Domain domain) {
+    if (!std::isfinite(value)) return "not a finite number";
+    return domain.holds(value) ? std::string() : domain.words;
+}
 
 std::string read_path(const In& in, std::string& out) {
     if (in.value.empty()) return "empty path";
@@ -67,10 +96,12 @@ std::string read_path(const In& in, std::string& out) {
     return {};
 }
 
-/// An output path; giving one turns its collection `mode` on.
+/// An output path.  Given as a flag it turns its collection `mode` on; a
+/// file key requires the mode instead (its `when`), and the row's check
+/// holds the pairing on a finished spec.
 std::string read_output(const In& in, std::string& path, bool& mode) {
     std::string reason = read_path(in, path);
-    if (reason.empty()) mode = true;
+    if (reason.empty() && in.flag) mode = true;
     return reason;
 }
 
@@ -159,7 +190,7 @@ std::string read_coordinator(Spec& spec, const In& in) {
     }
     if (!spec.coordinator || spec.coordinator->policy != *policy) {
         // A policy switch resets the policy's knobs.  0 is a valid stagger,
-        // so -1 marks one nobody gave yet; settle_coordinator rejects it
+        // so -1 marks one nobody gave yet; check_coordinator refuses it
         // unless the stagger row fills it.
         multicell::CoordinatorSpec fresh;
         fresh.policy = *policy;
@@ -169,25 +200,12 @@ std::string read_coordinator(Spec& spec, const In& in) {
     return {};
 }
 
-std::string settle_coordinator(const Spec& spec) {
-    if (!spec.coordinator) return {};
-    if (spec.coordinator->policy == StartPolicy::fixed_stagger &&
-        spec.coordinator->stagger_ms < 0) {
-        return "the fixed-stagger policy needs a stagger; it requires "
-               "coordinator.stagger_ms or --stagger-ms N";
-    }
-    if (spec.coordinator->policy == StartPolicy::backhaul_budgeted &&
-        !(spec.coordinator->backhaul_kbps > 0.0)) {
-        return "the backhaul policy needs a feed budget; it requires "
-               "coordinator.backhaul_kbps or --backhaul-kbps X";
-    }
-    return {};
-}
-
-// --- `when` rules (the input defaults so `get`s can ask them too) ---
+// --- `when` rules (the input defaults so `get`s and `check`s can ask them too) ---
 
 constexpr const char* kGrid = "a multicell grid ('cells' or --cells N)";
 constexpr const char* kSnapshot = "a snapshot path ('checkpoint.out' or --checkpoint-out FILE)";
+constexpr const char* kTraceMode = "telemetry = trace or full";
+constexpr const char* kMetricsMode = "telemetry = metrics or full";
 
 bool grid(const Spec& s, const In& = {}) { return s.is_multicell(); }
 bool hotspot(const Spec& s, const In& = {}) {
@@ -211,6 +229,55 @@ bool coordinator_allowed(const Spec& s, const In& in) {
     return s.is_multicell() || (in.flag && in.value == "none");
 }
 
+// --- `check` rules that read more than their own field ---
+
+/// The words of an unmet `needs`, as a `when` diagnostic prints them.
+std::string requirement(const char* needs) { return std::string("requires ") + needs; }
+
+/// An output path needs its collection mode.
+std::string output_reason(const std::string& path, bool mode, const char* needs) {
+    return path.empty() || mode ? std::string() : requirement(needs);
+}
+
+/// The checkpoint throttle and stop budget need a snapshot path.
+std::string snapshot_reason(const Spec& s, bool set) {
+    return !set || snapshot_path(s) ? std::string() : requirement(kSnapshot);
+}
+
+std::string check_coordinator(const Spec& s) {
+    if (!s.coordinator) return {};
+    if (!grid(s)) return requirement(kGrid);
+    if (fixed_stagger(s) && s.coordinator->stagger_ms < 0) {
+        return "the fixed-stagger policy needs a stagger; it requires "
+               "coordinator.stagger_ms or --stagger-ms N";
+    }
+    if (backhaul(s) && !(s.coordinator->backhaul_kbps > 0.0)) {
+        return "the backhaul policy needs a feed budget; it requires "
+               "coordinator.backhaul_kbps or --backhaul-kbps X";
+    }
+    if (!s.coordinator->valid()) {
+        return "invalid coordinator (policy-scoped knobs: stagger_ms >= 0 needs "
+               "fixed-stagger, finite backhaul_kbps > 0 and loss_prob in [0, 1) "
+               "need backhaul)";
+    }
+    return {};
+}
+
+std::string check_cell_down(const Spec& s) {
+    if (!s.cell_down) return {};
+    if (!grid(s)) return requirement(kGrid);
+    if (!s.cell_down->valid()) return "the outage time must be >= 1 ms";
+    if (s.cell_down->cell >= s.cell_count()) {
+        return "names cell " + std::to_string(s.cell_down->cell) + " but the topology has " +
+               std::to_string(s.cell_count()) + " cells";
+    }
+    return {};
+}
+
+std::string check_payload(const Spec& s) {
+    return bound_reason(s.payload_bytes, 1, kMaxPayloadBytes);
+}
+
 const KeyRow kRows[] = {
     {.key = "name",
      .set = [](Spec& s, const In& in) { s.name = in.value; return std::string(); },
@@ -232,45 +299,51 @@ const KeyRow kRows[] = {
      },
      .get = [](const Spec& s) { return text(s.profile.name); }},
     {.key = "batch_mean",
-     .set = [](Spec& s, const In& in) {
-         return read_number(in, s.profile.batch_mean, [](double v) { return v >= 1.0; },
-                            "value must be >= 1");
+     .set = [](Spec& s, const In& in) { return read_number(in, s.profile.batch_mean); },
+     .check = [](const Spec& s) {
+         return number_reason(s.profile.batch_mean,
+                              {[](double v) { return v >= 1.0; }, "value must be >= 1"});
      },
      .get = [](const Spec& s) {
          return text_unless(s.profile.batch_mean,
                             Registry::instance().profile(s.profile.name).batch_mean);
      }},
     {.key = "devices", .flag = "--devices",
-     .set = [](Spec& s, const In& in) {
-         return read_integer(in, s.device_count, 1, kMaxDevices);
-     },
+     .set = [](Spec& s, const In& in) { return read_integer(in, s.device_count); },
+     .check = [](const Spec& s) { return bound_reason(s.device_count, 1, kMaxDevices); },
      .get = [](const Spec& s) { return text(s.device_count); }},
     {.key = "payload_bytes",
-     .set = [](Spec& s, const In& in) {
-         return read_integer(in, s.payload_bytes, 1, kMaxPayloadBytes);
-     },
+     .set = [](Spec& s, const In& in) { return read_capped(in, s.payload_bytes); },
+     .check = check_payload,
      .get = [](const Spec& s) { return text(s.payload_bytes); }},
     {.key = "payload_kb", .flag = "--payload-kb",
      .set = [](Spec& s, const In& in) {
+         // The KB count's own cap keeps the x 1024 from wrapping.
          std::int64_t kb = 0;
-         std::string reason = read_integer(in, kb, 1, kMaxPayloadBytes / 1024);
+         std::string reason = read_integer(in, kb, 0, kMaxPayloadBytes / 1024);
          if (reason.empty()) s.payload_bytes = kb * 1024;
          return reason;
      },
+     .check = check_payload,
      .get = [](const Spec&) { return Text{}; },  // written as payload_bytes
      .same_as = "payload_bytes"},
     {.key = "runs", .flag = "--runs",
-     .set = [](Spec& s, const In& in) { return read_integer(in, s.runs, 1, kMaxRuns); },
+     .set = [](Spec& s, const In& in) { return read_integer(in, s.runs); },
+     .check = [](const Spec& s) { return bound_reason(s.runs, 1, kMaxRuns); },
      .get = [](const Spec& s) { return text(s.runs); }},
     {.key = "seed", .flag = "--seed",
-     .set = [](Spec& s, const In& in) { return read_integer(in, s.base_seed, 0); },
+     .set = [](Spec& s, const In& in) { return read_integer(in, s.base_seed); },
      .get = [](const Spec& s) { return text(s.base_seed); }},
     {.key = "threads", .flag = "--threads",
-     .set = [](Spec& s, const In& in) { return read_integer(in, s.threads, 0, kMaxThreads); },
+     .set = [](Spec& s, const In& in) { return read_integer(in, s.threads); },
+     .check = [](const Spec& s) { return bound_reason(s.threads, 0, kMaxThreads); },
      .get = [](const Spec& s) { return text_unless(s.threads, 0); },
      .results = false},
     {.key = "mechanisms",
      .set = read_mechanisms,
+     .check = [](const Spec& s) -> std::string {
+         return s.mechanisms.empty() ? "the mechanism list must not be empty" : "";
+     },
      .get = [](const Spec& s) {
          std::vector<std::string> names;
          for (const core::MechanismKind kind : s.mechanisms) {
@@ -279,10 +352,12 @@ const KeyRow kRows[] = {
          return text(join(names, ","));
      }},
     {.key = "ti_ms", .flag = "--ti-ms",
-     .set = [](Spec& s, const In& in) { return read_ms(in, s.config.inactivity_timer, 1); },
+     .set = [](Spec& s, const In& in) { return read_ms(in, s.config.inactivity_timer); },
+     .check = [](const Spec& s) { return ms_reason(s.config.inactivity_timer, 1); },
      .get = [](const Spec& s) { return text(s.config.inactivity_timer); }},
     {.key = "ra_guard_ms",
-     .set = [](Spec& s, const In& in) { return read_ms(in, s.config.ra_guard, 0); },
+     .set = [](Spec& s, const In& in) { return read_ms(in, s.config.ra_guard); },
+     .check = [](const Spec& s) { return ms_reason(s.config.ra_guard, 0); },
      .get = [](const Spec& s) { return text(s.config.ra_guard); }},
     {.key = "include_inactivity_tail",
      .set = [](Spec& s, const In& in) -> std::string {
@@ -295,45 +370,46 @@ const KeyRow kRows[] = {
          return Text{s.config.include_inactivity_tail ? "true" : "false"};
      }},
     {.key = "page_miss_prob",
-     .set = [](Spec& s, const In& in) {
-         return read_number(in, s.config.page_miss_prob, unit_interval,
-                            "value must be in [0, 1)");
-     },
+     .set = [](Spec& s, const In& in) { return read_number(in, s.config.page_miss_prob); },
+     .check = [](const Spec& s) { return number_reason(s.config.page_miss_prob, kUnitInterval); },
      .get = [](const Spec& s) { return text(s.config.page_miss_prob); }},
     {.key = "max_page_attempts",
-     .set = [](Spec& s, const In& in) {
-         return read_integer(in, s.config.max_page_attempts, 1);
-     },
+     .set = [](Spec& s, const In& in) { return read_integer(in, s.config.max_page_attempts); },
+     .check = [](const Spec& s) { return bound_reason(s.config.max_page_attempts, 1); },
      .get = [](const Spec& s) { return text(s.config.max_page_attempts); }},
     {.key = "background_ra_per_second",
      .set = [](Spec& s, const In& in) {
-         return read_number(
-             in, s.config.background_ra_per_second,
-             [](double v) { return v >= 0.0 && v <= kMaxBackgroundRaPerSecond; },
-             "value must be in [0, 1000]");
+         return read_number(in, s.config.background_ra_per_second);
+     },
+     .check = [](const Spec& s) {
+         return number_reason(s.config.background_ra_per_second,
+                              {[](double v) { return v >= 0.0 && v <= kMaxBackgroundRaPerSecond; },
+                               "value must be in [0, 1000]"});
      },
      .get = [](const Spec& s) { return text(s.config.background_ra_per_second); }},
     {.key = "max_page_records",
      .set = [](Spec& s, const In& in) {
-         return read_integer(in, s.config.paging.max_page_records, 1);
+         return read_integer(in, s.config.paging.max_page_records);
      },
+     .check = [](const Spec& s) { return bound_reason(s.config.paging.max_page_records, 1); },
      .get = [](const Spec& s) { return text(s.config.paging.max_page_records); }},
     {.key = "sc_ptm_mcch_period_ms",
-     .set = [](Spec& s, const In& in) { return read_ms(in, s.config.sc_ptm_mcch_period, 1); },
+     .set = [](Spec& s, const In& in) { return read_ms(in, s.config.sc_ptm_mcch_period); },
+     .check = [](const Spec& s) { return ms_reason(s.config.sc_ptm_mcch_period, 1); },
      .get = [](const Spec& s) { return text(s.config.sc_ptm_mcch_period); }},
     {.key = "strata", .flag = "--strata",
-     .set = [](Spec& s, const In& in) {
-         return read_integer(in, s.config.strata, 1, core::kMaxStrata);
-     },
+     .set = [](Spec& s, const In& in) { return read_integer(in, s.config.strata); },
+     .check = [](const Spec& s) { return bound_reason(s.config.strata, 1, core::kMaxStrata); },
      .get = [](const Spec& s) { return text_unless(s.config.strata, 1); }},
     {.key = "churn.leave_rate", .flag = "--churn-leave-rate", .shape = "X",
-     .set = [](Spec& s, const In& in) {
-         return read_number(in, s.config.churn.leave_rate, non_negative, "value must be >= 0");
-     },
+     .set = [](Spec& s, const In& in) { return read_number(in, s.config.churn.leave_rate); },
+     .check = [](const Spec& s) { return number_reason(s.config.churn.leave_rate, kNonNegative); },
      .get = [](const Spec& s) { return text_if(churn_on(s), s.config.churn.leave_rate); }},
     {.key = "churn.rejoin_ms", .flag = "--churn-rejoin-ms",
-     .set = [](Spec& s, const In& in) {
-         return read_integer(in, s.config.churn.rejoin_ms, 1, kMaxDurationMs);
+     .set = [](Spec& s, const In& in) { return read_capped(in, s.config.churn.rejoin_ms); },
+     .check = [](const Spec& s) {
+         // Enabled churn needs a rejoin time; the cap holds either way.
+         return bound_reason(s.config.churn.rejoin_ms, churn_on(s) ? 1U : 0U, kMaxDurationMs);
      },
      .get = [](const Spec& s) { return text_if(churn_on(s), s.config.churn.rejoin_ms); },
      .when = churn_on, .needs = "'churn.leave_rate' > 0 (or --churn-leave-rate X)"},
@@ -345,7 +421,8 @@ const KeyRow kRows[] = {
          return s.telemetry.trace ? "trace" : "metrics";
      }},
     {.key = "telemetry.bucket_ms",
-     .set = [](Spec& s, const In& in) { return read_integer(in, s.telemetry.bucket_ms, 1); },
+     .set = [](Spec& s, const In& in) { return read_integer(in, s.telemetry.bucket_ms); },
+     .check = [](const Spec& s) { return bound_reason(s.telemetry.bucket_ms, 1); },
      .get = [](const Spec& s) {
          return text_if(telemetry_on(s) && s.telemetry.bucket_ms != TelemetrySpec{}.bucket_ms,
                         s.telemetry.bucket_ms);
@@ -355,30 +432,46 @@ const KeyRow kRows[] = {
      .set = [](Spec& s, const In& in) {
          return read_output(in, s.telemetry.trace_out, s.telemetry.trace);
      },
+     .check = [](const Spec& s) {
+         return output_reason(s.telemetry.trace_out, s.telemetry.trace, kTraceMode);
+     },
      .get = [](const Spec& s) { return text_unless(s.telemetry.trace_out, ""); },
-     .when = trace_on, .needs = "telemetry = trace or full", .results = false},
+     .when = trace_on, .needs = kTraceMode, .results = false},
     {.key = "metrics_out", .flag = "--metrics-out", .shape = "FILE",
      .set = [](Spec& s, const In& in) {
          return read_output(in, s.telemetry.metrics_out, s.telemetry.metrics);
      },
+     .check = [](const Spec& s) {
+         return output_reason(s.telemetry.metrics_out, s.telemetry.metrics, kMetricsMode);
+     },
      .get = [](const Spec& s) { return text_unless(s.telemetry.metrics_out, ""); },
-     .when = metrics_on, .needs = "telemetry = metrics or full", .results = false},
+     .when = metrics_on, .needs = kMetricsMode, .results = false},
     {.key = "timeline_out", .flag = "--timeline-out", .shape = "FILE",
      .set = [](Spec& s, const In& in) {
          return read_output(in, s.telemetry.timeline_out, s.telemetry.trace);
      },
+     .check = [](const Spec& s) {
+         return output_reason(s.telemetry.timeline_out, s.telemetry.trace, kTraceMode);
+     },
      .get = [](const Spec& s) { return text_unless(s.telemetry.timeline_out, ""); },
-     .when = trace_on, .needs = "telemetry = trace or full", .results = false},
+     .when = trace_on, .needs = kTraceMode, .results = false},
     {.key = "checkpoint.out", .flag = "--checkpoint-out", .shape = "FILE",
      .set = [](Spec& s, const In& in) { return read_path(in, s.checkpoint.out); },
      .get = [](const Spec& s) { return text_unless(s.checkpoint.out, ""); },
      .results = false},
+    // The throttle and the stop budget are off at 0, which is spelled by
+    // leaving the key out: a given value starts at 1.
     {.key = "checkpoint.every_ms", .flag = "--checkpoint-every-ms",
      .set = [](Spec& s, const In& in) { return read_integer(in, s.checkpoint.every_ms, 1); },
+     .check = [](const Spec& s) {
+         std::string reason = bound_reason(s.checkpoint.every_ms, 0);
+         return reason.empty() ? snapshot_reason(s, s.checkpoint.every_ms != 0) : reason;
+     },
      .get = [](const Spec& s) { return text_unless(s.checkpoint.every_ms, 0); },
      .when = snapshot_path, .needs = kSnapshot, .results = false},
     {.key = "checkpoint.stop_after", .flag = "--checkpoint-stop-after",
      .set = [](Spec& s, const In& in) { return read_integer(in, s.checkpoint.stop_after, 1); },
+     .check = [](const Spec& s) { return snapshot_reason(s, s.checkpoint.stop_after != 0); },
      .get = [](const Spec& s) { return text_unless(s.checkpoint.stop_after, 0); },
      .when = snapshot_path, .needs = kSnapshot, .results = false},
     {.key = "checkpoint.resume", .flag = "--resume", .shape = "FILE",
@@ -388,12 +481,15 @@ const KeyRow kRows[] = {
     {.key = "cells", .flag = "--cells",
      .set = [](Spec& s, const In& in) {
          std::size_t cells = s.cell_count();
-         std::string reason = read_integer(in, cells, 1, kMaxCells);
+         std::string reason = read_integer(in, cells);
          if (reason.empty()) {
              if (!s.topology) s.topology.emplace();  // a hotspot base stays one
              s.topology->cells = cells;
          }
          return reason;
+     },
+     .check = [](const Spec& s) {
+         return grid(s) ? bound_reason(s.topology->cells, 1, kMaxCells) : "";
      },
      .get = [](const Spec& s) { return text_if(grid(s), s.cell_count()); }},
     {.key = "topology",
@@ -411,9 +507,9 @@ const KeyRow kRows[] = {
      },
      .when = grid, .needs = kGrid},
     {.key = "hotspot_exponent",
-     .set = [](Spec& s, const In& in) {
-         return read_number(in, s.topology->hotspot_exponent, non_negative,
-                            "value must be >= 0");
+     .set = [](Spec& s, const In& in) { return read_number(in, s.topology->hotspot_exponent); },
+     .check = [](const Spec& s) {
+         return grid(s) ? number_reason(s.topology->hotspot_exponent, kNonNegative) : "";
      },
      .get = [](const Spec& s) -> Text {
          if (!hotspot(s)) return {};
@@ -438,24 +534,23 @@ const KeyRow kRows[] = {
     {.key = "coordinator", .flag = "--coordinator",
      .shape = "simultaneous | fixed-stagger | backhaul | none",
      .set = read_coordinator,
+     .check = check_coordinator,
      .get = [](const Spec& s) -> Text {
          if (!s.coordinator) return {};
          return multicell::to_string(s.coordinator->policy);
      },
-     .when = coordinator_allowed, .needs = kGrid, .settle = settle_coordinator},
+     .when = coordinator_allowed, .needs = kGrid},
     {.key = "coordinator.stagger_ms", .flag = "--stagger-ms",
-     .set = [](Spec& s, const In& in) {
-         return read_integer(in, s.coordinator->stagger_ms, 0);
-     },
+     .set = [](Spec& s, const In& in) { return read_integer(in, s.coordinator->stagger_ms); },
      .get = [](const Spec& s) -> Text {
          if (!fixed_stagger(s)) return {};
          return text(s.coordinator->stagger_ms);
      },
      .when = fixed_stagger, .needs = "coordinator = fixed-stagger"},
     {.key = "coordinator.backhaul_kbps", .flag = "--backhaul-kbps", .shape = "X",
-     .set = [](Spec& s, const In& in) {
-         return read_number(in, s.coordinator->backhaul_kbps, [](double v) { return v > 0.0; },
-                            "value must be > 0");
+     .set = [](Spec& s, const In& in) { return read_number(in, s.coordinator->backhaul_kbps); },
+     .check = [](const Spec& s) {
+         return backhaul(s) ? number_reason(s.coordinator->backhaul_kbps, kPositive) : "";
      },
      .get = [](const Spec& s) -> Text {
          if (!backhaul(s)) return {};
@@ -463,9 +558,9 @@ const KeyRow kRows[] = {
      },
      .when = backhaul, .needs = "coordinator = backhaul"},
     {.key = "faults.backhaul_loss", .flag = "--backhaul-loss", .shape = "X",
-     .set = [](Spec& s, const In& in) {
-         return read_number(in, s.coordinator->loss_prob, unit_interval,
-                            "value must be in [0, 1)");
+     .set = [](Spec& s, const In& in) { return read_number(in, s.coordinator->loss_prob); },
+     .check = [](const Spec& s) {
+         return backhaul(s) ? number_reason(s.coordinator->loss_prob, kUnitInterval) : "";
      },
      .get = [](const Spec& s) -> Text {
          if (!backhaul(s) || s.coordinator->loss_prob == 0.0) return {};
@@ -481,6 +576,7 @@ const KeyRow kRows[] = {
          s.cell_down = *outage;
          return {};
      },
+     .check = check_cell_down,
      .get = [](const Spec& s) -> Text {
          if (!grid(s) || !s.cell_down) return {};
          return faults::format_cell_down(*s.cell_down);
@@ -518,8 +614,8 @@ std::string key_lines(const ScenarioSpec& spec, bool results_only) {
                "cell_down (faults.cell_down) instead");
     }
     if (spec.coordinator && !spec.topology) {
-        // Invalid anyway (validate rejects it); refusing keeps the
-        // coordinator keys from vanishing silently.
+        // Invalid anyway (the coordinator row's check refuses it); refusing
+        // keeps the coordinator keys from vanishing silently.
         refuse("coordinator requires a multicell topology (cells)");
     }
     // Deep config (timing/RACH/radio/signaling models, the paging geometry

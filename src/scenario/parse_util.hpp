@@ -3,17 +3,33 @@
 // table's values (keys.cpp) all read integers through parse_u64_in_range
 // and differ only in how they report its reason, so a rule change (e.g.
 // rejecting a new edge) or a message cannot silently miss one entry point.
+// bound_reason words an integer bound the same way for the key table's
+// checks, which hold the bounds of a finished spec.
 #pragma once
 
 #include <cctype>
 #include <cerrno>
 #include <cmath>
+#include <concepts>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace nbmg::scenario {
+
+/// Why `value` lies outside [lo, hi] ("value must be >= lo" or "value must
+/// be <= hi"), or "" inside it: the one wording of an integer bound.
+template <std::integral T>
+[[nodiscard]] std::string bound_reason(
+    T value, std::uint64_t lo,
+    std::uint64_t hi = std::numeric_limits<std::uint64_t>::max()) {
+    if (std::cmp_less(value, lo)) return "value must be >= " + std::to_string(lo);
+    if (std::cmp_greater(value, hi)) return "value must be <= " + std::to_string(hi);
+    return {};
+}
 
 /// `text` without leading and trailing whitespace.
 [[nodiscard]] inline std::string_view trim(std::string_view text) noexcept {
@@ -66,10 +82,9 @@ enum class U64ParseError : std::uint8_t {
         case U64ParseError::not_decimal: return "not a decimal integer";
         case U64ParseError::out_of_range: return "value out of range";
     }
-    if (value < lo) return "value must be >= " + std::to_string(lo);
-    if (value > hi) return "value must be <= " + std::to_string(hi);
-    out = value;
-    return {};
+    std::string reason = bound_reason(value, lo, hi);
+    if (reason.empty()) out = value;
+    return reason;
 }
 
 enum class DoubleParseError : std::uint8_t {

@@ -85,15 +85,16 @@ ScenarioSpec parse_scenario_text(std::string_view text,
             ctx.fail("bad value '" + input.value + "' for key '" + row.key + "': " + reason);
         }
     }
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        if (given[i].line == 0 || rows[i].settle == nullptr) continue;
-        if (const std::string reason = rows[i].settle(spec); !reason.empty()) {
-            ctx.line = given[i].line;
-            ctx.fail("bad value '" + given[i].value + "' for key '" + rows[i].key +
-                     "': " + reason);
-        }
+    // The given rows' checks on the finished spec, each at its own line;
+    // then validate() for the rows no line gave and the rules no row
+    // carries.
+    if (const Refusal refusal =
+            refused_row(spec, [&](std::size_t i) { return given[i].line != 0; })) {
+        const Given& at = given[static_cast<std::size_t>(refusal.row - rows.data())];
+        ctx.line = at.line;
+        ctx.fail("bad value '" + at.value + "' for key '" + refusal.row->key +
+                 "': " + refusal.reason);
     }
-
     try {
         spec.validate();
     } catch (const std::invalid_argument& error) {

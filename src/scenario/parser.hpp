@@ -10,7 +10,8 @@
 // The keys, their value domains and their dependency rules (e.g.
 // `topology` requires `cells`, `trace_out` requires telemetry = trace or
 // full) are the rows of the key table (scenario/keys.hpp); the parser
-// applies the given rows in table order, so keys may appear in any order.
+// applies the given rows in table order, so keys may appear in any order,
+// and reports a value a row's check refuses at the line that gave it.
 #pragma once
 
 #include <stdexcept>

@@ -29,45 +29,44 @@
 
 namespace nbmg::scenario {
 
-/// Upper bound on a scenario's cell count (the `cells` key, --cells and
-/// validate()).  Far above any grid the presets run (64 cells at most),
-/// and low enough that a mistyped count is refused before the engine sizes
-/// its per-cell state.
+/// Upper bound on a scenario's cell count (the `cells` row of the key
+/// table, scenario/keys.hpp).  Far above any grid the presets run (64
+/// cells at most), and low enough that a mistyped count is refused before
+/// the engine sizes its per-cell state.
 inline constexpr std::size_t kMaxCells = 4096;
 
-/// Upper bound on a scenario's device count (the `devices` key, --devices,
-/// the examples' positional counts and validate()): ten times the largest
-/// preset (megacell).  A mistyped count is refused before the engine
-/// reserves per-device state for it.
+/// Upper bound on a scenario's device count (the `devices` row, and the
+/// examples' positional counts): ten times the largest preset (megacell).
+/// A mistyped count is refused before the engine reserves per-device
+/// state for it.
 inline constexpr std::size_t kMaxDevices = 10'000'000;
 
-/// Upper bound on a scenario's run count (the `runs` key, --runs and
-/// validate()), refused before the engine reserves per-run state.
+/// Upper bound on a scenario's run count (the `runs` row), refused before
+/// the engine reserves per-run state.
 inline constexpr std::size_t kMaxRuns = 100'000;
 
-/// Upper bound on a scenario's worker-thread count (the `threads` key,
-/// --threads and validate()).  The engine asks its worker pool for up to
-/// one thread per task, so an unbounded count could spawn that many OS
-/// threads; a failed spawn would abort instead of exiting with a usage
-/// error.
+/// Upper bound on a scenario's worker-thread count (the `threads` row).
+/// The engine asks its worker pool for up to one thread per task, so an
+/// unbounded count could spawn that many OS threads; a failed spawn would
+/// abort instead of exiting with a usage error.
 inline constexpr std::size_t kMaxThreads = 1024;
 
-/// Upper bound on the millisecond durations `ti_ms`, `ra_guard_ms`,
-/// `sc_ptm_mcch_period_ms` and `churn.rejoin_ms` (the keys, their flags and
-/// validate()): 10^9 ms, about 11.6 days, 48 times the longest planning
-/// horizon (2 x the 10,485.76 s eDRX cycle).  The engine adds them to its
-/// horizons and instants, which a larger value could overflow.
+/// Upper bound on the millisecond durations of the `ti_ms`, `ra_guard_ms`,
+/// `sc_ptm_mcch_period_ms` and `churn.rejoin_ms` rows: 10^9 ms, about 11.6
+/// days, 48 times the longest planning horizon (2 x the 10,485.76 s eDRX
+/// cycle).  The engine adds them to its horizons and instants, which a
+/// larger value could overflow.
 inline constexpr std::int64_t kMaxDurationMs = 1'000'000'000;
 
-/// Upper bound on the payload (`payload_bytes`, `payload_kb` and
-/// validate()): 2^30 bytes, 1,024 times the firmware preset, so the radio
-/// model's bit and airtime arithmetic stays far inside int64.
+/// Upper bound on the payload (the `payload_bytes` and `payload_kb` rows):
+/// 2^30 bytes, 1,024 times the firmware preset, so the radio model's bit
+/// and airtime arithmetic stays far inside int64.
 inline constexpr std::int64_t kMaxPayloadBytes = std::int64_t{1} << 30;
 
-/// Upper bound on `background_ra_per_second` (the key and validate()).
-/// Background arrival gaps are whole milliseconds, so no rate past
-/// 1,000/s can be realized, and every arrival of the horizon is enrolled
-/// when a campaign starts: a larger rate only costs time and memory.
+/// Upper bound on the `background_ra_per_second` row.  Background arrival
+/// gaps are whole milliseconds, so no rate past 1,000/s can be realized,
+/// and every arrival of the horizon is enrolled when a campaign starts: a
+/// larger rate only costs time and memory.
 inline constexpr double kMaxBackgroundRaPerSecond = 1000.0;
 
 /// ScenarioSpec's default mechanism list.  (A range, not a braced list:
@@ -113,9 +112,9 @@ struct TelemetrySpec {
     /// Bucket width of the sim-time series (ms, >= 1).
     std::int64_t bucket_ms = 60'000;
     /// Output paths ("" = do not write the artifact).  trace_out and
-    /// timeline_out require `trace`; metrics_out requires `metrics`
-    /// (validate() enforces the pairing; the output keys and flags engage
-    /// the mode automatically).
+    /// timeline_out require `trace`; metrics_out requires `metrics` (the
+    /// output rows' checks hold the pairing; the output flags engage the
+    /// mode, a file key requires it).
     std::string trace_out{};
     std::string metrics_out{};
     std::string timeline_out{};
@@ -202,8 +201,10 @@ struct ScenarioSpec {
         return topology ? topology->cells : 1;
     }
 
-    /// Throws std::invalid_argument (message names the offending field) when
-    /// the spec cannot run.
+    /// Throws std::invalid_argument when the spec cannot run: a key-table
+    /// row's check refuses it (the message names the key;
+    /// scenario/keys.hpp), or the profile, the campaign config or the
+    /// grid's realization is invalid.
     void validate() const;
 
     /// Serializes the declarative subset to the scenario-file format, one

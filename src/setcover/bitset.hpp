@@ -38,10 +38,6 @@ public:
         return was_clear;
     }
 
-    void clear_all() noexcept {
-        for (std::uint64_t& w : words_) w = 0;
-    }
-
 private:
     std::size_t bits_ = 0;
     std::vector<std::uint64_t> words_;

@@ -21,53 +21,6 @@ bool event_before(const PoEvent& a, const PoEvent& b) noexcept {
     return a.device < b.device;
 }
 
-/// Sorts `events` into (at, device) order in linear time: a stable counting
-/// sort on the time's high bits, shifted so there is about one bucket per
-/// event, then an insertion sort inside each bucket (std::sort for a bucket
-/// of more than a few dozen events, e.g. every event at one instant).  The
-/// span is taken in unsigned arithmetic, so any SimTime buckets without
-/// overflow.
-void sort_events(std::vector<PoEvent>& events) {
-    const std::size_t n = events.size();
-    if (n < 2) return;
-    const auto [min_it, max_it] = std::minmax_element(
-        events.begin(), events.end(),
-        [](const PoEvent& a, const PoEvent& b) { return a.at < b.at; });
-    const auto lo = static_cast<std::uint64_t>(min_it->at.count());
-    const std::uint64_t span = static_cast<std::uint64_t>(max_it->at.count()) - lo;
-    // The smallest shift with (span >> shift) < n, so at most n buckets.
-    const auto shift = static_cast<unsigned>(std::bit_width(span / n));
-    const auto bucket_of = [lo, shift](const PoEvent& e) {
-        return static_cast<std::size_t>((static_cast<std::uint64_t>(e.at.count()) - lo) >>
-                                        shift);
-    };
-
-    // first[b] counts bucket b, then (prefix sums) ends it, then (the
-    // back-to-front scatter) starts it; first.back() stays n.
-    std::vector<std::size_t> first((span >> shift) + 2, 0);
-    for (const PoEvent& e : events) ++first[bucket_of(e)];
-    std::inclusive_scan(first.begin(), first.end(), first.begin());
-    std::vector<PoEvent> sorted(n);
-    for (std::size_t i = n; i-- > 0;) sorted[--first[bucket_of(events[i])]] = events[i];
-
-    constexpr std::size_t kInsertionSortMax = 32;
-    for (std::size_t b = 0; b + 1 < first.size(); ++b) {
-        PoEvent* const begin = sorted.data() + first[b];
-        PoEvent* const end = sorted.data() + first[b + 1];
-        if (static_cast<std::size_t>(end - begin) > kInsertionSortMax) {
-            std::sort(begin, end, event_before);
-            continue;
-        }
-        for (PoEvent* i = begin + 1; i < end; ++i) {
-            const PoEvent e = *i;
-            PoEvent* j = i;
-            for (; j != begin && event_before(e, *(j - 1)); --j) *j = *(j - 1);
-            *j = e;
-        }
-    }
-    events.swap(sorted);
-}
-
 /// `copies` back-to-back copies of one period of (time, device)-ordered
 /// events, copy c shifted by c × `period`, read in place: virtual index
 /// v = c × n + i is event i of copy c (n = events.size()).  The events span
@@ -696,7 +649,7 @@ WindowCoverResult greedy_window_cover(std::vector<PoEvent> period_events,
     if (!period_events.empty()) {
         check_window_end("greedy_window_cover", scan.hi, shift, window);
     }
-    if (!scan.ordered) sort_events(period_events);
+    if (!scan.ordered) std::sort(period_events.begin(), period_events.end(), event_before);
     return cover_sorted(std::move(period_events), period, copies, window, device_count,
                         rng);
 }
@@ -706,7 +659,7 @@ WindowCoverResult greedy_window_cover(std::vector<PoEvent> events, sim::SimTime 
                                       sim::RandomStream& rng) {
     const EventScan scan = check_events(events, window, device_count);
     if (!events.empty()) check_window_end("greedy_window_cover", scan.hi, 0, window);
-    if (!scan.ordered) sort_events(events);
+    if (!scan.ordered) std::sort(events.begin(), events.end(), event_before);
     // One copy: the period is never read.
     return cover_sorted(std::move(events), sim::SimTime{0}, 1, window, device_count, rng);
 }
@@ -720,7 +673,7 @@ SetCoverInstance to_set_cover_instance(const std::vector<PoEvent>& events,
         check_window_end("to_set_cover_instance", latest->at.count(), 0, window);
     }
     std::vector<PoEvent> sorted = events;
-    sort_events(sorted);
+    std::sort(sorted.begin(), sorted.end(), event_before);
 
     std::vector<std::vector<Element>> sets;
     sets.reserve(sorted.size());

@@ -10,7 +10,7 @@
 // Only windows anchored at PO events need to be considered: shifting a
 // window left until its start touches a PO never loses coverage.  Events
 // already in (time, device) order (DR-SC generates them so) skip the
-// sort; others are put in that order in linear time.  Early rounds rescan
+// sort; others are put in that order by std::sort.  Early rounds rescan
 // every anchor; then the greedy runs lazily: anchors are bucketed by their
 // last exactly evaluated coverage (a valid upper bound, since coverage only
 // shrinks as devices are covered), so a round re-evaluates only the
@@ -72,8 +72,7 @@ struct WindowCoverResult {
 /// period of PO events, copy c shifted by c × `period`, without building
 /// the copies.  `period_events` may come in any order; unless they already
 /// come in (time, device) order (checked in the input validation's pass),
-/// they are put in that order in linear time (a counting sort on the
-/// time's high bits).  `device_count` bounds the device ids.  `window` is TI (inclusive
+/// they are sorted into it.  `device_count` bounds the device ids.  `window` is TI (inclusive
 /// window [s, s+window]).  Ties between equally good windows are broken
 /// uniformly at random via `rng`.  The windows, their device lists,
 /// `uncoverable` and the draws from `rng` equal those of the flat call

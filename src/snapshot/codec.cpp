@@ -12,11 +12,6 @@ namespace {
 // (4), stratum (2), kind (1).
 constexpr std::uint64_t kTraceRecordBytes = 31;
 
-void put_buckets(Writer& w, const telemetry::CampaignSink& sink,
-                 telemetry::EventKind kind) {
-    w.put_u64_vector(sink.series(kind));
-}
-
 }  // namespace
 
 void put_summary(Writer& w, const stats::Summary& summary) {
@@ -41,9 +36,9 @@ void put_sink(Writer& w, const telemetry::CampaignSink& sink) {
     }
     w.put_u64(telemetry::kEventKindCount);
     for (const std::uint64_t counter : sink.counters()) w.put_u64(counter);
-    put_buckets(w, sink, telemetry::EventKind::rach_attempt);
-    put_buckets(w, sink, telemetry::EventKind::rach_collision);
-    put_buckets(w, sink, telemetry::EventKind::page_delivered);
+    for (const telemetry::EventKind kind : telemetry::kBucketedKinds) {
+        w.put_u64_vector(sink.series(kind));
+    }
 }
 
 void restore_sink(Reader& r, telemetry::CampaignSink& sink) {
@@ -75,11 +70,9 @@ void restore_sink(Reader& r, telemetry::CampaignSink& sink) {
     for (std::uint64_t k = 0; k < telemetry::kEventKindCount; ++k) {
         counters[k] = r.take_u64();
     }
-    std::vector<std::uint64_t> rach_attempt = r.take_u64_vector();
-    std::vector<std::uint64_t> rach_collision = r.take_u64_vector();
-    std::vector<std::uint64_t> page_delivered = r.take_u64_vector();
-    sink.restore(std::move(records), counters, std::move(rach_attempt),
-                 std::move(rach_collision), std::move(page_delivered));
+    telemetry::CampaignSink::SeriesSet series;
+    for (std::vector<std::uint64_t>& buckets : series) buckets = r.take_u64_vector();
+    sink.restore(std::move(records), counters, std::move(series));
 }
 
 }  // namespace nbmg::snapshot

@@ -13,12 +13,11 @@
 namespace nbmg::snapshot {
 
 /// Welford state, lossless: count u64, then mean/m2/min/max as IEEE-754
-/// bit patterns (stats::Summary::from_state rebuilds a bit-identical
-/// accumulator).  The single-cell golden digests hash these bytes.
+/// bit patterns.  The single-cell golden digests hash these bytes.
 void put_summary(Writer& w, const stats::Summary& summary);
 
-/// Everything a sink recorded: trace records, dense counters, the three
-/// bucketed series.  Config and stratum are identity (recreated by the
+/// Everything a sink recorded: trace records, dense counters, the
+/// bucketed series in telemetry::kBucketedKinds order.  Config and stratum are identity (recreated by the
 /// resuming run), not payload.
 void put_sink(Writer& w, const telemetry::CampaignSink& sink);
 

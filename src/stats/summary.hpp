@@ -44,18 +44,6 @@ public:
         return State{count_, mean_, m2_, min_, max_};
     }
 
-    /// Rebuilds a summary from a state() snapshot, bit-identical to the
-    /// original accumulator.
-    [[nodiscard]] static Summary from_state(const State& s) noexcept {
-        Summary out;
-        out.count_ = s.count;
-        out.mean_ = s.mean;
-        out.m2_ = s.m2;
-        out.min_ = s.min;
-        out.max_ = s.max;
-        return out;
-    }
-
 private:
     std::uint64_t count_ = 0;
     double mean_ = 0.0;

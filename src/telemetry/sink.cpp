@@ -5,43 +5,45 @@
 namespace nbmg::telemetry {
 
 namespace {
+
 const std::vector<std::uint64_t> kEmptySeries;
+
+/// Every kind's index into kBucketedKinds; kNoSeries for the kinds without
+/// a series.
+constexpr std::size_t kNoSeries = kBucketedKinds.size();
+constexpr std::array<std::size_t, kEventKindCount> kSeriesIndex = [] {
+    std::array<std::size_t, kEventKindCount> index{};
+    index.fill(kNoSeries);
+    for (std::size_t i = 0; i < kBucketedKinds.size(); ++i) {
+        index[static_cast<std::size_t>(kBucketedKinds[i])] = i;
+    }
+    return index;
+}();
+
+std::size_t series_index(EventKind kind) noexcept {
+    return kSeriesIndex[static_cast<std::size_t>(kind)];
+}
+
 }  // namespace
 
 bool CampaignSink::bucketed(EventKind kind) noexcept {
-    return kind == EventKind::rach_attempt || kind == EventKind::rach_collision ||
-           kind == EventKind::page_delivered;
+    return series_index(kind) != kNoSeries;
 }
 
 const std::vector<std::uint64_t>& CampaignSink::series(EventKind kind) const {
-    switch (kind) {
-        case EventKind::rach_attempt: return rach_attempt_buckets_;
-        case EventKind::rach_collision: return rach_collision_buckets_;
-        case EventKind::page_delivered: return page_delivered_buckets_;
-        default: return kEmptySeries;
-    }
-}
-
-void CampaignSink::bump_bucket(std::vector<std::uint64_t>& buckets,
-                               std::int64_t at_ms) {
-    const std::int64_t clamped = at_ms < 0 ? 0 : at_ms;
-    const auto index = static_cast<std::size_t>(clamped / config_.bucket_ms);
-    if (buckets.size() <= index) buckets.resize(index + 1, 0);
-    ++buckets[index];
+    const std::size_t index = series_index(kind);
+    return index == kNoSeries ? kEmptySeries : series_[index];
 }
 
 void CampaignSink::count(EventKind kind, std::int64_t at_ms) {
     ++counters_[static_cast<std::size_t>(kind)];
-    switch (kind) {
-        case EventKind::rach_attempt: bump_bucket(rach_attempt_buckets_, at_ms); break;
-        case EventKind::rach_collision:
-            bump_bucket(rach_collision_buckets_, at_ms);
-            break;
-        case EventKind::page_delivered:
-            bump_bucket(page_delivered_buckets_, at_ms);
-            break;
-        default: break;
-    }
+    const std::size_t index = series_index(kind);
+    if (index == kNoSeries) return;
+    std::vector<std::uint64_t>& buckets = series_[index];
+    const std::int64_t clamped = at_ms < 0 ? 0 : at_ms;
+    const auto bucket = static_cast<std::size_t>(clamped / config_.bucket_ms);
+    if (buckets.size() <= bucket) buckets.resize(bucket + 1, 0);
+    ++buckets[bucket];
 }
 
 void CampaignSink::absorb(const CampaignSink& child) {
@@ -49,26 +51,20 @@ void CampaignSink::absorb(const CampaignSink& child) {
     for (std::size_t k = 0; k < kEventKindCount; ++k) {
         counters_[k] += child.counters_[k];
     }
-    const auto add_buckets = [](std::vector<std::uint64_t>& into,
-                                const std::vector<std::uint64_t>& from) {
+    for (std::size_t s = 0; s < series_.size(); ++s) {
+        std::vector<std::uint64_t>& into = series_[s];
+        const std::vector<std::uint64_t>& from = child.series_[s];
         if (into.size() < from.size()) into.resize(from.size(), 0);
         for (std::size_t i = 0; i < from.size(); ++i) into[i] += from[i];
-    };
-    add_buckets(rach_attempt_buckets_, child.rach_attempt_buckets_);
-    add_buckets(rach_collision_buckets_, child.rach_collision_buckets_);
-    add_buckets(page_delivered_buckets_, child.page_delivered_buckets_);
+    }
 }
 
 void CampaignSink::restore(std::vector<TraceRecord> records,
                            const std::array<std::uint64_t, kEventKindCount>& counters,
-                           std::vector<std::uint64_t> rach_attempt_buckets,
-                           std::vector<std::uint64_t> rach_collision_buckets,
-                           std::vector<std::uint64_t> page_delivered_buckets) {
+                           SeriesSet series) {
     records_ = std::move(records);
     counters_ = counters;
-    rach_attempt_buckets_ = std::move(rach_attempt_buckets);
-    rach_collision_buckets_ = std::move(rach_collision_buckets);
-    page_delivered_buckets_ = std::move(page_delivered_buckets);
+    series_ = std::move(series);
 }
 
 }  // namespace nbmg::telemetry

@@ -36,8 +36,17 @@ struct TelemetryConfig {
     bool operator==(const TelemetryConfig&) const = default;
 };
 
+/// The kinds a sink keeps a sim-time series for, in wire order: a
+/// checkpoint writes and reads the series in this order
+/// (snapshot/codec.cpp).
+inline constexpr std::array kBucketedKinds{EventKind::rach_attempt, EventKind::rach_collision,
+                                           EventKind::page_delivered};
+
 class CampaignSink {
 public:
+    /// One sim-time series per bucketed kind, in kBucketedKinds order.
+    using SeriesSet = std::array<std::vector<std::uint64_t>, kBucketedKinds.size()>;
+
     /// A default-constructed sink is disabled: every emit is a no-op.
     CampaignSink() = default;
 
@@ -81,9 +90,7 @@ public:
     /// restore() fills in what it had recorded.
     void restore(std::vector<TraceRecord> records,
                  const std::array<std::uint64_t, kEventKindCount>& counters,
-                 std::vector<std::uint64_t> rach_attempt_buckets,
-                 std::vector<std::uint64_t> rach_collision_buckets,
-                 std::vector<std::uint64_t> page_delivered_buckets);
+                 SeriesSet series);
 
     [[nodiscard]] const std::vector<TraceRecord>& records() const noexcept {
         return records_;
@@ -105,15 +112,12 @@ public:
 
 private:
     void count(EventKind kind, std::int64_t at_ms);
-    void bump_bucket(std::vector<std::uint64_t>& buckets, std::int64_t at_ms);
 
     TelemetryConfig config_{};
     std::uint16_t stratum_ = kNoStratum;
     std::vector<TraceRecord> records_;
     std::array<std::uint64_t, kEventKindCount> counters_{};
-    std::vector<std::uint64_t> rach_attempt_buckets_;
-    std::vector<std::uint64_t> rach_collision_buckets_;
-    std::vector<std::uint64_t> page_delivered_buckets_;
+    SeriesSet series_{};
 };
 
 }  // namespace nbmg::telemetry

@@ -99,13 +99,6 @@ std::vector<GeneratedDevice> generate_population(const PopulationProfile& profil
     return devices;
 }
 
-DrxCycle max_cycle(const std::vector<GeneratedDevice>& devices) {
-    if (devices.empty()) throw std::invalid_argument("max_cycle: empty population");
-    DrxCycle best = devices.front().spec.cycle;
-    for (const auto& d : devices) best = std::max(best, d.spec.cycle);
-    return best;
-}
-
 std::vector<nbiot::UeSpec> to_specs(const std::vector<GeneratedDevice>& devices) {
     std::vector<nbiot::UeSpec> specs;
     specs.reserve(devices.size());

@@ -60,9 +60,6 @@ struct GeneratedDevice {
 [[nodiscard]] std::vector<GeneratedDevice> generate_population(
     const PopulationProfile& profile, std::size_t count, sim::RandomStream& rng);
 
-/// Longest DRX cycle present in a population (defines the planning horizon).
-[[nodiscard]] nbiot::DrxCycle max_cycle(const std::vector<GeneratedDevice>& devices);
-
 /// Converts to the plain UeSpec list used by planners and the cell.
 [[nodiscard]] std::vector<nbiot::UeSpec> to_specs(
     const std::vector<GeneratedDevice>& devices);

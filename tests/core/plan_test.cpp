@@ -496,7 +496,9 @@ TEST(ScPtmPlanTest, BroadcastToAllWithoutPaging) {
     const MulticastPlan plan = plan_with(MechanismKind::sc_ptm, devices, config);
     ASSERT_EQ(plan.transmissions.size(), 1u);
     EXPECT_EQ(plan.transmissions.front().devices.size(), devices.size());
-    EXPECT_EQ(plan.paging_entries, 0u);
+    for (const DeviceSchedule& schedule : plan.schedules) {
+        EXPECT_FALSE(schedule.page_at || schedule.adjustment || schedule.mltc);
+    }
     EXPECT_GT(plan.transmissions.front().start, config.sc_ptm_mcch_period);
 }
 

@@ -23,7 +23,6 @@ TEST_F(PagingSchedulerTest, EnqueueLandsOnDevicePo) {
     const auto slot = sched.enqueue_record(DeviceId{0}, phase, SimTime{0}, kFar);
     ASSERT_TRUE(slot.has_value());
     EXPECT_TRUE(phase.is_po(*slot));
-    EXPECT_EQ(sched.total_entries(), 1u);
 }
 
 TEST_F(PagingSchedulerTest, EnqueueRespectsNotBefore) {
@@ -116,16 +115,6 @@ TEST_F(PagingSchedulerTest, ForceEnqueueSkipsCongruenceCheck) {
     const SimTime anywhere{123'456};
     EXPECT_TRUE(sched.force_enqueue_record_at(DeviceId{0}, anywhere));
     EXPECT_FALSE(sched.force_enqueue_record_at(DeviceId{1}, anywhere));
-}
-
-TEST_F(PagingSchedulerTest, TotalEntriesAccumulates) {
-    PagingScheduler sched(16, 5);
-    const DrxCycle cycle = drx::seconds_20_48();
-    for (std::uint32_t i = 0; i < 5; ++i) {
-        (void)sched.enqueue_record(DeviceId{i}, paging_.phase(Imsi{1000 + i}, cycle),
-                                   SimTime{0}, kFar);
-    }
-    EXPECT_EQ(sched.total_entries(), 5u);
 }
 
 }  // namespace

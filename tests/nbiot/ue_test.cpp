@@ -70,7 +70,7 @@ TEST_F(UeTest, PageNormalConnectsAndWaits) {
     bool connected = false;
     Ue::Hooks hooks;
     hooks.on_connected = [&](DeviceId, SimTime) { connected = true; };
-    ue.set_hooks(std::move(hooks));
+    cell_.set_ue_hooks(std::move(hooks));
 
     const SimTime po = po_of(ue);
     cell_.simulation().queue().schedule_at(po, [&] { ue.page_normal(); });
@@ -103,7 +103,7 @@ TEST_F(UeTest, ReceptionChargesWaitRxAndRelease) {
     };
     bool released = false;
     hooks.on_released = [&](DeviceId, SimTime) { released = true; };
-    ue.set_hooks(std::move(hooks));
+    cell_.set_ue_hooks(std::move(hooks));
     cell_.simulation().queue().schedule_at(po_of(ue), [&] { ue.page_normal(); });
     run();
     EXPECT_TRUE(released);
@@ -119,7 +119,7 @@ TEST_F(UeTest, WaitBucketCoversConnectedToReceptionGap) {
     SimTime connected_at{0};
     Ue::Hooks hooks;
     hooks.on_connected = [&](DeviceId, SimTime at) { connected_at = at; };
-    ue.set_hooks(std::move(hooks));
+    cell_.set_ue_hooks(std::move(hooks));
     const SimTime po = po_of(ue);
     cell_.simulation().queue().schedule_at(po, [&] { ue.page_normal(); });
     const SimTime tx_start = po + SimTime{8'000};
@@ -136,7 +136,7 @@ TEST_F(UeTest, InactivityTailChargedAsWait) {
     hooks.on_connected = [&](DeviceId, SimTime at) {
         ue.begin_reception(at + SimTime{1'000}, SimTime{10'000});
     };
-    ue.set_hooks(std::move(hooks));
+    cell_.set_ue_hooks(std::move(hooks));
     cell_.simulation().queue().schedule_at(po_of(ue), [&] { ue.page_normal(); });
     run();
     EXPECT_EQ(ue.energy().uptime(PowerState::connected_wait), SimTime{10'000});
@@ -150,7 +150,7 @@ TEST_F(UeTest, MltcSetsT322AndConnectsWithMulticastCause) {
     SimTime connected_at{0};
     Ue::Hooks hooks;
     hooks.on_connected = [&](DeviceId, SimTime at) { connected_at = at; };
-    ue.set_hooks(std::move(hooks));
+    cell_.set_ue_hooks(std::move(hooks));
     cell_.simulation().queue().schedule_at(po, [&] { ue.page_mltc(wake); });
     run();
     EXPECT_GT(connected_at, wake);
@@ -227,7 +227,7 @@ TEST_F(UeTest, RestoreAfterReceptionRestoresCycle) {
     hooks.on_connected = [&](DeviceId, SimTime at) {
         ue.begin_reception(at + SimTime{5'000}, SimTime{0});
     };
-    ue.set_hooks(std::move(hooks));
+    cell_.set_ue_hooks(std::move(hooks));
     run();
     EXPECT_TRUE(ue.payload_received());
     EXPECT_EQ(ue.current_cycle(), drx::seconds_163_84());
@@ -266,7 +266,7 @@ TEST_F(UeTest, PoAtTheRestoreInstantCountsUnderTheAdaptedCycle) {
         ue.begin_reception(restore_at - tail - restore_signaling, tail);
     };
     hooks.on_released = [&](DeviceId, SimTime at) { releases.push_back(at); };
-    ue.set_hooks(std::move(hooks));
+    cell_.set_ue_hooks(std::move(hooks));
     const SimTime po = po_of(ue);
     cell_.simulation().queue().schedule_at(po, [&] { ue.page_for_reconfig(adapted); });
     const SimTime second_page = po + SimTime{8 * adapted.period_ms()};
@@ -377,7 +377,7 @@ TEST_F(UeTest, ReleaseWithoutReceptionReturnsIdleUnreceived) {
     ue.start_monitoring(SimTime{400'000});
     Ue::Hooks hooks;
     hooks.on_connected = [&](DeviceId, SimTime) { ue.release_without_reception(); };
-    ue.set_hooks(std::move(hooks));
+    cell_.set_ue_hooks(std::move(hooks));
     cell_.simulation().queue().schedule_at(po_of(ue), [&] { ue.page_normal(); });
     run();
     EXPECT_EQ(ue.state(), UeState::idle);

@@ -1,7 +1,9 @@
 // The scenario key table walked row by row: a value given as a file key
-// and as the row's flag resolves to the same spec, and the checkpoint
-// fingerprint moves with exactly the results rows.  Every row needs a
-// sample below, so a new knob cannot join the table untested.
+// and as the row's flag resolves to the same spec, the checkpoint
+// fingerprint moves with exactly the results rows, and every row's check
+// refuses a value its `set` accepts at every entry point (validate(), the
+// file line).  Every row needs a sample below, and every checked row a
+// refused value, so a new knob or rule cannot join the table untested.
 #include "scenario/keys.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -76,6 +79,54 @@ const std::map<std::string, Sample>& samples() {
     return table;
 }
 
+/// A value the row's check refuses while its `set` accepts it.  It is set
+/// on the row's sample spec, or on the spec of `context` when one is given
+/// (a context without the sample's prerequisite, e.g. an output path
+/// without its telemetry mode), and given on a line after that context.
+struct RefusedValue {
+    const char* value;
+    const char* context = nullptr;
+};
+
+const std::map<std::string, RefusedValue>& refusals() {
+    static const std::map<std::string, RefusedValue> table{
+        {"batch_mean", {"0.5"}},
+        {"devices", {"0"}},
+        {"payload_bytes", {"0"}},
+        {"payload_kb", {"0"}},
+        {"runs", {"0"}},
+        {"threads", {"1025"}},
+        {"ti_ms", {"0"}},
+        {"ra_guard_ms", {"1000000001"}},
+        {"page_miss_prob", {"1"}},
+        {"max_page_attempts", {"0"}},
+        {"background_ra_per_second", {"1000.5"}},
+        {"max_page_records", {"0"}},
+        {"sc_ptm_mcch_period_ms", {"0"}},
+        {"strata", {"33"}},
+        {"churn.leave_rate", {"-1", ""}},
+        {"churn.rejoin_ms", {"0"}},
+        {"telemetry.bucket_ms", {"0"}},
+        {"trace_out", {"a.jsonl", ""}},
+        {"metrics_out", {"a.csv", ""}},
+        {"timeline_out", {"a.json", ""}},
+        {"checkpoint.every_ms", {"100", ""}},
+        {"checkpoint.stop_after", {"2", ""}},
+        {"cells", {"0"}},
+        {"hotspot_exponent", {"-1"}},
+        {"coordinator", {"fixed-stagger"}},
+        {"coordinator.backhaul_kbps", {"0"}},
+        {"faults.backhaul_loss", {"1"}},
+        {"faults.cell_down", {"4@1000"}},
+    };
+    return table;
+}
+
+/// Checked rows no file line or flag can break: the parser refuses an
+/// empty mechanism name, so only a hand-built spec reaches the empty-list
+/// rule (spec_test pins it).
+const std::set<std::string> kHandBuiltOnly{"mechanisms"};
+
 /// The rows a snapshot may differ in and still resume; every other row
 /// changes results.
 const std::set<std::string> kResumable{
@@ -126,6 +177,7 @@ TEST(ScenarioKeyTableTest, FingerprintMovesWithExactlyTheResultsRows) {
 }
 
 TEST(ScenarioKeyTableTest, BackgroundRaRateStopsAtItsCap) {
+    // The row's set reads any finite rate; its check holds the cap.
     const auto row = std::ranges::find_if(scenario_keys(), [](const KeyRow& r) {
         return std::string_view(r.key) == "background_ra_per_second";
     });
@@ -133,10 +185,62 @@ TEST(ScenarioKeyTableTest, BackgroundRaRateStopsAtItsCap) {
     ScenarioSpec spec;
     EXPECT_EQ(row->set(spec, KeyInput{"1000"}), "");
     EXPECT_EQ(spec.config.background_ra_per_second, kMaxBackgroundRaPerSecond);
+    EXPECT_EQ(row->check(spec), "");
     for (const char* past : {"1000.5", "1e5"}) {
-        EXPECT_EQ(row->set(spec, KeyInput{past}), "value must be in [0, 1000]") << past;
+        EXPECT_EQ(row->set(spec, KeyInput{past}), "") << past;
+        EXPECT_EQ(row->check(spec), "value must be in [0, 1000]") << past;
     }
-    EXPECT_EQ(spec.config.background_ra_per_second, kMaxBackgroundRaPerSecond);
+}
+
+TEST(ScenarioKeyTableTest, EveryCheckedRowHasARefusedValue) {
+    for (const KeyRow& row : scenario_keys()) {
+        const bool sampled = refusals().count(row.key) == 1;
+        if (row.check == nullptr || kHandBuiltOnly.count(row.key) == 1) {
+            EXPECT_FALSE(sampled) << row.key << " has no check to refuse a value";
+        } else {
+            EXPECT_TRUE(sampled) << "add a refused value for " << row.key;
+        }
+    }
+}
+
+TEST(ScenarioKeyTableTest, EveryCheckRefusesAtEveryEntryPoint) {
+    for (const KeyRow& row : scenario_keys()) {
+        if (refusals().count(row.key) == 0 || samples().count(row.key) == 0) continue;
+        SCOPED_TRACE(row.key);
+        const Sample& sample = samples().at(row.key);
+        const RefusedValue& refusal = refusals().at(row.key);
+        const std::string context =
+            refusal.context != nullptr ? refusal.context : sample.context;
+
+        // The row's set takes the value: the bound is the check's alone.
+        ScenarioSpec spec = refusal.context != nullptr
+                                ? parse_scenario_text(context)
+                                : parse_with(row, sample, sample.value);
+        EXPECT_EQ(row.set(spec, KeyInput{refusal.value}), "");
+
+        // A spec holding it fails validate(), naming the key (or, for a
+        // row sharing a field, the field's key).
+        const std::string named =
+            std::string("key '") + (row.same_as != nullptr ? row.same_as : row.key) + "'";
+        try {
+            spec.validate();
+            ADD_FAILURE() << "validate() accepted " << refusal.value;
+        } catch (const std::invalid_argument& error) {
+            EXPECT_NE(std::string(error.what()).find(named), std::string::npos)
+                << error.what();
+        }
+
+        // The same value on a file line fails at that line.
+        const std::string text = context + row.key + " = " + refusal.value + "\n";
+        const std::string at =
+            "refused.scenario:" + std::to_string(std::ranges::count(text, '\n')) + ":";
+        try {
+            (void)parse_scenario_text(text, "refused.scenario");
+            ADD_FAILURE() << "the parser accepted:\n" << text;
+        } catch (const ScenarioError& error) {
+            EXPECT_EQ(std::string(error.what()).rfind(at, 0), 0u) << error.what();
+        }
+    }
 }
 
 }  // namespace

@@ -103,8 +103,9 @@ TEST(ScenarioSpecTest, ValidationNamesTheOffendingField) {
     EXPECT_THROW(ScenarioSpec{.mechanisms = {}}.validate(), std::invalid_argument);
     EXPECT_THROW(ScenarioSpec{.topology = hotspot(4, -1.0)}.validate(),
                  std::invalid_argument);
-    // A hand-built spec meets the same bounds as the `cells`, `devices`,
-    // `runs`, payload and duration keys: the cap passes, one more throws.
+    // A hand-built spec meets the same rows' checks as the `cells`,
+    // `devices`, `runs`, payload and duration keys: the cap passes, one
+    // more throws, and the message names the key and its bound.
     const auto expect_rejected = [](const ScenarioSpec& spec, const std::string& message) {
         try {
             spec.validate();
@@ -119,22 +120,22 @@ TEST(ScenarioSpecTest, ValidationNamesTheOffendingField) {
                  std::invalid_argument);
     EXPECT_NO_THROW(ScenarioSpec{.device_count = kMaxDevices}.validate());
     expect_rejected(ScenarioSpec{.device_count = kMaxDevices + 1},
-                    "devices must be in [1, 10000000]");
+                    "key 'devices': value must be <= 10000000");
     EXPECT_NO_THROW(ScenarioSpec{.runs = kMaxRuns}.validate());
-    expect_rejected(ScenarioSpec{.runs = kMaxRuns + 1}, "runs must be in [1, 100000]");
+    expect_rejected(ScenarioSpec{.runs = kMaxRuns + 1}, "key 'runs': value must be <= 100000");
     EXPECT_NO_THROW(ScenarioSpec{.threads = kMaxThreads}.validate());
-    expect_rejected(ScenarioSpec{.threads = kMaxThreads + 1}, "threads must be <= 1024");
+    expect_rejected(ScenarioSpec{.threads = kMaxThreads + 1}, "key 'threads': value must be <= 1024");
     expect_rejected(ScenarioSpec{.threads = std::numeric_limits<std::size_t>::max()},
-                    "threads must be <= 1024");
+                    "key 'threads': value must be <= 1024");
     EXPECT_NO_THROW(ScenarioSpec{.payload_bytes = kMaxPayloadBytes}.validate());
     expect_rejected(ScenarioSpec{.payload_bytes = kMaxPayloadBytes + 1},
-                    "payload must be in [1, 1073741824] bytes");
+                    "key 'payload_bytes': value must be <= 1073741824");
     ScenarioSpec busy_rach;
     busy_rach.config.background_ra_per_second = kMaxBackgroundRaPerSecond;
     EXPECT_NO_THROW(busy_rach.validate());
     for (const double rate : {1000.5, 1e5}) {
         busy_rach.config.background_ra_per_second = rate;
-        expect_rejected(busy_rach, "background_ra_per_second must be in [0, 1000]");
+        expect_rejected(busy_rach, "key 'background_ra_per_second': value must be in [0, 1000]");
     }
     ScenarioSpec at_cap;
     at_cap.config.inactivity_timer = nbiot::SimTime{kMaxDurationMs};
@@ -144,16 +145,16 @@ TEST(ScenarioSpecTest, ValidationNamesTheOffendingField) {
     EXPECT_NO_THROW(at_cap.validate());
     ScenarioSpec past_cap = at_cap;
     past_cap.config.inactivity_timer += nbiot::SimTime{1};
-    expect_rejected(past_cap, "ti_ms must be in [1, 1000000000]");
+    expect_rejected(past_cap, "key 'ti_ms': value must be <= 1000000000");
     past_cap = at_cap;
     past_cap.config.ra_guard += nbiot::SimTime{1};
-    expect_rejected(past_cap, "ra_guard_ms must be in [0, 1000000000]");
+    expect_rejected(past_cap, "key 'ra_guard_ms': value must be <= 1000000000");
     past_cap = at_cap;
     past_cap.config.sc_ptm_mcch_period += nbiot::SimTime{1};
-    expect_rejected(past_cap, "sc_ptm_mcch_period_ms must be in [1, 1000000000]");
+    expect_rejected(past_cap, "key 'sc_ptm_mcch_period_ms': value must be <= 1000000000");
     past_cap = at_cap;
     past_cap.config.churn.rejoin_ms += 1;
-    expect_rejected(past_cap, "churn.rejoin_ms must be <= 1000000000");
+    expect_rejected(past_cap, "key 'churn.rejoin_ms': value must be <= 1000000000");
 }
 
 TEST(ScenarioSpecTest, EveryDurationAndPayloadCapRuns) {

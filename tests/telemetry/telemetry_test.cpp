@@ -93,7 +93,7 @@ std::string reference_trace_jsonl(const Collector& collector) {
 
 /// Fills a sink's trace with exactly `records`.
 void fill(CampaignSink* sink, std::vector<TraceRecord> records) {
-    sink->restore(std::move(records), {}, {}, {}, {});
+    sink->restore(std::move(records), {}, {});
 }
 
 TEST(SinkTest, DefaultConstructedSinkIsDisabledAndDropsEverything) {

@@ -143,17 +143,6 @@ TEST(GeneratePopulationTest, InvalidProfileThrows) {
     EXPECT_THROW((void)generate_population(bad, 10, rng), std::invalid_argument);
 }
 
-TEST(MaxCycleTest, FindsLongest) {
-    sim::RandomStream rng{1};
-    const auto devices = generate_population(massive_iot_city(), 500, rng);
-    const auto longest = max_cycle(devices);
-    for (const auto& d : devices) EXPECT_LE(d.spec.cycle, longest);
-}
-
-TEST(MaxCycleTest, EmptyThrows) {
-    EXPECT_THROW((void)max_cycle({}), std::invalid_argument);
-}
-
 TEST(ToSpecsTest, PreservesOrderAndFields) {
     sim::RandomStream rng{1};
     const auto devices = generate_population(massive_iot_city(), 50, rng);
