@@ -8,8 +8,14 @@
 // BM_FullCampaign) run on; without them the defaults are byte-identical to
 // the pre-scenario binary, so BENCH_pr*.json baselines stay comparable.
 // The scenario flags are stripped before google-benchmark parses argv.
+//
+// The binary counts operator-new calls (tests/support/counting_new.hpp):
+// BM_FullCampaign and BM_StratifiedCampaign report `allocs_per_device`,
+// the allocations per device-campaign of plan and run, and BM_DrScPlan the
+// allocations per device planned.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -22,11 +28,21 @@
 #include "setcover/window_cover.hpp"
 #include "sim/event_queue.hpp"
 #include "telemetry/sink.hpp"
+#include "tests/support/counting_new.hpp"
 #include "traffic/population.hpp"
 
 namespace {
 
 using namespace nbmg;
+
+/// Reports the allocations made since `before` per device of each
+/// iteration, as the `allocs_per_device` counter.
+void report_allocations(benchmark::State& state, std::uint64_t before,
+                        std::int64_t devices) {
+    const std::uint64_t made = test_support::allocation_count() - before;
+    state.counters["allocs_per_device"] = benchmark::Counter(
+        static_cast<double>(made) / static_cast<double>(state.iterations() * devices));
+}
 
 /// Base workload of the campaign-shaped cases; main() overwrites it from
 /// --scenario/--preset before any benchmark runs.
@@ -173,10 +189,12 @@ void BM_DrScPlan(benchmark::State& state) {
         pop_rng));
     const core::CampaignConfig config = bench_base_spec().config;
     const core::DrScMechanism mechanism;
+    const std::uint64_t before = test_support::allocation_count();
     for (auto _ : state) {
         sim::RandomStream rng{7};
         benchmark::DoNotOptimize(mechanism.plan(specs, config, rng));
     }
+    report_allocations(state, before, state.range(0));
 }
 BENCHMARK(BM_DrScPlan)->Arg(200)->Arg(1'000)->Arg(10'000)->Unit(benchmark::kMillisecond);
 
@@ -236,10 +254,12 @@ void BM_FullCampaign(benchmark::State& state) {
         pop_rng));
     const core::CampaignConfig config = bench_base_spec().config;
     const core::DrSiMechanism mechanism;
+    const std::uint64_t before = test_support::allocation_count();
     for (auto _ : state) {
         benchmark::DoNotOptimize(core::plan_and_run(
             mechanism, specs, config, bench_base_spec().payload_bytes, 7));
     }
+    report_allocations(state, before, state.range(0));
 }
 BENCHMARK(BM_FullCampaign)
     ->Arg(100)
@@ -307,10 +327,12 @@ void BM_StratifiedCampaign(benchmark::State& state) {
     core::CampaignConfig config = bench_base_spec().config;
     config.strata = static_cast<std::size_t>(state.range(0));
     const core::DrSiMechanism mechanism;
+    const std::uint64_t before = test_support::allocation_count();
     for (auto _ : state) {
         benchmark::DoNotOptimize(core::plan_and_run(
             mechanism, specs, config, bench_base_spec().payload_bytes, 7, 8));
     }
+    report_allocations(state, before, static_cast<std::int64_t>(kDevices));
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(kDevices));
 }

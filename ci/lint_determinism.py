@@ -13,7 +13,8 @@ never grow:
                   std::mt19937* engine or the simulator's own
                   MersenneTwister64 outside sim/random.* — every draw
                   must flow through a derive_seed()-rooted RandomStream.
-  unordered-iter  any use of std::unordered_map/std::unordered_set.
+  unordered-iter  any use of std::unordered_map/std::unordered_set
+                  (the std::pmr aliases included).
                   Iteration order is implementation-defined, so an
                   unordered container that feeds output or RNG draws
                   breaks bit-identity.  Lookup-only uses are fine but
@@ -127,7 +128,7 @@ RAW_RNG_RE = re.compile(
     r"knuth_b|default_random_engine)\b"
     r"|\bMersenneTwister64\b"
 )
-UNORDERED_RE = re.compile(r"std::unordered_(?:map|set|multimap|multiset)\b")
+UNORDERED_RE = re.compile(r"std::(?:pmr::)?unordered_(?:map|set|multimap|multiset)\b")
 UNORDERED_INCLUDE_RE = re.compile(r'#\s*include\s*<unordered_(?:map|set)>')
 POINTER_KEY_RE = re.compile(
     r"std::(?:map|set|multimap|multiset)\s*<\s*(?:const\s+)?[\w:]+"

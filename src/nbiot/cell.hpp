@@ -7,8 +7,10 @@
 // serving a large number of NB-IoT devices".
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <memory>
+#include <new>
 #include <vector>
 
 #include "nbiot/paging.hpp"
@@ -34,11 +36,14 @@ public:
 
     Cell(const Cell&) = delete;
     Cell& operator=(const Cell&) = delete;
+    ~Cell();
 
-    /// Adds a UE.  Device ids must be dense: 0, 1, 2, ... in order.
+    /// Adds a UE.  Device ids must be dense: 0, 1, 2, ... in order.  The
+    /// reference stays valid for the cell's lifetime.
     Ue& add_ue(const UeSpec& spec);
 
-    /// Pre-sizes the fleet accounting arrays for `count` devices.
+    /// Pre-sizes the fleet accounting arrays and the block table for
+    /// `count` devices.
     void reserve_ues(std::size_t count);
 
     /// Installs the cell-shared hook set every UE dispatches through — one
@@ -48,7 +53,7 @@ public:
 
     [[nodiscard]] Ue& ue(DeviceId device);
     [[nodiscard]] const Ue& ue(DeviceId device) const;
-    [[nodiscard]] std::size_t ue_count() const noexcept { return ues_.size(); }
+    [[nodiscard]] std::size_t ue_count() const noexcept { return ue_count_; }
 
     /// Struct-of-arrays per-device counters, indexed by dense DeviceId.
     [[nodiscard]] const FleetAccounting& accounting() const noexcept {
@@ -62,13 +67,24 @@ public:
     [[nodiscard]] const TimingModel& timing() const noexcept { return timing_; }
 
 private:
+    // UEs live in fixed blocks of kUesPerBlock, one allocation per block:
+    // pointer-stable growth (UEs capture `this` in scheduled closures), and
+    // UE `id` sits in block id / kUesPerBlock at slot id % kUesPerBlock.
+    static constexpr std::size_t kUesPerBlock = 256;
+    struct UeBlock {
+        alignas(Ue) std::byte bytes[kUesPerBlock * sizeof(Ue)];
+    };
+    [[nodiscard]] Ue* slot(std::size_t id) const noexcept {
+        return std::launder(reinterpret_cast<Ue*>(ue_blocks_[id / kUesPerBlock]->bytes +
+                                                  id % kUesPerBlock * sizeof(Ue)));
+    }
+
     sim::Simulation sim_;
     PagingSchedule paging_;
     TimingModel timing_;
     RachChannel rach_;
-    // Deque: pointer-stable growth (UEs capture `this` in scheduled
-    // lambdas) without one allocation per device.
-    std::deque<Ue> ues_;
+    std::vector<std::unique_ptr<UeBlock>> ue_blocks_;
+    std::size_t ue_count_ = 0;
     FleetAccounting accounting_;
     Ue::Hooks fleet_hooks_;
 };

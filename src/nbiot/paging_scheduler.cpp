@@ -7,7 +7,11 @@
 namespace nbmg::nbiot {
 
 PagingScheduler::PagingScheduler(int max_page_records, std::size_t devices)
-    : max_records_(max_page_records) {
+    : max_records_(max_page_records),
+      // Per occasion a node (next pointer, key, count: three words) and a
+      // bucket pointer, plus a word of room for the bucket count's
+      // rounding up to a prime.
+      arena_(devices * 5 * sizeof(void*) + 1024) {
     if (max_page_records <= 0) {
         throw std::invalid_argument("PagingScheduler: max_page_records must be positive");
     }

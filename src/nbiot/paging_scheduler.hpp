@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory_resource>
 #include <optional>
 // nbmg-lint: allow(unordered-iter) per-occasion counts, looked up and inserted only
 #include <unordered_map>
@@ -24,8 +25,8 @@ namespace nbmg::nbiot {
 
 class PagingScheduler {
 public:
-    /// `devices` sizes the occupancy table: each planner places about one
-    /// page per device.
+    /// `devices` sizes the occupancy table and its arena: each planner
+    /// places about one page per device.
     PagingScheduler(int max_page_records, std::size_t devices);
 
     /// Attaches a telemetry sink (not owned, may be null): every placed
@@ -63,9 +64,12 @@ private:
     telemetry::CampaignSink* telemetry_ = nullptr;  // not owned; may be null
     int max_records_ = 0;
     // Entries per occasion, keyed by the PO in ms.  A uint32 holds any
-    // positive `int` capacity.
+    // positive `int` capacity.  The table only grows, so its nodes and
+    // buckets come from a bump arena sized from `devices`: a few
+    // allocations per scheduler instead of one per occupied occasion.
+    std::pmr::monotonic_buffer_resource arena_;
     // nbmg-lint: allow(unordered-iter) looked up and inserted only, never iterated
-    std::unordered_map<std::int64_t, std::uint32_t> occupancy_;
+    std::pmr::unordered_map<std::int64_t, std::uint32_t> occupancy_{&arena_};
 };
 
 }  // namespace nbmg::nbiot

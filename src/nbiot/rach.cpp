@@ -56,18 +56,28 @@ std::size_t RachChannel::acquire(Callback done) {
 
 void RachChannel::enroll(SimTime earliest, std::size_t proc_index) {
     const SimTime window = next_window_at_or_after(std::max(earliest, sim_->now()));
-    const auto [it, inserted] = window_entrants_.try_emplace(window);
-    it->second.push_back(proc_index);
-    if (inserted) {
+    auto it = window_entrants_.lower_bound(window);
+    if (it == window_entrants_.end() || it->first != window) {
+        if (spare_windows_.empty()) {
+            it = window_entrants_.emplace_hint(it, window, std::vector<std::size_t>{});
+        } else {
+            WindowMap::node_type node = std::move(spare_windows_.back());
+            spare_windows_.pop_back();
+            node.key() = window;
+            it = window_entrants_.insert(it, std::move(node));
+        }
         sim_->queue().schedule_at(window, [this, window] { resolve_window(window); });
     }
+    it->second.push_back(proc_index);
 }
 
 void RachChannel::resolve_window(SimTime window_start) {
     auto it = window_entrants_.find(window_start);
     if (it == window_entrants_.end()) return;
-    std::vector<std::size_t> entrants = std::move(it->second);
-    window_entrants_.erase(it);
+    // The node leaves the map before any completion runs: a completion
+    // that requests again for this very instant opens a new window.
+    WindowMap::node_type node = window_entrants_.extract(it);
+    const std::vector<std::size_t>& entrants = node.mapped();
 
     // Draw preambles and find collisions.  The preamble space is dense
     // ([0, num_preambles), 48 by default), so the histogram is a plain
@@ -120,6 +130,8 @@ void RachChannel::resolve_window(SimTime window_start) {
     for (const auto& [at, index] : retries_) {
         sim_->queue().schedule_at(at, [this, index] { enroll(sim_->now(), index); });
     }
+    node.mapped().clear();
+    spare_windows_.push_back(std::move(node));
 }
 
 void RachChannel::finish(std::size_t proc_index, bool success, SimTime at) {

@@ -102,8 +102,13 @@ private:
     std::vector<Procedure> procedures_;
     std::vector<std::size_t> free_procedures_;  // LIFO
     // A window has a resolve_window event pending exactly while it has an
-    // entry here.
-    std::map<SimTime, std::vector<std::size_t>> window_entrants_;
+    // entry here.  A resolved window's node, its entrant list cleared but
+    // its capacity kept, goes to `spare_windows_` and carries the next new
+    // window: a campaign allocates nodes for its peak of open windows, not
+    // one node and one list per window.
+    using WindowMap = std::map<SimTime, std::vector<std::size_t>>;
+    WindowMap window_entrants_;
+    std::vector<WindowMap::node_type> spare_windows_;  // LIFO
     // resolve_window's scratch, kept across windows: the preamble
     // histogram, each entrant's preamble, and the collided entrants' retry
     // instants.

@@ -116,12 +116,16 @@ void Ue::apply_cycle(DrxCycle cycle) {
     phase_ = paging_->phase(imsi_, cycle);
 }
 
+// Every closure the UE hands to the queue, the channel or
+// start_connection goes through sim::inline_only: one made per device that
+// spilled to the heap would cost an allocation per device-campaign.
+
 void Ue::start_connection(SimTime earliest, EstablishmentCause cause,
                           ConnectedFn once_connected) {
     state_ = UeState::accessing;
     last_cause_ = cause;
-    rach_->request(earliest, [this, done = std::move(once_connected)](
-                                 const RachOutcome& outcome) mutable {
+    auto on_access = [this, done = std::move(once_connected)](
+                         const RachOutcome& outcome) mutable {
         accounting_->energy[device_.value].add(PowerState::rach, outcome.active_time);
         rach_attempts_ += outcome.attempts;
         if (!outcome.success) {
@@ -134,28 +138,31 @@ void Ue::start_connection(SimTime earliest, EstablishmentCause cause,
         }
         accounting_->energy[device_.value].add(PowerState::connected_signaling,
                                                timing_->rrc_setup);
-        sim_->queue().schedule_after(
-            timing_->rrc_setup,
-            [this, done = std::move(done), attempts = outcome.attempts]() mutable {
-                connected_at_ = sim_->now();
-                NBMG_TELEMETRY_EMIT(sim_->telemetry(),
-                                    telemetry::EventKind::rrc_connected,
-                                    sim_->now().count(), device_.value, attempts,
-                                    static_cast<std::int64_t>(last_cause_));
-                done();
-            });
-    });
+        // `attempts` before `done`: after the 16-aligned continuation it
+        // would pad the closure past the queue's 48 inline bytes.
+        auto on_setup = [this, attempts = outcome.attempts, done = std::move(done)]() mutable {
+            connected_at_ = sim_->now();
+            NBMG_TELEMETRY_EMIT(sim_->telemetry(), telemetry::EventKind::rrc_connected,
+                                sim_->now().count(), device_.value, attempts,
+                                static_cast<std::int64_t>(last_cause_));
+            done();
+        };
+        sim_->queue().schedule_after(timing_->rrc_setup,
+                                     sim::inline_only<sim::InlineHandler>(std::move(on_setup)));
+    };
+    rach_->request(earliest, sim::inline_only<RachChannel::Callback>(std::move(on_access)));
 }
 
 void Ue::page_normal() {
     require_state(UeState::idle, "page_normal");
     charge(PowerState::paging_rx, timing_->paging_decode);
     const SimTime ra_start = sim_->now() + timing_->paging_decode + timing_->page_to_rach;
-    start_connection(ra_start, EstablishmentCause::mt_access, [this] {
-        state_ = UeState::connected_waiting;
-        wait_started_ = sim_->now();
-        if (hooks().on_connected) hooks().on_connected(device_, sim_->now());
-    });
+    start_connection(ra_start, EstablishmentCause::mt_access,
+                     sim::inline_only<ConnectedFn>([this] {
+                         state_ = UeState::connected_waiting;
+                         wait_started_ = sim_->now();
+                         if (hooks().on_connected) hooks().on_connected(device_, sim_->now());
+                     }));
 }
 
 void Ue::page_mltc(SimTime wake_at) {
@@ -166,41 +173,45 @@ void Ue::page_mltc(SimTime wake_at) {
     charge(PowerState::paging_rx,
            timing_->paging_decode + timing_->mltc_extension_extra);
     // The device does not connect now: it sets T322 and goes back to sleep.
-    sim_->queue().schedule_at(wake_at, [this] {
+    sim_->queue().schedule_at(wake_at, sim::inline_only<sim::InlineHandler>([this] {
         // Skip when already serving another procedure — or off-air (churn):
         // a departed device loses its T322 context with the rest of its
         // stored configuration.
         if (!powered_ || state_ != UeState::idle) return;
         start_connection(sim_->now() + timing_->page_to_rach,
-                         EstablishmentCause::multicast_reception, [this] {
+                         EstablishmentCause::multicast_reception,
+                         sim::inline_only<ConnectedFn>([this] {
                              state_ = UeState::connected_waiting;
                              wait_started_ = sim_->now();
                              if (hooks().on_connected) hooks().on_connected(device_, sim_->now());
-                         });
-    });
+                         }));
+    }));
 }
 
 void Ue::page_for_reconfig(DrxCycle new_cycle) {
     require_state(UeState::idle, "page_for_reconfig");
     charge(PowerState::paging_rx, timing_->paging_decode);
     const SimTime ra_start = sim_->now() + timing_->paging_decode + timing_->page_to_rach;
-    start_connection(ra_start, EstablishmentCause::mt_access, [this, new_cycle] {
-        // RRC Connection Reconfiguration (new DRX) followed by an immediate
-        // RRC Connection Release: the eNB does not let the inactivity timer
-        // run (Sec. III-B).
-        charge(PowerState::connected_signaling,
-               timing_->rrc_reconfiguration + timing_->rrc_release);
-        sim_->queue().schedule_after(
-            timing_->rrc_reconfiguration + timing_->rrc_release, [this, new_cycle] {
-                state_ = UeState::idle;
-                released_at_ = sim_->now();
-                NBMG_TELEMETRY_EMIT(sim_->telemetry(),
-                                    telemetry::EventKind::rrc_released,
-                                    sim_->now().count(), device_.value, 0, 0);
-                apply_cycle(new_cycle);
-                if (hooks().on_released) hooks().on_released(device_, sim_->now());
-            });
-    });
+    start_connection(
+        ra_start, EstablishmentCause::mt_access,
+        sim::inline_only<ConnectedFn>([this, new_cycle] {
+            // RRC Connection Reconfiguration (new DRX) followed by an
+            // immediate RRC Connection Release: the eNB does not let the
+            // inactivity timer run (Sec. III-B).
+            charge(PowerState::connected_signaling,
+                   timing_->rrc_reconfiguration + timing_->rrc_release);
+            sim_->queue().schedule_after(
+                timing_->rrc_reconfiguration + timing_->rrc_release,
+                sim::inline_only<sim::InlineHandler>([this, new_cycle] {
+                    state_ = UeState::idle;
+                    released_at_ = sim_->now();
+                    NBMG_TELEMETRY_EMIT(sim_->telemetry(),
+                                        telemetry::EventKind::rrc_released,
+                                        sim_->now().count(), device_.value, 0, 0);
+                    apply_cycle(new_cycle);
+                    if (hooks().on_released) hooks().on_released(device_, sim_->now());
+                }));
+        }));
 }
 
 void Ue::begin_reception(SimTime data_end, SimTime tail) {
@@ -211,23 +222,26 @@ void Ue::begin_reception(SimTime data_end, SimTime tail) {
     charge(PowerState::connected_wait, sim_->now() - wait_started_);
     state_ = UeState::receiving;
     const SimTime rx_duration = data_end - sim_->now();
-    sim_->queue().schedule_at(data_end, [this, rx_duration, tail] {
-        charge(PowerState::connected_rx, rx_duration);
-        payload_received_ = true;
-        if (tail > SimTime{0}) charge(PowerState::connected_wait, tail);
-        SimTime signaling = timing_->rrc_release;
-        const bool restore = cycle_ != original_cycle_;
-        if (restore) signaling += timing_->rrc_reconfiguration;
-        charge(PowerState::connected_signaling, signaling);
-        sim_->queue().schedule_after(tail + signaling, [this, restore] {
-            state_ = UeState::idle;
-            released_at_ = sim_->now();
-            NBMG_TELEMETRY_EMIT(sim_->telemetry(), telemetry::EventKind::rrc_released,
-                                sim_->now().count(), device_.value, 0, 0);
-            if (restore) apply_cycle(original_cycle_);
-            if (hooks().on_released) hooks().on_released(device_, sim_->now());
-        });
-    });
+    sim_->queue().schedule_at(
+        data_end, sim::inline_only<sim::InlineHandler>([this, rx_duration, tail] {
+            charge(PowerState::connected_rx, rx_duration);
+            payload_received_ = true;
+            if (tail > SimTime{0}) charge(PowerState::connected_wait, tail);
+            SimTime signaling = timing_->rrc_release;
+            const bool restore = cycle_ != original_cycle_;
+            if (restore) signaling += timing_->rrc_reconfiguration;
+            charge(PowerState::connected_signaling, signaling);
+            sim_->queue().schedule_after(
+                tail + signaling, sim::inline_only<sim::InlineHandler>([this, restore] {
+                    state_ = UeState::idle;
+                    released_at_ = sim_->now();
+                    NBMG_TELEMETRY_EMIT(sim_->telemetry(),
+                                        telemetry::EventKind::rrc_released,
+                                        sim_->now().count(), device_.value, 0, 0);
+                    if (restore) apply_cycle(original_cycle_);
+                    if (hooks().on_released) hooks().on_released(device_, sim_->now());
+                }));
+        }));
 }
 
 void Ue::receive_idle_broadcast(SimTime data_end) {
@@ -237,28 +251,30 @@ void Ue::receive_idle_broadcast(SimTime data_end) {
     }
     state_ = UeState::receiving;
     const SimTime rx_duration = data_end - sim_->now();
-    sim_->queue().schedule_at(data_end, [this, rx_duration] {
-        charge(PowerState::connected_rx, rx_duration);
-        payload_received_ = true;
-        state_ = UeState::idle;
-        released_at_ = sim_->now();
-        NBMG_TELEMETRY_EMIT(sim_->telemetry(), telemetry::EventKind::rrc_released,
-                            sim_->now().count(), device_.value, 0, 0);
-        if (hooks().on_released) hooks().on_released(device_, sim_->now());
-    });
+    sim_->queue().schedule_at(
+        data_end, sim::inline_only<sim::InlineHandler>([this, rx_duration] {
+            charge(PowerState::connected_rx, rx_duration);
+            payload_received_ = true;
+            state_ = UeState::idle;
+            released_at_ = sim_->now();
+            NBMG_TELEMETRY_EMIT(sim_->telemetry(), telemetry::EventKind::rrc_released,
+                                sim_->now().count(), device_.value, 0, 0);
+            if (hooks().on_released) hooks().on_released(device_, sim_->now());
+        }));
 }
 
 void Ue::release_without_reception() {
     require_state(UeState::connected_waiting, "release_without_reception");
     charge(PowerState::connected_wait, sim_->now() - wait_started_);
     charge(PowerState::connected_signaling, timing_->rrc_release);
-    sim_->queue().schedule_after(timing_->rrc_release, [this] {
-        state_ = UeState::idle;
-        released_at_ = sim_->now();
-        NBMG_TELEMETRY_EMIT(sim_->telemetry(), telemetry::EventKind::rrc_released,
-                            sim_->now().count(), device_.value, 0, 0);
-        if (hooks().on_released) hooks().on_released(device_, sim_->now());
-    });
+    sim_->queue().schedule_after(
+        timing_->rrc_release, sim::inline_only<sim::InlineHandler>([this] {
+            state_ = UeState::idle;
+            released_at_ = sim_->now();
+            NBMG_TELEMETRY_EMIT(sim_->telemetry(), telemetry::EventKind::rrc_released,
+                                sim_->now().count(), device_.value, 0, 0);
+            if (hooks().on_released) hooks().on_released(device_, sim_->now());
+        }));
 }
 
 }  // namespace nbmg::nbiot

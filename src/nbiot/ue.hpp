@@ -196,8 +196,10 @@ private:
     /// the fleet counters in one closed-form step and advances the window.
     void settle_pos(SimTime bound);
     /// Continuation capacity 16: every caller captures at most `this` plus
-    /// one DrxCycle, and the small bound keeps the enclosing RA-completion
-    /// closure inside RachChannel::Callback's own inline buffer.
+    /// one DrxCycle, and the small bound keeps the two closures that carry
+    /// it inline: the RA completion in RachChannel::Callback's buffer, and
+    /// the RRC-setup event (`this`, the attempt count, the continuation:
+    /// 48 bytes) in the queue's.
     using ConnectedFn = sim::SmallFunction<void(), 16>;
     void start_connection(SimTime earliest, EstablishmentCause cause,
                           ConnectedFn once_connected);

@@ -508,8 +508,11 @@ const KeyRow kRows[] = {
      .when = grid, .needs = kGrid},
     {.key = "hotspot_exponent",
      .set = [](Spec& s, const In& in) { return read_number(in, s.topology->hotspot_exponent); },
-     .check = [](const Spec& s) {
-         return grid(s) ? number_reason(s.topology->hotspot_exponent, kNonNegative) : "";
+     .check = [](const Spec& s) -> std::string {
+         if (!grid(s)) return {};
+         return number_reason(s.topology->hotspot_exponent,
+                              {[](double v) { return v >= 0.0 && v <= kMaxHotspotExponent; },
+                               "value must be in [0, 85]"});
      },
      .get = [](const Spec& s) -> Text {
          if (!hotspot(s)) return {};

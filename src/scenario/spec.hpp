@@ -69,6 +69,12 @@ inline constexpr std::int64_t kMaxPayloadBytes = std::int64_t{1} << 30;
 /// larger rate only costs time and memory.
 inline constexpr double kMaxBackgroundRaPerSecond = 1000.0;
 
+/// Upper bound on the `hotspot_exponent` row: the largest whole exponent
+/// whose weight (rank)^-exponent at rank kMaxCells stays a normal double,
+/// ln(DBL_MIN) / -ln(4096) = 85.17.  A larger one underflows the far cells'
+/// weights, and the topology would be refused without a line.
+inline constexpr double kMaxHotspotExponent = 85.0;
+
 /// ScenarioSpec's default mechanism list.  (A range, not a braced list:
 /// GCC 12 flags the implicit constructor's initializer_list copy as maybe
 /// uninitialized once it is inlined.)

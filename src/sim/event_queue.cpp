@@ -106,9 +106,10 @@ bool EventQueue::settle(SimTime limit) {
         base_ = bucket.min;
         occupied_ &= occupied_ - 1;
         for (const Entry& e : bucket.entries) push(e);
-        // A bucket that once held the bulk of the queue keeps no more
-        // capacity than the queue now needs.
-        if (bucket.entries.capacity() > pending_) {
+        // A bucket keeps its storage for the next refill, since a
+        // campaign's buckets empty and refill all run long; only one that
+        // once held a queue far larger than today's is freed.
+        if (bucket.entries.capacity() > 4 * pending_ + kKeptBucketEntries) {
             std::vector<Entry>().swap(bucket.entries);
         } else {
             bucket.entries.clear();

@@ -166,6 +166,10 @@ private:
     /// Pops and runs the settled front of bucket 0.
     void run_front();
 
+    /// An emptied bucket keeps its capacity up to 4 * pending() plus this
+    /// many entries (64 KiB); settle frees a larger one.
+    static constexpr std::size_t kKeptBucketEntries = 4096;
+
     std::array<Bucket, 65> buckets_;  // bucket 0 plus one per bit of the key
     std::uint64_t occupied_ = 0;  // bit i-1 set: bucket i is non-empty
     std::size_t front_ = 0;       // next unread entry of bucket 0

@@ -6,6 +6,13 @@
 // event queue stores whole handlers inline at 48 bytes, while nested
 // continuations (a callback captured inside a callback) pick a smaller
 // capacity so the enclosing closure still fits its own inline buffer.
+//
+// `fits_inline<F>()` is the inline test, public so a call site can
+// static_assert it.  A closure made once per device or per event that
+// fails it is a bug, not a slow path: it costs one heap allocation each
+// time, silently.  Capture order counts, since the closure pads each
+// capture to its alignment (an int after a 16-aligned SmallFunction
+// costs 16 bytes, before it 8).
 #pragma once
 
 #include <cassert>
@@ -31,7 +38,7 @@ public:
                  std::is_invocable_r_v<R, std::decay_t<F>&, Args...>)
     SmallFunction(F&& f) {  // NOLINT(google-explicit-constructor): mirrors std::function
         using Target = std::decay_t<F>;
-        if constexpr (fits_inline<Target>()) {
+        if constexpr (fits_inline<F>()) {
             ::new (static_cast<void*>(storage_)) Target(std::forward<F>(f));
             ops_ = &kInlineOps<Target>;
         } else {
@@ -79,19 +86,22 @@ public:
         }
     }
 
+    /// True when a target of type F is stored inline, false when it takes
+    /// one heap allocation.
+    template <typename F>
+    [[nodiscard]] static constexpr bool fits_inline() noexcept {
+        using Target = std::decay_t<F>;
+        return sizeof(Target) <= kInlineCapacity &&
+               alignof(Target) <= alignof(std::max_align_t) &&
+               std::is_nothrow_move_constructible_v<Target>;
+    }
+
 private:
     struct Ops {
         R (*invoke)(void*, Args&&...);
         void (*relocate)(void* dst, void* src) noexcept;
         void (*destroy)(void*) noexcept;
     };
-
-    template <typename Target>
-    static constexpr bool fits_inline() {
-        return sizeof(Target) <= kInlineCapacity &&
-               alignof(Target) <= alignof(std::max_align_t) &&
-               std::is_nothrow_move_constructible_v<Target>;
-    }
 
     template <typename Target>
     static Target* as(void* p) noexcept {
@@ -124,5 +134,14 @@ private:
     alignas(std::max_align_t) std::byte storage_[kInlineCapacity];
     const Ops* ops_ = nullptr;
 };
+
+/// Wraps `f` as the SmallFunction `Fn`, refusing at compile time a closure
+/// that would not fit inline.
+template <typename Fn, typename F>
+[[nodiscard]] Fn inline_only(F&& f) {
+    static_assert(Fn::template fits_inline<F>(),
+                  "closure spills to the heap: shrink it or reorder its captures");
+    return Fn(std::forward<F>(f));
+}
 
 }  // namespace nbmg::sim

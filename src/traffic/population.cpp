@@ -1,6 +1,7 @@
 #include "traffic/population.hpp"
 
 #include <algorithm>
+#include <memory_resource>
 #include <stdexcept>
 // nbmg-lint: allow(unordered-iter) uniqueness filter only; audited below
 #include <unordered_set>
@@ -37,6 +38,12 @@ std::vector<GeneratedDevice> generate_population(const PopulationProfile& profil
     std::vector<double> shares;
     shares.reserve(profile.classes.size());
     for (const auto& c : profile.classes) shares.push_back(c.share);
+    std::vector<std::vector<double>> cycle_weights(profile.classes.size());
+    for (std::size_t i = 0; i < profile.classes.size(); ++i) {
+        for (const auto& [cycle, w] : profile.classes[i].cycle_weights) {
+            cycle_weights[i].push_back(w);
+        }
+    }
 
     // Audited 2026-08 (PR 6): `used_imsis` is a pure uniqueness filter —
     // the only operations below are contains() and insert(); it is never
@@ -44,9 +51,14 @@ std::vector<GeneratedDevice> generate_population(const PopulationProfile& profil
     // order, RNG draw order, or any output.  Device order is the
     // deterministic `devices.push_back` sequence driven solely by the
     // RandomStream.  Keep it hashed: the IMSI key space is 15-digit
-    // sparse, an ordered set would cost log n per probe for nothing.
+    // sparse, an ordered set would cost log n per probe for nothing.  The
+    // set only grows, so its nodes and buckets come from one bump arena,
+    // not one allocation per IMSI: per IMSI a node (next pointer, IMSI)
+    // and two bucket pointers, plus a word of room for the bucket count's
+    // rounding up to a prime.
+    std::pmr::monotonic_buffer_resource arena(count * 5 * sizeof(void*) + 1024);
     // nbmg-lint: allow(unordered-iter) contains/insert only, never iterated
-    std::unordered_set<std::uint64_t> used_imsis;
+    std::pmr::unordered_set<std::uint64_t> used_imsis(&arena);
     used_imsis.reserve(count * 2);
 
     std::vector<GeneratedDevice> devices;
@@ -57,10 +69,8 @@ std::vector<GeneratedDevice> generate_population(const PopulationProfile& profil
         const std::size_t class_index = rng.weighted_index(shares);
         const DeviceClassSpec& cls = profile.classes[class_index];
 
-        std::vector<double> cycle_w;
-        cycle_w.reserve(cls.cycle_weights.size());
-        for (const auto& [cycle, w] : cls.cycle_weights) cycle_w.push_back(w);
-        const DrxCycle cycle = cls.cycle_weights[rng.weighted_index(cycle_w)].first;
+        const DrxCycle cycle =
+            cls.cycle_weights[rng.weighted_index(cycle_weights[class_index])].first;
 
         const auto ce = static_cast<nbiot::CeLevel>(rng.weighted_index(
             std::span<const double>{cls.ce_weights.data(), cls.ce_weights.size()}));

@@ -1,5 +1,5 @@
 // Fixture: unannotated unordered containers the lint must flag.
-// Expected findings: [unordered-iter] on the include and both declarations.
+// Expected findings: [unordered-iter] on the include and every declaration.
 #include <cstdint>
 #include <unordered_map>
 
@@ -9,4 +9,10 @@ int fixture_unordered() {
     int total = 0;
     for (const auto& [k, v] : counts) total += k * v;
     return total;
+}
+
+int fixture_pmr_unordered() {
+    std::pmr::unordered_set<int> seen;
+    seen.insert(3);
+    return static_cast<int>(seen.size());
 }

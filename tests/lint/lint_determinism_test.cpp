@@ -76,6 +76,7 @@ TEST(LintDeterminismTest, UnorderedContainersCaught) {
     EXPECT_EQ(run.exit_code, 1) << run.output;
     expect_finding(run, "bad_unordered.cpp", 4, "unordered-iter");  // include
     expect_finding(run, "bad_unordered.cpp", 7, "unordered-iter");  // decl
+    expect_finding(run, "bad_unordered.cpp", 15, "unordered-iter");  // std::pmr decl
 }
 
 TEST(LintDeterminismTest, PointerKeyedComparatorsCaught) {

@@ -159,6 +159,50 @@ TEST_F(RachTest, CompletionMayRequestAgain) {
     EXPECT_EQ(rach.total_attempts(), 101u);
 }
 
+TEST_F(RachTest, RetryOnAResolvedWindowsStartOpensASecondWindow) {
+    // A retry that lands exactly on a window's start after that window has
+    // resolved opens a second window at the same instant (from a recycled
+    // window node), instead of joining the resolved one.  The period equals
+    // one attempt, so window 0's collided pair retries at 136 ms with zero
+    // backoff, after C's window at 136 ms (scheduled first) has resolved.
+    config_.window_period = config_.attempt_active_time();
+    ASSERT_EQ(config_.window_period, SimTime{136});
+    config_.backoff_max = SimTime{0};
+    config_.num_preambles = 1;
+    config_.max_attempts = 2;
+    RachChannel rach(sim_, config_, sim_.stream("rach"));
+    std::vector<char> order;
+    RachOutcome a;
+    RachOutcome b;
+    RachOutcome c;
+    auto record = [&order](char who, RachOutcome& into) {
+        return [&order, who, &into](const RachOutcome& o) {
+            order.push_back(who);
+            into = o;
+        };
+    };
+    rach.request(SimTime{0}, record('A', a));
+    rach.request(SimTime{0}, record('B', b));
+    rach.request(SimTime{136}, record('C', c));
+    sim_.queue().run_all();
+
+    // C succeeds alone in window 136; A and B collide again in the second
+    // window at 136 and give up at its resolution.
+    EXPECT_EQ(order, (std::vector<char>{'C', 'A', 'B'}));
+    EXPECT_TRUE(c.success);
+    EXPECT_EQ(c.attempts, 1);
+    EXPECT_EQ(c.completed_at, SimTime{272});
+    for (const RachOutcome* o : {&a, &b}) {
+        EXPECT_FALSE(o->success);
+        EXPECT_EQ(o->attempts, 2);
+        EXPECT_EQ(o->completed_at, SimTime{272});
+        EXPECT_EQ(o->active_time, SimTime{272});
+    }
+    EXPECT_EQ(rach.total_attempts(), 5u);
+    EXPECT_EQ(rach.total_collisions(), 4u);
+    EXPECT_EQ(rach.total_failures(), 2u);
+}
+
 TEST_F(RachTest, EmptyCallbackRejected) {
     RachChannel rach(sim_, config_, sim_.stream("rach"));
     EXPECT_THROW(rach.request(SimTime{0}, RachChannel::Callback{}),

@@ -400,5 +400,37 @@ TEST_F(UeTest, CellLookupUnknownDeviceThrows) {
     EXPECT_THROW((void)cell_.ue(DeviceId{99}), std::out_of_range);
 }
 
+// The cell stores its UEs in fixed blocks: 600 devices span three, and
+// every reference handed out stays valid while later blocks are added.
+class CellStorageTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(CellStorageTest, UeReferencesSurviveBlockBoundaries) {
+    constexpr std::uint32_t kDevices = 600;
+    Cell cell(1234, PagingConfig{}, RachConfig{}, TimingModel{});
+    if (GetParam()) cell.reserve_ues(kDevices);
+    std::vector<Ue*> added;
+    for (std::uint32_t i = 0; i < kDevices; ++i) {
+        added.push_back(&cell.add_ue(
+            UeSpec{DeviceId{i}, Imsi{100'000 + i}, drx::seconds_2_56(), CeLevel::ce0}));
+        ASSERT_EQ(added.front()->device().value, 0u);  // the first block stays put
+    }
+    ASSERT_EQ(cell.ue_count(), kDevices);
+    const Cell& view = cell;
+    for (std::uint32_t i = 0; i < kDevices; ++i) {
+        EXPECT_EQ(&cell.ue(DeviceId{i}), added[i]) << i;
+        EXPECT_EQ(&view.ue(DeviceId{i}), added[i]) << i;
+        EXPECT_EQ(added[i]->device().value, i);
+        EXPECT_EQ(added[i]->imsi().value, 100'000u + i);
+    }
+    EXPECT_THROW((void)cell.ue(DeviceId{kDevices}), std::out_of_range);
+    EXPECT_THROW(cell.add_ue(UeSpec{DeviceId{kDevices + 1}, Imsi{1}, drx::seconds_2_56()}),
+                 std::invalid_argument);
+}
+
+INSTANTIATE_TEST_SUITE_P(ReservedOrNot, CellStorageTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                             return info.param ? "Reserved" : "Unreserved";
+                         });
+
 }  // namespace
 }  // namespace nbmg::nbiot

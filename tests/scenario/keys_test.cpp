@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 #include <stdexcept>
@@ -79,7 +80,8 @@ const std::map<std::string, Sample>& samples() {
     return table;
 }
 
-/// A value the row's check refuses while its `set` accepts it.  It is set
+/// A value the row's check refuses while its `set` accepts it (a row may
+/// list several, one per bound).  It is set
 /// on the row's sample spec, or on the spec of `context` when one is given
 /// (a context without the sample's prerequisite, e.g. an output path
 /// without its telemetry mode), and given on a line after that context.
@@ -88,8 +90,8 @@ struct RefusedValue {
     const char* context = nullptr;
 };
 
-const std::map<std::string, RefusedValue>& refusals() {
-    static const std::map<std::string, RefusedValue> table{
+const std::multimap<std::string, RefusedValue>& refusals() {
+    static const std::multimap<std::string, RefusedValue> table{
         {"batch_mean", {"0.5"}},
         {"devices", {"0"}},
         {"payload_bytes", {"0"}},
@@ -114,6 +116,7 @@ const std::map<std::string, RefusedValue>& refusals() {
         {"checkpoint.stop_after", {"2", ""}},
         {"cells", {"0"}},
         {"hotspot_exponent", {"-1"}},
+        {"hotspot_exponent", {"86"}},
         {"coordinator", {"fixed-stagger"}},
         {"coordinator.backhaul_kbps", {"0"}},
         {"faults.backhaul_loss", {"1"}},
@@ -192,9 +195,33 @@ TEST(ScenarioKeyTableTest, BackgroundRaRateStopsAtItsCap) {
     }
 }
 
+TEST(ScenarioKeyTableTest, HotspotExponentStopsAtItsCap) {
+    // The cap is the largest whole exponent whose weight at the last of
+    // kMaxCells cells is still a normal double.
+    const auto last_weight = [](double exponent) {
+        return multicell::CellTopology::hotspot(kMaxCells, exponent).cells.back().weight;
+    };
+    EXPECT_GE(last_weight(kMaxHotspotExponent), std::numeric_limits<double>::min());
+    EXPECT_LT(last_weight(kMaxHotspotExponent + 1), std::numeric_limits<double>::min());
+    EXPECT_TRUE(multicell::CellTopology::hotspot(kMaxCells, kMaxHotspotExponent).valid());
+
+    const std::string context = "cells = 4\ntopology = hotspot\n";
+    EXPECT_EQ(parse_scenario_text(context + "hotspot_exponent = 85\n")
+                  .topology->hotspot_exponent,
+              kMaxHotspotExponent);
+    // An exponent whose weights underflow to 0 is refused at its line, not
+    // as a topology without one.
+    try {
+        (void)parse_scenario_text(context + "hotspot_exponent = 1e308\n", "t.scenario");
+        ADD_FAILURE() << "the parser accepted hotspot_exponent = 1e308";
+    } catch (const ScenarioError& error) {
+        EXPECT_EQ(std::string(error.what()).rfind("t.scenario:3: ", 0), 0u) << error.what();
+    }
+}
+
 TEST(ScenarioKeyTableTest, EveryCheckedRowHasARefusedValue) {
     for (const KeyRow& row : scenario_keys()) {
-        const bool sampled = refusals().count(row.key) == 1;
+        const bool sampled = refusals().contains(row.key);
         if (row.check == nullptr || kHandBuiltOnly.count(row.key) == 1) {
             EXPECT_FALSE(sampled) << row.key << " has no check to refuse a value";
         } else {
@@ -204,11 +231,13 @@ TEST(ScenarioKeyTableTest, EveryCheckedRowHasARefusedValue) {
 }
 
 TEST(ScenarioKeyTableTest, EveryCheckRefusesAtEveryEntryPoint) {
-    for (const KeyRow& row : scenario_keys()) {
-        if (refusals().count(row.key) == 0 || samples().count(row.key) == 0) continue;
-        SCOPED_TRACE(row.key);
-        const Sample& sample = samples().at(row.key);
-        const RefusedValue& refusal = refusals().at(row.key);
+    for (const auto& [key, refusal] : refusals()) {
+        const auto found = std::ranges::find_if(
+            scenario_keys(), [&key](const KeyRow& r) { return key == r.key; });
+        if (found == scenario_keys().end() || samples().count(key) == 0) continue;
+        const KeyRow& row = *found;
+        SCOPED_TRACE(key + " = " + refusal.value);
+        const Sample& sample = samples().at(key);
         const std::string context =
             refusal.context != nullptr ? refusal.context : sample.context;
 

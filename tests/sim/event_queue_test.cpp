@@ -306,6 +306,17 @@ TEST(EventQueueTest, OversizedHandlerFallsBackToHeap) {
     EXPECT_EQ(sum, 3);
 }
 
+TEST(SmallFunctionTest, InlineTestFollowsTheClosureSize) {
+    // The public inline test that call sites static_assert on: a 48-byte
+    // closure fits the queue's handler, a 64-byte one takes the heap.
+    const auto fits = [bytes = std::array<char, 48>{}] { return bytes[0]; };
+    const auto spills = [bytes = std::array<char, 64>{}] { return bytes[0]; };
+    static_assert(sizeof(fits) == 48 && sizeof(spills) == 64);
+    EXPECT_TRUE(InlineHandler::fits_inline<decltype(fits)>());
+    EXPECT_FALSE(InlineHandler::fits_inline<decltype(spills)>());
+    EXPECT_TRUE((SmallFunction<void(), 64>::fits_inline<decltype(spills)>()));
+}
+
 TEST(EventQueueTest, InlineHandlerMoveTransfersTarget) {
     int calls = 0;
     InlineHandler a = [&calls] { ++calls; };
