@@ -10,7 +10,10 @@
 #             and stress labels); every bench and example shell at a
 #             tiny size; scenario-file + coordinator smokes
 #             (the DA-SC tail/page-loss file's CSV and a DR-SC-only fig7
-#             run's CSV are byte-diffed Debug vs Release);
+#             run's CSV are byte-diffed Debug vs Release); a stratified
+#             capacity smoke (every plan kind at 8 strata and one page
+#             record per occasion, each artifact equal at 1 and 4
+#             threads, its CSV and trace byte-diffed Debug vs Release);
 #             failure-injection smoke (churn scenario,
 #             outage preset, lossy backhaul — all three CSVs are
 #             byte-diffed Debug vs Release); SC-PTM smoke (a 10 ms
@@ -131,6 +134,23 @@ run_scenario_smokes() {
   for artifact in csv jsonl metrics.csv timeline.json; do
     cmp "${build_dir}/campaign_fanout.t1.${artifact}" \
       "${build_dir}/campaign_fanout.t4.${artifact}"
+  done
+  # Every plan kind through the 8-way stratified runner at one page record
+  # per occasion and 10% page loss: private copies, unserved devices and
+  # recovery copies all cross the stratum split and merge.  Every artifact
+  # at four threads must equal the serial run's.
+  for threads in 1 4; do
+    "${build_dir}/examples/run_scenario" \
+      --scenario examples/scenarios/strata_capacity.scenario \
+      --threads "${threads}" --telemetry full --csv \
+      --trace-out "${build_dir}/strata_capacity.t${threads}.jsonl" \
+      --metrics-out "${build_dir}/strata_capacity.t${threads}.metrics.csv" \
+      --timeline-out "${build_dir}/strata_capacity.t${threads}.timeline.json" \
+      > "${build_dir}/strata_capacity.t${threads}.csv"
+  done
+  for artifact in csv jsonl metrics.csv timeline.json; do
+    cmp "${build_dir}/strata_capacity.t1.${artifact}" \
+      "${build_dir}/strata_capacity.t4.${artifact}"
   done
 
   echo "=== ${build_dir}: failure-injection smoke (churn + outage + lossy backhaul) ==="
@@ -367,11 +387,11 @@ for leg in "${legs[@]}"; do
 
   run_scenario_smokes "${build_dir}"
 
-  # The telemetry artifacts (the multicell trace and the campaign fan-out's
-  # CSV and trace included), the faulted CSVs, the DA-SC tail CSV, the
-  # DR-SC-only fig7 CSV and the two SC-PTM CSVs are pure functions of
-  # (spec, seed): the Debug and Release runs of the smokes above must agree
-  # byte for byte.
+  # The telemetry artifacts (the multicell trace, and the campaign fan-out's
+  # and the stratified capacity run's CSV and trace included), the faulted
+  # CSVs, the DA-SC tail CSV, the DR-SC-only fig7 CSV and the two SC-PTM
+  # CSVs are pure functions of (spec, seed): the Debug and Release runs of
+  # the smokes above must agree byte for byte.
   if [[ "${config}" == "Release" && -f build-debug/telemetry_smoke.trace.jsonl ]]; then
     echo "=== cross-config determinism: Debug vs Release telemetry artifacts + fault, DA-SC tail, DR-SC and SC-PTM CSVs ==="
     cmp build-debug/telemetry_smoke.trace.jsonl "${build_dir}/telemetry_smoke.trace.jsonl"
@@ -380,6 +400,8 @@ for leg in "${legs[@]}"; do
     cmp build-debug/citywide_trace.t4.jsonl "${build_dir}/citywide_trace.t4.jsonl"
     cmp build-debug/campaign_fanout.t4.csv "${build_dir}/campaign_fanout.t4.csv"
     cmp build-debug/campaign_fanout.t4.jsonl "${build_dir}/campaign_fanout.t4.jsonl"
+    cmp build-debug/strata_capacity.t4.csv "${build_dir}/strata_capacity.t4.csv"
+    cmp build-debug/strata_capacity.t4.jsonl "${build_dir}/strata_capacity.t4.jsonl"
     cmp build-debug/churn_smoke.csv "${build_dir}/churn_smoke.csv"
     cmp build-debug/outage_smoke.csv "${build_dir}/outage_smoke.csv"
     cmp build-debug/dasc_tail_smoke.csv "${build_dir}/dasc_tail_smoke.csv"

@@ -24,26 +24,14 @@ MulticastPlan UnicastBaseline::plan(std::span<const nbiot::UeSpec> devices,
 
     for (std::size_t i = 0; i < devices.size(); ++i) {
         const nbiot::UeSpec& dev = devices[i];
-        DeviceSchedule& schedule = plan.schedules[i];
-        schedule.device = dev.device;
-
         // "Each device receiving the multicast data based on its own DRX
         // and without waiting for other devices": page at the next PO,
-        // transmit as soon as it connects.
+        // send the device its own copy as soon as it connects.
         const auto slot = scheduler.enqueue_record(
             dev.device, paging.phase(dev.imsi, dev.cycle), nbiot::SimTime{0}, deadline);
-        if (!slot) {
-            plan.unserved.push_back(dev.device);
-            continue;
-        }
-        schedule.page_at = *slot;
-        schedule.transmission = plan.transmissions.size();
-
-        PlannedTransmission tx;
-        tx.start = *slot;  // lower bound; actual start is on connection
-        tx.starts_on_ready = true;
-        tx.devices.push_back(dev.device);
-        plan.transmissions.push_back(std::move(tx));
+        if (!slot) continue;
+        plan.schedules[i].page_at = *slot;
+        plan.schedules[i].transmission = DeviceSchedule::kPrivate;
     }
 
     return plan;
@@ -67,7 +55,6 @@ MulticastPlan ScPtmBaseline::plan(std::span<const nbiot::UeSpec> devices,
     tx.start = config.sc_ptm_mcch_period + config.ra_guard;
     plan.planning_reference = tx.start;
     for (std::size_t i = 0; i < devices.size(); ++i) {
-        plan.schedules[i].device = devices[i].device;
         plan.schedules[i].transmission = 0;
         tx.devices.push_back(devices[i].device);
     }

@@ -52,9 +52,7 @@ public:
         // Struct-of-arrays per-device runtime state: the hot flags the
         // transmission/recovery paths sweep are one cache-linear byte
         // array each instead of strided struct fields.
-        tx_index_.assign(devices.size(), DeviceSchedule::kUnserved);
         page_attempts_left_.assign(devices.size(), 0);
-        expects_private_rx_.assign(devices.size(), 0);
         is_recovery_.assign(devices.size(), 0);
         tx_started_without_me_.assign(devices.size(), 0);
         missed_by_fault_.assign(devices.size(), 0);
@@ -104,9 +102,7 @@ private:
     sim::RandomStream miss_rng_;
     telemetry::CampaignSink* sink_ = nullptr;  // not owned; may be null
 
-    std::vector<std::size_t> tx_index_;
     std::vector<int> page_attempts_left_;
-    std::vector<std::uint8_t> expects_private_rx_;  // unicast-planned or recovery
     std::vector<std::uint8_t> is_recovery_;
     std::vector<std::uint8_t> tx_started_without_me_;
     // Failure injection (src/faults).  Every churn draw comes from a
@@ -124,6 +120,7 @@ private:
     std::size_t reattaches_ = 0;
     std::size_t stranded_ = 0;
     std::int64_t redelivery_bytes_ = 0;
+    std::size_t unserved_ = 0;
     std::size_t aired_multicasts_ = 0;
     std::size_t aired_unicasts_ = 0;
     std::size_t recovery_transmissions_ = 0;
@@ -148,13 +145,8 @@ void Execution::setup_devices() {
         nbiot::Ue& ue = cell_.add_ue(specs_[i]);
         ue.start_monitoring(horizon_);
 
-        const DeviceSchedule& schedule = plan_.schedules[i];
-        tx_index_[i] = schedule.transmission;
         page_attempts_left_[i] = config_.max_page_attempts;
-        if (schedule.served() &&
-            plan_.transmissions[schedule.transmission].starts_on_ready) {
-            expects_private_rx_[i] = 1;
-        }
+        if (!plan_.schedules[i].served()) ++unserved_;
     }
 }
 
@@ -179,7 +171,6 @@ void Execution::schedule_plan_events() {
         }
     }
     for (std::size_t t = 0; t < plan_.transmissions.size(); ++t) {
-        if (plan_.transmissions[t].starts_on_ready) continue;  // starts on connect
         queue.schedule_at(plan_.transmissions[t].start,
                           [this, t] { start_transmission(t); });
     }
@@ -322,26 +313,22 @@ void Execution::retry_page(std::size_t idx, PageKind kind) {
     }
 
     nbiot::Ue& ue = cell_.ue(DeviceId{static_cast<std::uint32_t>(idx)});
+    const DeviceSchedule& schedule = plan_.schedules[idx];
     const SimTime now = cell_.simulation().now();
     const SimTime next = ue.next_po_at_or_after(now + SimTime{1});
 
-    // Before the transmission, a normal page retried past its start is
-    // pointless (the recovery path takes over at the transmission).  Once
-    // the transmission has passed us by, retries ARE the recovery path.
-    if (kind == PageKind::normal && !tx_started_without_me_[idx] &&
-        tx_index_[idx] != DeviceSchedule::kUnserved &&
-        !plan_.transmissions[tx_index_[idx]].starts_on_ready &&
-        next >= plan_.transmissions[tx_index_[idx]].start) {
+    // Before the shared transmission, a normal page retried past its start
+    // is pointless (the recovery path takes over at the transmission).
+    // Once the transmission has passed us by, retries ARE the recovery path.
+    if (kind == PageKind::normal && !tx_started_without_me_[idx] && schedule.shared() &&
+        next >= plan_.transmissions[schedule.transmission].start) {
         return;
     }
     // A reconfiguration retried so late that the device could not be back
     // in idle before its window page is worse than useless (the device
     // would sit in a stray connection at transmission time): abandon the
     // adjustment and let the recovery path serve the device.
-    if (kind == PageKind::reconfig) {
-        const DeviceSchedule& schedule = plan_.schedules[idx];
-        if (schedule.page_at && next >= *schedule.page_at) return;
-    }
+    if (kind == PageKind::reconfig && schedule.page_at && next >= *schedule.page_at) return;
     // Churn only: an unbounded recovery chain must give up at the horizon
     // — a device that is off-air when monitoring ends stays unreached, it
     // does not drag the event loop past the observation window.
@@ -359,11 +346,10 @@ void Execution::retry_page(std::size_t idx, PageKind kind) {
 
 void Execution::handle_connected(std::size_t idx) {
     ++connections_;
-    if (expects_private_rx_[idx] || tx_started_without_me_[idx]) {
-        if (tx_started_without_me_[idx] && !expects_private_rx_[idx]) {
-            expects_private_rx_[idx] = 1;
-            is_recovery_[idx] = 1;
-        }
+    // A device whose shared transmission went out without it is recovered
+    // with a copy of its own, as a unicast device is served.
+    if (tx_started_without_me_[idx]) is_recovery_[idx] = 1;
+    if (is_recovery_[idx] || plan_.schedules[idx].transmission == DeviceSchedule::kPrivate) {
         start_private_delivery(idx);
     }
     // Otherwise: stay connected and wait; the transmission event collects us.
@@ -506,7 +492,7 @@ CampaignResult Execution::run() {
     result.recovery_transmissions = recovery_transmissions_;
     result.paging_messages = paging_messages_ + retry_pages_;
     result.paging_entries = paging_entries_ + retry_pages_;
-    result.unserved = plan_.unserved.size();
+    result.unserved = unserved_;
     result.payload_bytes = payload_bytes_;
     result.observation_horizon = horizon_;
     result.rach_attempts = cell_.rach().total_attempts();
@@ -638,7 +624,6 @@ CampaignResult run_stratified(const CampaignConfig& config, std::size_t strata,
         for (std::size_t t = 0; t < plan.transmissions.size(); ++t) {
             PlannedTransmission tx;
             tx.start = plan.transmissions[t].start;
-            tx.starts_on_ready = plan.transmissions[t].starts_on_ready;
             for (const DeviceId dev : plan.transmissions[t].devices) {
                 if (stratum_of[dev.value] == s) {
                     tx.devices.push_back(DeviceId{local_of[dev.value]});
@@ -658,18 +643,12 @@ CampaignResult run_stratified(const CampaignConfig& config, std::size_t strata,
             sub.specs.push_back(spec);
 
             DeviceSchedule schedule = plan.schedules[g];
-            schedule.device = spec.device;
-            if (schedule.transmission != DeviceSchedule::kUnserved) {
-                // A served device's transmission contains it, so the
+            if (schedule.shared()) {
+                // A shared transmission contains its device, so the
                 // stratum kept that transmission and the map is set.
                 schedule.transmission = tx_map[schedule.transmission];
             }
             sub.plan.schedules.push_back(std::move(schedule));
-        }
-        for (const DeviceId dev : plan.unserved) {
-            if (stratum_of[dev.value] == s) {
-                sub.plan.unserved.push_back(DeviceId{local_of[dev.value]});
-            }
         }
         subs.push_back(std::move(sub));
     }

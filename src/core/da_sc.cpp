@@ -82,7 +82,6 @@ MulticastPlan DaScMechanism::plan(std::span<const nbiot::UeSpec> devices,
     for (std::size_t i = 0; i < devices.size(); ++i) {
         const nbiot::UeSpec& dev = devices[i];
         DeviceSchedule& schedule = plan.schedules[i];
-        schedule.device = dev.device;
 
         const nbiot::PoPhase phase = paging.phase(dev.imsi, dev.cycle);
         if (phase.has_in_range(window_start, t)) {
@@ -111,19 +110,13 @@ MulticastPlan DaScMechanism::plan(std::span<const nbiot::UeSpec> devices,
             }
             p_adj = phase.last_before(*p_adj);
         }
-        if (!placed_choice) {
-            plan.unserved.push_back(dev.device);
-            continue;
-        }
+        if (!placed_choice) continue;
 
         // Page for the multicast at the adapted-cycle PO (full occasions
         // defer to later adapted POs, still before t).
         const auto slot = scheduler.enqueue_record(dev.device, placed_choice->adapted_phase,
                                                    placed_choice->window_po, t);
-        if (!slot) {
-            plan.unserved.push_back(dev.device);
-            continue;
-        }
+        if (!slot) continue;
 
         schedule.adjustment =
             DrxAdjustment{placed_choice->adjust_page_at, placed_choice->adapted_cycle};

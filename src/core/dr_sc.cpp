@@ -130,9 +130,6 @@ MulticastPlan DrScMechanism::plan(std::span<const nbiot::UeSpec> devices,
     plan.kind = MechanismKind::dr_sc;
     plan.planning_reference = horizon;
     plan.schedules.resize(devices.size());
-    for (std::size_t i = 0; i < devices.size(); ++i) {
-        plan.schedules[i].device = devices[i].device;
-    }
 
     // Every PO of every device over the horizon: one repetition, twice.
     // maxDRX is whole frames, so the horizon is exactly 2 * maxDRX.  Each
@@ -177,10 +174,7 @@ MulticastPlan DrScMechanism::plan(std::span<const nbiot::UeSpec> devices,
     for (const nbiot::DeviceId dev : leftovers) {
         const auto slot = scheduler.enqueue_record(dev, phases[dev.value], horizon,
                                                    detail::open_deadline(devices));
-        if (!slot) {
-            plan.unserved.push_back(dev);
-            continue;
-        }
+        if (!slot) continue;
         plan.schedules[dev.value].page_at = *slot;
         plan.schedules[dev.value].transmission = plan.transmissions.size();
         PlannedTransmission tx;

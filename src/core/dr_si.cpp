@@ -35,7 +35,6 @@ MulticastPlan DrSiMechanism::plan(std::span<const nbiot::UeSpec> devices,
     for (std::size_t i = 0; i < devices.size(); ++i) {
         const nbiot::UeSpec& dev = devices[i];
         DeviceSchedule& schedule = plan.schedules[i];
-        schedule.device = dev.device;
 
         const nbiot::PoPhase phase = paging.phase(dev.imsi, dev.cycle);
         if (phase.has_in_range(window_start, t)) {
@@ -53,10 +52,7 @@ MulticastPlan DrSiMechanism::plan(std::span<const nbiot::UeSpec> devices,
         const nbiot::SimTime wake_at{rng.uniform_int(window_start.count(), t.count() - 1)};
         const auto slot =
             scheduler.enqueue_mltc(dev.device, phase, nbiot::SimTime{0}, window_start);
-        if (!slot) {
-            plan.unserved.push_back(dev.device);
-            continue;
-        }
+        if (!slot) continue;
         schedule.mltc = MltcNotification{*slot, wake_at};
         schedule.transmission = 0;
         tx.devices.push_back(dev.device);

@@ -32,47 +32,32 @@ void validate_plan(const MulticastPlan& plan, std::span<const nbiot::UeSpec> dev
     if (plan.schedules.size() != devices.size()) {
         throw std::logic_error("plan: schedule count != device count");
     }
-    std::vector<bool> in_transmission(devices.size(), false);
-    for (const auto& tx : plan.transmissions) {
-        if (tx.starts_on_ready && tx.devices.size() != 1) {
-            throw std::logic_error("plan: on-ready transmission must carry one device");
-        }
-        for (const auto dev : tx.devices) {
+    // owner[i]: the transmission carrying device i, or kUnserved.
+    std::vector<std::size_t> owner(devices.size(), DeviceSchedule::kUnserved);
+    for (std::size_t t = 0; t < plan.transmissions.size(); ++t) {
+        for (const auto dev : plan.transmissions[t].devices) {
             if (dev.value >= devices.size()) throw std::logic_error("plan: bad device id");
-            if (in_transmission[dev.value]) {
+            if (owner[dev.value] != DeviceSchedule::kUnserved) {
                 throw std::logic_error("plan: device in two transmissions");
             }
-            in_transmission[dev.value] = true;
+            owner[dev.value] = t;
         }
     }
+    const bool unicast = plan.kind == MechanismKind::unicast;
     for (std::size_t i = 0; i < plan.schedules.size(); ++i) {
         const DeviceSchedule& s = plan.schedules[i];
-        if (s.device.value != i) throw std::logic_error("plan: schedules not dense");
-        if (s.served()) {
-            if (s.transmission >= plan.transmissions.size()) {
-                throw std::logic_error("plan: bad transmission index");
-            }
-            if (!in_transmission[i]) {
-                throw std::logic_error("plan: served device missing from transmission");
-            }
-            const auto& tx = plan.transmissions[s.transmission];
-            if (std::find(tx.devices.begin(), tx.devices.end(), s.device) ==
-                tx.devices.end()) {
-                throw std::logic_error("plan: schedule points to foreign transmission");
-            }
-        } else if (in_transmission[i]) {
-            throw std::logic_error("plan: unserved device inside a transmission");
+        if (owner[i] != (s.shared() ? s.transmission : DeviceSchedule::kUnserved)) {
+            throw std::logic_error("plan: device " + std::to_string(i) +
+                                   " is not in exactly its schedule's transmission");
+        }
+        if (s.served() && s.shared() == unicast) {
+            throw std::logic_error("plan: private copies are unicast's, and unicast's only");
         }
         if (s.adjustment && s.mltc) {
             throw std::logic_error("plan: device both adjusted and mltc-notified");
         }
         if (s.mltc && s.page_at) {
             throw std::logic_error("plan: mltc device must not also be paged normally");
-        }
-    }
-    for (const auto dev : plan.unserved) {
-        if (dev.value >= devices.size() || plan.schedules[dev.value].served()) {
-            throw std::logic_error("plan: bad unserved entry");
         }
     }
     const bool single_tx_kind =
@@ -82,9 +67,8 @@ void validate_plan(const MulticastPlan& plan, std::span<const nbiot::UeSpec> dev
         throw std::logic_error(std::string{to_string(plan.kind)} +
                                ": must plan exactly one transmission");
     }
-    if (plan.kind == MechanismKind::unicast &&
-        plan.transmissions.size() != devices.size() - plan.unserved.size()) {
-        throw std::logic_error("unicast: one transmission per served device");
+    if (unicast && !plan.transmissions.empty()) {
+        throw std::logic_error("unicast: a plan of private copies holds no shared transmission");
     }
 }
 

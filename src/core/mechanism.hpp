@@ -146,32 +146,41 @@ struct MltcNotification {
     nbiot::SimTime wake_at{0};
 };
 
-/// Per-device campaign script.
+/// Per-device campaign script.  Schedule i belongs to device i (the plan's
+/// `schedules` are indexed by device id).  `transmission` names the
+/// device's delivery, in one of three states:
+///  - shared: an index into MulticastPlan::transmissions, whose devices
+///    include this one;
+///  - kPrivate: the device gets its own copy as soon as it connects (the
+///    unicast reference, and only it);
+///  - kUnserved: no delivery (paging capacity or timing left it out).
 struct DeviceSchedule {
     static constexpr std::size_t kUnserved = static_cast<std::size_t>(-1);
+    static constexpr std::size_t kPrivate = static_cast<std::size_t>(-2);
 
-    nbiot::DeviceId device;
-    std::size_t transmission = kUnserved;  // index into MulticastPlan::transmissions
+    std::size_t transmission = kUnserved;
     std::optional<nbiot::SimTime> page_at;  // normal page triggering the connection
     std::optional<DrxAdjustment> adjustment;    // DA-SC only
     std::optional<MltcNotification> mltc;       // DR-SI only
 
     [[nodiscard]] bool served() const noexcept { return transmission != kUnserved; }
+    /// The delivery is a shared transmission of the plan.
+    [[nodiscard]] bool shared() const noexcept { return transmission < kPrivate; }
 };
 
+/// Only ever a shared transmission: one airing of the payload at `start`
+/// to every device in `devices`.  A private copy has no entry here.
 struct PlannedTransmission {
     nbiot::SimTime start{0};
-    /// Unicast semantics: the transmission begins when its (single) device
-    /// connects, rather than at a fixed instant.
-    bool starts_on_ready = false;
     std::vector<nbiot::DeviceId> devices;
 };
 
+/// One schedule per device plus the shared transmissions, and nothing
+/// else: a device's delivery state lives on its schedule alone.
 struct MulticastPlan {
     MechanismKind kind = MechanismKind::unicast;
     std::vector<PlannedTransmission> transmissions;
     std::vector<DeviceSchedule> schedules;  // index == device id
-    std::vector<nbiot::DeviceId> unserved;  // paging capacity / timing casualties
     /// The planner's reference time t (DA-SC/DR-SI transmission instant
     /// reference; DR-SC planning-horizon end).
     nbiot::SimTime planning_reference{0};
@@ -196,9 +205,10 @@ public:
 [[nodiscard]] nbiot::DrxCycle population_max_cycle(
     std::span<const nbiot::UeSpec> devices);
 
-/// Validates plan invariants (dense schedules, one transmission per served
-/// device, single transmission for DA-SC/DR-SI, ...).  Throws on violation;
-/// used by tests and debug builds.
+/// Validates plan invariants (one schedule per device, each shared device in
+/// exactly its schedule's transmission, private copies for unicast only,
+/// single transmission for DA-SC/DR-SI, ...).  Throws on violation; used by
+/// tests and debug builds.
 void validate_plan(const MulticastPlan& plan, std::span<const nbiot::UeSpec> devices);
 
 }  // namespace nbmg::core

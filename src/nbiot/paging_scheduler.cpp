@@ -60,10 +60,6 @@ bool PagingScheduler::try_enqueue_record_at(DeviceId device, const PoPhase& phas
     if (!phase.is_po(po)) {
         throw std::logic_error("PagingScheduler: not a paging occasion of the device");
     }
-    return force_enqueue_record_at(device, po);
-}
-
-bool PagingScheduler::force_enqueue_record_at(DeviceId device, SimTime po) {
     std::uint32_t& occupancy = occupancy_[po.count()];
     if (occupancy >= static_cast<std::uint32_t>(max_records_)) return false;
     place(device, po, occupancy, 0);

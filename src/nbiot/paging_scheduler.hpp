@@ -50,11 +50,6 @@ public:
     /// placements that must not slip forward.
     bool try_enqueue_record_at(DeviceId device, const PoPhase& phase, SimTime po);
 
-    /// Places a record at `po` without checking the TS 36.304 congruence.
-    /// Needed for anchored adapted occasions (DA-SC, paper Fig. 5 model),
-    /// whose positions are not formula-derived.  Fails when full.
-    bool force_enqueue_record_at(DeviceId device, SimTime po);
-
 private:
     std::optional<SimTime> find_slot(const PoPhase& phase, SimTime not_before,
                                      SimTime deadline) const;

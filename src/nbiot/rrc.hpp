@@ -1,5 +1,5 @@
-// RRC procedure model: message types, establishment causes, and the
-// signaling-latency constants the uptime accounting uses.
+// RRC procedure model: establishment causes, and the signaling-latency
+// constants and message sizes the uptime and bytes accounting use.
 //
 // The DR-SI mechanism adds a new establishment cause (multicastReception)
 // and a new UE timer (T322) on top of the standard procedures; both are
@@ -8,10 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <variant>
 
-#include "nbiot/drx.hpp"
 #include "nbiot/types.hpp"
 
 namespace nbmg::nbiot {
@@ -39,23 +36,6 @@ enum class EstablishmentCause : std::uint8_t {
 [[nodiscard]] constexpr bool is_standard_cause(EstablishmentCause cause) noexcept {
     return cause != EstablishmentCause::multicast_reception;
 }
-
-struct RrcConnectionRequest {
-    Imsi imsi;
-    EstablishmentCause cause = EstablishmentCause::mt_access;
-};
-
-struct RrcConnectionSetup {};
-
-/// Carries the DRX reconfiguration used by DA-SC.
-struct RrcConnectionReconfiguration {
-    std::optional<DrxCycle> new_drx;
-};
-
-struct RrcConnectionRelease {};
-
-using RrcMessage = std::variant<RrcConnectionRequest, RrcConnectionSetup,
-                                RrcConnectionReconfiguration, RrcConnectionRelease>;
 
 /// Time constants of the protocol actions a device performs.  All values
 /// are configurable; defaults are representative of commercial NB-IoT

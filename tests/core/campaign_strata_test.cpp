@@ -11,6 +11,7 @@
 //     is.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -122,7 +123,9 @@ INSTANTIATE_TEST_SUITE_P(
     MechanismsByStrata, StrataDeterminismTest,
     ::testing::Combine(::testing::Values(MechanismKind::dr_sc,
                                          MechanismKind::da_sc,
-                                         MechanismKind::dr_si),
+                                         MechanismKind::dr_si,
+                                         MechanismKind::unicast,
+                                         MechanismKind::sc_ptm),
                        ::testing::Values(std::size_t{1}, std::size_t{2},
                                          std::size_t{8}, std::size_t{32})),
     [](const auto& info) {
@@ -169,6 +172,43 @@ TEST(StrataCampaignTest, PopulationSmallerThanStrataLeavesStrataEmpty) {
     for (std::size_t i = 0; i < serial.devices.size(); ++i) {
         EXPECT_EQ(serial.devices[i].spec.device.value, i);
         EXPECT_TRUE(serial.devices[i].received);
+    }
+}
+
+TEST(StrataCampaignTest, UnservedDevicesReachTheResultAtAnyStrata) {
+    // 30 devices on identical paging occasions, one page record per
+    // occasion: every paging kind leaves devices without a delivery, and
+    // the result counts exactly the schedules that have none, whether the
+    // campaign runs as one cell or through the stratified merge.
+    std::vector<nbiot::UeSpec> specs;
+    for (std::uint32_t i = 0; i < 30; ++i) {
+        specs.push_back(nbiot::UeSpec{nbiot::DeviceId{i},
+                                      nbiot::Imsi{(std::uint64_t{1} << 20) * i + 5},
+                                      nbiot::drx::seconds_10485_76(), nbiot::CeLevel::ce0});
+    }
+    CampaignConfig config;
+    config.paging.max_page_records = 1;
+    constexpr std::int64_t kPayload = 64 * 1024;
+    const nbiot::SimTime horizon = recommended_horizon(specs, config, kPayload);
+    for (const MechanismKind kind : {MechanismKind::unicast, MechanismKind::dr_sc,
+                                     MechanismKind::da_sc, MechanismKind::dr_si,
+                                     MechanismKind::sc_ptm}) {
+        SCOPED_TRACE(to_string(kind));
+        sim::RandomStream rng{99};
+        const MulticastPlan plan = make_mechanism(kind)->plan(specs, config, rng);
+        const auto unserved = static_cast<std::size_t>(
+            std::count_if(plan.schedules.begin(), plan.schedules.end(),
+                          [](const DeviceSchedule& s) { return !s.served(); }));
+        if (kind != MechanismKind::sc_ptm) {
+            EXPECT_GT(unserved, 0u);
+        }
+        for (const std::size_t strata : {std::size_t{1}, std::size_t{8}}) {
+            CampaignConfig stratified = config;
+            stratified.strata = strata;
+            const CampaignResult result =
+                CampaignRunner(stratified, 2).run(plan, specs, kPayload, horizon, 99);
+            EXPECT_EQ(result.unserved, unserved) << "strata=" << strata;
+        }
     }
 }
 

@@ -73,9 +73,9 @@ TEST_P(PlannerSweepTest, PlanSatisfiesInvariants) {
     const MulticastPlan plan = plan_with(kind, devices, config, seed);
     EXPECT_NO_THROW(validate_plan(plan, devices));
     EXPECT_EQ(plan.kind, kind);
-    EXPECT_TRUE(plan.unserved.empty())
-        << "default paging capacity must serve everyone";
-    for (const auto& s : plan.schedules) EXPECT_TRUE(s.served());
+    for (const auto& s : plan.schedules) {
+        EXPECT_TRUE(s.served()) << "default paging capacity must serve everyone";
+    }
 }
 
 TEST_P(PlannerSweepTest, PlansAreDeterministicPerSeed) {
@@ -107,9 +107,10 @@ TEST(DrScPlanTest, EveryDeviceIsPagedAtOwnPoInsideItsWindow) {
     const CampaignConfig config;
     const MulticastPlan plan = plan_with(MechanismKind::dr_sc, devices, config);
     const nbiot::PagingSchedule paging(config.paging);
-    for (const auto& s : plan.schedules) {
+    for (std::size_t i = 0; i < plan.schedules.size(); ++i) {
+        const DeviceSchedule& s = plan.schedules[i];
         ASSERT_TRUE(s.page_at.has_value());
-        const auto& dev = devices[s.device.value];
+        const auto& dev = devices[i];
         EXPECT_TRUE(paging.phase(dev.imsi, dev.cycle).is_po(*s.page_at))
             << "DR-SC must respect the device's own paging occasions";
         EXPECT_FALSE(s.adjustment.has_value());
@@ -326,8 +327,9 @@ TEST(DaScPlanTest, DevicesWithNaturalPoInWindowAreNotAdjusted) {
     const nbiot::PagingSchedule paging(config.paging);
     const SimTime t = plan.planning_reference;
     const SimTime window_start = t - config.inactivity_timer;
-    for (const auto& s : plan.schedules) {
-        const auto& dev = devices[s.device.value];
+    for (std::size_t i = 0; i < plan.schedules.size(); ++i) {
+        const DeviceSchedule& s = plan.schedules[i];
+        const auto& dev = devices[i];
         if (paging.phase(dev.imsi, dev.cycle).has_in_range(window_start, t)) {
             EXPECT_FALSE(s.adjustment.has_value())
                 << "natural-PO devices must keep their cycle (Sec. III-B)";
@@ -344,9 +346,10 @@ TEST(DaScPlanTest, AdjustmentsAreShorterCyclesPagedBeforeWindow) {
     const nbiot::PagingSchedule paging(config.paging);
     const SimTime t = plan.planning_reference;
     const SimTime window_start = t - config.inactivity_timer;
-    for (const auto& s : plan.schedules) {
+    for (std::size_t i = 0; i < plan.schedules.size(); ++i) {
+        const DeviceSchedule& s = plan.schedules[i];
         if (!s.adjustment) continue;
-        const auto& dev = devices[s.device.value];
+        const auto& dev = devices[i];
         EXPECT_LT(s.adjustment->adapted_cycle, dev.cycle)
             << "DA-SC only decreases cycles";
         EXPECT_LT(s.adjustment->adjust_page_at, window_start)
@@ -369,9 +372,10 @@ TEST(DaScPlanTest, AdaptedPoSitsOnBothGrids) {
     const MulticastPlan plan = plan_with(MechanismKind::da_sc, devices, config);
     const nbiot::PagingSchedule paging(config.paging);
     std::size_t checked = 0;
-    for (const auto& s : plan.schedules) {
+    for (std::size_t i = 0; i < plan.schedules.size(); ++i) {
+        const DeviceSchedule& s = plan.schedules[i];
         if (!s.adjustment) continue;
-        const auto& dev = devices[s.device.value];
+        const auto& dev = devices[i];
         EXPECT_TRUE(paging.phase(dev.imsi, s.adjustment->adapted_cycle).is_po(*s.page_at));
         const std::int64_t delta = (*s.page_at - s.adjustment->adjust_page_at).count();
         EXPECT_EQ(delta % s.adjustment->adapted_cycle.period_ms(), 0);
@@ -412,8 +416,9 @@ TEST(DrSiPlanTest, ExtensionOnlyForDevicesOutsideWindow) {
     const nbiot::PagingSchedule paging(config.paging);
     const SimTime t = plan.planning_reference;
     const SimTime window_start = t - config.inactivity_timer;
-    for (const auto& s : plan.schedules) {
-        const auto& dev = devices[s.device.value];
+    for (std::size_t i = 0; i < plan.schedules.size(); ++i) {
+        const DeviceSchedule& s = plan.schedules[i];
+        const auto& dev = devices[i];
         if (paging.phase(dev.imsi, dev.cycle).has_in_range(window_start, t)) {
             EXPECT_TRUE(s.page_at.has_value());
             EXPECT_FALSE(s.mltc.has_value());
@@ -465,14 +470,17 @@ TEST(DrSiPlanTest, DifferentSeedsGiveDifferentWakeTimes) {
 
 // ------------------------------------------------------------ baselines ----
 
-TEST(UnicastPlanTest, OneTransmissionPerDeviceOnReady) {
+TEST(UnicastPlanTest, EveryServedDeviceGetsAPrivateCopy) {
+    // No shared transmission: each served device is sent its own copy when
+    // it connects, so the plan is its schedules alone.
     const auto devices = make_population(80, 5);
     const CampaignConfig config;
     const MulticastPlan plan = plan_with(MechanismKind::unicast, devices, config);
-    EXPECT_EQ(plan.transmissions.size(), devices.size());
-    for (const auto& tx : plan.transmissions) {
-        EXPECT_TRUE(tx.starts_on_ready);
-        EXPECT_EQ(tx.devices.size(), 1u);
+    EXPECT_TRUE(plan.transmissions.empty());
+    for (const DeviceSchedule& s : plan.schedules) {
+        ASSERT_TRUE(s.served());
+        EXPECT_EQ(s.transmission, DeviceSchedule::kPrivate);
+        EXPECT_FALSE(s.shared());
     }
 }
 
@@ -481,8 +489,9 @@ TEST(UnicastPlanTest, PagesAtFirstPo) {
     const CampaignConfig config;
     const MulticastPlan plan = plan_with(MechanismKind::unicast, devices, config);
     const nbiot::PagingSchedule paging(config.paging);
-    for (const auto& s : plan.schedules) {
-        const auto& dev = devices[s.device.value];
+    for (std::size_t i = 0; i < plan.schedules.size(); ++i) {
+        const DeviceSchedule& s = plan.schedules[i];
+        const auto& dev = devices[i];
         ASSERT_TRUE(s.page_at.has_value());
         // First PO unless capacity deferred (rare at this size).
         EXPECT_LE(*s.page_at, paging.phase(dev.imsi, dev.cycle).first_at_or_after(SimTime{0}) +
@@ -524,8 +533,39 @@ TEST(ValidatePlanTest, CatchesExtraTransmissionForSingleTxKinds) {
     const auto devices = make_population(10, 1);
     const CampaignConfig config;
     MulticastPlan plan = plan_with(MechanismKind::dr_si, devices, config);
-    plan.transmissions.push_back(PlannedTransmission{SimTime{1}, false, {}});
+    plan.transmissions.push_back(PlannedTransmission{SimTime{1}, {}});
     EXPECT_THROW(validate_plan(plan, devices), std::logic_error);
+}
+
+TEST(ValidatePlanTest, PrivateCopiesAreUnicastsAlone) {
+    // kPrivate appears only in unicast plans, every served unicast schedule
+    // is kPrivate, and a unicast plan holds no shared transmission.
+    const auto devices = make_population(10, 1);
+    const CampaignConfig config;
+    const MulticastPlan unicast = plan_with(MechanismKind::unicast, devices, config);
+    ASSERT_NO_THROW(validate_plan(unicast, devices));
+
+    MulticastPlan shared_copy = unicast;
+    shared_copy.transmissions.push_back(PlannedTransmission{SimTime{1}, {nbiot::DeviceId{0}}});
+    shared_copy.schedules[0].transmission = 0;
+    EXPECT_THROW(validate_plan(shared_copy, devices), std::logic_error);
+
+    MulticastPlan empty_transmission = unicast;
+    empty_transmission.transmissions.push_back(PlannedTransmission{SimTime{1}, {}});
+    EXPECT_THROW(validate_plan(empty_transmission, devices), std::logic_error);
+
+    for (const MechanismKind kind : {MechanismKind::dr_sc, MechanismKind::da_sc,
+                                     MechanismKind::dr_si, MechanismKind::sc_ptm}) {
+        SCOPED_TRACE(to_string(kind));
+        MulticastPlan plan = plan_with(kind, devices, config);
+        ASSERT_NO_THROW(validate_plan(plan, devices));
+        // Device 0 leaves its shared transmission for a private copy.
+        for (PlannedTransmission& tx : plan.transmissions) {
+            std::erase(tx.devices, nbiot::DeviceId{0});
+        }
+        plan.schedules[0].transmission = DeviceSchedule::kPrivate;
+        EXPECT_THROW(validate_plan(plan, devices), std::logic_error);
+    }
 }
 
 TEST(PlannerEdgeTest, EmptyPopulationThrows) {

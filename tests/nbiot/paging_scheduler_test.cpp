@@ -91,7 +91,7 @@ TEST_F(PagingSchedulerTest, CapacityPastUint16FillsOneOccasion) {
     }
     EXPECT_EQ(sched.enqueue_record(DeviceId{0}, phase, SimTime{0}, kFar),
               po + SimTime{phase.period});
-    EXPECT_FALSE(sched.force_enqueue_record_at(DeviceId{0}, po));
+    EXPECT_FALSE(sched.try_enqueue_record_at(DeviceId{0}, phase, po));
 }
 
 TEST_F(PagingSchedulerTest, TryEnqueueAtExactPo) {
@@ -108,13 +108,6 @@ TEST_F(PagingSchedulerTest, TryEnqueueAtNonPoThrows) {
     const SimTime po = phase.first_at_or_after(SimTime{0});
     EXPECT_THROW((void)sched.try_enqueue_record_at(DeviceId{0}, phase, po + SimTime{1}),
                  std::logic_error);
-}
-
-TEST_F(PagingSchedulerTest, ForceEnqueueSkipsCongruenceCheck) {
-    PagingScheduler sched(1, 2);
-    const SimTime anywhere{123'456};
-    EXPECT_TRUE(sched.force_enqueue_record_at(DeviceId{0}, anywhere));
-    EXPECT_FALSE(sched.force_enqueue_record_at(DeviceId{1}, anywhere));
 }
 
 }  // namespace

@@ -28,18 +28,6 @@ TEST(RrcTest, CauseNamesMatchAsn1Style) {
                  "multicastReception");
 }
 
-TEST(RrcTest, MessageVariantHoldsEveryProcedure) {
-    nbiot::RrcMessage msg = nbiot::RrcConnectionRequest{
-        nbiot::Imsi{5}, EstablishmentCause::multicast_reception};
-    EXPECT_TRUE(std::holds_alternative<nbiot::RrcConnectionRequest>(msg));
-    msg = nbiot::RrcConnectionReconfiguration{nbiot::drx::seconds_10_24()};
-    const auto& reconfig = std::get<nbiot::RrcConnectionReconfiguration>(msg);
-    ASSERT_TRUE(reconfig.new_drx.has_value());
-    EXPECT_EQ(reconfig.new_drx->period_ms(), 10'240);
-    msg = nbiot::RrcConnectionRelease{};
-    EXPECT_TRUE(std::holds_alternative<nbiot::RrcConnectionRelease>(msg));
-}
-
 TEST(RrcTest, DefaultTimingModelValid) {
     EXPECT_TRUE(nbiot::TimingModel{}.valid());
     nbiot::TimingModel bad;
