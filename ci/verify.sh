@@ -10,10 +10,12 @@
 #             and stress labels); every bench and example shell at a
 #             tiny size; scenario-file + coordinator smokes
 #             (the DA-SC tail/page-loss file's CSV and a DR-SC-only fig7
-#             run's CSV are byte-diffed Debug vs Release); a stratified
-#             capacity smoke (every plan kind at 8 strata and one page
-#             record per occasion, each artifact equal at 1 and 4
-#             threads, its CSV and trace byte-diffed Debug vs Release);
+#             run's CSV are byte-diffed Debug vs Release); a
+#             three-window --trace-out smoke (the streamed trace equal at
+#             1 and 4 threads and byte-diffed Debug vs Release); a
+#             stratified capacity smoke (every plan kind at 8 strata and
+#             one page record per occasion, each artifact equal at 1 and
+#             4 threads, its CSV and trace byte-diffed Debug vs Release);
 #             failure-injection smoke (churn scenario,
 #             outage preset, lossy backhaul — all three CSVs are
 #             byte-diffed Debug vs Release); SC-PTM smoke (a 10 ms
@@ -120,6 +122,16 @@ run_scenario_smokes() {
       --trace-out "${build_dir}/citywide_trace.t${threads}.jsonl"
   done
   cmp "${build_dir}/citywide_trace.t1.jsonl" "${build_dir}/citywide_trace.t4.jsonl"
+  # That trace fits in one streaming window of 2^17 records.  At 3,000
+  # devices it makes 346,583 records, so --trace-out writes it in three
+  # windows through one reused buffer; the windows must join into the same
+  # bytes at one and at four threads.
+  for threads in 1 4; do
+    "${build_dir}/examples/run_scenario" --preset citywide-backhaul \
+      --devices 3000 --runs 4 --threads "${threads}" --telemetry trace \
+      --trace-out "${build_dir}/streamed_trace.t${threads}.jsonl"
+  done
+  cmp "${build_dir}/streamed_trace.t1.jsonl" "${build_dir}/streamed_trace.t4.jsonl"
   # One run on one cell (the reference and three mechanisms) at one and at
   # four threads: at four, the task's spare workers run its campaigns side
   # by side, and every artifact must still equal the serial run's.
@@ -387,17 +399,18 @@ for leg in "${legs[@]}"; do
 
   run_scenario_smokes "${build_dir}"
 
-  # The telemetry artifacts (the multicell trace, and the campaign fan-out's
-  # and the stratified capacity run's CSV and trace included), the faulted
-  # CSVs, the DA-SC tail CSV, the DR-SC-only fig7 CSV and the two SC-PTM
-  # CSVs are pure functions of (spec, seed): the Debug and Release runs of
-  # the smokes above must agree byte for byte.
+  # The telemetry artifacts (the multicell and the streamed traces, and the
+  # campaign fan-out's and the stratified capacity run's CSV and trace
+  # included), the faulted CSVs, the DA-SC tail CSV, the DR-SC-only fig7
+  # CSV and the two SC-PTM CSVs are pure functions of (spec, seed): the
+  # Debug and Release runs of the smokes above must agree byte for byte.
   if [[ "${config}" == "Release" && -f build-debug/telemetry_smoke.trace.jsonl ]]; then
     echo "=== cross-config determinism: Debug vs Release telemetry artifacts + fault, DA-SC tail, DR-SC and SC-PTM CSVs ==="
     cmp build-debug/telemetry_smoke.trace.jsonl "${build_dir}/telemetry_smoke.trace.jsonl"
     cmp build-debug/telemetry_smoke.metrics.csv "${build_dir}/telemetry_smoke.metrics.csv"
     cmp build-debug/telemetry_smoke.timeline.json "${build_dir}/telemetry_smoke.timeline.json"
     cmp build-debug/citywide_trace.t4.jsonl "${build_dir}/citywide_trace.t4.jsonl"
+    cmp build-debug/streamed_trace.t4.jsonl "${build_dir}/streamed_trace.t4.jsonl"
     cmp build-debug/campaign_fanout.t4.csv "${build_dir}/campaign_fanout.t4.csv"
     cmp build-debug/campaign_fanout.t4.jsonl "${build_dir}/campaign_fanout.t4.jsonl"
     cmp build-debug/strata_capacity.t4.csv "${build_dir}/strata_capacity.t4.csv"

@@ -15,6 +15,7 @@
 #include "bench/bench_util.hpp"
 #include "scenario/registry.hpp"
 #include "scenario/run.hpp"
+#include "telemetry/collector.hpp"
 
 int main(int argc, char** argv) {
     using namespace nbmg;
@@ -81,14 +82,12 @@ int main(int argc, char** argv) {
     }
     if (result.telemetry) {
         const scenario::TelemetryReport& report = *result.telemetry;
-        std::size_t trace_lines = 0;
-        for (const char c : report.trace_jsonl) {
-            if (c == '\n') ++trace_lines;
-        }
         std::printf("\ntelemetry: trace=%s metrics=%s",
                     report.config.trace ? "on" : "off",
                     report.config.metrics ? "on" : "off");
-        if (report.config.trace) std::printf("  trace records=%zu", trace_lines);
+        if (report.config.trace) {
+            std::printf("  trace records=%zu", report.collector->trace_records());
+        }
         std::printf("\n");
         if (!report.config.trace_out.empty()) {
             std::printf("  wrote trace    -> %s\n", report.config.trace_out.c_str());

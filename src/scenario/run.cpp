@@ -3,7 +3,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -20,17 +24,18 @@
 namespace nbmg::scenario {
 namespace {
 
-/// Writes a telemetry artifact; an empty path means "keep it in-memory
-/// only".  Failures throw ScenarioError so shells exit with a diagnostic
-/// instead of silently dropping the artifact.
-void write_artifact(const std::string& path, const std::string& text) {
+/// Writes a telemetry artifact through write(stream); an empty path means
+/// "keep it in-memory only".  Failures throw ScenarioError so shells exit
+/// with a diagnostic instead of silently dropping the artifact.
+void write_artifact(const std::string& path,
+                    const std::function<void(std::ostream&)>& write) {
     if (path.empty()) return;
     std::ofstream file(path, std::ios::binary | std::ios::trunc);
     if (!file) {
         throw ScenarioError("cannot open telemetry output file '" + path +
                             "' for writing");
     }
-    file.write(text.data(), static_cast<std::streamsize>(text.size()));
+    write(file);
     file.flush();
     if (!file) {
         throw ScenarioError("write to telemetry output file '" + path +
@@ -39,6 +44,24 @@ void write_artifact(const std::string& path, const std::string& text) {
 }
 
 }  // namespace
+
+struct DeferredText::State {
+    std::once_flag rendered;
+    std::function<std::string()> render;
+    std::string text;
+};
+
+DeferredText::DeferredText(std::function<std::string()> render)
+    : state_(std::make_shared<State>()) {
+    state_->render = std::move(render);
+}
+
+const std::string& DeferredText::str() const {
+    static const std::string empty;
+    if (!state_) return empty;
+    std::call_once(state_->rendered, [&] { state_->text = state_->render(); });
+    return state_->text;
+}
 
 stats::Table ScenarioResult::summary_table() const {
     return core::mechanism_summary_table(outcome.unicast, outcome.mechanisms);
@@ -82,8 +105,8 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     // The collector is sized up front — runs x cells x (mechanisms + 1)
     // pre-allocated campaign slots (0 = unicast), plus one city sink per
     // run — so the sweeps write disjoint slots lock-free and the exporters
-    // iterate them in deterministic order.
-    std::optional<telemetry::Collector> collector;
+    // iterate them in deterministic order.  The telemetry report keeps it.
+    std::shared_ptr<telemetry::Collector> collector;
     if (spec.telemetry.enabled()) {
         telemetry::TelemetryConfig config;
         config.trace = spec.telemetry.trace;
@@ -96,8 +119,8 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
         for (const core::MechanismKind kind : spec.mechanisms) {
             labels.push_back(Registry::instance().mechanism_name(kind));
         }
-        collector.emplace(config, spec.runs, spec.cell_count(),
-                          std::move(labels));
+        collector = std::make_shared<telemetry::Collector>(config, spec.runs, spec.cell_count(),
+                                                           std::move(labels));
     }
 
     // The checkpoint context (if any) is shared by every sweep worker; the
@@ -117,7 +140,7 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     }
 
     multicell::DeploymentSetup setup = to_deployment_setup(spec);
-    if (collector) setup.telemetry = &*collector;
+    setup.telemetry = collector.get();
     if (checkpoint) setup.checkpoint = &*checkpoint;
     result.outcome = multicell::run_deployment(setup);
     if (spec.coordinator) {
@@ -132,20 +155,27 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     if (collector) {
         TelemetryReport report;
         report.config = spec.telemetry;
+        report.collector = collector;
         if (spec.telemetry.trace) {
-            report.trace_jsonl = telemetry::trace_jsonl(*collector, spec.threads);
-            report.timeline_json = telemetry::timeline_json(
-                *collector,
-                result.coordination ? &*result.coordination : nullptr);
+            report.trace_jsonl = DeferredText([collector, threads = spec.threads] {
+                return telemetry::trace_jsonl(*collector, threads);
+            });
+            report.timeline_json = DeferredText([collector, coordination = result.coordination] {
+                return telemetry::timeline_json(*collector, coordination ? &*coordination : nullptr);
+            });
         }
         if (spec.telemetry.metrics) {
             report.metrics = telemetry::metrics_table(*collector);
         }
-        write_artifact(spec.telemetry.trace_out, report.trace_jsonl);
+        write_artifact(spec.telemetry.trace_out, [&](std::ostream& out) {
+            telemetry::write_trace_jsonl(out, *collector, spec.threads);
+        });
         if (report.metrics) {
-            write_artifact(spec.telemetry.metrics_out, report.metrics->to_csv());
+            write_artifact(spec.telemetry.metrics_out,
+                           [&](std::ostream& out) { out << report.metrics->to_csv(); });
         }
-        write_artifact(spec.telemetry.timeline_out, report.timeline_json);
+        write_artifact(spec.telemetry.timeline_out,
+                       [&](std::ostream& out) { out << report.timeline_json.str(); });
         result.telemetry = std::move(report);
     }
     return result;

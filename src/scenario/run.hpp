@@ -8,28 +8,65 @@
 // (tests/scenario/scenario_golden_test.cpp).
 #pragma once
 
+#include <functional>
+#include <memory>
+#include <string>
+
 #include "scenario/spec.hpp"
 #include "stats/table.hpp"
 
+namespace nbmg::telemetry {
+class Collector;
+}  // namespace nbmg::telemetry
+
 namespace nbmg::scenario {
+
+/// A text artifact rendered on its first read, then kept.  Copies share the
+/// one render, and concurrent reads are safe: str() renders under
+/// std::call_once.  A default-constructed text reads "".
+class DeferredText {
+public:
+    DeferredText() = default;
+    /// `render` must own what it reads: the text may be read after the
+    /// ScenarioResult that made it has been moved or destroyed.
+    explicit DeferredText(std::function<std::string()> render);
+
+    [[nodiscard]] const std::string& str() const;
+
+    /// Exists only for one line of perfbench's traced pass, which binds the
+    /// trace to a const std::string& through ?: against a std::string.
+    operator const std::string&() const { return str(); }  // NOLINT(google-explicit-constructor)
+
+private:
+    struct State;
+    std::shared_ptr<State> state_;
+};
 
 /// The telemetry artifacts of one scenario run (present on ScenarioResult
 /// when the spec enabled telemetry).  Every artifact is a deterministic
 /// function of (spec, seed): byte-identical at any --threads, and the
 /// campaign aggregates are bit-identical to the telemetry-off run.
+///
+/// The trace and the timeline render only when read (the timeline also when
+/// timeline_out writes it); trace_out streams the trace window by window
+/// (telemetry::write_trace_jsonl) without holding it whole.  They render from
+/// what the report owns, so a report copied or moved out of its
+/// ScenarioResult stays readable after the result is gone.
 struct TelemetryReport {
     /// The request that produced this report.
     TelemetrySpec config;
+    /// The finished collector the artifacts render from.
+    std::shared_ptr<const telemetry::Collector> collector;
     /// Typed trace as JSONL, one record per line in deterministic
     /// (run, cell, campaign, emission) order ("" when trace was off).
-    std::string trace_jsonl;
+    DeferredText trace_jsonl;
     /// Counter registry + sim-time-bucketed series (absent when metrics
     /// collection was off); metrics_out writes its to_csv().
     std::optional<stats::Table> metrics;
     /// Chrome trace_event phase timeline — per-cell campaign spans,
     /// per-stratum sub-spans, backhaul feed busy intervals — loadable in
     /// chrome://tracing / Perfetto ("" when trace was off).
-    std::string timeline_json;
+    DeferredText timeline_json;
 };
 
 /// The deployment engine's result plus the scenario-level reports.

@@ -41,4 +41,11 @@ const CampaignSink& Collector::city_slot(std::size_t run) const {
     return city_sinks_.at(run);
 }
 
+std::size_t Collector::trace_records() const noexcept {
+    std::size_t records = 0;
+    for (const CampaignSink& sink : sinks_) records += sink.records().size();
+    for (const CampaignSink& sink : city_sinks_) records += sink.records().size();
+    return records;
+}
+
 }  // namespace nbmg::telemetry

@@ -46,6 +46,10 @@ public:
     [[nodiscard]] CampaignSink* city_sink(std::size_t run);
     [[nodiscard]] const CampaignSink& city_slot(std::size_t run) const;
 
+    /// Trace records held by every slot, the city slots included: the line
+    /// count of the rendered trace.
+    [[nodiscard]] std::size_t trace_records() const noexcept;
+
 private:
     [[nodiscard]] std::size_t index(std::size_t run, std::size_t cell,
                                     std::size_t campaign) const;

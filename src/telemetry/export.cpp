@@ -8,7 +8,9 @@
 #include <cstdint>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <numeric>
+#include <ostream>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -67,11 +69,6 @@ void append_thread_name(std::string& out, std::size_t pid, std::int64_t tid,
 // --- JSONL trace: every line is
 // {"run":R,"cell":C,"campaign":"L","stratum":S,"at":T,"kind":"K","device":D,"a":A,"b":B}
 // with the stratum and device sentinels printed as -1.
-
-/// Trace records per work item of the render.  A constant, so the cut
-/// never depends on the thread count, and small enough that one slot of a
-/// single-cell trace still spreads over the pool.
-constexpr std::size_t kRangeRecords = std::size_t{1} << 15;
 
 constexpr std::string_view kCityCampaign = ",\"campaign\":\"coordinator\",\"stratum\":";
 constexpr std::string_view kAt = ",\"at\":";
@@ -199,9 +196,12 @@ void for_each_record(const std::vector<TraceSlot>& slots, std::size_t lo, std::s
     }
 }
 
-}  // namespace
-
-std::string trace_jsonl(const Collector& collector, std::size_t threads) {
+/// The one trace render.  It measures every range, then writes the trace
+/// `window_ranges` ranges at a time into `buffer` and calls emit(buffer)
+/// after each window, in order.
+template <typename Emit>
+void render_trace(const Collector& collector, std::size_t threads, std::size_t window_ranges,
+                  std::string& buffer, Emit&& emit) {
     std::vector<TraceSlot> slots;
     std::size_t records = 0;
     const auto add = [&](const CampaignSink& sink, std::string head, bool city) {
@@ -225,18 +225,18 @@ std::string trace_jsonl(const Collector& collector, std::size_t threads) {
         if (!city.records().empty()) add(city, run_head, true);
     }
 
-    const std::size_t ranges = (records + kRangeRecords - 1) / kRangeRecords;
+    const std::size_t ranges = (records + kTraceRangeRecords - 1) / kTraceRangeRecords;
     const auto range_end = [&](std::size_t range) {
-        return std::min((range + 1) * kRangeRecords, records);
+        return std::min((range + 1) * kTraceRangeRecords, records);
     };
     const core::WorkerPool pool(threads);
 
     // Pass 1: the exact bytes of every range; their prefix sums place the
-    // ranges in the one output buffer.
+    // ranges in the output.
     std::vector<std::size_t> offsets(ranges + 1, 0);
     pool.run(ranges, [&](std::size_t range) {
         std::size_t bytes = 0;
-        for_each_record(slots, range * kRangeRecords, range_end(range),
+        for_each_record(slots, range * kTraceRangeRecords, range_end(range),
                         [&](const TraceSlot& slot, const TraceRecord& record) {
                             bytes += line_bytes(slot, record);
                         });
@@ -244,34 +244,67 @@ std::string trace_jsonl(const Collector& collector, std::size_t threads) {
     });
     std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
 
-    // Pass 2: every range writes its lines at its offset and must end
-    // exactly where the next range begins.  The buffer is never zero-filled:
-    // pass 2's workers are the first to touch its pages.  The operation
-    // must not throw, so a failure (a range check, a thread that would not
-    // start) empties the string and is rethrown after it.
-    std::string out;
-    std::exception_ptr error;
-    out.resize_and_overwrite(offsets.back(), [&](char* data, std::size_t size) noexcept {
-        try {
-            pool.run(ranges, [&](std::size_t range) {
-                LineWriter writer(data + offsets[range], data + offsets[range + 1]);
-                for_each_record(slots, range * kRangeRecords, range_end(range),
-                                [&](const TraceSlot& slot, const TraceRecord& record) {
-                                    writer.line(slot, record);
-                                });
-                if (!writer.at_end()) {
-                    throw std::logic_error(
-                        "trace_jsonl: a record range ended short of its measured width");
+    // Pass 2, one window at a time: every range writes its lines at its
+    // offset in the window and must end exactly where the next range
+    // begins.  The buffer is allocated once, at the largest window's size,
+    // and never zero-filled: pass 2's workers are the first to touch its
+    // pages.  The operation must not throw, so a failure (a range check, a
+    // thread that would not start) empties the buffer and is rethrown after
+    // it.
+    const auto window_end = [&](std::size_t first) {
+        return first + std::min(window_ranges, ranges - first);
+    };
+    std::size_t largest = 0;
+    for (std::size_t first = 0; first < ranges; first = window_end(first)) {
+        largest = std::max(largest, offsets[window_end(first)] - offsets[first]);
+    }
+    buffer.reserve(largest);
+    for (std::size_t first = 0; first < ranges; first = window_end(first)) {
+        const std::size_t last = window_end(first);
+        std::exception_ptr error;
+        buffer.resize_and_overwrite(
+            offsets[last] - offsets[first], [&](char* data, std::size_t size) noexcept {
+                try {
+                    pool.run(last - first, [&](std::size_t i) {
+                        const std::size_t range = first + i;
+                        LineWriter writer(data + (offsets[range] - offsets[first]),
+                                          data + (offsets[range + 1] - offsets[first]));
+                        for_each_record(slots, range * kTraceRangeRecords, range_end(range),
+                                        [&](const TraceSlot& slot, const TraceRecord& record) {
+                                            writer.line(slot, record);
+                                        });
+                        if (!writer.at_end()) {
+                            throw std::logic_error(
+                                "trace_jsonl: a record range ended short of its measured "
+                                "width");
+                        }
+                    });
+                } catch (...) {
+                    error = std::current_exception();
+                    return std::size_t{0};
                 }
+                return size;
             });
-        } catch (...) {
-            error = std::current_exception();
-            return std::size_t{0};
-        }
-        return size;
-    });
-    if (error) std::rethrow_exception(error);
+        if (error) std::rethrow_exception(error);
+        emit(std::as_const(buffer));
+    }
+}
+
+}  // namespace
+
+std::string trace_jsonl(const Collector& collector, std::size_t threads) {
+    std::string out;
+    render_trace(collector, threads, std::numeric_limits<std::size_t>::max(), out,
+                 [](const std::string&) {});
     return out;
+}
+
+void write_trace_jsonl(std::ostream& out, const Collector& collector, std::size_t threads) {
+    std::string window;
+    render_trace(collector, threads, kTraceWindowRecords / kTraceRangeRecords, window,
+                 [&](const std::string& text) {
+                     out.write(text.data(), static_cast<std::streamsize>(text.size()));
+                 });
 }
 
 stats::Table metrics_table(const Collector& collector) {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstddef>
+#include <iosfwd>
 #include <string>
 
 #include "stats/table.hpp"
@@ -19,6 +20,16 @@ struct CoordinationAggregates;
 
 namespace nbmg::telemetry {
 
+/// Trace records per work item of the render (a range).  A constant, so the
+/// cut never depends on the thread count, and small enough that one slot of
+/// a single-cell trace still spreads over the pool.
+inline constexpr std::size_t kTraceRangeRecords = std::size_t{1} << 15;
+
+/// Trace records per window of a streamed render: write_trace_jsonl holds
+/// one window's text at a time.  Four ranges keep four workers busy; at
+/// city-rollout's ~115 bytes a line, a window is about 15 MB.
+inline constexpr std::size_t kTraceWindowRecords = 4 * kTraceRangeRecords;
+
 /// One JSON object per line, one line per trace record, slots in
 /// deterministic order.  Each run's city-level backhaul records (campaign
 /// "coordinator") follow the run's campaign slots.
@@ -28,8 +39,14 @@ namespace nbmg::telemetry {
 /// writers are the first to touch the buffer.  Both passes cut the trace
 /// into fixed-size record ranges and fan them over `threads` workers
 /// (core::resolve_threads semantics: 0 = one per hardware thread), so the
-/// bytes are identical at any width.
+/// bytes are identical at any width.  This is write_trace_jsonl's render
+/// with the whole trace as one window.
 [[nodiscard]] std::string trace_jsonl(const Collector& collector, std::size_t threads = 1);
+
+/// Streams the trace_jsonl bytes into `out`, one window of
+/// kTraceWindowRecords records at a time through one reused buffer, so the
+/// whole trace never sits in memory.  The caller checks `out`'s state.
+void write_trace_jsonl(std::ostream& out, const Collector& collector, std::size_t threads = 1);
 
 /// Counter + bucketed-series registry summed across runs and cells, one
 /// block per campaign label: columns {campaign, metric, window_start_ms,

@@ -8,17 +8,30 @@
 //
 // The bounds are the counts this code makes (noted beside each), with
 // headroom.
+//
+// The trace's memory bound rides the same counters: a run renders no trace
+// it was not asked for, and trace_out holds one window of it at a time.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/campaign.hpp"
 #include "core/mechanism.hpp"
+#include "scenario/registry.hpp"
+#include "scenario/run.hpp"
 #include "sim/random.hpp"
+#include "telemetry/collector.hpp"
+#include "telemetry/export.hpp"
 #include "tests/support/counting_new.hpp"
+#include "tests/support/same_render.hpp"
 #include "traffic/population.hpp"
 
 namespace nbmg::core {
@@ -108,6 +121,55 @@ TEST(AllocationBudgetTest, CampaignsAllocatePerFleet) {
         EXPECT_GT(result.rach_attempts, 0u);
         expect_within(n, budget.per_device);
     }
+}
+
+/// The 16-cell backhaul preset with the trace on, at two threads.
+scenario::ScenarioSpec traced_city(std::size_t devices, std::size_t runs) {
+    scenario::ScenarioSpec spec = scenario::Registry::instance().preset("citywide-backhaul");
+    spec.device_count = devices;
+    spec.runs = runs;
+    spec.threads = 2;
+    spec.telemetry = {.trace = true};
+    return spec;
+}
+
+TEST(TraceMemoryBoundTest, RunWithoutTraceOutHoldsNoRenderedTrace) {
+    const scenario::ScenarioSpec spec = traced_city(400, 4);  // 46,412 records
+    test_support::reset_largest_allocation();
+    const scenario::ScenarioResult result = scenario::run_scenario(spec);
+    const std::size_t largest = test_support::largest_allocation();
+    ASSERT_TRUE(result.telemetry.has_value());
+    EXPECT_LT(largest, result.telemetry->trace_jsonl.str().size());
+}
+
+TEST(TraceMemoryBoundTest, TraceOutHoldsOneWindowAtATime) {
+    scenario::ScenarioSpec spec = traced_city(3'000, 4);  // 346,583 records
+    spec.telemetry.trace_out = testing::TempDir() + "alloc_budget_trace.jsonl";
+    test_support::reset_largest_allocation();
+    const scenario::ScenarioResult result = scenario::run_scenario(spec);
+    const std::size_t largest = test_support::largest_allocation();
+    ASSERT_TRUE(result.telemetry.has_value());
+    ASSERT_GT(result.telemetry->collector->trace_records(), 2 * telemetry::kTraceWindowRecords);
+
+    const std::string& trace = result.telemetry->trace_jsonl.str();
+    std::ifstream file(spec.telemetry.trace_out, std::ios::binary);
+    const std::string written{std::istreambuf_iterator<char>(file), {}};
+    std::remove(spec.telemetry.trace_out.c_str());
+    EXPECT_TRUE(test_support::same_render(written, trace));
+
+    // The largest window's bytes, from the lines of the whole render.
+    std::size_t window = 0;
+    std::size_t start = 0;
+    std::size_t lines = 0;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        if (trace[i] == '\n' && ++lines % telemetry::kTraceWindowRecords == 0) {
+            window = std::max(window, i + 1 - start);
+            start = i + 1;
+        }
+    }
+    window = std::max(window, trace.size() - start);
+    EXPECT_LE(largest, window + 1)  // the string's terminator
+        << "a window holds " << window << " of the trace's " << trace.size() << " bytes";
 }
 
 }  // namespace

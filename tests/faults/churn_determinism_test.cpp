@@ -61,8 +61,8 @@ ScenarioSpec faulted_city_spec(std::size_t strata) {
 void expect_telemetry_equal(const ScenarioResult& a, const ScenarioResult& b) {
     ASSERT_TRUE(a.telemetry.has_value());
     ASSERT_TRUE(b.telemetry.has_value());
-    EXPECT_EQ(a.telemetry->trace_jsonl, b.telemetry->trace_jsonl);
-    EXPECT_EQ(a.telemetry->timeline_json, b.telemetry->timeline_json);
+    EXPECT_EQ(a.telemetry->trace_jsonl.str(), b.telemetry->trace_jsonl.str());
+    EXPECT_EQ(a.telemetry->timeline_json.str(), b.telemetry->timeline_json.str());
     ASSERT_TRUE(a.telemetry->metrics.has_value());
     ASSERT_TRUE(b.telemetry->metrics.has_value());
     EXPECT_EQ(a.telemetry->metrics->to_csv(), b.telemetry->metrics->to_csv());
@@ -82,7 +82,7 @@ TEST_P(FaultDeterminismProperty, ChurnedComparisonIsThreadInvariant) {
                                                   rb.deployment());
     expect_telemetry_equal(ra, rb);
     // The fault process actually fired: the trace carries churn events.
-    EXPECT_NE(ra.telemetry->trace_jsonl.find("device_leave"), std::string::npos);
+    EXPECT_NE(ra.telemetry->trace_jsonl.str().find("device_leave"), std::string::npos);
 }
 
 TEST_P(FaultDeterminismProperty, FaultedCityIsThreadInvariant) {
@@ -104,8 +104,8 @@ TEST_P(FaultDeterminismProperty, FaultedCityIsThreadInvariant) {
                 rb.coordination->redelivered_bytes);
     expect_telemetry_equal(ra, rb);
     // All three fault classes left their marks.
-    EXPECT_NE(ra.telemetry->trace_jsonl.find("device_leave"), std::string::npos);
-    EXPECT_NE(ra.telemetry->trace_jsonl.find("cell_outage"), std::string::npos);
+    EXPECT_NE(ra.telemetry->trace_jsonl.str().find("device_leave"), std::string::npos);
+    EXPECT_NE(ra.telemetry->trace_jsonl.str().find("cell_outage"), std::string::npos);
     EXPECT_GT(ra.coordination->redelivered_bytes.mean(), 0.0);
 }
 
@@ -129,7 +129,7 @@ TEST(FaultDeterminismTest, ChurnOnActuallyDiffersFromOff) {
     // monitored, so the light-sleep aggregate cannot coincide.
     EXPECT_FALSE(ron.mechanism_stats(0).mean_light_sleep_seconds ==
                  roff.mechanism_stats(0).mean_light_sleep_seconds);
-    EXPECT_EQ(roff.telemetry->trace_jsonl.find("device_leave"),
+    EXPECT_EQ(roff.telemetry->trace_jsonl.str().find("device_leave"),
               std::string::npos);
 }
 

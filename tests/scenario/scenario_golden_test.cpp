@@ -149,9 +149,9 @@ TEST(ScenarioGoldenTest, SingleRunStrataWithTelemetryMatchPinnedDigests) {
         const ScenarioResult result = run_scenario(spec);
         ASSERT_TRUE(result.telemetry.has_value());
         ASSERT_TRUE(result.telemetry->metrics.has_value());
-        EXPECT_EQ(fnv1a(result.telemetry->trace_jsonl), 0x7660a3b858295828ULL);
+        EXPECT_EQ(fnv1a(result.telemetry->trace_jsonl.str()), 0x7660a3b858295828ULL);
         EXPECT_EQ(fnv1a(result.telemetry->metrics->to_csv()), 0xb1bc6ab1945d6948ULL);
-        EXPECT_EQ(fnv1a(result.telemetry->timeline_json), 0x5be15d0552dfbae4ULL);
+        EXPECT_EQ(fnv1a(result.telemetry->timeline_json.str()), 0x5be15d0552dfbae4ULL);
     }
 }
 

@@ -62,8 +62,8 @@ void expect_results_equal(const ScenarioResult& a, const ScenarioResult& b) {
     test_support::expect_deployment_results_equal(a.deployment(), b.deployment());
     ASSERT_TRUE(a.telemetry.has_value());
     ASSERT_TRUE(b.telemetry.has_value());
-    EXPECT_EQ(a.telemetry->trace_jsonl, b.telemetry->trace_jsonl);
-    EXPECT_EQ(a.telemetry->timeline_json, b.telemetry->timeline_json);
+    EXPECT_EQ(a.telemetry->trace_jsonl.str(), b.telemetry->trace_jsonl.str());
+    EXPECT_EQ(a.telemetry->timeline_json.str(), b.telemetry->timeline_json.str());
     ASSERT_TRUE(a.telemetry->metrics.has_value());
     ASSERT_TRUE(b.telemetry->metrics.has_value());
     EXPECT_EQ(a.telemetry->metrics->to_csv(), b.telemetry->metrics->to_csv());

@@ -44,14 +44,14 @@ TEST(TelemetryStressTest, EightThreadArtifactsBitIdenticalToSerial) {
             scenario::run_scenario(stress_spec(kStressThreads, strata));
         ASSERT_TRUE(serial.telemetry.has_value());
         ASSERT_TRUE(fanned.telemetry.has_value());
-        EXPECT_EQ(serial.telemetry->trace_jsonl, fanned.telemetry->trace_jsonl)
+        EXPECT_EQ(serial.telemetry->trace_jsonl.str(), fanned.telemetry->trace_jsonl.str())
             << "strata=" << strata;
         ASSERT_TRUE(serial.telemetry->metrics && fanned.telemetry->metrics);
         EXPECT_EQ(serial.telemetry->metrics->to_csv(),
                   fanned.telemetry->metrics->to_csv())
             << "strata=" << strata;
-        EXPECT_EQ(serial.telemetry->timeline_json,
-                  fanned.telemetry->timeline_json)
+        EXPECT_EQ(serial.telemetry->timeline_json.str(),
+                  fanned.telemetry->timeline_json.str())
             << "strata=" << strata;
         // Telemetry on or off, fanned or serial: the simulation results
         // themselves stay bit-identical.

@@ -9,10 +9,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
+#include "scenario/registry.hpp"
 #include "scenario/run.hpp"
 #include "scenario/spec.hpp"
 #include "telemetry/collector.hpp"
@@ -275,7 +279,7 @@ TEST(ExportTest, TraceJsonlCutsInsideAndBetweenSlotsAtAnyWidth) {
     // and the last one crosses into the second.
     Collector collector{kFull, 1, 1, {"unicast", "dr-sc"}};
     std::vector<TraceRecord> big;
-    constexpr std::size_t kRange = std::size_t{1} << 15;
+    constexpr std::size_t kRange = telemetry::kTraceRangeRecords;
     for (std::size_t i = 0; i < 3 * kRange + 7; ++i) {
         const auto n = static_cast<std::int64_t>(i);
         big.push_back(TraceRecord{.at_ms = n,
@@ -297,6 +301,35 @@ TEST(ExportTest, TraceJsonlOfAnEmptyCollectorIsEmptyAtAnyWidth) {
     const Collector collector{kFull, 2, 3, {"unicast", "dr-sc"}};
     for (const std::size_t threads : {std::size_t{0}, std::size_t{1}, std::size_t{8}}) {
         EXPECT_EQ(telemetry::trace_jsonl(collector, threads), "") << "threads=" << threads;
+        std::ostringstream streamed;
+        telemetry::write_trace_jsonl(streamed, collector, threads);
+        EXPECT_EQ(streamed.str(), "") << "threads=" << threads;
+    }
+}
+
+TEST(ExportTest, StreamedTraceEqualsTheOneWindowRenderAtAnyWidth) {
+    // Two windows and 7 records in one slot, then a second campaign slot:
+    // the third window starts inside the first slot and crosses into the
+    // second.
+    Collector collector{kFull, 1, 1, {"unicast", "dr-sc"}};
+    std::vector<TraceRecord> big;
+    for (std::size_t i = 0; i < 2 * telemetry::kTraceWindowRecords + 7; ++i) {
+        const auto n = static_cast<std::int64_t>(i);
+        big.push_back(TraceRecord{.at_ms = n,
+                                  .a = -n,
+                                  .b = n % 1000,
+                                  .device = static_cast<std::uint32_t>(i % 4000),
+                                  .kind = EventKind::page_delivered});
+    }
+    fill(collector.sink(0, 0, 0), std::move(big));
+    for (std::int64_t i = 0; i < 5; ++i) {
+        collector.sink(0, 0, 1)->emit(EventKind::tx_multicast, i, 3, i, 2);
+    }
+    const std::string whole = telemetry::trace_jsonl(collector, 1);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+        std::ostringstream streamed;
+        telemetry::write_trace_jsonl(streamed, collector, threads);
+        EXPECT_TRUE(same_render(streamed.str(), whole)) << "threads=" << threads;
     }
 }
 
@@ -357,7 +390,7 @@ TEST(ScenarioTelemetryTest, MetricsCollectionNeverPerturbsResults) {
     EXPECT_FALSE(off.telemetry.has_value());
     // Bit-identical summary: telemetry is purely observational.
     EXPECT_EQ(off.summary_csv(), on.summary_csv());
-    EXPECT_GT(on.telemetry->trace_jsonl.size(), 0u);
+    EXPECT_GT(on.telemetry->trace_jsonl.str().size(), 0u);
     ASSERT_TRUE(on.telemetry->metrics.has_value());
 }
 
@@ -374,7 +407,7 @@ TEST(ScenarioTelemetryTest, ArtifactsBitIdenticalAcrossThreadsAndStrata) {
         const scenario::ScenarioResult one = run_with(1);
         const scenario::ScenarioResult eight = run_with(8);
         ASSERT_TRUE(one.telemetry && eight.telemetry);
-        EXPECT_EQ(one.telemetry->trace_jsonl, eight.telemetry->trace_jsonl)
+        EXPECT_EQ(one.telemetry->trace_jsonl.str(), eight.telemetry->trace_jsonl.str())
             << "strata=" << strata;
         EXPECT_EQ(one.telemetry->metrics->to_csv(),
                   eight.telemetry->metrics->to_csv())
@@ -382,6 +415,75 @@ TEST(ScenarioTelemetryTest, ArtifactsBitIdenticalAcrossThreadsAndStrata) {
         EXPECT_EQ(one.summary_csv(), eight.summary_csv())
             << "strata=" << strata;
     }
+}
+
+TEST(ScenarioTelemetryTest, TraceOffReadsEmptyArtifacts) {
+    const scenario::ScenarioResult result =
+        scenario::run_scenario(small_spec({.metrics = true}));
+    ASSERT_TRUE(result.telemetry.has_value());
+    EXPECT_EQ(result.telemetry->trace_jsonl.str(), "");
+    EXPECT_EQ(result.telemetry->timeline_json.str(), "");
+    EXPECT_TRUE(result.telemetry->metrics.has_value());
+}
+
+/// A coordinated 16-cell run with the trace on: its timeline reads the
+/// coordination's start times.
+scenario::ScenarioSpec coordinated_spec() {
+    scenario::ScenarioSpec spec = scenario::Registry::instance().preset("citywide-backhaul");
+    spec.device_count = 200;
+    spec.runs = 2;
+    spec.telemetry = kFullTelemetry;
+    return spec;
+}
+
+TEST(ScenarioTelemetryTest, ArtifactsRenderAfterTheResultMovesAndDies) {
+    // Built in place (not through make_unique's temporary), so the heap
+    // object is the result run_scenario filled.
+    std::unique_ptr<scenario::ScenarioResult> original(
+        new scenario::ScenarioResult(scenario::run_scenario(coordinated_spec())));
+    ASSERT_TRUE(original->is_coordinated());
+    const scenario::ScenarioResult moved = std::move(*original);
+    ASSERT_TRUE(moved.telemetry.has_value());
+    const Collector& collector = *moved.telemetry->collector;
+    const std::string trace = telemetry::trace_jsonl(collector);
+    const std::string timeline = telemetry::timeline_json(collector, &*moved.coordination);
+
+    EXPECT_TRUE(same_render(moved.telemetry->trace_jsonl.str(), trace));
+    original.reset();
+    EXPECT_TRUE(same_render(moved.telemetry->trace_jsonl.str(), trace));
+    // The timeline's first read, after the result it came from is gone.
+    EXPECT_EQ(moved.telemetry->timeline_json.str(), timeline);
+}
+
+TEST(ScenarioTelemetryTest, CopiesShareOneRender) {
+    const scenario::ScenarioResult result = scenario::run_scenario(coordinated_spec());
+    ASSERT_TRUE(result.telemetry.has_value());
+    const scenario::TelemetryReport copy = *result.telemetry;
+    EXPECT_EQ(&copy.trace_jsonl.str(), &result.telemetry->trace_jsonl.str());
+    EXPECT_EQ(&copy.timeline_json.str(), &result.telemetry->timeline_json.str());
+}
+
+TEST(ScenarioTelemetryTest, ConcurrentReadsGetTheOneRender) {
+    const scenario::ScenarioResult result = scenario::run_scenario(coordinated_spec());
+    ASSERT_TRUE(result.telemetry.has_value());
+    const scenario::TelemetryReport& report = *result.telemetry;
+    constexpr std::size_t kReaders = 4;
+    std::vector<const std::string*> traces(kReaders);
+    std::vector<const std::string*> timelines(kReaders);
+    std::vector<std::thread> readers;
+    for (std::size_t i = 0; i < kReaders; ++i) {
+        readers.emplace_back([&, i] {
+            traces[i] = &report.trace_jsonl.str();
+            timelines[i] = &report.timeline_json.str();
+        });
+    }
+    for (std::thread& reader : readers) reader.join();
+    for (std::size_t i = 1; i < kReaders; ++i) {
+        EXPECT_EQ(traces[i], traces[0]) << "reader " << i;
+        EXPECT_EQ(timelines[i], timelines[0]) << "reader " << i;
+    }
+    EXPECT_TRUE(same_render(*traces[0], telemetry::trace_jsonl(*report.collector)));
+    EXPECT_EQ(*timelines[0], telemetry::timeline_json(*report.collector, &*result.coordination));
 }
 
 TEST(ScenarioTelemetryDeathTest, UnwritableTraceOutExitsWithUsageError) {
